@@ -1,25 +1,22 @@
-"""Model configuration: schema, YAML loading, validation, and dot-path access.
+"""Model configuration: schema, YAML parsing and validation.
 
 The loaded config object is the single source of truth for every model
-parameter, and it stays live during a run: scenario overlays mutate it through
-dot-paths (``stages.filling.processing_time``, ``qc.teams.*.technicians``) and
-the simulation reads parameters back at sample time. Validation collects every
-problem it can find and reports them all at once.
+parameter, and it stays live during a run: scenario overlays set the
+parameters listed in ``scenario.SETTABLE`` and the simulation reads them back
+at sample time. Parsing and validation collect every problem they find and
+report them all at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date, datetime
 
-import yaml
-
-from .distributions import Distribution, DistributionError, constant, from_config, to_config
+from .distributions import Distribution, constant, from_config, to_config
 from .engine import DEFAULT_END_DATE, DEFAULT_START_DATE
-
-MILESTONES = ("batch_start", "intermediate", "batch_end")
 
 
 class ConfigError(ValueError):
@@ -30,12 +27,14 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
+def _zero() -> Distribution:
+    return constant(0.0)
+
+
 @dataclass
 class ModelSection:
     start_date: date = DEFAULT_START_DATE
     end_date: date = DEFAULT_END_DATE
-    # scenario hook: stretches every production processing-time draw
-    processing_time_multiplier: float = 1.0
 
 
 @dataclass
@@ -48,35 +47,34 @@ class InventoryConfig:
 @dataclass
 class StageConfig:
     id: str
-    machines: int
-    processing_time: Distribution
+    machines: int = 1
+    processing_time: Distribution = field(default_factory=_zero)
     input_inventory: str | None = None   # None = unbounded batch source (first stage)
     output_inventory: str | None = None  # None = direct handoff to the next stage
     yield_fraction: Distribution = field(default_factory=lambda: constant(1.0))
     doses_per_batch: int = 0             # final stage only
-    materials: dict[str, float] = field(default_factory=dict)
+    materials: dict[str, float] = field(default_factory=dict)  # material -> per batch
     ipc_tests: list[str] = field(default_factory=list)
     qc_tests: list[str] = field(default_factory=list)
-    milestone: str | None = None         # sample label; defaulted by position
     document_review: bool = False        # spawn a QA document review per batch
-    closed: bool = False                 # scenario hook: True suspends the stage
+    closed: bool = False                 # True suspends the stage
 
 
 @dataclass
 class TeamConfig:
     id: str
-    technicians: int
-    supervisors: int
+    technicians: int = 0
+    supervisors: int = 0
 
 
 @dataclass
 class TestConfig:
     id: str
-    team: str | None
-    prep_time: Distribution
-    test_time: Distribution
-    check_time: Distribution
-    supervisory_check_time: Distribution
+    team: str | None = None
+    prep_time: Distribution = field(default_factory=_zero)
+    test_time: Distribution = field(default_factory=_zero)
+    check_time: Distribution = field(default_factory=_zero)
+    supervisory_check_time: Distribution = field(default_factory=_zero)
     failure_prob: float = 0.0
     prerequisites: list[str] = field(default_factory=list)
     ipc: bool = False
@@ -88,39 +86,42 @@ class QcSection:
     tests: list[TestConfig] = field(default_factory=list)
 
 
+QA_DURATIONS = ("release_review_time", "release_approval_time", "document_review_time",
+                "oos_investigation_time", "deviation_investigation_time")
+
+
 @dataclass
 class QaSection:
     reviewers: int = 0
     supervisors: int = 0
     investigators: int = 0
-    release_review_time: Distribution = field(default_factory=lambda: constant(0.0))
-    release_approval_time: Distribution = field(default_factory=lambda: constant(0.0))
-    document_review_time: Distribution = field(default_factory=lambda: constant(0.0))
-    oos_investigation_time: Distribution = field(default_factory=lambda: constant(0.0))
-    deviation_investigation_time: Distribution = field(default_factory=lambda: constant(0.0))
+    release_review_time: Distribution = field(default_factory=_zero)
+    release_approval_time: Distribution = field(default_factory=_zero)
+    document_review_time: Distribution = field(default_factory=_zero)
+    oos_investigation_time: Distribution = field(default_factory=_zero)
+    deviation_investigation_time: Distribution = field(default_factory=_zero)
     deviation_prob: float = 0.0
 
 
 @dataclass
 class SupplierConfig:
     id: str
-    split: float
-    lead_time: Distribution
-    transport_time: Distribution = field(default_factory=lambda: constant(0.0))
+    split: float = 1.0
+    lead_time: Distribution = field(default_factory=_zero)
+    transport_time: Distribution = field(default_factory=_zero)
     min_interarrival: float = 0.0
 
 
 @dataclass
 class MaterialConfig:
     id: str
-    initial_stockpile: float
-    reorder_point: float
-    safety_stock: float
-    lot_size: float
-    consumption: dict[str, float] = field(default_factory=dict)
-    receipt_qc_time: Distribution = field(default_factory=lambda: constant(0.0))
+    initial_stockpile: float = 0.0
+    reorder_point: float = 0.0
+    safety_stock: float = 0.0
+    lot_size: float = 1.0
+    receipt_qc_time: Distribution = field(default_factory=_zero)
     receipt_rejection_prob: float = 0.0
-    available: bool = True               # scenario hook: False parks all receipts
+    available: bool = True               # False parks all receipts
     suppliers: list[SupplierConfig] = field(default_factory=list)
 
 
@@ -162,41 +163,41 @@ def _by_id(items, item_id):
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# readers: one YAML value to one typed value, or one of READ_ERRORS with the
+# reason. Scenario overlays read their values with the same functions.
 
-def load_config(path) -> Config:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    return parse_config(raw)
+READ_ERRORS = (TypeError, ValueError, KeyError, OverflowError)
 
 
-def parse_config(raw: dict) -> Config:
-    """Build a Config from plain YAML data, then validate it fully."""
-    errors: list[str] = []
-    if not isinstance(raw, dict):
-        raise ConfigError(["config root must be a mapping"])
-
-    model = _parse_model(raw.get("model", {}) or {}, errors)
-    inventories = [_parse_inventory(node, i, errors)
-                   for i, node in enumerate(raw.get("inventories", []) or [])]
-    stages = [_parse_stage(node, i, errors)
-              for i, node in enumerate(raw.get("stages", []) or [])]
-    qc = _parse_qc(raw.get("qc", {}) or {}, errors)
-    qa = _parse_qa(raw.get("qa", {}) or {}, errors)
-    materials = [_parse_material(node, i, errors)
-                 for i, node in enumerate(raw.get("materials", []) or [])]
-    maintenance = _parse_maintenance(raw.get("maintenance", []) or [], errors)
-
-    cfg = Config(model=model, stages=[s for s in stages if s],
-                 inventories=[i for i in inventories if i], qc=qc, qa=qa,
-                 materials=[m for m in materials if m], maintenance=maintenance)
-    errors.extend(validate(cfg))
-    if errors:
-        raise ConfigError(errors)
-    return cfg
+def _is_number(value) -> bool:
+    # the bound also rules out nan, inf and integers too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
-def _parse_date(value, where: str, errors: list[str]) -> date:
+def read_number(value) -> float:
+    if not _is_number(value):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def read_whole(value) -> int:
+    if not _is_number(value) or value != int(value):
+        raise ValueError(f"expected a whole number, got {value!r}")
+    return int(value)
+
+
+def read_flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def read_capacity(value) -> int | None:
+    return None if value is None else read_whole(value)
+
+
+def read_date(value) -> date:
     if isinstance(value, datetime):
         return value.date()
     if isinstance(value, date):
@@ -206,154 +207,142 @@ def _parse_date(value, where: str, errors: list[str]) -> date:
             return date.fromisoformat(value)
         except ValueError:
             pass
-    errors.append(f"{where}: not a date: {value!r}")
-    return DEFAULT_START_DATE
+    raise ValueError(f"not a date: {value!r}")
 
 
-def _parse_dist(node, where: str, errors: list[str]) -> Distribution:
-    try:
-        return from_config(node)
-    except (DistributionError, KeyError, TypeError) as exc:
-        errors.append(f"{where}: {exc}")
-        return constant(0.0)
+def _name(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"expected a name, got {value!r}")
+    return value
 
 
-def _parse_model(node, errors) -> ModelSection:
-    m = ModelSection()
-    if "start_date" in node:
-        m.start_date = _parse_date(node["start_date"], "model.start_date", errors)
-    if "end_date" in node:
-        m.end_date = _parse_date(node["end_date"], "model.end_date", errors)
-    m.processing_time_multiplier = float(node.get("processing_time_multiplier", 1.0))
-    return m
+def _ref(value) -> str | None:
+    return None if value is None else _name(value)
 
 
-def _parse_inventory(node, idx, errors) -> InventoryConfig | None:
-    where = f"inventories[{idx}]"
-    if "id" not in node:
-        errors.append(f"{where}: missing id")
+def _names(value) -> list[str]:
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of names, got {value!r}")
+    return [_name(v) for v in value]
+
+
+def _amounts(value) -> dict[str, float]:
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"expected a mapping of name to quantity, got {value!r}")
+    return {_name(k): read_number(v) for k, v in value.items()}
+
+
+def _as_is(value):
+    return value
+
+
+# ---------------------------------------------------------------------------
+# parsing
+
+SECTIONS = ("model", "inventories", "stages", "qc", "qa", "materials", "maintenance")
+
+
+def _build(cls, node, where: str, errors: list[str], required=("id",), **readers):
+    """A ``cls`` from the YAML mapping ``node``.
+
+    Each key is read with its reader in ``readers``; absent keys keep the
+    dataclass default. Unknown keys and unreadable values are reported, and
+    None comes back when a required key is missing or unreadable.
+    """
+    if not isinstance(node, dict):
+        errors.append(f"{where}: must be a mapping")
         return None
-    cap = node.get("capacity")
-    return InventoryConfig(id=str(node["id"]),
-                           capacity=None if cap is None else int(cap),
-                           final=bool(node.get("final", False)))
-
-
-def _parse_stage(node, idx, errors) -> StageConfig | None:
-    where = f"stages[{idx}]"
-    if "id" not in node:
-        errors.append(f"{where}: missing id")
-        return None
-    where = f"stages.{node['id']}"
-    stage = StageConfig(
-        id=str(node["id"]),
-        machines=int(node.get("machines", 1)),
-        processing_time=_parse_dist(node.get("processing_time", 0.0),
-                                    f"{where}.processing_time", errors),
-        input_inventory=node.get("input_inventory"),
-        output_inventory=node.get("output_inventory"),
-        doses_per_batch=int(node.get("doses_per_batch", 0)),
-        materials={str(k): float(v) for k, v in (node.get("materials") or {}).items()},
-        ipc_tests=[str(t) for t in node.get("ipc_tests", []) or []],
-        qc_tests=[str(t) for t in node.get("qc_tests", []) or []],
-        milestone=node.get("milestone"),
-        document_review=bool(node.get("document_review", False)),
-    )
-    if "yield_fraction" in node:
-        stage.yield_fraction = _parse_dist(node["yield_fraction"],
-                                           f"{where}.yield_fraction", errors)
-    return stage
-
-
-def _parse_qc(node, errors) -> QcSection:
-    teams = []
-    for i, t in enumerate(node.get("teams", []) or []):
-        if "id" not in t:
-            errors.append(f"qc.teams[{i}]: missing id")
+    kwargs = {}
+    for key, value in node.items():
+        reader = readers.get(key)
+        if reader is None:
+            errors.append(f"{where}: unknown key {key!r}")
             continue
-        teams.append(TeamConfig(id=str(t["id"]),
-                                technicians=int(t.get("technicians", 0)),
-                                supervisors=int(t.get("supervisors", 0))))
-    tests = []
-    for i, t in enumerate(node.get("tests", []) or []):
-        if "id" not in t:
-            errors.append(f"qc.tests[{i}]: missing id")
-            continue
-        where = f"qc.tests.{t['id']}"
-        tests.append(TestConfig(
-            id=str(t["id"]),
-            team=t.get("team"),
-            prep_time=_parse_dist(t.get("prep_time", 0.0), f"{where}.prep_time", errors),
-            test_time=_parse_dist(t.get("test_time", 0.0), f"{where}.test_time", errors),
-            check_time=_parse_dist(t.get("check_time", 0.0), f"{where}.check_time", errors),
-            supervisory_check_time=_parse_dist(
-                t.get("supervisory_check_time", 0.0),
-                f"{where}.supervisory_check_time", errors),
-            failure_prob=float(t.get("failure_prob", 0.0)),
-            prerequisites=[str(p) for p in t.get("prerequisites", []) or []],
-            ipc=bool(t.get("ipc", False)),
-        ))
-    return QcSection(teams=teams, tests=tests)
+        try:
+            kwargs[key] = reader(value)
+        except READ_ERRORS as exc:
+            errors.append(f"{where}.{key}: {exc}")
+    missing = [key for key in required if key not in kwargs]
+    errors.extend(f"{where}: missing {key}" for key in missing if key not in node)
+    return None if missing else cls(**kwargs)
 
 
-def _parse_qa(node, errors) -> QaSection:
-    qa = QaSection(reviewers=int(node.get("reviewers", 0)),
-                   supervisors=int(node.get("supervisors", 0)),
-                   investigators=int(node.get("investigators", 0)),
-                   deviation_prob=float(node.get("deviation_prob", 0.0)))
-    for name in ("release_review_time", "release_approval_time", "document_review_time",
-                 "oos_investigation_time", "deviation_investigation_time"):
-        if name in node:
-            setattr(qa, name, _parse_dist(node[name], f"qa.{name}", errors))
-    return qa
-
-
-def _parse_material(node, idx, errors) -> MaterialConfig | None:
-    where = f"materials[{idx}]"
-    if "id" not in node:
-        errors.append(f"{where}: missing id")
-        return None
-    where = f"materials.{node['id']}"
-    suppliers = []
-    for i, s in enumerate(node.get("suppliers", []) or []):
-        if "id" not in s:
-            errors.append(f"{where}.suppliers[{i}]: missing id")
-            continue
-        suppliers.append(SupplierConfig(
-            id=str(s["id"]),
-            split=float(s.get("split", 1.0)),
-            lead_time=_parse_dist(s.get("lead_time", 0.0),
-                                  f"{where}.suppliers.{s['id']}.lead_time", errors),
-            transport_time=_parse_dist(s.get("transport_time", 0.0),
-                                       f"{where}.suppliers.{s['id']}.transport_time", errors),
-            min_interarrival=float(s.get("min_interarrival", 0.0)),
-        ))
-    return MaterialConfig(
-        id=str(node["id"]),
-        initial_stockpile=float(node.get("initial_stockpile", 0.0)),
-        reorder_point=float(node.get("reorder_point", 0.0)),
-        safety_stock=float(node.get("safety_stock", 0.0)),
-        lot_size=float(node.get("lot_size", 1.0)),
-        consumption={str(k): float(v) for k, v in (node.get("consumption") or {}).items()},
-        receipt_qc_time=_parse_dist(node.get("receipt_qc_time", 0.0),
-                                    f"{where}.receipt_qc_time", errors),
-        receipt_rejection_prob=float(node.get("receipt_rejection_prob", 0.0)),
-        available=bool(node.get("available", True)),
-        suppliers=suppliers,
-    )
-
-
-def _parse_maintenance(nodes, errors) -> list[MaintenanceWindow]:
-    windows = []
+def _entries(nodes, section: str, errors: list[str], cls, required=("id",), **readers):
+    """One ``cls`` per entry of the YAML list ``nodes`` (see ``_build``)."""
+    if nodes is None:
+        return []
+    if not isinstance(nodes, list):
+        errors.append(f"{section}: must be a list")
+        return []
+    items = []
     for i, node in enumerate(nodes):
-        where = f"maintenance[{i}]"
-        if not isinstance(node, dict) or "start" not in node or "end" not in node:
-            errors.append(f"{where}: needs start and end dates")
-            continue
-        windows.append(MaintenanceWindow(
-            start=_parse_date(node["start"], f"{where}.start", errors),
-            end=_parse_date(node["end"], f"{where}.end", errors)))
-    # merge overlapping/adjacent windows into a disjoint sorted calendar
+        ident = node.get("id") if isinstance(node, dict) else None
+        where = f"{section}.{ident}" if isinstance(ident, str) else f"{section}[{i}]"
+        item = _build(cls, node, where, errors, required, **readers)
+        if item is not None:
+            items.append(item)
+    return items
+
+
+def parse_config(raw: dict) -> Config:
+    """Build a Config from plain YAML data, then validate it fully."""
+    if not isinstance(raw, dict):
+        raise ConfigError(["config root must be a mapping"])
+    errors = [f"config: unknown key {key!r}" for key in raw if key not in SECTIONS]
+
+    model = _build(ModelSection, raw.get("model") or {}, "model", errors, (),
+                   start_date=read_date, end_date=read_date) or ModelSection()
+    inventories = _entries(raw.get("inventories"), "inventories", errors, InventoryConfig,
+                           id=_name, capacity=read_capacity, final=read_flag)
+    stages = _entries(raw.get("stages"), "stages", errors, StageConfig,
+                      id=_name, machines=read_whole, processing_time=from_config,
+                      input_inventory=_ref, output_inventory=_ref,
+                      yield_fraction=from_config, doses_per_batch=read_whole,
+                      materials=_amounts, ipc_tests=_names, qc_tests=_names,
+                      document_review=read_flag, closed=read_flag)
+    qc = _build(QcSection, raw.get("qc") or {}, "qc", errors, (),
+                teams=lambda nodes: _entries(
+                    nodes, "qc.teams", errors, TeamConfig,
+                    id=_name, technicians=read_whole, supervisors=read_whole),
+                tests=lambda nodes: _entries(
+                    nodes, "qc.tests", errors, TestConfig,
+                    id=_name, team=_ref, prep_time=from_config, test_time=from_config,
+                    check_time=from_config, supervisory_check_time=from_config,
+                    failure_prob=read_number, prerequisites=_names, ipc=read_flag),
+                ) or QcSection()
+    qa = _build(QaSection, raw.get("qa") or {}, "qa", errors, (),
+                reviewers=read_whole, supervisors=read_whole, investigators=read_whole,
+                deviation_prob=read_number,
+                **{name: from_config for name in QA_DURATIONS}) or QaSection()
+    materials = _entries(raw.get("materials"), "materials", errors, MaterialConfig,
+                         id=_name, initial_stockpile=read_number,
+                         reorder_point=read_number, safety_stock=read_number,
+                         lot_size=read_number, receipt_qc_time=from_config,
+                         receipt_rejection_prob=read_number, available=read_flag,
+                         suppliers=_as_is)
+    for mat in materials:
+        mat.suppliers = _entries(mat.suppliers, f"materials.{mat.id}.suppliers", errors,
+                                 SupplierConfig, id=_name, split=read_number,
+                                 lead_time=from_config, transport_time=from_config,
+                                 min_interarrival=read_number)
+    maintenance = _merge_windows(_entries(
+        raw.get("maintenance"), "maintenance", errors, MaintenanceWindow,
+        ("start", "end"), start=read_date, end=read_date))
+
+    cfg = Config(model=model, stages=stages, inventories=inventories, qc=qc, qa=qa,
+                 materials=materials, maintenance=maintenance)
+    errors.extend(validate(cfg))
+    if errors:
+        raise ConfigError(errors)
+    return cfg
+
+
+def _merge_windows(windows: list[MaintenanceWindow]) -> list[MaintenanceWindow]:
+    """Overlapping or adjacent windows merged into a disjoint sorted calendar."""
     windows.sort(key=lambda w: w.start)
     merged: list[MaintenanceWindow] = []
     for w in windows:
@@ -392,8 +381,19 @@ def _dup_ids(items) -> set[str]:
 def _check_model(cfg, errors):
     if cfg.model.end_date <= cfg.model.start_date:
         errors.append("model: end_date must be after start_date")
-    if cfg.model.processing_time_multiplier <= 0:
-        errors.append("model: processing_time_multiplier must be > 0")
+
+
+def _check_duration(dist, where, errors, *, positive=False):
+    """A duration is a distribution over non-negative times, not a bernoulli
+    flag. ``positive`` ones must also take time on average: a stage or
+    supplier step that takes none can repeat forever without the clock
+    advancing."""
+    if dist.kind == "bernoulli":
+        errors.append(f"{where}: a bernoulli draw is not a duration")
+    elif dist.support()[0] < 0:
+        errors.append(f"{where}: must be >= 0")
+    elif positive and dist.mean() <= 0:
+        errors.append(f"{where}: mean must be > 0")
 
 
 def _check_topology(cfg, errors):
@@ -429,8 +429,11 @@ def _check_topology(cfg, errors):
                 errors.append(f"stages.{stage.id}: unknown inventory {name!r}")
         if stage.machines < 1:
             errors.append(f"stages.{stage.id}: machines must be >= 1")
-        if stage.milestone is not None and stage.milestone not in MILESTONES:
-            errors.append(f"stages.{stage.id}: unknown milestone {stage.milestone!r}")
+        _check_duration(stage.processing_time, f"stages.{stage.id}.processing_time",
+                        errors, positive=True)
+        low, high = stage.yield_fraction.support()
+        if not 0.0 <= low <= high <= 1.0:
+            errors.append(f"stages.{stage.id}.yield_fraction: must lie in [0, 1]")
         if stage is not last and stage.doses_per_batch:
             errors.append(f"stages.{stage.id}: doses_per_batch is final-stage only")
     if last.doses_per_batch <= 0:
@@ -464,6 +467,8 @@ def _check_qc(cfg, errors):
             errors.append(f"qc.tests.{test.id}: unknown team {test.team!r}")
         if not 0.0 <= test.failure_prob <= 1.0:
             errors.append(f"qc.tests.{test.id}: failure_prob must be in [0, 1]")
+        for name in ("prep_time", "test_time", "check_time", "supervisory_check_time"):
+            _check_duration(getattr(test, name), f"qc.tests.{test.id}.{name}", errors)
         for pre in test.prerequisites:
             if pre not in test_ids:
                 errors.append(f"qc.tests.{test.id}: unknown prerequisite {pre!r}")
@@ -515,12 +520,13 @@ def _check_qa(cfg, errors):
             errors.append(f"qa.{name}: must be >= 0")
     if not 0.0 <= qa.deviation_prob <= 1.0:
         errors.append("qa.deviation_prob: must be in [0, 1]")
+    for name in QA_DURATIONS:
+        _check_duration(getattr(qa, name), f"qa.{name}", errors)
 
 
 def _check_materials(cfg, errors):
     for dup in sorted(_dup_ids(cfg.materials)):
         errors.append(f"materials: duplicate id {dup!r}")
-    stage_ids = {s.id for s in cfg.stages}
     material_ids = {m.id for m in cfg.materials}
     for stage in cfg.stages:
         for mid, qty in stage.materials.items():
@@ -537,17 +543,7 @@ def _check_materials(cfg, errors):
                 errors.append(f"{where}: {name} must be >= 0")
         if not 0.0 <= mat.receipt_rejection_prob <= 1.0:
             errors.append(f"{where}: receipt_rejection_prob must be in [0, 1]")
-        for sid, qty in mat.consumption.items():
-            if sid not in stage_ids:
-                errors.append(f"{where}: consumption names unknown stage {sid!r}")
-            if qty <= 0:
-                errors.append(f"{where}: consumption at {sid!r} must be > 0")
-        for stage in cfg.stages:
-            declared = stage.materials.get(mat.id)
-            policy = mat.consumption.get(stage.id)
-            if declared is not None and policy is not None and declared != policy:
-                errors.append(f"{where}: consumption at {stage.id!r} disagrees with "
-                              f"the stage's material requirement")
+        _check_duration(mat.receipt_qc_time, f"{where}.receipt_qc_time", errors)
         if not mat.suppliers:
             errors.append(f"{where}: at least one supplier required")
             continue
@@ -562,6 +558,10 @@ def _check_materials(cfg, errors):
                 errors.append(f"{where}.suppliers.{sup.id}: split must be >= 0")
             if sup.min_interarrival < 0:
                 errors.append(f"{where}.suppliers.{sup.id}: min_interarrival must be >= 0")
+            _check_duration(sup.lead_time, f"{where}.suppliers.{sup.id}.lead_time",
+                            errors, positive=True)
+            _check_duration(sup.transport_time,
+                            f"{where}.suppliers.{sup.id}.transport_time", errors)
 
 
 def _check_maintenance(cfg, errors):
@@ -599,77 +599,3 @@ def config_hash(cfg: Config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-# ---------------------------------------------------------------------------
-# dot-path targeting (used by scenario overlays)
-
-_LIST_SECTIONS = {"stages", "inventories", "materials", "teams", "tests", "suppliers"}
-
-
-def resolve_targets(cfg: Config, path: str) -> list[tuple[object, str]]:
-    """Resolve a dot-path to (object, field) pairs; ``*`` fans out over lists.
-
-    Examples: ``model.processing_time_multiplier``, ``stages.filling.closed``,
-    ``qc.teams.*.technicians``, ``materials.vials.suppliers.main.lead_time``.
-    """
-    tokens = path.split(".")
-    if len(tokens) < 2:
-        raise ConfigError([f"target {path!r}: too short"])
-    current: list[object] = [cfg]
-    for tok in tokens[:-1]:
-        nxt: list[object] = []
-        for obj in current:
-            if isinstance(obj, list):
-                if tok == "*":
-                    nxt.extend(obj)
-                else:
-                    try:
-                        nxt.append(_by_id(obj, tok))
-                    except KeyError:
-                        raise ConfigError(
-                            [f"target {path!r}: no element with id {tok!r}"]) from None
-            elif is_dataclass(obj) and hasattr(obj, tok):
-                nxt.append(getattr(obj, tok))
-            else:
-                raise ConfigError([f"target {path!r}: cannot descend into {tok!r}"])
-        current = nxt
-    leaf = tokens[-1]
-    out = []
-    for obj in current:
-        if not (is_dataclass(obj) and hasattr(obj, leaf)):
-            raise ConfigError([f"target {path!r}: no field {leaf!r}"])
-        if isinstance(getattr(obj, leaf), (list, dict, Config)):
-            raise ConfigError([f"target {path!r}: {leaf!r} is not a settable value"])
-        out.append((obj, leaf))
-    if not out:
-        raise ConfigError([f"target {path!r}: matched nothing"])
-    return out
-
-
-def coerce_value(baseline, raw):
-    """Interpret an override value against the baseline it replaces.
-
-    ``{scale: k}`` multiplies the baseline (number or distribution); a
-    distribution spec replaces a distribution; plain scalars replace scalars
-    with the baseline's type.
-    """
-    if isinstance(raw, dict) and set(raw) == {"scale"}:
-        factor = float(raw["scale"])
-        if isinstance(baseline, Distribution):
-            return baseline.scaled(factor)
-        if isinstance(baseline, bool) or not isinstance(baseline, (int, float)):
-            raise ConfigError([f"cannot scale a {type(baseline).__name__} value"])
-        value = baseline * factor
-        return int(round(value)) if isinstance(baseline, int) else value
-    if isinstance(baseline, Distribution):
-        return from_config(raw)
-    if isinstance(baseline, bool):
-        if not isinstance(raw, bool):
-            raise ConfigError([f"expected true/false, got {raw!r}"])
-        return raw
-    if isinstance(baseline, int) and isinstance(raw, (int, float)):
-        return int(raw)
-    if isinstance(baseline, float) and isinstance(raw, (int, float)):
-        return float(raw)
-    if baseline is None or isinstance(baseline, str):
-        return raw
-    raise ConfigError([f"cannot override {type(baseline).__name__} with {raw!r}"])

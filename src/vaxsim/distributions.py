@@ -33,6 +33,8 @@ class Distribution:
 
     def __post_init__(self) -> None:
         p = self.params
+        if not all(math.isfinite(x) for x in p):
+            raise DistributionError(f"{self.kind} parameters must be finite, got {p}")
         if self.kind == "constant":
             if len(p) != 1:
                 raise DistributionError("constant takes exactly one value")

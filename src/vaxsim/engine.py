@@ -56,9 +56,6 @@ class Event:
     target: object = None
     void: bool = False  # tombstoned events are skipped on pop
 
-    def sort_key(self) -> tuple[float, int]:
-        return (self.time, self.seq)
-
 
 class EventList:
     """Future-event list ordered by (time, seq).

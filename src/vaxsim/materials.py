@@ -28,12 +28,11 @@ class PurchaseOrder:
     supplier_id: str
     lots: int
     qty: float
-    placed_at: float
     state: str = "deferred"  # deferred|lead|transit|receipt_qc|parked|accepted|rejected
 
 
 class MaterialRuntime:
-    def __init__(self, cfg):
+    def __init__(self, cfg, batch_equiv: float):
         self.cfg = cfg
         self.on_hand = cfg.initial_stockpile
         self.on_order = 0.0
@@ -46,8 +45,7 @@ class MaterialRuntime:
         self.consumed_total = 0.0
         self.received_total = 0.0
         self.rejected_lots = 0
-        # one batch equivalent = this material's consumption for one batch
-        self.batch_equiv = sum(cfg.consumption.values()) or 1.0
+        self.batch_equiv = batch_equiv  # daily levels are reported in these units
 
     @property
     def id(self) -> str:
@@ -63,7 +61,11 @@ class Materials:
 
     def __init__(self, model):
         self.model = model
-        self.runtimes = {m.id: MaterialRuntime(m) for m in model.cfg.materials}
+        stages = model.cfg.stages
+        # one batch equivalent = what one batch takes of the material over all stages
+        self.runtimes = {
+            m.id: MaterialRuntime(m, sum(s.materials.get(m.id, 0.0) for s in stages) or 1.0)
+            for m in model.cfg.materials}
         model.engine.on("po_place", self._on_po_place)
         model.engine.on("po_step", self._on_po_step)
         for rt in self.runtimes.values():
@@ -75,7 +77,7 @@ class Materials:
         return [mid for mid, qty in requirements.items()
                 if self.runtimes[mid].on_hand < qty - 1e-9]
 
-    def consume(self, requirements: dict[str, float], stage_id: str) -> None:
+    def consume(self, requirements: dict[str, float]) -> None:
         for mid, qty in requirements.items():
             rt = self.runtimes[mid]
             rt.on_hand -= qty
@@ -117,7 +119,7 @@ class Materials:
         start = now if immediate else max(now, rt.last_order[sup.id] + sup.min_interarrival)
         rt.last_order[sup.id] = start
         po = PurchaseOrder(rt.po_seq[sup.id], rt.cfg.id, sup.id,
-                           lots, lots * rt.cfg.lot_size, start)
+                           lots, lots * rt.cfg.lot_size)
         rt.on_order += po.qty
         if start > now:
             self.model.engine.schedule(start, "po_place", po, absolute=True)

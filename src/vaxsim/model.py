@@ -28,9 +28,6 @@ class ReplicationResult:
     batches: list[dict] = field(default_factory=list)
     counts: dict[str, float] = field(default_factory=dict)
 
-    def series_matrix(self, name: str) -> list[float]:
-        return self.series[name]
-
 
 class Collector:
     """Daily series and batch log for one replication."""
@@ -215,21 +212,12 @@ class Model:
             self.discard_batch(batch, "power_outage")
         self.qc.reset_wip(now)
 
-    def on_param_changed(self, obj, fieldname: str) -> None:
-        """Scenario wrote config field ``obj.fieldname``; react if stateful."""
-        cfg = self.cfg
-        if fieldname == "closed":
-            self.production.closure_changed(obj)
-        elif fieldname in ("technicians", "supervisors", "reviewers", "investigators"):
-            self.qc.capacity_changed(obj, fieldname)
-        elif fieldname == "available":
-            for mat in cfg.materials:
-                if obj is mat:
-                    self.materials.availability_changed(mat)
-        # distributions, probabilities and multipliers are read at sample time
-
     def run(self) -> ReplicationResult:
+        """Simulate the horizon; the config is left as it was found."""
         self.settle()  # t=0 dispatch
         self.engine.run()
-        name = self.scenario.name if self.scenario is not None else "base"
-        return self.collect.result(name)
+        if self.scenario is None:
+            return self.collect.result("base")
+        result = self.collect.result(self.scenario.name)
+        self.scenario.restore()
+        return result

@@ -40,7 +40,7 @@ class Batch:
     released_at: float | None = None
     discarded_at: float | None = None
     discard_cause: str | None = None
-    stage_history: list[tuple[str, float, float | None]] = field(default_factory=list)
+    stages_entered: int = 0
     location: tuple[str, object] | None = None  # ("machine", m) | ("inventory", inv)
     # release-gate state, maintained by the QA/QC module
     samples: list = field(default_factory=list)
@@ -87,8 +87,7 @@ class StageRuntime:
         self.input_inv: InventoryRuntime | None = None
         self.output_inv: InventoryRuntime | None = None
         self.busy = StepIntegral()
-        self.closed_int = StepIntegral()
-        self.last_block: str | None = None
+        self.closed_int = StepIntegral(len(self.machines) if cfg.closed else 0.0)
 
     @property
     def id(self) -> str:
@@ -115,6 +114,7 @@ class Production:
         invs = {inv.id: InventoryRuntime(inv) for inv in cfg.inventories}
         self.inventories = invs
         self.stages = [StageRuntime(s, i) for i, s in enumerate(cfg.stages)]
+        self.stage_by_id = {rt.id: rt for rt in self.stages}
         for rt in self.stages:
             if rt.cfg.input_inventory:
                 rt.input_inv = invs[rt.cfg.input_inventory]
@@ -139,9 +139,7 @@ class Production:
 
     def closure_changed(self, stage_cfg) -> None:
         """Scenario hook: a stage's ``closed`` flag was flipped."""
-        for stage in self.stages:
-            if stage.cfg is stage_cfg:
-                self._apply_closure(stage)
+        self._apply_closure(self.stage_by_id[stage_cfg.id])
 
     def _apply_closure(self, stage: StageRuntime) -> None:
         now = self.model.engine.clock.now
@@ -208,34 +206,34 @@ class Production:
     def try_dispatch(self, stage: StageRuntime) -> str | None:
         """Start one batch if every precondition holds; else the block reason."""
         if self.stage_closed(stage):
-            return self._block(stage, "closed")
+            return "closed"
         machine = stage.idle_machine()
         if machine is None:
-            return self._block(stage, "no_machine")
+            return "no_machine"
 
         donor: Machine | None = None
         if stage.idx == 0:
             pass  # unbounded batch source
         elif stage.input_inv is not None:
             if not stage.input_inv.contents:
-                return self._block(stage, "no_input")
+                return "no_input"
         else:
             upstream = self.stages[stage.idx - 1]
             if not self.stage_closed(upstream):
                 stalled = upstream.stalled_machines()
                 donor = stalled[0] if stalled else None
             if donor is None:
-                return self._block(stage, "no_input")
+                return "no_input"
 
         materials = self.model.materials
         missing = materials.missing_for(stage.cfg.materials)
         if missing:
             for mid in missing:
                 materials.note_shortfall(mid)
-            return self._block(stage, "material_stockout")
+            return "material_stockout"
 
         if stage.output_inv is not None and not stage.output_inv.has_space():
-            return self._block(stage, "downstream_full")
+            return "downstream_full"
 
         now = self.model.engine.clock.now
         if stage.idx == 0:
@@ -249,29 +247,23 @@ class Production:
             donor.finish_time = None
         else:
             batch = stage.input_inv.contents.pop(0)
-        materials.consume(stage.cfg.materials, stage.cfg.id)
+        materials.consume(stage.cfg.materials)
 
         batch.location = ("machine", machine)
-        batch.stage_history.append((stage.cfg.id, now, None))
+        batch.stages_entered += 1
         machine.state = BUSY
         machine.batch = batch
         machine.finish_time = now + self._processing_duration(stage, batch)
         machine.proc_event = self.model.engine.schedule(
             machine.finish_time, "proc_done", machine, absolute=True)
         stage.busy.add(now, 1)
-        stage.last_block = None
         return None
-
-    def _block(self, stage: StageRuntime, reason: str) -> str:
-        stage.last_block = reason
-        return reason
 
     def _processing_duration(self, stage: StageRuntime, batch: Batch) -> float:
         cfg = self.model.cfg
         rng = self.model.rng
-        base = stage.cfg.processing_time.sample(
+        duration = stage.cfg.processing_time.sample(
             rng.derived("proc", stage.cfg.id, batch.id))
-        duration = base * cfg.model.processing_time_multiplier
         # in-process controls run inside the machine occupancy, by production staff
         for tid in stage.cfg.ipc_tests:
             test = cfg.test(tid)
@@ -295,8 +287,6 @@ class Production:
         y = stage.cfg.yield_fraction.sample(
             self.model.rng.derived("yield", stage.cfg.id, batch.id))
         batch.quantity *= y
-        sid, entered, _ = batch.stage_history[-1]
-        batch.stage_history[-1] = (sid, entered, now)
         if stage.cfg.doses_per_batch:
             batch.doses = int(round(stage.cfg.doses_per_batch * batch.quantity))
 

@@ -34,8 +34,6 @@ PASSED = "passed"
 class Sample:
     batch: Batch
     stage_id: str
-    milestone: str
-    arrived_at: float
     tests: dict[str, str] = field(default_factory=dict)
 
     def prereqs_met(self, test_cfg) -> bool:
@@ -160,8 +158,8 @@ class QaQc:
             if failed:
                 batch.pending_tests += 1
                 batch.investigations += 1
-                self._enqueue(self.investigators, Task(
-                    "ipc_oos", batch, test_id=tid, stage_id=stage.cfg.id),
+                self.investigators.enqueue(
+                    Task("ipc_oos", batch, test_id=tid, stage_id=stage.cfg.id),
                     (now, 0), now)
         if cfg.qa.deviation_prob > 0.0:
             hit = (self.model.rng.derived("devflag", stage.cfg.id, batch.id)
@@ -169,19 +167,17 @@ class QaQc:
             if hit:
                 batch.pending_investigations += 1
                 batch.investigations += 1
-                self._enqueue(self.investigators,
-                              Task("dev", batch, stage_id=stage.cfg.id), (now, 0), now)
+                self.investigators.enqueue(Task("dev", batch, stage_id=stage.cfg.id),
+                                           (now, 0), now)
         if stage.cfg.qc_tests:
             self._spawn_sample(batch, stage, now)
         if stage.cfg.document_review and not _is_zero(cfg.qa.document_review_time):
             batch.pending_reviews += 1
-            self._enqueue(self.reviewers,
-                          Task("docrev", batch, stage_id=stage.cfg.id),
-                          self._priority_key(batch, now), now)
+            self.reviewers.enqueue(Task("docrev", batch, stage_id=stage.cfg.id),
+                                   self._priority_key(batch, now), now)
 
     def _spawn_sample(self, batch: Batch, stage: StageRuntime, now: float) -> None:
-        milestone = stage.cfg.milestone or self._default_milestone(stage)
-        sample = Sample(batch, stage.cfg.id, milestone, now)
+        sample = Sample(batch, stage.cfg.id)
         batch.samples.append(sample)
         for tid in stage.cfg.qc_tests:
             sample.tests[tid] = BLOCKED
@@ -190,19 +186,12 @@ class QaQc:
             if sample.prereqs_met(self.model.cfg.test(tid)):
                 self._enqueue_test(sample, tid, attempt=1, now=now)
 
-    def _default_milestone(self, stage: StageRuntime) -> str:
-        if stage.idx == 0:
-            return "batch_start"
-        if stage.idx == len(self.model.production.stages) - 1:
-            return "batch_end"
-        return "intermediate"
-
     def on_enter_final(self, batch: Batch) -> None:
         now = self.model.engine.clock.now
         if not _is_zero(self.model.cfg.qa.release_review_time):
             batch.pending_reviews += 1
-            self._enqueue(self.reviewers, Task("relrev", batch),
-                          self._priority_key(batch, now), now)
+            self.reviewers.enqueue(Task("relrev", batch),
+                                   self._priority_key(batch, now), now)
         self.check_release(batch)
 
     # -- queueing --------------------------------------------------------
@@ -210,19 +199,14 @@ class QaQc:
     def _priority_key(self, batch: Batch, now: float) -> tuple:
         """(release-inventory backlog, how far from completion, FIFO)."""
         backlog = len(self.model.production.final_inv.contents)
-        progress = len(batch.stage_history)
-        return (backlog, -progress, now)
-
-    def _enqueue(self, pool: Pool, task: Task, key: tuple, now: float) -> None:
-        pool.enqueue(task, key, now)
+        return (backlog, -batch.stages_entered, now)
 
     def _enqueue_test(self, sample: Sample, tid: str, attempt: int, now: float) -> None:
         sample.tests[tid] = ACTIVE
         test = self.model.cfg.test(tid)
         task = Task("tech", sample.batch, test_id=tid, stage_id=sample.stage_id,
                     attempt=attempt, sample=sample)
-        self._enqueue(self.tech_pools[test.team], task,
-                      self._priority_key(sample.batch, now), now)
+        self.tech_pools[test.team].enqueue(task, self._priority_key(sample.batch, now), now)
 
     def pump(self) -> bool:
         now = self.model.engine.clock.now
@@ -286,8 +270,7 @@ class QaQc:
             sup = Task("sup", task.batch, test_id=task.test_id,
                        stage_id=task.stage_id, attempt=task.attempt,
                        sample=task.sample, carry=task.carry)
-            self._enqueue(self.sup_pools[test.team], sup,
-                          self._priority_key(task.batch, now), now)
+            self.sup_pools[test.team].enqueue(sup, self._priority_key(task.batch, now), now)
 
     def _done_sup(self, task: Task, now: float) -> None:
         self._resolve_test(task, now)
@@ -307,11 +290,10 @@ class QaQc:
             self.check_release(batch)
         elif task.attempt == 1:
             batch.investigations += 1
-            self._enqueue(self.investigators,
-                          Task("oos", batch, test_id=task.test_id,
-                               stage_id=task.stage_id, attempt=1,
-                               sample=task.sample),
-                          (now, 0), now)
+            self.investigators.enqueue(Task("oos", batch, test_id=task.test_id,
+                                            stage_id=task.stage_id, attempt=1,
+                                            sample=task.sample),
+                                       (now, 0), now)
         else:
             self.model.discard_batch(batch, "failed_retest")
 
@@ -328,8 +310,7 @@ class QaQc:
         test = self.model.cfg.test(tid)
         task = Task("tech", sample.batch, test_id=tid, stage_id=sample.stage_id,
                     attempt=2, sample=sample)
-        self._enqueue(self.tech_pools[test.team], task,
-                      self._priority_key(sample.batch, now), now)
+        self.tech_pools[test.team].enqueue(task, self._priority_key(sample.batch, now), now)
 
     def _done_ipc_oos(self, task: Task, now: float) -> None:
         # retest by production staff: a delay with no personnel seized
@@ -368,8 +349,8 @@ class QaQc:
             task.batch.pending_reviews -= 1
             self.check_release(task.batch)
         else:
-            self._enqueue(self.qa_sups, Task("relapp", task.batch),
-                          self._priority_key(task.batch, now), now)
+            self.qa_sups.enqueue(Task("relapp", task.batch),
+                                 self._priority_key(task.batch, now), now)
 
     def _done_relapp(self, task: Task, now: float) -> None:
         task.batch.pending_reviews -= 1
@@ -418,7 +399,6 @@ class QaQc:
             self.running.discard(task)
         for batch in self.model.collect.live_batches():
             for sample in batch.samples:
-                sample.arrived_at = now
                 for tid, state in sample.tests.items():
                     if state == ACTIVE:
                         sample.tests[tid] = BLOCKED
@@ -426,21 +406,3 @@ class QaQc:
                 for tid, state in sample.tests.items():
                     if state == BLOCKED and sample.prereqs_met(self.model.cfg.test(tid)):
                         self._enqueue_test(sample, tid, attempt=1, now=now)
-
-    # -- scenario hooks --------------------------------------------------
-
-    def capacity_changed(self, obj, fieldname: str) -> None:
-        now = self.model.engine.clock.now
-        cfg = self.model.cfg
-        for team in cfg.qc.teams:
-            if obj is team:
-                if fieldname == "technicians":
-                    self.tech_pools[team.id].set_capacity(team.technicians, now)
-                elif fieldname == "supervisors":
-                    self.sup_pools[team.id].set_capacity(team.supervisors, now)
-                return
-        if obj is cfg.qa:
-            pool = {"reviewers": self.reviewers, "supervisors": self.qa_sups,
-                    "investigators": self.investigators}.get(fieldname)
-            if pool is not None:
-                pool.set_capacity(getattr(cfg.qa, fieldname), now)

@@ -16,7 +16,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
-from .config import Config, config_hash, config_to_dict, parse_config
+from .config import Config, config_hash, parse_config
 from .metrics import kpi_summary
 from .model import Model, ReplicationResult
 from .scenario import ScenarioRuntime, ScenarioSpec, parse_scenario

@@ -1,22 +1,128 @@
 """Time-windowed runtime overrides of model parameters (what-if scenarios).
 
-An overlay file names dot-path targets in the base config and the value each
-takes inside a calendar window: machine closures, pool head-counts, swapped
-distributions, material availability, processing-time multipliers, plus the
-instant ``reset_wip`` action (loss of all work in progress). Overlapping
-windows on one target compose last-writer-wins, and the baseline value is
-restored when the outermost window closes. An overlay with no modifications is
+An overlay sets parameters listed in ``SETTABLE`` inside calendar windows:
+stage closures, processing times, pool head-counts, material availability,
+lead times and the like, plus the instant ``reset_wip`` action (loss of all
+work in progress). A target is a dot-path with ``*`` over list ids
+(``qc.teams.*.technicians``); a path outside the table is rejected, and every
+value is range-checked by the same ``config.validate`` the base config
+passes. Overlapping windows on one parameter compose last-writer-wins, and
+the baseline value is restored when the outermost window closes (and, for
+windows still open, when the run ends). An overlay with no modifications is
 observationally identical to the base case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime
+from datetime import date
+from typing import Callable
 
-import yaml
+from .config import (QA_DURATIONS, READ_ERRORS, Config, ConfigError, read_capacity,
+                     read_date, read_flag, read_number, read_whole, validate)
+from .distributions import from_config
 
-from .config import Config, ConfigError, coerce_value, resolve_targets
+READERS = {"count": read_whole, "number": read_number, "flag": read_flag,
+           "distribution": from_config, "capacity": read_capacity}
+
+
+@dataclass(frozen=True)
+class Param:
+    """One settable parameter.
+
+    ``kind`` names its reader in ``READERS`` ("number" covers probabilities
+    and non-negative amounts alike: their ranges come from ``validate``).
+    ``apply(model, owner, value)`` runs after each write, for parameters that
+    live in runtime state as well as in the config.
+    """
+
+    kind: str
+    apply: Callable | None = None
+
+
+def _resize(pool, model, count: int) -> None:
+    pool.set_capacity(count, model.engine.clock.now)
+
+
+SETTABLE: dict[str, Param] = {
+    "stages.*.closed": Param("flag", lambda m, stage, _: m.production.closure_changed(stage)),
+    "stages.*.processing_time": Param("distribution"),
+    "stages.*.yield_fraction": Param("distribution"),
+    "stages.*.document_review": Param("flag"),
+    "stages.*.doses_per_batch": Param("count"),
+    "inventories.*.capacity": Param("capacity"),
+    "qc.teams.*.technicians": Param(
+        "count", lambda m, team, n: _resize(m.qc.tech_pools[team.id], m, n)),
+    "qc.teams.*.supervisors": Param(
+        "count", lambda m, team, n: _resize(m.qc.sup_pools[team.id], m, n)),
+    "qc.tests.*.prep_time": Param("distribution"),
+    "qc.tests.*.test_time": Param("distribution"),
+    "qc.tests.*.check_time": Param("distribution"),
+    "qc.tests.*.supervisory_check_time": Param("distribution"),
+    "qc.tests.*.failure_prob": Param("number"),
+    "qa.reviewers": Param("count", lambda m, qa, n: _resize(m.qc.reviewers, m, n)),
+    "qa.supervisors": Param("count", lambda m, qa, n: _resize(m.qc.qa_sups, m, n)),
+    "qa.investigators": Param("count", lambda m, qa, n: _resize(m.qc.investigators, m, n)),
+    **{f"qa.{name}": Param("distribution") for name in QA_DURATIONS},
+    "qa.deviation_prob": Param("number"),
+    "materials.*.available": Param(
+        "flag", lambda m, mat, _: m.materials.availability_changed(mat)),
+    "materials.*.reorder_point": Param("number"),
+    "materials.*.safety_stock": Param("number"),
+    "materials.*.lot_size": Param("number"),
+    "materials.*.receipt_qc_time": Param("distribution"),
+    "materials.*.receipt_rejection_prob": Param("number"),
+    "materials.*.suppliers.*.lead_time": Param("distribution"),
+    "materials.*.suppliers.*.transport_time": Param("distribution"),
+    "materials.*.suppliers.*.min_interarrival": Param("number"),
+}
+
+
+def _resolve(cfg: Config, target: str) -> tuple[Param, list[tuple[str, object]]]:
+    """The table entry ``target`` instantiates, and (concrete dot-path, owning
+    config object) for every parameter it names."""
+    tokens = target.split(".")
+    pattern = next((p for p in SETTABLE if len(p.split(".")) == len(tokens) and
+                    all(part in ("*", tok) for part, tok in zip(p.split("."), tokens))),
+                   None)
+    if pattern is None:
+        raise ConfigError([f"target {target!r}: not a settable parameter"])
+    found = [("", cfg)]
+    for tok, part in zip(tokens[:-1], pattern.split(".")[:-1]):
+        step = []
+        for prefix, obj in found:
+            if part != "*":
+                step.append((f"{prefix}{tok}.", getattr(obj, tok)))
+                continue
+            items = [x for x in obj if tok in ("*", x.id)]
+            if not items:
+                raise ConfigError([f"target {target!r}: no element with id {tok!r}"])
+            step.extend((f"{prefix}{x.id}.", x) for x in items)
+        found = step
+    return SETTABLE[pattern], [(prefix + tokens[-1], obj) for prefix, obj in found]
+
+
+def _field(path: str) -> str:
+    return path.rsplit(".", 1)[1]
+
+
+def _value(kind: str, baseline, raw):
+    """The value ``raw`` gives a parameter of ``kind`` whose baseline is ``baseline``.
+
+    ``{scale: k}`` multiplies the baseline: a distribution scales its location
+    parameters; a count or capacity rounds with Python's ``round``, half to
+    even (1 x 0.5 -> 0, 3 x 0.5 -> 2); a flag or an unbounded capacity cannot
+    be scaled. Anything else is a literal for the kind's reader.
+    """
+    if isinstance(raw, dict) and set(raw) == {"scale"}:
+        factor = read_number(raw["scale"])
+        if kind == "distribution":
+            return baseline.scaled(factor)
+        if kind == "flag" or baseline is None:
+            raise ValueError(f"{baseline!r} cannot be scaled")
+        value = read_number(baseline * factor)
+        return value if kind == "number" else round(value)
+    return READERS[kind](raw)
 
 
 @dataclass
@@ -45,43 +151,55 @@ class ScenarioSpec:
         return not self.modifications and not self.resets
 
 
-def load_scenario(path, cfg: Config) -> ScenarioSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
-    return parse_scenario(raw, cfg)
+def _read(reader, value, where: str, errors: list[str]):
+    try:
+        return reader(value)
+    except ValueError as exc:
+        errors.append(f"{where}: {exc}")
+        return None
+
+
+def _unknown(node: dict, where: str, keys, errors: list[str]) -> None:
+    errors.extend(f"{where}: unknown key {k!r}" for k in node if k not in keys)
 
 
 def parse_scenario(raw, cfg: Config) -> ScenarioSpec:
     """Parse and fully validate an overlay against its base config."""
-    errors: list[str] = []
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError(["overlay root must be a mapping"])
-    unknown = set(raw) - {"name", "modifications"}
-    if unknown:
-        raise ConfigError([f"overlay: unknown key {k!r}" for k in sorted(unknown)])
-    name = str(raw.get("name", "scenario"))
+    errors: list[str] = []
+    _unknown(raw, "overlay", ("name", "modifications"), errors)
+    nodes = raw.get("modifications") or []
+    if not isinstance(nodes, list):
+        errors.append("modifications: must be a list")
+        nodes = []
     mods: list[Modification] = []
     resets: list[ResetWip] = []
-    idx = 0
-    for i, node in enumerate(raw.get("modifications", []) or []):
+    for i, node in enumerate(nodes):
         where = f"modifications[{i}]"
         if not isinstance(node, dict):
             errors.append(f"{where}: must be a mapping")
             continue
-        if node.get("action") == "reset_wip":
-            at = _date(node.get("at"), f"{where}.at", errors)
+        if "action" in node:
+            _unknown(node, where, ("action", "at"), errors)
+            if node["action"] != "reset_wip":
+                errors.append(f"{where}: unknown action {node['action']!r}")
+            at = _read(read_date, node.get("at"), f"{where}.at", errors)
             if at is not None:
                 resets.append(ResetWip(at))
             continue
+        _unknown(node, where, ("window", "set", "revert"), errors)
         window = node.get("window")
         if not isinstance(window, dict) or "start" not in window:
             errors.append(f"{where}: needs window: {{start, end}}")
             continue
-        start = _date(window["start"], f"{where}.window.start", errors)
-        end = _date(window["end"], f"{where}.window.end", errors) if "end" in window else None
-        revert = bool(node.get("revert", True))
+        _unknown(window, f"{where}.window", ("start", "end"), errors)
+        start = _read(read_date, window["start"], f"{where}.window.start", errors)
+        end = (_read(read_date, window["end"], f"{where}.window.end", errors)
+               if "end" in window else None)
+        revert = _read(read_flag, node.get("revert", True), f"{where}.revert", errors)
         if end is None and revert:
             errors.append(f"{where}: open-ended window requires revert: false")
         targets = node.get("set")
@@ -91,9 +209,9 @@ def parse_scenario(raw, cfg: Config) -> ScenarioSpec:
         if start is None:
             continue
         for path, value in targets.items():
-            mods.append(Modification(idx, str(path), value, start, end, revert))
-            idx += 1
-    spec = ScenarioSpec(name=name, modifications=mods, resets=resets)
+            mods.append(Modification(len(mods), str(path), value, start, end, revert))
+    spec = ScenarioSpec(name=str(raw.get("name", "scenario")), modifications=mods,
+                        resets=resets)
     errors.extend(validate_scenario(spec, cfg))
     if errors:
         raise ConfigError(errors)
@@ -102,18 +220,21 @@ def parse_scenario(raw, cfg: Config) -> ScenarioSpec:
     return spec
 
 
-def _date(value, where, errors) -> date | None:
-    if isinstance(value, datetime):
-        return value.date()
-    if isinstance(value, date):
-        return value
-    if isinstance(value, str):
-        try:
-            return date.fromisoformat(value)
-        except ValueError:
-            pass
-    errors.append(f"{where}: not a date: {value!r}")
-    return None
+def _value_problems(cfg: Config, mod: Modification) -> list[str]:
+    """Problems with ``mod``'s value: it is set on every parameter the target
+    names in the live ``cfg``, the config is validated, and the old values go
+    back. The base config is valid, so whatever fails is the override's."""
+    param, targets = _resolve(cfg, mod.target)
+    saved = [(owner, _field(path), getattr(owner, _field(path))) for path, owner in targets]
+    try:
+        for owner, name, base in saved:
+            setattr(owner, name, _value(param.kind, base, mod.raw_value))
+        return validate(cfg)
+    except READ_ERRORS as exc:
+        return [str(exc)]
+    finally:
+        for owner, name, base in saved:
+            setattr(owner, name, base)
 
 
 def validate_scenario(spec: ScenarioSpec, cfg: Config) -> list[str]:
@@ -122,11 +243,9 @@ def validate_scenario(spec: ScenarioSpec, cfg: Config) -> list[str]:
     for mod in spec.modifications:
         where = f"target {mod.target!r}"
         try:
-            pairs = resolve_targets(cfg, mod.target)
-            for obj, fieldname in pairs:
-                coerce_value(getattr(obj, fieldname), mod.raw_value)
+            errors.extend(f"{where}: {e}" for e in _value_problems(cfg, mod))
         except ConfigError as exc:
-            errors.extend(f"{where}: {e}" for e in exc.errors)
+            errors.extend(exc.errors)
             continue
         if mod.end is not None and mod.end < mod.start:
             errors.append(f"{where}: window ends before it starts")
@@ -143,17 +262,16 @@ def validate_scenario(spec: ScenarioSpec, cfg: Config) -> list[str]:
 class ScenarioRuntime:
     """Schedules apply/revert events on a model and tracks baselines.
 
-    Per (object, field) an override stack holds every window currently open;
-    the value in force is the one applied last, and the baseline returns only
-    when the stack empties.
+    Per concrete dot-path an override stack holds every window currently
+    open; the value in force is the one applied last, and the baseline
+    returns only when the stack empties.
     """
 
     def __init__(self, spec: ScenarioSpec):
         self.spec = spec
         self.model = None
-        self._baseline: dict[tuple[int, str], object] = {}
-        self._stack: dict[tuple[int, str], list[tuple[int, object]]] = {}
-        self._objs: dict[int, object] = {}  # keep targets pinned by id
+        self._baseline: dict[str, tuple[object, object]] = {}  # path -> (owner, value)
+        self._stack: dict[str, list[tuple[int, object]]] = {}  # path -> [(idx, value)]
 
     @property
     def name(self) -> str:
@@ -176,26 +294,31 @@ class ScenarioRuntime:
                 model.engine.schedule(clock.date_to_time(reset.at), "scn_reset",
                                       absolute=True)
 
+    def _write(self, param: Param, owner, path: str, value) -> None:
+        setattr(owner, _field(path), value)
+        if param.apply is not None:
+            param.apply(self.model, owner, value)
+
     def _on_apply(self, ev) -> None:
         mod: Modification = ev.target
-        for obj, fieldname in resolve_targets(self.model.cfg, mod.target):
-            key = (id(obj), fieldname)
-            self._objs[id(obj)] = obj
-            if key not in self._baseline:
-                self._baseline[key] = getattr(obj, fieldname)
-            value = coerce_value(self._baseline[key], mod.raw_value)
-            self._stack.setdefault(key, []).append((mod.idx, value))
-            setattr(obj, fieldname, value)
-            self.model.on_param_changed(obj, fieldname)
+        param, targets = _resolve(self.model.cfg, mod.target)
+        for path, owner in targets:
+            _, base = self._baseline.setdefault(path, (owner, getattr(owner, _field(path))))
+            value = _value(param.kind, base, mod.raw_value)
+            self._stack.setdefault(path, []).append((mod.idx, value))
+            self._write(param, owner, path, value)
 
     def _on_revert(self, ev) -> None:
         mod: Modification = ev.target
-        for obj, fieldname in resolve_targets(self.model.cfg, mod.target):
-            key = (id(obj), fieldname)
-            stack = self._stack.get(key, [])
-            stack = [entry for entry in stack if entry[0] != mod.idx]
-            self._stack[key] = stack
-            value = stack[-1][1] if stack else self._baseline[key]
-            if getattr(obj, fieldname) != value:
-                setattr(obj, fieldname, value)
-                self.model.on_param_changed(obj, fieldname)
+        param, targets = _resolve(self.model.cfg, mod.target)
+        for path, owner in targets:
+            stack = [entry for entry in self._stack.get(path, []) if entry[0] != mod.idx]
+            self._stack[path] = stack
+            value = stack[-1][1] if stack else self._baseline[path][1]
+            if getattr(owner, _field(path)) != value:
+                self._write(param, owner, path, value)
+
+    def restore(self) -> None:
+        """Put every parameter a window touched back to its baseline."""
+        for path, (owner, value) in self._baseline.items():
+            setattr(owner, _field(path), value)

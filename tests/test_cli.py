@@ -62,13 +62,37 @@ def test_validate_reports_all_problems(tmp_path, capsys):
     assert len(err["messages"]) >= 2
 
 
-def test_bad_scenario_is_a_validation_error(chain_yaml, tmp_path, capsys):
-    ov = {"modifications": [{"window": {"start": "2025-06-01"},
-                             "set": {"no.such.target": 1}}]}
-    rc = main(["validate", "--config", chain_yaml,
-               "--scenario", write_yaml(tmp_path / "ov.yaml", ov)])
+def _set(target, value):
+    return {"window": {"start": "2025-06-01", "end": "2025-06-30"},
+            "set": {target: value}}
+
+
+@pytest.mark.parametrize("modification", [
+    pytest.param({"window": {"start": "2025-06-01"}, "set": {"no.such.target": 1}},
+                 id="unknown-target"),
+    pytest.param(_set("stages.fill.processing_time", {"scale": 0}), id="scale-zero"),
+    pytest.param(_set("stages.fill.processing_time", {"scale": "x"}), id="scale-text"),
+    pytest.param(_set("stages.fill.processing_time", {"weibull": [1, 2]}),
+                 id="unknown-distribution"),
+    pytest.param(_set("qa.deviation_prob", 7), id="probability-above-one"),
+    pytest.param(_set("qc.teams.lab.technicians", -3), id="negative-head-count"),
+    pytest.param(_set("stages.fill.machines", 3), id="machines"),
+    pytest.param(_set("qc.tests.assay.team", "nope"), id="test-team"),
+    pytest.param(_set("stages.prep.id", "zzz"), id="identity"),
+    pytest.param(_set("inventories.finished.final", False), id="final-inventory"),
+])
+def test_bad_scenario_is_a_validation_error(modification, tmp_path, capsys):
+    cfg = chain_dict()
+    cfg["qc"] = {"teams": [{"id": "lab", "technicians": 2, "supervisors": 1}],
+                 "tests": [{"id": "assay", "team": "lab", "test_time": 0.5}]}
+    cfg["stages"][2]["qc_tests"] = ["assay"]
+    rc = main(["validate", "--config", write_yaml(tmp_path / "cfg.yaml", cfg),
+               "--scenario", write_yaml(tmp_path / "ov.yaml",
+                                        {"modifications": [modification]})])
     assert rc == 2
-    assert stderr_json(capsys)["error"] == "validation"
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one line, no traceback
+    assert json.loads(err)["error"] == "validation"
 
 
 def test_run_compare_report_flow(chain_yaml, overlay_yaml, tmp_path, capsys):

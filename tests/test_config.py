@@ -1,16 +1,11 @@
-"""Schema validation, error collection, canonical form, dot-path targeting."""
+"""Schema validation, error collection, canonical form, overlay targets and values."""
 
 import pytest
 
-from vaxsim.config import (
-    ConfigError,
-    coerce_value,
-    config_hash,
-    config_to_dict,
-    parse_config,
-    resolve_targets,
-)
-from vaxsim.distributions import Distribution, triangular
+from vaxsim.config import ConfigError, config_hash, config_to_dict, parse_config
+from vaxsim.distributions import Distribution, constant
+from vaxsim.model import Model
+from vaxsim.scenario import ScenarioRuntime, parse_scenario
 
 from conftest import chain_dict
 
@@ -130,48 +125,129 @@ def test_stage_must_carry_prerequisites_together():
         parse_config(d)
 
 
+def staffed_chain():
+    """The chain with a three-technician lab, so head-counts can be overridden."""
+    d = chain_dict(end_date="2025-05-01")
+    d["qc"] = {"teams": [{"id": "lab", "technicians": 3, "supervisors": 1}]}
+    return parse_config(d)
+
+
+def in_window(target, value, read):
+    """``read(cfg)`` on day 5 of a run whose overlay sets ``target`` on days 1-9."""
+    cfg = staffed_chain()
+    spec = parse_scenario({"modifications": [
+        {"window": {"start": "2025-04-02", "end": "2025-04-10"},
+         "set": {target: value}}]}, cfg)
+    model = Model(cfg, seed=1, scenario=ScenarioRuntime(spec))
+    seen = []
+    model.engine.on("probe", lambda ev: seen.append(read(cfg)))
+    model.engine.schedule(5.0, "probe", absolute=True)
+    model.run()
+    return seen[0]
+
+
+def rejected(target, value):
+    with pytest.raises(ConfigError) as err:
+        parse_scenario({"modifications": [
+            {"window": {"start": "2025-04-02", "end": "2025-04-10"},
+             "set": {target: value}}]}, staffed_chain())
+    return str(err.value)
+
+
 class TestDotPaths:
-    def test_scalar_target(self, chain_cfg):
-        [(obj, fieldname)] = resolve_targets(chain_cfg, "model.processing_time_multiplier")
-        assert obj is chain_cfg.model and fieldname == "processing_time_multiplier"
+    def test_scalar_target(self):
+        assert in_window("qa.deviation_prob", 0.5, lambda c: c.qa.deviation_prob) == 0.5
+        assert "qa.deviation_prob: must be in [0, 1]" in rejected("qa.deviation_prob", 7)
 
-    def test_list_by_id(self, chain_cfg):
-        [(obj, fieldname)] = resolve_targets(chain_cfg, "stages.mix.closed")
-        assert obj is chain_cfg.stages[1] and fieldname == "closed"
+    def test_list_by_id(self):
+        assert in_window("stages.mix.closed", True,
+                         lambda c: [s.closed for s in c.stages]) == [False, True, False]
 
-    def test_wildcard_fans_out(self, chain_cfg):
-        pairs = resolve_targets(chain_cfg, "stages.*.closed")
-        assert len(pairs) == 3
+    def test_wildcard_fans_out(self):
+        assert in_window("stages.*.closed", True,
+                         lambda c: [s.closed for s in c.stages]) == [True, True, True]
+        # one literal for every stage: the non-final ones take no doses
+        text = rejected("stages.*.doses_per_batch", 5)
+        assert "stages.prep: doses_per_batch is final-stage only" in text
+        assert "stages.mix: doses_per_batch is final-stage only" in text
 
-    def test_unknown_id_raises(self, chain_cfg):
-        with pytest.raises(ConfigError, match="no element with id"):
-            resolve_targets(chain_cfg, "stages.bogus.closed")
+    def test_unknown_id_raises(self):
+        assert "no element with id 'bogus'" in rejected("stages.bogus.closed", True)
 
-    def test_unknown_field_raises(self, chain_cfg):
-        with pytest.raises(ConfigError, match="no field"):
-            resolve_targets(chain_cfg, "stages.mix.bogus")
+    def test_unknown_field_raises(self):
+        assert "not a settable parameter" in rejected("stages.mix.bogus", 1)
 
 
 class TestCoerce:
     def test_scale_distribution(self):
-        got = coerce_value(triangular(6, 8, 12), {"scale": 4})
-        assert got == triangular(24, 32, 48)
+        got = in_window("stages.fill.processing_time", {"scale": 4},
+                        lambda c: c.stages[2].processing_time)
+        assert got == constant(12.0)
 
     def test_replace_distribution(self):
-        got = coerce_value(triangular(6, 8, 12), {"triangular": [24, 32, 48]})
+        got = in_window("stages.fill.processing_time", {"triangular": [24, 32, 48]},
+                        lambda c: c.stages[2].processing_time)
         assert isinstance(got, Distribution) and got.params == (24.0, 32.0, 48.0)
 
     def test_scale_int_rounds(self):
-        assert coerce_value(3, {"scale": 0.5}) == 2
+        # Python's round, half to even: 3 x 0.5 -> 2, 1 x 0.5 -> 0
+        assert in_window("qc.teams.lab.technicians", {"scale": 0.5},
+                         lambda c: c.qc.teams[0].technicians) == 2
+        assert in_window("qc.teams.lab.supervisors", {"scale": 0.5},
+                         lambda c: c.qc.teams[0].supervisors) == 0
 
     def test_bool_requires_bool(self):
-        assert coerce_value(True, False) is False
-        with pytest.raises(ConfigError):
-            coerce_value(True, "no")
+        assert in_window("stages.fill.closed", False, lambda c: c.stages[2].closed) is False
+        assert "expected true or false" in rejected("stages.fill.closed", "no")
 
     def test_int_stays_int(self):
-        assert coerce_value(2, 4) == 4
-        assert isinstance(coerce_value(2, 4.0), int)
+        assert in_window("qc.teams.lab.technicians", 4,
+                         lambda c: c.qc.teams[0].technicians) == 4
+        got = in_window("qc.teams.lab.technicians", 4.0, lambda c: c.qc.teams[0].technicians)
+        assert got == 4 and isinstance(got, int)
+        assert "expected a whole number" in rejected("qc.teams.lab.technicians", 2.5)
+
+
+def test_parsing_reports_bad_values_and_unknown_keys():
+    d = chain_dict()
+    d["model"]["processing_time_multiplier"] = 2.0
+    d["stages"][0]["machines"] = "two"
+    d["stages"][1]["milestone"] = "intermediate"
+    d["stages"][1]["machiness"] = 3
+    d["inventories"][2]["final"] = "no"
+    d["materials"] = [{"id": "resin", "consumption": {"prep": 1.0},
+                       "suppliers": [{"id": "s", "lead_time": 1.0, "spilt": 1.0}]}]
+    d["extra"] = {}
+    with pytest.raises(ConfigError) as err:
+        parse_config(d)
+    assert sorted(err.value.errors) == sorted([
+        "config: unknown key 'extra'",
+        "model: unknown key 'processing_time_multiplier'",
+        "stages.prep.machines: expected a whole number, got 'two'",
+        "stages.mix: unknown key 'milestone'",
+        "stages.mix: unknown key 'machiness'",
+        "inventories.finished.final: expected true or false, got 'no'",
+        "materials.resin: unknown key 'consumption'",
+        "materials.resin.suppliers.s: unknown key 'spilt'",
+        # with the flag unreadable, no inventory is final
+        "inventories: exactly one final inventory required, found 0",
+    ])
+
+
+def test_durations_and_yields_are_range_checked():
+    d = chain_dict()
+    d["stages"][0]["processing_time"] = 0.0
+    d["stages"][1]["processing_time"] = {"uniform": [-1.0, 3.0]}
+    d["stages"][2]["yield_fraction"] = {"triangular": [0.9, 1.0, 1.1]}
+    d["qa"] = {"release_review_time": {"bernoulli": 0.5}}
+    with pytest.raises(ConfigError) as err:
+        parse_config(d)
+    assert sorted(err.value.errors) == [
+        "qa.release_review_time: a bernoulli draw is not a duration",
+        "stages.fill.yield_fraction: must lie in [0, 1]",
+        "stages.mix.processing_time: must be >= 0",
+        "stages.prep.processing_time: mean must be > 0",
+    ]
 
 
 def test_canonical_dict_round_trip(chain_cfg):

@@ -18,7 +18,6 @@ def single_stage(horizon_end="2028-03-31", consumption=1.0, **mat):
     }
     if consumption:
         d["stages"][0]["materials"] = {"resin": consumption}
-        d["materials"][0]["consumption"] = {"fill": consumption}
     return d
 
 

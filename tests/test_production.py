@@ -77,7 +77,6 @@ def test_material_shortage_blocks_dispatch():
     d["materials"] = [{
         "id": "resin", "initial_stockpile": 4.0, "reorder_point": 0,
         "safety_stock": 0, "lot_size": 1,
-        "consumption": {"prep": 1.0},
         "suppliers": [{"id": "s", "split": 1.0, "lead_time": {"constant": 10000.0}}],
     }]
     d["stages"][0]["materials"] = {"resin": 1.0}
@@ -150,3 +149,12 @@ def test_conservation_of_batches():
     assert res.counts["batches_created"] == (
         res.counts["batches_released"] + res.counts["batches_discarded"]
         + census["machines"] + census["inventories"])
+
+
+def test_stage_closed_in_the_config_stays_closed():
+    d = chain_dict(end_date="2025-05-01")
+    d["stages"][2]["closed"] = True
+    res = Model(parse_config(d), seed=1).run()
+    assert res.counts["batches_released"] == 0
+    assert res.counts["stage_closed_days.fill"] == 30.0
+    assert res.counts["stage_busy_days.fill"] == 0.0

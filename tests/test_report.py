@@ -31,7 +31,7 @@ def stores(tmp_path_factory):
     # a generously stocked material so the stockout table has a real row
     raw["materials"] = [{"id": "buffer_salts", "initial_stockpile": 5000.0,
                          "reorder_point": 100.0, "safety_stock": 50.0,
-                         "lot_size": 500.0, "consumption": {"prep": 1.0},
+                         "lot_size": 500.0,
                          "suppliers": [{"id": "s1", "lead_time": 5.0}]}]
     raw["stages"][0]["materials"] = {"buffer_salts": 1.0}
     cfg = parse_config(raw)

@@ -1,6 +1,10 @@
 """Overlay parsing, windowed overrides, reverts, and WIP resets."""
 
+from datetime import date, timedelta
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vaxsim.config import ConfigError, config_to_dict, parse_config
 from vaxsim.model import Model
@@ -160,3 +164,128 @@ def test_parameters_deep_equal_baseline_after_windows_close():
     assert done["cfg"] == snapshot         # and fully unwound afterwards
     assert config_to_dict(cfg) == snapshot
     assert res.counts["batches_released"] > 300
+
+
+# -- property: every overlay either parses or is a ConfigError ---------------
+
+# every scalar config field reachable by a dot-path before the table of
+# settable parameters existed; most are now rejected by design
+OLD_PATTERNS = [
+    "model.processing_time_multiplier",
+    *(f"inventories.*.{f}" for f in ("id", "capacity", "final")),
+    *(f"stages.*.{f}" for f in (
+        "id", "machines", "processing_time", "input_inventory", "output_inventory",
+        "yield_fraction", "doses_per_batch", "milestone", "document_review", "closed")),
+    *(f"qc.teams.*.{f}" for f in ("id", "technicians", "supervisors")),
+    *(f"qc.tests.*.{f}" for f in (
+        "id", "team", "prep_time", "test_time", "check_time", "supervisory_check_time",
+        "failure_prob", "ipc")),
+    *(f"qa.{f}" for f in (
+        "reviewers", "supervisors", "investigators", "release_review_time",
+        "release_approval_time", "document_review_time", "oos_investigation_time",
+        "deviation_investigation_time", "deviation_prob")),
+    *(f"materials.*.{f}" for f in (
+        "id", "initial_stockpile", "reorder_point", "safety_stock", "lot_size",
+        "receipt_qc_time", "receipt_rejection_prob", "available")),
+    *(f"materials.*.suppliers.*.{f}" for f in (
+        "id", "split", "lead_time", "transport_time", "min_interarrival")),
+]
+BOGUS_PATTERNS = ["", "qa", "stages", "stages.*", "stages.*.materials", "model.start_date",
+                  "maintenance.*.start", "qc.teams.*.*", "nope.*.closed", "qa.reviewers.x"]
+# ids per list section of busy_chain(), plus the wildcard and one that is absent
+IDS = {"stages": ["prep", "mix", "fill"], "inventories": ["buf_1", "buf_2", "finished"],
+       "teams": ["lab"], "tests": ["ph", "assay"], "materials": ["resin"],
+       "suppliers": ["a", "b"]}
+HOSTILE = [-3, -1, 0, 0.0, 0.5, "x", "no", None, True, False,
+           *({"scale": k} for k in (0, -1, 0.5, 2, "x")),
+           {"constant": 0}, {"weibull": [1, 2]}, {"lognormal": {"median": 1}}, [1, 2]]
+# values a field of that name could plausibly take, so that half the draws
+# get past the type check and reach the range check and the run
+PLAUSIBLE = {
+    "flag": [True, False],
+    "count": [1, 2, 4, {"scale": 2}, {"scale": 0.5}],
+    "probability": [0.0, 0.2, 1.0, {"scale": 2}],
+    "amount": [0.5, 4, 10, {"scale": 2}],
+    "time": [{"triangular": [0.5, 1, 2]}, {"constant": 0.25}, {"scale": 3},
+             {"lognormal": {"median": 1, "scale": 1.5}}],
+    "yield": [{"triangular": [0.8, 0.9, 1.0]}, {"scale": 0.5}],
+    "name": ["lab", "buf_1", "zzz"],
+}
+KIND_OF = {
+    **dict.fromkeys(("closed", "document_review", "final", "ipc", "available"), "flag"),
+    **dict.fromkeys(("machines", "doses_per_batch", "technicians", "supervisors",
+                     "reviewers", "investigators", "capacity"), "count"),
+    **dict.fromkeys(("failure_prob", "deviation_prob", "receipt_rejection_prob", "split"),
+                    "probability"),
+    **dict.fromkeys(("reorder_point", "safety_stock", "lot_size", "initial_stockpile",
+                     "min_interarrival", "processing_time_multiplier"), "amount"),
+    "yield_fraction": "yield",
+}
+DAYS = 60  # 2025-04-01 .. 2025-05-31
+
+
+def busy_chain():
+    """A 60-day chain that touches every section an overlay can target."""
+    d = qc_chain([{"id": "ph", "ipc": True, "test_time": 0.1, "failure_prob": 0.1},
+                  {"id": "assay", "team": "lab", "test_time": 0.5,
+                   "supervisory_check_time": 0.2, "failure_prob": 0.1}],
+                 technicians=2,
+                 qa={"reviewers": 1, "supervisors": 1, "investigators": 1,
+                     "document_review_time": 0.3, "release_review_time": 0.4,
+                     "release_approval_time": 0.1, "oos_investigation_time": 1.0,
+                     "deviation_investigation_time": 0.5, "deviation_prob": 0.1},
+                 ipc_on="mix")
+    d["model"]["end_date"] = "2025-05-31"
+    d["inventories"][1]["capacity"] = 3
+    d["stages"][2]["document_review"] = True
+    d["stages"][0]["materials"] = {"resin": 1.0}
+    d["materials"] = [{
+        "id": "resin", "initial_stockpile": 5.0, "reorder_point": 4.0,
+        "safety_stock": 2.0, "lot_size": 3.0, "receipt_qc_time": 0.5,
+        "receipt_rejection_prob": 0.1,
+        "suppliers": [{"id": "a", "split": 0.5, "lead_time": 3.0, "transport_time": 1.0},
+                      {"id": "b", "split": 0.5, "lead_time": {"triangular": [2, 4, 6]},
+                       "min_interarrival": 2.0}]}]
+    return d
+
+
+@st.composite
+def targets(draw):
+    tokens = draw(st.sampled_from(OLD_PATTERNS + BOGUS_PATTERNS)).split(".")
+    for i, tok in enumerate(tokens):
+        if tok == "*":
+            ids = IDS.get(tokens[i - 1], []) if i else []
+            tokens[i] = draw(st.sampled_from(["*", "bogus", *ids]))
+    return ".".join(tokens)
+
+
+@st.composite
+def modifications(draw):
+    start = draw(st.integers(0, DAYS))
+    window = {"start": (date(2025, 4, 1) + timedelta(start)).isoformat()}
+    node = {"window": window, "set": {}}
+    for _ in range(draw(st.integers(1, 2))):
+        target = draw(targets())
+        leaf = target.rsplit(".", 1)[-1]
+        kind = KIND_OF.get(leaf, "time" if leaf.endswith("_time") else "name")
+        node["set"][target] = draw(st.sampled_from(HOSTILE + PLAUSIBLE[kind] * 2))
+    if draw(st.booleans()):
+        end = draw(st.integers(start, DAYS))
+        window["end"] = (date(2025, 4, 1) + timedelta(end)).isoformat()
+    else:
+        node["revert"] = False
+    return node
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(modifications(), min_size=1, max_size=2))
+def test_any_overlay_parses_and_runs_or_is_rejected(mods):
+    cfg = parse_config(busy_chain())
+    snapshot = config_to_dict(cfg)
+    try:
+        spec = parse_scenario({"name": "fuzz", "modifications": mods}, cfg)
+    except ConfigError:
+        assert config_to_dict(cfg) == snapshot
+        return
+    Model(cfg, seed=3, scenario=ScenarioRuntime(spec)).run()
+    assert config_to_dict(cfg) == snapshot
