@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date, datetime
 
-from .distributions import Distribution, constant, from_config, to_config
+from .distributions import (Distribution, constant, from_config, is_number, read_number,
+                            to_config)
 from .engine import DEFAULT_END_DATE, DEFAULT_START_DATE
 
 
@@ -57,7 +57,7 @@ class StageConfig:
     ipc_tests: list[str] = field(default_factory=list)
     qc_tests: list[str] = field(default_factory=list)
     document_review: bool = False        # spawn a QA document review per batch
-    closed: bool = False                 # True suspends the stage
+    closed: bool = False                 # True suspends the stage (overlays only)
 
 
 @dataclass
@@ -169,20 +169,8 @@ def _by_id(items, item_id):
 READ_ERRORS = (TypeError, ValueError, KeyError, OverflowError)
 
 
-def _is_number(value) -> bool:
-    # the bound also rules out nan, inf and integers too large for a float
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
-
-
-def read_number(value) -> float:
-    if not _is_number(value):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def read_whole(value) -> int:
-    if not _is_number(value) or value != int(value):
+    if not is_number(value) or value != int(value):
         raise ValueError(f"expected a whole number, got {value!r}")
     return int(value)
 
@@ -234,6 +222,12 @@ def _amounts(value) -> dict[str, float]:
     if not isinstance(value, dict):
         raise ValueError(f"expected a mapping of name to quantity, got {value!r}")
     return {_name(k): read_number(v) for k, v in value.items()}
+
+
+def _open(value) -> bool:
+    if read_flag(value):
+        raise ValueError("a stage is closed only by a scenario overlay")
+    return False
 
 
 def _as_is(value):
@@ -303,7 +297,7 @@ def parse_config(raw: dict) -> Config:
                       input_inventory=_ref, output_inventory=_ref,
                       yield_fraction=from_config, doses_per_batch=read_whole,
                       materials=_amounts, ipc_tests=_names, qc_tests=_names,
-                      document_review=read_flag, closed=read_flag)
+                      document_review=read_flag, closed=_open)
     qc = _build(QcSection, raw.get("qc") or {}, "qc", errors, (),
                 teams=lambda nodes: _entries(
                     nodes, "qc.teams", errors, TeamConfig,
@@ -392,7 +386,7 @@ def _check_duration(dist, where, errors, *, positive=False):
         errors.append(f"{where}: a bernoulli draw is not a duration")
     elif dist.support()[0] < 0:
         errors.append(f"{where}: must be >= 0")
-    elif positive and dist.mean() <= 0:
+    elif positive and dist.support()[1] <= 0:
         errors.append(f"{where}: mean must be > 0")
 
 

@@ -9,6 +9,7 @@ sample so that substream consumption is easy to reason about.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -182,6 +183,19 @@ def bernoulli(p: float) -> Distribution:
     return Distribution("bernoulli", (float(p),))
 
 
+def is_number(value) -> bool:
+    # the bound also rules out nan, inf and integers too large for a float
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def read_number(value) -> float:
+    """A YAML number as a float; config values are read with it as well."""
+    if not is_number(value):
+        raise DistributionError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def from_config(node) -> Distribution:
     """Parse a distribution from its config form.
 
@@ -195,7 +209,7 @@ def from_config(node) -> Distribution:
         3.5                                       # shorthand for constant
     """
     if isinstance(node, (int, float)) and not isinstance(node, bool):
-        return constant(float(node))
+        return constant(read_number(node))
     if not isinstance(node, dict) or len(node) != 1:
         raise DistributionError(f"malformed distribution spec: {node!r}")
     kind, args = next(iter(node.items()))
@@ -206,7 +220,10 @@ def from_config(node) -> Distribution:
         return triangular(a, m, b)
     if kind == "lognormal":
         if isinstance(args, dict):
-            return lognormal(float(args["median"]), float(args["scale"]))
+            if set(args) != {"median", "scale"}:
+                raise DistributionError(
+                    f"lognormal takes exactly median and scale, got {list(args)}")
+            return lognormal(read_number(args["median"]), read_number(args["scale"]))
         a, b = _pair(args)
         return lognormal(a, b)
     if kind == "uniform":
@@ -231,16 +248,16 @@ def _scalar(args) -> float:
         if len(args) != 1:
             raise DistributionError(f"expected a single value, got {args!r}")
         args = args[0]
-    return float(args)
+    return read_number(args)
 
 
 def _pair(args) -> tuple[float, float]:
     if not isinstance(args, (list, tuple)) or len(args) != 2:
         raise DistributionError(f"expected [a, b], got {args!r}")
-    return float(args[0]), float(args[1])
+    return read_number(args[0]), read_number(args[1])
 
 
 def _triple(args) -> tuple[float, float, float]:
     if not isinstance(args, (list, tuple)) or len(args) != 3:
         raise DistributionError(f"expected [min, mode, max], got {args!r}")
-    return float(args[0]), float(args[1]), float(args[2])
+    return read_number(args[0]), read_number(args[1]), read_number(args[2])

@@ -87,7 +87,7 @@ class StageRuntime:
         self.input_inv: InventoryRuntime | None = None
         self.output_inv: InventoryRuntime | None = None
         self.busy = StepIntegral()
-        self.closed_int = StepIntegral(len(self.machines) if cfg.closed else 0.0)
+        self.closed_int = StepIntegral()
 
     @property
     def id(self) -> str:

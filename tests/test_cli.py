@@ -74,6 +74,8 @@ def _set(target, value):
     pytest.param(_set("stages.fill.processing_time", {"scale": "x"}), id="scale-text"),
     pytest.param(_set("stages.fill.processing_time", {"weibull": [1, 2]}),
                  id="unknown-distribution"),
+    pytest.param(_set("stages.fill.processing_time", {"triangular": ["1", "2", "3"]}),
+                 id="distribution-text"),
     pytest.param(_set("qa.deviation_prob", 7), id="probability-above-one"),
     pytest.param(_set("qc.teams.lab.technicians", -3), id="negative-head-count"),
     pytest.param(_set("stages.fill.machines", 3), id="machines"),

@@ -214,6 +214,10 @@ def test_parsing_reports_bad_values_and_unknown_keys():
     d["stages"][0]["machines"] = "two"
     d["stages"][1]["milestone"] = "intermediate"
     d["stages"][1]["machiness"] = 3
+    d["stages"][1]["processing_time"] = {"triangular": ["1", "2", "3"]}
+    d["stages"][2]["processing_time"] = {"lognormal": {"median": 1, "scale": 1.3, "shift": 5}}
+    d["stages"][2]["yield_fraction"] = {"constant": True}
+    d["stages"][2]["closed"] = True
     d["inventories"][2]["final"] = "no"
     d["materials"] = [{"id": "resin", "consumption": {"prep": 1.0},
                        "suppliers": [{"id": "s", "lead_time": 1.0, "spilt": 1.0}]}]
@@ -226,11 +230,19 @@ def test_parsing_reports_bad_values_and_unknown_keys():
         "stages.prep.machines: expected a whole number, got 'two'",
         "stages.mix: unknown key 'milestone'",
         "stages.mix: unknown key 'machiness'",
+        "stages.mix.processing_time: expected a number, got '1'",
+        "stages.fill.processing_time: lognormal takes exactly median and scale, "
+        "got ['median', 'scale', 'shift']",
+        "stages.fill.yield_fraction: expected a number, got True",
+        "stages.fill.closed: a stage is closed only by a scenario overlay",
         "inventories.finished.final: expected true or false, got 'no'",
         "materials.resin: unknown key 'consumption'",
         "materials.resin.suppliers.s: unknown key 'spilt'",
         # with the flag unreadable, no inventory is final
         "inventories: exactly one final inventory required, found 0",
+        # unreadable processing times keep the zero default
+        "stages.mix.processing_time: mean must be > 0",
+        "stages.fill.processing_time: mean must be > 0",
     ])
 
 
@@ -248,6 +260,18 @@ def test_durations_and_yields_are_range_checked():
         "stages.mix.processing_time: must be >= 0",
         "stages.prep.processing_time: mean must be > 0",
     ]
+
+
+def test_huge_lognormal_scale_is_a_valid_duration():
+    # a positive-mean check that computed the lognormal mean overflowed here
+    d = chain_dict()
+    d["stages"][0]["processing_time"] = {"lognormal": {"median": 1, "scale": 1e17}}
+    d["stages"][1]["processing_time"] = {"constant": 0.0}
+    with pytest.raises(ConfigError) as err:
+        parse_config(d)
+    assert err.value.errors == ["stages.mix.processing_time: mean must be > 0"]
+    d["stages"][1]["processing_time"] = {"constant": 1.0}
+    assert parse_config(d).stages[0].processing_time.params == (1.0, 1e17)
 
 
 def test_canonical_dict_round_trip(chain_cfg):

@@ -136,6 +136,19 @@ class TestConfigRoundTrip:
         with pytest.raises(d.DistributionError):
             d.from_config("fast")
 
+    @pytest.mark.parametrize("node", [
+        {"triangular": ["1", "2", "3"]},
+        {"constant": True},
+        {"uniform": [0, None]},
+        {"bernoulli": "0.5"},
+        {"lognormal": {"median": 1, "scale": 1.3, "shift": 5}},
+        {"lognormal": {"median": 1}},
+        10 ** 400,
+    ])
+    def test_rejects_non_numbers_and_unknown_keys(self, node):
+        with pytest.raises(d.DistributionError):
+            d.from_config(node)
+
 
 def test_sampling_is_deterministic_per_seed():
     dist = d.triangular(1, 2, 4)

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from vaxsim.config import parse_config
+from vaxsim.config import ConfigError, parse_config
 from vaxsim.model import Model
 
 from conftest import chain_dict
@@ -151,10 +151,10 @@ def test_conservation_of_batches():
         + census["machines"] + census["inventories"])
 
 
-def test_stage_closed_in_the_config_stays_closed():
-    d = chain_dict(end_date="2025-05-01")
+def test_stage_closed_only_by_an_overlay():
+    d = chain_dict()
+    d["stages"][2]["closed"] = False
+    assert parse_config(d).stages[2].closed is False
     d["stages"][2]["closed"] = True
-    res = Model(parse_config(d), seed=1).run()
-    assert res.counts["batches_released"] == 0
-    assert res.counts["stage_closed_days.fill"] == 30.0
-    assert res.counts["stage_busy_days.fill"] == 0.0
+    with pytest.raises(ConfigError, match="closed only by a scenario overlay"):
+        parse_config(d)

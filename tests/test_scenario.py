@@ -198,7 +198,8 @@ IDS = {"stages": ["prep", "mix", "fill"], "inventories": ["buf_1", "buf_2", "fin
        "suppliers": ["a", "b"]}
 HOSTILE = [-3, -1, 0, 0.0, 0.5, "x", "no", None, True, False,
            *({"scale": k} for k in (0, -1, 0.5, 2, "x")),
-           {"constant": 0}, {"weibull": [1, 2]}, {"lognormal": {"median": 1}}, [1, 2]]
+           {"constant": 0}, {"weibull": [1, 2]}, {"lognormal": {"median": 1}}, [1, 2],
+           {"triangular": ["1", "2", "3"]}, {"lognormal": {"median": 1, "scale": 1e17}}]
 # values a field of that name could plausibly take, so that half the draws
 # get past the type check and reach the range check and the run
 PLAUSIBLE = {
