@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .engine import HashStream
+
 
 class DistributionError(ValueError):
     """Invalid distribution parameters."""
@@ -68,25 +70,26 @@ class Distribution:
         else:
             raise DistributionError(f"unknown distribution kind {self.kind!r}")
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw one value (size=None) or a vector of values."""
+    def sample(self, rng: HashStream):
+        """Draw one value from a substream (``RngRegistry.derived``).
+
+        Every draw is a Python float (bernoulli: a bool), so no numpy scalar
+        reaches event times or results. The lognormal converts the result of
+        ``np.exp`` rather than calling ``math.exp``, which rounds differently
+        on some inputs and so would change simulated results.
+        """
         p = self.params
         if self.kind == "constant":
-            return p[0] if size is None else np.full(size, p[0])
+            return p[0]
         if self.kind == "triangular":
-            u = rng.random() if size is None else rng.random(size)
-            return _triangular_ppf(u, *p)
+            return _triangular_ppf(rng.random(), *p)
         if self.kind == "lognormal":
-            z = rng.standard_normal() if size is None else rng.standard_normal(size)
             median, scale = p
-            return median * np.exp(math.log(scale) * z)
+            return float(median * np.exp(math.log(scale) * rng.standard_normal()))
         if self.kind == "uniform":
             lo, hi = p
-            u = rng.random() if size is None else rng.random(size)
-            return lo + (hi - lo) * u
-        # bernoulli
-        u = rng.random() if size is None else rng.random(size)
-        return (u < p[0]) if size is None else (u < p[0]).astype(float)
+            return lo + (hi - lo) * rng.random()
+        return rng.random() < p[0]  # bernoulli
 
     def mean(self) -> float:
         """Analytic mean, used by statistical self-checks."""
@@ -145,22 +148,14 @@ class Distribution:
         return (0.0, 1.0)
 
 
-def _triangular_ppf(u, lo: float, mode: float, hi: float):
+def _triangular_ppf(u: float, lo: float, mode: float, hi: float) -> float:
     """Inverse-CDF transform; handles the degenerate lo == hi case."""
     span = hi - lo
     if span == 0.0:
-        return lo if np.isscalar(u) else np.full(np.shape(u), lo)
-    c = (mode - lo) / span
-    if np.isscalar(u):
-        if u < c:
-            return lo + math.sqrt(u * span * (mode - lo))
-        return hi - math.sqrt((1.0 - u) * span * (hi - mode))
-    out = np.where(
-        u < c,
-        lo + np.sqrt(u * span * (mode - lo)),
-        hi - np.sqrt((1.0 - u) * span * (hi - mode)),
-    )
-    return out
+        return lo
+    if u < (mode - lo) / span:
+        return lo + math.sqrt(u * span * (mode - lo))
+    return hi - math.sqrt((1.0 - u) * span * (hi - mode))
 
 
 def constant(v: float) -> Distribution:

@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 from datetime import date
 
-import numpy as np
-
 DEFAULT_START_DATE = date(2025, 4, 1)
 DEFAULT_END_DATE = date(2028, 3, 31)
 
@@ -134,23 +132,10 @@ class RngRegistry:
 
     def __init__(self, replication_seed: int) -> None:
         self.replication_seed = int(replication_seed)
-        self._cache: dict[tuple, np.random.Generator] = {}
 
     def _label_key(self, label: tuple) -> bytes:
         return hashlib.sha256(
             repr((self.replication_seed,) + label).encode("utf-8")).digest()
-
-    def stream(self, *label: object) -> np.random.Generator:
-        """Cached sequential numpy stream for a long-lived entity."""
-        key = tuple(label)
-        gen = self._cache.get(key)
-        if gen is None:
-            words = [int.from_bytes(self._label_key(key)[i:i + 4], "little")
-                     for i in range(0, 16, 4)]
-            ss = np.random.SeedSequence([self.replication_seed, *words])
-            gen = np.random.Generator(np.random.PCG64(ss))
-            self._cache[key] = gen
-        return gen
 
     def derived(self, *label: object) -> HashStream:
         """Fresh substream keyed only by (seed, label), independent of history.

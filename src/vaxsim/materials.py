@@ -46,6 +46,11 @@ class MaterialRuntime:
         self.received_total = 0.0
         self.rejected_lots = 0
         self.batch_equiv = batch_equiv  # daily levels are reported in these units
+        self.consumers: list = []  # stage runtimes that use it, woken when on_hand moves
+
+    def wake_consumers(self) -> None:
+        for stage in self.consumers:
+            stage.awake = True
 
     @property
     def id(self) -> str:
@@ -82,6 +87,7 @@ class Materials:
             rt = self.runtimes[mid]
             rt.on_hand -= qty
             rt.consumed_total += qty
+            rt.wake_consumers()  # another consumer may now fall short and note it
             self._review(rt)
 
     def note_shortfall(self, mid: str) -> None:
@@ -181,6 +187,7 @@ class Materials:
             po.state = "accepted"
             rt.on_hand += po.qty
             rt.received_total += po.qty
+            rt.wake_consumers()
             if rt.stockout_since is not None:
                 rt.stockout_since = None
                 if now > math.floor(now):

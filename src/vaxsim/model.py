@@ -1,13 +1,38 @@
 """Composition of one replication: production + QA/QC + materials + metrics.
 
-A Model wires the domain runtimes onto one engine, runs a settle sweep after
-every event (offer work to every stage and pool until nothing more can start),
-ticks a daily collector, and hands back a ReplicationResult. Everything is
-deterministic in (config, scenario, seed).
+A Model wires the domain runtimes onto one engine, ticks a daily collector,
+and hands back a ReplicationResult. Everything is deterministic in (config,
+scenario, seed).
+
+Time advances in the three phases of Pidd's method: pop the next event, run
+its handler (the B-phase), then ``settle`` (the C-phase) starts every batch
+and task whose preconditions now hold. The C-phase visits only the stages and
+pools that are awake. A visit leaves a stage or pool unable to start anything
+more, so it sleeps until a change that could unblock it wakes it:
+
+- a machine at a stage completes, stalls, drains, hands its batch on or loses
+  it: that stage wakes, and so does the next stage when it takes batches
+  straight off this one's machines (a stage's own starts happen during its
+  visit, which runs until it is blocked);
+- a push, pop or removal on an inventory (a release from the final one
+  included) wakes the stages on both sides of it;
+- an accepted receipt or a consumption of a material wakes the stages that
+  use it: a receipt can unblock them, and a consumption can leave one short,
+  which it must note at once;
+- an enqueue, a release or a capacity change on a pool wakes that pool;
+- maintenance and every scenario apply or revert wake everything (an
+  inventory capacity has no apply hook that could wake just its neighbours).
+
+Day ticks, order placements and purchase-order steps short of a receipt wake
+nothing. A sleeping stage or pool would start nothing, so a settle starts
+exactly what offering work to every stage and pool would start, in the same
+downstream-first order; ``tests/test_settle.py`` checks after every settle
+that nothing more can start.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 
 from .engine import Engine, RngRegistry, SimClock
@@ -16,15 +41,27 @@ from .production import DISCARDED, Batch, Production
 from .qaqc import QaQc
 
 
+FLAG_SERIES = "material_stockout."  # daily 0/1 flags; every other series is float
+
+
+def series_array(name: str, values) -> array:
+    """A daily series in compact form: bytes for flags, doubles otherwise."""
+    return array("b" if name.startswith(FLAG_SERIES) else "d", values)
+
+
 @dataclass
 class ReplicationResult:
-    """Everything one replication emits, in plain serializable data."""
+    """Everything one replication emits, in plain serializable data.
+
+    Each daily series is an ``array`` (see ``series_array``): a boxed float
+    per day would make a result about three times larger.
+    """
 
     scenario: str
     seed: int
     horizon_days: int
     start_date: str
-    series: dict[str, list[float]] = field(default_factory=dict)
+    series: dict[str, array] = field(default_factory=dict)
     batches: list[dict] = field(default_factory=list)
     counts: dict[str, float] = field(default_factory=dict)
 
@@ -42,11 +79,11 @@ class Collector:
         self.batches_discarded = [0.0] * h
         self.stage_busy = {s.id: [0.0] * h for s in model.production.stages}
         self.stage_closed = {s.id: [0.0] * h for s in model.production.stages}
-        self.pool_busy = {p.name: [0.0] * h for p in model.qc.pools()}
-        self.pool_cap = {p.name: [0.0] * h for p in model.qc.pools()}
-        self.pool_queue = {p.name: [0.0] * h for p in model.qc.pools()}
+        self.pool_busy = {p.name: [0.0] * h for p in model.qc.pools}
+        self.pool_cap = {p.name: [0.0] * h for p in model.qc.pools}
+        self.pool_queue = {p.name: [0.0] * h for p in model.qc.pools}
         self.mat_level = {m: [0.0] * h for m in model.materials.runtimes}
-        self.mat_stockout = {m: [0.0] * h for m in model.materials.runtimes}
+        self.mat_stockout = {m: [0] * h for m in model.materials.runtimes}
         self.batches: list[Batch] = []
 
     # -- batch log -------------------------------------------------------
@@ -76,7 +113,7 @@ class Collector:
         for sid, (busy, closed) in self.model.production.flush_day(t).items():
             self.stage_busy[sid][d] = busy
             self.stage_closed[sid][d] = closed
-        for pool in self.model.qc.pools():
+        for pool in self.model.qc.pools:
             self.pool_busy[pool.name][d] = pool.busy_int.take(t)
             self.pool_cap[pool.name][d] = pool.cap_int.take(t)
             self.pool_queue[pool.name][d] = pool.queue_int.take(t)
@@ -94,7 +131,7 @@ class Collector:
             horizon_days=self.horizon,
             start_date=model.engine.clock.start_date.isoformat(),
         )
-        s = res.series
+        s = {}
         s["released_doses"] = self.released_doses
         s["batches_created"] = self.batches_created
         s["batches_released"] = self.batches_released
@@ -116,6 +153,7 @@ class Collector:
         for mid in self.mat_level:
             s[f"material_level.{mid}"] = self.mat_level[mid]
             s[f"material_stockout.{mid}"] = self.mat_stockout[mid]
+        res.series = {name: series_array(name, values) for name, values in s.items()}
 
         for b in self.batches:
             res.batches.append({
@@ -132,7 +170,7 @@ class Collector:
         c["released_doses"] = sum(self.released_doses)
         c["retests"] = sum(b.retests for b in self.batches)
         c["investigations"] = sum(b.investigations for b in self.batches)
-        for pool in model.qc.pools():
+        for pool in model.qc.pools:
             c[f"pool_busy_days.{pool.name}"] = pool.busy_int.total
             c[f"pool_queue_days.{pool.name}"] = pool.queue_int.total
             c[f"pool_started.{pool.name}"] = pool.started
@@ -173,6 +211,7 @@ class Model:
         self.materials = Materials(self)
         self.production = Production(self)
         self.qc = QaQc(self)
+        self._wakeable = [*self.production.stages, *self.qc.pools]
         self.collect = Collector(self)
         self.scenario = scenario
         self.engine.after_event = lambda ev: self.settle()
@@ -182,11 +221,23 @@ class Model:
     def _on_day(self, ev) -> None:
         self.collect.day_tick(ev.time)
 
+    def wake_all(self) -> None:
+        for item in self._wakeable:
+            item.awake = True
+
     def settle(self) -> None:
-        """Offer work everywhere until nothing more can start at this instant."""
+        """C-phase: start everything that can start at this instant.
+
+        Returns at once when no stage or pool is awake; otherwise offers work
+        to the awake stages, then to the awake pools, and repeats while
+        anything moves.
+        """
+        if not any(item.awake for item in self._wakeable):
+            return
+        production, qc = self.production, self.qc
         while True:
-            changed = self.production.dispatch_pass()
-            changed |= self.qc.pump()
+            changed = production.dispatch_pass()
+            changed |= qc.pump()
             if not changed:
                 break
 

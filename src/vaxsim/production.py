@@ -67,9 +67,12 @@ class Machine:
 
 
 class InventoryRuntime:
+    """A FIFO buffer; every push, pop or removal wakes the stages on both sides."""
+
     def __init__(self, cfg):
         self.cfg = cfg
         self.contents: list[Batch] = []  # FIFO
+        self.sides: list[StageRuntime] = []  # stages that feed it or draw from it
 
     @property
     def id(self) -> str:
@@ -77,6 +80,23 @@ class InventoryRuntime:
 
     def has_space(self) -> bool:
         return self.cfg.capacity is None or len(self.contents) < self.cfg.capacity
+
+    def push(self, batch: Batch) -> None:
+        self.contents.append(batch)
+        self._wake_sides()
+
+    def pop(self) -> Batch:
+        batch = self.contents.pop(0)
+        self._wake_sides()
+        return batch
+
+    def remove(self, batch: Batch) -> None:
+        self.contents.remove(batch)
+        self._wake_sides()
+
+    def _wake_sides(self) -> None:
+        for stage in self.sides:
+            stage.awake = True
 
 
 class StageRuntime:
@@ -86,6 +106,8 @@ class StageRuntime:
         self.machines = [Machine(idx, i) for i in range(cfg.machines)]
         self.input_inv: InventoryRuntime | None = None
         self.output_inv: InventoryRuntime | None = None
+        self.handoff: StageRuntime | None = None  # takes batches off our machines
+        self.awake = True  # may be able to start or drain; dispatch_pass visits it
         self.busy = StepIntegral()
         self.closed_int = StepIntegral()
 
@@ -118,8 +140,14 @@ class Production:
         for rt in self.stages:
             if rt.cfg.input_inventory:
                 rt.input_inv = invs[rt.cfg.input_inventory]
+                rt.input_inv.sides.append(rt)
             if rt.cfg.output_inventory:
                 rt.output_inv = invs[rt.cfg.output_inventory]
+                rt.output_inv.sides.append(rt)
+            elif rt.idx + 1 < len(self.stages):
+                rt.handoff = self.stages[rt.idx + 1]
+            for mid in rt.cfg.materials:
+                model.materials.runtimes[mid].consumers.append(rt)
         self.final_inv = invs[cfg.final_inventory.id]
         self.maintenance_active = False
         self._next_batch_id = 1
@@ -136,6 +164,7 @@ class Production:
         self.maintenance_active = active
         for stage in self.stages:
             self._apply_closure(stage)
+        self.model.wake_all()
 
     def closure_changed(self, stage_cfg) -> None:
         """Scenario hook: a stage's ``closed`` flag was flipped."""
@@ -171,17 +200,30 @@ class Production:
 
     # -- dispatch --------------------------------------------------------
 
-    def dispatch_pass(self) -> bool:
-        """One settle sweep: drain stalled machines, then start what can start.
+    def wake(self, stage: StageRuntime) -> None:
+        """A machine at ``stage`` changed state: the stage may start or drain,
+        and so may the stage that takes batches straight off its machines."""
+        stage.awake = True
+        if stage.handoff is not None:
+            stage.handoff.awake = True
 
-        Sweeps downstream-first so freed space propagates upstream within a
-        single call; repeats until nothing moves.
+    def dispatch_pass(self) -> bool:
+        """The stages' share of the C-phase: drain, then start what can start.
+
+        Visits only awake stages, downstream-first so that freed space
+        propagates upstream within one sweep, and sweeps again while anything
+        moves. A visited stage sleeps until a change that could unblock it
+        wakes it again (the wake rules are listed in ``model``); a sleeping
+        stage would have drained and started nothing. True if anything moved.
         """
         changed_any = False
         progress = True
         while progress:
             progress = False
             for stage in reversed(self.stages):
+                if not stage.awake:
+                    continue
+                stage.awake = False
                 if self._drain_stalled(stage):
                     progress = True
                 while self.try_dispatch(stage) is None:
@@ -245,8 +287,9 @@ class Production:
             donor.state = IDLE
             donor.batch = None
             donor.finish_time = None
+            self.wake(upstream)
         else:
-            batch = stage.input_inv.contents.pop(0)
+            batch = stage.input_inv.pop()
         materials.consume(stage.cfg.materials)
 
         batch.location = ("machine", machine)
@@ -283,6 +326,7 @@ class Production:
         now = self.model.engine.clock.now
         machine.proc_event = None
         stage.busy.add(now, -1)
+        self.wake(stage)  # the machine goes idle or stalls below
 
         y = stage.cfg.yield_fraction.sample(
             self.model.rng.derived("yield", stage.cfg.id, batch.id))
@@ -307,7 +351,7 @@ class Production:
 
     def _place_output(self, stage: StageRuntime, batch: Batch) -> None:
         inv = stage.output_inv
-        inv.contents.append(batch)
+        inv.push(batch)
         batch.location = ("inventory", inv)
         if inv is self.final_inv:
             batch.state = AWAITING_RELEASE
@@ -325,16 +369,18 @@ class Production:
             if m.proc_event is not None:
                 m.proc_event.void = True
                 m.proc_event = None
+            stage = self.stages[m.stage_idx]
             if m.state == BUSY:
-                self.stages[m.stage_idx].busy.add(self.model.engine.clock.now, -1)
+                stage.busy.add(self.model.engine.clock.now, -1)
             m.state = IDLE
             m.batch = None
             m.finish_time = None
             m.remaining = None
+            self.wake(stage)
         else:
             inv: InventoryRuntime = holder
             if batch in inv.contents:
-                inv.contents.remove(batch)
+                inv.remove(batch)
         batch.location = None
 
     def wip_batches(self) -> list[Batch]:

@@ -70,16 +70,21 @@ class Pool:
         self.completed = 0
         self.wait_total = 0.0     # enqueue -> start
         self.sojourn_total = 0.0  # enqueue -> completion
+        # may be able to start a task: enqueue, release and set_capacity set
+        # it (a purge only shrinks the queue), QaQc.pump clears it
+        self.awake = True
 
     def enqueue(self, task: Task, key: tuple, now: float) -> None:
         task.enqueued_at = now
         heapq.heappush(self._heap, (key, self._seq, task))
         self._seq += 1
         self.queue_int.add(now, 1)
+        self.awake = True
 
     def set_capacity(self, capacity: int, now: float) -> None:
         self.capacity = capacity
         self.cap_int.set(now, capacity)
+        self.awake = True
 
     def pump(self, now: float, starter) -> bool:
         """Start queued tasks while heads are free; ``starter`` runs each one."""
@@ -104,6 +109,7 @@ class Pool:
         self.busy_int.add(now, -1)
         self.completed += 1
         self.sojourn_total += now - task.enqueued_at
+        self.awake = True
 
     def purge(self, predicate, now: float) -> list[Task]:
         """Drop queued tasks matching ``predicate``; returns what was dropped."""
@@ -137,12 +143,10 @@ class QaQc:
         self.reviewers = Pool("qa_reviewers", cfg.qa.reviewers)
         self.qa_sups = Pool("qa_supervisors", cfg.qa.supervisors)
         self.investigators = Pool("qa_investigators", cfg.qa.investigators)
+        self.pools = [*self.tech_pools.values(), *self.sup_pools.values(),
+                      self.reviewers, self.qa_sups, self.investigators]
         self.running: set[Task] = set()
         model.engine.on("task_done", self._on_task_done)
-
-    def pools(self) -> list[Pool]:
-        return [*self.tech_pools.values(), *self.sup_pools.values(),
-                self.reviewers, self.qa_sups, self.investigators]
 
     # -- intake from production -----------------------------------------
 
@@ -209,10 +213,13 @@ class QaQc:
         self.tech_pools[test.team].enqueue(task, self._priority_key(sample.batch, now), now)
 
     def pump(self) -> bool:
+        """The pools' share of the C-phase: pump every awake pool, in order."""
         now = self.model.engine.clock.now
         changed = False
-        for pool in self.pools():
-            changed |= pool.pump(now, self._start_task)
+        for pool in self.pools:
+            if pool.awake:
+                pool.awake = False
+                changed |= pool.pump(now, self._start_task)
         return changed
 
     # -- task lifecycle --------------------------------------------------
@@ -368,7 +375,7 @@ class QaQc:
         batch.state = "released"
         batch.released_at = now
         inv = batch.location[1]
-        inv.contents.remove(batch)  # released stock leaves the final inventory
+        inv.remove(batch)  # released stock leaves the final inventory
         batch.location = None
         self.model.collect.record_release(batch)
 
@@ -377,7 +384,7 @@ class QaQc:
     def void_batch(self, batch: Batch, now: float) -> None:
         """Queued work for a discarded batch disappears; running work finishes
         harmlessly (the no-op branch of the completion handler)."""
-        for pool in self.pools():
+        for pool in self.pools:
             pool.purge(lambda t: t.batch is batch, now)
 
     def reset_wip(self, now: float) -> None:
@@ -390,7 +397,7 @@ class QaQc:
         investigations are paperwork and continue unaffected.
         """
         sample_kinds = {"tech", "sup", "oos"}
-        for pool in self.pools():
+        for pool in self.pools:
             pool.purge(lambda t: t.kind in sample_kinds, now)
         for task in [t for t in self.running if t.kind in sample_kinds]:
             task.event.void = True

@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from . import __version__
 from .config import Config, config_hash, parse_config
 from .metrics import kpi_summary
-from .model import Model, ReplicationResult
+from .model import Model, ReplicationResult, series_array
 from .scenario import ScenarioRuntime, ScenarioSpec, parse_scenario
 
 STORE_FORMAT = "vaxsim-store-1"
@@ -77,7 +77,7 @@ def result_to_ndjson(res: ReplicationResult) -> str:
                      "start_date": res.start_date})]
     for name in sorted(res.series):
         lines.append(_dumps({"kind": "series", "name": name,
-                             "values": res.series[name]}))
+                             "values": res.series[name].tolist()}))
     for b in res.batches:
         lines.append(_dumps(dict(b, kind="batch")))
     lines.append(_dumps(dict(res.counts, kind="counts")))
@@ -92,7 +92,7 @@ def ndjson_to_result(text: str) -> ReplicationResult:
         if kind == "meta":
             res = ReplicationResult(**rec)
         elif kind == "series":
-            res.series[rec["name"]] = rec["values"]
+            res.series[rec["name"]] = series_array(rec["name"], rec["values"])
         elif kind == "batch":
             res.batches.append(rec)
         else:

@@ -264,7 +264,9 @@ class ScenarioRuntime:
 
     Per concrete dot-path an override stack holds every window currently
     open; the value in force is the one applied last, and the baseline
-    returns only when the stack empties.
+    returns only when the stack empties. Every apply and revert wakes every
+    stage and pool: a parameter such as an inventory capacity has no apply
+    hook to wake just what it unblocks.
     """
 
     def __init__(self, spec: ScenarioSpec):
@@ -307,6 +309,7 @@ class ScenarioRuntime:
             value = _value(param.kind, base, mod.raw_value)
             self._stack.setdefault(path, []).append((mod.idx, value))
             self._write(param, owner, path, value)
+        self.model.wake_all()
 
     def _on_revert(self, ev) -> None:
         mod: Modification = ev.target
@@ -317,6 +320,7 @@ class ScenarioRuntime:
             value = stack[-1][1] if stack else self._baseline[path][1]
             if getattr(owner, _field(path)) != value:
                 self._write(param, owner, path, value)
+        self.model.wake_all()
 
     def restore(self) -> None:
         """Put every parameter a window touched back to its baseline."""

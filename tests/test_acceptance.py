@@ -151,8 +151,11 @@ def test_constant_chain_release_timing():
 
 @check("A3 triangular sampling accuracy")
 def test_triangular_sampling_accuracy():
-    g = RngRegistry(12345).stream("triangular", "check")
-    xs = Distribution("triangular", (6.0, 8.0, 12.0)).sample(g, size=1_000_000)
+    # the simulator's own path: scalar draws from one derived substream
+    g = RngRegistry(12345).derived("triangular", "check")
+    dist = Distribution("triangular", (6.0, 8.0, 12.0))
+    xs = np.fromiter((dist.sample(g) for _ in range(1_000_000)), dtype=float,
+                     count=1_000_000)
     mean, lo, hi = float(xs.mean()), float(xs.min()), float(xs.max())
     assert abs(mean - 26.0 / 3.0) <= 0.02, f"mean {mean:.4f} vs 8.6667"
     assert lo >= 6.0 and hi <= 12.0, f"range [{lo:.4f}, {hi:.4f}] outside [6, 12]"

@@ -1,4 +1,8 @@
-"""Distribution validation, support bounds, and sample statistics."""
+"""Distribution validation, support bounds, and sample statistics.
+
+Samples come from the simulator's own path: one ``RngRegistry.derived``
+substream, one scalar draw at a time.
+"""
 
 import math
 
@@ -6,12 +10,18 @@ import numpy as np
 import pytest
 
 from vaxsim import distributions as d
+from vaxsim.engine import RngRegistry
 
 N = 100_000
 
 
+def stream(seed=123):
+    return RngRegistry(seed).derived("distribution", "check")
+
+
 def draws(dist, seed=123, n=N):
-    return np.asarray(dist.sample(np.random.default_rng(seed), size=n), dtype=float)
+    g = stream(seed)
+    return np.fromiter((dist.sample(g) for _ in range(n)), dtype=float, count=n)
 
 
 def assert_mean_close(dist, sample):
@@ -30,9 +40,8 @@ class TestTriangular:
 
     def test_degenerate_point_mass(self):
         dist = d.triangular(8, 8, 8)
-        rng = np.random.default_rng(0)
-        assert dist.sample(rng) == 8.0
-        assert np.all(dist.sample(rng, size=50) == 8.0)
+        assert dist.sample(stream(0)) == 8.0
+        assert np.all(draws(dist, seed=0, n=50) == 8.0)
 
     def test_mode_at_boundary(self):
         x = draws(d.triangular(0, 0, 1))
@@ -68,13 +77,9 @@ class TestLognormal:
 
 class TestConstant:
     def test_exact_no_draw(self):
-        rng = np.random.default_rng(9)
-        before = rng.bit_generator.state["state"]["state"]
-        assert d.constant(4.25).sample(rng) == 4.25
-        assert rng.bit_generator.state["state"]["state"] == before
-
-    def test_vector_form(self):
-        assert np.all(d.constant(2.0).sample(np.random.default_rng(0), size=7) == 2.0)
+        g = stream(9)
+        assert d.constant(4.25).sample(g) == 4.25
+        assert g.random() == stream(9).random()
 
 
 class TestUniform:
@@ -96,9 +101,9 @@ class TestBernoulli:
         assert abs(x.mean() - 0.05) < 0.004
 
     def test_extremes_are_exact(self):
-        rng = np.random.default_rng(1)
-        assert not d.bernoulli(0.0).sample(rng)
-        assert d.bernoulli(1.0).sample(rng)
+        g = stream(1)
+        assert not d.bernoulli(0.0).sample(g)
+        assert d.bernoulli(1.0).sample(g)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(d.DistributionError):
@@ -155,3 +160,10 @@ def test_sampling_is_deterministic_per_seed():
     a = draws(dist, seed=55, n=64)
     b = draws(dist, seed=55, n=64)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dist", [d.constant(2.0), d.triangular(6, 8, 12),
+                                  d.lognormal(2.0, 1.5), d.uniform(3, 9)])
+def test_draws_are_python_floats(dist):
+    # numpy scalars would leak into event times, integrals and results
+    assert type(dist.sample(stream())) is float
