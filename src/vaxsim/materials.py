@@ -44,7 +44,6 @@ class MaterialRuntime:
         self.stockout_days = 0
         self.consumed_total = 0.0
         self.received_total = 0.0
-        self.rejected_lots = 0
         self.batch_equiv = batch_equiv  # daily levels are reported in these units
         self.consumers: list = []  # stage runtimes that use it, woken when on_hand moves
 
@@ -180,7 +179,6 @@ class Materials:
             rejected = u < rt.cfg.receipt_rejection_prob
         if rejected:
             po.state = "rejected"
-            rt.rejected_lots += po.lots
             # quantity never enters stock; replace it straight away
             self._place(rt, self._supplier(po), po.lots, immediate=True)
         else:

@@ -14,7 +14,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy import stats
 
 SMOOTH_WINDOW = 30
 ALPHA = 0.05
@@ -151,6 +150,8 @@ def detect_recovery(base_ensemble, scen_ensemble,
     finished dip visible. A scenario that turns significant again after
     closing, or never closes, counts as not recovered.
     """
+    from scipy import stats  # imported here: running an ensemble never needs it
+
     if len(base_ensemble) < 2 or len(scen_ensemble) < 2:
         raise ValueError("need at least two replications per ensemble")
     base = _smoothed_matrix(base_ensemble, window)
@@ -197,6 +198,8 @@ def compare_scenarios(ensembles: dict[str, list], base: str = "base",
     against the base ensemble, and a two-sided Welch t-test p-value. The base
     rows carry empty delta and p.
     """
+    from scipy import stats  # imported here: running an ensemble never needs it
+
     if base not in ensembles:
         raise ValueError(f"no ensemble named {base!r}")
     totals = {

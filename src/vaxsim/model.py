@@ -4,6 +4,15 @@ A Model wires the domain runtimes onto one engine, ticks a daily collector,
 and hands back a ReplicationResult. Everything is deterministic in (config,
 scenario, seed).
 
+The collector keeps each daily reading once, in the result's own series:
+every series is allocated for the whole horizon when the run starts. Batch
+creations, releases, discards and released doses are added to the current
+day as they happen. At each day tick the collector takes the day's share of
+the busy, closed, capacity and queue integrals, writes the stage and pool
+utilization ratios and the queue lengths, and writes each material's level
+and stockout flag. ``Collector.result`` hands over those same arrays and adds
+the run totals.
+
 Time advances in the three phases of Pidd's method: pop the next event, run
 its handler (the B-phase), then ``settle`` (the C-phase) starts every batch
 and task whose preconditions now hold. The C-phase visits only the stages and
@@ -67,38 +76,41 @@ class ReplicationResult:
 
 
 class Collector:
-    """Daily series and batch log for one replication."""
+    """Daily series and batch log for one replication (see the module notes)."""
 
     def __init__(self, model):
         self.model = model
         self.horizon = int(model.engine.clock.horizon_days)
-        h = self.horizon
-        self.released_doses = [0.0] * h
-        self.batches_created = [0.0] * h
-        self.batches_released = [0.0] * h
-        self.batches_discarded = [0.0] * h
-        self.stage_busy = {s.id: [0.0] * h for s in model.production.stages}
-        self.stage_closed = {s.id: [0.0] * h for s in model.production.stages}
-        self.pool_busy = {p.name: [0.0] * h for p in model.qc.pools}
-        self.pool_cap = {p.name: [0.0] * h for p in model.qc.pools}
-        self.pool_queue = {p.name: [0.0] * h for p in model.qc.pools}
-        self.mat_level = {m: [0.0] * h for m in model.materials.runtimes}
-        self.mat_stockout = {m: [0] * h for m in model.materials.runtimes}
+        self.series: dict[str, array] = {}
+        for name in ("released_doses", "batches_created", "batches_released",
+                     "batches_discarded"):
+            self._new(name)
+        self._stages = [(s, self._new(f"stage_util.{s.id}"))
+                        for s in model.production.stages]
+        self._pools = [(p, self._new(f"pool_util.{p.name}"),
+                        self._new(f"pool_queue.{p.name}")) for p in model.qc.pools]
+        self._materials = {m: (self._new(f"material_level.{m}"),
+                               self._new(f"material_stockout.{m}"))
+                           for m in model.materials.runtimes}
         self.batches: list[Batch] = []
+
+    def _new(self, name: str) -> array:
+        self.series[name] = values = series_array(name, [0] * self.horizon)
+        return values
 
     # -- batch log -------------------------------------------------------
 
     def record_created(self, batch: Batch) -> None:
         self.batches.append(batch)
-        self.batches_created[self._day()] += 1
+        self.series["batches_created"][self._day()] += 1
 
     def record_release(self, batch: Batch) -> None:
         d = self._day()
-        self.batches_released[d] += 1
-        self.released_doses[d] += batch.doses
+        self.series["batches_released"][d] += 1
+        self.series["released_doses"][d] += batch.doses
 
     def record_discard(self, batch: Batch) -> None:
-        self.batches_discarded[self._day()] += 1
+        self.series["batches_discarded"][self._day()] += 1
 
     def live_batches(self) -> list[Batch]:
         return [b for b in self.batches if b.alive]
@@ -106,20 +118,22 @@ class Collector:
     def _day(self) -> int:
         return self.model.engine.clock.day_index()
 
-    # -- daily flush -----------------------------------------------------
+    # -- end of day ------------------------------------------------------
 
     def day_tick(self, t: float) -> None:
         d = min(int(t) - 1, self.horizon - 1)
-        for sid, (busy, closed) in self.model.production.flush_day(t).items():
-            self.stage_busy[sid][d] = busy
-            self.stage_closed[sid][d] = closed
-        for pool in self.model.qc.pools:
-            self.pool_busy[pool.name][d] = pool.busy_int.take(t)
-            self.pool_cap[pool.name][d] = pool.cap_int.take(t)
-            self.pool_queue[pool.name][d] = pool.queue_int.take(t)
+        for stage, util in self._stages:
+            busy = stage.busy.take(t)
+            open_time = stage.cfg.machines - stage.closed_int.take(t)
+            util[d] = busy / open_time if open_time > 1e-9 else 0.0
+        for pool, util, queue in self._pools:
+            busy = pool.busy_int.take(t)
+            cap = pool.cap_int.take(t)
+            util[d] = busy / cap if cap > 1e-9 else 0.0
+            queue[d] = pool.queue_int.take(t)
         for mid, (level, flag) in self.model.materials.day_tick().items():
-            self.mat_level[mid][d] = level
-            self.mat_stockout[mid][d] = flag
+            levels, flags = self._materials[mid]
+            levels[d], flags[d] = level, flag
 
     # -- final assembly --------------------------------------------------
 
@@ -130,30 +144,8 @@ class Collector:
             seed=model.seed,
             horizon_days=self.horizon,
             start_date=model.engine.clock.start_date.isoformat(),
+            series=self.series,
         )
-        s = {}
-        s["released_doses"] = self.released_doses
-        s["batches_created"] = self.batches_created
-        s["batches_released"] = self.batches_released
-        s["batches_discarded"] = self.batches_discarded
-        for sid in self.stage_busy:
-            machines = model.cfg.stage(sid).machines
-            util = []
-            for d in range(self.horizon):
-                open_time = machines - self.stage_closed[sid][d]
-                util.append(self.stage_busy[sid][d] / open_time if open_time > 1e-9 else 0.0)
-            s[f"stage_util.{sid}"] = util
-        for name in self.pool_busy:
-            util = []
-            for d in range(self.horizon):
-                cap = self.pool_cap[name][d]
-                util.append(self.pool_busy[name][d] / cap if cap > 1e-9 else 0.0)
-            s[f"pool_util.{name}"] = util
-            s[f"pool_queue.{name}"] = self.pool_queue[name]
-        for mid in self.mat_level:
-            s[f"material_level.{mid}"] = self.mat_level[mid]
-            s[f"material_stockout.{mid}"] = self.mat_stockout[mid]
-        res.series = {name: series_array(name, values) for name, values in s.items()}
 
         for b in self.batches:
             res.batches.append({
@@ -167,7 +159,7 @@ class Collector:
         c["batches_created"] = len(self.batches)
         c["batches_released"] = sum(1 for b in self.batches if b.state == "released")
         c["batches_discarded"] = sum(1 for b in self.batches if b.state == DISCARDED)
-        c["released_doses"] = sum(self.released_doses)
+        c["released_doses"] = sum(self.series["released_doses"])
         c["retests"] = sum(b.retests for b in self.batches)
         c["investigations"] = sum(b.investigations for b in self.batches)
         for pool in model.qc.pools:

@@ -44,9 +44,7 @@ class Batch:
     location: tuple[str, object] | None = None  # ("machine", m) | ("inventory", inv)
     # release-gate state, maintained by the QA/QC module
     samples: list = field(default_factory=list)
-    pending_tests: int = 0
-    pending_investigations: int = 0
-    pending_reviews: int = 0
+    holds: int = 0  # unresolved tests, investigations and reviews; released at 0
     retests: int = 0
     investigations: int = 0
 
@@ -319,8 +317,6 @@ class Production:
 
     def _on_proc_done(self, ev: Event) -> None:
         machine: Machine = ev.target
-        if machine.state != BUSY or machine.proc_event is not ev:
-            return  # stale event (suspended or reset in the meantime)
         stage = self.stages[machine.stage_idx]
         batch = machine.batch
         now = self.model.engine.clock.now
@@ -392,11 +388,6 @@ class Production:
         return out
 
     # -- accounting ------------------------------------------------------
-
-    def flush_day(self, now: float) -> dict[str, tuple[float, float]]:
-        """Per stage: (machine-days busy, machine-days closed) since last flush."""
-        return {s.cfg.id: (s.busy.take(now), s.closed_int.take(now))
-                for s in self.stages}
 
     def census(self) -> dict[str, int]:
         in_machines = sum(1 for s in self.stages for m in s.machines if m.batch)

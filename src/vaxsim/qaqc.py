@@ -92,9 +92,6 @@ class Pool:
         while self.busy < self.capacity and self._heap:
             _, _, task = heapq.heappop(self._heap)
             self.queue_int.add(now, -1)
-            if not task.batch.alive:
-                changed = True
-                continue
             self.busy += 1
             self.busy_int.add(now, 1)
             self.started += 1
@@ -160,7 +157,7 @@ class QaQc:
             failed = (self.model.rng.derived("ipcfail", tid, stage.cfg.id, batch.id, 1)
                       .random() < test.failure_prob)
             if failed:
-                batch.pending_tests += 1
+                batch.holds += 1
                 batch.investigations += 1
                 self.investigators.enqueue(
                     Task("ipc_oos", batch, test_id=tid, stage_id=stage.cfg.id),
@@ -169,14 +166,14 @@ class QaQc:
             hit = (self.model.rng.derived("devflag", stage.cfg.id, batch.id)
                    .random() < cfg.qa.deviation_prob)
             if hit:
-                batch.pending_investigations += 1
+                batch.holds += 1
                 batch.investigations += 1
                 self.investigators.enqueue(Task("dev", batch, stage_id=stage.cfg.id),
                                            (now, 0), now)
         if stage.cfg.qc_tests:
             self._spawn_sample(batch, stage, now)
         if stage.cfg.document_review and not _is_zero(cfg.qa.document_review_time):
-            batch.pending_reviews += 1
+            batch.holds += 1
             self.reviewers.enqueue(Task("docrev", batch, stage_id=stage.cfg.id),
                                    self._priority_key(batch, now), now)
 
@@ -185,7 +182,7 @@ class QaQc:
         batch.samples.append(sample)
         for tid in stage.cfg.qc_tests:
             sample.tests[tid] = BLOCKED
-        batch.pending_tests += len(sample.tests)
+        batch.holds += len(sample.tests)
         for tid in stage.cfg.qc_tests:
             if sample.prereqs_met(self.model.cfg.test(tid)):
                 self._enqueue_test(sample, tid, attempt=1, now=now)
@@ -193,7 +190,7 @@ class QaQc:
     def on_enter_final(self, batch: Batch) -> None:
         now = self.model.engine.clock.now
         if not _is_zero(self.model.cfg.qa.release_review_time):
-            batch.pending_reviews += 1
+            batch.holds += 1
             self.reviewers.enqueue(Task("relrev", batch),
                                    self._priority_key(batch, now), now)
         self.check_release(batch)
@@ -259,10 +256,9 @@ class QaQc:
     def _on_task_done(self, ev: Event) -> None:
         task: Task = ev.target
         now = self.model.engine.clock.now
-        if task in self.running:
-            self.running.discard(task)
-            if task.pool is not None:
-                task.pool.release(task, now)
+        self.running.remove(task)
+        if task.pool is not None:  # an in-process retest seizes no one
+            task.pool.release(task, now)
         task.event = None
         if not task.batch.alive:
             return  # work on a discarded batch finishes harmlessly
@@ -279,9 +275,6 @@ class QaQc:
                        sample=task.sample, carry=task.carry)
             self.sup_pools[test.team].enqueue(sup, self._priority_key(task.batch, now), now)
 
-    def _done_sup(self, task: Task, now: float) -> None:
-        self._resolve_test(task, now)
-
     def _resolve_test(self, task: Task, now: float) -> None:
         test = self.model.cfg.test(task.test_id)
         failed = False
@@ -292,9 +285,8 @@ class QaQc:
         batch = task.batch
         if not failed:
             task.sample.tests[task.test_id] = PASSED
-            batch.pending_tests -= 1
             self._unblock_dependents(task.sample, now)
-            self.check_release(batch)
+            self._lift_hold(batch)
         elif task.attempt == 1:
             batch.investigations += 1
             self.investigators.enqueue(Task("oos", batch, test_id=task.test_id,
@@ -304,6 +296,8 @@ class QaQc:
         else:
             self.model.discard_batch(batch, "failed_retest")
 
+    _done_sup = _resolve_test  # a supervisor check ends in the test's outcome
+
     def _unblock_dependents(self, sample: Sample, now: float) -> None:
         for tid, state in sample.tests.items():
             if state == BLOCKED and sample.prereqs_met(self.model.cfg.test(tid)):
@@ -311,13 +305,7 @@ class QaQc:
 
     def _done_oos(self, task: Task, now: float) -> None:
         task.batch.retests += 1
-        self._enqueue_test_retest(task.sample, task.test_id, now)
-
-    def _enqueue_test_retest(self, sample: Sample, tid: str, now: float) -> None:
-        test = self.model.cfg.test(tid)
-        task = Task("tech", sample.batch, test_id=tid, stage_id=sample.stage_id,
-                    attempt=2, sample=sample)
-        self.tech_pools[test.team].enqueue(task, self._priority_key(sample.batch, now), now)
+        self._enqueue_test(task.sample, task.test_id, attempt=2, now=now)
 
     def _done_ipc_oos(self, task: Task, now: float) -> None:
         # retest by production staff: a delay with no personnel seized
@@ -340,35 +328,33 @@ class QaQc:
         if failed:
             self.model.discard_batch(task.batch, "failed_retest")
         else:
-            task.batch.pending_tests -= 1
-            self.check_release(task.batch)
+            self._lift_hold(task.batch)
 
     def _done_dev(self, task: Task, now: float) -> None:
-        task.batch.pending_investigations -= 1
-        self.check_release(task.batch)
+        self._lift_hold(task.batch)
 
     def _done_docrev(self, task: Task, now: float) -> None:
-        task.batch.pending_reviews -= 1
-        self.check_release(task.batch)
+        self._lift_hold(task.batch)
 
     def _done_relrev(self, task: Task, now: float) -> None:
         if _is_zero(self.model.cfg.qa.release_approval_time):
-            task.batch.pending_reviews -= 1
-            self.check_release(task.batch)
+            self._lift_hold(task.batch)
         else:
             self.qa_sups.enqueue(Task("relapp", task.batch),
                                  self._priority_key(task.batch, now), now)
 
     def _done_relapp(self, task: Task, now: float) -> None:
-        task.batch.pending_reviews -= 1
-        self.check_release(task.batch)
+        self._lift_hold(task.batch)
 
     # -- release gate ----------------------------------------------------
 
+    def _lift_hold(self, batch: Batch) -> None:
+        """A test passed, or an investigation or review closed."""
+        batch.holds -= 1
+        self.check_release(batch)
+
     def check_release(self, batch: Batch) -> None:
-        if batch.state != AWAITING_RELEASE:
-            return
-        if batch.pending_tests or batch.pending_investigations or batch.pending_reviews:
+        if batch.state != AWAITING_RELEASE or batch.holds:
             return
         assert batch.location is not None and batch.location[0] == "inventory"
         now = self.model.engine.clock.now
@@ -410,6 +396,4 @@ class QaQc:
                     if state == ACTIVE:
                         sample.tests[tid] = BLOCKED
             for sample in batch.samples:
-                for tid, state in sample.tests.items():
-                    if state == BLOCKED and sample.prereqs_met(self.model.cfg.test(tid)):
-                        self._enqueue_test(sample, tid, attempt=1, now=now)
+                self._unblock_dependents(sample, now)

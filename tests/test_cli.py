@@ -2,10 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import vaxsim
 from conftest import chain_dict
 from vaxsim.cli import main
 
@@ -143,3 +147,15 @@ def test_compare_needs_a_base_store(chain_yaml, overlay_yaml, tmp_path, capsys):
     rc = main(["compare", scen])
     assert rc == 2
     assert stderr_json(capsys)["error"] == "store"
+
+
+def test_cli_and_runner_leave_scipy_stats_unimported():
+    # scipy.stats takes most of a second to import, and only compare and
+    # report use it; a fresh interpreter, since this suite has imported it
+    src = str(Path(vaxsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    code = "import sys, vaxsim.cli, vaxsim.runner; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

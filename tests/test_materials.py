@@ -93,8 +93,10 @@ def test_rejected_receipt_reorders_immediately():
     m = Model(parse_config(d), seed=1)
     res = m.run()
     rt = m.materials.runtimes["resin"]
-    # an 8-day loop that never lands: rejections at 8, 16, ..., 96
-    assert rt.rejected_lots == 24
+    # an 8-day loop that never lands: rejections at 8, 16, ..., 96, each
+    # replaced at once, so the first order plus 12 replacements
+    assert rt.po_seq == {"s": 13}
+    assert rt.on_order == 8.0
     assert res.counts["material_received.resin"] == 0.0
     assert all(v == 5.0 for v in res.series["material_level.resin"])
 

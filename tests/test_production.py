@@ -158,3 +158,20 @@ def test_stage_closed_only_by_an_overlay():
     d["stages"][2]["closed"] = True
     with pytest.raises(ConfigError, match="closed only by a scenario overlay"):
         parse_config(d)
+
+
+def test_result_series_are_written_in_place_during_the_run():
+    m = Model(parse_config(chain_dict(end_date="2025-04-21")), seed=1)  # 20 days
+    series = m.collect.series
+    assert {len(v) for v in series.values()} == {20}
+    seen = {}
+    m.engine.on("probe", lambda ev: seen.update(
+        doses=list(series["released_doses"]), fill=list(series["stage_util.fill"])))
+    m.engine.schedule(10.5, "probe", absolute=True)
+    res = m.run()
+    assert res.series is series
+    # by t = 10.5 the releases at 6 and 9 and ten day ticks are written
+    assert seen["doses"][:10] == [0, 0, 0, 0, 0, 0, 1000, 0, 0, 1000]
+    assert not any(seen["doses"][10:])
+    assert seen["fill"][9] == 1.0 and not any(seen["fill"][10:])
+    assert list(res.series["released_doses"][:10]) == seen["doses"][:10]

@@ -247,6 +247,28 @@ def test_release_review_then_approval():
     assert release_times(res, 2) == [6.75, 9.75]
 
 
+def test_release_waits_for_the_last_hold():
+    d = qc_chain([{"id": "assay", "team": "lab", "test_time": 1.0,
+                   "failure_prob": 0.2}],
+                 qa={"investigators": 1, "oos_investigation_time": 1.0,
+                     "deviation_prob": 0.3, "deviation_investigation_time": 2.0,
+                     "reviewers": 1, "document_review_time": 0.5,
+                     "release_review_time": 0.5, "supervisors": 1,
+                     "release_approval_time": 0.25})
+    d["stages"][2]["document_review"] = True
+    m = Model(parse_config(d), seed=3)
+    m.run()
+    states = {b.state for b in m.collect.batches}
+    assert {"released", "awaiting_release", "discarded"} <= states
+    for b in m.collect.batches:
+        # the test, any investigation and both reviews each hold the batch
+        assert b.holds >= 0
+        if b.state == "released":
+            assert b.holds == 0
+        elif b.state == "awaiting_release":
+            assert b.holds > 0
+
+
 def test_wip_reset_discards_in_process_and_restarts_lab_work():
     d = qc_chain([{"id": "assay", "team": "lab", "test_time": 1.0}])
     cfg = parse_config(d)
