@@ -12,8 +12,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .engine import HashStream
 
 
@@ -73,10 +71,11 @@ class Distribution:
     def sample(self, rng: HashStream):
         """Draw one value from a substream (``RngRegistry.derived``).
 
-        Every draw is a Python float (bernoulli: a bool), so no numpy scalar
-        reaches event times or results. The lognormal converts the result of
-        ``np.exp`` rather than calling ``math.exp``, which rounds differently
-        on some inputs and so would change simulated results.
+        Every draw is a Python float (bernoulli: a bool). The lognormal uses
+        the C library's ``math.exp``, not numpy's exp, which picks a vector
+        kernel by CPU feature: on AVX-512 hardware that kernel differs in the
+        last bit on a few percent of inputs, so stores would depend on the CPU
+        that wrote them.
         """
         p = self.params
         if self.kind == "constant":
@@ -85,7 +84,7 @@ class Distribution:
             return _triangular_ppf(rng.random(), *p)
         if self.kind == "lognormal":
             median, scale = p
-            return float(median * np.exp(math.log(scale) * rng.standard_normal()))
+            return median * math.exp(math.log(scale) * rng.standard_normal())
         if self.kind == "uniform":
             lo, hi = p
             return lo + (hi - lo) * rng.random()
