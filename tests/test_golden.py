@@ -37,8 +37,8 @@ GOLDEN = {
          "84ba2ec26d5e159ba0585b6824da55d9b941690babe36d989ccaa323d5309cea"],
         "3356d527d7fe68943b1d24600edf04f35f0dbef2938091dc914f9c131b474da9"),
     "quality_capacity_doubling": (
-        ["95e4877b9223be4bf2afc1622584e389f75b458198d469fdfd6763e0916ff46f",
-         "fdd270ab11fe0aeadcd2ba3922e6ddce27e7f7c0137d7253fadd6ffe53e8db52"],
+        ["abee3bfe2f1a42ed619e5efa60c36d9fa2ca184761484c088cfe49cea90b227b",
+         "6505cb5553567c333faeb48fe72e61cadc6ca4be5819d3bb25e166a4d212e060"],
         "573242038e5ee2966fa8be1f91a7032c8f1c6d7e886b2e97c783142edf544f9f"),
     "shutdown_main_culture": (
         ["dfa4ed6f555ca126d45049c5953f3dc1be317e4b902705db3c1b87bca1afc080",
