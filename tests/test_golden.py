@@ -1,11 +1,13 @@
 """Golden digests: the demo plant's result bytes for base and every bundled scenario.
 
-Each entry pins the sha256 of every replication's NDJSON record and of the
-``kpis.csv`` that ``write_store`` writes, for two replications from seed 100.
-A change that alters any simulated number, series name or serialization fails
-here; a deliberate model change updates the literals and says why.
-``manifest.json`` is left out: it carries ``config_hash``, which changes
-whenever the config schema gains or loses a field.
+Each ``GOLDEN`` entry pins the sha256 of every replication's NDJSON record and
+of the ``kpis.csv`` that ``write_store`` writes, for two replications from seed
+100. ``REPORT_GOLDEN`` pins each tidy CSV that ``write_report`` writes over
+those seven stores, reloaded from disk. A change that alters any simulated
+number, series name, statistic or serialization fails here; a deliberate
+change updates the literals and says why. ``manifest.json`` and ``report.md``
+are left out: they carry ``config_hash``, which changes whenever the config
+schema gains or loses a field.
 """
 
 import hashlib
@@ -16,7 +18,8 @@ import yaml
 
 import vaxsim
 from vaxsim.config import parse_config
-from vaxsim.runner import result_to_ndjson, run_ensemble, write_store
+from vaxsim.report import write_report
+from vaxsim.runner import load_store, result_to_ndjson, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
 
 CONFIG_DIR = Path(vaxsim.__file__).parent / "configs"
@@ -55,18 +58,56 @@ GOLDEN = {
 }
 
 
+# report file -> sha256, over the seven stores above
+REPORT_GOLDEN = {
+    "comparison.csv": "95ca780f514ca126e786b5d46ac5935c679516525524243af34ea4c3b27560b0",
+    "cumulative_throughput.csv": "1d9d1ed428a7091db14c1d18a13719ab322b536ecfe226fcf1fd9777ac7ec0b8",
+    "inventory_levels.csv": "0ba5725032757c96999e4e4e35306f1eb38e21151b1cbd6eac347423af51bd30",
+    "lead_time_histogram.csv": "d157b5d889d1e895690a1cb5fe1d2ed64a10c578cd7d1604d2642788fc7f3251",
+    "monthly_throughput.csv": "bc1ed43de5d695fd09a61decb39b2cf750010e321fab9ee2679c9ce5872b4007",
+    "queue_lengths.csv": "04d3b013efebbc57bc1506c759bd077178925ddc30a729f49fb2a47c32b25b22",
+    "recovery.csv": "30f2d76caa005cda640d8e41f6dcd480ea4e289ac5797e27f8f4dc2da881d1e7",
+    "stockouts.csv": "56c5c5abc931547db6410b30bfcd7bd2c0a6e5527d16c80d3c153975cf385021",
+    "utilization.csv": "61b3b217d9dac9b30aa47fd3921cfb9bcb3be131b6e2bfde8ee27afbfcece4e0",
+}
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_store_bytes_match_golden(name, tmp_path):
+@pytest.fixture(scope="module")
+def stores(tmp_path_factory):
+    """Each golden ensemble, run once and written to a store: name -> (results, dir)."""
+    root = tmp_path_factory.mktemp("golden")
     raw = yaml.safe_load((CONFIG_DIR / "demo.yaml").read_text())
-    overlay = ({} if name == "base" else
-               yaml.safe_load((CONFIG_DIR / "scenarios" / f"{name}.yaml").read_text()))
-    results = run_ensemble(raw, overlay, SEED, REPLICATIONS)
     cfg = parse_config(raw)
-    write_store(str(tmp_path), results, cfg, parse_scenario(overlay, cfg), SEED, overlay)
+    out = {}
+    for name in sorted(GOLDEN):
+        overlay = ({} if name == "base" else
+                   yaml.safe_load((CONFIG_DIR / "scenarios" / f"{name}.yaml").read_text()))
+        results = run_ensemble(raw, overlay, SEED, REPLICATIONS)
+        path = root / name
+        write_store(str(path), results, cfg, parse_scenario(overlay, cfg), SEED, overlay)
+        out[name] = (results, path)
+    return out
+
+
+@pytest.fixture(scope="module")
+def report_dir(stores, tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_report")
+    write_report([load_store(str(path)) for _, path in stores.values()], str(out))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_store_bytes_match_golden(name, stores):
+    results, path = stores[name]
     reps, kpis = GOLDEN[name]
     assert [_sha(result_to_ndjson(r).encode("utf-8")) for r in results] == reps
-    assert _sha((tmp_path / "kpis.csv").read_bytes()) == kpis
+    assert _sha((path / "kpis.csv").read_bytes()) == kpis
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
+def test_report_bytes_match_golden(name, report_dir):
+    assert _sha((report_dir / name).read_bytes()) == REPORT_GOLDEN[name]
