@@ -10,21 +10,31 @@ from __future__ import annotations
 
 import csv
 import os
+from itertools import chain, repeat
 
 import numpy as np
 
 from .metrics import (bottleneck_report, compare_scenarios, detect_recovery,
-                      kpi_summary, lead_time_histogram)
+                      doses_by_day, lead_time_histogram, time_to_first_dose)
 
 MONTH_DAYS = 30
 
 
-def _mean_ci(values) -> tuple[float, float, float]:
-    arr = np.asarray(values, dtype=float)
-    m = float(arr.mean())
-    if len(arr) < 2:
+def _column_ci(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and normal-approximation 95% CI of each column of a
+    (replications x columns) matrix.
+
+    The reduction runs along contiguous rows of the transpose, so every
+    column is summed pairwise exactly as a 1-D mean of that column would be;
+    an ``axis=0`` reduction adds the rows in order and differs in the last
+    bits from eight replications on.
+    """
+    rows = np.ascontiguousarray(matrix.T)
+    m = rows.mean(axis=1)
+    n = matrix.shape[0]
+    if n < 2:
         return m, m, m
-    half = 1.96 * float(arr.std(ddof=1)) / len(arr) ** 0.5
+    half = 1.96 * rows.std(axis=1, ddof=1) / n ** 0.5
     return m, m - half, m + half
 
 
@@ -33,6 +43,13 @@ def _write_csv(path: str, header: list[str], rows) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+
+
+def _rows(labels: tuple, *columns: np.ndarray):
+    """Tidy rows of one series: the labels, a 1-based day (or month), then
+    the value of each column, streamed to the CSV writer."""
+    values = [c.tolist() for c in columns]
+    return zip(*map(repeat, labels), range(1, len(values[0]) + 1), *values)
 
 
 def _series_matrix(results, name: str) -> np.ndarray:
@@ -104,21 +121,18 @@ def _emit_throughput(ens, out_dir) -> None:
     monthly_rows, cum_rows = [], []
     for name in sorted(ens):
         daily = _series_matrix(ens[name], "released_doses")
-        cum = daily.cumsum(axis=1)
-        months = daily.shape[1] // MONTH_DAYS
-        for mth in range(months):
-            sl = daily[:, mth * MONTH_DAYS:(mth + 1) * MONTH_DAYS].sum(axis=1)
-            m, lo, hi = _mean_ci(sl)
-            monthly_rows.append([name, mth + 1, m, lo, hi])
-        for day in range(daily.shape[1]):
-            m, lo, hi = _mean_ci(cum[:, day])
-            cum_rows.append([name, day + 1, m, lo, hi])
+        reps, days = daily.shape
+        months = days // MONTH_DAYS
+        monthly = daily[:, :months * MONTH_DAYS].reshape(
+            reps, months, MONTH_DAYS).sum(axis=2)
+        monthly_rows.append(_rows((name,), *_column_ci(monthly)))
+        cum_rows.append(_rows((name,), *_column_ci(daily.cumsum(axis=1))))
     _write_csv(os.path.join(out_dir, "monthly_throughput.csv"),
                ["scenario", "month", "mean_doses", "ci_low", "ci_high"],
-               monthly_rows)
+               chain.from_iterable(monthly_rows))
     _write_csv(os.path.join(out_dir, "cumulative_throughput.csv"),
                ["scenario", "day", "mean_doses", "ci_low", "ci_high"],
-               cum_rows)
+               chain.from_iterable(cum_rows))
 
 
 def _emit_histogram(ens, out_dir) -> None:
@@ -142,18 +156,22 @@ def _util_keys(results) -> list[str]:
                   if k.startswith(("stage_util.", "pool_util.")))
 
 
+def _mean_series(results, key: str) -> np.ndarray:
+    """Daily mean over replications, rounded to six decimals for the CSV."""
+    return _series_matrix(results, key).mean(axis=0).round(6)
+
+
 def _emit_utilization(ens, out_dir) -> None:
     rows = []
     for name in sorted(ens):
         for key in _util_keys(ens[name]):
             kind, _, resource = key.partition(".")
-            series = _series_matrix(ens[name], key).mean(axis=0)
             kindname = "machines" if kind == "stage_util" else "personnel"
-            for day, v in enumerate(series):
-                rows.append([name, resource, kindname, day + 1, round(v, 6)])
+            rows.append(_rows((name, resource, kindname),
+                              _mean_series(ens[name], key)))
     _write_csv(os.path.join(out_dir, "utilization.csv"),
                ["scenario", "resource", "kind", "day", "mean_utilization"],
-               rows)
+               chain.from_iterable(rows))
 
 
 def _emit_queues(ens, out_dir) -> None:
@@ -163,11 +181,10 @@ def _emit_queues(ens, out_dir) -> None:
                       if k.startswith("pool_queue."))
         for key in keys:
             pool = key.split(".", 1)[1]
-            series = _series_matrix(ens[name], key).mean(axis=0)
-            for day, v in enumerate(series):
-                rows.append([name, pool, day + 1, round(v, 6)])
+            rows.append(_rows((name, pool), _mean_series(ens[name], key)))
     _write_csv(os.path.join(out_dir, "queue_lengths.csv"),
-               ["scenario", "pool", "day", "mean_queue_length"], rows)
+               ["scenario", "pool", "day", "mean_queue_length"],
+               chain.from_iterable(rows))
 
 
 def _emit_inventory(ens, out_dir) -> None:
@@ -177,11 +194,10 @@ def _emit_inventory(ens, out_dir) -> None:
                       if k.startswith("material_level."))
         for key in keys:
             mid = key.split(".", 1)[1]
-            series = _series_matrix(ens[name], key).mean(axis=0)
-            for day, v in enumerate(series):
-                rows.append([name, mid, day + 1, round(v, 6)])
+            rows.append(_rows((name, mid), _mean_series(ens[name], key)))
     _write_csv(os.path.join(out_dir, "inventory_levels.csv"),
-               ["scenario", "material", "day", "mean_batch_equivalents"], rows)
+               ["scenario", "material", "day", "mean_batch_equivalents"],
+               chain.from_iterable(rows))
 
 
 def _emit_stockouts(ens, out_dir, horizon) -> None:
@@ -194,7 +210,7 @@ def _emit_stockouts(ens, out_dir, horizon) -> None:
             mid = key.split(".", 1)[1]
             per_rep = [res.counts[f"material_stockout_days.{mid}"]
                        for res in ens[name]]
-            m, _, _ = _mean_ci(per_rep)
+            m = float(np.mean(per_rep))
             rows.append([name, mid, round(m / years, 2)])
     _write_csv(os.path.join(out_dir, "stockouts.csv"),
                ["scenario", "material", "stockout_days_per_year"], rows)
@@ -221,15 +237,16 @@ def _render_markdown(stores, ens, base_name, at_days, comparison, recovery) -> s
               "| scenario | first dose (day) | doses at 12m (M) "
               "| doses total (M) | released | discarded |", "|---|---|---|---|---|---|"]
     for name in sorted(ens, key=lambda n: (n != base_name, n)):
-        ks = [kpi_summary(r) for r in ens[name]]
-        ttfd = [k["time_to_first_dose"] for k in ks if k["time_to_first_dose"]]
+        results = ens[name]
+        ttfd = [d for d in map(time_to_first_dose, results) if d]
         lines.append("| {} | {:.1f} | {} | {} | {:.1f} | {:.1f} |".format(
             name,
             float(np.mean(ttfd)) if ttfd else float("nan"),
-            _fmt_m(float(np.mean([k["doses_at_365"] for k in ks]))),
-            _fmt_m(float(np.mean([k["doses_total"] for k in ks]))),
-            float(np.mean([k["batches_released"] for k in ks])),
-            float(np.mean([k["batches_discarded"] for k in ks]))))
+            _fmt_m(float(np.mean([doses_by_day(r, 365) for r in results]))),
+            _fmt_m(float(np.mean([sum(r.series["released_doses"])
+                                  for r in results]))),
+            float(np.mean([r.counts["batches_released"] for r in results])),
+            float(np.mean([r.counts["batches_discarded"] for r in results]))))
     lines.append("")
 
     if base_name in ens:

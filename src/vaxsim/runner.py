@@ -85,9 +85,10 @@ def result_to_ndjson(res: ReplicationResult) -> str:
 
 
 def ndjson_to_result(text: str) -> ReplicationResult:
+    # one parse per file: json.dumps never writes a raw newline inside a
+    # record, so the lines joined by commas are one JSON array
     res = None
-    for line in text.splitlines():
-        rec = json.loads(line)
+    for rec in json.loads("[" + text.rstrip("\n").replace("\n", ",") + "]"):
         kind = rec.pop("kind")
         if kind == "meta":
             res = ReplicationResult(**rec)

@@ -3,11 +3,14 @@
 import csv
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import chain_dict
 from vaxsim.config import parse_config
-from vaxsim.report import write_report
+from vaxsim.report import _column_ci, write_report
 from vaxsim.runner import load_store, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
 
@@ -117,3 +120,25 @@ def test_utilization_kinds(stores, tmp_path):
     assert ("qa_reviewers", "personnel") in kinds
     days = {int(r["day"]) for r in rows if r["resource"] == "fill"}
     assert days == set(range(1, 1096))
+
+
+def _scalar_ci(values):
+    """One column's mean and CI the way a 1-D reduction computes them."""
+    arr = np.asarray(values, dtype=float)
+    m = float(arr.mean())
+    if len(arr) < 2:
+        return m, m, m
+    half = 1.96 * float(arr.std(ddof=1)) / len(arr) ** 0.5
+    return m, m - half, m + half
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.sampled_from([1, 2, 7, 8, 9, 20, 100]), st.integers(1, 40), st.data())
+def test_column_ci_matches_scalar_reference_bit_for_bit(n, cols, data):
+    # released-dose totals: large, and summed in an order that shows in the bits
+    values = data.draw(st.lists(st.floats(0, 1e9), min_size=n * cols,
+                                max_size=n * cols))
+    matrix = np.array(values).reshape(n, cols)
+    got = [c.tolist() for c in _column_ci(matrix)]
+    for j in range(cols):
+        assert tuple(c[j] for c in got) == _scalar_ci(matrix[:, j])
