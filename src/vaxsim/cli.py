@@ -12,12 +12,10 @@ import argparse
 import json
 import sys
 
-import numpy as np
 import yaml
 
 from .config import ConfigError, parse_config
-from .metrics import compare_scenarios, kpi_summary
-from .report import write_report
+from .metrics import compare_scenarios, kpi_summary, mean
 from .runner import load_store, run_ensemble, write_store
 from .scenario import parse_scenario
 
@@ -97,11 +95,11 @@ def _digest(manifest: dict, results, out_dir: str) -> None:
     ks = [kpi_summary(r) for r in results]
     ttfd = [k["time_to_first_dose"] for k in ks
             if k["time_to_first_dose"] is not None]
-    total = float(np.mean([k["doses_total"] for k in ks]))
-    at365 = float(np.mean([k["doses_at_365"] for k in ks]))
+    total = mean([k["doses_total"] for k in ks])
+    at365 = mean([k["doses_at_365"] for k in ks])
     print(f"scenario={manifest['scenario']} replications={manifest['replications']}")
     if ttfd:
-        print(f"  first dose: day {np.mean(ttfd):.1f}")
+        print(f"  first dose: day {mean(ttfd):.1f}")
     print(f"  released doses: {at365 / 1e6:.2f}M at 12 months, "
           f"{total / 1e6:.2f}M total")
     worst = max(ks, key=lambda k: k["max_utilization"])
@@ -137,6 +135,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .report import write_report  # numpy: run and validate never need it
+
     try:
         stores = _load_stores(args.stores)
     except (OSError, ValueError, KeyError) as exc:

@@ -6,14 +6,22 @@ are judged across replication ensembles with Welch t-tests on a trailing
 30-day smoothed series; the smoothing window's carry-over is subtracted before
 an interval is expressed in weeks, so a six-week dip reads as six weeks, not
 ten.
+
+numpy and scipy are imported inside the functions that need them: a run
+writes its KPI table through ``kpi_summary``, and importing either would
+double what ``vaxsim run`` and every replication worker load.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from functools import reduce
+from operator import add
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 SMOOTH_WINDOW = 30
 ALPHA = 0.05
@@ -26,8 +34,32 @@ def _daily_series(obj) -> list[float]:
     return list(obj)
 
 
+def _pairwise_sum(xs) -> float:
+    """numpy's float64 pairwise sum, step for step: fewer than eight terms
+    add in order; up to 128 go into eight strided accumulators; longer runs
+    split at a multiple of eight near the middle. ``reduce`` adds in order,
+    where ``sum`` of floats is compensated from Python 3.12 on."""
+    n = len(xs)
+    if n < 8:
+        return reduce(add, xs, 0.0)
+    if n <= 128:
+        tail = n - n % 8
+        r = [reduce(add, xs[j:tail:8]) for j in range(8)]
+        head = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, xs[tail:], head)
+    half = n // 2 - (n // 2) % 8
+    return _pairwise_sum(xs[:half]) + _pairwise_sum(xs[half:])
+
+
+def mean(xs) -> float:
+    """Arithmetic mean, bit for bit ``numpy.mean`` of the same doubles."""
+    return _pairwise_sum(xs) / len(xs) if len(xs) else math.nan
+
+
 def rolling_mean_trailing(xs, window: int = SMOOTH_WINDOW) -> np.ndarray:
     """Trailing mean; early days average over what exists so far."""
+    import numpy as np
+
     arr = np.asarray(xs, dtype=float)
     cum = np.cumsum(arr)
     out = np.empty_like(cum)
@@ -114,14 +146,14 @@ def bottleneck_report(results) -> list[dict]:
     for res in results:
         for key, series in res.series.items():
             if key.startswith("stage_util.") or key.startswith("pool_util."):
-                acc.setdefault(key, []).append(float(np.mean(series)))
+                acc.setdefault(key, []).append(mean(series))
     rows = []
     for key, means in acc.items():
         kind, _, name = key.partition(".")
         rows.append({
             "resource": name,
             "kind": "machines" if kind == "stage_util" else "personnel",
-            "utilization": float(np.mean(means)),
+            "utilization": mean(means),
         })
     rows.sort(key=lambda r: (-r["utilization"], r["resource"]))
     for i, row in enumerate(rows):
@@ -132,6 +164,8 @@ def bottleneck_report(results) -> list[dict]:
 # -- recovery detection --------------------------------------------------
 
 def _smoothed_matrix(ensemble, window: int) -> np.ndarray:
+    import numpy as np
+
     series = [_daily_series(r) for r in ensemble]
     lengths = {len(s) for s in series}
     if len(lengths) != 1:
@@ -150,7 +184,8 @@ def detect_recovery(base_ensemble, scen_ensemble,
     finished dip visible. A scenario that turns significant again after
     closing, or never closes, counts as not recovered.
     """
-    from scipy import stats  # imported here: running an ensemble never needs it
+    import numpy as np
+    from scipy import stats
 
     if len(base_ensemble) < 2 or len(scen_ensemble) < 2:
         raise ValueError("need at least two replications per ensemble")
@@ -198,7 +233,8 @@ def compare_scenarios(ensembles: dict[str, list], base: str = "base",
     against the base ensemble, and a two-sided Welch t-test p-value. The base
     rows carry empty delta and p.
     """
-    from scipy import stats  # imported here: running an ensemble never needs it
+    import numpy as np
+    from scipy import stats
 
     if base not in ensembles:
         raise ValueError(f"no ensemble named {base!r}")

@@ -149,13 +149,23 @@ def test_compare_needs_a_base_store(chain_yaml, overlay_yaml, tmp_path, capsys):
     assert stderr_json(capsys)["error"] == "store"
 
 
-def test_cli_and_runner_leave_scipy_stats_unimported():
-    # scipy.stats takes most of a second to import, and only compare and
-    # report use it; a fresh interpreter, since this suite has imported it
+def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
+    # numpy and scipy.stats take most of what a run would import, and only
+    # compare and report use them; a fresh interpreter, since this suite has
+    # imported both. It runs a short replication and writes its store.
     src = str(Path(vaxsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
-    code = "import sys, vaxsim.cli, vaxsim.runner; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    code = (
+        "import json, sys, vaxsim.cli, vaxsim.runner as r\n"
+        "from vaxsim.config import parse_config\n"
+        "raw = json.loads(sys.argv[1])\n"
+        "res = r.run_ensemble(raw, {}, 1, 1)\n"
+        "r.write_store(sys.argv[2], res, parse_config(raw), None, 1)\n"
+        "print([m for m in ('numpy', 'scipy', 'scipy.stats') if m in sys.modules])\n")
+    raw = chain_dict(end_date="2025-06-30")
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(raw),
+                          str(tmp_path / "store")], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
+    assert (tmp_path / "store" / "kpis.csv").exists()

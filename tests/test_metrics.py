@@ -1,15 +1,17 @@
 """Analytic oracles for KPIs, recovery detection, and comparisons."""
 
+import random
+from array import array
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vaxsim.config import parse_config
 from vaxsim.metrics import (bottleneck_report, compare_scenarios,
                             detect_recovery, doses_by_day, kpi_summary,
-                            lead_time_histogram, rolling_mean_trailing,
+                            lead_time_histogram, mean, rolling_mean_trailing,
                             time_to_first_dose, time_to_target)
 from vaxsim.model import Model
 
@@ -86,6 +88,29 @@ def test_lead_time_bins_lose_nothing():
     hist = lead_time_histogram(fake(batches=batches))
     assert hist == {0: 1, 10: 2, 90: 1}
     assert sum(hist.values()) == 4
+
+
+# -- the pure-Python mean ------------------------------------------------
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=300))
+def test_mean_is_numpy_mean_bit_for_bit(xs):
+    assert mean(xs) == float(np.mean(xs))
+
+
+@pytest.mark.parametrize("n", [1095, 2000, 4099, 20000])
+def test_mean_of_long_series_is_numpy_mean(n):
+    rng = random.Random(n)
+    xs = array("d", (rng.random() * 10 ** rng.randint(-3, 6) for _ in range(n)))
+    assert mean(xs) == float(np.mean(xs))
+
+
+def test_run_utilization_means_are_numpy_means():
+    res = Model(parse_config(chain_dict()), seed=3).run()
+    keys = [k for k in res.series if k.startswith(("stage_util.", "pool_util."))]
+    assert keys
+    for k in keys:
+        assert mean(res.series[k]) == float(np.mean(res.series[k]))
 
 
 # -- bottlenecks ---------------------------------------------------------
