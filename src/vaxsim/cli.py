@@ -3,7 +3,10 @@
 Verbs: validate (parse and check inputs), run (simulate an ensemble into a
 result store), compare (cross-scenario statistics over existing stores),
 report (markdown report plus tidy CSVs). Validation failures exit nonzero
-with a single machine-readable JSON object on stderr.
+with a single machine-readable JSON object on stderr. compare and report
+refuse stores that cannot be paired replication for replication: a
+different config, base seed, horizon, start date or replication count than
+the first store's, or a scenario name already given.
 """
 
 from __future__ import annotations
@@ -108,18 +111,37 @@ def _digest(manifest: dict, results, out_dir: str) -> None:
     print(f"  store: {len(manifest['files'])} files in {out_dir}")
 
 
+# what a manifest must share with the first store's for the stores to pair
+PAIRED = ("config_hash", "base_seed", "horizon_days", "start_date",
+          "replications")
+
+
 def _load_stores(paths):
-    stores = []
-    for p in paths:
-        stores.append(load_store(p))
-    return stores
+    """The stores at ``paths``, and every reason they cannot be paired."""
+    try:
+        stores = [load_store(p) for p in paths]
+    except (OSError, ValueError, KeyError) as exc:
+        return [], [str(exc)]
+    first = stores[0][0]
+    problems = []
+    holder = {}
+    for path, (manifest, _) in zip(paths, stores):
+        for key in PAIRED:
+            if manifest.get(key) != first.get(key):
+                problems.append(f"{path}: {key} {manifest.get(key)!r} differs "
+                                f"from {first.get(key)!r} in {paths[0]}")
+        name = manifest["scenario"]
+        if name in holder:
+            problems.append(f"{path}: scenario {name!r} is also in {holder[name]}")
+        else:
+            holder[name] = path
+    return stores, problems
 
 
 def cmd_compare(args) -> int:
-    try:
-        stores = _load_stores(args.stores)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail("store", str(exc))
+    stores, problems = _load_stores(args.stores)
+    if problems:
+        return _fail("store", problems)
     ens = {m["scenario"]: res for m, res in stores}
     if "base" not in ens:
         return _fail("store", "comparison needs a store with scenario 'base'")
@@ -137,10 +159,9 @@ def cmd_compare(args) -> int:
 def cmd_report(args) -> int:
     from .report import write_report  # numpy: run and validate never need it
 
-    try:
-        stores = _load_stores(args.stores)
-    except (OSError, ValueError, KeyError) as exc:
-        return _fail("store", str(exc))
+    stores, problems = _load_stores(args.stores)
+    if problems:
+        return _fail("store", problems)
     path = write_report(stores, args.out)
     print(path)
     return EXIT_OK

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +148,75 @@ def test_compare_needs_a_base_store(chain_yaml, overlay_yaml, tmp_path, capsys):
     rc = main(["compare", scen])
     assert rc == 2
     assert stderr_json(capsys)["error"] == "store"
+
+
+@pytest.fixture(scope="module")
+def paired_stores(tmp_path_factory):
+    """A base and a scenario store that pair: same config, seed and size."""
+    root = tmp_path_factory.mktemp("paired")
+    chain = write_yaml(root / "chain.yaml", chain_dict(end_date="2025-12-31"))
+    slow = write_yaml(root / "slow.yaml", {
+        "name": "slow_fill",
+        "modifications": [
+            {"window": {"start": "2025-06-01", "end": "2025-08-31"},
+             "set": {"stages.fill.processing_time": {"scale": 2.0}}}]})
+    base, scen = str(root / "base"), str(root / "scen")
+    for extra, out in [([], base), (["--scenario", slow], scen)]:
+        assert main(["run", "--config", chain, *extra, "--replications", "2",
+                     "--seed", "7", "--out", out]) == 0
+    return base, scen
+
+
+def _with_manifest(src, dst, **changes):
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    manifest.update(changes)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+    return str(dst)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("config_hash", "0" * 64), ("base_seed", 8), ("horizon_days", 200),
+    ("start_date", "2025-04-02"), ("replications", 3)])
+def test_mismatched_stores_are_refused(paired_stores, tmp_path, capsys, key, value):
+    base, scen = paired_stores
+    odd = _with_manifest(scen, tmp_path / "odd", **{key: value})
+    capsys.readouterr()
+    for argv in (["compare", base, odd], ["report", base, odd, "--out",
+                                          str(tmp_path / "rep")]):
+        assert main(argv) == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "store"
+        assert len(err["messages"]) == 1 and key in err["messages"][0]
+    assert not os.path.exists(tmp_path / "rep")
+
+
+def test_every_mismatch_is_listed(paired_stores, tmp_path, capsys):
+    base, scen = paired_stores
+    odd = _with_manifest(scen, tmp_path / "odd", base_seed=8, replications=3)
+    capsys.readouterr()
+    assert main(["compare", base, odd, base]) == 2
+    messages = stderr_json(capsys)["messages"]
+    assert len(messages) == 3
+    assert [k for k in ("base_seed", "replications", "scenario")
+            if any(k in m for m in messages)] == ["base_seed", "replications",
+                                                  "scenario"]
+
+
+def test_two_stores_of_one_scenario_are_refused(paired_stores, tmp_path, capsys):
+    # the second would silently replace the first in the comparison
+    base, scen = paired_stores
+    capsys.readouterr()
+    assert main(["compare", base, scen, scen]) == 2
+    assert stderr_json(capsys) == {
+        "error": "store",
+        "messages": [f"{scen}: scenario 'slow_fill' is also in {scen}"]}
+    assert main(["report", base, base, "--out", str(tmp_path / "rep")]) == 2
+    assert stderr_json(capsys)["messages"] == [
+        f"{base}: scenario 'base' is also in {base}"]
 
 
 def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
