@@ -224,12 +224,21 @@ def detect_recovery(base_ensemble, scen_ensemble,
 
 # -- cross-scenario comparison -------------------------------------------
 
+def t_quantile(n: int) -> float:
+    """Student t quantile of a two-sided 95% CI for the mean of n > 1
+    replications, t(0.975, n - 1): 2.571 at n = 6, where the normal 1.96
+    would be 24% too narrow."""
+    from scipy import stats
+
+    return float(stats.t.ppf(1 - ALPHA / 2, n - 1))
+
+
 def compare_scenarios(ensembles: dict[str, list], base: str = "base",
                       at_days: tuple[int, ...] = (365, 1095),
                       alpha: float = ALPHA) -> list[dict]:
     """Table of released doses per scenario and horizon against the base.
 
-    Per cell: replication mean, normal-approximation 95% CI, relative change
+    Per cell: replication mean, Student t 95% CI, relative change
     against the base ensemble, and a two-sided Welch t-test p-value. The base
     rows carry empty delta and p.
     """
@@ -249,15 +258,16 @@ def compare_scenarios(ensembles: dict[str, list], base: str = "base",
         for day in at_days:
             vals = totals[name][day]
             n = len(vals)
-            mean = float(vals.mean())
-            half = 1.96 * vals.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
-            row = {"scenario": name, "day": day, "n": n, "mean_doses": mean,
-                   "ci_low": mean - half, "ci_high": mean + half,
+            avg = float(vals.mean())
+            half = (t_quantile(n) * vals.std(ddof=1) / math.sqrt(n)
+                    if n > 1 else 0.0)
+            row = {"scenario": name, "day": day, "n": n, "mean_doses": avg,
+                   "ci_low": avg - half, "ci_high": avg + half,
                    "delta_pct": None, "p_value": None, "significant": False}
             if name != base:
                 ref = totals[base][day]
                 if ref.mean():
-                    row["delta_pct"] = 100.0 * (mean - ref.mean()) / ref.mean()
+                    row["delta_pct"] = 100.0 * (avg - ref.mean()) / ref.mean()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
                     p = stats.ttest_ind(vals, ref, equal_var=False).pvalue

@@ -15,14 +15,15 @@ from itertools import chain, repeat
 import numpy as np
 
 from .metrics import (bottleneck_report, compare_scenarios, detect_recovery,
-                      doses_by_day, lead_time_histogram, time_to_first_dose)
+                      doses_by_day, lead_time_histogram, t_quantile,
+                      time_to_first_dose)
 
 MONTH_DAYS = 30
 
 
 def _column_ci(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and normal-approximation 95% CI of each column of a
-    (replications x columns) matrix.
+    """Mean and Student t 95% CI of each column of a (replications x
+    columns) matrix; one replication gives a zero-width interval.
 
     The reduction runs along contiguous rows of the transpose, so every
     column is summed pairwise exactly as a 1-D mean of that column would be;
@@ -34,7 +35,7 @@ def _column_ci(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = matrix.shape[0]
     if n < 2:
         return m, m, m
-    half = 1.96 * rows.std(axis=1, ddof=1) / n ** 0.5
+    half = t_quantile(n) * rows.std(axis=1, ddof=1) / n ** 0.5
     return m, m - half, m + half
 
 

@@ -60,11 +60,11 @@ GOLDEN = {
 
 # report file -> sha256, over the seven stores above
 REPORT_GOLDEN = {
-    "comparison.csv": "95ca780f514ca126e786b5d46ac5935c679516525524243af34ea4c3b27560b0",
-    "cumulative_throughput.csv": "1d9d1ed428a7091db14c1d18a13719ab322b536ecfe226fcf1fd9777ac7ec0b8",
+    "comparison.csv": "4acf29bd3a14d14564bec101d101f410b9ebcd29256c7d59f5a27c80e720f7c4",
+    "cumulative_throughput.csv": "620b6864f3b5cf60c8247858bd1c6a62b1546cc6a1b9b6c0cfba23dee3a45720",
     "inventory_levels.csv": "0ba5725032757c96999e4e4e35306f1eb38e21151b1cbd6eac347423af51bd30",
     "lead_time_histogram.csv": "d157b5d889d1e895690a1cb5fe1d2ed64a10c578cd7d1604d2642788fc7f3251",
-    "monthly_throughput.csv": "bc1ed43de5d695fd09a61decb39b2cf750010e321fab9ee2679c9ce5872b4007",
+    "monthly_throughput.csv": "3383fadab825ce88f936617fade994944c039a41636eb2e8ae99ae12473047ad",
     "queue_lengths.csv": "04d3b013efebbc57bc1506c759bd077178925ddc30a729f49fb2a47c32b25b22",
     "recovery.csv": "30f2d76caa005cda640d8e41f6dcd480ea4e289ac5797e27f8f4dc2da881d1e7",
     "stockouts.csv": "56c5c5abc931547db6410b30bfcd7bd2c0a6e5527d16c80d3c153975cf385021",

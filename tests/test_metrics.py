@@ -12,7 +12,7 @@ from vaxsim.config import parse_config
 from vaxsim.metrics import (bottleneck_report, compare_scenarios,
                             detect_recovery, doses_by_day, kpi_summary,
                             lead_time_histogram, mean, rolling_mean_trailing,
-                            time_to_first_dose, time_to_target)
+                            t_quantile, time_to_first_dose, time_to_target)
 from vaxsim.model import Model
 
 from conftest import chain_dict
@@ -227,6 +227,23 @@ def test_ten_percent_drop_is_detected():
     assert scen_row["p_value"] < 1e-3
     assert scen_row["significant"]
     assert base_row["ci_low"] < 100.0 < base_row["ci_high"]
+
+
+def test_t_quantile_table_values():
+    assert t_quantile(2) == pytest.approx(12.706, abs=5e-4)
+    assert t_quantile(6) == pytest.approx(2.571, abs=5e-4)
+    assert t_quantile(10) == pytest.approx(2.262, abs=5e-4)
+    assert t_quantile(10_000) == pytest.approx(1.960, abs=5e-4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 30])
+def test_compare_ci_uses_the_t_quantile(n):
+    ens = {"base": [fake([float(100 + 7 * i)] * 10) for i in range(n)]}
+    row = compare_scenarios(ens, at_days=(10,))[0]
+    totals = np.array([1000.0 + 70 * i for i in range(n)])
+    half = (t_quantile(n) * totals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    assert row["ci_high"] - row["mean_doses"] == pytest.approx(half)
+    assert row["mean_doses"] - row["ci_low"] == pytest.approx(half)
 
 
 def test_swapping_roles_flips_delta_and_keeps_p():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import chain_dict
 from vaxsim.config import parse_config
+from vaxsim.metrics import t_quantile
 from vaxsim.report import _column_ci, write_report
 from vaxsim.runner import load_store, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
@@ -128,7 +129,7 @@ def _scalar_ci(values):
     m = float(arr.mean())
     if len(arr) < 2:
         return m, m, m
-    half = 1.96 * float(arr.std(ddof=1)) / len(arr) ** 0.5
+    half = t_quantile(len(arr)) * float(arr.std(ddof=1)) / len(arr) ** 0.5
     return m, m - half, m + half
 
 
