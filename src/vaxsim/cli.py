@@ -3,22 +3,26 @@
 Verbs: validate (parse and check inputs), run (simulate an ensemble into a
 result store), compare (cross-scenario statistics over existing stores),
 report (markdown report plus tidy CSVs). Validation failures exit nonzero
-with a single machine-readable JSON object on stderr. compare and report
-refuse stores that cannot be paired replication for replication: a
-different config, base seed, horizon, start date or replication count than
-the first store's, or a scenario name already given.
+with a single machine-readable JSON object on stderr; run checks its
+arguments, inputs and --out directory before it simulates anything. compare
+and report refuse a store without replications, and stores that cannot be
+paired replication for replication: a different config, base seed, horizon,
+start date or replication count than the first store's, or a scenario name
+already given.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import yaml
 
 from .config import ConfigError, parse_config
-from .metrics import compare_scenarios, kpi_summary, mean
+from .metrics import (COMPARISON_COLUMNS, compare_scenarios, comparison_cells, kpi_summary,
+                      mean)
 from .runner import load_store, run_ensemble, write_store
 from .scenario import parse_scenario
 
@@ -64,10 +68,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    bad = [f"--{name} must be >= 1, got {getattr(args, name)}"
+           for name in ("replications", "jobs") if getattr(args, name) < 1]
+    if bad:
+        return _fail("validation", bad)
     try:
         cfg_raw, overlay_raw, cfg, spec = _load_inputs(args)
     except ConfigError as exc:
         return _fail("validation", exc.errors)
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        return _fail("validation", f"--out {args.out}: cannot make a directory there: "
+                                   f"{exc.strerror}")
 
     n = args.replications
     done = 0
@@ -125,7 +138,9 @@ def _load_stores(paths):
     first = stores[0][0]
     problems = []
     holder = {}
-    for path, (manifest, _) in zip(paths, stores):
+    for path, (manifest, results) in zip(paths, stores):
+        if not results:
+            problems.append(f"{path}: store holds no replications")
         for key in PAIRED:
             if manifest.get(key) != first.get(key):
                 problems.append(f"{path}: {key} {manifest.get(key)!r} differs "
@@ -145,14 +160,9 @@ def cmd_compare(args) -> int:
     ens = {m["scenario"]: res for m, res in stores}
     if "base" not in ens:
         return _fail("store", "comparison needs a store with scenario 'base'")
-    horizon = stores[0][0]["horizon_days"]
-    at_days = tuple(dict.fromkeys(d for d in (365, horizon) if d <= horizon))
-    rows = compare_scenarios(ens, at_days=at_days)
-    header = ["scenario", "day", "n", "mean_doses", "ci_low", "ci_high",
-              "delta_pct", "p_value", "significant"]
-    print("\t".join(header))
-    for r in rows:
-        print("\t".join("" if r[k] is None else str(r[k]) for k in header))
+    print("\t".join(COMPARISON_COLUMNS))
+    for row in compare_scenarios(ens):
+        print("\t".join(map(str, comparison_cells(row))))
     return EXIT_OK
 
 

@@ -3,16 +3,23 @@
 The loaded config object is the single source of truth for every model
 parameter, and it stays live during a run: scenario overlays set the
 parameters listed in ``scenario.SETTABLE`` and the simulation reads them back
-at sample time. Parsing and validation collect every problem they find and
-report them all at once.
+at sample time.
+
+Each field is declared once, with ``param``: its default, the reader that
+turns a YAML value into it, and the check of its range. Nested sections and
+lists are declared with ``section`` and ``entries``. Parsing (``_build``),
+validation (``_check_fields``) and scenario overlays read these declarations;
+the ``_check_*`` functions hold only the rules that span fields. Parsing and
+validation collect every problem they find and report them all at once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date, datetime
+from functools import cache
 
 from .distributions import (Distribution, constant, from_config, is_number, read_number,
                             to_config)
@@ -27,144 +34,9 @@ class ConfigError(ValueError):
         super().__init__("; ".join(self.errors))
 
 
-def _zero() -> Distribution:
-    return constant(0.0)
-
-
-@dataclass
-class ModelSection:
-    start_date: date = DEFAULT_START_DATE
-    end_date: date = DEFAULT_END_DATE
-
-
-@dataclass
-class InventoryConfig:
-    id: str
-    capacity: int | None = None  # None = unbounded
-    final: bool = False
-
-
-@dataclass
-class StageConfig:
-    id: str
-    machines: int = 1
-    processing_time: Distribution = field(default_factory=_zero)
-    input_inventory: str | None = None   # None = unbounded batch source (first stage)
-    output_inventory: str | None = None  # None = direct handoff to the next stage
-    yield_fraction: Distribution = field(default_factory=lambda: constant(1.0))
-    doses_per_batch: int = 0             # final stage only
-    materials: dict[str, float] = field(default_factory=dict)  # material -> per batch
-    ipc_tests: list[str] = field(default_factory=list)
-    qc_tests: list[str] = field(default_factory=list)
-    document_review: bool = False        # spawn a QA document review per batch
-    closed: bool = False                 # True suspends the stage (overlays only)
-
-
-@dataclass
-class TeamConfig:
-    id: str
-    technicians: int = 0
-    supervisors: int = 0
-
-
-@dataclass
-class TestConfig:
-    id: str
-    team: str | None = None
-    prep_time: Distribution = field(default_factory=_zero)
-    test_time: Distribution = field(default_factory=_zero)
-    check_time: Distribution = field(default_factory=_zero)
-    supervisory_check_time: Distribution = field(default_factory=_zero)
-    failure_prob: float = 0.0
-    prerequisites: list[str] = field(default_factory=list)
-    ipc: bool = False
-
-
-@dataclass
-class QcSection:
-    teams: list[TeamConfig] = field(default_factory=list)
-    tests: list[TestConfig] = field(default_factory=list)
-
-
-QA_DURATIONS = ("release_review_time", "release_approval_time", "document_review_time",
-                "oos_investigation_time", "deviation_investigation_time")
-
-
-@dataclass
-class QaSection:
-    reviewers: int = 0
-    supervisors: int = 0
-    investigators: int = 0
-    release_review_time: Distribution = field(default_factory=_zero)
-    release_approval_time: Distribution = field(default_factory=_zero)
-    document_review_time: Distribution = field(default_factory=_zero)
-    oos_investigation_time: Distribution = field(default_factory=_zero)
-    deviation_investigation_time: Distribution = field(default_factory=_zero)
-    deviation_prob: float = 0.0
-
-
-@dataclass
-class SupplierConfig:
-    id: str
-    split: float = 1.0
-    lead_time: Distribution = field(default_factory=_zero)
-    transport_time: Distribution = field(default_factory=_zero)
-    min_interarrival: float = 0.0
-
-
-@dataclass
-class MaterialConfig:
-    id: str
-    initial_stockpile: float = 0.0
-    reorder_point: float = 0.0
-    safety_stock: float = 0.0
-    lot_size: float = 1.0
-    receipt_qc_time: Distribution = field(default_factory=_zero)
-    receipt_rejection_prob: float = 0.0
-    available: bool = True               # False parks all receipts
-    suppliers: list[SupplierConfig] = field(default_factory=list)
-
-
-@dataclass
-class MaintenanceWindow:
-    start: date
-    end: date  # inclusive calendar date
-
-
-@dataclass
-class Config:
-    model: ModelSection
-    stages: list[StageConfig]
-    inventories: list[InventoryConfig]
-    qc: QcSection
-    qa: QaSection
-    materials: list[MaterialConfig]
-    maintenance: list[MaintenanceWindow] = field(default_factory=list)
-
-    def stage(self, stage_id: str) -> StageConfig:
-        return _by_id(self.stages, stage_id)
-
-    def test(self, test_id: str) -> TestConfig:
-        return _by_id(self.qc.tests, test_id)
-
-    def material(self, material_id: str) -> MaterialConfig:
-        return _by_id(self.materials, material_id)
-
-    @property
-    def final_inventory(self) -> InventoryConfig:
-        return next(inv for inv in self.inventories if inv.final)
-
-
-def _by_id(items, item_id):
-    for item in items:
-        if item.id == item_id:
-            return item
-    raise KeyError(item_id)
-
-
 # ---------------------------------------------------------------------------
 # readers: one YAML value to one typed value, or one of READ_ERRORS with the
-# reason. Scenario overlays read their values with the same functions.
+# reason. Scenario overlays read their literals with the field's own reader.
 
 READ_ERRORS = (TypeError, ValueError, KeyError, OverflowError)
 
@@ -224,59 +96,250 @@ def _amounts(value) -> dict[str, float]:
     return {_name(k): read_number(v) for k, v in value.items()}
 
 
-def _open(value) -> bool:
-    if read_flag(value):
-        raise ValueError("a stage is closed only by a scenario overlay")
-    return False
+# ---------------------------------------------------------------------------
+# range checks: what is wrong with a field's value, or None
+
+def _at_least(low: int):
+    return lambda value: None if value >= low else f"must be >= {low}"
 
 
-def _as_is(value):
-    return value
+def _positive(value) -> str | None:
+    return None if value > 0 else "must be > 0"
+
+
+def _probability(value) -> str | None:
+    return None if 0.0 <= value <= 1.0 else "must be in [0, 1]"
+
+
+def _capacity(value) -> str | None:
+    return None if value is None or value >= 1 else "must be >= 1 or null"
+
+
+def _quantities(amounts) -> str | None:
+    bad = {name: qty for name, qty in amounts.items() if qty <= 0}
+    return f"quantities must be > 0, got {bad}" if bad else None
+
+
+def _fraction(dist) -> str | None:
+    low, high = dist.support()
+    return None if 0.0 <= low <= high <= 1.0 else "must lie in [0, 1]"
+
+
+def _duration(dist) -> str | None:
+    """A duration is a distribution over non-negative times, not a bernoulli flag."""
+    if dist.kind == "bernoulli":
+        return "a bernoulli draw is not a duration"
+    return "must be >= 0" if dist.support()[0] < 0 else None
+
+
+def _busy_duration(dist) -> str | None:
+    """A duration that must also take time on average: a stage or supplier
+    step that takes none can repeat forever without the clock advancing."""
+    problem = _duration(dist)
+    if problem is None and dist.support()[1] <= 0:
+        return "mean must be > 0"
+    return problem
+
+
+# ---------------------------------------------------------------------------
+# declarations
+
+def param(read, default=MISSING, check=None, *, factory=MISSING):
+    """A field read from YAML by ``read`` and range-checked by ``check``; a
+    field without a default or factory is required."""
+    return field(default=default, default_factory=factory,
+                 metadata={"read": read, "check": check})
+
+
+def section(cls):
+    """A nested mapping read into ``cls``; absent or empty means all defaults."""
+    return field(default_factory=cls, metadata={"section": cls})
+
+
+def entries(cls):
+    """A YAML list read into one ``cls`` per entry. When ``cls`` has an
+    ``id``, entries are addressed by it and no id may repeat."""
+    return field(default_factory=list, metadata={"entries": cls})
+
+
+@dataclass
+class ModelSection:
+    start_date: date = param(read_date, DEFAULT_START_DATE)
+    end_date: date = param(read_date, DEFAULT_END_DATE)
+
+
+@dataclass
+class InventoryConfig:
+    id: str = param(_name)
+    capacity: int | None = param(read_capacity, None, _capacity)  # None = unbounded
+    final: bool = param(read_flag, False)
+
+
+@dataclass
+class StageConfig:
+    id: str = param(_name)
+    machines: int = param(read_whole, 1, _at_least(1))
+    processing_time: Distribution = param(from_config, constant(0.0), _busy_duration)
+    input_inventory: str | None = param(_ref, None)   # None = unbounded batch source (first stage)
+    output_inventory: str | None = param(_ref, None)  # None = direct handoff to the next stage
+    yield_fraction: Distribution = param(from_config, constant(1.0), _fraction)
+    doses_per_batch: int = param(read_whole, 0)  # final stage only
+    materials: dict[str, float] = param(_amounts, factory=dict, check=_quantities)  # per batch
+    ipc_tests: list[str] = param(_names, factory=list)
+    qc_tests: list[str] = param(_names, factory=list)
+    document_review: bool = param(read_flag, False)  # spawn a QA document review per batch
+    closed: bool = param(read_flag, False)  # True suspends the stage (overlays only)
+
+
+@dataclass
+class TeamConfig:
+    id: str = param(_name)
+    technicians: int = param(read_whole, 0, _at_least(0))
+    supervisors: int = param(read_whole, 0, _at_least(0))
+
+
+@dataclass
+class TestConfig:
+    id: str = param(_name)
+    team: str | None = param(_ref, None)
+    prep_time: Distribution = param(from_config, constant(0.0), _duration)
+    test_time: Distribution = param(from_config, constant(0.0), _duration)
+    check_time: Distribution = param(from_config, constant(0.0), _duration)
+    supervisory_check_time: Distribution = param(from_config, constant(0.0), _duration)
+    failure_prob: float = param(read_number, 0.0, _probability)
+    prerequisites: list[str] = param(_names, factory=list)
+    ipc: bool = param(read_flag, False)
+
+
+@dataclass
+class QcSection:
+    teams: list[TeamConfig] = entries(TeamConfig)
+    tests: list[TestConfig] = entries(TestConfig)
+
+
+@dataclass
+class QaSection:
+    reviewers: int = param(read_whole, 0, _at_least(0))
+    supervisors: int = param(read_whole, 0, _at_least(0))
+    investigators: int = param(read_whole, 0, _at_least(0))
+    release_review_time: Distribution = param(from_config, constant(0.0), _duration)
+    release_approval_time: Distribution = param(from_config, constant(0.0), _duration)
+    document_review_time: Distribution = param(from_config, constant(0.0), _duration)
+    oos_investigation_time: Distribution = param(from_config, constant(0.0), _duration)
+    deviation_investigation_time: Distribution = param(from_config, constant(0.0), _duration)
+    deviation_prob: float = param(read_number, 0.0, _probability)
+
+
+@dataclass
+class SupplierConfig:
+    id: str = param(_name)
+    split: float = param(read_number, 1.0, _at_least(0))
+    lead_time: Distribution = param(from_config, constant(0.0), _busy_duration)
+    transport_time: Distribution = param(from_config, constant(0.0), _duration)
+    min_interarrival: float = param(read_number, 0.0, _at_least(0))
+
+
+@dataclass
+class MaterialConfig:
+    id: str = param(_name)
+    initial_stockpile: float = param(read_number, 0.0, _at_least(0))
+    reorder_point: float = param(read_number, 0.0, _at_least(0))
+    safety_stock: float = param(read_number, 0.0, _at_least(0))
+    lot_size: float = param(read_number, 1.0, _positive)
+    receipt_qc_time: Distribution = param(from_config, constant(0.0), _duration)
+    receipt_rejection_prob: float = param(read_number, 0.0, _probability)
+    available: bool = param(read_flag, True)  # False parks all receipts
+    suppliers: list[SupplierConfig] = entries(SupplierConfig)
+
+
+@dataclass
+class MaintenanceWindow:
+    start: date = param(read_date)
+    end: date = param(read_date)  # inclusive calendar date
+
+
+@dataclass
+class Config:
+    model: ModelSection = section(ModelSection)
+    stages: list[StageConfig] = entries(StageConfig)
+    inventories: list[InventoryConfig] = entries(InventoryConfig)
+    qc: QcSection = section(QcSection)
+    qa: QaSection = section(QaSection)
+    materials: list[MaterialConfig] = entries(MaterialConfig)
+    maintenance: list[MaintenanceWindow] = entries(MaintenanceWindow)
+
+    def stage(self, stage_id: str) -> StageConfig:
+        return _by_id(self.stages, stage_id)
+
+    def test(self, test_id: str) -> TestConfig:
+        return _by_id(self.qc.tests, test_id)
+
+    def material(self, material_id: str) -> MaterialConfig:
+        return _by_id(self.materials, material_id)
+
+    @property
+    def final_inventory(self) -> InventoryConfig:
+        return next(inv for inv in self.inventories if inv.final)
+
+
+def _by_id(items, item_id):
+    for item in items:
+        if item.id == item_id:
+            return item
+    raise KeyError(item_id)
 
 
 # ---------------------------------------------------------------------------
 # parsing
 
-SECTIONS = ("model", "inventories", "stages", "qc", "qa", "materials", "maintenance")
+def _build(cls, node, path: str, errors: list[str]):
+    """A ``cls`` from the YAML mapping ``node`` found at dot-path ``path``
+    ("" for the root).
 
-
-def _build(cls, node, where: str, errors: list[str], required=("id",), **readers):
-    """A ``cls`` from the YAML mapping ``node``.
-
-    Each key is read with its reader in ``readers``; absent keys keep the
-    dataclass default. Unknown keys and unreadable values are reported, and
-    None comes back when a required key is missing or unreadable.
+    Each key is read as its field declares; absent keys keep the default.
+    Unknown keys and unreadable values are reported, and None comes back when
+    a required field is missing or unreadable.
     """
+    where = path or "config"
     if not isinstance(node, dict):
         errors.append(f"{where}: must be a mapping")
         return None
+    declared = cls.__dataclass_fields__
     kwargs = {}
     for key, value in node.items():
-        reader = readers.get(key)
-        if reader is None:
+        f = declared.get(key)
+        if f is None:
             errors.append(f"{where}: unknown key {key!r}")
             continue
-        try:
-            kwargs[key] = reader(value)
-        except READ_ERRORS as exc:
-            errors.append(f"{where}.{key}: {exc}")
-    missing = [key for key in required if key not in kwargs]
+        sub = f"{path}.{key}" if path else key
+        meta = f.metadata
+        if "section" in meta:
+            kwargs[key] = _build(meta["section"], value or {}, sub, errors) or meta["section"]()
+        elif "entries" in meta:
+            kwargs[key] = _entries(meta["entries"], value, sub, errors)
+        else:
+            try:
+                kwargs[key] = meta["read"](value)
+            except READ_ERRORS as exc:
+                errors.append(f"{sub}: {exc}")
+    missing = [f.name for f in fields(cls) if f.name not in kwargs
+               and f.default is MISSING and f.default_factory is MISSING]
     errors.extend(f"{where}: missing {key}" for key in missing if key not in node)
     return None if missing else cls(**kwargs)
 
 
-def _entries(nodes, section: str, errors: list[str], cls, required=("id",), **readers):
+def _entries(cls, nodes, path: str, errors: list[str]) -> list:
     """One ``cls`` per entry of the YAML list ``nodes`` (see ``_build``)."""
     if nodes is None:
         return []
     if not isinstance(nodes, list):
-        errors.append(f"{section}: must be a list")
+        errors.append(f"{path}: must be a list")
         return []
     items = []
     for i, node in enumerate(nodes):
         ident = node.get("id") if isinstance(node, dict) else None
-        where = f"{section}.{ident}" if isinstance(ident, str) else f"{section}[{i}]"
-        item = _build(cls, node, where, errors, required, **readers)
+        where = f"{path}.{ident}" if isinstance(ident, str) else f"{path}[{i}]"
+        item = _build(cls, node, where, errors)
         if item is not None:
             items.append(item)
     return items
@@ -286,49 +349,11 @@ def parse_config(raw: dict) -> Config:
     """Build a Config from plain YAML data, then validate it fully."""
     if not isinstance(raw, dict):
         raise ConfigError(["config root must be a mapping"])
-    errors = [f"config: unknown key {key!r}" for key in raw if key not in SECTIONS]
-
-    model = _build(ModelSection, raw.get("model") or {}, "model", errors, (),
-                   start_date=read_date, end_date=read_date) or ModelSection()
-    inventories = _entries(raw.get("inventories"), "inventories", errors, InventoryConfig,
-                           id=_name, capacity=read_capacity, final=read_flag)
-    stages = _entries(raw.get("stages"), "stages", errors, StageConfig,
-                      id=_name, machines=read_whole, processing_time=from_config,
-                      input_inventory=_ref, output_inventory=_ref,
-                      yield_fraction=from_config, doses_per_batch=read_whole,
-                      materials=_amounts, ipc_tests=_names, qc_tests=_names,
-                      document_review=read_flag, closed=_open)
-    qc = _build(QcSection, raw.get("qc") or {}, "qc", errors, (),
-                teams=lambda nodes: _entries(
-                    nodes, "qc.teams", errors, TeamConfig,
-                    id=_name, technicians=read_whole, supervisors=read_whole),
-                tests=lambda nodes: _entries(
-                    nodes, "qc.tests", errors, TestConfig,
-                    id=_name, team=_ref, prep_time=from_config, test_time=from_config,
-                    check_time=from_config, supervisory_check_time=from_config,
-                    failure_prob=read_number, prerequisites=_names, ipc=read_flag),
-                ) or QcSection()
-    qa = _build(QaSection, raw.get("qa") or {}, "qa", errors, (),
-                reviewers=read_whole, supervisors=read_whole, investigators=read_whole,
-                deviation_prob=read_number,
-                **{name: from_config for name in QA_DURATIONS}) or QaSection()
-    materials = _entries(raw.get("materials"), "materials", errors, MaterialConfig,
-                         id=_name, initial_stockpile=read_number,
-                         reorder_point=read_number, safety_stock=read_number,
-                         lot_size=read_number, receipt_qc_time=from_config,
-                         receipt_rejection_prob=read_number, available=read_flag,
-                         suppliers=_as_is)
-    for mat in materials:
-        mat.suppliers = _entries(mat.suppliers, f"materials.{mat.id}.suppliers", errors,
-                                 SupplierConfig, id=_name, split=read_number,
-                                 lead_time=from_config, transport_time=from_config,
-                                 min_interarrival=read_number)
-    maintenance = _merge_windows(_entries(
-        raw.get("maintenance"), "maintenance", errors, MaintenanceWindow,
-        ("start", "end"), start=read_date, end=read_date))
-
-    cfg = Config(model=model, stages=stages, inventories=inventories, qc=qc, qa=qa,
-                 materials=materials, maintenance=maintenance)
+    errors: list[str] = []
+    cfg = _build(Config, raw, "", errors)
+    errors.extend(f"stages.{stage.id}.closed: a stage is closed only by a scenario overlay"
+                  for stage in cfg.stages if stage.closed)
+    cfg.maintenance = _merge_windows(cfg.maintenance)
     errors.extend(validate(cfg))
     if errors:
         raise ConfigError(errors)
@@ -354,13 +379,45 @@ def _merge_windows(windows: list[MaintenanceWindow]) -> list[MaintenanceWindow]:
 def validate(cfg: Config) -> list[str]:
     """Full structural validation; returns every problem found."""
     errors: list[str] = []
+    _check_fields(cfg, "", errors)
     _check_model(cfg, errors)
     _check_topology(cfg, errors)
     _check_qc(cfg, errors)
-    _check_qa(cfg, errors)
     _check_materials(cfg, errors)
     _check_maintenance(cfg, errors)
     return errors
+
+
+def _check_fields(obj, path: str, errors: list[str]) -> None:
+    """Every declared range check under ``obj``, found at dot-path ``path``,
+    and no repeated id in any list of entries with ids."""
+    checks, nested = _schema(type(obj))
+    for name, check in checks:
+        problem = check(getattr(obj, name))
+        if problem:
+            errors.append(f"{path}.{name}: {problem}")
+    for name, meta in nested:
+        value = getattr(obj, name)
+        sub = f"{path}.{name}" if path else name
+        if "section" in meta:
+            _check_fields(value, sub, errors)
+        elif "id" in meta["entries"].__dataclass_fields__:
+            errors.extend(f"{sub}: duplicate id {dup!r}" for dup in sorted(_dup_ids(value)))
+            for item in value:
+                _check_fields(item, f"{sub}.{item.id}", errors)
+        else:
+            for i, item in enumerate(value):
+                _check_fields(item, f"{sub}[{i}]", errors)
+
+
+@cache
+def _schema(cls):
+    """(name, check) of each range-checked field of ``cls``, and (name,
+    metadata) of each of its sections and lists of entries."""
+    checks = [(f.name, f.metadata["check"]) for f in fields(cls)
+              if f.metadata.get("check") is not None]
+    nested = [(f.name, f.metadata) for f in fields(cls) if "read" not in f.metadata]
+    return checks, nested
 
 
 def _dup_ids(items) -> set[str]:
@@ -377,24 +434,7 @@ def _check_model(cfg, errors):
         errors.append("model: end_date must be after start_date")
 
 
-def _check_duration(dist, where, errors, *, positive=False):
-    """A duration is a distribution over non-negative times, not a bernoulli
-    flag. ``positive`` ones must also take time on average: a stage or
-    supplier step that takes none can repeat forever without the clock
-    advancing."""
-    if dist.kind == "bernoulli":
-        errors.append(f"{where}: a bernoulli draw is not a duration")
-    elif dist.support()[0] < 0:
-        errors.append(f"{where}: must be >= 0")
-    elif positive and dist.support()[1] <= 0:
-        errors.append(f"{where}: mean must be > 0")
-
-
 def _check_topology(cfg, errors):
-    for dup in sorted(_dup_ids(cfg.inventories)):
-        errors.append(f"inventories: duplicate id {dup!r}")
-    for dup in sorted(_dup_ids(cfg.stages)):
-        errors.append(f"stages: duplicate id {dup!r}")
     if not cfg.stages:
         errors.append("stages: at least one stage required")
         return
@@ -421,48 +461,28 @@ def _check_topology(cfg, errors):
         for name in (stage.input_inventory, stage.output_inventory):
             if name is not None and name not in inv_ids:
                 errors.append(f"stages.{stage.id}: unknown inventory {name!r}")
-        if stage.machines < 1:
-            errors.append(f"stages.{stage.id}: machines must be >= 1")
-        _check_duration(stage.processing_time, f"stages.{stage.id}.processing_time",
-                        errors, positive=True)
-        low, high = stage.yield_fraction.support()
-        if not 0.0 <= low <= high <= 1.0:
-            errors.append(f"stages.{stage.id}.yield_fraction: must lie in [0, 1]")
         if stage is not last and stage.doses_per_batch:
             errors.append(f"stages.{stage.id}: doses_per_batch is final-stage only")
     if last.doses_per_batch <= 0:
         errors.append(f"stages.{last.id}: final stage needs doses_per_batch > 0")
-    # a non-final inventory must sit between two stages; capacity sanity
+    # a non-final inventory must sit between two stages
     used = set()
     for stage in cfg.stages:
         used.update(n for n in (stage.input_inventory, stage.output_inventory) if n)
     for inv in cfg.inventories:
         if inv.id not in used:
             errors.append(f"inventories.{inv.id}: not referenced by any stage")
-        if inv.capacity is not None and inv.capacity < 1:
-            errors.append(f"inventories.{inv.id}: capacity must be >= 1 or null")
 
 
 def _check_qc(cfg, errors):
-    for dup in sorted(_dup_ids(cfg.qc.teams)):
-        errors.append(f"qc.teams: duplicate id {dup!r}")
-    for dup in sorted(_dup_ids(cfg.qc.tests)):
-        errors.append(f"qc.tests: duplicate id {dup!r}")
     team_ids = {t.id for t in cfg.qc.teams}
     test_ids = {t.id for t in cfg.qc.tests}
-    for team in cfg.qc.teams:
-        if team.technicians < 0 or team.supervisors < 0:
-            errors.append(f"qc.teams.{team.id}: head-counts must be >= 0")
     for test in cfg.qc.tests:
         if test.ipc:
             if test.team is not None:
                 errors.append(f"qc.tests.{test.id}: in-process tests take no team")
         elif test.team not in team_ids:
             errors.append(f"qc.tests.{test.id}: unknown team {test.team!r}")
-        if not 0.0 <= test.failure_prob <= 1.0:
-            errors.append(f"qc.tests.{test.id}: failure_prob must be in [0, 1]")
-        for name in ("prep_time", "test_time", "check_time", "supervisory_check_time"):
-            _check_duration(getattr(test, name), f"qc.tests.{test.id}.{name}", errors)
         for pre in test.prerequisites:
             if pre not in test_ids:
                 errors.append(f"qc.tests.{test.id}: unknown prerequisite {pre!r}")
@@ -491,7 +511,7 @@ def _check_prereq_cycles(cfg, errors):
     graph = {t.id: [p for p in t.prerequisites] for t in cfg.qc.tests}
     state: dict[str, int] = {}  # 0 visiting, 1 done
 
-    def visit(node, trail):
+    def visit(node):
         if state.get(node) == 1:
             return
         if state.get(node) == 0:
@@ -500,62 +520,26 @@ def _check_prereq_cycles(cfg, errors):
         state[node] = 0
         for pre in graph.get(node, []):
             if pre in graph:
-                visit(pre, trail)
+                visit(pre)
         state[node] = 1
 
     for node in graph:
-        visit(node, [])
-
-
-def _check_qa(cfg, errors):
-    qa = cfg.qa
-    for name in ("reviewers", "supervisors", "investigators"):
-        if getattr(qa, name) < 0:
-            errors.append(f"qa.{name}: must be >= 0")
-    if not 0.0 <= qa.deviation_prob <= 1.0:
-        errors.append("qa.deviation_prob: must be in [0, 1]")
-    for name in QA_DURATIONS:
-        _check_duration(getattr(qa, name), f"qa.{name}", errors)
+        visit(node)
 
 
 def _check_materials(cfg, errors):
-    for dup in sorted(_dup_ids(cfg.materials)):
-        errors.append(f"materials: duplicate id {dup!r}")
     material_ids = {m.id for m in cfg.materials}
     for stage in cfg.stages:
-        for mid, qty in stage.materials.items():
+        for mid in stage.materials:
             if mid not in material_ids:
                 errors.append(f"stages.{stage.id}: unknown material {mid!r}")
-            if qty <= 0:
-                errors.append(f"stages.{stage.id}: material quantity for {mid!r} must be > 0")
     for mat in cfg.materials:
-        where = f"materials.{mat.id}"
-        if mat.lot_size <= 0:
-            errors.append(f"{where}: lot_size must be > 0")
-        for name in ("initial_stockpile", "reorder_point", "safety_stock"):
-            if getattr(mat, name) < 0:
-                errors.append(f"{where}: {name} must be >= 0")
-        if not 0.0 <= mat.receipt_rejection_prob <= 1.0:
-            errors.append(f"{where}: receipt_rejection_prob must be in [0, 1]")
-        _check_duration(mat.receipt_qc_time, f"{where}.receipt_qc_time", errors)
         if not mat.suppliers:
-            errors.append(f"{where}: at least one supplier required")
+            errors.append(f"materials.{mat.id}: at least one supplier required")
             continue
-        dups = _dup_ids(mat.suppliers)
-        for dup in sorted(dups):
-            errors.append(f"{where}.suppliers: duplicate id {dup!r}")
         total = sum(s.split for s in mat.suppliers)
         if abs(total - 1.0) > 1e-6:
-            errors.append(f"{where}: supplier splits sum to {total:g}, expected 1")
-        for sup in mat.suppliers:
-            if sup.split < 0:
-                errors.append(f"{where}.suppliers.{sup.id}: split must be >= 0")
-            if sup.min_interarrival < 0:
-                errors.append(f"{where}.suppliers.{sup.id}: min_interarrival must be >= 0")
-            _check_duration(sup.lead_time, f"{where}.suppliers.{sup.id}.lead_time",
-                            errors, positive=True)
-            _check_duration(sup.transport_time,
-                            f"{where}.suppliers.{sup.id}.transport_time", errors)
+            errors.append(f"materials.{mat.id}: supplier splits sum to {total:g}, expected 1")
 
 
 def _check_maintenance(cfg, errors):
@@ -591,5 +575,3 @@ def config_to_dict(obj):
 def config_hash(cfg: Config) -> str:
     blob = json.dumps(config_to_dict(cfg), sort_keys=True)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-

@@ -124,7 +124,6 @@ def kpi_summary(result, target: float = TARGET_DOSES) -> dict:
         "mean_monthly_doses": total * 30.0 / horizon if horizon else 0.0,
         "batches_released": result.counts["batches_released"],
         "batches_discarded": result.counts["batches_discarded"],
-        "lead_time_histogram": lead_time_histogram(result),
         "max_utilization_resource": top["resource"] if top else None,
         "max_utilization": top["utilization"] if top else 0.0,
     }
@@ -233,20 +232,33 @@ def t_quantile(n: int) -> float:
     return float(stats.t.ppf(1 - ALPHA / 2, n - 1))
 
 
+COMPARISON_COLUMNS = ["scenario", "day", "n", "mean_doses", "ci_low", "ci_high",
+                      "delta_pct", "p_value", "significant"]
+
+
+def comparison_cells(row: dict) -> list:
+    """One ``compare_scenarios`` row as table cells; None is an empty cell."""
+    return ["" if row[k] is None else row[k] for k in COMPARISON_COLUMNS]
+
+
 def compare_scenarios(ensembles: dict[str, list], base: str = "base",
-                      at_days: tuple[int, ...] = (365, 1095),
+                      at_days: tuple[int, ...] | None = None,
                       alpha: float = ALPHA) -> list[dict]:
     """Table of released doses per scenario and horizon against the base.
 
     Per cell: replication mean, Student t 95% CI, relative change
     against the base ensemble, and a two-sided Welch t-test p-value. The base
-    rows carry empty delta and p.
+    rows carry empty delta and p. ``at_days`` defaults to day 365 and the
+    last day of the base ensemble's horizon.
     """
     import numpy as np
     from scipy import stats
 
     if base not in ensembles:
         raise ValueError(f"no ensemble named {base!r}")
+    if at_days is None:
+        horizon = len(_daily_series(ensembles[base][0]))
+        at_days = tuple(dict.fromkeys(d for d in (365, horizon) if d <= horizon))
     totals = {
         name: {day: np.array([doses_by_day(r, day) for r in ens], dtype=float)
                for day in at_days}

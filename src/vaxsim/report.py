@@ -14,9 +14,9 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .metrics import (bottleneck_report, compare_scenarios, detect_recovery,
-                      doses_by_day, lead_time_histogram, t_quantile,
-                      time_to_first_dose)
+from .metrics import (COMPARISON_COLUMNS, bottleneck_report, compare_scenarios,
+                      comparison_cells, detect_recovery, doses_by_day,
+                      lead_time_histogram, t_quantile, time_to_first_dose)
 
 MONTH_DAYS = 30
 
@@ -74,7 +74,6 @@ def write_report(stores: list[tuple[dict, list]], out_dir: str) -> str:
     ens = _ensembles(stores)
     base_name = "base" if "base" in ens else stores[0][0]["scenario"]
     horizon = stores[0][0]["horizon_days"]
-    at_days = tuple(dict.fromkeys(d for d in (365, horizon) if d <= horizon))
 
     _emit_throughput(ens, out_dir)
     _emit_histogram(ens, out_dir)
@@ -85,15 +84,9 @@ def write_report(stores: list[tuple[dict, list]], out_dir: str) -> str:
 
     comparison = recovery = None
     if len(ens) > 1 and base_name in ens:
-        comparison = compare_scenarios(ens, base=base_name, at_days=at_days)
-        _write_csv(os.path.join(out_dir, "comparison.csv"),
-                   ["scenario", "day", "n", "mean_doses", "ci_low", "ci_high",
-                    "delta_pct", "p_value", "significant"],
-                   [[r["scenario"], r["day"], r["n"], r["mean_doses"],
-                     r["ci_low"], r["ci_high"],
-                     "" if r["delta_pct"] is None else r["delta_pct"],
-                     "" if r["p_value"] is None else r["p_value"],
-                     r["significant"]] for r in comparison])
+        comparison = compare_scenarios(ens, base=base_name)
+        _write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_COLUMNS,
+                   map(comparison_cells, comparison))
         recovery = {}
         for name in sorted(ens):
             if name == base_name:
@@ -111,8 +104,7 @@ def write_report(stores: list[tuple[dict, list]], out_dir: str) -> str:
 
     path = os.path.join(out_dir, "report.md")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_render_markdown(stores, ens, base_name, at_days,
-                                  comparison, recovery))
+        fh.write(_render_markdown(stores, ens, base_name, comparison, recovery))
     return path
 
 
@@ -219,7 +211,7 @@ def _emit_stockouts(ens, out_dir, horizon) -> None:
 
 # -- markdown ------------------------------------------------------------
 
-def _render_markdown(stores, ens, base_name, at_days, comparison, recovery) -> str:
+def _render_markdown(stores, ens, base_name, comparison, recovery) -> str:
     lines = ["# Simulation report", ""]
     m0 = stores[0][0]
     lines += [

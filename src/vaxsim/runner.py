@@ -134,13 +134,10 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
 
     kpi_path = os.path.join(out_dir, "kpis.csv")
     with open(kpi_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=KPI_COLUMNS, extrasaction="ignore",
-                           lineterminator="\n")
+        w = csv.DictWriter(fh, fieldnames=KPI_COLUMNS, lineterminator="\n")
         w.writeheader()
         for res in results:
-            row = kpi_summary(res)
-            w.writerow({k: ("" if row.get(k) is None else row.get(k))
-                        for k in KPI_COLUMNS})
+            w.writerow({k: "" if v is None else v for k, v in kpi_summary(res).items()})
 
     scenario = spec.name if spec is not None and not spec.is_empty else "base"
     manifest = {

@@ -4,11 +4,12 @@ An overlay sets parameters listed in ``SETTABLE`` inside calendar windows:
 stage closures, processing times, pool head-counts, material availability,
 lead times and the like, plus the instant ``reset_wip`` action (loss of all
 work in progress). A target is a dot-path with ``*`` over list ids
-(``qc.teams.*.technicians``); a path outside the table is rejected, and every
-value is range-checked by the same ``config.validate`` the base config
-passes. Overlapping windows on one parameter compose last-writer-wins, and
-the baseline value is restored when the outermost window closes (and, for
-windows still open, when the run ends). An overlay with no modifications is
+(``qc.teams.*.technicians``); a path outside the table is rejected. A literal
+value is read by its config field's own reader, and every value is
+range-checked by the same ``config.validate`` the base config passes.
+Overlapping windows on one parameter compose last-writer-wins, and the
+baseline value is restored when the outermost window closes (and, for windows
+still open, when the run ends). An overlay with no modifications is
 observationally identical to the base case.
 """
 
@@ -18,69 +19,55 @@ from dataclasses import dataclass, field
 from datetime import date
 from typing import Callable
 
-from .config import (QA_DURATIONS, READ_ERRORS, Config, ConfigError, read_capacity,
-                     read_date, read_flag, read_number, read_whole, validate)
-from .distributions import from_config
-
-READERS = {"count": read_whole, "number": read_number, "flag": read_flag,
-           "distribution": from_config, "capacity": read_capacity}
-
-
-@dataclass(frozen=True)
-class Param:
-    """One settable parameter.
-
-    ``kind`` names its reader in ``READERS`` ("number" covers probabilities
-    and non-negative amounts alike: their ranges come from ``validate``).
-    ``apply(model, owner, value)`` runs after each write, for parameters that
-    live in runtime state as well as in the config.
-    """
-
-    kind: str
-    apply: Callable | None = None
+from .config import READ_ERRORS, Config, ConfigError, read_date, read_flag, validate
+from .distributions import Distribution, read_number
 
 
 def _resize(pool, model, count: int) -> None:
     pool.set_capacity(count, model.engine.clock.now)
 
 
-SETTABLE: dict[str, Param] = {
-    "stages.*.closed": Param("flag", lambda m, stage, _: m.production.closure_changed(stage)),
-    "stages.*.processing_time": Param("distribution"),
-    "stages.*.yield_fraction": Param("distribution"),
-    "stages.*.document_review": Param("flag"),
-    "stages.*.doses_per_batch": Param("count"),
-    "inventories.*.capacity": Param("capacity"),
-    "qc.teams.*.technicians": Param(
-        "count", lambda m, team, n: _resize(m.qc.tech_pools[team.id], m, n)),
-    "qc.teams.*.supervisors": Param(
-        "count", lambda m, team, n: _resize(m.qc.sup_pools[team.id], m, n)),
-    "qc.tests.*.prep_time": Param("distribution"),
-    "qc.tests.*.test_time": Param("distribution"),
-    "qc.tests.*.check_time": Param("distribution"),
-    "qc.tests.*.supervisory_check_time": Param("distribution"),
-    "qc.tests.*.failure_prob": Param("number"),
-    "qa.reviewers": Param("count", lambda m, qa, n: _resize(m.qc.reviewers, m, n)),
-    "qa.supervisors": Param("count", lambda m, qa, n: _resize(m.qc.qa_sups, m, n)),
-    "qa.investigators": Param("count", lambda m, qa, n: _resize(m.qc.investigators, m, n)),
-    **{f"qa.{name}": Param("distribution") for name in QA_DURATIONS},
-    "qa.deviation_prob": Param("number"),
-    "materials.*.available": Param(
-        "flag", lambda m, mat, _: m.materials.availability_changed(mat)),
-    "materials.*.reorder_point": Param("number"),
-    "materials.*.safety_stock": Param("number"),
-    "materials.*.lot_size": Param("number"),
-    "materials.*.receipt_qc_time": Param("distribution"),
-    "materials.*.receipt_rejection_prob": Param("number"),
-    "materials.*.suppliers.*.lead_time": Param("distribution"),
-    "materials.*.suppliers.*.transport_time": Param("distribution"),
-    "materials.*.suppliers.*.min_interarrival": Param("number"),
+# Each settable parameter maps to None, or to ``apply(model, owner, value)``
+# for a parameter that lives in runtime state as well as in the config: the
+# hook runs after each write.
+SETTABLE: dict[str, Callable | None] = {
+    "stages.*.closed": lambda m, stage, _: m.production.closure_changed(stage),
+    "stages.*.processing_time": None,
+    "stages.*.yield_fraction": None,
+    "stages.*.document_review": None,
+    "stages.*.doses_per_batch": None,
+    "inventories.*.capacity": None,
+    "qc.teams.*.technicians": lambda m, team, n: _resize(m.qc.tech_pools[team.id], m, n),
+    "qc.teams.*.supervisors": lambda m, team, n: _resize(m.qc.sup_pools[team.id], m, n),
+    "qc.tests.*.prep_time": None,
+    "qc.tests.*.test_time": None,
+    "qc.tests.*.check_time": None,
+    "qc.tests.*.supervisory_check_time": None,
+    "qc.tests.*.failure_prob": None,
+    "qa.reviewers": lambda m, qa, n: _resize(m.qc.reviewers, m, n),
+    "qa.supervisors": lambda m, qa, n: _resize(m.qc.qa_sups, m, n),
+    "qa.investigators": lambda m, qa, n: _resize(m.qc.investigators, m, n),
+    "qa.release_review_time": None,
+    "qa.release_approval_time": None,
+    "qa.document_review_time": None,
+    "qa.oos_investigation_time": None,
+    "qa.deviation_investigation_time": None,
+    "qa.deviation_prob": None,
+    "materials.*.available": lambda m, mat, _: m.materials.availability_changed(mat),
+    "materials.*.reorder_point": None,
+    "materials.*.safety_stock": None,
+    "materials.*.lot_size": None,
+    "materials.*.receipt_qc_time": None,
+    "materials.*.receipt_rejection_prob": None,
+    "materials.*.suppliers.*.lead_time": None,
+    "materials.*.suppliers.*.transport_time": None,
+    "materials.*.suppliers.*.min_interarrival": None,
 }
 
 
-def _resolve(cfg: Config, target: str) -> tuple[Param, list[tuple[str, object]]]:
-    """The table entry ``target`` instantiates, and (concrete dot-path, owning
-    config object) for every parameter it names."""
+def _resolve(cfg: Config, target: str) -> tuple[Callable | None, list[tuple[str, object]]]:
+    """The apply hook of the table entry ``target`` instantiates, and
+    (concrete dot-path, owning config object) for every parameter it names."""
     tokens = target.split(".")
     pattern = next((p for p in SETTABLE if len(p.split(".")) == len(tokens) and
                     all(part in ("*", tok) for part, tok in zip(p.split("."), tokens))),
@@ -106,23 +93,25 @@ def _field(path: str) -> str:
     return path.rsplit(".", 1)[1]
 
 
-def _value(kind: str, baseline, raw):
-    """The value ``raw`` gives a parameter of ``kind`` whose baseline is ``baseline``.
+def _value(owner, name: str, baseline, raw):
+    """The value ``raw`` gives field ``name`` of ``owner``, whose baseline is
+    ``baseline``.
 
-    ``{scale: k}`` multiplies the baseline: a distribution scales its location
-    parameters; a count or capacity rounds with Python's ``round``, half to
-    even (1 x 0.5 -> 0, 3 x 0.5 -> 2); a flag or an unbounded capacity cannot
-    be scaled. Anything else is a literal for the kind's reader.
+    ``{scale: k}`` multiplies the baseline, as its type allows: a distribution
+    scales its location parameters; an int rounds with Python's ``round``, half
+    to even (1 x 0.5 -> 0, 3 x 0.5 -> 2); a float is multiplied; a flag or an
+    unbounded capacity (None) cannot be scaled. Anything else is a literal for
+    the field's own reader.
     """
     if isinstance(raw, dict) and set(raw) == {"scale"}:
         factor = read_number(raw["scale"])
-        if kind == "distribution":
+        if isinstance(baseline, Distribution):
             return baseline.scaled(factor)
-        if kind == "flag" or baseline is None:
+        if baseline is None or isinstance(baseline, bool):
             raise ValueError(f"{baseline!r} cannot be scaled")
         value = read_number(baseline * factor)
-        return value if kind == "number" else round(value)
-    return READERS[kind](raw)
+        return round(value) if isinstance(baseline, int) else value
+    return type(owner).__dataclass_fields__[name].metadata["read"](raw)
 
 
 @dataclass
@@ -224,11 +213,11 @@ def _value_problems(cfg: Config, mod: Modification) -> list[str]:
     """Problems with ``mod``'s value: it is set on every parameter the target
     names in the live ``cfg``, the config is validated, and the old values go
     back. The base config is valid, so whatever fails is the override's."""
-    param, targets = _resolve(cfg, mod.target)
+    _, targets = _resolve(cfg, mod.target)
     saved = [(owner, _field(path), getattr(owner, _field(path))) for path, owner in targets]
     try:
         for owner, name, base in saved:
-            setattr(owner, name, _value(param.kind, base, mod.raw_value))
+            setattr(owner, name, _value(owner, name, base, mod.raw_value))
         return validate(cfg)
     except READ_ERRORS as exc:
         return [str(exc)]
@@ -296,30 +285,30 @@ class ScenarioRuntime:
                 model.engine.schedule(clock.date_to_time(reset.at), "scn_reset",
                                       absolute=True)
 
-    def _write(self, param: Param, owner, path: str, value) -> None:
+    def _write(self, apply, owner, path: str, value) -> None:
         setattr(owner, _field(path), value)
-        if param.apply is not None:
-            param.apply(self.model, owner, value)
+        if apply is not None:
+            apply(self.model, owner, value)
 
     def _on_apply(self, ev) -> None:
         mod: Modification = ev.target
-        param, targets = _resolve(self.model.cfg, mod.target)
+        apply, targets = _resolve(self.model.cfg, mod.target)
         for path, owner in targets:
             _, base = self._baseline.setdefault(path, (owner, getattr(owner, _field(path))))
-            value = _value(param.kind, base, mod.raw_value)
+            value = _value(owner, _field(path), base, mod.raw_value)
             self._stack.setdefault(path, []).append((mod.idx, value))
-            self._write(param, owner, path, value)
+            self._write(apply, owner, path, value)
         self.model.wake_all()
 
     def _on_revert(self, ev) -> None:
         mod: Modification = ev.target
-        param, targets = _resolve(self.model.cfg, mod.target)
+        apply, targets = _resolve(self.model.cfg, mod.target)
         for path, owner in targets:
             stack = [entry for entry in self._stack.get(path, []) if entry[0] != mod.idx]
             self._stack[path] = stack
             value = stack[-1][1] if stack else self._baseline[path][1]
             if getattr(owner, _field(path)) != value:
-                self._write(param, owner, path, value)
+                self._write(apply, owner, path, value)
         self.model.wake_all()
 
     def restore(self) -> None:

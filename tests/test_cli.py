@@ -1,5 +1,6 @@
 """Command line verbs: exit codes, error JSON, and the run/compare/report flow."""
 
+import csv
 import json
 import os
 import shutil
@@ -140,6 +141,27 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--replications", "0"], "--replications must be >= 1, got 0"),
+    (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+    (["--out", "FILE"], "cannot make a directory there"),
+], ids=["no-replications", "no-jobs", "out-is-a-file"])
+def test_run_rejects_bad_arguments_before_simulating(chain_yaml, tmp_path, capsys,
+                                                     argv, message):
+    existing = tmp_path / "existing.txt"
+    existing.write_text("keep\n")
+    out = str(tmp_path / "out")
+    argv = [str(existing) if a == "FILE" else a for a in argv]
+    rc = main(["run", "--config", chain_yaml, "--replications", "2", "--out", out, *argv])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1  # one line, no traceback, no progress
+    err = json.loads(err)
+    assert err["error"] == "validation" and message in err["messages"][0]
+    assert not os.path.exists(out)
+    assert existing.read_text() == "keep\n"
+
+
 def test_compare_needs_a_base_store(chain_yaml, overlay_yaml, tmp_path, capsys):
     scen = str(tmp_path / "scen")
     main(["run", "--config", chain_yaml, "--scenario", overlay_yaml,
@@ -204,6 +226,25 @@ def test_every_mismatch_is_listed(paired_stores, tmp_path, capsys):
     assert [k for k in ("base_seed", "replications", "scenario")
             if any(k in m for m in messages)] == ["base_seed", "replications",
                                                   "scenario"]
+
+
+def test_store_without_replications_is_refused(paired_stores, tmp_path, capsys):
+    base, _ = paired_stores
+    empty = _with_manifest(base, tmp_path / "empty", replications=0, files=["kpis.csv"])
+    capsys.readouterr()
+    assert main(["compare", empty]) == 2
+    assert stderr_json(capsys)["messages"] == [f"{empty}: store holds no replications"]
+
+
+def test_compare_prints_the_rows_of_comparison_csv(paired_stores, tmp_path, capsys):
+    base, scen = paired_stores
+    capsys.readouterr()
+    assert main(["compare", base, scen]) == 0
+    printed = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+    assert main(["report", base, scen, "--out", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "comparison.csv", encoding="utf-8", newline="") as fh:
+        assert printed == list(csv.reader(fh))
+    assert [row[:2] for row in printed[1:]] == [["base", "274"], ["slow_fill", "274"]]
 
 
 def test_two_stores_of_one_scenario_are_refused(paired_stores, tmp_path, capsys):

@@ -8,6 +8,7 @@ from vaxsim.model import Model
 from vaxsim.scenario import ScenarioRuntime, parse_scenario
 
 from conftest import chain_dict
+from test_scenario import busy_chain
 
 
 def test_minimal_chain_parses(chain_cfg):
@@ -260,6 +261,64 @@ def test_durations_and_yields_are_range_checked():
         "stages.mix.processing_time: must be >= 0",
         "stages.prep.processing_time: mean must be > 0",
     ]
+
+
+# One out-of-range value per range-checked field, set in busy_chain() at a
+# path of keys and list indices, and the one message it must raise.
+OUT_OF_RANGE = [
+    ({"stages.0.machines": 0}, "stages.prep.machines: must be >= 1"),
+    ({"inventories.1.capacity": 0}, "inventories.buf_2.capacity: must be >= 1 or null"),
+    ({"qc.teams.0.technicians": -1}, "qc.teams.lab.technicians: must be >= 0"),
+    ({"qc.teams.0.supervisors": -1}, "qc.teams.lab.supervisors: must be >= 0"),
+    ({"qa.reviewers": -1}, "qa.reviewers: must be >= 0"),
+    ({"qa.supervisors": -1}, "qa.supervisors: must be >= 0"),
+    ({"qa.investigators": -1}, "qa.investigators: must be >= 0"),
+    ({"qc.tests.1.failure_prob": 1.5}, "qc.tests.assay.failure_prob: must be in [0, 1]"),
+    ({"qa.deviation_prob": -0.1}, "qa.deviation_prob: must be in [0, 1]"),
+    ({"materials.0.receipt_rejection_prob": 2},
+     "materials.resin.receipt_rejection_prob: must be in [0, 1]"),
+    ({"materials.0.initial_stockpile": -1}, "materials.resin.initial_stockpile: must be >= 0"),
+    ({"materials.0.reorder_point": -1}, "materials.resin.reorder_point: must be >= 0"),
+    ({"materials.0.safety_stock": -1}, "materials.resin.safety_stock: must be >= 0"),
+    ({"materials.0.lot_size": 0}, "materials.resin.lot_size: must be > 0"),
+    # the splits still sum to 1
+    ({"materials.0.suppliers.0.split": 1.5, "materials.0.suppliers.1.split": -0.5},
+     "materials.resin.suppliers.b.split: must be >= 0"),
+    ({"materials.0.suppliers.1.min_interarrival": -2},
+     "materials.resin.suppliers.b.min_interarrival: must be >= 0"),
+    ({"stages.0.materials": {"resin": 0}},
+     "stages.prep.materials: quantities must be > 0, got {'resin': 0.0}"),
+    # durations: a bernoulli draw, a negative time, no time where time is due
+    ({"qc.tests.0.prep_time": {"bernoulli": 0.5}},
+     "qc.tests.ph.prep_time: a bernoulli draw is not a duration"),
+    ({"qa.release_review_time": {"uniform": [-1, 1]}},
+     "qa.release_review_time: must be >= 0"),
+    ({"materials.0.receipt_qc_time": {"triangular": [-1, 0, 1]}},
+     "materials.resin.receipt_qc_time: must be >= 0"),
+    ({"materials.0.suppliers.0.transport_time": {"bernoulli": 0.1}},
+     "materials.resin.suppliers.a.transport_time: a bernoulli draw is not a duration"),
+    ({"stages.1.processing_time": 0}, "stages.mix.processing_time: mean must be > 0"),
+    ({"materials.0.suppliers.1.lead_time": {"constant": 0}},
+     "materials.resin.suppliers.b.lead_time: mean must be > 0"),
+    ({"stages.2.yield_fraction": {"uniform": [0.5, 1.5]}},
+     "stages.fill.yield_fraction: must lie in [0, 1]"),
+]
+
+
+@pytest.mark.parametrize("changes, message", OUT_OF_RANGE,
+                         ids=[message.split(":")[0] for _, message in OUT_OF_RANGE])
+def test_each_checked_field_rejects_out_of_range_values(changes, message):
+    d = busy_chain()
+    parse_config(d)  # valid as it stands
+    for path, value in changes.items():
+        *keys, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = d
+        for key in keys:
+            node = node[key]
+        node[last] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(d)
+    assert err.value.errors == [message]
 
 
 def test_huge_lognormal_scale_is_a_valid_duration():

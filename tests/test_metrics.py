@@ -281,5 +281,5 @@ def test_kpis_from_a_real_run():
     assert k["time_to_target"] == 304  # 100th release lands at t = 6 + 99*3
     assert k["doses_at_365"] == 120_000  # releases at 6.0..363.0
     assert k["batches_discarded"] == 0
-    assert sum(k["lead_time_histogram"].values()) == k["batches_released"]
+    assert sum(lead_time_histogram(res).values()) == k["batches_released"]
     assert k["max_utilization_resource"] == "prep"
