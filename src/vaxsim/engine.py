@@ -11,7 +11,8 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass
+import struct
+from dataclasses import dataclass, field
 from datetime import date
 
 DEFAULT_START_DATE = date(2025, 4, 1)
@@ -32,10 +33,11 @@ class SimClock:
     start_date: date = DEFAULT_START_DATE
     end_date: date = DEFAULT_END_DATE
     now: float = 0.0
+    # fixed at construction: the dates are read-only once a clock exists
+    horizon_days: float = field(init=False)
 
-    @property
-    def horizon_days(self) -> float:
-        return float((self.end_date - self.start_date).days)
+    def __post_init__(self) -> None:
+        self.horizon_days = float((self.end_date - self.start_date).days)
 
     def day_index(self, t: float | None = None) -> int:
         """0-based index of the day bin containing time ``t`` (default: now)."""
@@ -94,6 +96,11 @@ class EventList:
         return self._heap[0][0] if self._heap else None
 
 
+_sha256 = hashlib.sha256
+_u64 = struct.Struct("<Q")
+_pack_u64, _unpack_u64 = _u64.pack, _u64.unpack_from
+
+
 class HashStream:
     """Counter-mode substream: the n-th draw is a pure function of (key, n).
 
@@ -109,10 +116,10 @@ class HashStream:
         self._ctr = 0
 
     def random(self) -> float:
-        digest = hashlib.sha256(self._key + self._ctr.to_bytes(8, "little")).digest()
+        digest = _sha256(self._key + _pack_u64(self._ctr)).digest()
         self._ctr += 1
-        # top 53 bits -> uniform double in [0, 1)
-        return (int.from_bytes(digest[:8], "little") >> 11) * 2.0 ** -53
+        # top 53 bits of the first 8 digest bytes -> uniform double in [0, 1)
+        return (_unpack_u64(digest)[0] >> 11) * 2.0 ** -53
 
     def standard_normal(self) -> float:
         u1 = self.random() or 2.0 ** -53  # guard log(0)
@@ -132,19 +139,20 @@ class RngRegistry:
 
     def __init__(self, replication_seed: int) -> None:
         self.replication_seed = int(replication_seed)
-
-    def _label_key(self, label: tuple) -> bytes:
-        return hashlib.sha256(
-            repr((self.replication_seed,) + label).encode("utf-8")).digest()
+        self._prefix = f"({self.replication_seed!r}, "
 
     def derived(self, *label: object) -> HashStream:
         """Fresh substream keyed only by (seed, label), independent of history.
 
         Used for per-instance draws (one batch visiting one stage, one test
         attempt, one purchase order) so the values depend on stable identities
-        rather than on how many draws happened before them.
+        rather than on how many draws happened before them. The key hashes
+        ``repr((seed,) + label)``; a label of two or more elements appends its
+        own repr to the registry's prefix ``(<seed>, `` instead.
         """
-        return HashStream(self._label_key(tuple(label)))
+        text = (self._prefix + repr(label)[1:] if len(label) > 1
+                else repr((self.replication_seed,) + label))
+        return HashStream(_sha256(text.encode("utf-8")).digest())
 
 
 class StepIntegral:
@@ -163,19 +171,22 @@ class StepIntegral:
         self._last_ts = now
         self._taken = 0.0
 
-    def _accrue(self, now: float) -> None:
+    # each method accrues the area since the last change inline: they run on
+    # every busy, queue and capacity change
+    def set(self, now: float, value: float) -> None:
         self.total += self.value * (now - self._last_ts)
         self._last_ts = now
-
-    def set(self, now: float, value: float) -> None:
-        self._accrue(now)
         self.value = value
 
     def add(self, now: float, delta: float) -> None:
-        self.set(now, self.value + delta)
+        value = self.value
+        self.total += value * (now - self._last_ts)
+        self._last_ts = now
+        self.value = value + delta
 
     def take(self, now: float) -> float:
-        self._accrue(now)
+        self.total += self.value * (now - self._last_ts)
+        self._last_ts = now
         out = self.total - self._taken
         self._taken = self.total
         return out
@@ -234,13 +245,14 @@ class Engine:
         return ev
 
     def run(self) -> None:
+        handlers = self.handlers
         while True:
             ev = self.pop_next()
             if ev is END_OF_HORIZON:
                 break
             if self.trace is not None:
                 self.trace.append((ev.time, ev.seq, ev.kind))
-            handler = self.handlers.get(ev.kind)
+            handler = handlers.get(ev.kind)
             if handler is None:
                 raise KeyError(f"no handler for event kind {ev.kind!r}")
             handler(ev)

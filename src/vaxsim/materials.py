@@ -201,16 +201,3 @@ class Materials:
             for po in rt.parked:
                 self._start_receipt_qc(po, now)
             rt.parked.clear()
-
-    # -- daily accounting ------------------------------------------------
-
-    def day_tick(self) -> dict[str, tuple[float, int]]:
-        """Per material: (level in batch equivalents, stockout flag 0/1)."""
-        out = {}
-        for rt in self.runtimes.values():
-            in_stockout = rt.stockout_flag or rt.stockout_since is not None
-            if in_stockout:
-                rt.stockout_days += 1
-            rt.stockout_flag = False
-            out[rt.id] = (rt.on_hand / rt.batch_equiv, 1 if in_stockout else 0)
-        return out

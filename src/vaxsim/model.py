@@ -89,9 +89,9 @@ class Collector:
                         for s in model.production.stages]
         self._pools = [(p, self._new(f"pool_util.{p.name}"),
                         self._new(f"pool_queue.{p.name}")) for p in model.qc.pools]
-        self._materials = {m: (self._new(f"material_level.{m}"),
-                               self._new(f"material_stockout.{m}"))
-                           for m in model.materials.runtimes}
+        self._materials = [(rt, self._new(f"material_level.{m}"),
+                            self._new(f"material_stockout.{m}"))
+                           for m, rt in model.materials.runtimes.items()]
         self.batches: list[Batch] = []
 
     def _new(self, name: str) -> array:
@@ -131,9 +131,15 @@ class Collector:
             cap = pool.cap_int.take(t)
             util[d] = busy / cap if cap > 1e-9 else 0.0
             queue[d] = pool.queue_int.take(t)
-        for mid, (level, flag) in self.model.materials.day_tick().items():
-            levels, flags = self._materials[mid]
-            levels[d], flags[d] = level, flag
+        # level in batch equivalents; a day is a stockout day if a stockout was
+        # open at its end or closed partway through it
+        for rt, levels, flags in self._materials:
+            in_stockout = rt.stockout_flag or rt.stockout_since is not None
+            if in_stockout:
+                rt.stockout_days += 1
+            rt.stockout_flag = False
+            levels[d] = rt.on_hand / rt.batch_equiv
+            flags[d] = in_stockout
 
     # -- final assembly --------------------------------------------------
 
@@ -188,6 +194,8 @@ class Model:
         clock = SimClock(cfg.model.start_date, cfg.model.end_date)
         self.engine = Engine(clock)
         self.rng = RngRegistry(seed)
+        # test ids are fixed once parsed; overlays edit these objects in place
+        self.tests = {t.id: t for t in cfg.qc.tests}
         # the whole day-tick chain goes in first: at any instant the tick must
         # precede same-time domain events, so a day's readings never absorb
         # changes that belong to the following day
@@ -224,7 +232,10 @@ class Model:
         to the awake stages, then to the awake pools, and repeats while
         anything moves.
         """
-        if not any(item.awake for item in self._wakeable):
+        for item in self._wakeable:
+            if item.awake:
+                break
+        else:
             return
         production, qc = self.production, self.qc
         while True:

@@ -301,13 +301,12 @@ class Production:
         return None
 
     def _processing_duration(self, stage: StageRuntime, batch: Batch) -> float:
-        cfg = self.model.cfg
-        rng = self.model.rng
+        tests, rng = self.model.tests, self.model.rng
         duration = stage.cfg.processing_time.sample(
             rng.derived("proc", stage.cfg.id, batch.id))
         # in-process controls run inside the machine occupancy, by production staff
         for tid in stage.cfg.ipc_tests:
-            test = cfg.test(tid)
+            test = tests[tid]
             g = rng.derived("ipcdur", tid, stage.cfg.id, batch.id, 1)
             duration += (test.prep_time.sample(g) + test.test_time.sample(g)
                          + test.check_time.sample(g))

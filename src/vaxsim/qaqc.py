@@ -40,9 +40,13 @@ class Sample:
         return all(self.tests.get(p) == PASSED for p in test_cfg.prerequisites)
 
 
+TASK_KINDS = ("tech", "sup", "oos", "dev", "ipc_oos", "ipc_retest", "docrev",
+              "relrev", "relapp")
+
+
 @dataclass(eq=False)  # identity semantics: tasks live in sets and heaps
 class Task:
-    kind: str           # tech | sup | oos | dev | ipc_oos | ipc_retest | docrev | relrev | relapp
+    kind: str           # one of TASK_KINDS
     batch: Batch
     test_id: str | None = None
     stage_id: str | None = None
@@ -143,6 +147,7 @@ class QaQc:
         self.pools = [*self.tech_pools.values(), *self.sup_pools.values(),
                       self.reviewers, self.qa_sups, self.investigators]
         self.running: set[Task] = set()
+        self._done = {kind: getattr(self, f"_done_{kind}") for kind in TASK_KINDS}
         model.engine.on("task_done", self._on_task_done)
 
     # -- intake from production -----------------------------------------
@@ -151,7 +156,7 @@ class QaQc:
         cfg = self.model.cfg
         now = self.model.engine.clock.now
         for tid in stage.cfg.ipc_tests:
-            test = cfg.test(tid)
+            test = self.model.tests[tid]
             if test.failure_prob <= 0.0:
                 continue
             failed = (self.model.rng.derived("ipcfail", tid, stage.cfg.id, batch.id, 1)
@@ -184,7 +189,7 @@ class QaQc:
             sample.tests[tid] = BLOCKED
         batch.holds += len(sample.tests)
         for tid in stage.cfg.qc_tests:
-            if sample.prereqs_met(self.model.cfg.test(tid)):
+            if sample.prereqs_met(self.model.tests[tid]):
                 self._enqueue_test(sample, tid, attempt=1, now=now)
 
     def on_enter_final(self, batch: Batch) -> None:
@@ -204,7 +209,7 @@ class QaQc:
 
     def _enqueue_test(self, sample: Sample, tid: str, attempt: int, now: float) -> None:
         sample.tests[tid] = ACTIVE
-        test = self.model.cfg.test(tid)
+        test = self.model.tests[tid]
         task = Task("tech", sample.batch, test_id=tid, stage_id=sample.stage_id,
                     attempt=attempt, sample=sample)
         self.tech_pools[test.team].enqueue(task, self._priority_key(sample.batch, now), now)
@@ -226,7 +231,7 @@ class QaQc:
         qa = self.model.cfg.qa
         if task.kind == "tech":
             g = rng.derived("testdur", task.test_id, task.batch.id, task.attempt)
-            test = self.model.cfg.test(task.test_id)
+            test = self.model.tests[task.test_id]
             duration = (test.prep_time.sample(g) + test.test_time.sample(g)
                         + test.check_time.sample(g))
             task.carry = test.supervisory_check_time.sample(g)
@@ -262,11 +267,10 @@ class QaQc:
         task.event = None
         if not task.batch.alive:
             return  # work on a discarded batch finishes harmlessly
-        handler = getattr(self, f"_done_{task.kind}")
-        handler(task, now)
+        self._done[task.kind](task, now)
 
     def _done_tech(self, task: Task, now: float) -> None:
-        test = self.model.cfg.test(task.test_id)
+        test = self.model.tests[task.test_id]
         if _is_zero(test.supervisory_check_time):
             self._resolve_test(task, now)
         else:
@@ -276,7 +280,7 @@ class QaQc:
             self.sup_pools[test.team].enqueue(sup, self._priority_key(task.batch, now), now)
 
     def _resolve_test(self, task: Task, now: float) -> None:
-        test = self.model.cfg.test(task.test_id)
+        test = self.model.tests[task.test_id]
         failed = False
         if test.failure_prob > 0.0:
             failed = (self.model.rng.derived(
@@ -300,7 +304,7 @@ class QaQc:
 
     def _unblock_dependents(self, sample: Sample, now: float) -> None:
         for tid, state in sample.tests.items():
-            if state == BLOCKED and sample.prereqs_met(self.model.cfg.test(tid)):
+            if state == BLOCKED and sample.prereqs_met(self.model.tests[tid]):
                 self._enqueue_test(sample, tid, attempt=1, now=now)
 
     def _done_oos(self, task: Task, now: float) -> None:
@@ -310,7 +314,7 @@ class QaQc:
     def _done_ipc_oos(self, task: Task, now: float) -> None:
         # retest by production staff: a delay with no personnel seized
         task.batch.retests += 1
-        test = self.model.cfg.test(task.test_id)
+        test = self.model.tests[task.test_id]
         g = self.model.rng.derived("ipcdur", task.test_id, task.stage_id,
                                    task.batch.id, 2)
         duration = (test.prep_time.sample(g) + test.test_time.sample(g)
@@ -321,7 +325,7 @@ class QaQc:
         self.running.add(retest)
 
     def _done_ipc_retest(self, task: Task, now: float) -> None:
-        test = self.model.cfg.test(task.test_id)
+        test = self.model.tests[task.test_id]
         failed = (self.model.rng.derived(
             "ipcfail", task.test_id, task.stage_id, task.batch.id, 2)
             .random() < test.failure_prob)
