@@ -313,8 +313,9 @@ def _build(cls, node, path: str, errors: list[str]):
             continue
         sub = f"{path}.{key}" if path else key
         meta = f.metadata
-        if "section" in meta:
-            kwargs[key] = _build(meta["section"], value or {}, sub, errors) or meta["section"]()
+        if "section" in meta:  # an empty section (null) keeps every default
+            kwargs[key] = (_build(meta["section"], {} if value is None else value,
+                                  sub, errors) or meta["section"]())
         elif "entries" in meta:
             kwargs[key] = _entries(meta["entries"], value, sub, errors)
         else:

@@ -35,6 +35,22 @@ def test_all_errors_reported_at_once():
     assert "splits sum to 1.1" in text
 
 
+@pytest.mark.parametrize("section", ["model", "qc", "qa"])
+@pytest.mark.parametrize("value", [0, 5, 0.0, False, True, [], [1], "", "x"])
+def test_a_section_that_is_not_a_mapping_is_rejected(section, value):
+    d = chain_dict()
+    d[section] = value
+    with pytest.raises(ConfigError) as err:
+        parse_config(d)
+    assert f"{section}: must be a mapping" in err.value.errors
+
+
+def test_an_empty_section_keeps_every_default():
+    d = chain_dict()
+    d["qa"] = None
+    assert config_to_dict(parse_config(d)) == config_to_dict(parse_config(chain_dict()))
+
+
 def test_topology_mismatch_rejected():
     d = chain_dict()
     d["stages"][1]["input_inventory"] = "buf_2"

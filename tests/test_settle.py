@@ -7,6 +7,7 @@ run under overlays that close stages, resize inventories, cut head-counts,
 make a material unavailable and reset work in progress.
 """
 
+import copy
 from datetime import date, timedelta
 
 from hypothesis import given, settings
@@ -175,7 +176,9 @@ HOSTILE = ["x", -1, 0, 1.5, None, True, [1], {"constant": -1}, {"weibull": [1]},
 @given(plants(), st.data())
 def test_any_config_parses_and_runs_or_is_rejected(plant, data):
     """One hostile value or unknown key anywhere in a whole config: the config
-    is rejected with a ConfigError, or it runs a replication."""
+    is rejected with a ConfigError, or it runs a replication. The plant is
+    copied first: its distributions are dicts shared with later examples."""
+    plant = copy.deepcopy(plant)
     node = plant
     while True:
         key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
