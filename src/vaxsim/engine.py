@@ -96,6 +96,8 @@ class EventList:
         return self._heap[0][0] if self._heap else None
 
 
+# bound once, since a replication makes about 53k hash calls; the counter is
+# hashed as 8 little-endian bytes, and a draw reads the digest's first 8 alike
 _sha256 = hashlib.sha256
 _u64 = struct.Struct("<Q")
 _pack_u64, _unpack_u64 = _u64.pack, _u64.unpack_from
