@@ -111,3 +111,76 @@ def test_store_bytes_match_golden(name, stores):
 @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
 def test_report_bytes_match_golden(name, report_dir):
     assert _sha((report_dir / name).read_bytes()) == REPORT_GOLDEN[name]
+
+
+# A small chain plant that reaches the QA/QC branches the demo never takes: an
+# in-process control that cannot fail, a sample test with no supervisory check
+# and a release review with no approval step. It also retests after OOS
+# investigations and in-process failures, opens deviations and rejects
+# material receipts.
+QAQC_PLANT = {
+    "model": {"start_date": "2025-04-01", "end_date": "2025-10-01"},
+    "inventories": [{"id": "hold", "capacity": 2},
+                    {"id": "finished", "capacity": 4, "final": True}],
+    "stages": [
+        {"id": "culture", "machines": 2,
+         "processing_time": {"triangular": [0.8, 1.0, 1.5]},
+         "output_inventory": "hold", "materials": {"media": 1.0},
+         "ipc_tests": ["ph", "density"], "qc_tests": ["identity", "potency"],
+         "document_review": True},
+        {"id": "fill", "machines": 1,
+         "processing_time": {"triangular": [0.6, 0.8, 1.1]},
+         "input_inventory": "hold", "output_inventory": "finished",
+         "doses_per_batch": 1000, "yield_fraction": {"triangular": [0.9, 0.95, 1.0]},
+         "ipc_tests": ["ph"], "qc_tests": ["sterility"]},
+    ],
+    "qc": {
+        "teams": [{"id": "lab", "technicians": 2, "supervisors": 1}],
+        "tests": [
+            {"id": "ph", "ipc": True, "test_time": 0.05, "failure_prob": 0.0},
+            {"id": "density", "ipc": True, "test_time": {"triangular": [0.05, 0.1, 0.2]},
+             "failure_prob": 0.2},
+            {"id": "identity", "team": "lab", "test_time": {"triangular": [0.1, 0.2, 0.4]},
+             "check_time": 0.05, "failure_prob": 0.15},
+            {"id": "potency", "team": "lab", "prep_time": 0.1,
+             "test_time": {"triangular": [0.3, 0.5, 0.8]},
+             "supervisory_check_time": {"triangular": [0.05, 0.1, 0.2]},
+             "failure_prob": 0.2, "prerequisites": ["identity"]},
+            {"id": "sterility", "team": "lab",
+             "test_time": {"lognormal": {"median": 0.6, "scale": 1.3}},
+             "supervisory_check_time": 0.1, "failure_prob": 0.1},
+        ],
+    },
+    "qa": {"reviewers": 1, "supervisors": 1, "investigators": 1,
+           "document_review_time": {"triangular": [0.1, 0.2, 0.3]},
+           "release_review_time": {"triangular": [0.2, 0.3, 0.5]},
+           "release_approval_time": 0.0,
+           "oos_investigation_time": {"triangular": [0.5, 1.0, 2.0]},
+           "deviation_investigation_time": {"triangular": [0.3, 0.6, 1.0]},
+           "deviation_prob": 0.15},
+    "materials": [{"id": "media", "initial_stockpile": 6.0, "reorder_point": 4.0,
+                   "safety_stock": 2.0, "lot_size": 4.0, "receipt_qc_time": 0.3,
+                   "receipt_rejection_prob": 0.2,
+                   "suppliers": [{"id": "north", "split": 0.6,
+                                  "lead_time": {"triangular": [2.0, 3.0, 5.0]},
+                                  "transport_time": 0.5},
+                                 {"id": "south", "split": 0.4, "lead_time": 4.0,
+                                  "transport_time": {"triangular": [0.5, 1.0, 2.0]},
+                                  "min_interarrival": 3.0}]}],
+}
+
+# sha256 of each replication's NDJSON record, three replications from SEED
+QAQC_PLANT_GOLDEN = [
+    "b0dd71bf6fe4e31cdd7108df4e0dbb725956a60098ad2629ff0b3c30a52422d1",
+    "6385faa98c8fa5a5d95c0771d8bc3374d350ea9c061a392b12de6df04cdc1f33",
+    "75177b3d12e0e1276aacd03085714bbe3fb870ca306a56c71208845b07508489",
+]
+
+
+def test_qaqc_plant_bytes_match_golden():
+    results = run_ensemble(QAQC_PLANT, {}, SEED, len(QAQC_PLANT_GOLDEN))
+    counts = [r.counts for r in results]
+    # the plant reaches what it is here for
+    assert all(c["retests"] > 0 and c["investigations"] > c["retests"] for c in counts)
+    assert all(c["batches_discarded"] > 0 and c["batches_released"] > 0 for c in counts)
+    assert [_sha(result_to_ndjson(r).encode("utf-8")) for r in results] == QAQC_PLANT_GOLDEN
