@@ -52,7 +52,6 @@ def _load_yaml(path: str):
 def _load_inputs(args):
     cfg_raw = _load_yaml(args.config)
     overlay_raw = _load_yaml(args.scenario) if args.scenario else {}
-    overlay_raw = overlay_raw or {}
     cfg = parse_config(cfg_raw)
     spec = parse_scenario(overlay_raw, cfg)
     return cfg_raw, overlay_raw, cfg, spec

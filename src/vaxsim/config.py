@@ -210,6 +210,10 @@ class TestConfig:
     prerequisites: list[str] = param(_names, factory=list)
     ipc: bool = param(read_flag, False)
 
+    def bench_time(self, g) -> float:
+        """Prep, test and check time, drawn from the stream ``g`` in that order."""
+        return self.prep_time.sample(g) + self.test_time.sample(g) + self.check_time.sample(g)
+
 
 @dataclass
 class QcSection:
@@ -268,25 +272,9 @@ class Config:
     materials: list[MaterialConfig] = entries(MaterialConfig)
     maintenance: list[MaintenanceWindow] = entries(MaintenanceWindow)
 
-    def stage(self, stage_id: str) -> StageConfig:
-        return _by_id(self.stages, stage_id)
-
-    def test(self, test_id: str) -> TestConfig:
-        return _by_id(self.qc.tests, test_id)
-
-    def material(self, material_id: str) -> MaterialConfig:
-        return _by_id(self.materials, material_id)
-
     @property
     def final_inventory(self) -> InventoryConfig:
         return next(inv for inv in self.inventories if inv.final)
-
-
-def _by_id(items, item_id):
-    for item in items:
-        if item.id == item_id:
-            return item
-    raise KeyError(item_id)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +465,7 @@ def _check_topology(cfg, errors):
 
 def _check_qc(cfg, errors):
     team_ids = {t.id for t in cfg.qc.teams}
-    test_ids = {t.id for t in cfg.qc.tests}
+    tests = {t.id: t for t in cfg.qc.tests}
     for test in cfg.qc.tests:
         if test.ipc:
             if test.team is not None:
@@ -485,21 +473,27 @@ def _check_qc(cfg, errors):
         elif test.team not in team_ids:
             errors.append(f"qc.tests.{test.id}: unknown team {test.team!r}")
         for pre in test.prerequisites:
-            if pre not in test_ids:
+            if pre not in tests:
                 errors.append(f"qc.tests.{test.id}: unknown prerequisite {pre!r}")
     _check_prereq_cycles(cfg, errors)
+    sampled_at: dict[str, str] = {}  # sample test -> the stage that samples it
     for stage in cfg.stages:
         for tid in stage.ipc_tests:
-            if tid not in test_ids:
+            if tid not in tests:
                 errors.append(f"stages.{stage.id}: unknown test {tid!r}")
-            elif not cfg.test(tid).ipc:
+            elif not tests[tid].ipc:
                 errors.append(f"stages.{stage.id}: {tid!r} is not an in-process test")
         listed = set(stage.qc_tests)
         for tid in stage.qc_tests:
-            if tid not in test_ids:
+            if tid not in tests:
                 errors.append(f"stages.{stage.id}: unknown test {tid!r}")
                 continue
-            test = cfg.test(tid)
+            # a sample test's draws are keyed by test, batch and attempt only
+            if tid in sampled_at:
+                errors.append(f"stages.{stage.id}: {tid!r} is already sampled at stage "
+                              f"{sampled_at[tid]!r}; a test is sampled once, at one stage")
+            sampled_at.setdefault(tid, stage.id)
+            test = tests[tid]
             if test.ipc:
                 errors.append(f"stages.{stage.id}: {tid!r} is in-process, not a sample test")
             missing = [p for p in test.prerequisites if p not in listed]

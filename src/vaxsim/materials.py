@@ -24,8 +24,8 @@ from .engine import Event
 @dataclass
 class PurchaseOrder:
     id: int  # per (material, supplier), the common-random-numbers identity
-    material_id: str
-    supplier_id: str
+    material: MaterialRuntime
+    supplier: object  # its SupplierConfig
     lots: int
     qty: float
     state: str = "deferred"  # deferred|lead|transit|receipt_qc|parked|accepted|rejected
@@ -41,7 +41,6 @@ class MaterialRuntime:
         self.parked: list[PurchaseOrder] = []
         self.stockout_since: float | None = None
         self.stockout_flag = False
-        self.stockout_days = 0
         self.consumed_total = 0.0
         self.received_total = 0.0
         self.batch_equiv = batch_equiv  # daily levels are reported in these units
@@ -123,8 +122,7 @@ class Materials:
         rt.po_seq[sup.id] += 1
         start = now if immediate else max(now, rt.last_order[sup.id] + sup.min_interarrival)
         rt.last_order[sup.id] = start
-        po = PurchaseOrder(rt.po_seq[sup.id], rt.cfg.id, sup.id,
-                           lots, lots * rt.cfg.lot_size)
+        po = PurchaseOrder(rt.po_seq[sup.id], rt, sup, lots, lots * rt.cfg.lot_size)
         rt.on_order += po.qty
         if start > now:
             self.model.engine.schedule(start, "po_place", po, absolute=True)
@@ -134,25 +132,21 @@ class Materials:
     def _on_po_place(self, ev: Event) -> None:
         self._start_lead(ev.target, ev.time)
 
+    def _stream(self, key: str, po: PurchaseOrder):
+        return self.model.rng.derived(key, po.material.id, po.supplier.id, po.id)
+
     def _start_lead(self, po: PurchaseOrder, now: float) -> None:
         po.state = "lead"
-        sup = self._supplier(po)
-        lead = sup.lead_time.sample(
-            self.model.rng.derived("lead", po.material_id, po.supplier_id, po.id))
+        lead = po.supplier.lead_time.sample(self._stream("lead", po))
         self.model.engine.schedule(max(lead, 0.0), "po_step", po)
-
-    def _supplier(self, po: PurchaseOrder):
-        mat = self.model.cfg.material(po.material_id)
-        return next(s for s in mat.suppliers if s.id == po.supplier_id)
 
     def _on_po_step(self, ev: Event) -> None:
         po: PurchaseOrder = ev.target
-        rt = self.runtimes[po.material_id]
+        rt = po.material
         now = ev.time
         if po.state == "lead":
             po.state = "transit"
-            transport = self._supplier(po).transport_time.sample(
-                self.model.rng.derived("trans", po.material_id, po.supplier_id, po.id))
+            transport = po.supplier.transport_time.sample(self._stream("trans", po))
             self.model.engine.schedule(max(transport, 0.0), "po_step", po)
         elif po.state == "transit":
             if rt.cfg.available:
@@ -161,26 +155,23 @@ class Materials:
                 po.state = "parked"  # held until the material is available again
                 rt.parked.append(po)
         elif po.state == "receipt_qc":
-            self._resolve_receipt(po, rt, now)
+            self._resolve_receipt(po, now)
 
     def _start_receipt_qc(self, po: PurchaseOrder, now: float) -> None:
         po.state = "receipt_qc"
-        rt = self.runtimes[po.material_id]
-        qc = rt.cfg.receipt_qc_time.sample(
-            self.model.rng.derived("rqc", po.material_id, po.supplier_id, po.id))
+        qc = po.material.cfg.receipt_qc_time.sample(self._stream("rqc", po))
         self.model.engine.schedule(max(qc, 0.0), "po_step", po)
 
-    def _resolve_receipt(self, po: PurchaseOrder, rt: MaterialRuntime, now: float) -> None:
+    def _resolve_receipt(self, po: PurchaseOrder, now: float) -> None:
+        rt = po.material
         rt.on_order -= po.qty
         rejected = False
         if rt.cfg.receipt_rejection_prob > 0.0:
-            u = self.model.rng.derived(
-                "rrej", po.material_id, po.supplier_id, po.id).random()
-            rejected = u < rt.cfg.receipt_rejection_prob
+            rejected = self._stream("rrej", po).random() < rt.cfg.receipt_rejection_prob
         if rejected:
             po.state = "rejected"
             # quantity never enters stock; replace it straight away
-            self._place(rt, self._supplier(po), po.lots, immediate=True)
+            self._place(rt, po.supplier, po.lots, immediate=True)
         else:
             po.state = "accepted"
             rt.on_hand += po.qty

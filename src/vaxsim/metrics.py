@@ -26,6 +26,7 @@ if TYPE_CHECKING:
 SMOOTH_WINDOW = 30
 ALPHA = 0.05
 TARGET_DOSES = 50_000_000
+LEAD_TIME_BIN_DAYS = 10
 
 
 def _daily_series(obj) -> list[float]:
@@ -94,15 +95,16 @@ def doses_by_day(result, day: int) -> float:
     return float(sum(daily[:day]))
 
 
-def lead_time_histogram(result, bin_days: int = 10) -> dict[int, int]:
-    """Released-batch lead times (creation to release), 10-day bins keyed by
-    bin start; counts sum to the number of released batches."""
+def lead_time_histogram(result) -> dict[int, int]:
+    """Released-batch lead times (creation to release), in bins of
+    ``LEAD_TIME_BIN_DAYS`` keyed by bin start; counts sum to the number of
+    released batches."""
     hist: dict[int, int] = {}
     for b in result.batches:
         if b["state"] != "released":
             continue
         lead = b["released_at"] - b["created_at"]
-        bin_start = int(lead // bin_days) * bin_days
+        bin_start = int(lead // LEAD_TIME_BIN_DAYS) * LEAD_TIME_BIN_DAYS
         hist[bin_start] = hist.get(bin_start, 0) + 1
     return dict(sorted(hist.items()))
 

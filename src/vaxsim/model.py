@@ -135,8 +135,6 @@ class Collector:
         # open at its end or closed partway through it
         for rt, levels, flags in self._materials:
             in_stockout = rt.stockout_flag or rt.stockout_since is not None
-            if in_stockout:
-                rt.stockout_days += 1
             rt.stockout_flag = False
             levels[d] = rt.on_hand / rt.batch_equiv
             flags[d] = in_stockout
@@ -178,8 +176,8 @@ class Collector:
         for stage in model.production.stages:
             c[f"stage_busy_days.{stage.id}"] = stage.busy.total
             c[f"stage_closed_days.{stage.id}"] = stage.closed_int.total
-        for rt in model.materials.runtimes.values():
-            c[f"material_stockout_days.{rt.id}"] = rt.stockout_days
+        for rt, _, flags in self._materials:
+            c[f"material_stockout_days.{rt.id}"] = sum(flags)
             c[f"material_consumed.{rt.id}"] = rt.consumed_total
             c[f"material_received.{rt.id}"] = rt.received_total
         return res

@@ -63,6 +63,13 @@ class Machine:
     remaining: float | None = None
     proc_event: Event | None = None
 
+    def free(self) -> None:
+        """The machine lets go of its batch and goes idle."""
+        self.state = IDLE
+        self.batch = None
+        self.finish_time = None
+        self.remaining = None
+
 
 class InventoryRuntime:
     """A FIFO buffer; every push, pop or removal wakes the stages on both sides."""
@@ -71,10 +78,6 @@ class InventoryRuntime:
         self.cfg = cfg
         self.contents: list[Batch] = []  # FIFO
         self.sides: list[StageRuntime] = []  # stages that feed it or draw from it
-
-    @property
-    def id(self) -> str:
-        return self.cfg.id
 
     def has_space(self) -> bool:
         return self.cfg.capacity is None or len(self.contents) < self.cfg.capacity
@@ -237,9 +240,7 @@ class Production:
             if not stage.output_inv.has_space():
                 break
             self._place_output(stage, m.batch)
-            m.state = IDLE
-            m.batch = None
-            m.finish_time = None
+            m.free()
             moved = True
         return moved
 
@@ -282,9 +283,7 @@ class Production:
             self.model.collect.record_created(batch)
         elif donor is not None:
             batch = donor.batch
-            donor.state = IDLE
-            donor.batch = None
-            donor.finish_time = None
+            donor.free()
             self.wake(upstream)
         else:
             batch = stage.input_inv.pop()
@@ -306,10 +305,8 @@ class Production:
             rng.derived("proc", stage.cfg.id, batch.id))
         # in-process controls run inside the machine occupancy, by production staff
         for tid in stage.cfg.ipc_tests:
-            test = tests[tid]
-            g = rng.derived("ipcdur", tid, stage.cfg.id, batch.id, 1)
-            duration += (test.prep_time.sample(g) + test.test_time.sample(g)
-                         + test.check_time.sample(g))
+            duration += tests[tid].bench_time(
+                rng.derived("ipcdur", tid, stage.cfg.id, batch.id, 1))
         return duration
 
     # -- completion ------------------------------------------------------
@@ -329,17 +326,9 @@ class Production:
         if stage.cfg.doses_per_batch:
             batch.doses = int(round(stage.cfg.doses_per_batch * batch.quantity))
 
-        self.model.qc.on_stage_complete(batch, stage)
-        if batch.state == DISCARDED:  # an in-process control failed terminally
-            machine.state = IDLE
-            machine.batch = None
-            machine.finish_time = None
-            return
-
+        self.model.qc.on_stage_complete(batch, stage)  # only enqueues work
         if stage.output_inv is not None and stage.output_inv.has_space():
-            machine.state = IDLE
-            machine.batch = None
-            machine.finish_time = None
+            machine.free()
             self._place_output(stage, batch)
         else:
             machine.state = STALLED  # downstream pulls it, or space frees
@@ -356,8 +345,6 @@ class Production:
 
     def remove_batch(self, batch: Batch) -> None:
         """Physically remove a discarded batch from wherever it sits."""
-        if batch.location is None:
-            return
         kind, holder = batch.location
         if kind == "machine":
             m: Machine = holder
@@ -367,15 +354,10 @@ class Production:
             stage = self.stages[m.stage_idx]
             if m.state == BUSY:
                 stage.busy.add(self.model.engine.clock.now, -1)
-            m.state = IDLE
-            m.batch = None
-            m.finish_time = None
-            m.remaining = None
+            m.free()
             self.wake(stage)
         else:
-            inv: InventoryRuntime = holder
-            if batch in inv.contents:
-                inv.remove(batch)
+            holder.remove(batch)
         batch.location = None
 
     def wip_batches(self) -> list[Batch]:

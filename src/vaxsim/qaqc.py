@@ -40,13 +40,9 @@ class Sample:
         return all(self.tests.get(p) == PASSED for p in test_cfg.prerequisites)
 
 
-TASK_KINDS = ("tech", "sup", "oos", "dev", "ipc_oos", "ipc_retest", "docrev",
-              "relrev", "relapp")
-
-
 @dataclass(eq=False)  # identity semantics: tasks live in sets and heaps
 class Task:
-    kind: str           # one of TASK_KINDS
+    kind: str           # tech, sup, ipc_retest or a key of QA_DURATIONS
     batch: Batch
     test_id: str | None = None
     stage_id: str | None = None
@@ -131,6 +127,20 @@ def _is_zero(dist) -> bool:
     return dist.kind == "constant" and dist.params[0] == 0.0
 
 
+# QA task kind -> (its duration field in the qa section, the substream key, the
+# rest of the substream label)
+QA_DURATIONS = {
+    "oos": ("oos_investigation_time", "oosdur",
+            lambda t: (t.test_id, t.batch.id, t.attempt)),
+    "ipc_oos": ("oos_investigation_time", "ipcoosdur",
+                lambda t: (t.test_id, t.stage_id, t.batch.id)),
+    "dev": ("deviation_investigation_time", "devdur", lambda t: (t.stage_id, t.batch.id)),
+    "docrev": ("document_review_time", "docrevdur", lambda t: (t.stage_id, t.batch.id)),
+    "relrev": ("release_review_time", "relrevdur", lambda t: (t.batch.id,)),
+    "relapp": ("release_approval_time", "relappdur", lambda t: (t.batch.id,)),
+}
+
+
 class QaQc:
     """Runtime for all QC teams and QA pools; owned by a Model."""
 
@@ -147,7 +157,13 @@ class QaQc:
         self.pools = [*self.tech_pools.values(), *self.sup_pools.values(),
                       self.reviewers, self.qa_sups, self.investigators]
         self.running: set[Task] = set()
-        self._done = {kind: getattr(self, f"_done_{kind}") for kind in TASK_KINDS}
+        lift = lambda task, now: self._lift_hold(task.batch)
+        self._done = {
+            "tech": self._done_tech,
+            "sup": self._resolve_test,  # a supervisor check ends in the test's outcome
+            "oos": self._done_oos, "ipc_oos": self._done_ipc_oos,
+            "ipc_retest": self._done_ipc_retest, "relrev": self._done_relrev,
+            "dev": lift, "docrev": lift, "relapp": lift}
         model.engine.on("task_done", self._on_task_done)
 
     # -- intake from production -----------------------------------------
@@ -228,33 +244,17 @@ class QaQc:
 
     def _start_task(self, task: Task, now: float) -> None:
         rng = self.model.rng
-        qa = self.model.cfg.qa
         if task.kind == "tech":
             g = rng.derived("testdur", task.test_id, task.batch.id, task.attempt)
             test = self.model.tests[task.test_id]
-            duration = (test.prep_time.sample(g) + test.test_time.sample(g)
-                        + test.check_time.sample(g))
+            duration = test.bench_time(g)
             task.carry = test.supervisory_check_time.sample(g)
         elif task.kind == "sup":
             duration = task.carry
-        elif task.kind == "oos":
-            duration = qa.oos_investigation_time.sample(
-                rng.derived("oosdur", task.test_id, task.batch.id, task.attempt))
-        elif task.kind == "ipc_oos":
-            duration = qa.oos_investigation_time.sample(
-                rng.derived("ipcoosdur", task.test_id, task.stage_id, task.batch.id))
-        elif task.kind == "dev":
-            duration = qa.deviation_investigation_time.sample(
-                rng.derived("devdur", task.stage_id, task.batch.id))
-        elif task.kind == "docrev":
-            duration = qa.document_review_time.sample(
-                rng.derived("docrevdur", task.stage_id, task.batch.id))
-        elif task.kind == "relrev":
-            duration = qa.release_review_time.sample(
-                rng.derived("relrevdur", task.batch.id))
-        else:  # relapp
-            duration = qa.release_approval_time.sample(
-                rng.derived("relappdur", task.batch.id))
+        else:
+            name, key, label = QA_DURATIONS[task.kind]
+            duration = getattr(self.model.cfg.qa, name).sample(
+                rng.derived(key, *label(task)))
         task.event = self.model.engine.schedule(duration, "task_done", task)
         self.running.add(task)
 
@@ -300,8 +300,6 @@ class QaQc:
         else:
             self.model.discard_batch(batch, "failed_retest")
 
-    _done_sup = _resolve_test  # a supervisor check ends in the test's outcome
-
     def _unblock_dependents(self, sample: Sample, now: float) -> None:
         for tid, state in sample.tests.items():
             if state == BLOCKED and sample.prereqs_met(self.model.tests[tid]):
@@ -314,11 +312,8 @@ class QaQc:
     def _done_ipc_oos(self, task: Task, now: float) -> None:
         # retest by production staff: a delay with no personnel seized
         task.batch.retests += 1
-        test = self.model.tests[task.test_id]
-        g = self.model.rng.derived("ipcdur", task.test_id, task.stage_id,
-                                   task.batch.id, 2)
-        duration = (test.prep_time.sample(g) + test.test_time.sample(g)
-                    + test.check_time.sample(g))
+        duration = self.model.tests[task.test_id].bench_time(self.model.rng.derived(
+            "ipcdur", task.test_id, task.stage_id, task.batch.id, 2))
         retest = Task("ipc_retest", task.batch, test_id=task.test_id,
                       stage_id=task.stage_id, attempt=2)
         retest.event = self.model.engine.schedule(duration, "task_done", retest)
@@ -334,21 +329,12 @@ class QaQc:
         else:
             self._lift_hold(task.batch)
 
-    def _done_dev(self, task: Task, now: float) -> None:
-        self._lift_hold(task.batch)
-
-    def _done_docrev(self, task: Task, now: float) -> None:
-        self._lift_hold(task.batch)
-
     def _done_relrev(self, task: Task, now: float) -> None:
         if _is_zero(self.model.cfg.qa.release_approval_time):
             self._lift_hold(task.batch)
         else:
             self.qa_sups.enqueue(Task("relapp", task.batch),
                                  self._priority_key(task.batch, now), now)
-
-    def _done_relapp(self, task: Task, now: float) -> None:
-        self._lift_hold(task.batch)
 
     # -- release gate ----------------------------------------------------
 

@@ -14,9 +14,9 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .metrics import (COMPARISON_COLUMNS, bottleneck_report, compare_scenarios,
-                      comparison_cells, detect_recovery, doses_by_day,
-                      lead_time_histogram, t_quantile, time_to_first_dose)
+from .metrics import (COMPARISON_COLUMNS, LEAD_TIME_BIN_DAYS, bottleneck_report,
+                      compare_scenarios, comparison_cells, detect_recovery,
+                      doses_by_day, lead_time_histogram, t_quantile, time_to_first_dose)
 
 MONTH_DAYS = 30
 
@@ -137,7 +137,7 @@ def _emit_histogram(ens, out_dir) -> None:
                 pooled[bin_start] = pooled.get(bin_start, 0) + count
         n = len(ens[name])
         for bin_start in sorted(pooled):
-            rows.append([name, bin_start, bin_start + 10,
+            rows.append([name, bin_start, bin_start + LEAD_TIME_BIN_DAYS,
                          pooled[bin_start] / n])
     _write_csv(os.path.join(out_dir, "lead_time_histogram.csv"),
                ["scenario", "bin_start_days", "bin_end_days",

@@ -34,7 +34,7 @@ def run_replication(cfg_raw: dict, overlay_raw: dict | None, seed: int) -> Repli
     """One fully deterministic replication from plain-dict inputs."""
     cfg = parse_config(cfg_raw)
     scenario = None
-    spec = parse_scenario(overlay_raw or {}, cfg)
+    spec = parse_scenario(overlay_raw, cfg)
     if not spec.is_empty:
         scenario = ScenarioRuntime(spec)
     return Model(cfg, seed, scenario=scenario).run()

@@ -14,6 +14,8 @@ import yaml
 import vaxsim
 from conftest import chain_dict
 from vaxsim.cli import main
+from vaxsim.config import ConfigError
+from vaxsim.runner import run_replication
 
 
 def write_yaml(path, obj):
@@ -139,6 +141,27 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert rc == 2
     assert stderr_json(capsys)["error"] == "validation"
     assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("text", ["false", "0", "[]", "''", "5"])
+def test_overlay_root_must_be_a_mapping(chain_yaml, tmp_path, capsys, text):
+    overlay = tmp_path / "ov.yaml"
+    overlay.write_text(text + "\n")
+    out = tmp_path / "out"
+    for argv in (["validate"], ["run", "--out", str(out)]):
+        assert main([*argv, "--config", chain_yaml, "--scenario", str(overlay)]) == 2
+        err = stderr_json(capsys)
+        assert err["messages"] == ["overlay root must be a mapping"]
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="overlay root must be a mapping"):
+        run_replication(chain_dict(), yaml.safe_load(text), 1)
+
+
+def test_empty_overlay_file_runs_as_base(chain_yaml, tmp_path, capsys):
+    overlay = tmp_path / "ov.yaml"
+    overlay.write_text("")  # loads as None, the empty overlay
+    assert main(["validate", "--config", chain_yaml, "--scenario", str(overlay)]) == 0
+    assert run_replication(chain_dict(), None, 1).scenario == "base"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -142,6 +142,23 @@ def test_stage_must_carry_prerequisites_together():
         parse_config(d)
 
 
+@pytest.mark.parametrize("stages", [(0, 2), (1, 1)], ids=["two-stages", "listed-twice"])
+def test_a_sample_test_is_sampled_once(stages):
+    # its draws are keyed by test, batch and attempt, so a second sampling of
+    # one batch would repeat the first one's draws
+    d = chain_dict()
+    d["qc"] = {"teams": [{"id": "lab", "technicians": 1, "supervisors": 1}],
+               "tests": [{"id": "assay", "team": "lab", "test_time": 0.3}]}
+    for i in stages:
+        d["stages"][i].setdefault("qc_tests", []).append("assay")
+    second = d["stages"][stages[1]]["id"]
+    first = d["stages"][stages[0]]["id"]
+    with pytest.raises(ConfigError) as err:
+        parse_config(d)
+    assert err.value.errors == [f"stages.{second}: 'assay' is already sampled at stage "
+                                f"'{first}'; a test is sampled once, at one stage"]
+
+
 def staffed_chain():
     """The chain with a three-technician lab, so head-counts can be overridden."""
     d = chain_dict(end_date="2025-05-01")

@@ -57,12 +57,15 @@ def plants(draw):
         if uses:
             stage["materials"] = {m: draw(st.sampled_from([1.0, 2.0])) for m in uses}
         if draw(st.booleans()):
-            stage["qc_tests"] = ["assay"]
+            stage["qc_tests"] = [f"assay{i}"]  # a sample test is sampled at one stage
         if draw(st.booleans()):
             stage["ipc_tests"] = ["ph"]
         stage["document_review"] = draw(st.booleans())
         stages.append(stage)
     stages[-1]["doses_per_batch"] = 100
+    assay = {"team": "lab", "test_time": {"triangular": [0.1, 0.3, 0.6]},
+             "supervisory_check_time": draw(st.sampled_from([0.0, 0.1])),
+             "failure_prob": draw(st.sampled_from([0.0, 0.2]))}
     materials = [{
         "id": m, "initial_stockpile": draw(st.sampled_from([0.0, 2.0, 6.0])),
         "reorder_point": draw(st.sampled_from([0.0, 2.0])), "safety_stock": 1.0,
@@ -76,10 +79,7 @@ def plants(draw):
         "stages": stages,
         "qc": {"teams": [{"id": "lab", "technicians": draw(st.integers(0, 2)),
                           "supervisors": draw(st.integers(0, 1))}],
-               "tests": [{"id": "assay", "team": "lab",
-                          "test_time": {"triangular": [0.1, 0.3, 0.6]},
-                          "supervisory_check_time": draw(st.sampled_from([0.0, 0.1])),
-                          "failure_prob": draw(st.sampled_from([0.0, 0.2]))},
+               "tests": [*({"id": f"assay{i}", **assay} for i in range(n)),
                          {"id": "ph", "ipc": True, "test_time": 0.05,
                           "failure_prob": draw(st.sampled_from([0.0, 0.2]))}]},
         "qa": {"reviewers": draw(st.integers(0, 2)), "supervisors": 1,
