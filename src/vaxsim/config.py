@@ -172,7 +172,6 @@ class ModelSection:
 class InventoryConfig:
     id: str = param(_name)
     capacity: int | None = param(read_capacity, None, _capacity)  # None = unbounded
-    final: bool = param(read_flag, False)
 
 
 @dataclass
@@ -180,8 +179,8 @@ class StageConfig:
     id: str = param(_name)
     machines: int = param(read_whole, 1, _at_least(1))
     processing_time: Distribution = param(from_config, constant(0.0), _busy_duration)
-    input_inventory: str | None = param(_ref, None)   # None = unbounded batch source (first stage)
-    output_inventory: str | None = param(_ref, None)  # None = direct handoff to the next stage
+    # the next stage's input (None = direct handoff), or the last stage's final inventory
+    output_inventory: str | None = param(_ref, None)
     yield_fraction: Distribution = param(from_config, constant(1.0), _fraction)
     doses_per_batch: int = param(read_whole, 0)  # final stage only
     materials: dict[str, float] = param(_amounts, factory=dict, check=_quantities)  # per batch
@@ -208,7 +207,6 @@ class TestConfig:
     supervisory_check_time: Distribution = param(from_config, constant(0.0), _duration)
     failure_prob: float = param(read_number, 0.0, _probability)
     prerequisites: list[str] = param(_names, factory=list)
-    ipc: bool = param(read_flag, False)
 
     def bench_time(self, g) -> float:
         """Prep, test and check time, drawn from the stream ``g`` in that order."""
@@ -271,10 +269,6 @@ class Config:
     qa: QaSection = section(QaSection)
     materials: list[MaterialConfig] = entries(MaterialConfig)
     maintenance: list[MaintenanceWindow] = entries(MaintenanceWindow)
-
-    @property
-    def final_inventory(self) -> InventoryConfig:
-        return next(inv for inv in self.inventories if inv.final)
 
 
 # ---------------------------------------------------------------------------
@@ -427,50 +421,39 @@ def _check_topology(cfg, errors):
     if not cfg.stages:
         errors.append("stages: at least one stage required")
         return
-    inv_ids = {inv.id for inv in cfg.inventories}
-    finals = [inv.id for inv in cfg.inventories if inv.final]
-    if len(finals) != 1:
-        errors.append(f"inventories: exactly one final inventory required, found {len(finals)}")
-
-    first = cfg.stages[0]
-    if first.input_inventory is not None:
-        errors.append(f"stages.{first.id}: first stage must have no input inventory "
-                      "(it draws from the unbounded batch source)")
-    for prev, nxt in zip(cfg.stages, cfg.stages[1:]):
-        if nxt.input_inventory != prev.output_inventory:
-            errors.append(
-                f"stages.{nxt.id}: input_inventory {nxt.input_inventory!r} does not "
-                f"match upstream output_inventory {prev.output_inventory!r}")
+    producers: dict[str, list[str]] = {inv.id: [] for inv in cfg.inventories}
     last = cfg.stages[-1]
-    if last.output_inventory is None or last.output_inventory not in inv_ids:
+    if last.output_inventory is None:
         errors.append(f"stages.{last.id}: final stage must output to a declared inventory")
-    elif finals and last.output_inventory != finals[0]:
-        errors.append(f"stages.{last.id}: final stage must output to the final inventory")
     for stage in cfg.stages:
-        for name in (stage.input_inventory, stage.output_inventory):
-            if name is not None and name not in inv_ids:
-                errors.append(f"stages.{stage.id}: unknown inventory {name!r}")
+        name = stage.output_inventory
+        if name in producers:
+            producers[name].append(stage.id)
+        elif name is not None:
+            errors.append(f"stages.{stage.id}: unknown inventory {name!r}")
         if stage is not last and stage.doses_per_batch:
             errors.append(f"stages.{stage.id}: doses_per_batch is final-stage only")
     if last.doses_per_batch <= 0:
         errors.append(f"stages.{last.id}: final stage needs doses_per_batch > 0")
-    # a non-final inventory must sit between two stages
-    used = set()
-    for stage in cfg.stages:
-        used.update(n for n in (stage.input_inventory, stage.output_inventory) if n)
-    for inv in cfg.inventories:
-        if inv.id not in used:
-            errors.append(f"inventories.{inv.id}: not referenced by any stage")
+    # each inventory sits after exactly one stage, whose successor draws from it
+    for inv_id, stages in producers.items():
+        if not stages:
+            errors.append(f"inventories.{inv_id}: not referenced by any stage")
+        elif len(stages) > 1:
+            errors.append(f"inventories.{inv_id}: output of more than one stage {stages}")
 
 
 def _check_qc(cfg, errors):
+    """A test's role is the stage list that names it: ``ipc_tests`` or ``qc_tests``."""
     team_ids = {t.id for t in cfg.qc.teams}
     tests = {t.id: t for t in cfg.qc.tests}
+    in_process = {tid for stage in cfg.stages for tid in stage.ipc_tests}
+    sampled = {tid for stage in cfg.stages for tid in stage.qc_tests}
     for test in cfg.qc.tests:
-        if test.ipc:
+        if test.id in in_process:
             if test.team is not None:
                 errors.append(f"qc.tests.{test.id}: in-process tests take no team")
-        elif test.team not in team_ids:
+        elif test.team not in team_ids and (test.id in sampled or test.team is not None):
             errors.append(f"qc.tests.{test.id}: unknown team {test.team!r}")
         for pre in test.prerequisites:
             if pre not in tests:
@@ -478,11 +461,12 @@ def _check_qc(cfg, errors):
     _check_prereq_cycles(cfg, errors)
     sampled_at: dict[str, str] = {}  # sample test -> the stage that samples it
     for stage in cfg.stages:
-        for tid in stage.ipc_tests:
+        for i, tid in enumerate(stage.ipc_tests):
             if tid not in tests:
                 errors.append(f"stages.{stage.id}: unknown test {tid!r}")
-            elif not tests[tid].ipc:
-                errors.append(f"stages.{stage.id}: {tid!r} is not an in-process test")
+            # a control's draws are keyed by test, stage, batch and attempt
+            elif tid in stage.ipc_tests[:i]:
+                errors.append(f"stages.{stage.id}: in-process test {tid!r} is listed twice")
         listed = set(stage.qc_tests)
         for tid in stage.qc_tests:
             if tid not in tests:
@@ -493,10 +477,9 @@ def _check_qc(cfg, errors):
                 errors.append(f"stages.{stage.id}: {tid!r} is already sampled at stage "
                               f"{sampled_at[tid]!r}; a test is sampled once, at one stage")
             sampled_at.setdefault(tid, stage.id)
-            test = tests[tid]
-            if test.ipc:
+            if tid in in_process:
                 errors.append(f"stages.{stage.id}: {tid!r} is in-process, not a sample test")
-            missing = [p for p in test.prerequisites if p not in listed]
+            missing = [p for p in tests[tid].prerequisites if p not in listed]
             if missing:
                 errors.append(f"stages.{stage.id}: {tid!r} needs prerequisites "
                               f"{missing} on the same sample")

@@ -20,6 +20,8 @@ from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING
 
+from .production import RELEASED
+
 if TYPE_CHECKING:
     import numpy as np
 
@@ -101,7 +103,7 @@ def lead_time_histogram(result) -> dict[int, int]:
     released batches."""
     hist: dict[int, int] = {}
     for b in result.batches:
-        if b["state"] != "released":
+        if b["state"] != RELEASED:
             continue
         lead = b["released_at"] - b["created_at"]
         bin_start = int(lead // LEAD_TIME_BIN_DAYS) * LEAD_TIME_BIN_DAYS

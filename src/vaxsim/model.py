@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from .engine import Engine, RngRegistry, SimClock
 from .materials import Materials
-from .production import DISCARDED, Batch, Production
+from .production import DISCARDED, RELEASED, Batch, Production
 from .qaqc import QaQc
 
 
@@ -161,7 +161,7 @@ class Collector:
 
         c = res.counts
         c["batches_created"] = len(self.batches)
-        c["batches_released"] = sum(1 for b in self.batches if b.state == "released")
+        c["batches_released"] = sum(1 for b in self.batches if b.state == RELEASED)
         c["batches_discarded"] = sum(1 for b in self.batches if b.state == DISCARDED)
         c["released_doses"] = sum(self.series["released_doses"])
         c["retests"] = sum(b.retests for b in self.batches)

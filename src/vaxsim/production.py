@@ -138,18 +138,18 @@ class Production:
         self.inventories = invs
         self.stages = [StageRuntime(s, i) for i, s in enumerate(cfg.stages)]
         self.stage_by_id = {rt.id: rt for rt in self.stages}
-        for rt in self.stages:
-            if rt.cfg.input_inventory:
-                rt.input_inv = invs[rt.cfg.input_inventory]
-                rt.input_inv.sides.append(rt)
+        for rt, nxt in zip(self.stages, [*self.stages[1:], None]):
             if rt.cfg.output_inventory:
                 rt.output_inv = invs[rt.cfg.output_inventory]
                 rt.output_inv.sides.append(rt)
-            elif rt.idx + 1 < len(self.stages):
-                rt.handoff = self.stages[rt.idx + 1]
+                if nxt:
+                    nxt.input_inv = rt.output_inv
+                    rt.output_inv.sides.append(nxt)
+            else:
+                rt.handoff = nxt
             for mid in rt.cfg.materials:
                 model.materials.runtimes[mid].consumers.append(rt)
-        self.final_inv = invs[cfg.final_inventory.id]
+        self.final_inv = self.stages[-1].output_inv
         self.maintenance_active = False
         self._next_batch_id = 1
         model.engine.on("proc_done", self._on_proc_done)

@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .engine import Event, StepIntegral
-from .production import AWAITING_RELEASE, Batch, StageRuntime
+from .production import AWAITING_RELEASE, RELEASED, Batch, StageRuntime
 
 BLOCKED = "blocked"   # waiting on prerequisite tests
 ACTIVE = "active"     # somewhere in the technician/supervisor/OOS pipeline
@@ -348,7 +348,7 @@ class QaQc:
             return
         assert batch.location is not None and batch.location[0] == "inventory"
         now = self.model.engine.clock.now
-        batch.state = "released"
+        batch.state = RELEASED
         batch.released_at = now
         inv = batch.location[1]
         inv.remove(batch)  # released stock leaves the final inventory

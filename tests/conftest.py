@@ -15,15 +15,15 @@ CHAIN = {
     "inventories": [
         {"id": "buf_1"},
         {"id": "buf_2"},
-        {"id": "finished", "final": True},
+        {"id": "finished"},
     ],
     "stages": [
         {"id": "prep", "machines": 1, "processing_time": {"constant": 1.0},
          "output_inventory": "buf_1"},
         {"id": "mix", "machines": 1, "processing_time": {"constant": 2.0},
-         "input_inventory": "buf_1", "output_inventory": "buf_2"},
+         "output_inventory": "buf_2"},
         {"id": "fill", "machines": 1, "processing_time": {"constant": 3.0},
-         "input_inventory": "buf_2", "output_inventory": "finished",
+         "output_inventory": "finished",
          "doses_per_batch": 1000},
     ],
 }

@@ -168,7 +168,7 @@ def test_queueing_accounts_satisfy_littles_law():
     # 1.0 d on one technician, so the station runs at 80% utilization
     cfg_raw = {
         "model": {"start_date": "2025-01-01", "end_date": "2034-12-31"},
-        "inventories": [{"id": "done", "final": True}],
+        "inventories": [{"id": "done"}],
         "stages": [{"id": "make", "machines": 1,
                     "processing_time": {"constant": 1.25},
                     "output_inventory": "done", "doses_per_batch": 1,

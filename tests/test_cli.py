@@ -62,7 +62,7 @@ def test_validate_missing_file(tmp_path, capsys):
 def test_validate_reports_all_problems(tmp_path, capsys):
     bad = chain_dict()
     bad["stages"][0]["processing_time"] = {"kind": "wat"}
-    bad["stages"][2]["input_inventory"] = "nope"
+    bad["stages"][2]["output_inventory"] = "nope"
     rc = main(["validate", "--config", write_yaml(tmp_path / "bad.yaml", bad)])
     assert rc == 2
     err = stderr_json(capsys)

@@ -13,7 +13,7 @@ from test_scenario import busy_chain
 
 def test_minimal_chain_parses(chain_cfg):
     assert [s.id for s in chain_cfg.stages] == ["prep", "mix", "fill"]
-    assert chain_cfg.final_inventory.id == "finished"
+    assert [s.output_inventory for s in chain_cfg.stages] == ["buf_1", "buf_2", "finished"]
     assert chain_cfg.stages[2].doses_per_batch == 1000
 
 
@@ -51,18 +51,46 @@ def test_an_empty_section_keeps_every_default():
     assert config_to_dict(parse_config(d)) == config_to_dict(parse_config(chain_dict()))
 
 
-def test_topology_mismatch_rejected():
+@pytest.mark.parametrize("section, index, key, value, where", [
+    ("stages", 1, "input_inventory", "buf_1", "stages.mix"),
+    ("inventories", 2, "final", True, "inventories.finished"),
+    ("tests", 0, "ipc", True, "qc.tests.ph"),
+])
+def test_keys_the_stage_chain_implies_are_unknown(section, index, key, value, where):
+    # a stage's input, the final inventory and a test's in-process role all
+    # follow from the stage chain, so none of them is declared
     d = chain_dict()
-    d["stages"][1]["input_inventory"] = "buf_2"
-    with pytest.raises(ConfigError, match="does not match upstream"):
+    d["qc"] = {"tests": [{"id": "ph", "test_time": 0.1}]}
+    d["stages"][1]["ipc_tests"] = ["ph"]
+    node = d["qc"]["tests"] if section == "tests" else d[section]
+    node[index][key] = value
+    with pytest.raises(ConfigError) as err:
         parse_config(d)
+    assert err.value.errors == [f"{where}: unknown key {key!r}"]
 
 
-def test_exactly_one_final_inventory():
+def test_each_inventory_is_the_output_of_one_stage():
+    # mix would draw from the buffer it fills, and fill would draw from it too
     d = chain_dict()
-    d["inventories"][0]["final"] = True
-    with pytest.raises(ConfigError, match="exactly one final inventory"):
+    d["stages"][1]["output_inventory"] = "buf_1"
+    with pytest.raises(ConfigError) as err:
         parse_config(d)
+    assert sorted(err.value.errors) == [
+        "inventories.buf_1: output of more than one stage ['prep', 'mix']",
+        "inventories.buf_2: not referenced by any stage",
+    ]
+
+
+@pytest.mark.parametrize("output, message", [
+    (None, "stages.fill: final stage must output to a declared inventory"),
+    ("nope", "stages.fill: unknown inventory 'nope'"),
+])
+def test_final_stage_outputs_to_a_declared_inventory(output, message):
+    d = chain_dict()
+    d["stages"][2]["output_inventory"] = output
+    with pytest.raises(ConfigError) as err:
+        parse_config(d)
+    assert err.value.errors == [message, "inventories.finished: not referenced by any stage"]
 
 
 def test_doses_only_on_final_stage():
@@ -83,7 +111,6 @@ def test_direct_handoff_chain_allowed():
     d = chain_dict()
     # prep hands straight to mix, no buffer in between
     d["stages"][0]["output_inventory"] = None
-    d["stages"][1]["input_inventory"] = None
     del d["inventories"][0]
     cfg = parse_config(d)
     assert cfg.stages[0].output_inventory is None
@@ -157,6 +184,38 @@ def test_a_sample_test_is_sampled_once(stages):
         parse_config(d)
     assert err.value.errors == [f"stages.{second}: 'assay' is already sampled at stage "
                                 f"'{first}'; a test is sampled once, at one stage"]
+
+
+# ph is an in-process control on prep and mix, assay a sample test on fill, and
+# no stage lists spare; each case changes one team or one stage list
+ROLE_CASES = {
+    "valid": ({}, {}, []),
+    "control-with-team": ({"ph": "lab"}, {}, ["qc.tests.ph: in-process tests take no team"]),
+    "sample-without-team": ({"assay": None}, {}, ["qc.tests.assay: unknown team None"]),
+    "unlisted-unknown-team": ({"spare": "nope"}, {}, ["qc.tests.spare: unknown team 'nope'"]),
+    "control-sampled": ({}, {"fill": ["assay", "ph"]},
+                        ["stages.fill: 'ph' is in-process, not a sample test"]),
+    "control-listed-twice": ({}, {"mix": ["ph", "ph"]},
+                             ["stages.mix: in-process test 'ph' is listed twice"]),
+}
+
+
+@pytest.mark.parametrize("teams, lists, errors", ROLE_CASES.values(), ids=list(ROLE_CASES))
+def test_a_test_takes_its_role_from_the_stage_lists(teams, lists, errors):
+    d = chain_dict()
+    teams = {"ph": None, "assay": "lab", "spare": None, **teams}
+    d["qc"] = {"teams": [{"id": "lab", "technicians": 1, "supervisors": 1}],
+               "tests": [{"id": tid, "team": team, "test_time": 0.2}
+                         for tid, team in teams.items()]}
+    lists = {"prep": ["ph"], "mix": ["ph"], "fill": ["assay"], **lists}
+    for stage in d["stages"]:
+        stage["qc_tests" if stage["id"] == "fill" else "ipc_tests"] = lists[stage["id"]]
+    if errors:
+        with pytest.raises(ConfigError) as err:
+            parse_config(d)
+        assert err.value.errors == errors
+    else:
+        parse_config(d)
 
 
 def staffed_chain():
@@ -252,7 +311,7 @@ def test_parsing_reports_bad_values_and_unknown_keys():
     d["stages"][2]["processing_time"] = {"lognormal": {"median": 1, "scale": 1.3, "shift": 5}}
     d["stages"][2]["yield_fraction"] = {"constant": True}
     d["stages"][2]["closed"] = True
-    d["inventories"][2]["final"] = "no"
+    d["inventories"][2]["capacity"] = "lots"
     d["materials"] = [{"id": "resin", "consumption": {"prep": 1.0},
                        "suppliers": [{"id": "s", "lead_time": 1.0, "spilt": 1.0}]}]
     d["extra"] = {}
@@ -269,11 +328,9 @@ def test_parsing_reports_bad_values_and_unknown_keys():
         "got ['median', 'scale', 'shift']",
         "stages.fill.yield_fraction: expected a number, got True",
         "stages.fill.closed: a stage is closed only by a scenario overlay",
-        "inventories.finished.final: expected true or false, got 'no'",
+        "inventories.finished.capacity: expected a whole number, got 'lots'",
         "materials.resin: unknown key 'consumption'",
         "materials.resin.suppliers.s: unknown key 'spilt'",
-        # with the flag unreadable, no inventory is final
-        "inventories: exactly one final inventory required, found 0",
         # unreadable processing times keep the zero default
         "stages.mix.processing_time: mean must be > 0",
         "stages.fill.processing_time: mean must be > 0",

@@ -121,7 +121,7 @@ def test_report_bytes_match_golden(name, report_dir):
 QAQC_PLANT = {
     "model": {"start_date": "2025-04-01", "end_date": "2025-10-01"},
     "inventories": [{"id": "hold", "capacity": 2},
-                    {"id": "finished", "capacity": 4, "final": True}],
+                    {"id": "finished", "capacity": 4}],
     "stages": [
         {"id": "culture", "machines": 2,
          "processing_time": {"triangular": [0.8, 1.0, 1.5]},
@@ -130,15 +130,15 @@ QAQC_PLANT = {
          "document_review": True},
         {"id": "fill", "machines": 1,
          "processing_time": {"triangular": [0.6, 0.8, 1.1]},
-         "input_inventory": "hold", "output_inventory": "finished",
+         "output_inventory": "finished",
          "doses_per_batch": 1000, "yield_fraction": {"triangular": [0.9, 0.95, 1.0]},
          "ipc_tests": ["ph"], "qc_tests": ["sterility"]},
     ],
     "qc": {
         "teams": [{"id": "lab", "technicians": 2, "supervisors": 1}],
         "tests": [
-            {"id": "ph", "ipc": True, "test_time": 0.05, "failure_prob": 0.0},
-            {"id": "density", "ipc": True, "test_time": {"triangular": [0.05, 0.1, 0.2]},
+            {"id": "ph", "test_time": 0.05, "failure_prob": 0.0},
+            {"id": "density", "test_time": {"triangular": [0.05, 0.1, 0.2]},
              "failure_prob": 0.2},
             {"id": "identity", "team": "lab", "test_time": {"triangular": [0.1, 0.2, 0.4]},
              "check_time": 0.05, "failure_prob": 0.15},

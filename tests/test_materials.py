@@ -10,7 +10,7 @@ from vaxsim.model import Model
 def single_stage(horizon_end="2028-03-31", consumption=1.0, **mat):
     d = {
         "model": {"start_date": "2025-04-01", "end_date": horizon_end},
-        "inventories": [{"id": "finished", "final": True}],
+        "inventories": [{"id": "finished"}],
         "stages": [{"id": "fill", "machines": 1,
                     "processing_time": {"constant": 3.0},
                     "output_inventory": "finished", "doses_per_batch": 1000}],

@@ -39,6 +39,24 @@ def test_identity_yield_and_doses():
     assert all(b["doses"] == 1000 for b in released(res))
 
 
+@pytest.mark.parametrize("handoff", [False, True])
+def test_inputs_and_final_inventory_follow_the_stage_chain(handoff):
+    d = chain_dict()
+    if handoff:  # prep hands straight to mix
+        d["stages"][0]["output_inventory"] = None
+        del d["inventories"][0]
+    prod = Model(parse_config(d), seed=1).production
+    prep, mix, fill = prod.stages
+    invs = prod.inventories
+    assert prep.input_inv is None  # the unbounded batch source
+    assert mix.input_inv is prep.output_inv is invs.get("buf_1")
+    assert prep.handoff is (mix if handoff else None)
+    assert fill.input_inv is mix.output_inv is invs["buf_2"]
+    assert prod.final_inv is fill.output_inv is invs["finished"]
+    assert [[s.id for s in inv.sides] for inv in invs.values()] == [
+        *([] if handoff else [["prep", "mix"]]), ["mix", "fill"], ["fill"]]
+
+
 def test_finite_buffer_blocks_and_recovers():
     d = chain_dict()
     d["inventories"][1]["capacity"] = 1  # buf_2 holds one batch
@@ -53,7 +71,6 @@ def test_finite_buffer_blocks_and_recovers():
 def test_direct_handoff_stalls_until_downstream_takes():
     d = chain_dict()
     d["stages"][0]["output_inventory"] = None
-    d["stages"][1]["input_inventory"] = None
     del d["inventories"][0]
     m = Model(parse_config(d), seed=1)
     res = m.run()

@@ -12,7 +12,8 @@ from conftest import chain_dict
 
 
 def qc_chain(tests, technicians=1, supervisors=1, qa=None, ipc_on=None):
-    """Chain config with a one-team lab attached to the fill stage."""
+    """Chain config with a one-team lab attached to the fill stage; the tests
+    without a team are in-process controls on stage ``ipc_on``."""
     d = chain_dict()
     d["qc"] = {
         "teams": [{"id": "lab", "technicians": technicians,
@@ -20,10 +21,10 @@ def qc_chain(tests, technicians=1, supervisors=1, qa=None, ipc_on=None):
         "tests": tests,
     }
     d["stages"][2]["qc_tests"] = [
-        t["id"] for t in tests if not t.get("ipc")]
+        t["id"] for t in tests if "team" in t]
     if ipc_on is not None:
         stage = next(s for s in d["stages"] if s["id"] == ipc_on)
-        stage["ipc_tests"] = [t["id"] for t in tests if t.get("ipc")]
+        stage["ipc_tests"] = [t["id"] for t in tests if "team" not in t]
     if qa:
         d["qa"] = qa
     return d
@@ -199,7 +200,7 @@ def test_capacity_cut_does_not_preempt_running_tasks():
 
 
 def test_ipc_failure_runs_investigation_then_discards_in_flow():
-    d = qc_chain([{"id": "ph", "ipc": True, "prep_time": 0.5,
+    d = qc_chain([{"id": "ph", "prep_time": 0.5,
                    "test_time": 0.5, "check_time": 0.5,
                    "failure_prob": 1.0}],
                  qa={"investigators": 1, "oos_investigation_time": 1.0},
@@ -217,7 +218,7 @@ def test_ipc_failure_runs_investigation_then_discards_in_flow():
 def test_deviation_investigation_gates_release():
     d = {
         "model": {"start_date": "2025-04-01", "end_date": "2028-03-31"},
-        "inventories": [{"id": "finished", "final": True}],
+        "inventories": [{"id": "finished"}],
         "stages": [{"id": "fill", "machines": 1,
                     "processing_time": {"constant": 3.0},
                     "output_inventory": "finished", "doses_per_batch": 1000}],

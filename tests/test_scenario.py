@@ -227,7 +227,7 @@ DAYS = 60  # 2025-04-01 .. 2025-05-31
 
 def busy_chain():
     """A 60-day chain that touches every section an overlay can target."""
-    d = qc_chain([{"id": "ph", "ipc": True, "test_time": 0.1, "failure_prob": 0.1},
+    d = qc_chain([{"id": "ph", "test_time": 0.1, "failure_prob": 0.1},
                   {"id": "assay", "team": "lab", "test_time": 0.5,
                    "supervisory_check_time": 0.2, "failure_prob": 0.1}],
                  technicians=2,

@@ -44,13 +44,10 @@ def plants(draw):
     for i in range(n):
         stage = {"id": f"s{i}", "machines": draw(st.integers(1, 3)),
                  "processing_time": draw(st.sampled_from(TIMES))}
-        if stages and stages[-1].get("output_inventory"):
-            stage["input_inventory"] = stages[-1]["output_inventory"]
         last = i == n - 1
         if last or draw(st.booleans()):  # else direct handoff to the next stage
             inv = {"id": "done" if last else f"buf{i}",
                    "capacity": draw(st.sampled_from([None, 1, 1, 2]))}
-            inv["final"] = last
             inventories.append(inv)
             stage["output_inventory"] = inv["id"]
         uses = [m for m in used if draw(st.booleans())]
@@ -80,7 +77,7 @@ def plants(draw):
         "qc": {"teams": [{"id": "lab", "technicians": draw(st.integers(0, 2)),
                           "supervisors": draw(st.integers(0, 1))}],
                "tests": [*({"id": f"assay{i}", **assay} for i in range(n)),
-                         {"id": "ph", "ipc": True, "test_time": 0.05,
+                         {"id": "ph", "test_time": 0.05,
                           "failure_prob": draw(st.sampled_from([0.0, 0.2]))}]},
         "qa": {"reviewers": draw(st.integers(0, 2)), "supervisors": 1,
                "investigators": 1, "document_review_time": 0.2,
