@@ -453,7 +453,13 @@ def _check_qc(cfg, errors):
         if test.id in in_process:
             if test.team is not None:
                 errors.append(f"qc.tests.{test.id}: in-process tests take no team")
-        elif test.team not in team_ids and (test.id in sampled or test.team is not None):
+            if test.prerequisites:
+                errors.append(f"qc.tests.{test.id}: in-process tests take no prerequisites")
+            if not test.supervisory_check_time.is_zero():
+                errors.append(f"qc.tests.{test.id}: in-process tests have no supervisory check")
+        elif test.id not in sampled:
+            errors.append(f"qc.tests.{test.id}: not listed by any stage")
+        elif test.team not in team_ids:
             errors.append(f"qc.tests.{test.id}: unknown team {test.team!r}")
         for pre in test.prerequisites:
             if pre not in tests:

@@ -68,6 +68,10 @@ class Distribution:
         else:
             raise DistributionError(f"unknown distribution kind {self.kind!r}")
 
+    def is_zero(self) -> bool:
+        """A constant 0: the step it times is skipped, not sampled."""
+        return self.kind == "constant" and self.params[0] == 0.0
+
     def sample(self, rng: HashStream):
         """Draw one value from a substream (``RngRegistry.derived``).
 

@@ -135,6 +135,10 @@ def kpi_summary(result, target: float = TARGET_DOSES) -> dict:
 
 # -- bottlenecks ---------------------------------------------------------
 
+# utilization series prefix -> the kind of resource it measures
+RESOURCE_KINDS = {"stage_util": "machines", "pool_util": "personnel"}
+
+
 def bottleneck_report(results) -> list[dict]:
     """Resources ranked by mean utilization, machines against personnel.
 
@@ -148,16 +152,13 @@ def bottleneck_report(results) -> list[dict]:
     acc: dict[str, list[float]] = {}
     for res in results:
         for key, series in res.series.items():
-            if key.startswith("stage_util.") or key.startswith("pool_util."):
+            if key.partition(".")[0] in RESOURCE_KINDS:
                 acc.setdefault(key, []).append(mean(series))
     rows = []
     for key, means in acc.items():
         kind, _, name = key.partition(".")
-        rows.append({
-            "resource": name,
-            "kind": "machines" if kind == "stage_util" else "personnel",
-            "utilization": mean(means),
-        })
+        rows.append({"resource": name, "kind": RESOURCE_KINDS[kind],
+                     "utilization": mean(means)})
     rows.sort(key=lambda r: (-r["utilization"], r["resource"]))
     for i, row in enumerate(rows):
         row["bottleneck"] = i == 0 and row["utilization"] > 0.0
@@ -236,6 +237,33 @@ def t_quantile(n: int) -> float:
     return float(stats.t.ppf(1 - ALPHA / 2, n - 1))
 
 
+def series_matrix(results, name: str) -> np.ndarray:
+    """One named daily series per replication: a (replications x days) matrix."""
+    import numpy as np
+
+    return np.array([r.series[name] for r in results], dtype=float)
+
+
+def column_ci(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mean and Student t 95% CI of each column of a (replications x
+    columns) matrix; one replication gives a zero-width interval.
+
+    The reduction runs along contiguous rows of the transpose, so every
+    column is summed pairwise exactly as a 1-D mean of that column would be;
+    an ``axis=0`` reduction adds the rows in order and differs in the last
+    bits from eight replications on.
+    """
+    import numpy as np
+
+    rows = np.ascontiguousarray(matrix.T)
+    m = rows.mean(axis=1)
+    n = matrix.shape[0]
+    if n < 2:
+        return m, m, m
+    half = t_quantile(n) * rows.std(axis=1, ddof=1) / math.sqrt(n)
+    return m, m - half, m + half
+
+
 COMPARISON_COLUMNS = ["scenario", "day", "n", "mean_doses", "ci_low", "ci_high",
                       "delta_pct", "p_value", "significant"]
 
@@ -245,50 +273,44 @@ def comparison_cells(row: dict) -> list:
     return ["" if row[k] is None else row[k] for k in COMPARISON_COLUMNS]
 
 
-def compare_scenarios(ensembles: dict[str, list], base: str = "base",
-                      at_days: tuple[int, ...] | None = None,
-                      alpha: float = ALPHA) -> list[dict]:
-    """Table of released doses per scenario and horizon against the base.
+def compare_scenarios(ensembles: dict[str, list],
+                      at_days: tuple[int, ...] | None = None) -> list[dict]:
+    """Table of released doses per scenario and horizon against ``base``.
 
-    Per cell: replication mean, Student t 95% CI, relative change
-    against the base ensemble, and a two-sided Welch t-test p-value. The base
-    rows carry empty delta and p. ``at_days`` defaults to day 365 and the
-    last day of the base ensemble's horizon.
+    Per cell: cumulative doses on that day, their replication mean and
+    Student t 95% CI (``column_ci``), relative change against the base
+    ensemble, and a two-sided Welch t-test p-value. The base rows carry
+    empty delta and p. ``at_days`` are days of the horizon, by default day 365
+    and the last day of the base ensemble's horizon.
     """
-    import numpy as np
     from scipy import stats
 
-    if base not in ensembles:
-        raise ValueError(f"no ensemble named {base!r}")
+    if "base" not in ensembles:
+        raise ValueError("no ensemble named 'base'")
     if at_days is None:
-        horizon = len(_daily_series(ensembles[base][0]))
+        horizon = len(_daily_series(ensembles["base"][0]))
         at_days = tuple(dict.fromkeys(d for d in (365, horizon) if d <= horizon))
-    totals = {
-        name: {day: np.array([doses_by_day(r, day) for r in ens], dtype=float)
-               for day in at_days}
-        for name, ens in ensembles.items()
-    }
+    cols = [d - 1 for d in at_days]
+    totals = {name: series_matrix(ens, "released_doses").cumsum(axis=1)[:, cols]
+              for name, ens in ensembles.items()}
+    cis = {name: [c.tolist() for c in column_ci(t)] for name, t in totals.items()}
     rows = []
-    names = [base] + sorted(n for n in ensembles if n != base)
-    for name in names:
-        for day in at_days:
-            vals = totals[name][day]
-            n = len(vals)
-            avg = float(vals.mean())
-            half = (t_quantile(n) * vals.std(ddof=1) / math.sqrt(n)
-                    if n > 1 else 0.0)
-            row = {"scenario": name, "day": day, "n": n, "mean_doses": avg,
-                   "ci_low": avg - half, "ci_high": avg + half,
+    for name in ["base"] + sorted(n for n in ensembles if n != "base"):
+        for j, day in enumerate(at_days):
+            avg, low, high = (c[j] for c in cis[name])
+            row = {"scenario": name, "day": day, "n": len(totals[name]),
+                   "mean_doses": avg, "ci_low": low, "ci_high": high,
                    "delta_pct": None, "p_value": None, "significant": False}
-            if name != base:
-                ref = totals[base][day]
-                if ref.mean():
-                    row["delta_pct"] = 100.0 * (avg - ref.mean()) / ref.mean()
+            if name != "base":
+                ref = cis["base"][0][j]
+                if ref:
+                    row["delta_pct"] = 100.0 * (avg - ref) / ref
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    p = stats.ttest_ind(vals, ref, equal_var=False).pvalue
+                    p = stats.ttest_ind(totals[name][:, j], totals["base"][:, j],
+                                        equal_var=False).pvalue
                 if not math.isnan(p):
                     row["p_value"] = float(p)
-                    row["significant"] = p < alpha
+                    row["significant"] = p < ALPHA
             rows.append(row)
     return rows

@@ -123,10 +123,6 @@ class Pool:
         return len(self._heap)
 
 
-def _is_zero(dist) -> bool:
-    return dist.kind == "constant" and dist.params[0] == 0.0
-
-
 # QA task kind -> (its duration field in the qa section, the substream key, the
 # rest of the substream label)
 QA_DURATIONS = {
@@ -193,7 +189,7 @@ class QaQc:
                                            (now, 0), now)
         if stage.cfg.qc_tests:
             self._spawn_sample(batch, stage, now)
-        if stage.cfg.document_review and not _is_zero(cfg.qa.document_review_time):
+        if stage.cfg.document_review and not cfg.qa.document_review_time.is_zero():
             batch.holds += 1
             self.reviewers.enqueue(Task("docrev", batch, stage_id=stage.cfg.id),
                                    self._priority_key(batch, now), now)
@@ -210,7 +206,7 @@ class QaQc:
 
     def on_enter_final(self, batch: Batch) -> None:
         now = self.model.engine.clock.now
-        if not _is_zero(self.model.cfg.qa.release_review_time):
+        if not self.model.cfg.qa.release_review_time.is_zero():
             batch.holds += 1
             self.reviewers.enqueue(Task("relrev", batch),
                                    self._priority_key(batch, now), now)
@@ -271,7 +267,7 @@ class QaQc:
 
     def _done_tech(self, task: Task, now: float) -> None:
         test = self.model.tests[task.test_id]
-        if _is_zero(test.supervisory_check_time):
+        if test.supervisory_check_time.is_zero():
             self._resolve_test(task, now)
         else:
             sup = Task("sup", task.batch, test_id=task.test_id,
@@ -330,7 +326,7 @@ class QaQc:
             self._lift_hold(task.batch)
 
     def _done_relrev(self, task: Task, now: float) -> None:
-        if _is_zero(self.model.cfg.qa.release_approval_time):
+        if self.model.cfg.qa.release_approval_time.is_zero():
             self._lift_hold(task.batch)
         else:
             self.qa_sups.enqueue(Task("relapp", task.batch),

@@ -1,8 +1,9 @@
 """Report assembly: markdown summary plus plot-ready tidy CSV files.
 
-Input is one or more result stores (manifest + replication results). With a
-single store the report covers throughput, lead times, utilization, and
-stockouts; given a base store and scenario stores it adds the cross-scenario
+Input is one or more result stores (manifest + replication results). Every
+report covers throughput, lead times, utilization, queues, inventory and
+stockouts. As in ``vaxsim compare``, the base is the store named ``base``: it
+adds the bottleneck ranking and, beside scenario stores, the cross-scenario
 comparison table and recovery findings.
 """
 
@@ -14,29 +15,14 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .metrics import (COMPARISON_COLUMNS, LEAD_TIME_BIN_DAYS, bottleneck_report,
-                      compare_scenarios, comparison_cells, detect_recovery,
-                      doses_by_day, lead_time_histogram, t_quantile, time_to_first_dose)
+from .metrics import (COMPARISON_COLUMNS, LEAD_TIME_BIN_DAYS, RESOURCE_KINDS,
+                      bottleneck_report, column_ci, compare_scenarios,
+                      comparison_cells, detect_recovery, doses_by_day,
+                      lead_time_histogram, series_matrix, time_to_first_dose)
 
 MONTH_DAYS = 30
-
-
-def _column_ci(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean and Student t 95% CI of each column of a (replications x
-    columns) matrix; one replication gives a zero-width interval.
-
-    The reduction runs along contiguous rows of the transpose, so every
-    column is summed pairwise exactly as a 1-D mean of that column would be;
-    an ``axis=0`` reduction adds the rows in order and differs in the last
-    bits from eight replications on.
-    """
-    rows = np.ascontiguousarray(matrix.T)
-    m = rows.mean(axis=1)
-    n = matrix.shape[0]
-    if n < 2:
-        return m, m, m
-    half = t_quantile(n) * rows.std(axis=1, ddof=1) / n ** 0.5
-    return m, m - half, m + half
+RECOVERY_COLUMNS = ["disrupted", "start_day", "end_day", "duration_days",
+                    "recovery_weeks", "recovered"]
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -53,58 +39,35 @@ def _rows(labels: tuple, *columns: np.ndarray):
     return zip(*map(repeat, labels), range(1, len(values[0]) + 1), *values)
 
 
-def _series_matrix(results, name: str) -> np.ndarray:
-    return np.array([r.series[name] for r in results], dtype=float)
-
-
 def _fmt_m(doses: float) -> str:
     return f"{doses / 1e6:.1f}"
-
-
-def _ensembles(stores) -> dict[str, list]:
-    out = {}
-    for manifest, results in stores:
-        out[manifest["scenario"]] = results
-    return out
 
 
 def write_report(stores: list[tuple[dict, list]], out_dir: str) -> str:
     """Emit report.md and CSVs under out_dir; returns the report path."""
     os.makedirs(out_dir, exist_ok=True)
-    ens = _ensembles(stores)
-    base_name = "base" if "base" in ens else stores[0][0]["scenario"]
+    ens = {manifest["scenario"]: results for manifest, results in stores}
     horizon = stores[0][0]["horizon_days"]
 
     _emit_throughput(ens, out_dir)
     _emit_histogram(ens, out_dir)
-    _emit_utilization(ens, out_dir)
-    _emit_queues(ens, out_dir)
-    _emit_inventory(ens, out_dir)
+    _emit_daily_means(ens, out_dir)
     _emit_stockouts(ens, out_dir, horizon)
 
     comparison = recovery = None
-    if len(ens) > 1 and base_name in ens:
-        comparison = compare_scenarios(ens, base=base_name)
+    if len(ens) > 1 and "base" in ens:
+        comparison = compare_scenarios(ens)
         _write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_COLUMNS,
                    map(comparison_cells, comparison))
-        recovery = {}
-        for name in sorted(ens):
-            if name == base_name:
-                continue
-            recovery[name] = detect_recovery(ens[base_name], ens[name])
-        _write_csv(os.path.join(out_dir, "recovery.csv"),
-                   ["scenario", "disrupted", "start_day", "end_day",
-                    "duration_days", "recovery_weeks", "recovered"],
-                   [[n, r["disrupted"],
-                     "" if r["start_day"] is None else r["start_day"],
-                     "" if r["end_day"] is None else r["end_day"],
-                     r["duration_days"],
-                     "" if r["recovery_weeks"] is None else r["recovery_weeks"],
-                     r["recovered"]] for n, r in sorted(recovery.items())])
+        recovery = {name: detect_recovery(ens["base"], ens[name])
+                    for name in sorted(ens) if name != "base"}
+        _write_csv(os.path.join(out_dir, "recovery.csv"), ["scenario", *RECOVERY_COLUMNS],
+                   ([n] + ["" if r[k] is None else r[k] for k in RECOVERY_COLUMNS]
+                    for n, r in recovery.items()))
 
     path = os.path.join(out_dir, "report.md")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_render_markdown(stores, ens, base_name, comparison, recovery))
+        fh.write(_render_markdown(stores, ens, comparison, recovery))
     return path
 
 
@@ -113,13 +76,13 @@ def write_report(stores: list[tuple[dict, list]], out_dir: str) -> str:
 def _emit_throughput(ens, out_dir) -> None:
     monthly_rows, cum_rows = [], []
     for name in sorted(ens):
-        daily = _series_matrix(ens[name], "released_doses")
+        daily = series_matrix(ens[name], "released_doses")
         reps, days = daily.shape
         months = days // MONTH_DAYS
         monthly = daily[:, :months * MONTH_DAYS].reshape(
             reps, months, MONTH_DAYS).sum(axis=2)
-        monthly_rows.append(_rows((name,), *_column_ci(monthly)))
-        cum_rows.append(_rows((name,), *_column_ci(daily.cumsum(axis=1))))
+        monthly_rows.append(_rows((name,), *column_ci(monthly)))
+        cum_rows.append(_rows((name,), *column_ci(daily.cumsum(axis=1))))
     _write_csv(os.path.join(out_dir, "monthly_throughput.csv"),
                ["scenario", "month", "mean_doses", "ci_low", "ci_high"],
                chain.from_iterable(monthly_rows))
@@ -144,53 +107,29 @@ def _emit_histogram(ens, out_dir) -> None:
                 "mean_batches_per_replication"], rows)
 
 
-def _util_keys(results) -> list[str]:
-    return sorted(k for k in results[0].series
-                  if k.startswith(("stage_util.", "pool_util.")))
+# per family: file, header, and series prefix -> label columns after the name
+DAILY_MEANS = [
+    ("utilization.csv", ["scenario", "resource", "kind", "day", "mean_utilization"],
+     {prefix: (kind,) for prefix, kind in RESOURCE_KINDS.items()}),
+    ("queue_lengths.csv", ["scenario", "pool", "day", "mean_queue_length"],
+     {"pool_queue": ()}),
+    ("inventory_levels.csv", ["scenario", "material", "day", "mean_batch_equivalents"],
+     {"material_level": ()}),
+]
 
 
-def _mean_series(results, key: str) -> np.ndarray:
-    """Daily mean over replications, rounded to six decimals for the CSV."""
-    return _series_matrix(results, key).mean(axis=0).round(6)
-
-
-def _emit_utilization(ens, out_dir) -> None:
-    rows = []
-    for name in sorted(ens):
-        for key in _util_keys(ens[name]):
-            kind, _, resource = key.partition(".")
-            kindname = "machines" if kind == "stage_util" else "personnel"
-            rows.append(_rows((name, resource, kindname),
-                              _mean_series(ens[name], key)))
-    _write_csv(os.path.join(out_dir, "utilization.csv"),
-               ["scenario", "resource", "kind", "day", "mean_utilization"],
-               chain.from_iterable(rows))
-
-
-def _emit_queues(ens, out_dir) -> None:
-    rows = []
-    for name in sorted(ens):
-        keys = sorted(k for k in ens[name][0].series
-                      if k.startswith("pool_queue."))
-        for key in keys:
-            pool = key.split(".", 1)[1]
-            rows.append(_rows((name, pool), _mean_series(ens[name], key)))
-    _write_csv(os.path.join(out_dir, "queue_lengths.csv"),
-               ["scenario", "pool", "day", "mean_queue_length"],
-               chain.from_iterable(rows))
-
-
-def _emit_inventory(ens, out_dir) -> None:
-    rows = []
-    for name in sorted(ens):
-        keys = sorted(k for k in ens[name][0].series
-                      if k.startswith("material_level."))
-        for key in keys:
-            mid = key.split(".", 1)[1]
-            rows.append(_rows((name, mid), _mean_series(ens[name], key)))
-    _write_csv(os.path.join(out_dir, "inventory_levels.csv"),
-               ["scenario", "material", "day", "mean_batch_equivalents"],
-               chain.from_iterable(rows))
+def _emit_daily_means(ens, out_dir) -> None:
+    """Daily mean over replications of each series in a family, rounded to
+    six decimals."""
+    for filename, header, labels in DAILY_MEANS:
+        rows = []
+        for name in sorted(ens):
+            for key in sorted(ens[name][0].series):
+                prefix, _, label = key.partition(".")
+                if prefix in labels:
+                    daily = series_matrix(ens[name], key).mean(axis=0).round(6)
+                    rows.append(_rows((name, label, *labels[prefix]), daily))
+        _write_csv(os.path.join(out_dir, filename), header, chain.from_iterable(rows))
 
 
 def _emit_stockouts(ens, out_dir, horizon) -> None:
@@ -211,7 +150,7 @@ def _emit_stockouts(ens, out_dir, horizon) -> None:
 
 # -- markdown ------------------------------------------------------------
 
-def _render_markdown(stores, ens, base_name, comparison, recovery) -> str:
+def _render_markdown(stores, ens, comparison, recovery) -> str:
     lines = ["# Simulation report", ""]
     m0 = stores[0][0]
     lines += [
@@ -229,7 +168,7 @@ def _render_markdown(stores, ens, base_name, comparison, recovery) -> str:
     lines += ["## Key performance indicators", "",
               "| scenario | first dose (day) | doses at 12m (M) "
               "| doses total (M) | released | discarded |", "|---|---|---|---|---|---|"]
-    for name in sorted(ens, key=lambda n: (n != base_name, n)):
+    for name in sorted(ens, key=lambda n: (n != "base", n)):
         results = ens[name]
         ttfd = [d for d in map(time_to_first_dose, results) if d]
         lines.append("| {} | {:.1f} | {} | {} | {:.1f} | {:.1f} |".format(
@@ -242,11 +181,11 @@ def _render_markdown(stores, ens, base_name, comparison, recovery) -> str:
             float(np.mean([r.counts["batches_discarded"] for r in results]))))
     lines.append("")
 
-    if base_name in ens:
+    if "base" in ens:
         lines += ["## Bottlenecks (base)", "",
                   "| rank | resource | kind | mean utilization |",
                   "|---|---|---|---|"]
-        for i, row in enumerate(bottleneck_report(ens[base_name])[:10], 1):
+        for i, row in enumerate(bottleneck_report(ens["base"])[:10], 1):
             flag = " **bottleneck**" if row["bottleneck"] else ""
             lines.append(f"| {i} | {row['resource']}{flag} | {row['kind']} "
                          f"| {row['utilization'] * 100:.1f}% |")

@@ -192,7 +192,7 @@ ROLE_CASES = {
     "valid": ({}, {}, []),
     "control-with-team": ({"ph": "lab"}, {}, ["qc.tests.ph: in-process tests take no team"]),
     "sample-without-team": ({"assay": None}, {}, ["qc.tests.assay: unknown team None"]),
-    "unlisted-unknown-team": ({"spare": "nope"}, {}, ["qc.tests.spare: unknown team 'nope'"]),
+    "unlisted-unknown-team": ({"spare": "nope"}, {}, ["qc.tests.spare: not listed by any stage"]),
     "control-sampled": ({}, {"fill": ["assay", "ph"]},
                         ["stages.fill: 'ph' is in-process, not a sample test"]),
     "control-listed-twice": ({}, {"mix": ["ph", "ph"]},
@@ -200,22 +200,56 @@ ROLE_CASES = {
 }
 
 
-@pytest.mark.parametrize("teams, lists, errors", ROLE_CASES.values(), ids=list(ROLE_CASES))
-def test_a_test_takes_its_role_from_the_stage_lists(teams, lists, errors):
+def role_plant(teams=None, lists=None):
+    """The chain with ``ph`` in-process on prep and mix and ``assay`` sampled on fill."""
     d = chain_dict()
-    teams = {"ph": None, "assay": "lab", "spare": None, **teams}
+    teams = {"ph": None, "assay": "lab", **(teams or {})}
     d["qc"] = {"teams": [{"id": "lab", "technicians": 1, "supervisors": 1}],
                "tests": [{"id": tid, "team": team, "test_time": 0.2}
                          for tid, team in teams.items()]}
-    lists = {"prep": ["ph"], "mix": ["ph"], "fill": ["assay"], **lists}
+    lists = {"prep": ["ph"], "mix": ["ph"], "fill": ["assay"], **(lists or {})}
     for stage in d["stages"]:
         stage["qc_tests" if stage["id"] == "fill" else "ipc_tests"] = lists[stage["id"]]
+    return d
+
+
+@pytest.mark.parametrize("teams, lists, errors", ROLE_CASES.values(), ids=list(ROLE_CASES))
+def test_a_test_takes_its_role_from_the_stage_lists(teams, lists, errors):
+    d = role_plant(teams, lists)
     if errors:
         with pytest.raises(ConfigError) as err:
             parse_config(d)
         assert err.value.errors == errors
     else:
         parse_config(d)
+
+
+@pytest.mark.parametrize("key, value, errors", [
+    ("prerequisites", ["assay"], ["qc.tests.ph: in-process tests take no prerequisites"]),
+    ("supervisory_check_time", 0.1, ["qc.tests.ph: in-process tests have no supervisory check"]),
+    ("supervisory_check_time", 0.0, []),
+])
+def test_an_in_process_test_has_no_sample_test_steps(key, value, errors):
+    d = role_plant()
+    d["qc"]["tests"][0][key] = value  # ph: its draws never read either
+    if errors:
+        with pytest.raises(ConfigError) as err:
+            parse_config(d)
+        assert err.value.errors == errors
+    else:
+        parse_config(d)
+
+
+def test_an_overlay_scales_but_does_not_set_an_in_process_supervisory_check():
+    cfg = parse_config(role_plant())
+
+    def overlay(value):
+        return {"modifications": [{"window": {"start": "2025-04-05", "end": "2025-06-01"},
+                                   "set": {"qc.tests.ph.supervisory_check_time": value}}]}
+
+    parse_scenario(overlay({"scale": 3}), cfg)  # three times zero
+    with pytest.raises(ConfigError, match="in-process tests have no supervisory check"):
+        parse_scenario(overlay({"constant": 5}), cfg)
 
 
 def staffed_chain():

@@ -1,5 +1,6 @@
 """Analytic oracles for KPIs, recovery detection, and comparisons."""
 
+import math
 import random
 from array import array
 from types import SimpleNamespace
@@ -265,6 +266,55 @@ def test_identical_ensembles_show_zero_delta():
         if row["scenario"] == "twin":
             assert row["delta_pct"] == 0.0
             assert not row["significant"]
+
+
+def cell_by_cell(ensembles, at_days):
+    """``compare_scenarios`` as it computed each cell before the CI routine
+    was shared: 1-D arrays of ``doses_by_day`` totals, one per cell."""
+    from scipy import stats
+
+    totals = {name: {day: np.array([doses_by_day(r, day) for r in ens], dtype=float)
+                     for day in at_days} for name, ens in ensembles.items()}
+    rows = []
+    for name in ["base"] + sorted(n for n in ensembles if n != "base"):
+        for day in at_days:
+            vals = totals[name][day]
+            n = len(vals)
+            avg = float(vals.mean())
+            half = t_quantile(n) * vals.std(ddof=1) / math.sqrt(n) if n > 1 else 0.0
+            row = {"scenario": name, "day": day, "n": n, "mean_doses": avg,
+                   "ci_low": avg - half, "ci_high": avg + half,
+                   "delta_pct": None, "p_value": None, "significant": False}
+            if name != "base":
+                ref = totals["base"][day]
+                if ref.mean():
+                    row["delta_pct"] = 100.0 * (avg - ref.mean()) / ref.mean()
+                p = stats.ttest_ind(vals, ref, equal_var=False).pvalue
+                if not math.isnan(p):
+                    row["p_value"] = float(p)
+                    row["significant"] = p < 0.05
+            rows.append(row)
+    return rows
+
+
+def integer_ensemble(n, seed, scenario, most):
+    """Integer-valued daily doses, as a store holds them: ``sum`` adds them
+    exactly on every Python, where it compensates other floats from 3.12 on."""
+    rng = np.random.default_rng(seed)
+    return [fake(rng.integers(0, most + 1, HORIZON).astype(float).tolist(),
+                 scenario=scenario, seed=i) for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 20, 100])
+def test_compare_matches_cell_by_cell_arithmetic_exactly(n):
+    # from eight replications numpy's pairwise sum differs from in-order
+    # addition, which the two-replication report goldens cannot see
+    ens = {"base": integer_ensemble(n, n, "base", 60_000),
+           "dip": integer_ensemble(n, n + 1, "dip", 55_000),
+           "more": integer_ensemble(n + 3, n + 2, "more", 60_000)}
+    for at_days in [None, tuple(range(1, HORIZON + 1, 30))]:
+        want = cell_by_cell(ens, at_days or (365, HORIZON))
+        assert compare_scenarios(ens, at_days=at_days) == want
 
 
 def test_missing_base_rejected():

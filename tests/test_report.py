@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from conftest import chain_dict
 from vaxsim.config import parse_config
-from vaxsim.metrics import t_quantile
-from vaxsim.report import _column_ci, write_report
+from vaxsim.metrics import column_ci, t_quantile
+from vaxsim.report import write_report
 from vaxsim.runner import load_store, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
 
@@ -74,6 +74,25 @@ def test_single_store_report(stores, tmp_path):
     text = open(path).read()
     assert "## Scenario comparison" not in text
     assert "## Recovery" not in text
+
+
+BASE_ONLY = ["## Bottlenecks (base)", "## Scenario comparison", "## Recovery"]
+
+
+def renamed(store, scenario):
+    manifest, results = store
+    return {**manifest, "scenario": scenario}, results
+
+
+@pytest.mark.parametrize("names", [["slow_fill"], ["slow_fill", "other"]])
+def test_without_a_base_store_nothing_is_compared(stores, tmp_path, names):
+    # as in `vaxsim compare`, only a store named base is the base
+    picked = [stores["slow_fill"], renamed(stores["base"], "other")][:len(names)]
+    path = write_report(picked, str(tmp_path / "rep"))
+    assert set(os.listdir(tmp_path / "rep")) == set(TIDY_FILES) | {"report.md"}
+    text = open(path).read()
+    assert not [s for s in BASE_ONLY if s in text]
+    assert all(f"| {name} |" in text for name in names)
 
 
 def test_monthly_throughput_shape(stores, tmp_path):
@@ -140,6 +159,6 @@ def test_column_ci_matches_scalar_reference_bit_for_bit(n, cols, data):
     values = data.draw(st.lists(st.floats(0, 1e9), min_size=n * cols,
                                 max_size=n * cols))
     matrix = np.array(values).reshape(n, cols)
-    got = [c.tolist() for c in _column_ci(matrix)]
+    got = [c.tolist() for c in column_ci(matrix)]
     for j in range(cols):
         assert tuple(c[j] for c in got) == _scalar_ci(matrix[:, j])

@@ -60,6 +60,8 @@ def plants(draw):
         stage["document_review"] = draw(st.booleans())
         stages.append(stage)
     stages[-1]["doses_per_batch"] = 100
+    # a test no stage lists is rejected, so only the listed ones are declared
+    listed = {tid for s in stages for tid in s.get("qc_tests", []) + s.get("ipc_tests", [])}
     assay = {"team": "lab", "test_time": {"triangular": [0.1, 0.3, 0.6]},
              "supervisory_check_time": draw(st.sampled_from([0.0, 0.1])),
              "failure_prob": draw(st.sampled_from([0.0, 0.2]))}
@@ -76,9 +78,10 @@ def plants(draw):
         "stages": stages,
         "qc": {"teams": [{"id": "lab", "technicians": draw(st.integers(0, 2)),
                           "supervisors": draw(st.integers(0, 1))}],
-               "tests": [*({"id": f"assay{i}", **assay} for i in range(n)),
-                         {"id": "ph", "test_time": 0.05,
-                          "failure_prob": draw(st.sampled_from([0.0, 0.2]))}]},
+               "tests": [t for t in [*({"id": f"assay{i}", **assay} for i in range(n)),
+                                     {"id": "ph", "test_time": 0.05,
+                                      "failure_prob": draw(st.sampled_from([0.0, 0.2]))}]
+                         if t["id"] in listed]},
         "qa": {"reviewers": draw(st.integers(0, 2)), "supervisors": 1,
                "investigators": 1, "document_review_time": 0.2,
                "release_review_time": draw(st.sampled_from([0.0, 0.2])),
