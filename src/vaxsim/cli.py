@@ -8,7 +8,8 @@ arguments, inputs and --out directory before it simulates anything. compare
 and report refuse a store without replications, and stores that cannot be
 paired replication for replication: a different config, base seed, horizon,
 start date or replication count than the first store's, or a scenario name
-already given.
+already given. A store record that does not decode is refused the same way,
+when the command first reads it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import yaml
 from .config import ConfigError, parse_config
 from .metrics import (COMPARISON_COLUMNS, compare_scenarios, comparison_cells, kpi_summary,
                       mean)
-from .runner import load_store, run_ensemble, write_store
+from .runner import StoreError, load_store, run_ensemble, write_store
 from .scenario import parse_scenario
 
 EXIT_OK = 0
@@ -159,8 +160,12 @@ def cmd_compare(args) -> int:
     ens = {m["scenario"]: res for m, res in stores}
     if "base" not in ens:
         return _fail("store", "comparison needs a store with scenario 'base'")
+    try:
+        rows = compare_scenarios(ens)
+    except StoreError as exc:  # a series decodes when first read
+        return _fail("store", str(exc))
     print("\t".join(COMPARISON_COLUMNS))
-    for row in compare_scenarios(ens):
+    for row in rows:
         print("\t".join(map(str, comparison_cells(row))))
     return EXIT_OK
 
@@ -171,7 +176,10 @@ def cmd_report(args) -> int:
     stores, problems = _load_stores(args.stores)
     if problems:
         return _fail("store", problems)
-    path = write_report(stores, args.out)
+    try:
+        path = write_report(stores, args.out)
+    except StoreError as exc:
+        return _fail("store", str(exc))
     print(path)
     return EXIT_OK
 

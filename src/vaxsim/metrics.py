@@ -151,9 +151,9 @@ def bottleneck_report(results) -> list[dict]:
         return []
     acc: dict[str, list[float]] = {}
     for res in results:
-        for key, series in res.series.items():
+        for key in res.series:  # index only these: a loaded series decodes on read
             if key.partition(".")[0] in RESOURCE_KINDS:
-                acc.setdefault(key, []).append(mean(series))
+                acc.setdefault(key, []).append(mean(res.series[key]))
     rows = []
     for key, means in acc.items():
         kind, _, name = key.partition(".")

@@ -63,7 +63,9 @@ class ReplicationResult:
     """Everything one replication emits, in plain serializable data.
 
     Each daily series is an ``array`` (see ``series_array``): a boxed float
-    per day would make a result about three times larger.
+    per day would make a result about three times larger. A result loaded
+    from a store holds them in a read-only mapping that decodes each one on
+    first read (``runner.LazySeries``).
     """
 
     scenario: str

@@ -40,7 +40,7 @@ class Sample:
         return all(self.tests.get(p) == PASSED for p in test_cfg.prerequisites)
 
 
-@dataclass(eq=False)  # identity semantics: tasks live in sets and heaps
+@dataclass(eq=False)  # identity semantics: tasks key dicts and sit in heaps
 class Task:
     kind: str           # tech, sup, ipc_retest or a key of QA_DURATIONS
     batch: Batch
@@ -152,7 +152,9 @@ class QaQc:
         self.investigators = Pool("qa_investigators", cfg.qa.investigators)
         self.pools = [*self.tech_pools.values(), *self.sup_pools.values(),
                       self.reviewers, self.qa_sups, self.investigators]
-        self.running: set[Task] = set()
+        # insertion-ordered, so a reset releases in start order whatever the
+        # addresses the tasks hash by
+        self.running: dict[Task, None] = {}
         lift = lambda task, now: self._lift_hold(task.batch)
         self._done = {
             "tech": self._done_tech,
@@ -252,12 +254,12 @@ class QaQc:
             duration = getattr(self.model.cfg.qa, name).sample(
                 rng.derived(key, *label(task)))
         task.event = self.model.engine.schedule(duration, "task_done", task)
-        self.running.add(task)
+        self.running[task] = None
 
     def _on_task_done(self, ev: Event) -> None:
         task: Task = ev.target
         now = self.model.engine.clock.now
-        self.running.remove(task)
+        del self.running[task]
         if task.pool is not None:  # an in-process retest seizes no one
             task.pool.release(task, now)
         task.event = None
@@ -313,7 +315,7 @@ class QaQc:
         retest = Task("ipc_retest", task.batch, test_id=task.test_id,
                       stage_id=task.stage_id, attempt=2)
         retest.event = self.model.engine.schedule(duration, "task_done", retest)
-        self.running.add(retest)
+        self.running[retest] = None
 
     def _done_ipc_retest(self, task: Task, now: float) -> None:
         test = self.model.tests[task.test_id]
@@ -375,7 +377,7 @@ class QaQc:
             task.event.void = True
             task.event = None
             task.pool.release(task, now)
-            self.running.discard(task)
+            del self.running[task]
         for batch in self.model.collect.live_batches():
             for sample in batch.samples:
                 for tid, state in sample.tests.items():

@@ -10,8 +10,8 @@ comparison table and recovery findings.
 from __future__ import annotations
 
 import csv
+import io
 import os
-from itertools import chain, repeat
 
 import numpy as np
 
@@ -25,18 +25,29 @@ RECOVERY_COLUMNS = ["disrupted", "start_day", "end_day", "duration_days",
                     "recovery_weeks", "recovered"]
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], rows=(), texts=()) -> None:
+    """The header, then ``rows`` through csv.writer, then ``texts`` as they are."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         w.writerows(rows)
+        fh.writelines(texts)
 
 
-def _rows(labels: tuple, *columns: np.ndarray):
-    """Tidy rows of one series: the labels, a 1-based day (or month), then
-    the value of each column, streamed to the CSV writer."""
+def _series_text(labels: tuple, *columns: np.ndarray) -> str:
+    """The tidy CSV rows of one series, as csv.writer would write them: the
+    labels, a 1-based day (or month), then the value of each column.
+
+    csv.writer renders the labels once, so they quote as in every other
+    table (the trailing empty field keeps a lone empty label unquoted, as it
+    is in a longer row). csv.writer writes an int with str and a float with
+    repr, which is what ``%d`` and ``%r`` give them.
+    """
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([*labels, ""])
+    row = buf.getvalue()[:-1].replace("%", "%%") + "%d" + ",%r" * len(columns) + "\n"
     values = [c.tolist() for c in columns]
-    return zip(*map(repeat, labels), range(1, len(values[0]) + 1), *values)
+    return "".join([row % r for r in zip(range(1, len(values[0]) + 1), *values)])
 
 
 def _fmt_m(doses: float) -> str:
@@ -74,21 +85,21 @@ def write_report(stores: list[tuple[dict, list]], out_dir: str) -> str:
 # -- tidy CSV families ---------------------------------------------------
 
 def _emit_throughput(ens, out_dir) -> None:
-    monthly_rows, cum_rows = [], []
+    monthly_texts, cum_texts = [], []
     for name in sorted(ens):
         daily = series_matrix(ens[name], "released_doses")
         reps, days = daily.shape
         months = days // MONTH_DAYS
         monthly = daily[:, :months * MONTH_DAYS].reshape(
             reps, months, MONTH_DAYS).sum(axis=2)
-        monthly_rows.append(_rows((name,), *column_ci(monthly)))
-        cum_rows.append(_rows((name,), *column_ci(daily.cumsum(axis=1))))
+        monthly_texts.append(_series_text((name,), *column_ci(monthly)))
+        cum_texts.append(_series_text((name,), *column_ci(daily.cumsum(axis=1))))
     _write_csv(os.path.join(out_dir, "monthly_throughput.csv"),
                ["scenario", "month", "mean_doses", "ci_low", "ci_high"],
-               chain.from_iterable(monthly_rows))
+               texts=monthly_texts)
     _write_csv(os.path.join(out_dir, "cumulative_throughput.csv"),
                ["scenario", "day", "mean_doses", "ci_low", "ci_high"],
-               chain.from_iterable(cum_rows))
+               texts=cum_texts)
 
 
 def _emit_histogram(ens, out_dir) -> None:
@@ -122,14 +133,14 @@ def _emit_daily_means(ens, out_dir) -> None:
     """Daily mean over replications of each series in a family, rounded to
     six decimals."""
     for filename, header, labels in DAILY_MEANS:
-        rows = []
+        texts = []
         for name in sorted(ens):
             for key in sorted(ens[name][0].series):
                 prefix, _, label = key.partition(".")
                 if prefix in labels:
                     daily = series_matrix(ens[name], key).mean(axis=0).round(6)
-                    rows.append(_rows((name, label, *labels[prefix]), daily))
-        _write_csv(os.path.join(out_dir, filename), header, chain.from_iterable(rows))
+                    texts.append(_series_text((name, label, *labels[prefix]), daily))
+        _write_csv(os.path.join(out_dir, filename), header, texts=texts)
 
 
 def _emit_stockouts(ens, out_dir, horizon) -> None:

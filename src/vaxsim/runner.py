@@ -4,7 +4,9 @@ A run is (config, overlay, base seed, n): replication i simulates seed
 base+i, so base and scenario runs pair replication-for-replication on common
 random numbers. Results land in a directory store of newline-delimited JSON,
 one file per replication, plus a KPI table and a manifest; every byte is a
-pure function of the inputs, whatever the worker count.
+pure function of the inputs, whatever the worker count. A loaded
+replication decodes each daily series the first time it is read, so a
+command pays only for the series it reads.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
+from collections.abc import Mapping
 
 from . import __version__
 from .config import Config, config_hash, parse_config
@@ -57,6 +59,8 @@ def run_ensemble(cfg_raw: dict, overlay_raw: dict | None, base_seed: int,
             if progress:
                 progress(len(results), replications)
     else:
+        from concurrent.futures import ProcessPoolExecutor  # not on the --jobs 1 path
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for res in pool.map(_worker, tasks):
                 results.append(res)
@@ -84,20 +88,84 @@ def result_to_ndjson(res: ReplicationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def ndjson_to_result(text: str) -> ReplicationResult:
-    # one parse per file: json.dumps never writes a raw newline inside a
-    # record, so the lines joined by commas are one JSON array
+# _dumps writes every series record as _SERIES_HEAD + name + _SERIES_TAIL + values
+_SERIES_HEAD = '{"kind":"series","name":"'
+_SERIES_TAIL = '","values":'
+
+
+class StoreError(ValueError):
+    """A store record that does not decode; names the file and the record."""
+
+
+class LazySeries(Mapping):
+    """The daily series of a loaded replication, read-only, each decoded
+    from its NDJSON line on first read.
+
+    One dict holds a series' line until the series is read and its array
+    after that, so a decoded line is not kept. A series that no one reads is
+    never decoded, and so never checked either.
+    """
+
+    def __init__(self, items: dict, source: str):
+        self._items = items  # name -> NDJSON line, or the array once decoded
+        self._source = source
+
+    def __getitem__(self, name: str):
+        item = self._items[name]
+        if isinstance(item, str):
+            try:
+                item = series_array(name, json.loads(item)["values"])
+            except (ValueError, TypeError, KeyError, OverflowError) as exc:
+                raise StoreError(f"{self._source}: series {name!r}: {exc}") from None
+            self._items[name] = item
+        return item
+
+    def __contains__(self, name) -> bool:
+        return name in self._items
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+
+def ndjson_to_result(text: str, source: str = "NDJSON") -> ReplicationResult:
+    """A replication from its NDJSON; ``source`` names it in errors.
+
+    Series lines are indexed by the name sliced from them (see LazySeries).
+    Every other record decodes at once, in one parse: json.dumps never
+    writes a raw newline inside a record, so those lines joined by commas
+    are one JSON array.
+    """
+    series, records = {}, []
+    try:
+        for line in text.rstrip("\n").split("\n"):
+            if line.startswith(_SERIES_HEAD):
+                end = line.find(_SERIES_TAIL, len(_SERIES_HEAD))
+                if end < 0:
+                    raise ValueError(f"series record without values: {line[:80]}")
+                name = line[len(_SERIES_HEAD):end]
+                if "\\" in name:  # an escaped character: decode the JSON string
+                    name = json.loads(f'"{name}"')
+                series[name] = line
+            else:
+                records.append(line)
+        records = json.loads("[" + ",".join(records) + "]")
+    except ValueError as exc:
+        raise StoreError(f"{source}: {exc}") from None
     res = None
-    for rec in json.loads("[" + text.rstrip("\n").replace("\n", ",") + "]"):
+    for rec in records:
         kind = rec.pop("kind")
         if kind == "meta":
             res = ReplicationResult(**rec)
-        elif kind == "series":
-            res.series[rec["name"]] = series_array(rec["name"], rec["values"])
+        elif kind == "series":  # written some other way than by _dumps
+            series[rec["name"]] = series_array(rec["name"], rec["values"])
         elif kind == "batch":
             res.batches.append(rec)
         else:
             res.counts.update(rec)
+    res.series = LazySeries(series, source)
     return res
 
 
@@ -165,6 +233,7 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
     for rel in manifest["files"]:
         if not rel.endswith(".ndjson"):
             continue
-        with open(os.path.join(out_dir, rel), encoding="utf-8") as fh:
-            results.append(ndjson_to_result(fh.read()))
+        path = os.path.join(out_dir, rel)
+        with open(path, encoding="utf-8") as fh:
+            results.append(ndjson_to_result(fh.read(), path))
     return manifest, results

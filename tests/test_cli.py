@@ -284,8 +284,9 @@ def test_two_stores_of_one_scenario_are_refused(paired_stores, tmp_path, capsys)
 
 def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
     # numpy and scipy.stats take most of what a run would import, and only
-    # compare and report use them; a fresh interpreter, since this suite has
-    # imported both. It runs a short replication and writes its store.
+    # compare and report use them; the process pool only --jobs 2 and up. A
+    # fresh interpreter, since this suite has imported all of them. It runs a
+    # short replication and writes its store.
     src = str(Path(vaxsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -295,10 +296,64 @@ def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
         "raw = json.loads(sys.argv[1])\n"
         "res = r.run_ensemble(raw, {}, 1, 1)\n"
         "r.write_store(sys.argv[2], res, parse_config(raw), None, 1)\n"
-        "print([m for m in ('numpy', 'scipy', 'scipy.stats') if m in sys.modules])\n")
+        "print([m for m in ('numpy', 'scipy', 'scipy.stats', 'concurrent.futures',\n"
+        "                   'multiprocessing') if m in sys.modules])\n")
     raw = chain_dict(end_date="2025-06-30")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(raw),
                           str(tmp_path / "store")], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
     assert (tmp_path / "store" / "kpis.csv").exists()
+
+
+def _damaged_copy(src, dst, series, edit):
+    """A copy of store ``src`` whose second replication has ``series``'s
+    line passed through ``edit``; returns the copy and the damaged file."""
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "replications", "rep_00001.ndjson")
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    head = f'{{"kind":"series","name":"{series}","values":['
+    i = next(i for i, line in enumerate(lines) if line.startswith(head))
+    lines[i] = edit(lines[i], len(head))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    return str(dst), path
+
+
+def _store_error(capsys, path, series, argv):
+    assert main(argv) == 2
+    err = stderr_json(capsys)
+    assert err["error"] == "store" and len(err["messages"]) == 1
+    assert err["messages"][0].startswith(f"{path}: series {series!r}: ")
+
+
+def test_a_garbled_series_value_is_a_store_error(paired_stores, tmp_path, capsys):
+    base, scen = paired_stores
+    odd, path = _damaged_copy(scen, tmp_path / "odd", "stage_util.fill",
+                              lambda line, at: line[:at] + "1.2.3," + line[at:])
+    capsys.readouterr()
+    _store_error(capsys, path, "stage_util.fill",
+                 ["report", base, odd, "--out", str(tmp_path / "rep")])
+    # compare reads only released_doses, and a series no one reads is not checked
+    assert main(["compare", base, odd]) == 0
+
+
+@pytest.mark.parametrize("cut", ["values", "record"])
+def test_a_truncated_series_line_is_a_store_error(paired_stores, tmp_path, capsys, cut):
+    base, scen = paired_stores
+    # cut inside the values, or before them, where not even the name is whole
+    stub = '{"kind":"series","name":"rel'
+    edit = ((lambda line, at: line[:at + (len(line) - at) // 2]) if cut == "values"
+            else (lambda line, at: stub))
+    odd, path = _damaged_copy(scen, tmp_path / "odd", "released_doses", edit)
+    capsys.readouterr()
+    for argv in (["compare", base, odd], ["report", base, odd, "--out",
+                                          str(tmp_path / "rep")]):
+        if cut == "values":
+            _store_error(capsys, path, "released_doses", argv)
+        else:
+            assert main(argv) == 2
+            err = stderr_json(capsys)
+            assert err["error"] == "store"
+            assert err["messages"] == [f"{path}: series record without values: {stub}"]

@@ -1,6 +1,7 @@
 """Report output: file set, tidy CSV shapes, markdown sections."""
 
 import csv
+import io
 import os
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from conftest import chain_dict
 from vaxsim.config import parse_config
 from vaxsim.metrics import column_ci, t_quantile
-from vaxsim.report import write_report
+from vaxsim.report import _series_text, write_report
 from vaxsim.runner import load_store, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
 
@@ -162,3 +163,24 @@ def test_column_ci_matches_scalar_reference_bit_for_bit(n, cols, data):
     got = [c.tolist() for c in column_ci(matrix)]
     for j in range(cols):
         assert tuple(c[j] for c in got) == _scalar_ci(matrix[:, j])
+
+
+def _csv_reference(labels, *columns):
+    """The rows of one series through csv.writer, as the report wrote them."""
+    buf = io.StringIO()
+    values = [c.tolist() for c in columns]
+    csv.writer(buf, lineterminator="\n").writerows(
+        (*labels, day, *row) for day, *row in zip(range(1, len(values[0]) + 1), *values))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("labels", [
+    ("base",), ("a,b", 'say "hi"', "two\nlines"), ("", "x"), ("",),
+    ("carriage\r",), ("{0}", "}{", "%d", "100%"), (" padded ", "tab\t")])
+def test_series_text_matches_csv_writer(labels):
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-07, 0.1, 123456789.125])
+    assert _series_text(labels, special) == _csv_reference(labels, special)
+    columns = (special, np.arange(7.0), special[::-1].copy())
+    assert _series_text(labels, *columns) == _csv_reference(labels, *columns)
+    # a horizon shorter than a month has no monthly rows
+    assert _series_text(labels, np.array([])) == _csv_reference(labels, np.array([])) == ""

@@ -1,12 +1,21 @@
 """Replication harness and result store: determinism, round trips, layout."""
 
 import csv
+import dataclasses
 import json
 import os
+import subprocess
+import sys
+from array import array
+from pathlib import Path
 
 import pytest
 
+import vaxsim
+from vaxsim import runner
 from vaxsim.config import parse_config
+from vaxsim.metrics import compare_scenarios
+from vaxsim.model import ReplicationResult
 from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, load_store,
                            ndjson_to_result, overlay_identity,
                            result_to_ndjson, run_ensemble, run_replication,
@@ -140,3 +149,98 @@ def test_replication_faults_surface():
     bad["stages"][0]["processing_time"] = -1.0
     with pytest.raises(Exception):
         run_ensemble(bad, {}, 1, 1)
+
+
+# -- lazy series ---------------------------------------------------------
+
+def _result(doses):
+    # a config id may be any string: this name is escaped in the NDJSON
+    odd_name = 'stage_util.f\u00fcll "1"\\'
+    return ReplicationResult("base", 1, len(doses), "2025-04-01", series={
+        "material_stockout.resin": array("b", [0, 1] * (len(doses) // 2)),
+        "released_doses": array("d", doses), odd_name: array("d", doses[::-1])},
+        batches=[{"id": 1, "doses": 2.0}], counts={"batches_released": 1})
+
+
+def test_loaded_series_compare_as_the_written_ones():
+    inf = float("inf")
+    mem = _result([inf, -0.0, 1e-07, -inf])
+    loaded = ndjson_to_result(result_to_ndjson(mem))
+    assert loaded == mem and mem == loaded
+    assert not loaded != mem and not mem != loaded
+    # == cannot tell -0.0 from 0.0, the bits can
+    assert loaded.series["released_doses"].tobytes() == mem.series["released_doses"].tobytes()
+    assert list(loaded.series) == sorted(mem.series)
+    other = _result([inf, -0.0, 2e-07, -inf])
+    assert loaded != other and other != loaded
+    assert not loaded == other and not other == loaded
+    with pytest.raises(TypeError):
+        loaded.series["released_doses"] = array("d")  # read-only
+
+
+def test_a_nan_series_compares_as_an_eagerly_decoded_one():
+    # an array holding NaN equals no other array, so it never did compare equal
+    mem = _result([float("nan"), 1.0])
+    loaded = ndjson_to_result(result_to_ndjson(mem))
+    eager = dataclasses.replace(loaded, series=dict(loaded.series))
+    assert loaded.series["released_doses"].tobytes() == mem.series["released_doses"].tobytes()
+    for a, b in ((loaded, mem), (mem, loaded)):
+        assert (a == b) is (eager == mem) is False
+        assert (a != b) is (eager != mem) is True
+
+
+@pytest.fixture
+def decoded(monkeypatch):
+    """The name of every series decoded, in order."""
+    names = []
+    decode = runner.series_array
+
+    def counting(name, values):
+        names.append(name)
+        return decode(name, values)
+
+    monkeypatch.setattr(runner, "series_array", counting)
+    return names
+
+
+def test_a_series_decodes_once_and_only_when_read(decoded):
+    res = run_replication(chain_dict(end_date="2025-06-30"), {}, 5)
+    loaded = ndjson_to_result(result_to_ndjson(res))
+    assert "released_doses" in loaded.series and "no_such" not in loaded.series
+    assert list(loaded.series) == sorted(res.series) and len(loaded.series) == len(res.series)
+    assert decoded == []
+    first = loaded.series["released_doses"]
+    assert loaded.series["released_doses"] is first
+    assert decoded == ["released_doses"]
+    assert loaded.series == res.series
+    assert sorted(decoded) == sorted(res.series)  # each one once
+
+
+def test_compare_decodes_only_released_doses(tmp_path, decoded):
+    paths = [make_store(tmp_path, name, overlay, n=2)[0]
+             for name, overlay in [("base", {}), ("scen", SLOW_FILL)]]
+    ens = {m["scenario"]: res for m, res in map(load_store, paths)}
+    assert decoded == []
+    compare_scenarios(ens)
+    assert decoded == ["released_doses"] * 4
+
+
+def test_power_outage_store_is_independent_of_the_hash_seed():
+    # a reset used to release running QA/QC work in the order of a set of
+    # tasks hashed by address, and the float sums it feeds depend on order
+    configs = Path(vaxsim.__file__).resolve().parent / "configs"
+    code = ("import hashlib, sys, yaml\n"
+            "from vaxsim.runner import result_to_ndjson, run_ensemble\n"
+            "raw, overlay = (yaml.safe_load(open(p)) for p in sys.argv[1:])\n"
+            "text = ''.join(map(result_to_ndjson, run_ensemble(raw, overlay, 1204000, 2)))\n"
+            "print(hashlib.sha256(text.encode()).hexdigest())\n")
+    src = str(configs.parent.parent)
+    digests = set()
+    for hash_seed in range(4):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed), PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        digests.add(subprocess.run(
+            [sys.executable, "-c", code, str(configs / "demo.yaml"),
+             str(configs / "scenarios" / "power_outage.yaml")],
+            env=env, check=True, capture_output=True, text=True).stdout)
+    assert len(digests) == 1
