@@ -8,8 +8,10 @@ arguments, inputs and --out directory before it simulates anything. compare
 and report refuse a store without replications, and stores that cannot be
 paired replication for replication: a different config, base seed, horizon,
 start date or replication count than the first store's, or a scenario name
-already given. A store record that does not decode is refused the same way,
-when the command first reads it.
+already given. A damaged store is refused the same way: a manifest that is
+not an object listing its files, a replication without exactly one meta and
+one counts record, or a record that does not decode, when the command first
+reads it.
 """
 
 from __future__ import annotations

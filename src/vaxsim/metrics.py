@@ -7,15 +7,18 @@ are judged across replication ensembles with Welch t-tests on a trailing
 an interval is expressed in weeks, so a six-week dip reads as six weeks, not
 ten.
 
-numpy and scipy are imported inside the functions that need them: a run
-writes its KPI table through ``kpi_summary``, and importing either would
-double what ``vaxsim run`` and every replication worker load.
+numpy and scipy.special are imported inside the functions that need them: a
+run writes its KPI table through ``kpi_summary``, and importing either would
+double what ``vaxsim run`` and every replication worker load. The t
+distribution comes from ``scipy.special`` (``stdtr``, ``stdtrit``), not from
+scipy's ``stats`` package, which takes about three times the memory and
+import time. ``_welch_p`` repeats scipy 1.17's ``stats.ttest_ind`` arithmetic
+step for step, so every p-value and interval keeps its bits.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING
@@ -189,7 +192,6 @@ def detect_recovery(base_ensemble, scen_ensemble,
     closing, or never closes, counts as not recovered.
     """
     import numpy as np
-    from scipy import stats
 
     if len(base_ensemble) < 2 or len(scen_ensemble) < 2:
         raise ValueError("need at least two replications per ensemble")
@@ -198,11 +200,7 @@ def detect_recovery(base_ensemble, scen_ensemble,
     if base.shape[1] != scen.shape[1]:
         raise ValueError(
             f"horizon mismatch: base {base.shape[1]} vs scenario {scen.shape[1]}")
-    with np.errstate(divide="ignore", invalid="ignore"), \
-            warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        p = stats.ttest_ind(scen, base, axis=0, equal_var=False,
-                            alternative="less").pvalue
+    p = _welch_p(scen, base, less=True)
     sig = np.nan_to_num(p, nan=1.0) < alpha  # no variance, no verdict
 
     out = {"disrupted": False, "recovered": True, "start_day": None,
@@ -228,13 +226,40 @@ def detect_recovery(base_ensemble, scen_ensemble,
 
 # -- cross-scenario comparison -------------------------------------------
 
+def _welch_p(a: np.ndarray, b: np.ndarray, less: bool = False):
+    """p-value of Welch's t-test of ``a`` against ``b`` along axis 0:
+    two-sided, or one-sided that ``a`` is less.
+
+    The arithmetic is scipy 1.17's ``stats.ttest_ind(a, b, equal_var=False)``
+    step for step, so the bits agree: the variance is the mean squared
+    deviation times n / (n - 1), an undefined df (no variance on either side)
+    becomes 1, and one replication gives NaN, as scipy's size check does.
+    """
+    import numpy as np
+    from scipy.special import stdtr
+
+    def mean_and_vn(x):
+        n = x.shape[0]
+        var = ((x - x.mean(axis=0, keepdims=True)) ** 2).mean(axis=0)
+        return x.mean(axis=0), var * (np.float64(n) / (n - 1)) / n, n
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m1, vn1, n1 = mean_and_vn(a)
+        m2, vn2, n2 = mean_and_vn(b)
+        df = (vn1 + vn2) ** 2 / (vn1 ** 2 / (n1 - 1) + vn2 ** 2 / (n2 - 1))
+        df = np.where(np.isnan(df), 1.0, df)
+        t = (m1 - m2) / np.sqrt(vn1 + vn2)
+    return stdtr(df, t) if less else 2 * stdtr(df, -abs(t))
+
+
 def t_quantile(n: int) -> float:
     """Student t quantile of a two-sided 95% CI for the mean of n > 1
     replications, t(0.975, n - 1): 2.571 at n = 6, where the normal 1.96
-    would be 24% too narrow."""
-    from scipy import stats
+    would be 24% too narrow. ``stats.t.ppf`` computes it with the same
+    ``stdtrit``."""
+    from scipy.special import stdtrit
 
-    return float(stats.t.ppf(1 - ALPHA / 2, n - 1))
+    return float(stdtrit(n - 1, 1 - ALPHA / 2))
 
 
 def series_matrix(results, name: str) -> np.ndarray:
@@ -283,8 +308,6 @@ def compare_scenarios(ensembles: dict[str, list],
     empty delta and p. ``at_days`` are days of the horizon, by default day 365
     and the last day of the base ensemble's horizon.
     """
-    from scipy import stats
-
     if "base" not in ensembles:
         raise ValueError("no ensemble named 'base'")
     if at_days is None:
@@ -305,10 +328,7 @@ def compare_scenarios(ensembles: dict[str, list],
                 ref = cis["base"][0][j]
                 if ref:
                     row["delta_pct"] = 100.0 * (avg - ref) / ref
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore", RuntimeWarning)
-                    p = stats.ttest_ind(totals[name][:, j], totals["base"][:, j],
-                                        equal_var=False).pvalue
+                p = _welch_p(totals[name][:, j], totals["base"][:, j])
                 if not math.isnan(p):
                     row["p_value"] = float(p)
                     row["significant"] = p < ALPHA

@@ -136,7 +136,7 @@ def ndjson_to_result(text: str, source: str = "NDJSON") -> ReplicationResult:
     Series lines are indexed by the name sliced from them (see LazySeries).
     Every other record decodes at once, in one parse: json.dumps never
     writes a raw newline inside a record, so those lines joined by commas
-    are one JSON array.
+    are one JSON array. A replication has one meta and one counts record.
     """
     series, records = {}, []
     try:
@@ -154,17 +154,22 @@ def ndjson_to_result(text: str, source: str = "NDJSON") -> ReplicationResult:
         records = json.loads("[" + ",".join(records) + "]")
     except ValueError as exc:
         raise StoreError(f"{source}: {exc}") from None
-    res = None
+    by_kind = {"meta": [], "series": [], "batch": [], "counts": []}
     for rec in records:
-        kind = rec.pop("kind")
-        if kind == "meta":
-            res = ReplicationResult(**rec)
-        elif kind == "series":  # written some other way than by _dumps
+        kind = rec.pop("kind", None) if isinstance(rec, dict) else None
+        if kind not in by_kind:
+            raise StoreError(f"{source}: not a store record: {rec!r:.80}")
+        by_kind[kind].append(rec)
+    for kind in ("meta", "counts"):
+        if len(by_kind[kind]) != 1:
+            raise StoreError(f"{source}: {len(by_kind[kind])} {kind} records, not one")
+    try:
+        res = ReplicationResult(**by_kind["meta"][0], batches=by_kind["batch"],
+                                counts=by_kind["counts"][0])
+        for rec in by_kind["series"]:  # written some other way than by _dumps
             series[rec["name"]] = series_array(rec["name"], rec["values"])
-        elif kind == "batch":
-            res.batches.append(rec)
-        else:
-            res.counts.update(rec)
+    except (TypeError, KeyError, ValueError, OverflowError) as exc:
+        raise StoreError(f"{source}: {exc}") from None
     res.series = LazySeries(series, source)
     return res
 
@@ -227,10 +232,21 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
 
 
 def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
-    with open(os.path.join(out_dir, "manifest.json"), encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    path = os.path.join(out_dir, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            manifest = json.load(fh)
+        except ValueError as exc:
+            raise StoreError(f"{path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise StoreError(f"{path}: the manifest is not a JSON object")
+    files = manifest.get("files")
+    if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
+        raise StoreError(f"{path}: files is not a list of file names")
+    if not isinstance(manifest.get("scenario"), str):
+        raise StoreError(f"{path}: scenario is not a name")
     results = []
-    for rel in manifest["files"]:
+    for rel in files:
         if not rel.endswith(".ndjson"):
             continue
         path = os.path.join(out_dir, rel)

@@ -282,14 +282,20 @@ def test_two_stores_of_one_scenario_are_refused(paired_stores, tmp_path, capsys)
         f"{base}: scenario 'base' is also in {base}"]
 
 
-def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
-    # numpy and scipy.stats take most of what a run would import, and only
-    # compare and report use them; the process pool only --jobs 2 and up. A
-    # fresh interpreter, since this suite has imported all of them. It runs a
-    # short replication and writes its store.
+def _fresh_python(code, *args):
+    """stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this vaxsim: this suite has imported numpy and scipy.stats."""
     src = str(Path(vaxsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
+def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
+    # numpy and scipy take most of what a run would import, and only compare
+    # and report use them; the process pool only --jobs 2 and up. It runs a
+    # short replication and writes its store.
     code = (
         "import json, sys, vaxsim.cli, vaxsim.runner as r\n"
         "from vaxsim.config import parse_config\n"
@@ -299,26 +305,52 @@ def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
         "print([m for m in ('numpy', 'scipy', 'scipy.stats', 'concurrent.futures',\n"
         "                   'multiprocessing') if m in sys.modules])\n")
     raw = chain_dict(end_date="2025-06-30")
-    out = subprocess.run([sys.executable, "-c", code, json.dumps(raw),
-                          str(tmp_path / "store")], env=env, check=True,
-                         capture_output=True, text=True).stdout
+    out = _fresh_python(code, json.dumps(raw), str(tmp_path / "store"))
     assert out.strip() == "[]"
     assert (tmp_path / "store" / "kpis.csv").exists()
+
+
+def test_compare_and_report_load_scipy_special_not_scipy_stats(paired_stores, tmp_path):
+    # the t distribution comes from scipy.special, a third of scipy.stats's
+    # memory and import time
+    code = (
+        "import sys\n"
+        "from vaxsim.cli import main\n"
+        "assert main(['compare', *sys.argv[1:3]]) == 0\n"
+        "assert main(['report', *sys.argv[1:3], '--out', sys.argv[3]]) == 0\n"
+        "print([m for m in ('scipy.special', 'scipy.stats') if m in sys.modules])\n")
+    out = _fresh_python(code, *paired_stores, str(tmp_path / "rep"))
+    assert out.splitlines()[-1] == "['scipy.special']"
+    assert (tmp_path / "rep" / "comparison.csv").exists()
+
+
+def _rewritten_copy(src, dst, rel, edit):
+    """A copy of store ``src`` whose file ``rel`` holds ``edit`` of its
+    text; returns the copy and the rewritten file."""
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, rel)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(edit(text))
+    return str(dst), path
+
+
+SECOND_REP = os.path.join("replications", "rep_00001.ndjson")
 
 
 def _damaged_copy(src, dst, series, edit):
     """A copy of store ``src`` whose second replication has ``series``'s
     line passed through ``edit``; returns the copy and the damaged file."""
-    shutil.copytree(src, dst)
-    path = os.path.join(dst, "replications", "rep_00001.ndjson")
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
     head = f'{{"kind":"series","name":"{series}","values":['
-    i = next(i for i, line in enumerate(lines) if line.startswith(head))
-    lines[i] = edit(lines[i], len(head))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-    return str(dst), path
+
+    def edit_series(text):
+        lines = text.split("\n")
+        i = next(i for i, line in enumerate(lines) if line.startswith(head))
+        lines[i] = edit(lines[i], len(head))
+        return "\n".join(lines)
+
+    return _rewritten_copy(src, dst, SECOND_REP, edit_series)
 
 
 def _store_error(capsys, path, series, argv):
@@ -357,3 +389,42 @@ def test_a_truncated_series_line_is_a_store_error(paired_stores, tmp_path, capsy
             err = stderr_json(capsys)
             assert err["error"] == "store"
             assert err["messages"] == [f"{path}: series record without values: {stub}"]
+
+
+def _manifest_with(**changes):
+    return lambda text: json.dumps(dict(json.loads(text), **changes))
+
+
+def _lines(edit):
+    """An edit of a replication's record lines (the text ends in a newline)."""
+    return lambda text: "\n".join(edit(text.split("\n")[:-1])) + "\n"
+
+
+@pytest.mark.parametrize("rel, edit, message", [
+    (SECOND_REP, _lines(lambda lines: lines[1:]), "0 meta records, not one"),
+    (SECOND_REP, _lines(lambda lines: lines[:1] + lines), "2 meta records, not one"),
+    (SECOND_REP, _lines(lambda lines: lines[:-1]), "0 counts records, not one"),
+    (SECOND_REP, _lines(lambda lines: lines + ["[1, 2]"]), "not a store record: [1, 2]"),
+    ("manifest.json", lambda text: "[1, 2]", "the manifest is not a JSON object"),
+    ("manifest.json", lambda text: "{", ""),  # in json's words, which vary by version
+    ("manifest.json", _manifest_with(files="kpis.csv"), "files is not a list of file names"),
+    ("manifest.json", _manifest_with(files=[1, "kpis.csv"]),
+     "files is not a list of file names"),
+    ("manifest.json", _manifest_with(scenario=None), "scenario is not a name"),
+], ids=["no meta", "two metas", "no counts", "a list record", "manifest a list",
+        "manifest not JSON", "files a string", "files holds a number", "no scenario"])
+def test_a_damaged_store_is_a_store_error(paired_stores, tmp_path, capsys, rel, edit,
+                                          message):
+    base, scen = paired_stores
+    odd, path = _rewritten_copy(scen, tmp_path / "odd", rel, edit)
+    capsys.readouterr()
+    for argv in (["compare", base, odd], ["report", base, odd, "--out",
+                                          str(tmp_path / "rep")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        err = json.loads(err)
+        assert err["error"] == "store" and len(err["messages"]) == 1
+        assert err["messages"][0].startswith(f"{path}: ")
+        assert err["messages"][0].endswith(message)
+    assert not os.path.exists(tmp_path / "rep")

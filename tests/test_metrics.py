@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from array import array
 from types import SimpleNamespace
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vaxsim.config import parse_config
-from vaxsim.metrics import (bottleneck_report, compare_scenarios,
+from vaxsim.metrics import (_welch_p, bottleneck_report, compare_scenarios,
                             detect_recovery, doses_by_day, kpi_summary,
                             lead_time_histogram, mean, rolling_mean_trailing,
                             t_quantile, time_to_first_dose, time_to_target)
@@ -315,6 +316,45 @@ def test_compare_matches_cell_by_cell_arithmetic_exactly(n):
     for at_days in [None, tuple(range(1, HORIZON + 1, 30))]:
         want = cell_by_cell(ens, at_days or (365, HORIZON))
         assert compare_scenarios(ens, at_days=at_days) == want
+
+
+def welch_columns(rng, n, loc, scale):
+    """An (n x 5) matrix: two random columns around ``loc``, one of zero
+    variance, and two whose mean is exactly ``scale``'s integer part for
+    every n."""
+    offsets = np.arange(n) - (n - 1) / 2
+    whole = np.floor(scale)
+    return np.column_stack([rng.normal(loc, scale, n), rng.normal(loc, scale / 7, n),
+                            np.full(n, whole + 0.5), whole + offsets, whole - 3 * offsets])
+
+
+@pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2), (6, 9), (8, 7), (13, 40), (40, 21)])
+def test_welch_p_matches_scipy_stats_bit_for_bit(n1, n2):
+    # scipy.stats stays the reference here, as in cell_by_cell, in the two
+    # forms compare_scenarios and detect_recovery call
+    from scipy import stats
+
+    rng = np.random.default_rng(n1 * 100 + n2)
+    for scale in [1e-3, 0.7, 1.0, 123.456, 6.0e4, 1e8]:
+        a = welch_columns(rng, n1, scale, scale)
+        b = welch_columns(rng, n2, scale * 1.01, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            less = stats.ttest_ind(a, b, axis=0, equal_var=False, alternative="less")
+            np.testing.assert_array_equal(_welch_p(a, b, less=True), less.pvalue)
+            for j in range(a.shape[1]):
+                two = stats.ttest_ind(a[:, j], b[:, j], equal_var=False).pvalue
+                np.testing.assert_array_equal(_welch_p(a[:, j], b[:, j]), two)
+        assert np.isnan(less.pvalue[2])
+        assert less.statistic[3] == 0.0 == less.statistic[4]
+
+
+def test_t_quantile_matches_scipy_stats():
+    from scipy import stats
+
+    n = np.arange(2, 5001)
+    want = stats.t.ppf(0.975, n - 1)
+    assert [t_quantile(int(k)) for k in n] == want.tolist()
 
 
 def test_missing_base_rejected():
