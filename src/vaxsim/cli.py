@@ -4,14 +4,15 @@ Verbs: validate (parse and check inputs), run (simulate an ensemble into a
 result store), compare (cross-scenario statistics over existing stores),
 report (markdown report plus tidy CSVs). Validation failures exit nonzero
 with a single machine-readable JSON object on stderr; run checks its
-arguments, inputs and --out directory before it simulates anything. compare
-and report refuse a store without replications, and stores that cannot be
-paired replication for replication: a different config, base seed, horizon,
-start date or replication count than the first store's, or a scenario name
-already given. A damaged store is refused the same way: a manifest that is
-not an object listing its files, a replication without exactly one meta and
-one counts record, or a record that does not decode, when the command first
-reads it.
+arguments, inputs and --out directory before it simulates anything, and
+report its stores' pairing and its --out directory before it decodes a
+series. compare and report refuse a store without replications, and stores
+that cannot be paired replication for replication: a different config, base
+seed, horizon, start date or replication count than the first store's, or a
+scenario name already given. A damaged store is refused the same way: a
+manifest that is not an object listing its files, a replication without
+exactly one meta and one counts record, or a record that does not decode,
+when the command first reads it.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ def _load_inputs(args):
     return cfg_raw, overlay_raw, cfg, spec
 
 
+def _make_out(path: str) -> str | None:
+    """Why --out ``path`` cannot be a directory, or None once it is one."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        return f"--out {path}: cannot make a directory there: {exc.strerror}"
+    return None
+
+
 def cmd_validate(args) -> int:
     try:
         _load_inputs(args)
@@ -78,11 +88,9 @@ def cmd_run(args) -> int:
         cfg_raw, overlay_raw, cfg, spec = _load_inputs(args)
     except ConfigError as exc:
         return _fail("validation", exc.errors)
-    try:
-        os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        return _fail("validation", f"--out {args.out}: cannot make a directory there: "
-                                   f"{exc.strerror}")
+    bad = _make_out(args.out)
+    if bad:
+        return _fail("validation", bad)
 
     n = args.replications
     done = 0
@@ -178,6 +186,9 @@ def cmd_report(args) -> int:
     stores, problems = _load_stores(args.stores)
     if problems:
         return _fail("store", problems)
+    bad = _make_out(args.out)
+    if bad:
+        return _fail("validation", bad)
     try:
         path = write_report(stores, args.out)
     except StoreError as exc:

@@ -7,6 +7,12 @@ one file per replication, plus a KPI table and a manifest; every byte is a
 pure function of the inputs, whatever the worker count. A loaded
 replication decodes each daily series the first time it is read, so a
 command pays only for the series it reads.
+
+The store is written with ``json`` alone. Its series lines, millions of
+float literals in a large store, are read back with orjson, which parses a
+double bit for bit as ``float()`` does in about half json's time. Every
+other record is read with ``json``: orjson reads an integer beyond 64 bits
+as a float, and a base seed may be one.
 """
 
 from __future__ import annotations
@@ -97,9 +103,29 @@ class StoreError(ValueError):
     """A store record that does not decode; names the file and the record."""
 
 
+def _decode_series(name: str, line: str):
+    """The array of a series line, as json reads it, parsed by orjson.
+
+    Where orjson's parse does not make an array, json parses the line
+    again, and its array or its error is the answer. json writes a
+    non-finite value as ``NaN``, ``Infinity`` or ``-Infinity``, which orjson
+    does not read; orjson refuses a number that rounds to infinity, which
+    json reads as ``inf`` (``1e400``) or as an int too large for a double;
+    and a damaged line is refused with json's message.
+    """
+    import orjson  # on first decode: run and validate never read a series
+
+    try:
+        return series_array(name, orjson.loads(line)["values"])
+    except (ValueError, TypeError, KeyError, OverflowError):
+        return series_array(name, json.loads(line)["values"])
+
+
 class LazySeries(Mapping):
     """The daily series of a loaded replication, read-only, each decoded
-    from its NDJSON line on first read.
+    from its NDJSON line on first read: by orjson, or by json where orjson's
+    parse makes no array, as for ``NaN`` or a damaged line (see
+    ``_decode_series``).
 
     One dict holds a series' line until the series is read and its array
     after that, so a decoded line is not kept. A series that no one reads is
@@ -114,7 +140,7 @@ class LazySeries(Mapping):
         item = self._items[name]
         if isinstance(item, str):
             try:
-                item = series_array(name, json.loads(item)["values"])
+                item = _decode_series(name, item)
             except (ValueError, TypeError, KeyError, OverflowError) as exc:
                 raise StoreError(f"{self._source}: series {name!r}: {exc}") from None
             self._items[name] = item

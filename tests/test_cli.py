@@ -184,6 +184,22 @@ def test_run_rejects_bad_arguments_before_simulating(chain_yaml, tmp_path, capsy
     assert existing.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("out", ["FILE", "FILE/rep"], ids=["a-file", "under-a-file"])
+def test_report_refuses_an_out_it_cannot_make(paired_stores, tmp_path, capsys, out):
+    # as run does: one JSON line and exit 2, where os.makedirs used to raise
+    existing = tmp_path / "existing.txt"
+    existing.write_text("keep\n")
+    out = out.replace("FILE", str(existing))
+    capsys.readouterr()
+    assert main(["report", *paired_stores, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    err = json.loads(err)
+    assert err["error"] == "validation"
+    assert err["messages"][0].startswith(f"--out {out}: cannot make a directory there: ")
+    assert existing.read_text() == "keep\n"
+
+
 def test_compare_needs_a_base_store(chain_yaml, overlay_yaml, tmp_path, capsys):
     scen = str(tmp_path / "scen")
     main(["run", "--config", chain_yaml, "--scenario", overlay_yaml,
@@ -303,7 +319,7 @@ def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
         "res = r.run_ensemble(raw, {}, 1, 1)\n"
         "r.write_store(sys.argv[2], res, parse_config(raw), None, 1)\n"
         "print([m for m in ('numpy', 'scipy', 'scipy.stats', 'concurrent.futures',\n"
-        "                   'multiprocessing') if m in sys.modules])\n")
+        "                   'multiprocessing', 'orjson') if m in sys.modules])\n")
     raw = chain_dict(end_date="2025-06-30")
     out = _fresh_python(code, json.dumps(raw), str(tmp_path / "store"))
     assert out.strip() == "[]"
@@ -312,15 +328,16 @@ def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
 
 def test_compare_and_report_load_scipy_special_not_scipy_stats(paired_stores, tmp_path):
     # the t distribution comes from scipy.special, a third of scipy.stats's
-    # memory and import time
+    # memory and import time; orjson reads the series
     code = (
         "import sys\n"
         "from vaxsim.cli import main\n"
         "assert main(['compare', *sys.argv[1:3]]) == 0\n"
         "assert main(['report', *sys.argv[1:3], '--out', sys.argv[3]]) == 0\n"
-        "print([m for m in ('scipy.special', 'scipy.stats') if m in sys.modules])\n")
+        "print([m for m in ('scipy.special', 'scipy.stats', 'orjson')\n"
+        "       if m in sys.modules])\n")
     out = _fresh_python(code, *paired_stores, str(tmp_path / "rep"))
-    assert out.splitlines()[-1] == "['scipy.special']"
+    assert out.splitlines()[-1] == "['scipy.special', 'orjson']"
     assert (tmp_path / "rep" / "comparison.csv").exists()
 
 

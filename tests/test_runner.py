@@ -3,21 +3,25 @@
 import csv
 import dataclasses
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
 from array import array
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vaxsim
 from vaxsim import runner
 from vaxsim.config import parse_config
 from vaxsim.metrics import compare_scenarios
-from vaxsim.model import ReplicationResult
-from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, load_store,
-                           ndjson_to_result, overlay_identity,
+from vaxsim.model import ReplicationResult, series_array
+from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, LazySeries, StoreError,
+                           load_store, ndjson_to_result, overlay_identity,
                            result_to_ndjson, run_ensemble, run_replication,
                            write_store)
 from vaxsim.scenario import parse_scenario
@@ -187,6 +191,82 @@ def test_a_nan_series_compares_as_an_eagerly_decoded_one():
     for a, b in ((loaded, mem), (mem, loaded)):
         assert (a == b) is (eager == mem) is False
         assert (a != b) is (eager != mem) is True
+
+
+# -- a store reads each series line as json does --------------------------
+
+def _json_outcome(name, line):
+    """What json makes of a series line: its array's type code and bits, or
+    the message a store named "rep" refuses it with."""
+    try:
+        values = series_array(name, json.loads(line)["values"])
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
+        return f"rep: series {name!r}: {exc}"
+    return values.typecode, values.tobytes()
+
+
+def _store_outcome(series, name):
+    try:
+        values = series[name]
+    except StoreError as exc:
+        return str(exc)
+    return values.typecode, values.tobytes()
+
+
+# any double, NaN payloads, infinities, -0.0 and subnormals among them
+DOUBLES = st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(doubles=st.lists(DOUBLES, max_size=30), flags=st.lists(st.integers(0, 1), max_size=30))
+def test_a_store_reads_written_series_as_json_does(doubles, flags):
+    res = ReplicationResult("base", 1, 1, "2025-04-01", series={
+        "released_doses": array("d", doubles), "material_stockout.resin": array("b", flags)})
+    text = result_to_ndjson(res)
+    series = ndjson_to_result(text, "rep").series
+    for line in text.splitlines():
+        if line.startswith('{"kind":"series"'):
+            name = json.loads(line)["name"]
+            assert _store_outcome(series, name) == _json_outcome(name, line)
+
+
+# hand-written number literals: ints of a byte, ints beyond 64 bits and up to
+# the largest double, and finite doubles as repr writes them
+NUMBERS = (st.integers(-200, 200) | st.integers(-2**70, 2**70)
+           | st.integers(2**1023, 2**1024 - 2**971 - 1)
+           | DOUBLES.filter(math.isfinite)).map(repr)
+# and, at most one to a line, values that round to inf or to 0 or are no number
+ODD = (st.integers(10**399, 10**400 - 1) | st.integers(-10**400 + 1, -10**399)
+       | st.integers(2**1024 - 2**971, 2**1024)).map(str) | st.sampled_from([
+           "1e400", "-1e400", "1e-400", "-0", "NaN", "Infinity", "-Infinity", "nan",
+           "2.4703282292062328e-324", "1.00000000000000011102230246251565404236316680908203125",
+           "null", "true", '"1"', "[]", "{}"])
+JUNK = st.sampled_from(["1.2.3", ",", "[", "]", "}", "x", "-", "e5", ".", '"', "\\", "NaN"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(name=st.sampled_from(["released_doses", "material_stockout.resin"]),
+       literals=st.lists(NUMBERS, max_size=6), odd=st.none() | ODD,
+       damage=st.none() | st.sampled_from(["cut", "junk"]), data=st.data())
+def test_a_store_reads_hand_written_series_as_json_does(name, literals, odd, damage, data):
+    if odd:
+        literals.insert(data.draw(st.integers(0, len(literals))), odd)
+    line = f'{{"kind":"series","name":"{name}","values":[{",".join(literals)}]}}'
+    if damage:
+        at = data.draw(st.integers(0, len(line)))
+        line = line[:at] if damage == "cut" else line[:at] + data.draw(JUNK) + line[at:]
+    assert _store_outcome(LazySeries({name: line}, "rep"), name) == _json_outcome(name, line)
+
+
+def test_a_seed_beyond_64_bits_loads_as_the_int_written(tmp_path):
+    # records stay on json, which reads an int of any size as that int
+    seed = 2**64
+    out, _, results = make_store(tmp_path, "seed", {}, seed=seed, n=1)
+    manifest, (res,) = load_store(out)
+    assert type(res.seed) is int and res.seed == seed
+    assert type(manifest["base_seed"]) is int and manifest["base_seed"] == seed
+    assert res.series == results[0].series
 
 
 @pytest.fixture
