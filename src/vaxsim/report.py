@@ -5,11 +5,17 @@ report covers throughput, lead times, utilization, queues, inventory and
 stockouts. As in ``vaxsim compare``, the base is the store named ``base``: it
 adds the bottleneck ranking and, beside scenario stores, the cross-scenario
 comparison table and recovery findings.
+
+Every float cell of the CSVs is ``repr`` of the value: its shortest
+round-trip digits. The daily series, most of the cells, are written by
+orjson, which writes those same digits in the same notation for nearly every
+value, and by ``repr`` where it would not (see ``_repr_texts``).
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import os
 
@@ -40,14 +46,42 @@ def _series_text(labels: tuple, *columns: np.ndarray) -> str:
 
     csv.writer renders the labels once, so they quote as in every other
     table (the trailing empty field keeps a lone empty label unquoted, as it
-    is in a longer row). csv.writer writes an int with str and a float with
-    repr, which is what ``%d`` and ``%r`` give them.
+    is in a longer row). The day is written with str and each value is
+    written as ``repr`` writes it (see ``_repr_texts``), as csv.writer writes
+    an int and a float.
     """
+    if not len(columns[0]):
+        return ""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerow([*labels, ""])
-    row = buf.getvalue()[:-1].replace("%", "%%") + "%d" + ",%r" * len(columns) + "\n"
-    values = [c.tolist() for c in columns]
-    return "".join([row % r for r in zip(range(1, len(values[0]) + 1), *values)])
+    head = buf.getvalue()[:-1]
+    rows = zip(_day_labels(len(columns[0])), *map(_repr_texts, columns))
+    return head + ("\n" + head).join(map(",".join, rows)) + "\n"
+
+
+@functools.cache
+def _day_labels(n: int) -> tuple[str, ...]:
+    return tuple(map(str, range(1, n + 1)))
+
+
+def _repr_texts(column: np.ndarray) -> list[str]:
+    """``repr`` of each value of a float column, written by orjson.
+
+    For zero and for finite values of magnitude in [1e-4, 1e16), orjson
+    writes the same shortest round-trip digits in the same plain notation as
+    ``repr``. It writes other values differently (``0.00001`` for ``1e-05``,
+    ``1e16`` for ``1e+16``, ``null`` for NaN), so those are rewritten with
+    ``repr``.
+    """
+    import orjson  # loaded already where the series were read from a store
+
+    values = column.tolist()
+    texts = orjson.dumps(values).decode()[1:-1].split(",")
+    magnitude = np.abs(column)
+    plain = ((magnitude >= 1e-4) & (magnitude < 1e16)) | (column == 0)
+    for i in np.flatnonzero(~plain).tolist():
+        texts[i] = repr(values[i])
+    return texts
 
 
 def _fmt_m(doses: float) -> str:

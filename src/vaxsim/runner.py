@@ -141,7 +141,7 @@ class LazySeries(Mapping):
         if isinstance(item, str):
             try:
                 item = _decode_series(name, item)
-            except (ValueError, TypeError, KeyError, OverflowError) as exc:
+            except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
                 raise StoreError(f"{self._source}: series {name!r}: {exc}") from None
             self._items[name] = item
         return item
@@ -178,7 +178,7 @@ def ndjson_to_result(text: str, source: str = "NDJSON") -> ReplicationResult:
             else:
                 records.append(line)
         records = json.loads("[" + ",".join(records) + "]")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # json recurses once per nesting level
         raise StoreError(f"{source}: {exc}") from None
     by_kind = {"meta": [], "series": [], "batch": [], "counts": []}
     for rec in records:
@@ -262,7 +262,7 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
     with open(path, encoding="utf-8") as fh:
         try:
             manifest = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise StoreError(f"{path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise StoreError(f"{path}: the manifest is not a JSON object")

@@ -1,11 +1,13 @@
 """Shared config builders for the test suite."""
 
 import copy
+import math
 import sys
 
 import pytest
 
 from vaxsim.config import parse_config
+from vaxsim.production import RELEASED
 
 # Deterministic 3-stage chain: 1/2/3-day constant processing, single machines,
 # unbounded buffers, no QC, no materials. First release lands at day 6 and the
@@ -42,6 +44,30 @@ def chain_config(**model_overrides):
 @pytest.fixture
 def chain_cfg():
     return chain_config()
+
+
+def assert_books_balance(model, result) -> None:
+    """The plant's books balance at the end of ``model``'s run, which
+    returned ``result``: every batch is released, discarded or still live;
+    the released doses are those of the released batches; and each
+    material's stock is its initial stockpile plus receipts less use.
+
+    Pool queue time does not balance yet, so it is not checked (ROADMAP item
+    8): ``pool_queue_days`` also counts the waits of tasks ``Pool.purge``
+    drops, which ``pool_wait_days`` leaves out.
+    """
+    counts = result.counts
+    assert counts["batches_created"] == (counts["batches_released"]
+                                         + counts["batches_discarded"]
+                                         + len(model.collect.live_batches()))
+    assert sum(result.series["released_doses"]) == sum(
+        b["doses"] for b in result.batches if b["state"] == RELEASED)
+    for m in model.cfg.materials:
+        rt = model.materials.runtimes[m.id]
+        books = (m.initial_stockpile + counts[f"material_received.{m.id}"]
+                 - counts[f"material_consumed.{m.id}"])
+        assert math.isclose(books, rt.on_hand, rel_tol=1e-9, abs_tol=1e-9), \
+            f"{m.id}: {books} on the books, {rt.on_hand} on hand"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

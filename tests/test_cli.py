@@ -408,6 +408,25 @@ def test_a_truncated_series_line_is_a_store_error(paired_stores, tmp_path, capsy
             assert err["messages"] == [f"{path}: series record without values: {stub}"]
 
 
+# nested deeper than any recursion limit: json's decoder recurses once per level
+TOO_DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def test_a_series_nested_too_deep_is_a_store_error(paired_stores, tmp_path, capsys):
+    base, scen = paired_stores
+    odd, path = _damaged_copy(scen, tmp_path / "odd", "released_doses",
+                              lambda line, at: line[:at - 1] + TOO_DEEP + "}")
+    capsys.readouterr()
+    for argv in (["compare", base, odd], ["report", base, odd, "--out",
+                                          str(tmp_path / "rep")]):
+        _store_error(capsys, path, "released_doses", argv)
+
+
+def _first_batch_too_deep(lines):
+    i = next(i for i, line in enumerate(lines) if '"kind":"batch"' in line)
+    return lines[:i] + [TOO_DEEP] + lines[i + 1:]
+
+
 def _manifest_with(**changes):
     return lambda text: json.dumps(dict(json.loads(text), **changes))
 
@@ -428,8 +447,12 @@ def _lines(edit):
     ("manifest.json", _manifest_with(files=[1, "kpis.csv"]),
      "files is not a list of file names"),
     ("manifest.json", _manifest_with(scenario=None), "scenario is not a name"),
+    # in json's words too: a RecursionError, which is not a ValueError
+    (SECOND_REP, _lines(_first_batch_too_deep), ""),
+    ("manifest.json", lambda text: TOO_DEEP, ""),
 ], ids=["no meta", "two metas", "no counts", "a list record", "manifest a list",
-        "manifest not JSON", "files a string", "files holds a number", "no scenario"])
+        "manifest not JSON", "files a string", "files holds a number", "no scenario",
+        "a batch too deep", "manifest too deep"])
 def test_a_damaged_store_is_a_store_error(paired_stores, tmp_path, capsys, rel, edit,
                                           message):
     base, scen = paired_stores

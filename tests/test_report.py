@@ -3,6 +3,7 @@
 import csv
 import io
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import chain_dict
 from vaxsim.config import parse_config
 from vaxsim.metrics import column_ci, t_quantile
-from vaxsim.report import _series_text, write_report
+from vaxsim.report import _repr_texts, _series_text, write_report
 from vaxsim.runner import load_store, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
 
@@ -165,6 +166,31 @@ def test_column_ci_matches_scalar_reference_bit_for_bit(n, cols, data):
         assert tuple(c[j] for c in got) == _scalar_ci(matrix[:, j])
 
 
+# where orjson's notation and repr's part: 1e-04 is written 0.0001 by both, but
+# 1e-05 is 0.00001 to orjson, and 1e+16 is 1e16
+EDGES = [v for edge in (1e-4, 1e16) for toward in (0.0, np.inf)
+         for v in (edge, np.nextafter(edge, toward), -np.nextafter(edge, toward))]
+EDGES += [1e-05, 9999999999999998.0, 1e15, -1e15]
+
+
+def _double(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+DOUBLES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2 ** 64 - 1).map(_double),  # NaN payloads and every exponent
+    st.integers(-2 ** 64, 2 ** 64).map(float),  # integral, up to 2^53 and beyond
+    st.sampled_from(EDGES))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(st.lists(DOUBLES, max_size=40))
+def test_repr_texts_are_repr(values):
+    column = np.array(values + EDGES, dtype=float)
+    assert _repr_texts(column) == [repr(v) for v in column.tolist()]
+
+
 def _csv_reference(labels, *columns):
     """The rows of one series through csv.writer, as the report wrote them."""
     buf = io.StringIO()
@@ -178,9 +204,10 @@ def _csv_reference(labels, *columns):
     ("base",), ("a,b", 'say "hi"', "two\nlines"), ("", "x"), ("",),
     ("carriage\r",), ("{0}", "}{", "%d", "100%"), (" padded ", "tab\t")])
 def test_series_text_matches_csv_writer(labels):
-    special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-07, 0.1, 123456789.125])
+    special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-07, 0.1, 123456789.125,
+                        *EDGES])
     assert _series_text(labels, special) == _csv_reference(labels, special)
-    columns = (special, np.arange(7.0), special[::-1].copy())
+    columns = (special, np.arange(float(len(special))), special[::-1].copy())
     assert _series_text(labels, *columns) == _csv_reference(labels, *columns)
     # a horizon shorter than a month has no monthly rows
     assert _series_text(labels, np.array([])) == _csv_reference(labels, np.array([])) == ""

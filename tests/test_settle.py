@@ -4,15 +4,22 @@ nothing: after every settle, nothing anywhere may be able to start.
 Whole plants are generated (direct handoff and buffered stages, finite and
 unbounded buffers, 1-3 machines, maintenance, materials, QC and QA pools) and
 run under overlays that close stages, resize inventories, cut head-counts,
-make a material unavailable and reset work in progress.
+make a material unavailable and reset work in progress. After every run, and
+after a run of the demo plant under each bundled scenario, the plant's books
+must balance.
 """
 
 import copy
 from datetime import date, timedelta
+from pathlib import Path
 
+import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vaxsim
+from conftest import assert_books_balance
 from vaxsim.config import ConfigError, parse_config
 from vaxsim.model import Model
 from vaxsim.production import STALLED
@@ -166,7 +173,8 @@ def test_nothing_startable_after_settle(case, seed):
     cfg = parse_config(plant)
     spec = parse_scenario(overlay, cfg)
     scenario = None if spec.is_empty else ScenarioRuntime(spec)
-    CheckedModel(cfg, seed, scenario=scenario).run()
+    model = CheckedModel(cfg, seed, scenario=scenario)
+    assert_books_balance(model, model.run())
 
 
 HOSTILE = ["x", -1, 0, 1.5, None, True, [1], {"constant": -1}, {"weibull": [1]}, 10 ** 400]
@@ -195,4 +203,20 @@ def test_any_config_parses_and_runs_or_is_rejected(plant, data):
         cfg = parse_config(plant)
     except ConfigError:
         return
-    Model(cfg, seed=1).run()
+    model = Model(cfg, seed=1)
+    assert_books_balance(model, model.run())
+
+
+CONFIG_DIR = Path(vaxsim.__file__).parent / "configs"
+
+
+@pytest.mark.parametrize("scenario", [None, *sorted(
+    p.stem for p in (CONFIG_DIR / "scenarios").glob("*.yaml"))])
+def test_books_balance_on_the_bundled_scenarios(scenario):
+    cfg = parse_config(yaml.safe_load((CONFIG_DIR / "demo.yaml").read_text()))
+    runtime = None
+    if scenario is not None:
+        overlay = yaml.safe_load((CONFIG_DIR / "scenarios" / f"{scenario}.yaml").read_text())
+        runtime = ScenarioRuntime(parse_scenario(overlay, cfg))
+    model = Model(cfg, 100, scenario=runtime)
+    assert_books_balance(model, model.run())
