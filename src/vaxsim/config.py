@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date, datetime
 from functools import cache
@@ -126,9 +127,7 @@ def _fraction(dist) -> str | None:
 
 
 def _duration(dist) -> str | None:
-    """A duration is a distribution over non-negative times, not a bernoulli flag."""
-    if dist.kind == "bernoulli":
-        return "a bernoulli draw is not a duration"
+    """A duration is a distribution over non-negative times."""
     return "must be >= 0" if dist.support()[0] < 0 else None
 
 
@@ -518,6 +517,12 @@ def _check_materials(cfg, errors):
             if mid not in material_ids:
                 errors.append(f"stages.{stage.id}: unknown material {mid!r}")
     for mat in cfg.materials:
+        level = mat.reorder_point + mat.safety_stock
+        # a review orders int((level - position) // lot_size) + 1 lots
+        if mat.lot_size > 0 and not (math.isfinite(level + mat.lot_size)
+                                     and math.isfinite(level / mat.lot_size)):
+            errors.append(f"materials.{mat.id}: reorder_point + safety_stock + lot_size and "
+                          "(reorder_point + safety_stock) / lot_size must be finite")
         if not mat.suppliers:
             errors.append(f"materials.{mat.id}: at least one supplier required")
             continue

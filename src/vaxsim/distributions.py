@@ -1,4 +1,4 @@
-"""Sampling distributions for processing times, lead times and outcomes.
+"""Sampling distributions for processing times, lead times and yields.
 
 Parameters are validated when a distribution is constructed (i.e. at config
 load), never at sample time. Constant draws consume no random numbers; every
@@ -21,7 +21,7 @@ class DistributionError(ValueError):
 
 @dataclass(frozen=True)
 class Distribution:
-    """Tagged distribution: constant, triangular, lognormal, uniform, bernoulli.
+    """Tagged distribution: constant, triangular, lognormal or uniform.
 
     Lognormal is parameterized by (median, multiplicative scale): a draw is
     ``median * exp(ln(scale) * Z)`` with Z standard normal, so the median is
@@ -60,11 +60,6 @@ class Distribution:
                 raise DistributionError("uniform takes (lo, hi)")
             if p[0] > p[1]:
                 raise DistributionError(f"uniform requires lo <= hi, got {p}")
-        elif self.kind == "bernoulli":
-            if len(p) != 1:
-                raise DistributionError("bernoulli takes (p,)")
-            if not 0.0 <= p[0] <= 1.0:
-                raise DistributionError(f"bernoulli p must be in [0, 1], got {p[0]}")
         else:
             raise DistributionError(f"unknown distribution kind {self.kind!r}")
 
@@ -75,11 +70,11 @@ class Distribution:
     def sample(self, rng: HashStream):
         """Draw one value from a substream (``RngRegistry.derived``).
 
-        Every draw is a Python float (bernoulli: a bool). The lognormal uses
-        the C library's ``math.exp``, not numpy's exp, which picks a vector
-        kernel by CPU feature: on AVX-512 hardware that kernel differs in the
-        last bit on a few percent of inputs, so stores would depend on the CPU
-        that wrote them.
+        Every draw is a Python float. The lognormal uses the C library's
+        ``math.exp``, not numpy's exp, which picks a vector kernel by CPU
+        feature: on AVX-512 hardware that kernel differs in the last bit on a
+        few percent of inputs, so stores would depend on the CPU that wrote
+        them.
         """
         p = self.params
         if self.kind == "constant":
@@ -89,10 +84,8 @@ class Distribution:
         if self.kind == "lognormal":
             median, scale = p
             return median * math.exp(math.log(scale) * rng.standard_normal())
-        if self.kind == "uniform":
-            lo, hi = p
-            return lo + (hi - lo) * rng.random()
-        return rng.random() < p[0]  # bernoulli
+        lo, hi = p  # uniform
+        return lo + (hi - lo) * rng.random()
 
     def mean(self) -> float:
         """Analytic mean, used by statistical self-checks."""
@@ -105,9 +98,7 @@ class Distribution:
             median, scale = p
             sigma = math.log(scale)
             return median * math.exp(sigma * sigma / 2.0)
-        if self.kind == "uniform":
-            return (p[0] + p[1]) / 2.0
-        return p[0]
+        return (p[0] + p[1]) / 2.0  # uniform
 
     def variance(self) -> float:
         p = self.params
@@ -120,19 +111,12 @@ class Distribution:
             median, scale = p
             s2 = math.log(scale) ** 2
             return (math.exp(s2) - 1.0) * median * median * math.exp(s2)
-        if self.kind == "uniform":
-            return (p[1] - p[0]) ** 2 / 12.0
-        return p[0] * (1.0 - p[0])
+        return (p[1] - p[0]) ** 2 / 12.0  # uniform
 
     def scaled(self, factor: float) -> "Distribution":
-        """Distribution with every location parameter multiplied by ``factor``.
-
-        Bernoulli has no time scale and is rejected.
-        """
+        """Distribution with every location parameter multiplied by ``factor``."""
         if factor <= 0:
             raise DistributionError(f"scale factor must be > 0, got {factor}")
-        if self.kind == "bernoulli":
-            raise DistributionError("cannot scale a bernoulli distribution")
         if self.kind == "lognormal":
             median, scale = self.params
             return Distribution("lognormal", (median * factor, scale))
@@ -146,9 +130,7 @@ class Distribution:
             return (p[0], p[2])
         if self.kind == "lognormal":
             return (0.0, math.inf)
-        if self.kind == "uniform":
-            return (p[0], p[1])
-        return (0.0, 1.0)
+        return (p[0], p[1])  # uniform
 
 
 def _triangular_ppf(u: float, lo: float, mode: float, hi: float) -> float:
@@ -177,10 +159,6 @@ def uniform(lo: float, hi: float) -> Distribution:
     return Distribution("uniform", (float(lo), float(hi)))
 
 
-def bernoulli(p: float) -> Distribution:
-    return Distribution("bernoulli", (float(p),))
-
-
 def is_number(value) -> bool:
     # the bound also rules out nan, inf and integers too large for a float
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -203,7 +181,6 @@ def from_config(node) -> Distribution:
         {triangular: [6, 8, 12]}
         {lognormal: {median: 1.5, scale: 1.4}}   # or [median, scale]
         {uniform: [0, 1]}
-        {bernoulli: 0.05}
         3.5                                       # shorthand for constant
     """
     if isinstance(node, (int, float)) and not isinstance(node, bool):
@@ -227,8 +204,6 @@ def from_config(node) -> Distribution:
     if kind == "uniform":
         a, b = _pair(args)
         return uniform(a, b)
-    if kind == "bernoulli":
-        return bernoulli(_scalar(args))
     raise DistributionError(f"unknown distribution kind {kind!r}")
 
 

@@ -211,16 +211,14 @@ class Engine:
 
     Handlers are registered per event kind; ``run`` pops events until the list
     drains or the next event lies beyond the horizon, then parks the clock at
-    the horizon. An optional trace records (time, seq, kind) of every event
-    processed, for replay/determinism checks.
+    the horizon.
     """
 
-    def __init__(self, clock: SimClock | None = None, *, trace: bool = False) -> None:
+    def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock or SimClock()
         self.events = EventList()
         self.handlers: dict[str, object] = {}
         self.after_event = None  # optional hook run after every handled event
-        self.trace: list[tuple[float, int, str]] | None = [] if trace else None
 
     def schedule(self, delay_or_time: float, kind: str, target: object = None,
                  *, absolute: bool = False) -> Event:
@@ -252,8 +250,6 @@ class Engine:
             ev = self.pop_next()
             if ev is END_OF_HORIZON:
                 break
-            if self.trace is not None:
-                self.trace.append((ev.time, ev.seq, ev.kind))
             handler = handlers.get(ev.kind)
             if handler is None:
                 raise KeyError(f"no handler for event kind {ev.kind!r}")

@@ -5,13 +5,13 @@ and hands back a ReplicationResult. Everything is deterministic in (config,
 scenario, seed).
 
 The collector keeps each daily reading once, in the result's own series:
-every series is allocated for the whole horizon when the run starts. Batch
-creations, releases, discards and released doses are added to the current
-day as they happen. At each day tick the collector takes the day's share of
-the busy, closed, capacity and queue integrals, writes the stage and pool
-utilization ratios and the queue lengths, and writes each material's level
-and stockout flag. ``Collector.result`` hands over those same arrays and adds
-the run totals.
+every series is allocated for the whole horizon when the run starts. Released
+doses are added to the current day as they happen; when each batch was
+created, released or discarded is in the batch log. At each day tick the
+collector takes the day's share of the busy, closed, capacity and queue
+integrals, writes the stage and pool utilization ratios and the queue
+lengths, and writes each material's level and stockout flag.
+``Collector.result`` hands over those same arrays and adds the run totals.
 
 Time advances in the three phases of Pidd's method: pop the next event, run
 its handler (the B-phase), then ``settle`` (the C-phase) starts every batch
@@ -84,9 +84,7 @@ class Collector:
         self.model = model
         self.horizon = int(model.engine.clock.horizon_days)
         self.series: dict[str, array] = {}
-        for name in ("released_doses", "batches_created", "batches_released",
-                     "batches_discarded"):
-            self._new(name)
+        self._doses = self._new("released_doses")
         self._stages = [(s, self._new(f"stage_util.{s.id}"))
                         for s in model.production.stages]
         self._pools = [(p, self._new(f"pool_util.{p.name}"),
@@ -104,21 +102,12 @@ class Collector:
 
     def record_created(self, batch: Batch) -> None:
         self.batches.append(batch)
-        self.series["batches_created"][self._day()] += 1
 
     def record_release(self, batch: Batch) -> None:
-        d = self._day()
-        self.series["batches_released"][d] += 1
-        self.series["released_doses"][d] += batch.doses
-
-    def record_discard(self, batch: Batch) -> None:
-        self.series["batches_discarded"][self._day()] += 1
+        self._doses[self.model.engine.clock.day_index()] += batch.doses
 
     def live_batches(self) -> list[Batch]:
         return [b for b in self.batches if b.alive]
-
-    def _day(self) -> int:
-        return self.model.engine.clock.day_index()
 
     # -- end of day ------------------------------------------------------
 
@@ -165,18 +154,15 @@ class Collector:
         c["batches_created"] = len(self.batches)
         c["batches_released"] = sum(1 for b in self.batches if b.state == RELEASED)
         c["batches_discarded"] = sum(1 for b in self.batches if b.state == DISCARDED)
-        c["released_doses"] = sum(self.series["released_doses"])
+        c["released_doses"] = sum(self._doses)
         c["retests"] = sum(b.retests for b in self.batches)
         c["investigations"] = sum(b.investigations for b in self.batches)
         for pool in model.qc.pools:
             c[f"pool_busy_days.{pool.name}"] = pool.busy_int.total
             c[f"pool_queue_days.{pool.name}"] = pool.queue_int.total
             c[f"pool_started.{pool.name}"] = pool.started
-            c[f"pool_completed.{pool.name}"] = pool.completed
             c[f"pool_wait_days.{pool.name}"] = pool.wait_total
-            c[f"pool_sojourn_days.{pool.name}"] = pool.sojourn_total
         for stage in model.production.stages:
-            c[f"stage_busy_days.{stage.id}"] = stage.busy.total
             c[f"stage_closed_days.{stage.id}"] = stage.closed_int.total
         for rt, _, flags in self._materials:
             c[f"material_stockout_days.{rt.id}"] = sum(flags)
@@ -253,7 +239,6 @@ class Model:
         batch.discard_cause = cause
         self.production.remove_batch(batch)
         self.qc.void_batch(batch, now)
-        self.collect.record_discard(batch)
 
     def reset_wip(self) -> None:
         """Instant loss of all work-in-progress and in-lab QC samples.

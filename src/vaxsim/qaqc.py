@@ -67,9 +67,7 @@ class Pool:
         self.cap_int = StepIntegral(capacity)
         self.queue_int = StepIntegral(0)
         self.started = 0
-        self.completed = 0
-        self.wait_total = 0.0     # enqueue -> start
-        self.sojourn_total = 0.0  # enqueue -> completion
+        self.wait_total = 0.0  # enqueue -> start
         # may be able to start a task: enqueue, release and set_capacity set
         # it (a purge only shrinks the queue), QaQc.pump clears it
         self.awake = True
@@ -101,11 +99,9 @@ class Pool:
             changed = True
         return changed
 
-    def release(self, task: Task, now: float) -> None:
+    def release(self, now: float) -> None:
         self.busy -= 1
         self.busy_int.add(now, -1)
-        self.completed += 1
-        self.sojourn_total += now - task.enqueued_at
         self.awake = True
 
     def purge(self, predicate, now: float) -> list[Task]:
@@ -261,7 +257,7 @@ class QaQc:
         now = self.model.engine.clock.now
         del self.running[task]
         if task.pool is not None:  # an in-process retest seizes no one
-            task.pool.release(task, now)
+            task.pool.release(now)
         task.event = None
         if not task.batch.alive:
             return  # work on a discarded batch finishes harmlessly
@@ -376,7 +372,7 @@ class QaQc:
         for task in [t for t in self.running if t.kind in sample_kinds]:
             task.event.void = True
             task.event = None
-            task.pool.release(task, now)
+            task.pool.release(now)
             del self.running[task]
         for batch in self.model.collect.live_batches():
             for sample in batch.samples:

@@ -143,6 +143,36 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+DEMO = Path(vaxsim.__file__).parent / "configs" / "demo.yaml"
+
+
+# a material's review orders int((reorder_point + safety_stock - position)
+# // lot_size) + 1 lots: arithmetic that overflows a double must not validate
+@pytest.mark.parametrize("material, modification", [
+    pytest.param({"reorder_point": 1e308, "safety_stock": 1e308}, None,
+                 id="level-overflows"),
+    pytest.param({"lot_size": 1e-300, "reorder_point": 1e10}, None, id="lots-overflow"),
+    pytest.param({"reorder_point": 1e10}, _set("materials.*.lot_size", {"scale": 1e-300}),
+                 id="overlay-lots-overflow"),
+])
+def test_reorder_arithmetic_that_overflows_is_refused(material, modification, tmp_path,
+                                                      capsys):
+    cfg = yaml.safe_load(DEMO.read_text())
+    cfg["materials"][0].update(material)
+    args = ["--config", write_yaml(tmp_path / "cfg.yaml", cfg)]
+    if modification is not None:
+        args += ["--scenario", write_yaml(tmp_path / "ov.yaml",
+                                          {"modifications": [modification]})]
+    out = tmp_path / "out"
+    for cmd in (["validate"], ["run", "--replications", "1", "--out", str(out)]):
+        assert main(cmd + args) == 2
+        err = stderr_json(capsys)
+        assert err["error"] == "validation"
+        assert any("(reorder_point + safety_stock) / lot_size must be finite" in m
+                   for m in err["messages"])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["false", "0", "[]", "''", "5"])
 def test_overlay_root_must_be_a_mapping(chain_yaml, tmp_path, capsys, text):
     overlay = tmp_path / "ov.yaml"

@@ -380,7 +380,7 @@ def test_durations_and_yields_are_range_checked():
     with pytest.raises(ConfigError) as err:
         parse_config(d)
     assert sorted(err.value.errors) == [
-        "qa.release_review_time: a bernoulli draw is not a duration",
+        "qa.release_review_time: unknown distribution kind 'bernoulli'",
         "stages.fill.yield_fraction: must lie in [0, 1]",
         "stages.mix.processing_time: must be >= 0",
         "stages.prep.processing_time: mean must be > 0",
@@ -412,15 +412,15 @@ OUT_OF_RANGE = [
      "materials.resin.suppliers.b.min_interarrival: must be >= 0"),
     ({"stages.0.materials": {"resin": 0}},
      "stages.prep.materials: quantities must be > 0, got {'resin': 0.0}"),
-    # durations: a bernoulli draw, a negative time, no time where time is due
+    # durations: an unknown kind, a negative time, no time where time is due
     ({"qc.tests.0.prep_time": {"bernoulli": 0.5}},
-     "qc.tests.ph.prep_time: a bernoulli draw is not a duration"),
+     "qc.tests.ph.prep_time: unknown distribution kind 'bernoulli'"),
     ({"qa.release_review_time": {"uniform": [-1, 1]}},
      "qa.release_review_time: must be >= 0"),
     ({"materials.0.receipt_qc_time": {"triangular": [-1, 0, 1]}},
      "materials.resin.receipt_qc_time: must be >= 0"),
     ({"materials.0.suppliers.0.transport_time": {"bernoulli": 0.1}},
-     "materials.resin.suppliers.a.transport_time: a bernoulli draw is not a duration"),
+     "materials.resin.suppliers.a.transport_time: unknown distribution kind 'bernoulli'"),
     ({"stages.1.processing_time": 0}, "stages.mix.processing_time: mean must be > 0"),
     ({"materials.0.suppliers.1.lead_time": {"constant": 0}},
      "materials.resin.suppliers.b.lead_time: mean must be > 0"),

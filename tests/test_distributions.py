@@ -103,24 +103,6 @@ class TestUniform:
             d.uniform(4, 2)
 
 
-class TestBernoulli:
-    def test_rate(self):
-        x = draws(d.bernoulli(0.05))
-        assert set(np.unique(x)) <= {0.0, 1.0}
-        assert abs(x.mean() - 0.05) < 0.004
-
-    def test_extremes_are_exact(self):
-        g = stream(1)
-        assert not d.bernoulli(0.0).sample(g)
-        assert d.bernoulli(1.0).sample(g)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(d.DistributionError):
-            d.bernoulli(1.5)
-        with pytest.raises(d.DistributionError):
-            d.bernoulli(-0.1)
-
-
 class TestConfigRoundTrip:
     @pytest.mark.parametrize("node,kind", [
         ({"constant": 2.0}, "constant"),
@@ -128,7 +110,6 @@ class TestConfigRoundTrip:
         ({"lognormal": {"median": 1.5, "scale": 1.4}}, "lognormal"),
         ({"lognormal": [1.5, 1.4]}, "lognormal"),
         ({"uniform": [0, 1]}, "uniform"),
-        ({"bernoulli": 0.05}, "bernoulli"),
         (3.5, "constant"),
     ])
     def test_parses(self, node, kind):

@@ -75,15 +75,15 @@ def test_clock_day_index_clamps_to_horizon():
 
 def test_engine_runs_handlers_in_order_and_parks_at_horizon():
     clock = SimClock(date(2025, 4, 1), date(2025, 4, 11))
-    eng = Engine(clock, trace=True)
+    eng = Engine(clock)
     seen = []
-    eng.on("a", lambda ev: seen.append((ev.time, ev.kind)))
-    eng.on("b", lambda ev: seen.append((ev.time, ev.kind)))
+    eng.on("a", lambda ev: seen.append((ev.time, ev.seq, ev.kind)))
+    eng.on("b", lambda ev: seen.append((ev.time, ev.seq, ev.kind)))
     eng.schedule(2.0, "b")
     eng.schedule(1.0, "a")
     eng.schedule(20.0, "a")  # beyond horizon: never dispatched
     eng.run()
-    assert seen == [(1.0, "a"), (2.0, "b")]
+    assert seen == [(1.0, 1, "a"), (2.0, 0, "b")]
     assert eng.clock.now == clock.horizon_days
 
 
@@ -156,13 +156,14 @@ class TestRngRegistry:
 
 def test_trace_is_sorted_by_time_then_seq():
     clock = SimClock(date(2025, 4, 1), date(2025, 5, 1))
-    eng = Engine(clock, trace=True)
-    eng.on("t", lambda ev: None)
+    eng = Engine(clock)
+    trace = []
+    eng.on("t", lambda ev: trace.append((ev.time, ev.seq, ev.kind)))
     for t in [3.0, 1.0, 1.0, 2.0]:
         eng.schedule(t, "t")
     eng.run()
-    assert eng.trace == sorted(eng.trace)
-    assert [t for t, _, _ in eng.trace] == [1.0, 1.0, 2.0, 3.0]
+    assert trace == sorted(trace)
+    assert [t for t, _, _ in trace] == [1.0, 1.0, 2.0, 3.0]
 
 
 def test_heap_invariant_under_interleaved_push_pop():

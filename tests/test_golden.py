@@ -11,12 +11,15 @@ schema gains or loses a field.
 """
 
 import hashlib
+import json
+import shutil
 from pathlib import Path
 
 import pytest
 import yaml
 
 import vaxsim
+from vaxsim.cli import main
 from vaxsim.config import parse_config
 from vaxsim.report import write_report
 from vaxsim.runner import load_store, result_to_ndjson, run_ensemble, write_store
@@ -28,32 +31,32 @@ REPLICATIONS = 2
 
 # scenario -> ([sha256 of each replication's NDJSON], sha256 of kpis.csv)
 GOLDEN = {
-    "base": (["bda9af721168f1bb4190564c34d4ffdb9a2f32ddeefb674fdb90dfba02cd0cf4",
-              "4af619df1dcc6313942a9c1e3f05eb1b2de982ebb39544d750bd5152e8d52273"],
+    "base": (["c791b6dd6639b6828950ebe56e87775f724ce1e8441b99252d9215a1f35e001e",
+              "22700118612a2a39cccd642d996eb3ccc6c71882412f08efab2f31754030cae4"],
              "d5a5aa3f362b8fb159d44a0013e7e6167b36ae78880615876a129d29af23bd47"),
     "lead_time_inflation": (
-        ["24a71de177769d42777f418b6de2c67f57a2e099f1392622193f4fd98949fb1b",
-         "680ffd76176e20c070920d13395b9e85101e5288556404a03a16ba33bab379fa"],
+        ["682f3c5eea343abf67ad6f07a214bf451a453c8b726d3d1f5e01a3b445e2adcc",
+         "51c13cf1652a2b5ff25ac522202c0bccedf2ec87bcb8ac6e18f463b77049af77"],
         "9b45d03f436edd7ed05797f5c4ac59f70c918250f928f4828ce2bfcf59c89264"),
     "power_outage": (
-        ["8777c34534af7c166453dad85d3aad286066b862f20f9231d5df269024a41e95",
-         "84ba2ec26d5e159ba0585b6824da55d9b941690babe36d989ccaa323d5309cea"],
+        ["25c8d7b3ffde136c173119f0bd799c6ea817f23c88e67a742c66824e0c3400dc",
+         "805373c304e70f67f1e4bc6d585d4d6d3eccc0be63541d5e238e8c4f13e0fbc0"],
         "3356d527d7fe68943b1d24600edf04f35f0dbef2938091dc914f9c131b474da9"),
     "quality_capacity_doubling": (
-        ["abee3bfe2f1a42ed619e5efa60c36d9fa2ca184761484c088cfe49cea90b227b",
-         "6505cb5553567c333faeb48fe72e61cadc6ca4be5819d3bb25e166a4d212e060"],
+        ["1e3c7c966691ae5f59a3196b5dbbaafaead03daaa1503924b7943550a1dd7e21",
+         "dad0b465d0a768f540c68541e27d2ab1e21c4d468369d4ab06f4fa4f145d0a63"],
         "573242038e5ee2966fa8be1f91a7032c8f1c6d7e886b2e97c783142edf544f9f"),
     "shutdown_main_culture": (
-        ["dfa4ed6f555ca126d45049c5953f3dc1be317e4b902705db3c1b87bca1afc080",
-         "56b5dda9ffce2849d010c4bb5ba1f3b31f6978872612be7758d214f14812370c"],
+        ["bbcd942b5219cbaf7e643b231f4ac0239a3bbfabf0744b6114486feed746f76f",
+         "43d8beff7af0d61b9ed809692f7ea34b59d8bd6f5d9f3c0174b61b61019c38ad"],
         "72ed856ea25b82d4ffda2600b4a24e97383ff81f8c54a5348c8907c195ba4d26"),
     "supplier_unavailability": (
-        ["c7cfd8dace3eed6db85679068729d3fdad262ffc43c6ead54a54cf7c9f0a9364",
-         "b1292eb4efd9e5d76682b19089af13fffc7b7994479ae66f31c79378c0a49b5d"],
+        ["6a71c13fca9ea2f7136a8a7064c60e99b4a90b7d124e0f0c4674c7a15eeda47e",
+         "f47d117577b07d475dce6984f5f3c9fd28a3b05f0169180a28eca270a13840b4"],
         "8f4c2935d44902e7b41fc54bfe2ab0798fdb91bf8f5992f3883a114aa29398a1"),
     "workforce_reduction": (
-        ["c72b4ed49176342e12ba2cff87088ac3493fee946ed7cc459d195414090d43be",
-         "0fa38b328747f69a2c736666a7d16168c675e568a265f473dd8ce9decfb551eb"],
+        ["61f4fa015a127071f70253a7b3e95d39dc6c675a808a4756ad75ec0c35cc6e50",
+         "cafdbf5868e33de31d305057835cfa8a253f32eddd7773f54b75458b517abd00"],
         "9f574131018c5c9e5a914dde03e4de43f9528e72084e8c5365853df17b83444f"),
 }
 
@@ -111,6 +114,64 @@ def test_store_bytes_match_golden(name, stores):
 @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
 def test_report_bytes_match_golden(name, report_dir):
     assert _sha((report_dir / name).read_bytes()) == REPORT_GOLDEN[name]
+
+
+def _dumps(record) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def _older_layout(src: Path, dst: Path) -> Path:
+    """A copy of store ``src`` in the layout stores had before the records
+    nothing read were dropped: each replication also carries the daily
+    ``batches_created``, ``batches_released`` and ``batches_discarded`` series
+    (rebuilt from its batch log) and the ``pool_completed``,
+    ``pool_sojourn_days`` and ``stage_busy_days`` counters (stand-in values)."""
+    shutil.copytree(src, dst)
+    for path in sorted((dst / "replications").glob("rep_*.ndjson")):
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        meta, counts = records[0], records[-1]
+        horizon = meta["horizon_days"]
+        series = {r["name"]: r for r in records if r["kind"] == "series"}
+        batches = [r for r in records if r["kind"] == "batch"]
+        for name, at in (("batches_created", "created_at"),
+                         ("batches_released", "released_at"),
+                         ("batches_discarded", "discarded_at")):
+            values = [0.0] * horizon
+            for b in batches:
+                if b[at] is not None:
+                    values[min(int(b[at]), horizon - 1)] += 1
+            series[name] = {"kind": "series", "name": name, "values": values}
+        for key in list(counts):
+            family, _, item = key.partition(".")
+            if family == "pool_started":
+                counts[f"pool_completed.{item}"] = counts[key]
+            elif family == "pool_wait_days":
+                counts[f"pool_sojourn_days.{item}"] = (
+                    counts[key] + counts[f"pool_busy_days.{item}"])
+            elif family == "stage_closed_days":
+                counts[f"stage_busy_days.{item}"] = 1.5
+        lines = [meta, *(series[n] for n in sorted(series)), *batches, counts]
+        path.write_text("".join(_dumps(r) + "\n" for r in lines), encoding="utf-8")
+    return dst
+
+
+def test_stores_in_the_older_layout_read_the_same(stores, report_dir, tmp_path, capsys):
+    """Older-layout stores load, pair with current ones, and give the same
+    ``compare`` output and report bytes."""
+    current = [str(path) for _, path in stores.values()]
+    mixed = [str(_older_layout(Path(p), tmp_path / Path(p).name)) if i % 2 == 0 else p
+             for i, p in enumerate(current)]
+    capsys.readouterr()
+    outputs = []
+    for paths in (current, mixed):
+        assert main(["compare", *paths]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert main(["report", *mixed, "--out", str(tmp_path / "report")]) == 0
+    files = sorted(p.name for p in report_dir.iterdir())
+    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "report" / name).read_bytes() == (report_dir / name).read_bytes()
 
 
 # A small chain plant that reaches the QA/QC branches the demo never takes: an
@@ -171,9 +232,9 @@ QAQC_PLANT = {
 
 # sha256 of each replication's NDJSON record, three replications from SEED
 QAQC_PLANT_GOLDEN = [
-    "b0dd71bf6fe4e31cdd7108df4e0dbb725956a60098ad2629ff0b3c30a52422d1",
-    "6385faa98c8fa5a5d95c0771d8bc3374d350ea9c061a392b12de6df04cdc1f33",
-    "75177b3d12e0e1276aacd03085714bbe3fb870ca306a56c71208845b07508489",
+    "3a82a6c41cbc57db7b957b940a7d0e77d4faa658c96e72b3cc448ae131ecd048",
+    "8a45adab072ac51af8222c767b715b8ad610f9e9ce562bc4902560fa78a87510",
+    "911b4b5fcd0d8f5da2c8d371fbe348c06e2bf7fc7f96c22a245cde91541996ee",
 ]
 
 

@@ -48,7 +48,7 @@ def drain_order(pool):
     while pool.queue_len() or pool.busy:
         if not pool.pump(99.0, starter):
             break
-        pool.release(order[-1], 99.0)
+        pool.release(99.0)
     return order
 
 
