@@ -10,9 +10,10 @@ series. compare and report refuse a store without replications, and stores
 that cannot be paired replication for replication: a different config, base
 seed, horizon, start date or replication count than the first store's, or a
 scenario name already given. A damaged store is refused the same way: a
-manifest that is not an object listing its files, a replication without
-exactly one meta and one counts record, or a record that does not decode,
-when the command first reads it.
+manifest that is not an object listing its replication files in order, a
+replication whose seed is not the base seed plus its index, a replication
+without exactly one meta and one counts record, or a record that does not
+decode, when the command first reads it.
 """
 
 from __future__ import annotations

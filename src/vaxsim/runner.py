@@ -41,11 +41,7 @@ KPI_COLUMNS = [
 def run_replication(cfg_raw: dict, overlay_raw: dict | None, seed: int) -> ReplicationResult:
     """One fully deterministic replication from plain-dict inputs."""
     cfg = parse_config(cfg_raw)
-    scenario = None
-    spec = parse_scenario(overlay_raw, cfg)
-    if not spec.is_empty:
-        scenario = ScenarioRuntime(spec)
-    return Model(cfg, seed, scenario=scenario).run()
+    return Model(cfg, seed, scenario=ScenarioRuntime(parse_scenario(overlay_raw, cfg))).run()
 
 
 def _worker(args) -> ReplicationResult:
@@ -211,12 +207,16 @@ def overlay_identity(spec: ScenarioSpec, overlay_raw: dict | None) -> str | None
              "start": m.start.isoformat(),
              "end": m.end.isoformat() if m.end else None, "revert": m.revert}
             for m in spec.modifications],
-        "resets": [{"at": r.at.isoformat()} for r in spec.resets],
+        "resets": [{"at": at.isoformat()} for at in spec.resets],
     }
     return hashlib.sha256(_dumps(canon).encode()).hexdigest()
 
 
 # -- the store -----------------------------------------------------------
+
+def _rep_file(i: int) -> str:
+    return os.path.join("replications", f"rep_{i:05d}.ndjson")
+
 
 def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
                 spec: ScenarioSpec | None, base_seed: int,
@@ -226,7 +226,7 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
     os.makedirs(rep_dir, exist_ok=True)
     files = []
     for i, res in enumerate(results):
-        rel = os.path.join("replications", f"rep_{i:05d}.ndjson")
+        rel = _rep_file(i)
         files.append(rel)
         with open(os.path.join(out_dir, rel), "w", encoding="utf-8") as fh:
             fh.write(result_to_ndjson(res))
@@ -238,11 +238,10 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
         for res in results:
             w.writerow({k: "" if v is None else v for k, v in kpi_summary(res).items()})
 
-    scenario = spec.name if spec is not None and not spec.is_empty else "base"
     manifest = {
         "format": STORE_FORMAT,
         "code_version": __version__,
-        "scenario": scenario,
+        "scenario": "base" if spec is None else spec.name,
         "config_hash": config_hash(cfg),
         "overlay_hash": overlay_identity(spec, overlay_raw),
         "base_seed": base_seed,
@@ -258,6 +257,10 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
 
 
 def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
+    """The manifest and replications of the store at ``out_dir``. The
+    manifest is checked, not trusted: its replication files are exactly
+    those ``write_store`` names, in order, and replication i has seed
+    ``base_seed + i``."""
     path = os.path.join(out_dir, "manifest.json")
     with open(path, encoding="utf-8") as fh:
         try:
@@ -271,11 +274,19 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
         raise StoreError(f"{path}: files is not a list of file names")
     if not isinstance(manifest.get("scenario"), str):
         raise StoreError(f"{path}: scenario is not a name")
+    count, base_seed = manifest.get("replications"), manifest.get("base_seed")
+    if type(count) is not int or count < 0:
+        raise StoreError(f"{path}: replications is not a count")
+    if type(base_seed) is not int:
+        raise StoreError(f"{path}: base_seed is not a whole number")
+    if [f for f in files if f.endswith(".ndjson")] != [_rep_file(i) for i in range(count)]:
+        raise StoreError(f"{path}: files does not list the {count} replication files "
+                         "in order")
     results = []
-    for rel in files:
-        if not rel.endswith(".ndjson"):
-            continue
-        path = os.path.join(out_dir, rel)
+    for i in range(count):
+        path = os.path.join(out_dir, _rep_file(i))
         with open(path, encoding="utf-8") as fh:
             results.append(ndjson_to_result(fh.read(), path))
+        if results[-1].seed != base_seed + i:
+            raise StoreError(f"{path}: seed {results[-1].seed!r} is not base_seed + {i}")
     return manifest, results

@@ -5,12 +5,11 @@ stage closures, processing times, pool head-counts, material availability,
 lead times and the like, plus the instant ``reset_wip`` action (loss of all
 work in progress). A target is a dot-path with ``*`` over list ids
 (``qc.teams.*.technicians``); a path outside the table is rejected. A literal
-value is read by its config field's own reader, and every value is
-range-checked by the same ``config.validate`` the base config passes.
-Overlapping windows on one parameter compose last-writer-wins, and the
-baseline value is restored when the outermost window closes (and, for windows
-still open, when the run ends). An overlay with no modifications is
-observationally identical to the base case.
+value is read by its config field's own reader. ``_timeline`` turns an
+overlay into the config writes of a run, which the run plays and
+``validate_scenario`` replays through the same ``config.validate`` the base
+config passes. An overlay with no modifications is observationally
+identical to the base case.
 """
 
 from __future__ import annotations
@@ -65,9 +64,10 @@ SETTABLE: dict[str, Callable | None] = {
 }
 
 
-def _resolve(cfg: Config, target: str) -> tuple[Callable | None, list[tuple[str, object]]]:
-    """The apply hook of the table entry ``target`` instantiates, and
-    (concrete dot-path, owning config object) for every parameter it names."""
+def _resolve(cfg: Config, target: str) -> tuple[Callable | None, str, list[tuple[str, object]]]:
+    """The apply hook of the table entry ``target`` instantiates, the field
+    name, and (concrete dot-path, owning config object) for every parameter
+    it names."""
     tokens = target.split(".")
     pattern = next((p for p in SETTABLE if len(p.split(".")) == len(tokens) and
                     all(part in ("*", tok) for part, tok in zip(p.split("."), tokens))),
@@ -86,11 +86,7 @@ def _resolve(cfg: Config, target: str) -> tuple[Callable | None, list[tuple[str,
                 raise ConfigError([f"target {target!r}: no element with id {tok!r}"])
             step.extend((f"{prefix}{x.id}.", x) for x in items)
         found = step
-    return SETTABLE[pattern], [(prefix + tokens[-1], obj) for prefix, obj in found]
-
-
-def _field(path: str) -> str:
-    return path.rsplit(".", 1)[1]
+    return SETTABLE[pattern], tokens[-1], [(prefix + tokens[-1], obj) for prefix, obj in found]
 
 
 def _value(owner, name: str, baseline, raw):
@@ -125,15 +121,10 @@ class Modification:
 
 
 @dataclass
-class ResetWip:
-    at: date
-
-
-@dataclass
 class ScenarioSpec:
     name: str
     modifications: list[Modification] = field(default_factory=list)
-    resets: list[ResetWip] = field(default_factory=list)
+    resets: list[date] = field(default_factory=list)  # reset_wip days
 
     @property
     def is_empty(self) -> bool:
@@ -165,7 +156,7 @@ def parse_scenario(raw, cfg: Config) -> ScenarioSpec:
         errors.append("modifications: must be a list")
         nodes = []
     mods: list[Modification] = []
-    resets: list[ResetWip] = []
+    resets: list[date] = []
     for i, node in enumerate(nodes):
         where = f"modifications[{i}]"
         if not isinstance(node, dict):
@@ -177,7 +168,7 @@ def parse_scenario(raw, cfg: Config) -> ScenarioSpec:
                 errors.append(f"{where}: unknown action {node['action']!r}")
             at = _read(read_date, node.get("at"), f"{where}.at", errors)
             if at is not None:
-                resets.append(ResetWip(at))
+                resets.append(at)
             continue
         _unknown(node, where, ("window", "set", "revert"), errors)
         window = node.get("window")
@@ -209,109 +200,122 @@ def parse_scenario(raw, cfg: Config) -> ScenarioSpec:
     return spec
 
 
-def _value_problems(cfg: Config, mod: Modification) -> list[str]:
-    """Problems with ``mod``'s value: it is set on every parameter the target
-    names in the live ``cfg``, the config is validated, and the old values go
-    back. The base config is valid, so whatever fails is the override's."""
-    _, targets = _resolve(cfg, mod.target)
-    saved = [(owner, _field(path), getattr(owner, _field(path))) for path, owner in targets]
-    try:
-        for owner, name, base in saved:
-            setattr(owner, name, _value(owner, name, base, mod.raw_value))
-        return validate(cfg)
-    except READ_ERRORS as exc:
-        return [str(exc)]
-    finally:
-        for owner, name, base in saved:
-            setattr(owner, name, base)
+def _timeline(spec: ScenarioSpec, cfg: Config):
+    """The config writes of ``spec`` on ``cfg``: ``steps``, a ``(day, kind,
+    mod, [(hook, owner, field name, value)])`` per engine event in pop order;
+    each named path's ``baseline`` (owner, field name, value); and the
+    problems of each modification whose target or value does not read.
+
+    A window opens on its start day and closes the day after its end; one
+    day's steps go in overlay order, an opening before a closing, resets
+    last. Per path the open windows form a stack on the baseline: an opening
+    writes its value, a closing the newest value left if that differs from
+    the value in force.
+    """
+    t0, events, sets, baseline, unread = cfg.model.start_date, [], {}, {}, {}
+    for mod in spec.modifications:
+        try:
+            hook, name, targets = _resolve(cfg, mod.target)
+            sets[mod.idx] = hook, name, [
+                (path, owner, _value(owner, name, getattr(owner, name), mod.raw_value))
+                for path, owner in targets]
+        except READ_ERRORS as exc:  # a ConfigError names the target itself
+            unread[mod.idx] = (exc.errors if isinstance(exc, ConfigError)
+                               else [f"target {mod.target!r}: {exc}"])
+            continue
+        for path, owner in targets:
+            baseline.setdefault(path, (owner, name, getattr(owner, name)))
+        events.append(((mod.start - t0).days, mod.idx, 0, "scn_apply", mod))
+        if mod.revert and mod.end is not None:
+            events.append(((mod.end - t0).days + 1, mod.idx, 1, "scn_revert", mod))
+    events += [((at - t0).days, len(spec.modifications) + i, 0, "scn_reset", None)
+               for i, at in enumerate(spec.resets)]
+    stacks, steps = {}, []  # path -> [(mod idx or None for the baseline, value)]
+    for day, idx, closing, kind, mod in sorted(events, key=lambda e: e[:3]):
+        hook, name, values = sets.get(idx, (None, None, ()))
+        writes = []
+        for path, owner, value in values:
+            stack = stacks.setdefault(path, [(None, baseline[path][2])])
+            if closing:
+                in_force = stack[-1][1]
+                stack[:] = [entry for entry in stack if entry[0] != idx]
+                value = stack[-1][1]
+                if value == in_force:
+                    continue
+            else:
+                stack.append((idx, value))
+            writes.append((hook, owner, name, value))
+        steps.append((day, kind, mod, writes))
+    return steps, baseline, unread
 
 
 def validate_scenario(spec: ScenarioSpec, cfg: Config) -> list[str]:
+    """Every problem with ``spec`` on ``cfg``, in overlay order. The run's
+    writes are replayed on the live ``cfg``, validated after each step that
+    writes, and undone. The base config is valid, so a problem is the
+    overlay's: it is reported under the target of the step that brings it
+    about, and again only if it goes away and a later step brings it back."""
+    steps, baseline, found = _timeline(spec, cfg)
+    before: set[str] = set()
+    try:
+        for _, _, mod, writes in steps:
+            if not writes:
+                continue
+            for _, owner, name, value in writes:
+                setattr(owner, name, value)
+            try:
+                problems = validate(cfg)
+            except READ_ERRORS as exc:
+                problems = [str(exc)]
+            found.setdefault(mod.idx, []).extend(
+                f"target {mod.target!r}: {p}" for p in problems if p not in before)
+            before = set(problems)
+    finally:
+        for owner, name, value in baseline.values():
+            setattr(owner, name, value)
     errors = []
     horizon = (cfg.model.start_date, cfg.model.end_date)
     for mod in spec.modifications:
         where = f"target {mod.target!r}"
-        try:
-            errors.extend(f"{where}: {e}" for e in _value_problems(cfg, mod))
-        except ConfigError as exc:
-            errors.extend(exc.errors)
-            continue
+        errors.extend(found.get(mod.idx, ()))
         if mod.end is not None and mod.end < mod.start:
             errors.append(f"{where}: window ends before it starts")
         if mod.start < horizon[0] or mod.start > horizon[1]:
             errors.append(f"{where}: window start {mod.start} outside the horizon")
         if mod.end is not None and mod.end > horizon[1]:
             errors.append(f"{where}: window end {mod.end} outside the horizon")
-    for reset in spec.resets:
-        if reset.at < horizon[0] or reset.at > horizon[1]:
-            errors.append(f"reset_wip at {reset.at}: outside the horizon")
+    for at in spec.resets:
+        if at < horizon[0] or at > horizon[1]:
+            errors.append(f"reset_wip at {at}: outside the horizon")
     return errors
 
 
 class ScenarioRuntime:
-    """Schedules apply/revert events on a model and tracks baselines.
-
-    Per concrete dot-path an override stack holds every window currently
-    open; the value in force is the one applied last, and the baseline
-    returns only when the stack empties. Every apply and revert wakes every
-    stage and pool: a parameter such as an inventory capacity has no apply
-    hook to wake just what it unblocks.
-    """
+    """Plays an overlay's timeline on a model, one engine event per step. A
+    window step makes its writes, runs their ``SETTABLE`` hooks and wakes
+    every stage and pool, even when it writes nothing: a parameter such as
+    an inventory capacity has no hook to wake just what it unblocks."""
 
     def __init__(self, spec: ScenarioSpec):
-        self.spec = spec
-        self.model = None
-        self._baseline: dict[str, tuple[object, object]] = {}  # path -> (owner, value)
-        self._stack: dict[str, list[tuple[int, object]]] = {}  # path -> [(idx, value)]
-
-    @property
-    def name(self) -> str:
-        return self.spec.name
+        self.spec, self.name, self.baseline = spec, spec.name, {}
 
     def attach(self, model) -> None:
-        self.model = model
-        clock = model.engine.clock
-        model.engine.on("scn_apply", self._on_apply)
-        model.engine.on("scn_revert", self._on_revert)
-        for mod in self.spec.modifications:
-            model.engine.schedule(clock.date_to_time(mod.start), "scn_apply",
-                                  mod, absolute=True)
-            if mod.revert and mod.end is not None:
-                model.engine.schedule(clock.date_to_time(mod.end) + 1.0,
-                                      "scn_revert", mod, absolute=True)
-        if self.spec.resets:
-            model.engine.on("scn_reset", lambda ev: model.reset_wip())
-            for reset in self.spec.resets:
-                model.engine.schedule(clock.date_to_time(reset.at), "scn_reset",
-                                      absolute=True)
+        steps, self.baseline, _ = _timeline(self.spec, model.cfg)
 
-    def _write(self, apply, owner, path: str, value) -> None:
-        setattr(owner, _field(path), value)
-        if apply is not None:
-            apply(self.model, owner, value)
+        def play(ev) -> None:
+            for hook, owner, name, value in ev.target:
+                setattr(owner, name, value)
+                if hook is not None:
+                    hook(model, owner, value)
+            model.wake_all()
 
-    def _on_apply(self, ev) -> None:
-        mod: Modification = ev.target
-        apply, targets = _resolve(self.model.cfg, mod.target)
-        for path, owner in targets:
-            _, base = self._baseline.setdefault(path, (owner, getattr(owner, _field(path))))
-            value = _value(owner, _field(path), base, mod.raw_value)
-            self._stack.setdefault(path, []).append((mod.idx, value))
-            self._write(apply, owner, path, value)
-        self.model.wake_all()
-
-    def _on_revert(self, ev) -> None:
-        mod: Modification = ev.target
-        apply, targets = _resolve(self.model.cfg, mod.target)
-        for path, owner in targets:
-            stack = [entry for entry in self._stack.get(path, []) if entry[0] != mod.idx]
-            self._stack[path] = stack
-            value = stack[-1][1] if stack else self._baseline[path][1]
-            if getattr(owner, _field(path)) != value:
-                self._write(apply, owner, path, value)
-        self.model.wake_all()
+        model.engine.on("scn_apply", play)
+        model.engine.on("scn_revert", play)
+        model.engine.on("scn_reset", lambda ev: model.reset_wip())
+        for day, kind, _, writes in steps:
+            model.engine.schedule(float(day), kind, writes, absolute=True)
 
     def restore(self) -> None:
-        """Put every parameter a window touched back to its baseline."""
-        for path, (owner, value) in self._baseline.items():
-            setattr(owner, _field(path), value)
+        """Put every parameter a window names back to its baseline."""
+        for owner, name, value in self.baseline.values():
+            setattr(owner, name, value)

@@ -173,6 +173,30 @@ def test_reorder_arithmetic_that_overflows_is_refused(material, modification, tm
     assert not out.exists()
 
 
+def test_windows_that_overflow_only_together_are_refused(tmp_path, capsys):
+    # each window alone validates; while both are open, the reorder arithmetic
+    # overflows a double. validate checks every config state the overlay
+    # passes through, so validate and run refuse it alike, before a store
+    mods = [{"window": {"start": "2025-06-01", "end": "2025-06-30"},
+             "set": {"materials.cell_media_powder.reorder_point": {"scale": 1.0e150}}},
+            {"window": {"start": "2025-06-10", "end": "2025-06-20"},
+             "set": {"materials.cell_media_powder.lot_size": {"scale": 1.0e-300}}}]
+    for i, mod in enumerate(mods):
+        alone = write_yaml(tmp_path / f"alone_{i}.yaml", {"modifications": [mod]})
+        assert main(["validate", "--config", str(DEMO), "--scenario", alone]) == 0
+    args = ["--config", str(DEMO), "--scenario",
+            write_yaml(tmp_path / "ov.yaml", {"modifications": mods})]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for cmd in (["validate"], ["run", "--replications", "1", "--out", str(out)]):
+        assert main(cmd + args) == 2
+        assert stderr_json(capsys) == {"error": "validation", "messages": [
+            "target 'materials.cell_media_powder.lot_size': materials.cell_media_powder: "
+            "reorder_point + safety_stock + lot_size and "
+            "(reorder_point + safety_stock) / lot_size must be finite"]}
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["false", "0", "[]", "''", "5"])
 def test_overlay_root_must_be_a_mapping(chain_yaml, tmp_path, capsys, text):
     overlay = tmp_path / "ov.yaml"
@@ -268,12 +292,28 @@ def _with_manifest(src, dst, **changes):
     return str(dst)
 
 
+def _rerun(paired_stores, out, seed=7, replications=2):
+    """The scenario store of ``paired_stores`` run again at another seed or
+    size: load_store checks both against the replication files, so a store
+    that differs in them must be a real one."""
+    root = os.path.dirname(paired_stores[1])
+    assert main(["run", "--config", os.path.join(root, "chain.yaml"), "--scenario",
+                 os.path.join(root, "slow.yaml"), "--replications", str(replications),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    return str(out)
+
+
 @pytest.mark.parametrize("key, value", [
     ("config_hash", "0" * 64), ("base_seed", 8), ("horizon_days", 200),
     ("start_date", "2025-04-02"), ("replications", 3)])
 def test_mismatched_stores_are_refused(paired_stores, tmp_path, capsys, key, value):
     base, scen = paired_stores
-    odd = _with_manifest(scen, tmp_path / "odd", **{key: value})
+    if key == "base_seed":
+        odd = _rerun(paired_stores, tmp_path / "odd", seed=value)
+    elif key == "replications":
+        odd = _rerun(paired_stores, tmp_path / "odd", replications=value)
+    else:
+        odd = _with_manifest(scen, tmp_path / "odd", **{key: value})
     capsys.readouterr()
     for argv in (["compare", base, odd], ["report", base, odd, "--out",
                                           str(tmp_path / "rep")]):
@@ -285,8 +325,8 @@ def test_mismatched_stores_are_refused(paired_stores, tmp_path, capsys, key, val
 
 
 def test_every_mismatch_is_listed(paired_stores, tmp_path, capsys):
-    base, scen = paired_stores
-    odd = _with_manifest(scen, tmp_path / "odd", base_seed=8, replications=3)
+    base, _ = paired_stores
+    odd = _rerun(paired_stores, tmp_path / "odd", seed=8, replications=3)
     capsys.readouterr()
     assert main(["compare", base, odd, base]) == 2
     messages = stderr_json(capsys)["messages"]
@@ -383,6 +423,7 @@ def _rewritten_copy(src, dst, rel, edit):
     return str(dst), path
 
 
+FIRST_REP = os.path.join("replications", "rep_00000.ndjson")
 SECOND_REP = os.path.join("replications", "rep_00001.ndjson")
 
 
@@ -461,6 +502,25 @@ def _manifest_with(**changes):
     return lambda text: json.dumps(dict(json.loads(text), **changes))
 
 
+def _files(*names):
+    """A manifest edit: ``files`` lists ``names`` and then kpis.csv."""
+    return _manifest_with(files=[*names, "kpis.csv"])
+
+
+SWAP = "swap with the second replication"  # an edit of the first: see _swapped_copy
+
+
+def _swapped_copy(src, dst):
+    """A copy of store ``src`` whose first two replication files have traded
+    places; returns the copy and the first file."""
+    shutil.copytree(src, dst)
+    first, second = (os.path.join(dst, rel) for rel in (FIRST_REP, SECOND_REP))
+    os.replace(first, first + ".tmp")
+    os.replace(second, first)
+    os.replace(first + ".tmp", second)
+    return str(dst), first
+
+
 def _lines(edit):
     """An edit of a replication's record lines (the text ends in a newline)."""
     return lambda text: "\n".join(edit(text.split("\n")[:-1])) + "\n"
@@ -480,13 +540,29 @@ def _lines(edit):
     # in json's words too: a RecursionError, which is not a ValueError
     (SECOND_REP, _lines(_first_batch_too_deep), ""),
     ("manifest.json", lambda text: TOO_DEEP, ""),
+    # the manifest is checked against the files, not trusted
+    ("manifest.json", _files(FIRST_REP, os.path.join("..", "outside.ndjson")),
+     "files does not list the 2 replication files in order"),
+    ("manifest.json", _files(FIRST_REP, FIRST_REP),
+     "files does not list the 2 replication files in order"),
+    ("manifest.json", _files(FIRST_REP),
+     "files does not list the 2 replication files in order"),
+    (FIRST_REP, SWAP, "seed 8 is not base_seed + 0"),
+    ("manifest.json", _manifest_with(replications=-1), "replications is not a count"),
+    ("manifest.json", _manifest_with(replications=True), "replications is not a count"),
+    ("manifest.json", _manifest_with(base_seed="7"), "base_seed is not a whole number"),
 ], ids=["no meta", "two metas", "no counts", "a list record", "manifest a list",
         "manifest not JSON", "files a string", "files holds a number", "no scenario",
-        "a batch too deep", "manifest too deep"])
+        "a batch too deep", "manifest too deep", "a file outside the store",
+        "a file listed twice", "a replication not listed", "two replications swapped",
+        "a negative count", "a flag for a count", "a base seed in text"])
 def test_a_damaged_store_is_a_store_error(paired_stores, tmp_path, capsys, rel, edit,
                                           message):
     base, scen = paired_stores
-    odd, path = _rewritten_copy(scen, tmp_path / "odd", rel, edit)
+    if edit is SWAP:
+        odd, path = _swapped_copy(scen, tmp_path / "odd")
+    else:
+        odd, path = _rewritten_copy(scen, tmp_path / "odd", rel, edit)
     capsys.readouterr()
     for argv in (["compare", base, odd], ["report", base, odd, "--out",
                                           str(tmp_path / "rep")]):

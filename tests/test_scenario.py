@@ -69,6 +69,26 @@ def test_value_must_coerce_against_baseline(chain_cfg):
             chain_cfg)
 
 
+def test_an_unreadable_value_names_its_target(chain_cfg):
+    def messages(*nodes):
+        with pytest.raises(ConfigError) as err:
+            parse_scenario(overlay(*nodes), chain_cfg)
+        return err.value.errors
+
+    assert messages(window("2025-05-01", "2025-05-10",
+                           **{"stages.fill.closed": "definitely"})) == [
+        "target 'stages.fill.closed': expected true or false, got 'definitely'"]
+    assert messages(window("2025-05-01", "2025-05-10",
+                           **{"stages.fill.closed": {"scale": 2}})) == [
+        "target 'stages.fill.closed': False cannot be scaled"]
+    # every bad modification is reported, in overlay order
+    assert messages(
+        window("2025-05-01", "2025-05-10", **{"stages.bogus.closed": True}),
+        window("2025-05-01", "2025-05-10", **{"stages.fill.closed": "definitely"})) == [
+        "target 'stages.bogus.closed': no element with id 'bogus'",
+        "target 'stages.fill.closed': expected true or false, got 'definitely'"]
+
+
 # -- runtime behavior ----------------------------------------------------
 
 def test_closure_window_pauses_the_stage_and_reverts():
@@ -164,6 +184,71 @@ def test_parameters_deep_equal_baseline_after_windows_close():
     assert done["cfg"] == snapshot         # and fully unwound afterwards
     assert config_to_dict(cfg) == snapshot
     assert res.counts["batches_released"] > 300
+
+
+# -- property: the value in force is the newest open window's ----------------
+
+TIMELINE_DAYS = 16  # window days fall in 0..15 of a 20-day run, so they collide
+# two numeric parameters of the one-team, one-test lab, each reachable by a
+# wildcard and by its id; how to read each from a running model
+PARAMETERS = {
+    "technicians": (("qc.teams.*.technicians", "qc.teams.lab.technicians"),
+                    st.integers(1, 4), lambda m: m.qc.tech_pools["lab"].capacity),
+    "failure_prob": (("qc.tests.*.failure_prob", "qc.tests.assay.failure_prob"),
+                     st.sampled_from([0.0, 0.1, 0.25, 0.5]),
+                     lambda m: m.cfg.qc.tests[0].failure_prob),
+}
+
+
+@st.composite
+def timeline_windows(draw):
+    """(parameter, target, value, first day, last day or None, revert)."""
+    param = draw(st.sampled_from(sorted(PARAMETERS)))
+    targets, values, _ = PARAMETERS[param]
+    start = draw(st.integers(0, TIMELINE_DAYS - 1))
+    end = draw(st.none() | st.integers(start, TIMELINE_DAYS - 1))
+    revert = end is not None and draw(st.booleans())
+    return param, draw(st.sampled_from(targets)), draw(values), start, end, revert
+
+
+def brute_force_value(windows, param, day, baseline):
+    """The value of ``param`` after the events of ``day``: the newest window
+    open on it, by opening day and then overlay order, else the baseline."""
+    open_ = [(start, i, value) for i, (p, _, value, start, end, revert) in enumerate(windows)
+             if p == param and start <= day and not (revert and day > end)]
+    return max(open_)[2] if open_ else baseline
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(st.lists(timeline_windows(), min_size=1, max_size=6))
+def test_the_value_in_force_is_the_newest_open_window(windows):
+    d = qc_chain([{"id": "assay", "team": "lab", "test_time": 1.0, "failure_prob": 0.05}],
+                 technicians=2)
+    d["model"]["end_date"] = "2025-04-21"
+    cfg = parse_config(d)
+    snapshot = config_to_dict(cfg)
+    day0 = date(2025, 4, 1)
+    nodes = []
+    for _, target, value, start, end, revert in windows:
+        node = {"window": {"start": (day0 + timedelta(start)).isoformat()},
+                "set": {target: value}, "revert": revert}
+        if end is not None:
+            node["window"]["end"] = (day0 + timedelta(end)).isoformat()
+        nodes.append(node)
+    m = Model(cfg, seed=1, scenario=ScenarioRuntime(parse_scenario(overlay(*nodes), cfg)))
+    seen = {}
+
+    def probe(ev):
+        seen[int(ev.time)] = {p: read(m) for p, (_, _, read) in PARAMETERS.items()}
+
+    m.engine.on("probe", probe)
+    for day in range(20):
+        m.engine.schedule(day + 0.5, "probe", absolute=True)
+    m.run()
+    baseline = {"technicians": 2, "failure_prob": 0.05}
+    assert seen == {day: {p: brute_force_value(windows, p, day, baseline[p])
+                          for p in PARAMETERS} for day in range(20)}
+    assert config_to_dict(cfg) == snapshot
 
 
 # -- property: every overlay either parses or is a ConfigError ---------------
