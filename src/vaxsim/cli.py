@@ -112,8 +112,7 @@ def cmd_run(args) -> int:
                           "messages": [str(exc)]}), file=sys.stderr)
         return EXIT_RUNTIME
 
-    manifest = write_store(args.out, results, cfg, spec, args.seed,
-                           overlay_raw)
+    manifest = write_store(args.out, results, cfg, spec, args.seed)
     _digest(manifest, results, args.out)
     return EXIT_OK
 

@@ -41,6 +41,7 @@ that nothing more can start.
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass, field
 
@@ -54,8 +55,18 @@ FLAG_SERIES = "material_stockout."  # daily 0/1 flags; every other series is flo
 
 
 def series_array(name: str, values) -> array:
-    """A daily series in compact form: bytes for flags, doubles otherwise."""
-    return array("b" if name.startswith(FLAG_SERIES) else "d", values)
+    """A daily series in compact form: bytes for flags, doubles otherwise.
+
+    ``values`` is a sequence of numbers. ``struct`` packs them in about half
+    the time ``array`` takes to fill itself from a list, to the same bits.
+    What ``struct`` refuses goes to ``array``, so a value that is no flag or
+    no double is refused in ``array``'s words.
+    """
+    code = "b" if name.startswith(FLAG_SERIES) else "d"
+    try:
+        return array(code, struct.pack(f"{len(values)}{code}", *values))
+    except (struct.error, TypeError, ValueError, OverflowError):
+        return array(code, values)
 
 
 @dataclass

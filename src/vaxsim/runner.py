@@ -8,11 +8,12 @@ pure function of the inputs, whatever the worker count. A loaded
 replication decodes each daily series the first time it is read, so a
 command pays only for the series it reads.
 
-The store is written with ``json`` alone. Its series lines, millions of
-float literals in a large store, are read back with orjson, which parses a
-double bit for bit as ``float()`` does in about half json's time. Every
-other record is read with ``json``: orjson reads an integer beyond 64 bits
-as a float, and a base seed may be one.
+The store is written with ``json`` alone and read back with orjson, which
+parses a double bit for bit as ``float()`` does in about half json's time.
+``json`` stays the reader of record: wherever orjson might read a text
+otherwise, or refuse it in other words, json parses it again and its value
+or its error is the answer. So a replication loads to the same values, and
+fails with the same messages, as json alone would make.
 """
 
 from __future__ import annotations
@@ -107,14 +108,18 @@ def _decode_series(name: str, line: str):
     non-finite value as ``NaN``, ``Infinity`` or ``-Infinity``, which orjson
     does not read; orjson refuses a number that rounds to infinity, which
     json reads as ``inf`` (``1e400``) or as an int too large for a double;
-    and a damaged line is refused with json's message.
+    and a damaged line is refused with json's message. A line holding a
+    second ``{`` or ``[`` may nest deep enough to overflow orjson's stack
+    (300,000 levels of lists do), so json alone reads it.
     """
     import orjson  # on first decode: run and validate never read a series
 
-    try:
-        return series_array(name, orjson.loads(line)["values"])
-    except (ValueError, TypeError, KeyError, OverflowError):
-        return series_array(name, json.loads(line)["values"])
+    if line.find("{", 1) < 0 and line.find("[", line.find("[") + 1) < 0:
+        try:
+            return series_array(name, orjson.loads(line)["values"])
+        except (ValueError, TypeError, KeyError, OverflowError):
+            pass
+    return series_array(name, json.loads(line)["values"])
 
 
 class LazySeries(Mapping):
@@ -152,28 +157,64 @@ class LazySeries(Mapping):
         return len(self._items)
 
 
+# every ASCII digit to b"0", so that a run of digits is a run of b"0"
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
+# orjson reads an integer of 20 digits or more, or of 19 below -2**63, as a
+# float, where json keeps it an int; a shorter run of digits is an int within
+# 64 bits, or a part of a float that orjson rounds as float() does
+_LONG_DIGITS = b"0" * 19
+
+
+def _load_records(text: str):
+    """``json.loads(text)``, parsed by orjson where the two agree.
+
+    json parses the text, and its value or its error is the answer, where
+    orjson refuses it (``NaN``, ``Infinity``, ``1e400``, a lone surrogate,
+    damaged text), where it holds a run of 19 digits or more (an int orjson
+    may read as a float), and where it may nest deeper than a list of
+    dicts: json refuses nesting past its recursion limit, which orjson
+    reads, and 100,000 levels of dicts overflow orjson's stack. Without
+    whitespace, a text of one ``[`` and no ``:{`` nests three levels at
+    most. Each guard runs in C: a loop over the values in Python would
+    cost about what orjson saves.
+    """
+    import orjson  # on first decode: run and validate never read a store
+
+    try:
+        data = text.encode()
+    except UnicodeEncodeError:  # a lone surrogate in the text itself
+        return json.loads(text)
+    shape = data.translate(_DIGITS_TO_ZERO, b" \t\n\r")
+    if _LONG_DIGITS not in shape and b":{" not in shape and shape.count(b"[") <= 1:
+        try:
+            return orjson.loads(data)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
+
+
 def ndjson_to_result(text: str, source: str = "NDJSON") -> ReplicationResult:
     """A replication from its NDJSON; ``source`` names it in errors.
 
     Series lines are indexed by the name sliced from them (see LazySeries).
-    Every other record decodes at once, in one parse: json.dumps never
-    writes a raw newline inside a record, so those lines joined by commas
-    are one JSON array. A replication has one meta and one counts record.
+    Every other record decodes at once, in one parse by ``_load_records``:
+    json.dumps never writes a raw newline inside a record, so those lines
+    joined by commas are one JSON array. A replication has one meta and one
+    counts record.
     """
-    series, records = {}, []
+    lines = text.rstrip("\n").split("\n")
+    records = [line for line in lines if not line.startswith(_SERIES_HEAD)]
+    series = {}
     try:
-        for line in text.rstrip("\n").split("\n"):
-            if line.startswith(_SERIES_HEAD):
-                end = line.find(_SERIES_TAIL, len(_SERIES_HEAD))
-                if end < 0:
-                    raise ValueError(f"series record without values: {line[:80]}")
-                name = line[len(_SERIES_HEAD):end]
-                if "\\" in name:  # an escaped character: decode the JSON string
-                    name = json.loads(f'"{name}"')
-                series[name] = line
-            else:
-                records.append(line)
-        records = json.loads("[" + ",".join(records) + "]")
+        for line in [line for line in lines if line.startswith(_SERIES_HEAD)]:
+            end = line.find(_SERIES_TAIL, len(_SERIES_HEAD))
+            if end < 0:
+                raise ValueError(f"series record without values: {line[:80]}")
+            name = line[len(_SERIES_HEAD):end]
+            if "\\" in name:  # an escaped character: decode the JSON string
+                name = json.loads(f'"{name}"')
+            series[name] = line
+        records = _load_records("[" + ",".join(records) + "]")
     except (ValueError, RecursionError) as exc:  # json recurses once per nesting level
         raise StoreError(f"{source}: {exc}") from None
     by_kind = {"meta": [], "series": [], "batch": [], "counts": []}
@@ -196,7 +237,7 @@ def ndjson_to_result(text: str, source: str = "NDJSON") -> ReplicationResult:
     return res
 
 
-def overlay_identity(spec: ScenarioSpec, overlay_raw: dict | None) -> str | None:
+def overlay_identity(spec: ScenarioSpec | None) -> str | None:
     """Canonical overlay hash; an empty overlay has no identity at all."""
     if spec is None or spec.is_empty:
         return None
@@ -221,7 +262,12 @@ def _rep_file(i: int) -> str:
 def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
                 spec: ScenarioSpec | None, base_seed: int,
                 overlay_raw: dict | None = None) -> dict:
-    """Write manifest + per-replication files + KPI table; returns the manifest."""
+    """Write manifest + per-replication files + KPI table; returns the manifest.
+
+    ``overlay_raw`` is not read: the overlay hash comes from the parsed
+    ``spec``. It stays only because ``perfbench/run.py`` passes it by
+    position.
+    """
     rep_dir = os.path.join(out_dir, "replications")
     os.makedirs(rep_dir, exist_ok=True)
     files = []
@@ -243,7 +289,7 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
         "code_version": __version__,
         "scenario": "base" if spec is None else spec.name,
         "config_hash": config_hash(cfg),
-        "overlay_hash": overlay_identity(spec, overlay_raw),
+        "overlay_hash": overlay_identity(spec),
         "base_seed": base_seed,
         "replications": len(results),
         "horizon_days": results[0].horizon_days if results else 0,

@@ -95,10 +95,9 @@ def demo_pair(demo_raw, tmp_path_factory):
     empty = {"name": "noop", "modifications": []}
     t0 = time.perf_counter()
     base = run_ensemble(demo_raw, None, SEED, 20)
-    write_store(str(root / "plain"), base, cfg, None, SEED, None)
+    write_store(str(root / "plain"), base, cfg, None, SEED)
     twin = run_ensemble(demo_raw, empty, SEED, 20)
-    write_store(str(root / "overlaid"), twin, cfg, parse_scenario(empty, cfg),
-                SEED, empty)
+    write_store(str(root / "overlaid"), twin, cfg, parse_scenario(empty, cfg), SEED)
     elapsed = time.perf_counter() - t0
     return {"base": base, "elapsed": elapsed,
             "dirs": (root / "plain", root / "overlaid")}

@@ -15,7 +15,7 @@ import vaxsim
 from conftest import chain_dict
 from vaxsim.cli import main
 from vaxsim.config import ConfigError
-from vaxsim.runner import run_replication
+from vaxsim.runner import load_store, run_replication
 
 
 def write_yaml(path, obj):
@@ -493,9 +493,13 @@ def test_a_series_nested_too_deep_is_a_store_error(paired_stores, tmp_path, caps
         _store_error(capsys, path, "released_doses", argv)
 
 
-def _first_batch_too_deep(lines):
+def _first_batch_too_deep(lines, deep=TOO_DEEP):
     i = next(i for i, line in enumerate(lines) if '"kind":"batch"' in line)
-    return lines[:i] + [TOO_DEEP] + lines[i + 1:]
+    return lines[:i] + [deep] + lines[i + 1:]
+
+
+# dicts as deep overflow orjson's stack; json refuses them as it does lists
+DICTS_TOO_DEEP = '{"kind":"batch","id":' * 100_000 + "1" + "}" * 100_000
 
 
 def _manifest_with(**changes):
@@ -508,6 +512,18 @@ def _files(*names):
 
 
 SWAP = "swap with the second replication"  # an edit of the first: see _swapped_copy
+
+
+def test_a_batch_id_beyond_64_bits_loads_as_json_reads_it(paired_stores, tmp_path, capsys):
+    # orjson would read 2**64 as a float: a record holding it is read by json
+    base, scen = paired_stores
+    odd, _ = _rewritten_copy(scen, tmp_path / "odd", SECOND_REP,
+                             lambda text: text.replace('"id":1,', f'"id":{2**64},', 1))
+    batch_id = load_store(odd)[1][1].batches[0]["id"]
+    assert type(batch_id) is int and batch_id == 2**64
+    capsys.readouterr()
+    assert main(["compare", base, odd]) == 0
+    assert main(["report", base, odd, "--out", str(tmp_path / "rep")]) == 0
 
 
 def _swapped_copy(src, dst):
@@ -539,6 +555,7 @@ def _lines(edit):
     ("manifest.json", _manifest_with(scenario=None), "scenario is not a name"),
     # in json's words too: a RecursionError, which is not a ValueError
     (SECOND_REP, _lines(_first_batch_too_deep), ""),
+    (SECOND_REP, _lines(lambda lines: _first_batch_too_deep(lines, DICTS_TOO_DEEP)), ""),
     ("manifest.json", lambda text: TOO_DEEP, ""),
     # the manifest is checked against the files, not trusted
     ("manifest.json", _files(FIRST_REP, os.path.join("..", "outside.ndjson")),
@@ -553,7 +570,7 @@ def _lines(edit):
     ("manifest.json", _manifest_with(base_seed="7"), "base_seed is not a whole number"),
 ], ids=["no meta", "two metas", "no counts", "a list record", "manifest a list",
         "manifest not JSON", "files a string", "files holds a number", "no scenario",
-        "a batch too deep", "manifest too deep", "a file outside the store",
+        "a batch too deep", "a batch of dicts too deep", "manifest too deep", "a file outside the store",
         "a file listed twice", "a replication not listed", "two replications swapped",
         "a negative count", "a flag for a count", "a base seed in text"])
 def test_a_damaged_store_is_a_store_error(paired_stores, tmp_path, capsys, rel, edit,

@@ -91,7 +91,7 @@ def stores(tmp_path_factory):
                    yaml.safe_load((CONFIG_DIR / "scenarios" / f"{name}.yaml").read_text()))
         results = run_ensemble(raw, overlay, SEED, REPLICATIONS)
         path = root / name
-        write_store(str(path), results, cfg, parse_scenario(overlay, cfg), SEED, overlay)
+        write_store(str(path), results, cfg, parse_scenario(overlay, cfg), SEED)
         out[name] = (results, path)
     return out
 

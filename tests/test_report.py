@@ -45,7 +45,7 @@ def stores(tmp_path_factory):
     for name, overlay in [("base", {}), ("slow_fill", SLOW_FILL)]:
         results = run_ensemble(raw, overlay, 7, 3)
         path = str(root / name)
-        write_store(path, results, cfg, parse_scenario(overlay, cfg), 7, overlay)
+        write_store(path, results, cfg, parse_scenario(overlay, cfg), 7)
         out[name] = load_store(path)
     return out
 

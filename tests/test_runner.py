@@ -19,7 +19,7 @@ import vaxsim
 from vaxsim import runner
 from vaxsim.config import parse_config
 from vaxsim.metrics import compare_scenarios
-from vaxsim.model import ReplicationResult, series_array
+from vaxsim.model import FLAG_SERIES, ReplicationResult, series_array
 from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, LazySeries, StoreError,
                            load_store, ndjson_to_result, overlay_identity,
                            result_to_ndjson, run_ensemble, run_replication,
@@ -53,7 +53,7 @@ def make_store(tmp_path, name, overlay, *, seed=7, n=3, jobs=1):
     cfg = parse_config(raw)
     spec = parse_scenario(overlay or {}, cfg)
     out = str(tmp_path / name)
-    manifest = write_store(out, results, cfg, spec, seed, overlay)
+    manifest = write_store(out, results, cfg, spec, seed)
     return out, manifest, results
 
 
@@ -125,19 +125,20 @@ def test_empty_overlay_collapses_to_base(tmp_path):
 def test_overlay_identity_tracks_content():
     cfg = parse_config(chain_dict())
     empty = parse_scenario({}, cfg)
-    assert overlay_identity(empty, {}) is None
+    assert overlay_identity(empty) is None
+    assert overlay_identity(None) is None
 
     spec = parse_scenario(SLOW_FILL, cfg)
-    h1 = overlay_identity(spec, SLOW_FILL)
+    h1 = overlay_identity(spec)
     assert h1 is not None and len(h1) == 64
     # same content again, independent of dict ordering quirks
     reparsed = parse_scenario(json.loads(json.dumps(SLOW_FILL)), cfg)
-    assert overlay_identity(reparsed, SLOW_FILL) == h1
+    assert overlay_identity(reparsed) == h1
 
     other = {"name": "slow_fill", "modifications": [
         {"window": {"start": "2025-06-01", "end": "2025-08-31"},
          "set": {"stages.fill.processing_time": {"scale": 3.0}}}]}
-    assert overlay_identity(parse_scenario(other, cfg), other) != h1
+    assert overlay_identity(parse_scenario(other, cfg)) != h1
 
 
 def test_scenario_store_differs_from_base(tmp_path):
@@ -259,14 +260,130 @@ def test_a_store_reads_hand_written_series_as_json_does(name, literals, odd, dam
     assert _store_outcome(LazySeries({name: line}, "rep"), name) == _json_outcome(name, line)
 
 
+@pytest.mark.parametrize("values", ["[" * 300_000 + "]" * 300_000,
+                                    '{"a":' * 100_000 + "1" + "}" * 100_000])
+def test_a_series_too_deep_for_orjson_is_refused_as_json_refuses_it(values):
+    # orjson 3.8.3 overflows its stack on either; json raises RecursionError
+    line = f'{{"kind":"series","name":"released_doses","values":{values}}}'
+    with pytest.raises(StoreError, match="^rep: series 'released_doses': maximum recursion"):
+        LazySeries({"released_doses": line}, "rep")["released_doses"]
+
+
 def test_a_seed_beyond_64_bits_loads_as_the_int_written(tmp_path):
-    # records stay on json, which reads an int of any size as that int
+    # its 20 digits send the records to json, which reads an int of any size as that int
     seed = 2**64
     out, _, results = make_store(tmp_path, "seed", {}, seed=seed, n=1)
     manifest, (res,) = load_store(out)
     assert type(res.seed) is int and res.seed == seed
     assert type(manifest["base_seed"]) is int and manifest["base_seed"] == seed
     assert res.series == results[0].series
+
+
+# -- a store reads every other record as json does ------------------------
+
+def _parsed(parse, text):
+    """What ``parse`` makes of ``text``: the repr of its value, which tells
+    1 from 1.0 and True, -0.0 from 0.0 and a double from its neighbours, or
+    its error's type and message."""
+    try:
+        return repr(parse(text))
+    except (ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+# ints at and on both sides of -2**64, -2**63, 2**63 and 2**64, and of 18, 19
+# and 20 digits, where orjson would read an int as a float
+BORDER_INTS = st.sampled_from([sign * (border + step) for border in (2**63, 2**64)
+                               for step in (-1, 0, 1) for sign in (1, -1)])
+DIGIT_INTS = st.sampled_from([17, 18, 19]).flatmap(
+    lambda n: st.integers(10**n, 10**(n + 1) - 1)) | st.integers(-10**20, -10**17)
+SCALARS = (st.none() | st.booleans() | BORDER_INTS | DIGIT_INTS | st.integers()
+           | DOUBLES | st.floats(min_value=2.0**63)
+           | st.text(st.characters(exclude_categories=()))  # lone surrogates too
+           | st.sampled_from(["\ud800", "\udfff", "\ud83d\ude00", "\u00e9", "\\\"",
+                              "{[", "\x00\n"]))
+VALUES = st.recursive(SCALARS, lambda kids: st.lists(kids, max_size=3)
+                      | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
+RECORDS = st.lists(st.dictionaries(st.text(max_size=4), SCALARS, max_size=6)
+                   | VALUES, max_size=5)
+# number literals json.dumps does not write: long fractions and mantissas,
+# exponents, and tokens for values that round to inf or 0 or are no number
+LITERALS = st.sampled_from([
+    "1234567890123456789.0", "0.1234567890123456789", "123456789012345678.5",
+    "0.00012345678901234567", "1e400", "-1e400", "1e-400", "-1e-400", "-0", "1E+2",
+    "NaN", "Infinity", "-Infinity", "2.4703282292062328e-324",
+    "1.00000000000000011102230246251565404236316680908203125"]) | DOUBLES.map(repr)
+
+
+@st.composite
+def record_texts(draw):
+    """A JSON text of records as json.dumps writes them, or built of literal
+    members under a few keys, so that a key may repeat; perhaps damaged."""
+    if draw(st.booleans()):
+        text = json.dumps(draw(RECORDS), ensure_ascii=draw(st.booleans()))
+    else:
+        members = st.lists(st.tuples(st.sampled_from("abc"), LITERALS), max_size=4)
+        text = "[" + ",".join(
+            "{" + ",".join(f'"{k}":{v}' for k, v in draw(members)) + "}"
+            for _ in range(draw(st.integers(0, 3)))) + "]"
+    damage = draw(st.none() | st.sampled_from(["cut", "junk"]))
+    if damage:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] if damage == "cut" else text[:at] + draw(JUNK) + text[at:]
+    return text
+
+
+@settings(max_examples=600, deadline=None)
+@given(text=record_texts())
+def test_records_read_as_json_reads_them(text):
+    assert _parsed(runner._load_records, text) == _parsed(json.loads, text)
+
+
+@pytest.mark.parametrize("depth", [10, 400, 5_000, 100_000])
+@pytest.mark.parametrize("shape", ["lists", "a batch of lists", "two batches",
+                                   "a batch of dicts", "one dict to a record"])
+def test_deep_records_read_as_json_reads_them(shape, depth):
+    # json refuses what passes its recursion limit; orjson 3.8.3 reads all of
+    # these, and overflows its stack on 100,000 levels of dicts
+    lists = "[" * depth + "]" * depth
+    dicts = '{"a":' * depth + "1" + "}" * depth
+    text = {"lists": lists, "a batch of lists": f'[{{"id":{lists}}}]',
+            "two batches": f'[{{"id":1}},{{"id":{lists}}}]',
+            "a batch of dicts": "[" + dicts.replace(":", ": ") + "]",
+            # as many records as dicts, yet not each record a dict
+            "one dict to a record": "[" + "1," * (depth - 1) + dicts + "]"}[shape]
+    if depth < 1000:
+        assert _parsed(runner._load_records, text) == _parsed(json.loads, text)
+    else:
+        with pytest.raises(RecursionError):
+            runner._load_records(text)
+
+
+# -- a series array as array() makes it ------------------------------------
+
+def _packed(make, name, values):
+    try:
+        made = make(name, values)
+    except (ValueError, TypeError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return made.typecode, made.tobytes()
+
+
+def _array(name, values):
+    return array("b" if name.startswith(FLAG_SERIES) else "d", values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["released_doses", "material_stockout.resin"]),
+       values=st.lists(DOUBLES | st.integers(-128, 127) | st.booleans(), max_size=20),
+       bad=st.none() | st.sampled_from(["1", 1.0, 200, -129, 10**400, None, [1]]),
+       data=st.data())
+def test_series_array_packs_as_array_does(name, values, bad, data):
+    # NaN payloads, -0.0, subnormals and infinities keep their bits; a value
+    # either code refuses is refused with array's error
+    if bad is not None:
+        values.insert(data.draw(st.integers(0, len(values))), bad)
+    assert _packed(series_array, name, values) == _packed(_array, name, values)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import vaxsim
-from conftest import assert_books_balance
+from conftest import assert_books_balance, chain_config
 from vaxsim.config import ConfigError, parse_config
 from vaxsim.model import Model
 from vaxsim.production import STALLED
@@ -204,6 +204,11 @@ def test_any_config_parses_and_runs_or_is_rejected(plant, data):
     except ConfigError:
         return
     model = Model(cfg, seed=1)
+    assert_books_balance(model, model.run())
+
+
+def test_books_balance_on_the_chain_plant():
+    model = Model(chain_config(), seed=1)
     assert_books_balance(model, model.run())
 
 
