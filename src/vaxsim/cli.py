@@ -5,15 +5,16 @@ result store), compare (cross-scenario statistics over existing stores),
 report (markdown report plus tidy CSVs). Validation failures exit nonzero
 with a single machine-readable JSON object on stderr; run checks its
 arguments, inputs and --out directory before it simulates anything, and
-report its stores' pairing and its --out directory before it decodes a
-series. compare and report refuse a store without replications, and stores
+report its stores and its --out directory before it writes anything.
+compare and report refuse a store without replications, and stores
 that cannot be paired replication for replication: a different config, base
 seed, horizon, start date or replication count than the first store's, or a
-scenario name already given. A damaged store is refused the same way: a
-manifest that is not an object listing its replication files in order, a
-replication whose seed is not the base seed plus its index, a replication
-without exactly one meta and one counts record, or a record that does not
-decode, when the command first reads it.
+scenario name already given. A damaged store is refused the same way,
+before anything is computed: a manifest of another format, or that is not
+an object listing its replication files in order with their sha256, a file
+that does not match its sha256, a replication whose seed is not the base
+seed plus its index, a replication without exactly one meta and one counts
+record, a record that does not decode, or series bytes of the wrong size.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import yaml
 from .config import ConfigError, parse_config
 from .metrics import (COMPARISON_COLUMNS, compare_scenarios, comparison_cells, kpi_summary,
                       mean)
-from .runner import StoreError, load_store, run_ensemble, write_store
+from .runner import load_store, run_ensemble, write_store
 from .scenario import parse_scenario
 
 EXIT_OK = 0
@@ -170,10 +171,7 @@ def cmd_compare(args) -> int:
     ens = {m["scenario"]: res for m, res in stores}
     if "base" not in ens:
         return _fail("store", "comparison needs a store with scenario 'base'")
-    try:
-        rows = compare_scenarios(ens)
-    except StoreError as exc:  # a series decodes when first read
-        return _fail("store", str(exc))
+    rows = compare_scenarios(ens)
     print("\t".join(COMPARISON_COLUMNS))
     for row in rows:
         print("\t".join(map(str, comparison_cells(row))))
@@ -189,11 +187,7 @@ def cmd_report(args) -> int:
     bad = _make_out(args.out)
     if bad:
         return _fail("validation", bad)
-    try:
-        path = write_report(stores, args.out)
-    except StoreError as exc:
-        return _fail("store", str(exc))
-    print(path)
+    print(write_report(stores, args.out))
     return EXIT_OK
 
 

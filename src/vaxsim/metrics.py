@@ -154,7 +154,7 @@ def bottleneck_report(results) -> list[dict]:
         return []
     acc: dict[str, list[float]] = {}
     for res in results:
-        for key in res.series:  # index only these: a loaded series decodes on read
+        for key in res.series:
             if key.partition(".")[0] in RESOURCE_KINDS:
                 acc.setdefault(key, []).append(mean(res.series[key]))
     rows = []

@@ -41,7 +41,6 @@ that nothing more can start.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from dataclasses import dataclass, field
 
@@ -51,32 +50,15 @@ from .production import DISCARDED, RELEASED, Batch, Production
 from .qaqc import QaQc
 
 
-FLAG_SERIES = "material_stockout."  # daily 0/1 flags; every other series is float
-
-
-def series_array(name: str, values) -> array:
-    """A daily series in compact form: bytes for flags, doubles otherwise.
-
-    ``values`` is a sequence of numbers. ``struct`` packs them in about half
-    the time ``array`` takes to fill itself from a list, to the same bits.
-    What ``struct`` refuses goes to ``array``, so a value that is no flag or
-    no double is refused in ``array``'s words.
-    """
-    code = "b" if name.startswith(FLAG_SERIES) else "d"
-    try:
-        return array(code, struct.pack(f"{len(values)}{code}", *values))
-    except (struct.error, TypeError, ValueError, OverflowError):
-        return array(code, values)
-
-
 @dataclass
 class ReplicationResult:
     """Everything one replication emits, in plain serializable data.
 
-    Each daily series is an ``array`` (see ``series_array``): a boxed float
-    per day would make a result about three times larger. A result loaded
-    from a store holds them in a read-only mapping that decodes each one on
-    first read (``runner.LazySeries``).
+    Each daily series is an ``array`` of ``horizon_days`` values: a byte per
+    day for the 0/1 ``material_stockout.*`` flags, a double per day for every
+    other series. A boxed float per day would make a result about three
+    times larger. A result loaded from a store holds them in a read-only
+    mapping.
     """
 
     scenario: str
@@ -106,7 +88,8 @@ class Collector:
         self.batches: list[Batch] = []
 
     def _new(self, name: str) -> array:
-        self.series[name] = values = series_array(name, [0] * self.horizon)
+        code = "b" if name.startswith("material_stockout.") else "d"
+        self.series[name] = values = array(code, [0]) * self.horizon
         return values
 
     # -- batch log -------------------------------------------------------

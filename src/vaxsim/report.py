@@ -73,7 +73,7 @@ def _repr_texts(column: np.ndarray) -> list[str]:
     ``1e16`` for ``1e+16``, ``null`` for NaN), so those are rewritten with
     ``repr``.
     """
-    import orjson  # loaded already where the series were read from a store
+    import orjson  # loaded already where the stores were read
 
     values = column.tolist()
     texts = orjson.dumps(values).decode()[1:-1].split(",")

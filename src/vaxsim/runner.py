@@ -2,35 +2,40 @@
 
 A run is (config, overlay, base seed, n): replication i simulates seed
 base+i, so base and scenario runs pair replication-for-replication on common
-random numbers. Results land in a directory store of newline-delimited JSON,
-one file per replication, plus a KPI table and a manifest; every byte is a
-pure function of the inputs, whatever the worker count. A loaded
-replication decodes each daily series the first time it is read, so a
-command pays only for the series it reads.
+random numbers. Results land in a directory store: two files per
+replication, plus a KPI table and a manifest; every byte is a pure function
+of the inputs, whatever the worker count. A replication's meta, batch and
+counts records are newline-delimited JSON, and its daily series are raw
+little-endian values, listed by name and type code in the manifest, which
+also carries the sha256 of every file. A flipped byte in a double still
+decodes, to a wrong number, so ``load_store`` checks each file against its
+digest before it decodes anything.
 
-The store is written with ``json`` alone and read back with orjson, which
-parses a double bit for bit as ``float()`` does in about half json's time.
-``json`` stays the reader of record: wherever orjson might read a text
-otherwise, or refuse it in other words, json parses it again and its value
-or its error is the answer. So a replication loads to the same values, and
-fails with the same messages, as json alone would make.
+The records are written with ``json`` alone and read back with orjson, in
+about half json's time. ``json`` stays the reader of record: wherever orjson
+might read a text otherwise, or refuse it in other words, json parses it
+again and its value or its error is the answer. So a replication loads to
+the same values, and fails with the same messages, as json alone would make.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
-from collections.abc import Mapping
+import sys
+from array import array
+from types import MappingProxyType
 
 from . import __version__
 from .config import Config, config_hash, parse_config
 from .metrics import kpi_summary
-from .model import Model, ReplicationResult, series_array
+from .model import Model, ReplicationResult
 from .scenario import ScenarioRuntime, ScenarioSpec, parse_scenario
 
-STORE_FORMAT = "vaxsim-store-1"
+STORE_FORMAT = "vaxsim-store-2"
 
 KPI_COLUMNS = [
     "scenario", "seed", "time_to_first_dose", "time_to_target", "target_doses",
@@ -78,83 +83,44 @@ def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def result_to_ndjson(res: ReplicationResult) -> str:
+# series type codes and their sizes: a double per day, or a byte per day for
+# a 0/1 flag (material_stockout.*)
+SERIES_SIZES = {"d": 8, "b": 1}
+# series are stored little-endian; array works in the host's byte order
+_SWAP = sys.byteorder == "big"
+
+
+def series_layout(res: ReplicationResult) -> list[list[str]]:
+    """``[name, typecode]`` of each of ``res``'s series, in name order: the
+    order ``result_to_ndjson`` writes them in."""
+    return [[name, res.series[name].typecode] for name in sorted(res.series)]
+
+
+def result_to_ndjson(res: ReplicationResult) -> tuple[bytes, bytes]:
+    """The two files of a replication: the NDJSON of its meta, batch and
+    counts records, and its daily series as raw little-endian values, each
+    ``horizon_days`` long, in ``series_layout`` order."""
     lines = [_dumps({"kind": "meta", "scenario": res.scenario, "seed": res.seed,
                      "horizon_days": res.horizon_days,
                      "start_date": res.start_date})]
-    for name in sorted(res.series):
-        lines.append(_dumps({"kind": "series", "name": name,
-                             "values": res.series[name].tolist()}))
     for b in res.batches:
         lines.append(_dumps(dict(b, kind="batch")))
     lines.append(_dumps(dict(res.counts, kind="counts")))
-    return "\n".join(lines) + "\n"
-
-
-# _dumps writes every series record as _SERIES_HEAD + name + _SERIES_TAIL + values
-_SERIES_HEAD = '{"kind":"series","name":"'
-_SERIES_TAIL = '","values":'
+    blob = []
+    for name, code in series_layout(res):
+        values = res.series[name]
+        if code not in SERIES_SIZES or len(values) != res.horizon_days:
+            raise ValueError(f"series {name!r} is not {res.horizon_days} values "
+                             "of type 'd' or 'b'")
+        if _SWAP:
+            values = array(code, values)
+            values.byteswap()
+        blob.append(values.tobytes())
+    return ("\n".join(lines) + "\n").encode(), b"".join(blob)
 
 
 class StoreError(ValueError):
-    """A store record that does not decode; names the file and the record."""
-
-
-def _decode_series(name: str, line: str):
-    """The array of a series line, as json reads it, parsed by orjson.
-
-    Where orjson's parse does not make an array, json parses the line
-    again, and its array or its error is the answer. json writes a
-    non-finite value as ``NaN``, ``Infinity`` or ``-Infinity``, which orjson
-    does not read; orjson refuses a number that rounds to infinity, which
-    json reads as ``inf`` (``1e400``) or as an int too large for a double;
-    and a damaged line is refused with json's message. A line holding a
-    second ``{`` or ``[`` may nest deep enough to overflow orjson's stack
-    (300,000 levels of lists do), so json alone reads it.
-    """
-    import orjson  # on first decode: run and validate never read a series
-
-    if line.find("{", 1) < 0 and line.find("[", line.find("[") + 1) < 0:
-        try:
-            return series_array(name, orjson.loads(line)["values"])
-        except (ValueError, TypeError, KeyError, OverflowError):
-            pass
-    return series_array(name, json.loads(line)["values"])
-
-
-class LazySeries(Mapping):
-    """The daily series of a loaded replication, read-only, each decoded
-    from its NDJSON line on first read: by orjson, or by json where orjson's
-    parse makes no array, as for ``NaN`` or a damaged line (see
-    ``_decode_series``).
-
-    One dict holds a series' line until the series is read and its array
-    after that, so a decoded line is not kept. A series that no one reads is
-    never decoded, and so never checked either.
-    """
-
-    def __init__(self, items: dict, source: str):
-        self._items = items  # name -> NDJSON line, or the array once decoded
-        self._source = source
-
-    def __getitem__(self, name: str):
-        item = self._items[name]
-        if isinstance(item, str):
-            try:
-                item = _decode_series(name, item)
-            except (ValueError, TypeError, KeyError, OverflowError, RecursionError) as exc:
-                raise StoreError(f"{self._source}: series {name!r}: {exc}") from None
-            self._items[name] = item
-        return item
-
-    def __contains__(self, name) -> bool:
-        return name in self._items
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self) -> int:
-        return len(self._items)
+    """A store file that does not decode; names the file and the record."""
 
 
 # every ASCII digit to b"0", so that a run of digits is a run of b"0"
@@ -193,47 +159,51 @@ def _load_records(text: str):
     return json.loads(text)
 
 
-def ndjson_to_result(text: str, source: str = "NDJSON") -> ReplicationResult:
-    """A replication from its NDJSON; ``source`` names it in errors.
+def ndjson_to_result(text: bytes, blob: bytes, series: list,
+                     source: str = "replication") -> ReplicationResult:
+    """A replication from the two files ``result_to_ndjson`` writes, given
+    the ``[name, typecode]`` of each series in ``blob``. ``source`` is the
+    path of the files without their suffix, naming them in errors.
 
-    Series lines are indexed by the name sliced from them (see LazySeries).
-    Every other record decodes at once, in one parse by ``_load_records``:
-    json.dumps never writes a raw newline inside a record, so those lines
-    joined by commas are one JSON array. A replication has one meta and one
-    counts record.
+    The records decode in one parse by ``_load_records``: json.dumps never
+    writes a raw newline inside a record, so the lines joined by commas are
+    one JSON array. A replication has one meta and one counts record. Every
+    series decodes at once, ``horizon_days`` values each, into a read-only
+    mapping.
     """
-    lines = text.rstrip("\n").split("\n")
-    records = [line for line in lines if not line.startswith(_SERIES_HEAD)]
-    series = {}
     try:
-        for line in [line for line in lines if line.startswith(_SERIES_HEAD)]:
-            end = line.find(_SERIES_TAIL, len(_SERIES_HEAD))
-            if end < 0:
-                raise ValueError(f"series record without values: {line[:80]}")
-            name = line[len(_SERIES_HEAD):end]
-            if "\\" in name:  # an escaped character: decode the JSON string
-                name = json.loads(f'"{name}"')
-            series[name] = line
-        records = _load_records("[" + ",".join(records) + "]")
+        records = _load_records("[" + text.decode().rstrip("\n").replace("\n", ",") + "]")
     except (ValueError, RecursionError) as exc:  # json recurses once per nesting level
-        raise StoreError(f"{source}: {exc}") from None
-    by_kind = {"meta": [], "series": [], "batch": [], "counts": []}
+        raise StoreError(f"{source}.ndjson: {exc}") from None
+    by_kind = {"meta": [], "batch": [], "counts": []}
     for rec in records:
         kind = rec.pop("kind", None) if isinstance(rec, dict) else None
         if kind not in by_kind:
-            raise StoreError(f"{source}: not a store record: {rec!r:.80}")
+            raise StoreError(f"{source}.ndjson: not a store record: {rec!r:.80}")
         by_kind[kind].append(rec)
     for kind in ("meta", "counts"):
         if len(by_kind[kind]) != 1:
-            raise StoreError(f"{source}: {len(by_kind[kind])} {kind} records, not one")
+            raise StoreError(f"{source}.ndjson: {len(by_kind[kind])} {kind} records, not one")
     try:
         res = ReplicationResult(**by_kind["meta"][0], batches=by_kind["batch"],
                                 counts=by_kind["counts"][0])
-        for rec in by_kind["series"]:  # written some other way than by _dumps
-            series[rec["name"]] = series_array(rec["name"], rec["values"])
-    except (TypeError, KeyError, ValueError, OverflowError) as exc:
-        raise StoreError(f"{source}: {exc}") from None
-    res.series = LazySeries(series, source)
+    except TypeError as exc:
+        raise StoreError(f"{source}.ndjson: {exc}") from None
+    if type(res.horizon_days) is not int:
+        raise StoreError(f"{source}.ndjson: horizon_days {res.horizon_days!r} "
+                         "is not a whole number")
+    size = res.horizon_days * sum(SERIES_SIZES[code] for _, code in series)
+    if len(blob) != size:
+        raise StoreError(f"{source}.bin: {len(blob)} bytes, not the {size} of "
+                         f"{len(series)} series of {res.horizon_days} days")
+    view, at, decoded = memoryview(blob), 0, {}
+    for name, code in series:
+        decoded[name] = values = array(code)
+        values.frombytes(view[at:at + res.horizon_days * values.itemsize])
+        at += res.horizon_days * values.itemsize
+        if _SWAP:
+            values.byteswap()
+    res.series = MappingProxyType(decoded)
     return res
 
 
@@ -255,8 +225,14 @@ def overlay_identity(spec: ScenarioSpec | None) -> str | None:
 
 # -- the store -----------------------------------------------------------
 
-def _rep_file(i: int) -> str:
-    return os.path.join("replications", f"rep_{i:05d}.ndjson")
+def _rep_files(count: int) -> list[str]:
+    """The replication files of a store of ``count`` replications, in order."""
+    return [os.path.join("replications", f"rep_{i:05d}{suffix}")
+            for i in range(count) for suffix in (".ndjson", ".bin")]
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
@@ -264,25 +240,37 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
                 overlay_raw: dict | None = None) -> dict:
     """Write manifest + per-replication files + KPI table; returns the manifest.
 
-    ``overlay_raw`` is not read: the overlay hash comes from the parsed
-    ``spec``. It stays only because ``perfbench/run.py`` passes it by
-    position.
+    Files under ``replications/`` that this store does not list, as from an
+    earlier and larger run into ``out_dir``, are removed. ``overlay_raw`` is
+    not read: the overlay hash comes from the parsed ``spec``. It stays only
+    because ``perfbench/run.py`` passes it by position.
     """
     rep_dir = os.path.join(out_dir, "replications")
     os.makedirs(rep_dir, exist_ok=True)
-    files = []
-    for i, res in enumerate(results):
-        rel = _rep_file(i)
-        files.append(rel)
-        with open(os.path.join(out_dir, rel), "w", encoding="utf-8") as fh:
-            fh.write(result_to_ndjson(res))
+    series = series_layout(results[0]) if results else []
+    files = [*_rep_files(len(results)), "kpis.csv"]
+    hashes = {}
 
-    kpi_path = os.path.join(out_dir, "kpis.csv")
-    with open(kpi_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.DictWriter(fh, fieldnames=KPI_COLUMNS, lineterminator="\n")
-        w.writeheader()
-        for res in results:
-            w.writerow({k: "" if v is None else v for k, v in kpi_summary(res).items()})
+    def put(rel: str, data: bytes) -> None:
+        with open(os.path.join(out_dir, rel), "wb") as fh:
+            fh.write(data)
+        hashes[rel] = _sha256(data)
+
+    for i, res in enumerate(results):
+        if series_layout(res) != series:
+            raise ValueError(f"replication {i} holds other series than replication 0")
+        for rel, data in zip(files[2 * i:], result_to_ndjson(res)):
+            put(rel, data)
+    for name in os.listdir(rep_dir):
+        if os.path.join("replications", name) not in hashes:
+            os.remove(os.path.join(rep_dir, name))
+
+    kpis = io.StringIO()
+    w = csv.DictWriter(kpis, fieldnames=KPI_COLUMNS, lineterminator="\n")
+    w.writeheader()
+    for res in results:
+        w.writerow({k: "" if v is None else v for k, v in kpi_summary(res).items()})
+    put("kpis.csv", kpis.getvalue().encode())
 
     manifest = {
         "format": STORE_FORMAT,
@@ -294,7 +282,9 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
         "replications": len(results),
         "horizon_days": results[0].horizon_days if results else 0,
         "start_date": results[0].start_date if results else None,
-        "files": files + ["kpis.csv"],
+        "series": series,
+        "files": files,
+        "sha256": hashes,
     }
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -304,9 +294,9 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
 
 def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
     """The manifest and replications of the store at ``out_dir``. The
-    manifest is checked, not trusted: its replication files are exactly
-    those ``write_store`` names, in order, and replication i has seed
-    ``base_seed + i``."""
+    manifest is checked, not trusted: its format is this one, its files are
+    exactly those ``write_store`` names, in order, each matches its sha256,
+    and replication i has seed ``base_seed + i``."""
     path = os.path.join(out_dir, "manifest.json")
     with open(path, encoding="utf-8") as fh:
         try:
@@ -315,6 +305,9 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
             raise StoreError(f"{path}: {exc}") from None
     if not isinstance(manifest, dict):
         raise StoreError(f"{path}: the manifest is not a JSON object")
+    if manifest.get("format") != STORE_FORMAT:
+        raise StoreError(f"{path}: format {manifest.get('format')!r} is not "
+                         f"{STORE_FORMAT!r}: run the store again with this vaxsim")
     files = manifest.get("files")
     if not (isinstance(files, list) and all(isinstance(f, str) for f in files)):
         raise StoreError(f"{path}: files is not a list of file names")
@@ -325,14 +318,35 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
         raise StoreError(f"{path}: replications is not a count")
     if type(base_seed) is not int:
         raise StoreError(f"{path}: base_seed is not a whole number")
-    if [f for f in files if f.endswith(".ndjson")] != [_rep_file(i) for i in range(count)]:
+    if files != [*_rep_files(count), "kpis.csv"]:
         raise StoreError(f"{path}: files does not list the {count} replication files "
                          "in order")
+    hashes = manifest.get("sha256")
+    if not (isinstance(hashes, dict) and all(f in hashes for f in files)):
+        raise StoreError(f"{path}: sha256 does not hold a digest for each listed file")
+    series = manifest.get("series")
+    if not (isinstance(series, list)
+            and all(isinstance(s, list) and len(s) == 2 and isinstance(s[0], str)
+                    and s[1] in ("d", "b") for s in series)
+            and len({s[0] for s in series}) == len(series)):
+        raise StoreError(f"{path}: series is not a list of distinct "
+                         "[name, \"d\" or \"b\"] pairs")
+
+    def read(rel: str) -> bytes:
+        file = os.path.join(out_dir, rel)
+        with open(file, "rb") as fh:
+            data = fh.read()
+        if _sha256(data) != hashes[rel]:
+            raise StoreError(f"{file}: its sha256 is not the one the manifest lists")
+        return data
+
+    read("kpis.csv")
     results = []
     for i in range(count):
-        path = os.path.join(out_dir, _rep_file(i))
-        with open(path, encoding="utf-8") as fh:
-            results.append(ndjson_to_result(fh.read(), path))
+        source = os.path.join(out_dir, "replications", f"rep_{i:05d}")
+        results.append(ndjson_to_result(read(files[2 * i]), read(files[2 * i + 1]),
+                                        series, source))
         if results[-1].seed != base_seed + i:
-            raise StoreError(f"{path}: seed {results[-1].seed!r} is not base_seed + {i}")
+            raise StoreError(f"{source}.ndjson: seed {results[-1].seed!r} "
+                             f"is not base_seed + {i}")
     return manifest, results

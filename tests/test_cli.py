@@ -1,6 +1,7 @@
 """Command line verbs: exit codes, error JSON, and the run/compare/report flow."""
 
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -398,7 +399,7 @@ def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
 
 def test_compare_and_report_load_scipy_special_not_scipy_stats(paired_stores, tmp_path):
     # the t distribution comes from scipy.special, a third of scipy.stats's
-    # memory and import time; orjson reads the series
+    # memory and import time; orjson reads the replications' records
     code = (
         "import sys\n"
         "from vaxsim.cli import main\n"
@@ -411,86 +412,43 @@ def test_compare_and_report_load_scipy_special_not_scipy_stats(paired_stores, tm
     assert (tmp_path / "rep" / "comparison.csv").exists()
 
 
-def _rewritten_copy(src, dst, rel, edit):
+def _rehash(store, *rels):
+    """Make the manifest of ``store`` list the sha256 of each file in ``rels``
+    as it is now, so a damaged file meets the checks behind the hash check."""
+    path = os.path.join(store, "manifest.json")
+    with open(path, encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    for rel in rels:
+        with open(os.path.join(store, rel), "rb") as fh:
+            manifest["sha256"][rel] = hashlib.sha256(fh.read()).hexdigest()
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh)
+
+
+def _rewritten_copy(src, dst, rel, edit, rehash=True):
     """A copy of store ``src`` whose file ``rel`` holds ``edit`` of its
-    text; returns the copy and the rewritten file."""
+    text, or of its bytes for a .bin file; returns the copy and the
+    rewritten file. With ``rehash``, a rewritten replication file's sha256
+    is listed in the manifest too."""
     shutil.copytree(src, dst)
     path = os.path.join(dst, rel)
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(edit(text))
+    data = Path(path).read_bytes()
+    if rel.endswith(".bin"):
+        Path(path).write_bytes(edit(data))
+    else:
+        Path(path).write_text(edit(data.decode()), encoding="utf-8")
+    if rehash and rel != "manifest.json":
+        _rehash(dst, rel)
     return str(dst), path
 
 
 FIRST_REP = os.path.join("replications", "rep_00000.ndjson")
 SECOND_REP = os.path.join("replications", "rep_00001.ndjson")
-
-
-def _damaged_copy(src, dst, series, edit):
-    """A copy of store ``src`` whose second replication has ``series``'s
-    line passed through ``edit``; returns the copy and the damaged file."""
-    head = f'{{"kind":"series","name":"{series}","values":['
-
-    def edit_series(text):
-        lines = text.split("\n")
-        i = next(i for i, line in enumerate(lines) if line.startswith(head))
-        lines[i] = edit(lines[i], len(head))
-        return "\n".join(lines)
-
-    return _rewritten_copy(src, dst, SECOND_REP, edit_series)
-
-
-def _store_error(capsys, path, series, argv):
-    assert main(argv) == 2
-    err = stderr_json(capsys)
-    assert err["error"] == "store" and len(err["messages"]) == 1
-    assert err["messages"][0].startswith(f"{path}: series {series!r}: ")
-
-
-def test_a_garbled_series_value_is_a_store_error(paired_stores, tmp_path, capsys):
-    base, scen = paired_stores
-    odd, path = _damaged_copy(scen, tmp_path / "odd", "stage_util.fill",
-                              lambda line, at: line[:at] + "1.2.3," + line[at:])
-    capsys.readouterr()
-    _store_error(capsys, path, "stage_util.fill",
-                 ["report", base, odd, "--out", str(tmp_path / "rep")])
-    # compare reads only released_doses, and a series no one reads is not checked
-    assert main(["compare", base, odd]) == 0
-
-
-@pytest.mark.parametrize("cut", ["values", "record"])
-def test_a_truncated_series_line_is_a_store_error(paired_stores, tmp_path, capsys, cut):
-    base, scen = paired_stores
-    # cut inside the values, or before them, where not even the name is whole
-    stub = '{"kind":"series","name":"rel'
-    edit = ((lambda line, at: line[:at + (len(line) - at) // 2]) if cut == "values"
-            else (lambda line, at: stub))
-    odd, path = _damaged_copy(scen, tmp_path / "odd", "released_doses", edit)
-    capsys.readouterr()
-    for argv in (["compare", base, odd], ["report", base, odd, "--out",
-                                          str(tmp_path / "rep")]):
-        if cut == "values":
-            _store_error(capsys, path, "released_doses", argv)
-        else:
-            assert main(argv) == 2
-            err = stderr_json(capsys)
-            assert err["error"] == "store"
-            assert err["messages"] == [f"{path}: series record without values: {stub}"]
+SECOND_BIN = os.path.join("replications", "rep_00001.bin")
 
 
 # nested deeper than any recursion limit: json's decoder recurses once per level
 TOO_DEEP = "[" * 100_000 + "]" * 100_000
-
-
-def test_a_series_nested_too_deep_is_a_store_error(paired_stores, tmp_path, capsys):
-    base, scen = paired_stores
-    odd, path = _damaged_copy(scen, tmp_path / "odd", "released_doses",
-                              lambda line, at: line[:at - 1] + TOO_DEEP + "}")
-    capsys.readouterr()
-    for argv in (["compare", base, odd], ["report", base, odd, "--out",
-                                          str(tmp_path / "rep")]):
-        _store_error(capsys, path, "released_doses", argv)
 
 
 def _first_batch_too_deep(lines, deep=TOO_DEEP):
@@ -506,12 +464,19 @@ def _manifest_with(**changes):
     return lambda text: json.dumps(dict(json.loads(text), **changes))
 
 
+def _manifest_without(key):
+    return lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != key})
+
+
 def _files(*names):
     """A manifest edit: ``files`` lists ``names`` and then kpis.csv."""
     return _manifest_with(files=[*names, "kpis.csv"])
 
 
 SWAP = "swap with the second replication"  # an edit of the first: see _swapped_copy
+# a byte of the second replication's series flipped, and its sha256 left as it was
+FLIP = "flip a byte"
+SERIES_PAIRS = 'series is not a list of distinct [name, "d" or "b"] pairs'
 
 
 def test_a_batch_id_beyond_64_bits_loads_as_json_reads_it(paired_stores, tmp_path, capsys):
@@ -534,6 +499,7 @@ def _swapped_copy(src, dst):
     os.replace(first, first + ".tmp")
     os.replace(second, first)
     os.replace(first + ".tmp", second)
+    _rehash(dst, FIRST_REP, SECOND_REP)
     return str(dst), first
 
 
@@ -568,16 +534,36 @@ def _lines(edit):
     ("manifest.json", _manifest_with(replications=-1), "replications is not a count"),
     ("manifest.json", _manifest_with(replications=True), "replications is not a count"),
     ("manifest.json", _manifest_with(base_seed="7"), "base_seed is not a whole number"),
+    # the series bytes: 10 series of doubles over the chain's 274 days
+    (SECOND_BIN, lambda data: data[:-1], "21919 bytes, not the 21920 of 10 series of 274 days"),
+    (SECOND_BIN, lambda data: data + b"\0", "21921 bytes, not the 21920 of 10 series of 274 days"),
+    (SECOND_BIN, FLIP, "its sha256 is not the one the manifest lists"),
+    (SECOND_REP, lambda text: text.replace('"horizon_days":274', '"horizon_days":274.0', 1),
+     "horizon_days 274.0 is not a whole number"),
+    ("manifest.json", _manifest_without("sha256"),
+     "sha256 does not hold a digest for each listed file"),
+    ("manifest.json", _manifest_without("series"), SERIES_PAIRS),
+    ("manifest.json", _manifest_with(series=[["released_doses", "f"]]), SERIES_PAIRS),
+    ("manifest.json", _manifest_with(series=[["released_doses", "d", 8]]), SERIES_PAIRS),
+    ("manifest.json", _manifest_with(series=["released_doses", "d"]), SERIES_PAIRS),
 ], ids=["no meta", "two metas", "no counts", "a list record", "manifest a list",
         "manifest not JSON", "files a string", "files holds a number", "no scenario",
         "a batch too deep", "a batch of dicts too deep", "manifest too deep", "a file outside the store",
         "a file listed twice", "a replication not listed", "two replications swapped",
-        "a negative count", "a flag for a count", "a base seed in text"])
+        "a negative count", "a flag for a count", "a base seed in text",
+        "a .bin one byte short", "a .bin one byte long", "a .bin byte flipped",
+        "a horizon in days not whole",
+        "no sha256", "no series", "a series of floats", "a series triple",
+        "a series not a pair"])
 def test_a_damaged_store_is_a_store_error(paired_stores, tmp_path, capsys, rel, edit,
                                           message):
     base, scen = paired_stores
     if edit is SWAP:
         odd, path = _swapped_copy(scen, tmp_path / "odd")
+    elif edit is FLIP:
+        odd, path = _rewritten_copy(scen, tmp_path / "odd", rel,
+                                    lambda data: data[:99] + bytes([data[99] ^ 1]) + data[100:],
+                                    rehash=False)
     else:
         odd, path = _rewritten_copy(scen, tmp_path / "odd", rel, edit)
     capsys.readouterr()

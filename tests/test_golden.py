@@ -1,8 +1,8 @@
 """Golden digests: the demo plant's result bytes for base and every bundled scenario.
 
-Each ``GOLDEN`` entry pins the sha256 of every replication's NDJSON record and
-of the ``kpis.csv`` that ``write_store`` writes, for two replications from seed
-100. ``REPORT_GOLDEN`` pins each tidy CSV that ``write_report`` writes over
+Each ``GOLDEN`` entry pins the sha256 of every replication's two store files
+(its NDJSON records, then its series bytes) and of the ``kpis.csv`` that
+``write_store`` writes, for two replications from seed 100. ``REPORT_GOLDEN`` pins each tidy CSV that ``write_report`` writes over
 those seven stores, reloaded from disk. A change that alters any simulated
 number, series name, statistic or serialization fails here; a deliberate
 change updates the literals and says why. ``manifest.json`` and ``report.md``
@@ -12,7 +12,6 @@ schema gains or loses a field.
 
 import hashlib
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -29,34 +28,34 @@ CONFIG_DIR = Path(vaxsim.__file__).parent / "configs"
 SEED = 100
 REPLICATIONS = 2
 
-# scenario -> ([sha256 of each replication's NDJSON], sha256 of kpis.csv)
+# scenario -> ([sha256 of each replication's files], sha256 of kpis.csv)
 GOLDEN = {
-    "base": (["c791b6dd6639b6828950ebe56e87775f724ce1e8441b99252d9215a1f35e001e",
-              "22700118612a2a39cccd642d996eb3ccc6c71882412f08efab2f31754030cae4"],
+    "base": (["ef42dd8bd147b58ae209cbceeda05daac6ea90f5676df579598f92713fcb24cc",
+              "c1ef602b49d602bdaed2195439b3245c8956eaa4f1875ee80be57811b36f7eae"],
              "d5a5aa3f362b8fb159d44a0013e7e6167b36ae78880615876a129d29af23bd47"),
     "lead_time_inflation": (
-        ["682f3c5eea343abf67ad6f07a214bf451a453c8b726d3d1f5e01a3b445e2adcc",
-         "51c13cf1652a2b5ff25ac522202c0bccedf2ec87bcb8ac6e18f463b77049af77"],
+        ["508e31a50c3b5d95617424111c6e1761970eb42a8b8fe4acc75abeb371174d95",
+         "74de080b9e8f8731caca79e546ab48a5846b027185f23ada0904adda16ebe04f"],
         "9b45d03f436edd7ed05797f5c4ac59f70c918250f928f4828ce2bfcf59c89264"),
     "power_outage": (
-        ["25c8d7b3ffde136c173119f0bd799c6ea817f23c88e67a742c66824e0c3400dc",
-         "805373c304e70f67f1e4bc6d585d4d6d3eccc0be63541d5e238e8c4f13e0fbc0"],
+        ["0fe99aa5f5c7c4994954d27171666c4943eb696eb12cf2cc747fe4349054da9b",
+         "336bab352be69dff637a32436e5ab92990837cc355abbd98ae3e8a043c72b7f0"],
         "3356d527d7fe68943b1d24600edf04f35f0dbef2938091dc914f9c131b474da9"),
     "quality_capacity_doubling": (
-        ["1e3c7c966691ae5f59a3196b5dbbaafaead03daaa1503924b7943550a1dd7e21",
-         "dad0b465d0a768f540c68541e27d2ab1e21c4d468369d4ab06f4fa4f145d0a63"],
+        ["8baa75fab70327edb1048b7b6a4622e4795ac9090c956f2ff0a41e09192a97ad",
+         "73ef722b60adbfb5b5d05236fff0ca05ab5b394559a329dea953349973d6af06"],
         "573242038e5ee2966fa8be1f91a7032c8f1c6d7e886b2e97c783142edf544f9f"),
     "shutdown_main_culture": (
-        ["bbcd942b5219cbaf7e643b231f4ac0239a3bbfabf0744b6114486feed746f76f",
-         "43d8beff7af0d61b9ed809692f7ea34b59d8bd6f5d9f3c0174b61b61019c38ad"],
+        ["db978768f3405ebbf193de30adbbcebe5b64b85e526c04c66b1bc23563796523",
+         "a2e16b6ff512e19962126190f0d74bb3003f0ceac8d8b5e86fa84373a26c14d9"],
         "72ed856ea25b82d4ffda2600b4a24e97383ff81f8c54a5348c8907c195ba4d26"),
     "supplier_unavailability": (
-        ["6a71c13fca9ea2f7136a8a7064c60e99b4a90b7d124e0f0c4674c7a15eeda47e",
-         "f47d117577b07d475dce6984f5f3c9fd28a3b05f0169180a28eca270a13840b4"],
+        ["d221894d476d1cf783569fb541e0df2e330f9da8fc91acaf85f649941d40f661",
+         "1ab0a151f86ca407fbe1c410b38801c5ab3962ed979169cdd36c9492df3c9b87"],
         "8f4c2935d44902e7b41fc54bfe2ab0798fdb91bf8f5992f3883a114aa29398a1"),
     "workforce_reduction": (
-        ["61f4fa015a127071f70253a7b3e95d39dc6c675a808a4756ad75ec0c35cc6e50",
-         "cafdbf5868e33de31d305057835cfa8a253f32eddd7773f54b75458b517abd00"],
+        ["ec8975ac7fd73ab2e127cc8e40614379951157f3be9f023f4201dd84ea7eef8a",
+         "af3ee28e9933a98b7ae68b086c7c11083313a15ec9219bc963b37467bf562d7c"],
         "9f574131018c5c9e5a914dde03e4de43f9528e72084e8c5365853df17b83444f"),
 }
 
@@ -77,6 +76,11 @@ REPORT_GOLDEN = {
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _rep_sha(res) -> str:
+    """sha256 of a replication's .ndjson bytes followed by its .bin bytes."""
+    return _sha(b"".join(result_to_ndjson(res)))
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +111,7 @@ def report_dir(stores, tmp_path_factory):
 def test_store_bytes_match_golden(name, stores):
     results, path = stores[name]
     reps, kpis = GOLDEN[name]
-    assert [_sha(result_to_ndjson(r).encode("utf-8")) for r in results] == reps
+    assert [_rep_sha(r) for r in results] == reps
     assert _sha((path / "kpis.csv").read_bytes()) == kpis
 
 
@@ -120,58 +124,41 @@ def _dumps(record) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _older_layout(src: Path, dst: Path) -> Path:
-    """A copy of store ``src`` in the layout stores had before the records
-    nothing read were dropped: each replication also carries the daily
-    ``batches_created``, ``batches_released`` and ``batches_discarded`` series
-    (rebuilt from its batch log) and the ``pool_completed``,
-    ``pool_sojourn_days`` and ``stage_busy_days`` counters (stand-in values)."""
-    shutil.copytree(src, dst)
-    for path in sorted((dst / "replications").glob("rep_*.ndjson")):
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        meta, counts = records[0], records[-1]
-        horizon = meta["horizon_days"]
-        series = {r["name"]: r for r in records if r["kind"] == "series"}
-        batches = [r for r in records if r["kind"] == "batch"]
-        for name, at in (("batches_created", "created_at"),
-                         ("batches_released", "released_at"),
-                         ("batches_discarded", "discarded_at")):
-            values = [0.0] * horizon
-            for b in batches:
-                if b[at] is not None:
-                    values[min(int(b[at]), horizon - 1)] += 1
-            series[name] = {"kind": "series", "name": name, "values": values}
-        for key in list(counts):
-            family, _, item = key.partition(".")
-            if family == "pool_started":
-                counts[f"pool_completed.{item}"] = counts[key]
-            elif family == "pool_wait_days":
-                counts[f"pool_sojourn_days.{item}"] = (
-                    counts[key] + counts[f"pool_busy_days.{item}"])
-            elif family == "stage_closed_days":
-                counts[f"stage_busy_days.{item}"] = 1.5
-        lines = [meta, *(series[n] for n in sorted(series)), *batches, counts]
-        path.write_text("".join(_dumps(r) + "\n" for r in lines), encoding="utf-8")
+def _format_1(store: Path, dst: Path) -> Path:
+    """Store ``store`` as ``vaxsim-store-1`` wrote it: each replication one
+    NDJSON file holding its series as records, and no ``series`` or
+    ``sha256`` in the manifest."""
+    manifest, results = load_store(str(store))
+    (dst / "replications").mkdir(parents=True)
+    files = []
+    for i, res in enumerate(results):
+        lines = [{"kind": "meta", "scenario": res.scenario, "seed": res.seed,
+                  "horizon_days": res.horizon_days, "start_date": res.start_date},
+                 *({"kind": "series", "name": name, "values": res.series[name].tolist()}
+                   for name in sorted(res.series)),
+                 *(dict(b, kind="batch") for b in res.batches), dict(res.counts, kind="counts")]
+        files.append(f"replications/rep_{i:05d}.ndjson")
+        (dst / files[-1]).write_text("".join(_dumps(r) + "\n" for r in lines))
+    (dst / "kpis.csv").write_bytes((store / "kpis.csv").read_bytes())
+    del manifest["series"], manifest["sha256"]
+    manifest.update(format="vaxsim-store-1", files=[*files, "kpis.csv"])
+    (dst / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return dst
 
 
-def test_stores_in_the_older_layout_read_the_same(stores, report_dir, tmp_path, capsys):
-    """Older-layout stores load, pair with current ones, and give the same
-    ``compare`` output and report bytes."""
+def test_stores_in_the_older_format_are_refused(stores, tmp_path, capsys):
+    """A store-1 store is the store error, named by its format tag: its series
+    are text, which this vaxsim no longer reads, so it must be run again."""
     current = [str(path) for _, path in stores.values()]
-    mixed = [str(_older_layout(Path(p), tmp_path / Path(p).name)) if i % 2 == 0 else p
-             for i, p in enumerate(current)]
+    old = str(_format_1(Path(current[1]), tmp_path / "old"))
     capsys.readouterr()
-    outputs = []
-    for paths in (current, mixed):
-        assert main(["compare", *paths]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert main(["report", *mixed, "--out", str(tmp_path / "report")]) == 0
-    files = sorted(p.name for p in report_dir.iterdir())
-    assert sorted(p.name for p in (tmp_path / "report").iterdir()) == files
-    for name in files:
-        assert (tmp_path / "report" / name).read_bytes() == (report_dir / name).read_bytes()
+    for argv in (["compare", current[0], old],
+                 ["report", current[0], old, "--out", str(tmp_path / "report")]):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err) == {"error": "store", "messages": [
+            f"{old}/manifest.json: format 'vaxsim-store-1' is not 'vaxsim-store-2': "
+            "run the store again with this vaxsim"]}
+    assert not (tmp_path / "report").exists()
 
 
 # A small chain plant that reaches the QA/QC branches the demo never takes: an
@@ -230,11 +217,11 @@ QAQC_PLANT = {
                                   "min_interarrival": 3.0}]}],
 }
 
-# sha256 of each replication's NDJSON record, three replications from SEED
+# sha256 of each replication's files, three replications from SEED
 QAQC_PLANT_GOLDEN = [
-    "3a82a6c41cbc57db7b957b940a7d0e77d4faa658c96e72b3cc448ae131ecd048",
-    "8a45adab072ac51af8222c767b715b8ad610f9e9ce562bc4902560fa78a87510",
-    "911b4b5fcd0d8f5da2c8d371fbe348c06e2bf7fc7f96c22a245cde91541996ee",
+    "034f302f29b74ed0a37f65f94f39478bcfb2b8783fb99f8666ee4242655ea374",
+    "08bbc17b60c819d2923a20c31883539966bc17d63dae8d72bc7441f3a9aabb5a",
+    "ad14a8338268b6e66fbd03b10767af1a8c199ca08ac56379ebdea93d161d7464",
 ]
 
 
@@ -244,4 +231,4 @@ def test_qaqc_plant_bytes_match_golden():
     # the plant reaches what it is here for
     assert all(c["retests"] > 0 and c["investigations"] > c["retests"] for c in counts)
     assert all(c["batches_discarded"] > 0 and c["batches_released"] > 0 for c in counts)
-    assert [_sha(result_to_ndjson(r).encode("utf-8")) for r in results] == QAQC_PLANT_GOLDEN
+    assert [_rep_sha(r) for r in results] == QAQC_PLANT_GOLDEN

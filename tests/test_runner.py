@@ -2,12 +2,13 @@
 
 import csv
 import dataclasses
+import hashlib
 import json
-import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 from array import array
 from pathlib import Path
 
@@ -18,12 +19,10 @@ from hypothesis import strategies as st
 import vaxsim
 from vaxsim import runner
 from vaxsim.config import parse_config
-from vaxsim.metrics import compare_scenarios
-from vaxsim.model import FLAG_SERIES, ReplicationResult, series_array
-from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, LazySeries, StoreError,
-                           load_store, ndjson_to_result, overlay_identity,
-                           result_to_ndjson, run_ensemble, run_replication,
-                           write_store)
+from vaxsim.model import ReplicationResult
+from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, load_store, ndjson_to_result,
+                           overlay_identity, result_to_ndjson, run_ensemble,
+                           run_replication, series_layout, write_store)
 from vaxsim.scenario import parse_scenario
 
 from conftest import chain_dict
@@ -57,9 +56,13 @@ def make_store(tmp_path, name, overlay, *, seed=7, n=3, jobs=1):
     return out, manifest, results
 
 
+def _round_trip(res):
+    return ndjson_to_result(*result_to_ndjson(res), series_layout(res))
+
+
 def test_ndjson_round_trip():
     res = run_replication(chain_dict(), {}, 11)
-    back = ndjson_to_result(result_to_ndjson(res))
+    back = _round_trip(res)
     assert back.seed == 11
     assert back.scenario == res.scenario
     assert back.series == res.series
@@ -88,8 +91,34 @@ def test_manifest_contents(tmp_path):
 
 def test_manifest_lists_every_file(tmp_path):
     out, manifest, _ = make_store(tmp_path, "s", {})
-    on_disk = set(store_bytes(out)) - {"manifest.json"}
-    assert set(manifest["files"]) == on_disk
+    on_disk = store_bytes(out)
+    del on_disk["manifest.json"]
+    assert set(manifest["files"]) == set(on_disk) == set(manifest["sha256"])
+    for rel, data in on_disk.items():
+        assert hashlib.sha256(data).hexdigest() == manifest["sha256"][rel]
+
+
+def test_a_smaller_run_into_a_store_leaves_no_stale_replications(tmp_path):
+    # a file from the earlier run would look like part of the new store
+    out, _, _ = make_store(tmp_path, "s", {}, n=3)
+    raw = chain_dict()
+    cfg = parse_config(raw)
+    manifest = write_store(out, run_ensemble(raw, {}, 7, 1), cfg, None, 7)
+    listed = {f for f in manifest["files"] if f.startswith("replications")}
+    assert {os.path.join("replications", f)
+            for f in os.listdir(os.path.join(out, "replications"))} == listed
+    assert len(listed) == 2
+
+
+def test_series_that_do_not_fit_the_store_are_not_written(tmp_path):
+    cfg = parse_config(chain_dict())
+    res = _result([1.0, 2.0])
+    short = dataclasses.replace(res, series=dict(res.series, released_doses=array("d", [1.0])))
+    with pytest.raises(ValueError, match="'released_doses' is not 2 values"):
+        write_store(str(tmp_path / "short"), [short], cfg, None, 1)
+    fewer = dataclasses.replace(res, series={"released_doses": res.series["released_doses"]})
+    with pytest.raises(ValueError, match="replication 1 holds other series"):
+        write_store(str(tmp_path / "fewer"), [res, fewer], cfg, None, 1)
 
 
 def test_seed_derivation(tmp_path):
@@ -156,10 +185,10 @@ def test_replication_faults_surface():
         run_ensemble(bad, {}, 1, 1)
 
 
-# -- lazy series ---------------------------------------------------------
+# -- series round trip ----------------------------------------------------
 
 def _result(doses):
-    # a config id may be any string: this name is escaped in the NDJSON
+    # a config id may be any string: this name is escaped in the manifest
     odd_name = 'stage_util.f\u00fcll "1"\\'
     return ReplicationResult("base", 1, len(doses), "2025-04-01", series={
         "material_stockout.resin": array("b", [0, 1] * (len(doses) // 2)),
@@ -170,7 +199,7 @@ def _result(doses):
 def test_loaded_series_compare_as_the_written_ones():
     inf = float("inf")
     mem = _result([inf, -0.0, 1e-07, -inf])
-    loaded = ndjson_to_result(result_to_ndjson(mem))
+    loaded = _round_trip(mem)
     assert loaded == mem and mem == loaded
     assert not loaded != mem and not mem != loaded
     # == cannot tell -0.0 from 0.0, the bits can
@@ -186,7 +215,7 @@ def test_loaded_series_compare_as_the_written_ones():
 def test_a_nan_series_compares_as_an_eagerly_decoded_one():
     # an array holding NaN equals no other array, so it never did compare equal
     mem = _result([float("nan"), 1.0])
-    loaded = ndjson_to_result(result_to_ndjson(mem))
+    loaded = _round_trip(mem)
     eager = dataclasses.replace(loaded, series=dict(loaded.series))
     assert loaded.series["released_doses"].tobytes() == mem.series["released_doses"].tobytes()
     for a, b in ((loaded, mem), (mem, loaded)):
@@ -194,79 +223,42 @@ def test_a_nan_series_compares_as_an_eagerly_decoded_one():
         assert (a != b) is (eager != mem) is True
 
 
-# -- a store reads each series line as json does --------------------------
-
-def _json_outcome(name, line):
-    """What json makes of a series line: its array's type code and bits, or
-    the message a store named "rep" refuses it with."""
-    try:
-        values = series_array(name, json.loads(line)["values"])
-    except (ValueError, TypeError, KeyError, OverflowError) as exc:
-        return f"rep: series {name!r}: {exc}"
-    return values.typecode, values.tobytes()
-
-
-def _store_outcome(series, name):
-    try:
-        values = series[name]
-    except StoreError as exc:
-        return str(exc)
-    return values.typecode, values.tobytes()
-
-
 # any double, NaN payloads, infinities, -0.0 and subnormals among them
 DOUBLES = st.floats() | st.integers(0, 2**64 - 1).map(
     lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
 
 
-@settings(max_examples=300, deadline=None)
-@given(doubles=st.lists(DOUBLES, max_size=30), flags=st.lists(st.integers(0, 1), max_size=30))
-def test_a_store_reads_written_series_as_json_does(doubles, flags):
-    res = ReplicationResult("base", 1, 1, "2025-04-01", series={
-        "released_doses": array("d", doubles), "material_stockout.resin": array("b", flags)})
-    text = result_to_ndjson(res)
-    series = ndjson_to_result(text, "rep").series
-    for line in text.splitlines():
-        if line.startswith('{"kind":"series"'):
-            name = json.loads(line)["name"]
-            assert _store_outcome(series, name) == _json_outcome(name, line)
+@st.composite
+def replications(draw):
+    """One to three hand-built replications of one horizon: every double
+    for the doses, 0/1 flags for the stockouts."""
+    horizon = draw(st.integers(0, 30))
+    return [ReplicationResult("base", seed, horizon, "2025-04-01", series={
+        "released_doses": array("d", draw(st.lists(DOUBLES, min_size=horizon,
+                                                   max_size=horizon))),
+        "material_stockout.resin": array("b", draw(st.lists(
+            st.integers(0, 1), min_size=horizon, max_size=horizon)))},
+        counts={"batches_released": 0, "batches_discarded": 0})
+        for seed in range(1, draw(st.integers(1, 3)) + 1)]
 
 
-# hand-written number literals: ints of a byte, ints beyond 64 bits and up to
-# the largest double, and finite doubles as repr writes them
-NUMBERS = (st.integers(-200, 200) | st.integers(-2**70, 2**70)
-           | st.integers(2**1023, 2**1024 - 2**971 - 1)
-           | DOUBLES.filter(math.isfinite)).map(repr)
-# and, at most one to a line, values that round to inf or to 0 or are no number
-ODD = (st.integers(10**399, 10**400 - 1) | st.integers(-10**400 + 1, -10**399)
-       | st.integers(2**1024 - 2**971, 2**1024)).map(str) | st.sampled_from([
-           "1e400", "-1e400", "1e-400", "-0", "NaN", "Infinity", "-Infinity", "nan",
-           "2.4703282292062328e-324", "1.00000000000000011102230246251565404236316680908203125",
-           "null", "true", '"1"', "[]", "{}"])
-JUNK = st.sampled_from(["1.2.3", ",", "[", "]", "}", "x", "-", "e5", ".", '"', "\\", "NaN"])
-
-
-@settings(max_examples=400, deadline=None)
-@given(name=st.sampled_from(["released_doses", "material_stockout.resin"]),
-       literals=st.lists(NUMBERS, max_size=6), odd=st.none() | ODD,
-       damage=st.none() | st.sampled_from(["cut", "junk"]), data=st.data())
-def test_a_store_reads_hand_written_series_as_json_does(name, literals, odd, damage, data):
-    if odd:
-        literals.insert(data.draw(st.integers(0, len(literals))), odd)
-    line = f'{{"kind":"series","name":"{name}","values":[{",".join(literals)}]}}'
-    if damage:
-        at = data.draw(st.integers(0, len(line)))
-        line = line[:at] if damage == "cut" else line[:at] + data.draw(JUNK) + line[at:]
-    assert _store_outcome(LazySeries({name: line}, "rep"), name) == _json_outcome(name, line)
-
-
-@pytest.mark.parametrize("values", ["[" * 300_000 + "]" * 300_000,
-                                    '{"a":' * 100_000 + "1" + "}" * 100_000])
-def test_a_series_too_deep_for_orjson_is_refused_as_json_refuses_it(values):
-    # orjson 3.8.3 overflows its stack on either; json raises RecursionError
-    line = f'{{"kind":"series","name":"released_doses","values":{values}}}'
-    with pytest.raises(StoreError, match="^rep: series 'released_doses': maximum recursion"):
-        LazySeries({"released_doses": line}, "rep")["released_doses"]
+@settings(max_examples=200, deadline=None)
+@given(results=replications())
+def test_series_round_trip_through_a_store(results):
+    cfg = parse_config(chain_dict())
+    with tempfile.TemporaryDirectory() as out:
+        manifest = write_store(out, results, cfg, None, 1)
+        assert manifest["series"] == [["material_stockout.resin", "b"],
+                                      ["released_doses", "d"]]
+        _, loaded = load_store(out)
+    assert len(loaded) == len(results)
+    for mem, disk in zip(results, loaded):
+        assert list(disk.series) == sorted(mem.series)
+        for name, values in mem.series.items():
+            assert disk.series[name].typecode == values.typecode
+            assert disk.series[name].tobytes() == values.tobytes()
+        with pytest.raises(TypeError):
+            disk.series["released_doses"] = array("d")  # read-only
 
 
 def test_a_seed_beyond_64_bits_loads_as_the_int_written(tmp_path):
@@ -291,6 +283,7 @@ def _parsed(parse, text):
         return type(exc), str(exc)
 
 
+JUNK = st.sampled_from(["1.2.3", ",", "[", "]", "}", "x", "-", "e5", ".", '"', "\\", "NaN"])
 # ints at and on both sides of -2**64, -2**63, 2**63 and 2**64, and of 18, 19
 # and 20 digits, where orjson would read an int as a float
 BORDER_INTS = st.sampled_from([sign * (border + step) for border in (2**63, 2**64)
@@ -359,69 +352,6 @@ def test_deep_records_read_as_json_reads_them(shape, depth):
             runner._load_records(text)
 
 
-# -- a series array as array() makes it ------------------------------------
-
-def _packed(make, name, values):
-    try:
-        made = make(name, values)
-    except (ValueError, TypeError, OverflowError) as exc:
-        return type(exc), str(exc)
-    return made.typecode, made.tobytes()
-
-
-def _array(name, values):
-    return array("b" if name.startswith(FLAG_SERIES) else "d", values)
-
-
-@settings(max_examples=300, deadline=None)
-@given(name=st.sampled_from(["released_doses", "material_stockout.resin"]),
-       values=st.lists(DOUBLES | st.integers(-128, 127) | st.booleans(), max_size=20),
-       bad=st.none() | st.sampled_from(["1", 1.0, 200, -129, 10**400, None, [1]]),
-       data=st.data())
-def test_series_array_packs_as_array_does(name, values, bad, data):
-    # NaN payloads, -0.0, subnormals and infinities keep their bits; a value
-    # either code refuses is refused with array's error
-    if bad is not None:
-        values.insert(data.draw(st.integers(0, len(values))), bad)
-    assert _packed(series_array, name, values) == _packed(_array, name, values)
-
-
-@pytest.fixture
-def decoded(monkeypatch):
-    """The name of every series decoded, in order."""
-    names = []
-    decode = runner.series_array
-
-    def counting(name, values):
-        names.append(name)
-        return decode(name, values)
-
-    monkeypatch.setattr(runner, "series_array", counting)
-    return names
-
-
-def test_a_series_decodes_once_and_only_when_read(decoded):
-    res = run_replication(chain_dict(end_date="2025-06-30"), {}, 5)
-    loaded = ndjson_to_result(result_to_ndjson(res))
-    assert "released_doses" in loaded.series and "no_such" not in loaded.series
-    assert list(loaded.series) == sorted(res.series) and len(loaded.series) == len(res.series)
-    assert decoded == []
-    first = loaded.series["released_doses"]
-    assert loaded.series["released_doses"] is first
-    assert decoded == ["released_doses"]
-    assert loaded.series == res.series
-    assert sorted(decoded) == sorted(res.series)  # each one once
-
-
-def test_compare_decodes_only_released_doses(tmp_path, decoded):
-    paths = [make_store(tmp_path, name, overlay, n=2)[0]
-             for name, overlay in [("base", {}), ("scen", SLOW_FILL)]]
-    ens = {m["scenario"]: res for m, res in map(load_store, paths)}
-    assert decoded == []
-    compare_scenarios(ens)
-    assert decoded == ["released_doses"] * 4
-
-
 def test_power_outage_store_is_independent_of_the_hash_seed():
     # a reset used to release running QA/QC work in the order of a set of
     # tasks hashed by address, and the float sums it feeds depend on order
@@ -429,8 +359,10 @@ def test_power_outage_store_is_independent_of_the_hash_seed():
     code = ("import hashlib, sys, yaml\n"
             "from vaxsim.runner import result_to_ndjson, run_ensemble\n"
             "raw, overlay = (yaml.safe_load(open(p)) for p in sys.argv[1:])\n"
-            "text = ''.join(map(result_to_ndjson, run_ensemble(raw, overlay, 1204000, 2)))\n"
-            "print(hashlib.sha256(text.encode()).hexdigest())\n")
+            "h = hashlib.sha256()\n"
+            "for res in run_ensemble(raw, overlay, 1204000, 2):\n"
+            "    h.update(b''.join(result_to_ndjson(res)))\n"
+            "print(h.hexdigest())\n")
     src = str(configs.parent.parent)
     digests = set()
     for hash_seed in range(4):
