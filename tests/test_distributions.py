@@ -157,3 +157,38 @@ def test_sampling_is_deterministic_per_seed():
 def test_draws_are_python_floats(dist):
     # numpy scalars would leak into event times, integrals and results
     assert type(dist.sample(stream())) is float
+
+
+# Known answers: each row is (distribution, stream label, the value's bits as
+# float.hex, the uniforms the sample consumes). The streams are
+# RngRegistry(20260).derived("known", label); label 0 draws u=0.570 first,
+# label 1 u=0.395, label 2 u=0.126 and label 3 u=0.032. Every store byte
+# rests on these draws, so a faster sample must reproduce them bit for bit.
+KNOWN_ANSWERS = [
+    # triangular(6, 8, 12) turns at u = 1/3: label 0 takes the right branch,
+    # labels 2 and 3 the left
+    (d.triangular(6, 8, 12), 0, "0x1.1926e4fe8bcaep+3", 1),
+    (d.triangular(6, 8, 12), 2, "0x1.cec88ee28a12fp+2", 1),
+    (d.triangular(6, 8, 12), 3, "0x1.a7d4b1eef73d0p+2", 1),
+    (d.triangular(0, 0, 1), 0, "0x1.603300cb4d0f2p-2", 1),
+    (d.triangular(0, 1, 1), 0, "0x1.8269b403c2b9ep-1", 1),
+    (d.triangular(8, 8, 8), 0, "0x1.0000000000000p+3", 1),  # lo == hi still draws
+    (d.lognormal(1.5, 1.4), 0, "0x1.20be5896639ffp+0", 2),
+    (d.lognormal(1.5, 1.4), 1, "0x1.32f0a790ef1e5p+0", 2),
+    (d.lognormal(2.0, 1.0), 0, "0x1.0000000000000p+1", 2),
+    (d.uniform(2, 5), 0, "0x1.dab9197030555p+1", 1),
+    (d.uniform(2, 5), 1, "0x1.978bc9842430dp+1", 1),
+    (d.uniform(4, 4), 0, "0x1.0000000000000p+2", 1),
+    (d.constant(3.25), 0, "0x1.a000000000000p+1", 0),
+]
+
+
+@pytest.mark.parametrize("dist, label, bits, used", KNOWN_ANSWERS)
+def test_sample_known_answers(dist, label, bits, used):
+    g = RngRegistry(20260).derived("known", label)
+    value = dist.sample(g)
+    assert type(value) is float and value.hex() == bits
+    # the draw after the sample is the fresh stream's draw number used + 1
+    fresh = RngRegistry(20260).derived("known", label)
+    expected = [fresh.random() for _ in range(used + 1)][-1]
+    assert g.random() == expected
