@@ -76,15 +76,22 @@ class Distribution:
         few percent of inputs, so stores would depend on the CPU that wrote
         them.
         """
-        p = self.params
-        if self.kind == "constant":
-            return p[0]
-        if self.kind == "triangular":
-            return _triangular_ppf(rng.random(), *p)
-        if self.kind == "lognormal":
-            median, scale = p
+        kind = self.kind
+        if kind == "triangular":  # most draws: the inverse CDF, inline
+            lo, mode, hi = self.params
+            u = rng.random()  # drawn even when lo == hi
+            span = hi - lo
+            if span == 0.0:
+                return lo
+            if u < (mode - lo) / span:
+                return lo + math.sqrt(u * span * (mode - lo))
+            return hi - math.sqrt((1.0 - u) * span * (hi - mode))
+        if kind == "constant":
+            return self.params[0]
+        if kind == "lognormal":
+            median, scale = self.params
             return median * math.exp(math.log(scale) * rng.standard_normal())
-        lo, hi = p  # uniform
+        lo, hi = self.params  # uniform
         return lo + (hi - lo) * rng.random()
 
     def mean(self) -> float:
@@ -131,16 +138,6 @@ class Distribution:
         if self.kind == "lognormal":
             return (0.0, math.inf)
         return (p[0], p[1])  # uniform
-
-
-def _triangular_ppf(u: float, lo: float, mode: float, hi: float) -> float:
-    """Inverse-CDF transform; handles the degenerate lo == hi case."""
-    span = hi - lo
-    if span == 0.0:
-        return lo
-    if u < (mode - lo) / span:
-        return lo + math.sqrt(u * span * (mode - lo))
-    return hi - math.sqrt((1.0 - u) * span * (hi - mode))
 
 
 def constant(v: float) -> Distribution:

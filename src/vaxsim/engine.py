@@ -218,12 +218,13 @@ class Engine:
         self.clock = clock or SimClock()
         self.events = EventList()
         self.handlers: dict[str, object] = {}
-        self.after_event = None  # optional hook run after every handled event
+        self.after_event = None  # optional hook, called with no arguments after every event
 
     def schedule(self, delay_or_time: float, kind: str, target: object = None,
                  *, absolute: bool = False) -> Event:
-        t = delay_or_time if absolute else self.clock.now + delay_or_time
-        return self.events.push(t, kind, target, now=self.clock.now)
+        now = self.clock.now
+        return self.events.push(delay_or_time if absolute else now + delay_or_time,
+                                kind, target, now=now)
 
     def on(self, kind: str, handler) -> None:
         self.handlers[kind] = handler
@@ -245,14 +246,14 @@ class Engine:
         return ev
 
     def run(self) -> None:
-        handlers = self.handlers
+        handlers, pop_next, after_event = self.handlers, self.pop_next, self.after_event
         while True:
-            ev = self.pop_next()
+            ev = pop_next()
             if ev is END_OF_HORIZON:
                 break
             handler = handlers.get(ev.kind)
             if handler is None:
                 raise KeyError(f"no handler for event kind {ev.kind!r}")
             handler(ev)
-            if self.after_event is not None:
-                self.after_event(ev)
+            if after_event is not None:
+                after_event()

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .engine import Event
 
 
-@dataclass
+@dataclass(slots=True)
 class PurchaseOrder:
     id: int  # per (material, supplier), the common-random-numbers identity
     material: MaterialRuntime

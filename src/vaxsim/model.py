@@ -191,10 +191,12 @@ class Model:
         self.materials = Materials(self)
         self.production = Production(self)
         self.qc = QaQc(self)
-        self._wakeable = [*self.production.stages, *self.qc.pools]
+        # pools first: most events are task completions, which wake a pool,
+        # so settle's scan for anything awake stops sooner
+        self._wakeable = [*self.qc.pools, *self.production.stages]
         self.collect = Collector(self)
         self.scenario = scenario
-        self.engine.after_event = lambda ev: self.settle()
+        self.engine.after_event = self.settle
         if scenario is not None:
             scenario.attach(self)
 

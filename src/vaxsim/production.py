@@ -30,7 +30,7 @@ RELEASED = "released"
 DISCARDED = "discarded"
 
 
-@dataclass
+@dataclass(slots=True, eq=False)  # identity semantics, as for a Task
 class Batch:
     id: int
     created_at: float
@@ -53,7 +53,7 @@ class Batch:
         return self.state in (IN_PROCESS, AWAITING_RELEASE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Machine:
     stage_idx: int
     idx: int
@@ -116,15 +116,11 @@ class StageRuntime:
     def id(self) -> str:
         return self.cfg.id
 
-    def idle_machine(self) -> Machine | None:
-        for m in self.machines:
-            if m.state == IDLE:
-                return m
-        return None
-
     def stalled_machines(self) -> list[Machine]:
+        """The stalled machines, the earliest finished first."""
         out = [m for m in self.machines if m.state == STALLED]
-        out.sort(key=lambda m: (m.finish_time, m.idx))
+        if len(out) > 1:
+            out.sort(key=lambda m: (m.finish_time, m.idx))
         return out
 
 
@@ -133,11 +129,14 @@ class Production:
 
     def __init__(self, model):
         self.model = model
+        self.engine, self.clock = model.engine, model.engine.clock
+        self.rng, self.tests, self.materials = model.rng, model.tests, model.materials
         cfg = model.cfg
         invs = {inv.id: InventoryRuntime(inv) for inv in cfg.inventories}
         self.inventories = invs
         self.stages = [StageRuntime(s, i) for i, s in enumerate(cfg.stages)]
         self.stage_by_id = {rt.id: rt for rt in self.stages}
+        self._downstream_first = self.stages[::-1]
         for rt, nxt in zip(self.stages, [*self.stages[1:], None]):
             if rt.cfg.output_inventory:
                 rt.output_inv = invs[rt.cfg.output_inventory]
@@ -172,7 +171,7 @@ class Production:
         self._apply_closure(self.stage_by_id[stage_cfg.id])
 
     def _apply_closure(self, stage: StageRuntime) -> None:
-        now = self.model.engine.clock.now
+        now = self.clock.now
         closed = self.stage_closed(stage)
         if closed:
             stage.closed_int.set(now, len(stage.machines))
@@ -195,7 +194,7 @@ class Production:
                     m.state = BUSY
                     m.finish_time = now + m.remaining
                     m.remaining = None
-                    m.proc_event = self.model.engine.schedule(
+                    m.proc_event = self.engine.schedule(
                         m.finish_time, "proc_done", m, absolute=True)
                     stage.busy.add(now, 1)
 
@@ -217,17 +216,18 @@ class Production:
         wakes it again (the wake rules are listed in ``model``); a sleeping
         stage would have drained and started nothing. True if anything moved.
         """
+        drain, try_dispatch = self._drain_stalled, self.try_dispatch
         changed_any = False
         progress = True
         while progress:
             progress = False
-            for stage in reversed(self.stages):
+            for stage in self._downstream_first:
                 if not stage.awake:
                     continue
                 stage.awake = False
-                if self._drain_stalled(stage):
+                if drain(stage):
                     progress = True
-                while self.try_dispatch(stage) is None:
+                while try_dispatch(stage) is None:
                     progress = True
             changed_any = changed_any or progress
         return changed_any
@@ -248,8 +248,10 @@ class Production:
         """Start one batch if every precondition holds; else the block reason."""
         if self.stage_closed(stage):
             return "closed"
-        machine = stage.idle_machine()
-        if machine is None:
+        for machine in stage.machines:
+            if machine.state == IDLE:
+                break
+        else:
             return "no_machine"
 
         donor: Machine | None = None
@@ -266,7 +268,7 @@ class Production:
             if donor is None:
                 return "no_input"
 
-        materials = self.model.materials
+        materials = self.materials
         missing = materials.missing_for(stage.cfg.materials)
         if missing:
             for mid in missing:
@@ -276,7 +278,7 @@ class Production:
         if stage.output_inv is not None and not stage.output_inv.has_space():
             return "downstream_full"
 
-        now = self.model.engine.clock.now
+        now = self.clock.now
         if stage.idx == 0:
             batch = Batch(self._next_batch_id, now)
             self._next_batch_id += 1
@@ -294,13 +296,13 @@ class Production:
         machine.state = BUSY
         machine.batch = batch
         machine.finish_time = now + self._processing_duration(stage, batch)
-        machine.proc_event = self.model.engine.schedule(
+        machine.proc_event = self.engine.schedule(
             machine.finish_time, "proc_done", machine, absolute=True)
         stage.busy.add(now, 1)
         return None
 
     def _processing_duration(self, stage: StageRuntime, batch: Batch) -> float:
-        tests, rng = self.model.tests, self.model.rng
+        tests, rng = self.tests, self.rng
         duration = stage.cfg.processing_time.sample(
             rng.derived("proc", stage.cfg.id, batch.id))
         # in-process controls run inside the machine occupancy, by production staff
@@ -315,13 +317,13 @@ class Production:
         machine: Machine = ev.target
         stage = self.stages[machine.stage_idx]
         batch = machine.batch
-        now = self.model.engine.clock.now
+        now = self.clock.now
         machine.proc_event = None
         stage.busy.add(now, -1)
         self.wake(stage)  # the machine goes idle or stalls below
 
         y = stage.cfg.yield_fraction.sample(
-            self.model.rng.derived("yield", stage.cfg.id, batch.id))
+            self.rng.derived("yield", stage.cfg.id, batch.id))
         batch.quantity *= y
         if stage.cfg.doses_per_batch:
             batch.doses = int(round(stage.cfg.doses_per_batch * batch.quantity))
@@ -353,7 +355,7 @@ class Production:
                 m.proc_event = None
             stage = self.stages[m.stage_idx]
             if m.state == BUSY:
-                stage.busy.add(self.model.engine.clock.now, -1)
+                stage.busy.add(self.clock.now, -1)
             m.free()
             self.wake(stage)
         else:

@@ -30,17 +30,18 @@ ACTIVE = "active"     # somewhere in the technician/supervisor/OOS pipeline
 PASSED = "passed"
 
 
-@dataclass
+@dataclass(slots=True)
 class Sample:
     batch: Batch
     stage_id: str
     tests: dict[str, str] = field(default_factory=dict)
 
     def prereqs_met(self, test_cfg) -> bool:
-        return all(self.tests.get(p) == PASSED for p in test_cfg.prerequisites)
+        prereqs = test_cfg.prerequisites
+        return not prereqs or all(self.tests.get(p) == PASSED for p in prereqs)
 
 
-@dataclass(eq=False)  # identity semantics: tasks key dicts and sit in heaps
+@dataclass(slots=True, eq=False)  # identity semantics: tasks key dicts and sit in heaps
 class Task:
     kind: str           # tech, sup, ipc_retest or a key of QA_DURATIONS
     batch: Batch
@@ -138,6 +139,9 @@ class QaQc:
 
     def __init__(self, model):
         self.model = model
+        self.engine, self.clock = model.engine, model.engine.clock
+        self.rng, self.tests, self.cfg = model.rng, model.tests, model.cfg
+        self.final_inv = model.production.final_inv
         cfg = model.cfg
         self.tech_pools = {t.id: Pool(f"qc_technicians.{t.id}", t.technicians)
                            for t in cfg.qc.teams}
@@ -163,13 +167,13 @@ class QaQc:
     # -- intake from production -----------------------------------------
 
     def on_stage_complete(self, batch: Batch, stage: StageRuntime) -> None:
-        cfg = self.model.cfg
-        now = self.model.engine.clock.now
+        cfg = self.cfg
+        now = self.clock.now
         for tid in stage.cfg.ipc_tests:
-            test = self.model.tests[tid]
+            test = self.tests[tid]
             if test.failure_prob <= 0.0:
                 continue
-            failed = (self.model.rng.derived("ipcfail", tid, stage.cfg.id, batch.id, 1)
+            failed = (self.rng.derived("ipcfail", tid, stage.cfg.id, batch.id, 1)
                       .random() < test.failure_prob)
             if failed:
                 batch.holds += 1
@@ -178,7 +182,7 @@ class QaQc:
                     Task("ipc_oos", batch, test_id=tid, stage_id=stage.cfg.id),
                     (now, 0), now)
         if cfg.qa.deviation_prob > 0.0:
-            hit = (self.model.rng.derived("devflag", stage.cfg.id, batch.id)
+            hit = (self.rng.derived("devflag", stage.cfg.id, batch.id)
                    .random() < cfg.qa.deviation_prob)
             if hit:
                 batch.holds += 1
@@ -199,12 +203,12 @@ class QaQc:
             sample.tests[tid] = BLOCKED
         batch.holds += len(sample.tests)
         for tid in stage.cfg.qc_tests:
-            if sample.prereqs_met(self.model.tests[tid]):
+            if sample.prereqs_met(self.tests[tid]):
                 self._enqueue_test(sample, tid, attempt=1, now=now)
 
     def on_enter_final(self, batch: Batch) -> None:
-        now = self.model.engine.clock.now
-        if not self.model.cfg.qa.release_review_time.is_zero():
+        now = self.clock.now
+        if not self.cfg.qa.release_review_time.is_zero():
             batch.holds += 1
             self.reviewers.enqueue(Task("relrev", batch),
                                    self._priority_key(batch, now), now)
@@ -214,19 +218,19 @@ class QaQc:
 
     def _priority_key(self, batch: Batch, now: float) -> tuple:
         """(release-inventory backlog, how far from completion, FIFO)."""
-        backlog = len(self.model.production.final_inv.contents)
+        backlog = len(self.final_inv.contents)
         return (backlog, -batch.stages_entered, now)
 
     def _enqueue_test(self, sample: Sample, tid: str, attempt: int, now: float) -> None:
         sample.tests[tid] = ACTIVE
-        test = self.model.tests[tid]
+        test = self.tests[tid]
         task = Task("tech", sample.batch, test_id=tid, stage_id=sample.stage_id,
                     attempt=attempt, sample=sample)
         self.tech_pools[test.team].enqueue(task, self._priority_key(sample.batch, now), now)
 
     def pump(self) -> bool:
         """The pools' share of the C-phase: pump every awake pool, in order."""
-        now = self.model.engine.clock.now
+        now = self.clock.now
         changed = False
         for pool in self.pools:
             if pool.awake:
@@ -237,24 +241,24 @@ class QaQc:
     # -- task lifecycle --------------------------------------------------
 
     def _start_task(self, task: Task, now: float) -> None:
-        rng = self.model.rng
+        rng = self.rng
         if task.kind == "tech":
             g = rng.derived("testdur", task.test_id, task.batch.id, task.attempt)
-            test = self.model.tests[task.test_id]
+            test = self.tests[task.test_id]
             duration = test.bench_time(g)
             task.carry = test.supervisory_check_time.sample(g)
         elif task.kind == "sup":
             duration = task.carry
         else:
             name, key, label = QA_DURATIONS[task.kind]
-            duration = getattr(self.model.cfg.qa, name).sample(
+            duration = getattr(self.cfg.qa, name).sample(
                 rng.derived(key, *label(task)))
-        task.event = self.model.engine.schedule(duration, "task_done", task)
+        task.event = self.engine.schedule(duration, "task_done", task)
         self.running[task] = None
 
     def _on_task_done(self, ev: Event) -> None:
         task: Task = ev.target
-        now = self.model.engine.clock.now
+        now = self.clock.now
         del self.running[task]
         if task.pool is not None:  # an in-process retest seizes no one
             task.pool.release(now)
@@ -264,7 +268,7 @@ class QaQc:
         self._done[task.kind](task, now)
 
     def _done_tech(self, task: Task, now: float) -> None:
-        test = self.model.tests[task.test_id]
+        test = self.tests[task.test_id]
         if test.supervisory_check_time.is_zero():
             self._resolve_test(task, now)
         else:
@@ -274,10 +278,10 @@ class QaQc:
             self.sup_pools[test.team].enqueue(sup, self._priority_key(task.batch, now), now)
 
     def _resolve_test(self, task: Task, now: float) -> None:
-        test = self.model.tests[task.test_id]
+        test = self.tests[task.test_id]
         failed = False
         if test.failure_prob > 0.0:
-            failed = (self.model.rng.derived(
+            failed = (self.rng.derived(
                 "testfail", task.test_id, task.batch.id, task.attempt)
                 .random() < test.failure_prob)
         batch = task.batch
@@ -296,7 +300,7 @@ class QaQc:
 
     def _unblock_dependents(self, sample: Sample, now: float) -> None:
         for tid, state in sample.tests.items():
-            if state == BLOCKED and sample.prereqs_met(self.model.tests[tid]):
+            if state == BLOCKED and sample.prereqs_met(self.tests[tid]):
                 self._enqueue_test(sample, tid, attempt=1, now=now)
 
     def _done_oos(self, task: Task, now: float) -> None:
@@ -306,16 +310,16 @@ class QaQc:
     def _done_ipc_oos(self, task: Task, now: float) -> None:
         # retest by production staff: a delay with no personnel seized
         task.batch.retests += 1
-        duration = self.model.tests[task.test_id].bench_time(self.model.rng.derived(
+        duration = self.tests[task.test_id].bench_time(self.rng.derived(
             "ipcdur", task.test_id, task.stage_id, task.batch.id, 2))
         retest = Task("ipc_retest", task.batch, test_id=task.test_id,
                       stage_id=task.stage_id, attempt=2)
-        retest.event = self.model.engine.schedule(duration, "task_done", retest)
+        retest.event = self.engine.schedule(duration, "task_done", retest)
         self.running[retest] = None
 
     def _done_ipc_retest(self, task: Task, now: float) -> None:
-        test = self.model.tests[task.test_id]
-        failed = (self.model.rng.derived(
+        test = self.tests[task.test_id]
+        failed = (self.rng.derived(
             "ipcfail", task.test_id, task.stage_id, task.batch.id, 2)
             .random() < test.failure_prob)
         if failed:
@@ -324,7 +328,7 @@ class QaQc:
             self._lift_hold(task.batch)
 
     def _done_relrev(self, task: Task, now: float) -> None:
-        if self.model.cfg.qa.release_approval_time.is_zero():
+        if self.cfg.qa.release_approval_time.is_zero():
             self._lift_hold(task.batch)
         else:
             self.qa_sups.enqueue(Task("relapp", task.batch),
@@ -341,7 +345,7 @@ class QaQc:
         if batch.state != AWAITING_RELEASE or batch.holds:
             return
         assert batch.location is not None and batch.location[0] == "inventory"
-        now = self.model.engine.clock.now
+        now = self.clock.now
         batch.state = RELEASED
         batch.released_at = now
         inv = batch.location[1]

@@ -58,10 +58,15 @@ def _worker(args) -> ReplicationResult:
 def run_ensemble(cfg_raw: dict, overlay_raw: dict | None, base_seed: int,
                  replications: int, jobs: int = 1,
                  progress=None) -> list[ReplicationResult]:
-    """Replications base_seed .. base_seed+n-1, optionally across processes."""
+    """Replications base_seed .. base_seed+n-1, optionally across processes.
+
+    At most ``min(jobs, replications)`` worker processes start, since the
+    pool may start every worker at once; one worker means no pool at all.
+    """
     tasks = [(cfg_raw, overlay_raw, base_seed + i) for i in range(replications)]
+    workers = min(jobs, replications)
     results = []
-    if jobs <= 1:
+    if workers <= 1:
         for t in tasks:
             results.append(_worker(t))
             if progress:
@@ -69,7 +74,7 @@ def run_ensemble(cfg_raw: dict, overlay_raw: dict | None, base_seed: int,
     else:
         from concurrent.futures import ProcessPoolExecutor  # not on the --jobs 1 path
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for res in pool.map(_worker, tasks):
                 results.append(res)
                 if progress:
@@ -296,7 +301,9 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
     """The manifest and replications of the store at ``out_dir``. The
     manifest is checked, not trusted: its format is this one, its files are
     exactly those ``write_store`` names, in order, each matches its sha256,
-    and replication i has seed ``base_seed + i``."""
+    replication i has seed ``base_seed + i``, and every replication has the
+    manifest's scenario, horizon_days and start_date, which ``compare``
+    pairs stores by."""
     path = os.path.join(out_dir, "manifest.json")
     with open(path, encoding="utf-8") as fh:
         try:
@@ -344,9 +351,12 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
     results = []
     for i in range(count):
         source = os.path.join(out_dir, "replications", f"rep_{i:05d}")
-        results.append(ndjson_to_result(read(files[2 * i]), read(files[2 * i + 1]),
-                                        series, source))
-        if results[-1].seed != base_seed + i:
-            raise StoreError(f"{source}.ndjson: seed {results[-1].seed!r} "
-                             f"is not base_seed + {i}")
+        res = ndjson_to_result(read(files[2 * i]), read(files[2 * i + 1]), series, source)
+        if res.seed != base_seed + i:
+            raise StoreError(f"{source}.ndjson: seed {res.seed!r} is not base_seed + {i}")
+        for key in ("scenario", "horizon_days", "start_date"):
+            if getattr(res, key) != manifest.get(key):
+                raise StoreError(f"{source}.ndjson: {key} {getattr(res, key)!r} is not "
+                                 f"the manifest's {manifest.get(key)!r}")
+        results.append(res)
     return manifest, results

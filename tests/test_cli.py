@@ -345,6 +345,23 @@ def test_store_without_replications_is_refused(paired_stores, tmp_path, capsys):
     assert stderr_json(capsys)["messages"] == [f"{empty}: store holds no replications"]
 
 
+@pytest.mark.parametrize("key, value, held", [
+    ("horizon_days", 200, 274), ("start_date", "2025-04-02", "2025-04-01"),
+    ("scenario", "slow_fill", "base")])
+def test_a_manifest_that_misdescribes_its_replications_is_refused(
+        paired_stores, tmp_path, capsys, key, value, held):
+    # compare pairs stores by the manifest's values, so they must be the
+    # replications' own: a lone store is checked as much as a pair
+    base, _ = paired_stores
+    odd = _with_manifest(base, tmp_path / "odd", **{key: value})
+    capsys.readouterr()
+    assert main(["compare", odd]) == 2
+    err = stderr_json(capsys)
+    assert err["error"] == "store"
+    first = os.path.join(odd, "replications", "rep_00000.ndjson")
+    assert err["messages"] == [f"{first}: {key} {held!r} is not the manifest's {value!r}"]
+
+
 def test_compare_prints_the_rows_of_comparison_csv(paired_stores, tmp_path, capsys):
     base, scen = paired_stores
     capsys.readouterr()

@@ -142,6 +142,38 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert store_bytes(a) == store_bytes(b)
 
 
+class _RecordingPool:
+    """A stand-in process pool that runs its tasks in this process and
+    records the worker count each pool was asked for."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("replications, pools", [(1, []), (2, [2])])
+def test_workers_are_capped_at_the_replications(monkeypatch, replications, pools):
+    # a fork pool starts every worker at once: --jobs 4 for two replications
+    # must start two, and one replication runs in this process
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    results = run_ensemble(chain_dict(), {}, 7, replications, jobs=4)
+    assert _RecordingPool.asked == pools
+    assert [r.seed for r in results] == [7 + i for i in range(replications)]
+
+
 def test_empty_overlay_collapses_to_base(tmp_path):
     plain, _, _ = make_store(tmp_path, "plain", {})
     overlay, manifest, _ = make_store(tmp_path, "overlay",
