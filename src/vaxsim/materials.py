@@ -107,8 +107,13 @@ class Materials:
 
     @staticmethod
     def _split_lots(suppliers, lots: int) -> list[tuple[object, int]]:
-        """Whole-lot split by supplier fractions, largest-remainder rounding."""
-        quotas = [lots * s.split for s in suppliers]
+        """Whole-lot split by supplier fractions, largest-remainder rounding.
+
+        The fractions count relative to their sum, which may be 1 +- 1e-6, so
+        the counts add up to ``lots`` (below 2**51) and none is negative.
+        """
+        total = math.fsum(s.split for s in suppliers)
+        quotas = [lots * s.split / total for s in suppliers]
         base = [int(q) for q in quotas]
         leftover = lots - sum(base)
         order = sorted(range(len(suppliers)),
@@ -159,7 +164,10 @@ class Materials:
 
     def _start_receipt_qc(self, po: PurchaseOrder, now: float) -> None:
         po.state = "receipt_qc"
-        qc = po.material.cfg.receipt_qc_time.sample(self._stream("rqc", po))
+        dist = po.material.cfg.receipt_qc_time
+        # a constant draws nothing, so its substream is not even keyed
+        qc = (dist.params[0] if dist.kind == "constant" else
+              dist.sample(self._stream("rqc", po)))
         self.model.engine.schedule(max(qc, 0.0), "po_step", po)
 
     def _resolve_receipt(self, po: PurchaseOrder, now: float) -> None:

@@ -16,8 +16,10 @@ lengths, and writes each material's level and stockout flag.
 Time advances in the three phases of Pidd's method: pop the next event, run
 its handler (the B-phase), then ``settle`` (the C-phase) starts every batch
 and task whose preconditions now hold. The C-phase visits only the stages and
-pools that are awake. A visit leaves a stage or pool unable to start anything
-more, so it sleeps until a change that could unblock it wakes it:
+pools that are awake: one stage sweep, downstream-first and repeated while a
+stage is awake, then one pool sweep. A visit leaves a stage or pool unable to
+start anything more, so it sleeps until a change that could unblock it wakes
+it:
 
 - a machine at a stage completes, stalls, drains, hands its batch on or loses
   it: that stage wakes, and so does the next stage when it takes batches
@@ -32,11 +34,13 @@ more, so it sleeps until a change that could unblock it wakes it:
 - maintenance and every scenario apply or revert wake everything (an
   inventory capacity has no apply hook that could wake just its neighbours).
 
-Day ticks, order placements and purchase-order steps short of a receipt wake
-nothing. A sleeping stage or pool would start nothing, so a settle starts
-exactly what offering work to every stage and pool would start, in the same
-downstream-first order; ``tests/test_settle.py`` checks after every settle
-that nothing more can start.
+Day ticks, order placements, purchase-order steps short of a receipt and
+task starts wake nothing. A stage sweep can wake a pool (a batch entering the
+final inventory is queued for review), but a pool sweep only starts tasks, so
+once it is done nothing is awake. A sleeping stage or pool would start
+nothing, so a settle starts exactly what offering work to every stage and
+pool would start, in the same downstream-first order; ``tests/test_settle.py``
+checks after every settle that nothing is awake and nothing more can start.
 """
 
 from __future__ import annotations
@@ -211,20 +215,16 @@ class Model:
         """C-phase: start everything that can start at this instant.
 
         Returns at once when no stage or pool is awake; otherwise offers work
-        to the awake stages, then to the awake pools, and repeats while
-        anything moves.
+        to the awake stages until none is awake, then to the awake pools once:
+        a task start wakes nothing, so no second round could start anything.
         """
         for item in self._wakeable:
             if item.awake:
                 break
         else:
             return
-        production, qc = self.production, self.qc
-        while True:
-            changed = production.dispatch_pass()
-            changed |= qc.pump()
-            if not changed:
-                break
+        self.production.dispatch_pass()
+        self.qc.pump()
 
     def discard_batch(self, batch: Batch, cause: str) -> None:
         if not batch.alive:

@@ -211,26 +211,29 @@ class Production:
         """The stages' share of the C-phase: drain, then start what can start.
 
         Visits only awake stages, downstream-first so that freed space
-        propagates upstream within one sweep, and sweeps again while anything
-        moves. A visited stage sleeps until a change that could unblock it
-        wakes it again (the wake rules are listed in ``model``); a sleeping
-        stage would have drained and started nothing. True if anything moved.
+        propagates upstream within one sweep, and sweeps again while a stage
+        is awake (only a move wakes one). A visited stage sleeps until a
+        change that could unblock it wakes it again (the wake rules are listed
+        in ``model``); a sleeping stage would have drained and started
+        nothing. True if anything moved.
         """
         drain, try_dispatch = self._drain_stalled, self.try_dispatch
-        changed_any = False
-        progress = True
-        while progress:
-            progress = False
-            for stage in self._downstream_first:
+        stages = self._downstream_first
+        moved = False
+        while True:
+            for stage in stages:
                 if not stage.awake:
                     continue
                 stage.awake = False
                 if drain(stage):
-                    progress = True
+                    moved = True
                 while try_dispatch(stage) is None:
-                    progress = True
-            changed_any = changed_any or progress
-        return changed_any
+                    moved = True
+            for stage in stages:
+                if stage.awake:
+                    break
+            else:
+                return moved
 
     def _drain_stalled(self, stage: StageRuntime) -> bool:
         if stage.output_inv is None or self.stage_closed(stage):
@@ -322,9 +325,10 @@ class Production:
         stage.busy.add(now, -1)
         self.wake(stage)  # the machine goes idle or stalls below
 
-        y = stage.cfg.yield_fraction.sample(
-            self.rng.derived("yield", stage.cfg.id, batch.id))
-        batch.quantity *= y
+        yf = stage.cfg.yield_fraction
+        # a constant draws nothing, so its substream is not even keyed
+        batch.quantity *= (yf.params[0] if yf.kind == "constant" else
+                           yf.sample(self.rng.derived("yield", stage.cfg.id, batch.id)))
         if stage.cfg.doses_per_batch:
             batch.doses = int(round(stage.cfg.doses_per_batch * batch.quantity))
 

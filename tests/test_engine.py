@@ -65,6 +65,19 @@ def test_peek_time_skips_tombstones():
     assert el.peek_time() == 2.0
 
 
+def test_pop_until_stops_at_the_bound_and_keeps_the_event():
+    el = EventList()
+    dead = el.push(1.0, "dead")
+    el.push(2.0, "at")
+    el.push(3.0, "after")
+    dead.void = True
+    assert el.pop(2.0).kind == "at"  # the bound is inclusive; the tombstone goes
+    assert el.pop(2.5) is None
+    assert len(el) == 1 and el.peek_time() == 3.0
+    assert el.pop(3.0).kind == "after"
+    assert el.pop(10.0) is None and len(el) == 0
+
+
 def test_clock_day_index_clamps_to_horizon():
     clock = SimClock(date(2025, 4, 1), date(2025, 4, 11))
     assert clock.horizon_days == 10

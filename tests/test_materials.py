@@ -2,6 +2,8 @@
 
 from types import SimpleNamespace
 
+import pytest
+
 from vaxsim.config import parse_config
 from vaxsim.materials import Materials
 from vaxsim.model import Model
@@ -54,6 +56,33 @@ def test_split_lots_follows_fractions():
     thirds = [sup(1 / 3)] * 3
     assert [n for _, n in split(thirds, 10)] == [4, 3, 3]
     assert [n for _, n in split([sup(1.0)], 7)] == [7]
+
+
+@pytest.mark.parametrize("splits", [
+    [0.9999995], [1.0000005],  # a lone supplier, inside validation's 1e-6
+    [0.2, 0.3, 0.5000008], [0.3333332, 0.3333332, 0.3333331],
+    [0.6, 0.4],  # the demo's
+])
+def test_split_lots_allocates_exactly_the_lots(splits):
+    lots = 10_000_000
+    counts = [n for _, n in Materials._split_lots(
+        [SimpleNamespace(split=f) for f in splits], lots)]
+    assert sum(counts) == lots
+    total = sum(splits)
+    for n, f in zip(counts, splits):
+        assert n >= 0 and abs(n - lots * f / total) < 1
+
+
+def test_demo_split_allocates_as_unnormalised_quotas_do():
+    """The demo's splits sum to exactly 1.0, so taking them relative to their
+    sum changes nothing: the plain largest-remainder split of ``lots * f``."""
+    demo = [SimpleNamespace(split=0.6), SimpleNamespace(split=0.4)]
+    for lots in range(1, 5001):
+        quotas = [lots * 0.6, lots * 0.4]
+        base = [int(q) for q in quotas]
+        if sum(base) < lots:  # one lot left: the larger remainder, first on a tie
+            base[0 if quotas[0] - base[0] >= quotas[1] - base[1] else 1] += 1
+        assert [n for _, n in Materials._split_lots(demo, lots)] == base
 
 
 def test_multi_supplier_order_divides_the_lots():

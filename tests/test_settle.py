@@ -1,5 +1,6 @@
 """The C-phase visits only awake stages and pools, so the wake rules must miss
-nothing: after every settle, nothing anywhere may be able to start.
+nothing: after every settle, nothing may be awake and nothing anywhere may be
+able to start.
 
 Whole plants are generated (direct handoff and buffered stages, finite and
 unbounded buffers, 1-3 machines, maintenance, materials, QC and QA pools) and
@@ -130,8 +131,12 @@ def overlays(draw, plant):
 
 
 def assert_quiescent(model) -> None:
-    """Nothing can start or drain, and a dispatch attempt would change nothing."""
+    """Nothing is awake, nothing can start or drain, and a dispatch attempt
+    would change nothing. Nothing awake is what lets a settle make one stage
+    sweep and one pool sweep: a pool start that woke a stage would fail here."""
     prod, materials = model.production, model.materials
+    awake = [s.id for s in prod.stages if s.awake] + [p.name for p in model.qc.pools if p.awake]
+    assert not awake, f"t={model.engine.clock.now}: {awake} still awake"
 
     def noted(mid):  # a sweep would note a shortfall only once per stockout
         assert materials.runtimes[mid].stockout_since is not None, \
