@@ -11,10 +11,10 @@ that cannot be paired replication for replication: a different config, base
 seed, horizon, start date or replication count than the first store's, or a
 scenario name already given. A damaged store is refused the same way,
 before anything is computed: a manifest of another format, or that is not
-an object listing its replication files in order with their sha256, a file
-that does not match its sha256, a replication whose seed is not the base
-seed plus its index, a replication without exactly one meta and one counts
-record, a record that does not decode, or series bytes of the wrong size.
+an object listing its replication files in order with their sha256 and
+their layout, a file that does not match its sha256, or a replication file
+of another size than its layout and batch count make, or holding a code
+the manifest does not name.
 """
 
 from __future__ import annotations

@@ -432,8 +432,9 @@ def _check_topology(cfg, errors):
             errors.append(f"stages.{stage.id}: unknown inventory {name!r}")
         if stage is not last and stage.doses_per_batch:
             errors.append(f"stages.{stage.id}: doses_per_batch is final-stage only")
-    if last.doses_per_batch <= 0:
-        errors.append(f"stages.{last.id}: final stage needs doses_per_batch > 0")
+    # below 2**53, a double holds every whole number of doses
+    if not 0 < last.doses_per_batch < 2**53:
+        errors.append(f"stages.{last.id}: final stage needs doses_per_batch > 0 and < 2**53")
     # each inventory sits after exactly one stage, whose successor draws from it
     for inv_id, stages in producers.items():
         if not stages:
@@ -518,11 +519,12 @@ def _check_materials(cfg, errors):
                 errors.append(f"stages.{stage.id}: unknown material {mid!r}")
     for mat in cfg.materials:
         level = mat.reorder_point + mat.safety_stock
-        # a review orders int((level - position) // lot_size) + 1 lots
+        # a review orders int((level - position) // lot_size) + 1 lots, split exactly below 2**51
         if mat.lot_size > 0 and not (math.isfinite(level + mat.lot_size)
-                                     and math.isfinite(level / mat.lot_size)):
-            errors.append(f"materials.{mat.id}: reorder_point + safety_stock + lot_size and "
-                          "(reorder_point + safety_stock) / lot_size must be finite")
+                                     and level / mat.lot_size < 2**51):
+            errors.append(f"materials.{mat.id}: reorder_point + safety_stock + lot_size must be "
+                          "finite, and (reorder_point + safety_stock) / lot_size must be finite "
+                          "and below 2**51")
         if not mat.suppliers:
             errors.append(f"materials.{mat.id}: at least one supplier required")
             continue

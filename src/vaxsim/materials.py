@@ -110,7 +110,7 @@ class Materials:
         """Whole-lot split by supplier fractions, largest-remainder rounding.
 
         The fractions count relative to their sum, which may be 1 +- 1e-6, so
-        the counts add up to ``lots`` (below 2**51) and none is negative.
+        the counts add up to ``lots`` (below 2**51 once validated) and none is negative.
         """
         total = math.fsum(s.split for s in suppliers)
         quotas = [lots * s.split / total for s in suppliers]

@@ -160,6 +160,7 @@ class Collector:
             c[f"pool_queue_days.{pool.name}"] = pool.queue_int.total
             c[f"pool_started.{pool.name}"] = pool.started
             c[f"pool_wait_days.{pool.name}"] = pool.wait_total
+            c[f"pool_purged_wait_days.{pool.name}"] = pool.purged_wait
         for stage in model.production.stages:
             c[f"stage_closed_days.{stage.id}"] = stage.closed_int.total
         for rt, _, flags in self._materials:

@@ -69,8 +69,9 @@ class Pool:
         self.queue_int = StepIntegral(0)
         self.started = 0
         self.wait_total = 0.0  # enqueue -> start
-        # may be able to start a task: enqueue, release and set_capacity set
-        # it (a purge only shrinks the queue), QaQc.pump clears it
+        self.purged_wait = 0.0  # enqueue -> purge, of the tasks a purge drops
+        # may start a task: enqueue, set_capacity and a release with work queued
+        # set it (a purge only shrinks the queue), QaQc.pump clears it
         self.awake = True
 
     def enqueue(self, task: Task, key: tuple, now: float) -> None:
@@ -103,18 +104,20 @@ class Pool:
     def release(self, now: float) -> None:
         self.busy -= 1
         self.busy_int.add(now, -1)
-        self.awake = True
+        if self._heap:
+            self.awake = True
 
-    def purge(self, predicate, now: float) -> list[Task]:
-        """Drop queued tasks matching ``predicate``; returns what was dropped."""
+    def purge(self, predicate, now: float) -> None:
+        """Drop the queued tasks matching ``predicate``, adding their waits
+        so far to ``purged_wait``."""
         kept, dropped = [], []
-        for key, seq, task in self._heap:
-            (dropped if predicate(task) else kept).append((key, seq, task))
+        for entry in self._heap:
+            (dropped if predicate(entry[2]) else kept).append(entry)
         if dropped:
             self._heap = kept
             heapq.heapify(self._heap)
             self.queue_int.add(now, -len(dropped))
-        return [t for _, _, t in dropped]
+            self.purged_wait += sum(now - task.enqueued_at for _, _, task in dropped)
 
     def queue_len(self) -> int:
         return len(self._heap)

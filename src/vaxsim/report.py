@@ -73,7 +73,7 @@ def _repr_texts(column: np.ndarray) -> list[str]:
     ``1e16`` for ``1e+16``, ``null`` for NaN), so those are rewritten with
     ``repr``.
     """
-    import orjson  # loaded already where the stores were read
+    import orjson  # on the first float column: run, validate and compare never load it
 
     values = column.tolist()
     texts = orjson.dumps(values).decode()[1:-1].split(",")

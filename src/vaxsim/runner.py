@@ -2,20 +2,30 @@
 
 A run is (config, overlay, base seed, n): replication i simulates seed
 base+i, so base and scenario runs pair replication-for-replication on common
-random numbers. Results land in a directory store: two files per
-replication, plus a KPI table and a manifest; every byte is a pure function
-of the inputs, whatever the worker count. A replication's meta, batch and
-counts records are newline-delimited JSON, and its daily series are raw
-little-endian values, listed by name and type code in the manifest, which
-also carries the sha256 of every file. A flipped byte in a double still
-decodes, to a wrong number, so ``load_store`` checks each file against its
-digest before it decodes anything.
+random numbers. Results land in a directory store: one file per replication,
+plus a KPI table and a manifest; every byte is a pure function of the
+inputs, whatever the worker count.
 
-The records are written with ``json`` alone and read back with orjson, in
-about half json's time. ``json`` stays the reader of record: wherever orjson
-might read a text otherwise, or refuse it in other words, json parses it
-again and its value or its error is the answer. So a replication loads to
-the same values, and fails with the same messages, as json alone would make.
+Store format 3 (``vaxsim-store-3``) states each fact once. The manifest
+holds the scenario, ``horizon_days``, start date and base seed (replication
+i has seed ``base_seed + i``), the sha256 of every file, and the layout of
+every replication file. A replication file, ``rep_NNNNN.bin``, is typed
+little-endian columns one after another, each listed in the manifest as a
+``[name, typecode]`` pair (``d`` float64, ``q`` int64, ``b`` int8):
+
+- ``series``: the daily series, ``horizon_days`` values each;
+- ``counts``: the counters, one value each, so an int stays an int;
+- ``batches``: the batch log, as many values each as the replication's own
+  ``batches_created`` counter. An absent ``released_at`` or
+  ``discarded_at`` is NaN. ``state`` and ``discard_cause`` are codes into
+  the name lists of the manifest's ``codes``, where null is no cause. A
+  batch's id is its position + 1, as ``Production`` assigns it, so it is
+  not stored.
+
+A flipped byte in a double still decodes, to a wrong number, so
+``load_store`` checks each file against its digest before it decodes
+anything. A format-2 store (JSON records in an ``.ndjson`` beside each
+``.bin``) is refused: run it again.
 """
 
 from __future__ import annotations
@@ -27,15 +37,17 @@ import json
 import os
 import sys
 from array import array
+from math import nan as NAN
 from types import MappingProxyType
 
 from . import __version__
 from .config import Config, config_hash, parse_config
 from .metrics import kpi_summary
 from .model import Model, ReplicationResult
+from .production import AWAITING_RELEASE, DISCARDED, IN_PROCESS, RELEASED
 from .scenario import ScenarioRuntime, ScenarioSpec, parse_scenario
 
-STORE_FORMAT = "vaxsim-store-2"
+STORE_FORMAT = "vaxsim-store-3"
 
 KPI_COLUMNS = [
     "scenario", "seed", "time_to_first_dose", "time_to_target", "target_doses",
@@ -84,132 +96,111 @@ def run_ensemble(cfg_raw: dict, overlay_raw: dict | None, base_seed: int,
 
 # -- serialization -------------------------------------------------------
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-# series type codes and their sizes: a double per day, or a byte per day for
-# a 0/1 flag (material_stockout.*)
-SERIES_SIZES = {"d": 8, "b": 1}
-# series are stored little-endian; array works in the host's byte order
+# column type codes and their sizes: a double, a 64-bit int or a byte
+SIZES = {"d": 8, "q": 8, "b": 1}
+# columns are stored little-endian; array works in the host's byte order
 _SWAP = sys.byteorder == "big"
+# the batch log's columns, and the names a coded column's values stand for
+BATCH_COLUMNS = [["created_at", "d"], ["doses", "q"], ["state", "b"],
+                 ["released_at", "d"], ["discarded_at", "d"], ["discard_cause", "b"],
+                 ["retests", "q"], ["investigations", "q"]]
+CODES = {"state": [IN_PROCESS, AWAITING_RELEASE, RELEASED, DISCARDED],
+         "discard_cause": [None, "failed_retest", "power_outage"]}
 
 
-def series_layout(res: ReplicationResult) -> list[list[str]]:
-    """``[name, typecode]`` of each of ``res``'s series, in name order: the
-    order ``result_to_ndjson`` writes them in."""
-    return [[name, res.series[name].typecode] for name in sorted(res.series)]
+def store_layout(res: ReplicationResult | None) -> dict:
+    """The manifest's layout of ``res``'s file (of none, for ``None``): its
+    series and counters as ``[name, typecode]`` in name order, then the batch
+    columns and their codes. ``result_to_ndjson`` writes them in this order."""
+    series, counts = (res.series, res.counts) if res else ({}, {})
+    return {"series": [[name, series[name].typecode] for name in sorted(series)],
+            "counts": [[name, "q" if type(value) is int else "d"]
+                       for name, value in sorted(counts.items())],
+            "batches": BATCH_COLUMNS, "codes": CODES}
 
 
-def result_to_ndjson(res: ReplicationResult) -> tuple[bytes, bytes]:
-    """The two files of a replication: the NDJSON of its meta, batch and
-    counts records, and its daily series as raw little-endian values, each
-    ``horizon_days`` long, in ``series_layout`` order."""
-    lines = [_dumps({"kind": "meta", "scenario": res.scenario, "seed": res.seed,
-                     "horizon_days": res.horizon_days,
-                     "start_date": res.start_date})]
-    for b in res.batches:
-        lines.append(_dumps(dict(b, kind="batch")))
-    lines.append(_dumps(dict(res.counts, kind="counts")))
-    blob = []
-    for name, code in series_layout(res):
-        values = res.series[name]
-        if code not in SERIES_SIZES or len(values) != res.horizon_days:
+def result_to_ndjson(res: ReplicationResult) -> bytes:
+    """The store file of a replication: its columns, in ``store_layout``
+    order. Each series is ``horizon_days`` values of type 'd' or 'b', and
+    the batch log is batches 1 to ``batches_created``."""
+    layout = store_layout(res)
+    columns = []
+    for name, code in layout["series"]:
+        if code not in ("d", "b") or len(res.series[name]) != res.horizon_days:
             raise ValueError(f"series {name!r} is not {res.horizon_days} values "
                              "of type 'd' or 'b'")
-        if _SWAP:
-            values = array(code, values)
+        columns.append(res.series[name])
+    columns += [array(code, [res.counts[name]]) for name, code in layout["counts"]]
+    batches = res.batches
+    if (res.counts.get("batches_created") != len(batches)
+            or any(b["id"] != i for i, b in enumerate(batches, 1))):
+        raise ValueError("the batch log is not batches 1 to batches_created, in order")
+    for name, code in BATCH_COLUMNS:
+        values = [b[name] for b in batches]
+        if name in CODES:
+            values = [CODES[name].index(v) for v in values]
+        elif code == "d":
+            values = [NAN if v is None else v for v in values]
+        columns.append(array(code, values))
+    if _SWAP:
+        columns = [array(values.typecode, values) for values in columns]
+        for values in columns:
             values.byteswap()
-        blob.append(values.tobytes())
-    return ("\n".join(lines) + "\n").encode(), b"".join(blob)
+    return b"".join(values.tobytes() for values in columns)
 
 
 class StoreError(ValueError):
-    """A store file that does not decode; names the file and the record."""
+    """A store that does not decode; names the file and what is wrong."""
 
 
-# every ASCII digit to b"0", so that a run of digits is a run of b"0"
-_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
-# orjson reads an integer of 20 digits or more, or of 19 below -2**63, as a
-# float, where json keeps it an int; a shorter run of digits is an int within
-# 64 bits, or a part of a float that orjson rounds as float() does
-_LONG_DIGITS = b"0" * 19
-
-
-def _load_records(text: str):
-    """``json.loads(text)``, parsed by orjson where the two agree.
-
-    json parses the text, and its value or its error is the answer, where
-    orjson refuses it (``NaN``, ``Infinity``, ``1e400``, a lone surrogate,
-    damaged text), where it holds a run of 19 digits or more (an int orjson
-    may read as a float), and where it may nest deeper than a list of
-    dicts: json refuses nesting past its recursion limit, which orjson
-    reads, and 100,000 levels of dicts overflow orjson's stack. Without
-    whitespace, a text of one ``[`` and no ``:{`` nests three levels at
-    most. Each guard runs in C: a loop over the values in Python would
-    cost about what orjson saves.
-    """
-    import orjson  # on first decode: run and validate never read a store
-
-    try:
-        data = text.encode()
-    except UnicodeEncodeError:  # a lone surrogate in the text itself
-        return json.loads(text)
-    shape = data.translate(_DIGITS_TO_ZERO, b" \t\n\r")
-    if _LONG_DIGITS not in shape and b":{" not in shape and shape.count(b"[") <= 1:
-        try:
-            return orjson.loads(data)
-        except orjson.JSONDecodeError:
-            pass
-    return json.loads(text)
-
-
-def ndjson_to_result(text: bytes, blob: bytes, series: list,
-                     source: str = "replication") -> ReplicationResult:
-    """A replication from the two files ``result_to_ndjson`` writes, given
-    the ``[name, typecode]`` of each series in ``blob``. ``source`` is the
-    path of the files without their suffix, naming them in errors.
-
-    The records decode in one parse by ``_load_records``: json.dumps never
-    writes a raw newline inside a record, so the lines joined by commas are
-    one JSON array. A replication has one meta and one counts record. Every
-    series decodes at once, ``horizon_days`` values each, into a read-only
-    mapping.
-    """
-    try:
-        records = _load_records("[" + text.decode().rstrip("\n").replace("\n", ",") + "]")
-    except (ValueError, RecursionError) as exc:  # json recurses once per nesting level
-        raise StoreError(f"{source}.ndjson: {exc}") from None
-    by_kind = {"meta": [], "batch": [], "counts": []}
-    for rec in records:
-        kind = rec.pop("kind", None) if isinstance(rec, dict) else None
-        if kind not in by_kind:
-            raise StoreError(f"{source}.ndjson: not a store record: {rec!r:.80}")
-        by_kind[kind].append(rec)
-    for kind in ("meta", "counts"):
-        if len(by_kind[kind]) != 1:
-            raise StoreError(f"{source}.ndjson: {len(by_kind[kind])} {kind} records, not one")
-    try:
-        res = ReplicationResult(**by_kind["meta"][0], batches=by_kind["batch"],
-                                counts=by_kind["counts"][0])
-    except TypeError as exc:
-        raise StoreError(f"{source}.ndjson: {exc}") from None
-    if type(res.horizon_days) is not int:
-        raise StoreError(f"{source}.ndjson: horizon_days {res.horizon_days!r} "
-                         "is not a whole number")
-    size = res.horizon_days * sum(SERIES_SIZES[code] for _, code in series)
-    if len(blob) != size:
-        raise StoreError(f"{source}.bin: {len(blob)} bytes, not the {size} of "
-                         f"{len(series)} series of {res.horizon_days} days")
-    view, at, decoded = memoryview(blob), 0, {}
-    for name, code in series:
-        decoded[name] = values = array(code)
-        values.frombytes(view[at:at + res.horizon_days * values.itemsize])
-        at += res.horizon_days * values.itemsize
+def _columns(view: memoryview, at: int, layout: list, length: int) -> dict:
+    """Each ``[name, typecode]`` column of ``layout``, ``length`` values
+    long, one after another from byte ``at`` of ``view``."""
+    out = {}
+    for name, code in layout:
+        out[name] = values = array(code)
+        values.frombytes(view[at:at + length * values.itemsize])
+        at += length * values.itemsize
         if _SWAP:
             values.byteswap()
-    res.series = MappingProxyType(decoded)
-    return res
+    return out
+
+
+def ndjson_to_result(blob: bytes, manifest: dict, i: int,
+                     source: str = "replication") -> ReplicationResult:
+    """Replication ``i`` of the store ``manifest`` describes, from its file
+    ``blob``; ``source`` names the file in errors. The series decode into a
+    read-only mapping, and the batch log into one dict per batch."""
+    days = manifest["horizon_days"]
+    width = {key: sum(SIZES[code] for _, code in manifest[key])
+             for key in ("series", "counts", "batches")}
+    view, at = memoryview(blob), days * width["series"] + width["counts"]
+    counts = {}
+    if len(blob) >= at:
+        counts = {name: values[0] for name, values in _columns(
+            view, at - width["counts"], manifest["counts"], 1).items()}
+    n = counts.get("batches_created")
+    if type(n) is not int or n < 0 or len(blob) != at + n * width["batches"]:
+        raise StoreError(f"{source}: {len(blob)} bytes, not {at} for its series over "
+                         f"horizon_days {days} and its counters, then {width['batches']} "
+                         f"for each of batches_created {n!r}")
+    columns = _columns(view, at, manifest["batches"], n)
+    for name, names in manifest["codes"].items():
+        values = columns[name]
+        if values and not 0 <= min(values) <= max(values) < len(names):
+            raise StoreError(f"{source}: a {name} code is not one of the "
+                             f"{len(names)} that the manifest names")
+        columns[name] = [names[c] for c in values]
+    for name, code in manifest["batches"]:
+        if code == "d":  # NaN is an absent time
+            columns[name] = [None if v != v else v for v in columns[name]]
+    fields = ["id", *columns]
+    return ReplicationResult(
+        manifest["scenario"], manifest["base_seed"] + i, days, manifest["start_date"],
+        series=MappingProxyType(_columns(view, 0, manifest["series"], days)),
+        batches=[dict(zip(fields, (k, *row)))
+                 for k, row in enumerate(zip(*columns.values()), 1)],
+        counts=counts)
 
 
 def overlay_identity(spec: ScenarioSpec | None) -> str | None:
@@ -225,19 +216,15 @@ def overlay_identity(spec: ScenarioSpec | None) -> str | None:
             for m in spec.modifications],
         "resets": [{"at": at.isoformat()} for at in spec.resets],
     }
-    return hashlib.sha256(_dumps(canon).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(canon, sort_keys=True, separators=(",", ":"))
+                          .encode()).hexdigest()
 
 
 # -- the store -----------------------------------------------------------
 
 def _rep_files(count: int) -> list[str]:
     """The replication files of a store of ``count`` replications, in order."""
-    return [os.path.join("replications", f"rep_{i:05d}{suffix}")
-            for i in range(count) for suffix in (".ndjson", ".bin")]
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
+    return [os.path.join("replications", f"rep_{i:05d}.bin") for i in range(count)]
 
 
 def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
@@ -252,20 +239,27 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
     """
     rep_dir = os.path.join(out_dir, "replications")
     os.makedirs(rep_dir, exist_ok=True)
-    series = series_layout(results[0]) if results else []
+    first = results[0] if results else None
+    layout = store_layout(first)
+    scenario = "base" if spec is None else spec.name
     files = [*_rep_files(len(results)), "kpis.csv"]
     hashes = {}
 
     def put(rel: str, data: bytes) -> None:
         with open(os.path.join(out_dir, rel), "wb") as fh:
             fh.write(data)
-        hashes[rel] = _sha256(data)
+        hashes[rel] = hashlib.sha256(data).hexdigest()
 
     for i, res in enumerate(results):
-        if series_layout(res) != series:
-            raise ValueError(f"replication {i} holds other series than replication 0")
-        for rel, data in zip(files[2 * i:], result_to_ndjson(res)):
-            put(rel, data)
+        if store_layout(res) != layout:
+            raise ValueError(f"replication {i} holds other series or counters "
+                             "than replication 0")
+        # the manifest alone states these, for every replication
+        if ((res.scenario, res.seed, res.horizon_days, res.start_date)
+                != (scenario, base_seed + i, first.horizon_days, first.start_date)):
+            raise ValueError(f"replication {i} is not of the store's scenario, seed, "
+                             "horizon and start date")
+        put(files[i], result_to_ndjson(res))
     for name in os.listdir(rep_dir):
         if os.path.join("replications", name) not in hashes:
             os.remove(os.path.join(rep_dir, name))
@@ -280,14 +274,14 @@ def write_store(out_dir: str, results: list[ReplicationResult], cfg: Config,
     manifest = {
         "format": STORE_FORMAT,
         "code_version": __version__,
-        "scenario": "base" if spec is None else spec.name,
+        "scenario": scenario,
         "config_hash": config_hash(cfg),
         "overlay_hash": overlay_identity(spec),
         "base_seed": base_seed,
         "replications": len(results),
-        "horizon_days": results[0].horizon_days if results else 0,
-        "start_date": results[0].start_date if results else None,
-        "series": series,
+        "horizon_days": first.horizon_days if first else 0,
+        "start_date": first.start_date if first else None,
+        **layout,
         "files": files,
         "sha256": hashes,
     }
@@ -301,9 +295,8 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
     """The manifest and replications of the store at ``out_dir``. The
     manifest is checked, not trusted: its format is this one, its files are
     exactly those ``write_store`` names, in order, each matches its sha256,
-    replication i has seed ``base_seed + i``, and every replication has the
-    manifest's scenario, horizon_days and start_date, which ``compare``
-    pairs stores by."""
+    and it declares a layout that every replication file fills exactly, with
+    the batch columns and codes that ``write_store`` writes."""
     path = os.path.join(out_dir, "manifest.json")
     with open(path, encoding="utf-8") as fh:
         try:
@@ -325,38 +318,34 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
         raise StoreError(f"{path}: replications is not a count")
     if type(base_seed) is not int:
         raise StoreError(f"{path}: base_seed is not a whole number")
+    days = manifest.get("horizon_days")
+    if type(days) is not int or days < 0:
+        raise StoreError(f"{path}: horizon_days {days!r} is not a whole number of days")
     if files != [*_rep_files(count), "kpis.csv"]:
         raise StoreError(f"{path}: files does not list the {count} replication files "
                          "in order")
     hashes = manifest.get("sha256")
     if not (isinstance(hashes, dict) and all(f in hashes for f in files)):
         raise StoreError(f"{path}: sha256 does not hold a digest for each listed file")
-    series = manifest.get("series")
-    if not (isinstance(series, list)
-            and all(isinstance(s, list) and len(s) == 2 and isinstance(s[0], str)
-                    and s[1] in ("d", "b") for s in series)
-            and len({s[0] for s in series}) == len(series)):
-        raise StoreError(f"{path}: series is not a list of distinct "
-                         "[name, \"d\" or \"b\"] pairs")
+    for key, codes in (("series", ("d", "b")), ("counts", ("q", "d"))):
+        layout = manifest.get(key)
+        if not (isinstance(layout, list)
+                and all(isinstance(s, list) and len(s) == 2 and isinstance(s[0], str)
+                        and s[1] in codes for s in layout)
+                and len({s[0] for s in layout}) == len(layout)):
+            raise StoreError(f"{path}: {key} is not a list of distinct [name, "
+                             f"{' or '.join(map(json.dumps, codes))}] pairs")
+    if manifest.get("batches") != BATCH_COLUMNS or manifest.get("codes") != CODES:
+        raise StoreError(f"{path}: batches and codes are not those of this format")
 
     def read(rel: str) -> bytes:
         file = os.path.join(out_dir, rel)
         with open(file, "rb") as fh:
             data = fh.read()
-        if _sha256(data) != hashes[rel]:
+        if hashlib.sha256(data).hexdigest() != hashes[rel]:
             raise StoreError(f"{file}: its sha256 is not the one the manifest lists")
         return data
 
     read("kpis.csv")
-    results = []
-    for i in range(count):
-        source = os.path.join(out_dir, "replications", f"rep_{i:05d}")
-        res = ndjson_to_result(read(files[2 * i]), read(files[2 * i + 1]), series, source)
-        if res.seed != base_seed + i:
-            raise StoreError(f"{source}.ndjson: seed {res.seed!r} is not base_seed + {i}")
-        for key in ("scenario", "horizon_days", "start_date"):
-            if getattr(res, key) != manifest.get(key):
-                raise StoreError(f"{source}.ndjson: {key} {getattr(res, key)!r} is not "
-                                 f"the manifest's {manifest.get(key)!r}")
-        results.append(res)
-    return manifest, results
+    return manifest, [ndjson_to_result(read(rel), manifest, i, os.path.join(out_dir, rel))
+                      for i, rel in enumerate(files[:-1])]

@@ -49,12 +49,10 @@ def chain_cfg():
 def assert_books_balance(model, result) -> None:
     """The plant's books balance at the end of ``model``'s run, which
     returned ``result``: every batch is released, discarded or still live;
-    the released doses are those of the released batches; and each
-    material's stock is its initial stockpile plus receipts less use.
-
-    Pool queue time does not balance yet, so it is not checked (ROADMAP item
-    8): ``pool_queue_days`` also counts the waits of tasks ``Pool.purge``
-    drops, which ``pool_wait_days`` leaves out.
+    the released doses are those of the released batches; each material's
+    stock is its initial stockpile plus receipts less use; and each pool's
+    queue time is the waits of the tasks it started, of the tasks a purge
+    dropped, and so far of the tasks still queued at the horizon.
     """
     counts = result.counts
     assert counts["batches_created"] == (counts["batches_released"]
@@ -68,6 +66,14 @@ def assert_books_balance(model, result) -> None:
                  - counts[f"material_consumed.{m.id}"])
         assert math.isclose(books, rt.on_hand, rel_tol=1e-9, abs_tol=1e-9), \
             f"{m.id}: {books} on the books, {rt.on_hand} on hand"
+    horizon = model.engine.clock.horizon_days
+    for pool in model.qc.pools:
+        waits = (counts[f"pool_wait_days.{pool.name}"]
+                 + counts[f"pool_purged_wait_days.{pool.name}"]
+                 + sum(horizon - task.enqueued_at for _, _, task in pool._heap))
+        queued = counts[f"pool_queue_days.{pool.name}"]
+        assert math.isclose(waits, queued, rel_tol=1e-9, abs_tol=1e-9), \
+            f"{pool.name}: {waits} days of waits, {queued} days queued"
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -16,7 +17,7 @@ import vaxsim
 from conftest import chain_dict
 from vaxsim.cli import main
 from vaxsim.config import ConfigError
-from vaxsim.runner import load_store, run_replication
+from vaxsim.runner import SIZES, load_store, run_replication
 
 
 def write_yaml(path, obj):
@@ -148,10 +149,13 @@ DEMO = Path(vaxsim.__file__).parent / "configs" / "demo.yaml"
 
 
 # a material's review orders int((reorder_point + safety_stock - position)
-# // lot_size) + 1 lots: arithmetic that overflows a double must not validate
+# // lot_size) + 1 lots: arithmetic that overflows a double must not validate,
+# nor 2**51 lots or more, which the split among suppliers cannot keep exact
 @pytest.mark.parametrize("material, modification", [
     pytest.param({"reorder_point": 1e308, "safety_stock": 1e308}, None,
                  id="level-overflows"),
+    pytest.param({"lot_size": 1.0, "reorder_point": 2.0**51, "safety_stock": 0.0}, None,
+                 id="lots-at-2**51"),
     pytest.param({"lot_size": 1e-300, "reorder_point": 1e10}, None, id="lots-overflow"),
     pytest.param({"reorder_point": 1e10}, _set("materials.*.lot_size", {"scale": 1e-300}),
                  id="overlay-lots-overflow"),
@@ -174,14 +178,39 @@ def test_reorder_arithmetic_that_overflows_is_refused(material, modification, tm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overlay", [False, True], ids=["config", "overlay"])
+def test_doses_per_batch_of_2_53_or_more_is_refused(overlay, tmp_path, capsys):
+    # the batch log stores doses as 64-bit ints and the daily released doses
+    # as doubles, which hold whole numbers exactly only below 2**53: an
+    # accepted 1e30 ended in a traceback when the store was written
+    cfg = yaml.safe_load(DEMO.read_text())
+    args = ["--config", write_yaml(tmp_path / "cfg.yaml", cfg)]
+    if overlay:
+        args += ["--scenario", write_yaml(tmp_path / "ov.yaml", {"modifications": [
+            _set("stages.packaging.doses_per_batch", 2**53)]})]
+    else:
+        cfg["stages"][-1]["doses_per_batch"] = 1e30
+        write_yaml(tmp_path / "cfg.yaml", cfg)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    for cmd in (["validate"], ["run", "--replications", "1", "--out", str(out)]):
+        assert main(cmd + args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"] == "validation"
+        assert "stages.packaging: final stage needs doses_per_batch > 0 and < 2**53" in err
+    assert not out.exists()
+
+
 def test_windows_that_overflow_only_together_are_refused(tmp_path, capsys):
-    # each window alone validates; while both are open, the reorder arithmetic
-    # overflows a double. validate checks every config state the overlay
-    # passes through, so validate and run refuse it alike, before a store
+    # each window alone validates; while both are open, a review would order
+    # more than 2**51 lots, which cannot be split among suppliers exactly.
+    # validate checks every config state the overlay passes through, so
+    # validate and run refuse it alike, before a store
     mods = [{"window": {"start": "2025-06-01", "end": "2025-06-30"},
-             "set": {"materials.cell_media_powder.reorder_point": {"scale": 1.0e150}}},
+             "set": {"materials.cell_media_powder.reorder_point": {"scale": 1.0e10}}},
             {"window": {"start": "2025-06-10", "end": "2025-06-20"},
-             "set": {"materials.cell_media_powder.lot_size": {"scale": 1.0e-300}}}]
+             "set": {"materials.cell_media_powder.lot_size": {"scale": 1.0e-10}}}]
     for i, mod in enumerate(mods):
         alone = write_yaml(tmp_path / f"alone_{i}.yaml", {"modifications": [mod]})
         assert main(["validate", "--config", str(DEMO), "--scenario", alone]) == 0
@@ -193,8 +222,8 @@ def test_windows_that_overflow_only_together_are_refused(tmp_path, capsys):
         assert main(cmd + args) == 2
         assert stderr_json(capsys) == {"error": "validation", "messages": [
             "target 'materials.cell_media_powder.lot_size': materials.cell_media_powder: "
-            "reorder_point + safety_stock + lot_size and "
-            "(reorder_point + safety_stock) / lot_size must be finite"]}
+            "reorder_point + safety_stock + lot_size must be finite, and "
+            "(reorder_point + safety_stock) / lot_size must be finite and below 2**51"]}
     assert not out.exists()
 
 
@@ -345,21 +374,21 @@ def test_store_without_replications_is_refused(paired_stores, tmp_path, capsys):
     assert stderr_json(capsys)["messages"] == [f"{empty}: store holds no replications"]
 
 
-@pytest.mark.parametrize("key, value, held", [
-    ("horizon_days", 200, 274), ("start_date", "2025-04-02", "2025-04-01"),
-    ("scenario", "slow_fill", "base")])
+@pytest.mark.parametrize("key, value, held", [("horizon_days", 200, 274)])
 def test_a_manifest_that_misdescribes_its_replications_is_refused(
         paired_stores, tmp_path, capsys, key, value, held):
-    # compare pairs stores by the manifest's values, so they must be the
-    # replications' own: a lone store is checked as much as a pair
+    # the horizon is stated once, in the manifest, and the replication files
+    # hold series of its length: a lone store is checked as much as a pair
     base, _ = paired_stores
+    assert load_store(base)[0][key] == held
     odd = _with_manifest(base, tmp_path / "odd", **{key: value})
     capsys.readouterr()
     assert main(["compare", odd]) == 2
     err = stderr_json(capsys)
-    assert err["error"] == "store"
-    first = os.path.join(odd, "replications", "rep_00000.ndjson")
-    assert err["messages"] == [f"{first}: {key} {held!r} is not the manifest's {value!r}"]
+    assert err["error"] == "store" and len(err["messages"]) == 1
+    first = os.path.join(odd, "replications", "rep_00000.bin")
+    assert err["messages"][0].startswith(f"{first}: ")
+    assert f"{key} {value}" in err["messages"][0]
 
 
 def test_compare_prints_the_rows_of_comparison_csv(paired_stores, tmp_path, capsys):
@@ -416,16 +445,19 @@ def test_cli_and_runner_leave_scipy_stats_unimported(tmp_path):
 
 def test_compare_and_report_load_scipy_special_not_scipy_stats(paired_stores, tmp_path):
     # the t distribution comes from scipy.special, a third of scipy.stats's
-    # memory and import time; orjson reads the replications' records
+    # memory and import time; a store is read without orjson, and only the
+    # report's float writer loads it
     code = (
         "import sys\n"
         "from vaxsim.cli import main\n"
+        "loaded = lambda: [m for m in ('scipy.special', 'scipy.stats', 'orjson')\n"
+        "                  if m in sys.modules]\n"
         "assert main(['compare', *sys.argv[1:3]]) == 0\n"
+        "after_compare = loaded()\n"
         "assert main(['report', *sys.argv[1:3], '--out', sys.argv[3]]) == 0\n"
-        "print([m for m in ('scipy.special', 'scipy.stats', 'orjson')\n"
-        "       if m in sys.modules])\n")
+        "print(after_compare, loaded())\n")
     out = _fresh_python(code, *paired_stores, str(tmp_path / "rep"))
-    assert out.splitlines()[-1] == "['scipy.special', 'orjson']"
+    assert out.splitlines()[-1] == "['scipy.special'] ['scipy.special', 'orjson']"
     assert (tmp_path / "rep" / "comparison.csv").exists()
 
 
@@ -444,14 +476,14 @@ def _rehash(store, *rels):
 
 def _rewritten_copy(src, dst, rel, edit, rehash=True):
     """A copy of store ``src`` whose file ``rel`` holds ``edit`` of its
-    text, or of its bytes for a .bin file; returns the copy and the
-    rewritten file. With ``rehash``, a rewritten replication file's sha256
-    is listed in the manifest too."""
+    text, or for a .bin file ``edit(bytes, manifest)``; returns the copy and
+    the rewritten file. With ``rehash``, a rewritten replication file's
+    sha256 is listed in the manifest too."""
     shutil.copytree(src, dst)
     path = os.path.join(dst, rel)
     data = Path(path).read_bytes()
     if rel.endswith(".bin"):
-        Path(path).write_bytes(edit(data))
+        Path(path).write_bytes(edit(data, json.loads(Path(dst, "manifest.json").read_text())))
     else:
         Path(path).write_text(edit(data.decode()), encoding="utf-8")
     if rehash and rel != "manifest.json":
@@ -459,22 +491,12 @@ def _rewritten_copy(src, dst, rel, edit, rehash=True):
     return str(dst), path
 
 
-FIRST_REP = os.path.join("replications", "rep_00000.ndjson")
-SECOND_REP = os.path.join("replications", "rep_00001.ndjson")
-SECOND_BIN = os.path.join("replications", "rep_00001.bin")
+FIRST_REP = os.path.join("replications", "rep_00000.bin")
+SECOND_REP = os.path.join("replications", "rep_00001.bin")
 
 
 # nested deeper than any recursion limit: json's decoder recurses once per level
 TOO_DEEP = "[" * 100_000 + "]" * 100_000
-
-
-def _first_batch_too_deep(lines, deep=TOO_DEEP):
-    i = next(i for i, line in enumerate(lines) if '"kind":"batch"' in line)
-    return lines[:i] + [deep] + lines[i + 1:]
-
-
-# dicts as deep overflow orjson's stack; json refuses them as it does lists
-DICTS_TOO_DEEP = '{"kind":"batch","id":' * 100_000 + "1" + "}" * 100_000
 
 
 def _manifest_with(**changes):
@@ -490,46 +512,59 @@ def _files(*names):
     return _manifest_with(files=[*names, "kpis.csv"])
 
 
-SWAP = "swap with the second replication"  # an edit of the first: see _swapped_copy
+def _at(data, manifest, name):
+    """The byte offset of counter or batch column ``name`` in the
+    replication file ``data`` of the store ``manifest`` describes."""
+    at = manifest["horizon_days"] * sum(SIZES[code] for _, code in manifest["series"])
+    offsets, batches = {}, 1  # each counter is one value
+    for key in ("counts", "batches"):
+        for column, code in manifest[key]:
+            offsets[column] = at
+            at += batches * SIZES[code]
+        batches = struct.unpack_from("<q", data, offsets["batches_created"])[0]
+    return offsets[name]
+
+
+def _put(name, fmt, value):
+    """A .bin edit: the first value of counter or batch column ``name``
+    packed as ``value`` in struct format ``fmt``."""
+    def edit(data, manifest):
+        out = bytearray(data)
+        struct.pack_into(fmt, out, _at(data, manifest, name), value)
+        return bytes(out)
+    return edit
+
+
+def _one_more_batch(data, manifest):
+    at = _at(data, manifest, "batches_created")
+    return _put("batches_created", "<q", struct.unpack_from("<q", data, at)[0] + 1)(
+        data, manifest)
+
+
+SWAP = "swap with the base store's"  # an edit of the first replication: see _swapped_copy
 # a byte of the second replication's series flipped, and its sha256 left as it was
 FLIP = "flip a byte"
 SERIES_PAIRS = 'series is not a list of distinct [name, "d" or "b"] pairs'
+SHA256 = "its sha256 is not the one the manifest lists"
+# the chain's 10 series of doubles over 274 days and its 24 counters; then for
+# each batch a double or a 64-bit int in six columns and a byte in two
+SIZE = "bytes, not 22112 for its series over horizon_days 274 and its counters, then 50"
 
 
-def test_a_batch_id_beyond_64_bits_loads_as_json_reads_it(paired_stores, tmp_path, capsys):
-    # orjson would read 2**64 as a float: a record holding it is read by json
-    base, scen = paired_stores
-    odd, _ = _rewritten_copy(scen, tmp_path / "odd", SECOND_REP,
-                             lambda text: text.replace('"id":1,', f'"id":{2**64},', 1))
-    batch_id = load_store(odd)[1][1].batches[0]["id"]
-    assert type(batch_id) is int and batch_id == 2**64
-    capsys.readouterr()
-    assert main(["compare", base, odd]) == 0
-    assert main(["report", base, odd, "--out", str(tmp_path / "rep")]) == 0
-
-
-def _swapped_copy(src, dst):
-    """A copy of store ``src`` whose first two replication files have traded
-    places; returns the copy and the first file."""
+def _swapped_copy(src, other, dst):
+    """A copy of store ``src`` whose first replication file is that of store
+    ``other``, its sha256 left as listed; returns the copy and the file. (The
+    chain plant is deterministic, so the replications of one store are
+    byte-identical, and trading them would change nothing.)"""
     shutil.copytree(src, dst)
-    first, second = (os.path.join(dst, rel) for rel in (FIRST_REP, SECOND_REP))
-    os.replace(first, first + ".tmp")
-    os.replace(second, first)
-    os.replace(first + ".tmp", second)
-    _rehash(dst, FIRST_REP, SECOND_REP)
+    first = os.path.join(dst, FIRST_REP)
+    shutil.copyfile(os.path.join(other, FIRST_REP), first)
     return str(dst), first
 
 
-def _lines(edit):
-    """An edit of a replication's record lines (the text ends in a newline)."""
-    return lambda text: "\n".join(edit(text.split("\n")[:-1])) + "\n"
-
-
 @pytest.mark.parametrize("rel, edit, message", [
-    (SECOND_REP, _lines(lambda lines: lines[1:]), "0 meta records, not one"),
-    (SECOND_REP, _lines(lambda lines: lines[:1] + lines), "2 meta records, not one"),
-    (SECOND_REP, _lines(lambda lines: lines[:-1]), "0 counts records, not one"),
-    (SECOND_REP, _lines(lambda lines: lines + ["[1, 2]"]), "not a store record: [1, 2]"),
+    ("manifest.json", _manifest_without("counts"),
+     'counts is not a list of distinct [name, "q" or "d"] pairs'),
     ("manifest.json", lambda text: "[1, 2]", "the manifest is not a JSON object"),
     ("manifest.json", lambda text: "{", ""),  # in json's words, which vary by version
     ("manifest.json", _manifest_with(files="kpis.csv"), "files is not a list of file names"),
@@ -537,49 +572,60 @@ def _lines(edit):
      "files is not a list of file names"),
     ("manifest.json", _manifest_with(scenario=None), "scenario is not a name"),
     # in json's words too: a RecursionError, which is not a ValueError
-    (SECOND_REP, _lines(_first_batch_too_deep), ""),
-    (SECOND_REP, _lines(lambda lines: _first_batch_too_deep(lines, DICTS_TOO_DEEP)), ""),
     ("manifest.json", lambda text: TOO_DEEP, ""),
     # the manifest is checked against the files, not trusted
-    ("manifest.json", _files(FIRST_REP, os.path.join("..", "outside.ndjson")),
+    ("manifest.json", _files(FIRST_REP, os.path.join("..", "outside.bin")),
      "files does not list the 2 replication files in order"),
     ("manifest.json", _files(FIRST_REP, FIRST_REP),
      "files does not list the 2 replication files in order"),
     ("manifest.json", _files(FIRST_REP),
      "files does not list the 2 replication files in order"),
-    (FIRST_REP, SWAP, "seed 8 is not base_seed + 0"),
+    (FIRST_REP, SWAP, SHA256),
     ("manifest.json", _manifest_with(replications=-1), "replications is not a count"),
     ("manifest.json", _manifest_with(replications=True), "replications is not a count"),
     ("manifest.json", _manifest_with(base_seed="7"), "base_seed is not a whole number"),
-    # the series bytes: 10 series of doubles over the chain's 274 days
-    (SECOND_BIN, lambda data: data[:-1], "21919 bytes, not the 21920 of 10 series of 274 days"),
-    (SECOND_BIN, lambda data: data + b"\0", "21921 bytes, not the 21920 of 10 series of 274 days"),
-    (SECOND_BIN, FLIP, "its sha256 is not the one the manifest lists"),
-    (SECOND_REP, lambda text: text.replace('"horizon_days":274', '"horizon_days":274.0', 1),
-     "horizon_days 274.0 is not a whole number"),
+    (SECOND_REP, lambda data, _: data[:-1], SIZE + " for each of batches_created 275"),
+    (SECOND_REP, lambda data, _: data + b"\0", SIZE + " for each of batches_created 275"),
+    (SECOND_REP, FLIP, SHA256),
+    ("manifest.json", _manifest_with(horizon_days=274.0),
+     "horizon_days 274.0 is not a whole number of days"),
     ("manifest.json", _manifest_without("sha256"),
      "sha256 does not hold a digest for each listed file"),
     ("manifest.json", _manifest_without("series"), SERIES_PAIRS),
     ("manifest.json", _manifest_with(series=[["released_doses", "f"]]), SERIES_PAIRS),
     ("manifest.json", _manifest_with(series=[["released_doses", "d", 8]]), SERIES_PAIRS),
     ("manifest.json", _manifest_with(series=["released_doses", "d"]), SERIES_PAIRS),
-], ids=["no meta", "two metas", "no counts", "a list record", "manifest a list",
-        "manifest not JSON", "files a string", "files holds a number", "no scenario",
-        "a batch too deep", "a batch of dicts too deep", "manifest too deep", "a file outside the store",
+    # what format 3 adds: typed counters and batch columns, and codes
+    (SECOND_REP, _put("state", "<b", 4), "a state code is not one of the 4 that the "
+     "manifest names"),
+    (SECOND_REP, _put("discard_cause", "<b", -1), "a discard_cause code is not one of "
+     "the 3 that the manifest names"),
+    (SECOND_REP, _one_more_batch, SIZE + " for each of batches_created 276"),
+    ("manifest.json", _manifest_with(batches=[["state", "b"]]),
+     "batches and codes are not those of this format"),
+    ("manifest.json", _manifest_with(codes={"state": ["released"]}),
+     "batches and codes are not those of this format"),
+    ("manifest.json", _manifest_with(format="vaxsim-store-2"),
+     "format 'vaxsim-store-2' is not 'vaxsim-store-3': run the store again with this "
+     "vaxsim"),
+], ids=["no counts", "manifest a list", "manifest not JSON", "files a string",
+        "files holds a number", "no scenario", "manifest too deep", "a file outside the store",
         "a file listed twice", "a replication not listed", "two replications swapped",
         "a negative count", "a flag for a count", "a base seed in text",
         "a .bin one byte short", "a .bin one byte long", "a .bin byte flipped",
         "a horizon in days not whole",
         "no sha256", "no series", "a series of floats", "a series triple",
-        "a series not a pair"])
+        "a series not a pair", "a state code out of range", "a cause code out of range",
+        "a batch count the file size disagrees with", "other batch columns",
+        "other codes", "a format-2 manifest"])
 def test_a_damaged_store_is_a_store_error(paired_stores, tmp_path, capsys, rel, edit,
                                           message):
     base, scen = paired_stores
     if edit is SWAP:
-        odd, path = _swapped_copy(scen, tmp_path / "odd")
+        odd, path = _swapped_copy(scen, base, tmp_path / "odd")
     elif edit is FLIP:
         odd, path = _rewritten_copy(scen, tmp_path / "odd", rel,
-                                    lambda data: data[:99] + bytes([data[99] ^ 1]) + data[100:],
+                                    lambda data, _: data[:99] + bytes([data[99] ^ 1]) + data[100:],
                                     rehash=False)
     else:
         odd, path = _rewritten_copy(scen, tmp_path / "odd", rel, edit)

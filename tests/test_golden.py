@@ -1,9 +1,9 @@
 """Golden digests: the demo plant's result bytes for base and every bundled scenario.
 
-Each ``GOLDEN`` entry pins the sha256 of every replication's two store files
-(its NDJSON records, then its series bytes) and of the ``kpis.csv`` that
-``write_store`` writes, for two replications from seed 100. ``REPORT_GOLDEN`` pins each tidy CSV that ``write_report`` writes over
-those seven stores, reloaded from disk. A change that alters any simulated
+Each ``GOLDEN`` entry pins the sha256 of every replication's store file
+and of the ``kpis.csv`` that ``write_store`` writes, for two replications
+from seed 100. ``REPORT_GOLDEN`` pins each tidy CSV that ``write_report``
+writes over those seven stores, reloaded from disk. A change that alters any simulated
 number, series name, statistic or serialization fails here; a deliberate
 change updates the literals and says why. ``manifest.json`` and ``report.md``
 are left out: they carry ``config_hash``, which changes whenever the config
@@ -30,32 +30,32 @@ REPLICATIONS = 2
 
 # scenario -> ([sha256 of each replication's files], sha256 of kpis.csv)
 GOLDEN = {
-    "base": (["ef42dd8bd147b58ae209cbceeda05daac6ea90f5676df579598f92713fcb24cc",
-              "c1ef602b49d602bdaed2195439b3245c8956eaa4f1875ee80be57811b36f7eae"],
+    "base": (["8749f8c623da2240a0d0b7c3d88a4463fb7048393e9f4e24d8710443d494c803",
+              "0909f52591029053b847025a675162e4a12a7c392a30676e645df71fb55982ed"],
              "d5a5aa3f362b8fb159d44a0013e7e6167b36ae78880615876a129d29af23bd47"),
     "lead_time_inflation": (
-        ["508e31a50c3b5d95617424111c6e1761970eb42a8b8fe4acc75abeb371174d95",
-         "74de080b9e8f8731caca79e546ab48a5846b027185f23ada0904adda16ebe04f"],
+        ["d23f043e261ab8087cc6ec227d6a534f9735ea7b85c13b66bf2a5bda5092e8b1",
+         "e9702a3afa7eb008e7912359ee650e1349a1cb4fdcc2911ee16866ad9cb8ba32"],
         "9b45d03f436edd7ed05797f5c4ac59f70c918250f928f4828ce2bfcf59c89264"),
     "power_outage": (
-        ["0fe99aa5f5c7c4994954d27171666c4943eb696eb12cf2cc747fe4349054da9b",
-         "336bab352be69dff637a32436e5ab92990837cc355abbd98ae3e8a043c72b7f0"],
+        ["cb748cc030a80ccd85e11baaa214c829a46eb1803f56d7c0a17093fc693440d9",
+         "8a93a403e05ef3cd1983013ac9fb67a75903dddf79c08ea3ae846572d9ce36f3"],
         "3356d527d7fe68943b1d24600edf04f35f0dbef2938091dc914f9c131b474da9"),
     "quality_capacity_doubling": (
-        ["8baa75fab70327edb1048b7b6a4622e4795ac9090c956f2ff0a41e09192a97ad",
-         "73ef722b60adbfb5b5d05236fff0ca05ab5b394559a329dea953349973d6af06"],
+        ["31bb36b1576a4b0d0044dd421495312aa02072f7328f406fd77c92f3185e7d28",
+         "b3bb1cefec1902947b32c33d48df824b58a229b0d5bdc6a7a07c60a0b7d0fd8a"],
         "573242038e5ee2966fa8be1f91a7032c8f1c6d7e886b2e97c783142edf544f9f"),
     "shutdown_main_culture": (
-        ["db978768f3405ebbf193de30adbbcebe5b64b85e526c04c66b1bc23563796523",
-         "a2e16b6ff512e19962126190f0d74bb3003f0ceac8d8b5e86fa84373a26c14d9"],
+        ["856421a852a8e7792d77d84dde9eaed2232bbbeff3862423af63a16963e72035",
+         "ee66bc2a6b051bf2315d8ee61fae6fbc6529b5ae2a10b8817f9822fd7bf14042"],
         "72ed856ea25b82d4ffda2600b4a24e97383ff81f8c54a5348c8907c195ba4d26"),
     "supplier_unavailability": (
-        ["d221894d476d1cf783569fb541e0df2e330f9da8fc91acaf85f649941d40f661",
-         "1ab0a151f86ca407fbe1c410b38801c5ab3962ed979169cdd36c9492df3c9b87"],
+        ["03e6306a8f286b59910cf7f12bd858273a2c0f02495d8cd0cfcddd8156a26ab4",
+         "3131312129a47b1c6cb1b865ba5353378f2fb1c8c43c8879870330996e7903d8"],
         "8f4c2935d44902e7b41fc54bfe2ab0798fdb91bf8f5992f3883a114aa29398a1"),
     "workforce_reduction": (
-        ["ec8975ac7fd73ab2e127cc8e40614379951157f3be9f023f4201dd84ea7eef8a",
-         "af3ee28e9933a98b7ae68b086c7c11083313a15ec9219bc963b37467bf562d7c"],
+        ["6854aecd5b54cf90b6781387bf54072ba5f7f1556f210bc980c1c3308e7c0e1a",
+         "da2e19146806c545a8e24422802480505aaddd25124ca85636880f45a33acc40"],
         "9f574131018c5c9e5a914dde03e4de43f9528e72084e8c5365853df17b83444f"),
 }
 
@@ -79,8 +79,8 @@ def _sha(data: bytes) -> str:
 
 
 def _rep_sha(res) -> str:
-    """sha256 of a replication's .ndjson bytes followed by its .bin bytes."""
-    return _sha(b"".join(result_to_ndjson(res)))
+    """sha256 of a replication's store file."""
+    return _sha(result_to_ndjson(res))
 
 
 @pytest.fixture(scope="module")
@@ -124,39 +124,43 @@ def _dumps(record) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _format_1(store: Path, dst: Path) -> Path:
-    """Store ``store`` as ``vaxsim-store-1`` wrote it: each replication one
-    NDJSON file holding its series as records, and no ``series`` or
-    ``sha256`` in the manifest."""
+def _format_2(store: Path, dst: Path) -> Path:
+    """Store ``store`` as ``vaxsim-store-2`` wrote it: each replication an
+    NDJSON file of its meta, batch and counts records beside a .bin of its
+    series, and neither counter nor batch layout in the manifest."""
     manifest, results = load_store(str(store))
     (dst / "replications").mkdir(parents=True)
     files = []
     for i, res in enumerate(results):
         lines = [{"kind": "meta", "scenario": res.scenario, "seed": res.seed,
                   "horizon_days": res.horizon_days, "start_date": res.start_date},
-                 *({"kind": "series", "name": name, "values": res.series[name].tolist()}
-                   for name in sorted(res.series)),
                  *(dict(b, kind="batch") for b in res.batches), dict(res.counts, kind="counts")]
-        files.append(f"replications/rep_{i:05d}.ndjson")
-        (dst / files[-1]).write_text("".join(_dumps(r) + "\n" for r in lines))
+        files += [f"replications/rep_{i:05d}.ndjson", f"replications/rep_{i:05d}.bin"]
+        (dst / files[-2]).write_text("".join(_dumps(r) + "\n" for r in lines))
+        (dst / files[-1]).write_bytes(b"".join(res.series[name].tobytes()
+                                               for name, _ in manifest["series"]))
+    files.append("kpis.csv")
     (dst / "kpis.csv").write_bytes((store / "kpis.csv").read_bytes())
-    del manifest["series"], manifest["sha256"]
-    manifest.update(format="vaxsim-store-1", files=[*files, "kpis.csv"])
+    for key in ("counts", "batches", "codes"):
+        del manifest[key]
+    manifest.update(format="vaxsim-store-2", files=files,
+                    sha256={f: _sha((dst / f).read_bytes()) for f in files})
     (dst / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return dst
 
 
 def test_stores_in_the_older_format_are_refused(stores, tmp_path, capsys):
-    """A store-1 store is the store error, named by its format tag: its series
-    are text, which this vaxsim no longer reads, so it must be run again."""
+    """A store-2 store is the store error, named by its format tag: its
+    records are JSON text, which this vaxsim no longer reads, so it must be
+    run again."""
     current = [str(path) for _, path in stores.values()]
-    old = str(_format_1(Path(current[1]), tmp_path / "old"))
+    old = str(_format_2(Path(current[1]), tmp_path / "old"))
     capsys.readouterr()
     for argv in (["compare", current[0], old],
                  ["report", current[0], old, "--out", str(tmp_path / "report")]):
         assert main(argv) == 2
         assert json.loads(capsys.readouterr().err) == {"error": "store", "messages": [
-            f"{old}/manifest.json: format 'vaxsim-store-1' is not 'vaxsim-store-2': "
+            f"{old}/manifest.json: format 'vaxsim-store-2' is not 'vaxsim-store-3': "
             "run the store again with this vaxsim"]}
     assert not (tmp_path / "report").exists()
 
@@ -219,9 +223,9 @@ QAQC_PLANT = {
 
 # sha256 of each replication's files, three replications from SEED
 QAQC_PLANT_GOLDEN = [
-    "034f302f29b74ed0a37f65f94f39478bcfb2b8783fb99f8666ee4242655ea374",
-    "08bbc17b60c819d2923a20c31883539966bc17d63dae8d72bc7441f3a9aabb5a",
-    "ad14a8338268b6e66fbd03b10767af1a8c199ca08ac56379ebdea93d161d7464",
+    "54bed956b29559863151728353b92548246d8e41b457634ae947fd13862b778a",
+    "8799255d91f430bb39aea7a02236d1c546ed5614f0343a41c84d12d547a5a45a",
+    "f6e1aa1ae8120326424ac65ed9a6bff68ec1ef2c03f0c066b18147c6ad9ca952",
 ]
 
 

@@ -57,6 +57,28 @@ def _task(tag):
     return Task("tech", b)
 
 
+def test_a_release_wakes_the_pool_only_with_work_queued():
+    # a release with nothing queued leaves nothing to start: the pool sleeps
+    pool = Pool("p", 1)
+    for tag in (1, 2):
+        pool.enqueue(_task(tag), (0, 0, float(tag)), 0.0)
+    for now, queued in ((1.0, True), (2.0, False)):
+        pool.pump(now - 1.0, lambda task, now: None)
+        pool.awake = False  # as QaQc.pump leaves it
+        pool.release(now)
+        assert pool.awake is queued
+
+
+def test_a_purge_counts_the_waits_of_the_tasks_it_drops():
+    pool = Pool("p", 0)
+    tasks = [_task(tag) for tag in (1, 2, 3)]
+    for at, task in enumerate(tasks):
+        pool.enqueue(task, (0, 0, float(at)), float(at))
+    pool.purge(lambda task: task is not tasks[1], 5.0)
+    assert pool.purged_wait == (5.0 - 0.0) + (5.0 - 2.0)
+    assert pool.queue_len() == 1
+
+
 def test_lower_release_backlog_served_first():
     pool = Pool("p", 1)
     a, b = _task(1), _task(2)

@@ -15,14 +15,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import yaml
 
 import vaxsim
-from vaxsim import runner
 from vaxsim.config import parse_config
 from vaxsim.model import ReplicationResult
-from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, load_store, ndjson_to_result,
+from vaxsim.runner import (CODES, KPI_COLUMNS, STORE_FORMAT, load_store, ndjson_to_result,
                            overlay_identity, result_to_ndjson, run_ensemble,
-                           run_replication, series_layout, write_store)
+                           run_replication, store_layout, write_store)
 from vaxsim.scenario import parse_scenario
 
 from conftest import chain_dict
@@ -57,25 +57,76 @@ def make_store(tmp_path, name, overlay, *, seed=7, n=3, jobs=1):
 
 
 def _round_trip(res):
-    return ndjson_to_result(*result_to_ndjson(res), series_layout(res))
+    manifest = dict(store_layout(res), scenario=res.scenario, base_seed=res.seed,
+                    horizon_days=res.horizon_days, start_date=res.start_date)
+    return ndjson_to_result(result_to_ndjson(res), manifest, 0)
 
 
-def test_ndjson_round_trip():
-    res = run_replication(chain_dict(), {}, 11)
-    back = _round_trip(res)
-    assert back.seed == 11
-    assert back.scenario == res.scenario
-    assert back.series == res.series
-    assert back.batches == res.batches
-    assert back.counts == res.counts
+def _exact(value):
+    """``value`` with its type, and a float by its bits: 1 is not 1.0 here,
+    nor -0.0 0.0."""
+    return type(value), value.hex() if type(value) is float else value
 
 
-def test_store_round_trip(tmp_path):
+def assert_same_replication(mem, disk):
+    """``disk`` holds what ``mem`` holds: every field, batch field and
+    counter of the same type, floats with the same bits, and every series
+    with the same type code and bytes."""
+    for key in ("scenario", "seed", "horizon_days", "start_date"):
+        assert _exact(getattr(disk, key)) == _exact(getattr(mem, key))
+    assert ({name: (v.typecode, v.tobytes()) for name, v in disk.series.items()}
+            == {name: (v.typecode, v.tobytes()) for name, v in mem.series.items()})
+    assert ([{k: _exact(v) for k, v in b.items()} for b in disk.batches]
+            == [{k: _exact(v) for k, v in b.items()} for b in mem.batches])
+    assert ({k: _exact(v) for k, v in disk.counts.items()}
+            == {k: _exact(v) for k, v in mem.counts.items()})
+    assert disk == mem
+
+
+CONFIGS = Path(vaxsim.__file__).resolve().parent / "configs"
+BUNDLED = ["base", *sorted(p.stem for p in (CONFIGS / "scenarios").glob("*.yaml"))]
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    """One demo replication at seed 100 for base and each bundled scenario:
+    name -> (overlay, result)."""
+    raw = yaml.safe_load((CONFIGS / "demo.yaml").read_text())
+    out = {}
+    for name in BUNDLED:
+        overlay = ({} if name == "base" else
+                   yaml.safe_load((CONFIGS / "scenarios" / f"{name}.yaml").read_text()))
+        out[name] = overlay, run_replication(raw, overlay, 100)
+    return out
+
+
+def test_ndjson_round_trip(bundled):
+    coded = {name: set() for name in CODES}
+    for _, res in bundled.values():
+        assert_same_replication(res, _round_trip(res))
+        for name, seen in coded.items():
+            seen |= {b[name] for b in res.batches}
+    # every name of both coded columns is exercised: power_outage brings its
+    # own discard cause
+    assert coded == {name: set(names) for name, names in CODES.items()}
+    chain = run_replication(chain_dict(), {}, 11)
+    assert_same_replication(chain, _round_trip(chain))
+
+
+def test_store_round_trip(tmp_path, bundled):
+    raw = yaml.safe_load((CONFIGS / "demo.yaml").read_text())
+    cfg = parse_config(raw)
+    for name, (overlay, res) in bundled.items():
+        out = str(tmp_path / name)
+        manifest = write_store(out, [res], cfg, parse_scenario(overlay, cfg), 100)
+        loaded_manifest, (loaded,) = load_store(out)
+        assert loaded_manifest == manifest
+        assert_same_replication(res, loaded)
     out, manifest, results = make_store(tmp_path, "s", {})
     loaded_manifest, loaded = load_store(out)
     assert loaded_manifest == manifest
-    assert [r.series for r in loaded] == [r.series for r in results]
-    assert [r.counts for r in loaded] == [r.counts for r in results]
+    for mem, disk in zip(results, loaded):
+        assert_same_replication(mem, disk)
 
 
 def test_manifest_contents(tmp_path):
@@ -107,7 +158,7 @@ def test_a_smaller_run_into_a_store_leaves_no_stale_replications(tmp_path):
     listed = {f for f in manifest["files"] if f.startswith("replications")}
     assert {os.path.join("replications", f)
             for f in os.listdir(os.path.join(out, "replications"))} == listed
-    assert len(listed) == 2
+    assert len(listed) == 1
 
 
 def test_series_that_do_not_fit_the_store_are_not_written(tmp_path):
@@ -116,9 +167,30 @@ def test_series_that_do_not_fit_the_store_are_not_written(tmp_path):
     short = dataclasses.replace(res, series=dict(res.series, released_doses=array("d", [1.0])))
     with pytest.raises(ValueError, match="'released_doses' is not 2 values"):
         write_store(str(tmp_path / "short"), [short], cfg, None, 1)
-    fewer = dataclasses.replace(res, series={"released_doses": res.series["released_doses"]})
+    fewer = dataclasses.replace(res, seed=2,
+                                series={"released_doses": res.series["released_doses"]})
     with pytest.raises(ValueError, match="replication 1 holds other series"):
         write_store(str(tmp_path / "fewer"), [res, fewer], cfg, None, 1)
+
+
+def test_a_replication_the_manifest_would_misdescribe_is_not_written(tmp_path):
+    # the manifest alone states scenario, seed, horizon and start date
+    cfg = parse_config(chain_dict())
+    res = _result([1.0, 2.0])
+    for change in ({"seed": 3}, {"scenario": "other"}, {"start_date": "2025-04-02"}):
+        odd = dataclasses.replace(res, **{"seed": 2, **change})
+        with pytest.raises(ValueError, match="replication 1 is not of the store's"):
+            write_store(str(tmp_path / "odd"), [res, odd], cfg, None, 1)
+
+
+def test_a_batch_log_that_is_not_batches_1_to_n_is_not_written(tmp_path):
+    # a batch's id is its position + 1, and their count is batches_created
+    cfg = parse_config(chain_dict())
+    res = _result([1.0, 2.0])
+    for odd in (dataclasses.replace(res, batches=[dict(res.batches[0], id=2)]),
+                dataclasses.replace(res, counts=dict(res.counts, batches_created=2))):
+        with pytest.raises(ValueError, match="not batches 1 to batches_created"):
+            write_store(str(tmp_path / "odd"), [odd], cfg, None, 1)
 
 
 def test_seed_derivation(tmp_path):
@@ -225,7 +297,10 @@ def _result(doses):
     return ReplicationResult("base", 1, len(doses), "2025-04-01", series={
         "material_stockout.resin": array("b", [0, 1] * (len(doses) // 2)),
         "released_doses": array("d", doses), odd_name: array("d", doses[::-1])},
-        batches=[{"id": 1, "doses": 2.0}], counts={"batches_released": 1})
+        batches=[{"id": 1, "created_at": 0.0, "doses": 2, "state": "released",
+                  "released_at": 1.5, "discarded_at": None, "discard_cause": None,
+                  "retests": 0, "investigations": 0}],
+        counts={"batches_created": 1, "batches_released": 1})
 
 
 def test_loaded_series_compare_as_the_written_ones():
@@ -260,18 +335,40 @@ DOUBLES = st.floats() | st.integers(0, 2**64 - 1).map(
     lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
 
 
+INT64 = st.integers(-2**63, 2**63 - 1)
+# any time but NaN, which stands for an absent one
+TIMES = DOUBLES.filter(lambda x: x == x)
+
+
+@st.composite
+def batch_logs(draw):
+    """Batches 1 to n, each field of any value its column holds."""
+    return [{"id": i, "created_at": draw(TIMES), "doses": draw(INT64),
+             "state": draw(st.sampled_from(CODES["state"])),
+             "released_at": draw(st.none() | TIMES), "discarded_at": draw(st.none() | TIMES),
+             "discard_cause": draw(st.sampled_from(CODES["discard_cause"])),
+             "retests": draw(INT64), "investigations": draw(INT64)}
+            for i in range(1, draw(st.integers(0, 4)) + 1)]
+
+
 @st.composite
 def replications(draw):
     """One to three hand-built replications of one horizon: every double
-    for the doses, 0/1 flags for the stockouts."""
+    for the doses, 0/1 flags for the stockouts, any batch log, and int and
+    float counters of any value."""
     horizon = draw(st.integers(0, 30))
-    return [ReplicationResult("base", seed, horizon, "2025-04-01", series={
-        "released_doses": array("d", draw(st.lists(DOUBLES, min_size=horizon,
-                                                   max_size=horizon))),
-        "material_stockout.resin": array("b", draw(st.lists(
-            st.integers(0, 1), min_size=horizon, max_size=horizon)))},
-        counts={"batches_released": 0, "batches_discarded": 0})
-        for seed in range(1, draw(st.integers(1, 3)) + 1)]
+    out = []
+    for seed in range(1, draw(st.integers(1, 3)) + 1):
+        batches = draw(batch_logs())
+        out.append(ReplicationResult("base", seed, horizon, "2025-04-01", series={
+            "released_doses": array("d", draw(st.lists(DOUBLES, min_size=horizon,
+                                                       max_size=horizon))),
+            "material_stockout.resin": array("b", draw(st.lists(
+                st.integers(0, 1), min_size=horizon, max_size=horizon)))},
+            batches=batches,
+            counts={"batches_created": len(batches), "batches_released": draw(INT64),
+                    "batches_discarded": draw(INT64), "released_doses": draw(DOUBLES)}))
+    return out
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,105 +380,31 @@ def test_series_round_trip_through_a_store(results):
         assert manifest["series"] == [["material_stockout.resin", "b"],
                                       ["released_doses", "d"]]
         _, loaded = load_store(out)
+    assert manifest["counts"] == [["batches_created", "q"], ["batches_discarded", "q"],
+                                  ["batches_released", "q"], ["released_doses", "d"]]
     assert len(loaded) == len(results)
     for mem, disk in zip(results, loaded):
         assert list(disk.series) == sorted(mem.series)
         for name, values in mem.series.items():
             assert disk.series[name].typecode == values.typecode
             assert disk.series[name].tobytes() == values.tobytes()
+        assert ([{k: _exact(v) for k, v in b.items()} for b in disk.batches]
+                == [{k: _exact(v) for k, v in b.items()} for b in mem.batches])
+        assert ({k: _exact(v) for k, v in disk.counts.items()}
+                == {k: _exact(v) for k, v in mem.counts.items()})
         with pytest.raises(TypeError):
             disk.series["released_doses"] = array("d")  # read-only
 
 
 def test_a_seed_beyond_64_bits_loads_as_the_int_written(tmp_path):
-    # its 20 digits send the records to json, which reads an int of any size as that int
+    # the seed is in the manifest alone, which json reads: an int of any size
+    # is that int
     seed = 2**64
     out, _, results = make_store(tmp_path, "seed", {}, seed=seed, n=1)
     manifest, (res,) = load_store(out)
     assert type(res.seed) is int and res.seed == seed
     assert type(manifest["base_seed"]) is int and manifest["base_seed"] == seed
     assert res.series == results[0].series
-
-
-# -- a store reads every other record as json does ------------------------
-
-def _parsed(parse, text):
-    """What ``parse`` makes of ``text``: the repr of its value, which tells
-    1 from 1.0 and True, -0.0 from 0.0 and a double from its neighbours, or
-    its error's type and message."""
-    try:
-        return repr(parse(text))
-    except (ValueError, RecursionError) as exc:
-        return type(exc), str(exc)
-
-
-JUNK = st.sampled_from(["1.2.3", ",", "[", "]", "}", "x", "-", "e5", ".", '"', "\\", "NaN"])
-# ints at and on both sides of -2**64, -2**63, 2**63 and 2**64, and of 18, 19
-# and 20 digits, where orjson would read an int as a float
-BORDER_INTS = st.sampled_from([sign * (border + step) for border in (2**63, 2**64)
-                               for step in (-1, 0, 1) for sign in (1, -1)])
-DIGIT_INTS = st.sampled_from([17, 18, 19]).flatmap(
-    lambda n: st.integers(10**n, 10**(n + 1) - 1)) | st.integers(-10**20, -10**17)
-SCALARS = (st.none() | st.booleans() | BORDER_INTS | DIGIT_INTS | st.integers()
-           | DOUBLES | st.floats(min_value=2.0**63)
-           | st.text(st.characters(exclude_categories=()))  # lone surrogates too
-           | st.sampled_from(["\ud800", "\udfff", "\ud83d\ude00", "\u00e9", "\\\"",
-                              "{[", "\x00\n"]))
-VALUES = st.recursive(SCALARS, lambda kids: st.lists(kids, max_size=3)
-                      | st.dictionaries(st.text(max_size=3), kids, max_size=3), max_leaves=8)
-RECORDS = st.lists(st.dictionaries(st.text(max_size=4), SCALARS, max_size=6)
-                   | VALUES, max_size=5)
-# number literals json.dumps does not write: long fractions and mantissas,
-# exponents, and tokens for values that round to inf or 0 or are no number
-LITERALS = st.sampled_from([
-    "1234567890123456789.0", "0.1234567890123456789", "123456789012345678.5",
-    "0.00012345678901234567", "1e400", "-1e400", "1e-400", "-1e-400", "-0", "1E+2",
-    "NaN", "Infinity", "-Infinity", "2.4703282292062328e-324",
-    "1.00000000000000011102230246251565404236316680908203125"]) | DOUBLES.map(repr)
-
-
-@st.composite
-def record_texts(draw):
-    """A JSON text of records as json.dumps writes them, or built of literal
-    members under a few keys, so that a key may repeat; perhaps damaged."""
-    if draw(st.booleans()):
-        text = json.dumps(draw(RECORDS), ensure_ascii=draw(st.booleans()))
-    else:
-        members = st.lists(st.tuples(st.sampled_from("abc"), LITERALS), max_size=4)
-        text = "[" + ",".join(
-            "{" + ",".join(f'"{k}":{v}' for k, v in draw(members)) + "}"
-            for _ in range(draw(st.integers(0, 3)))) + "]"
-    damage = draw(st.none() | st.sampled_from(["cut", "junk"]))
-    if damage:
-        at = draw(st.integers(0, len(text)))
-        text = text[:at] if damage == "cut" else text[:at] + draw(JUNK) + text[at:]
-    return text
-
-
-@settings(max_examples=600, deadline=None)
-@given(text=record_texts())
-def test_records_read_as_json_reads_them(text):
-    assert _parsed(runner._load_records, text) == _parsed(json.loads, text)
-
-
-@pytest.mark.parametrize("depth", [10, 400, 5_000, 100_000])
-@pytest.mark.parametrize("shape", ["lists", "a batch of lists", "two batches",
-                                   "a batch of dicts", "one dict to a record"])
-def test_deep_records_read_as_json_reads_them(shape, depth):
-    # json refuses what passes its recursion limit; orjson 3.8.3 reads all of
-    # these, and overflows its stack on 100,000 levels of dicts
-    lists = "[" * depth + "]" * depth
-    dicts = '{"a":' * depth + "1" + "}" * depth
-    text = {"lists": lists, "a batch of lists": f'[{{"id":{lists}}}]',
-            "two batches": f'[{{"id":1}},{{"id":{lists}}}]',
-            "a batch of dicts": "[" + dicts.replace(":", ": ") + "]",
-            # as many records as dicts, yet not each record a dict
-            "one dict to a record": "[" + "1," * (depth - 1) + dicts + "]"}[shape]
-    if depth < 1000:
-        assert _parsed(runner._load_records, text) == _parsed(json.loads, text)
-    else:
-        with pytest.raises(RecursionError):
-            runner._load_records(text)
 
 
 def test_power_outage_store_is_independent_of_the_hash_seed():
@@ -393,7 +416,7 @@ def test_power_outage_store_is_independent_of_the_hash_seed():
             "raw, overlay = (yaml.safe_load(open(p)) for p in sys.argv[1:])\n"
             "h = hashlib.sha256()\n"
             "for res in run_ensemble(raw, overlay, 1204000, 2):\n"
-            "    h.update(b''.join(result_to_ndjson(res)))\n"
+            "    h.update(result_to_ndjson(res))\n"
             "print(h.hexdigest())\n")
     src = str(configs.parent.parent)
     digests = set()
