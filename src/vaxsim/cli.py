@@ -14,7 +14,8 @@ before anything is computed: a manifest of another format, or that is not
 an object listing its replication files in order with their sha256 and
 their layout, a file that does not match its sha256, or a replication file
 of another size than its layout and batch count make, or holding a code
-the manifest does not name.
+the manifest does not name, or a layout without a series or counter that
+compare or report reads by name.
 """
 
 from __future__ import annotations

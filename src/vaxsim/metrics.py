@@ -23,7 +23,7 @@ from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING
 
-from .production import RELEASED
+from .production import CODES, RELEASED
 
 if TYPE_CHECKING:
     import numpy as np
@@ -32,6 +32,11 @@ SMOOTH_WINDOW = 30
 ALPHA = 0.05
 TARGET_DOSES = 50_000_000
 LEAD_TIME_BIN_DAYS = 10
+# the series and counters that this module and ``report`` read by name, which
+# ``runner.load_store`` requires of a store; ``report`` also reads the
+# ``material_stockout_days.<m>`` counter of each ``material_stockout.<m>`` series
+NAMES_READ = {"series": ["released_doses"],
+              "counts": ["batches_released", "batches_discarded"]}
 
 
 def _daily_series(obj) -> list[float]:
@@ -105,10 +110,12 @@ def lead_time_histogram(result) -> dict[int, int]:
     ``LEAD_TIME_BIN_DAYS`` keyed by bin start; counts sum to the number of
     released batches."""
     hist: dict[int, int] = {}
-    for b in result.batches:
-        if b["state"] != RELEASED:
+    log, released = result.batches, CODES["state"].index(RELEASED)
+    for state, created_at, released_at in zip(log["state"], log["created_at"],
+                                              log["released_at"]):
+        if state != released:
             continue
-        lead = b["released_at"] - b["created_at"]
+        lead = released_at - created_at
         bin_start = int(lead // LEAD_TIME_BIN_DAYS) * LEAD_TIME_BIN_DAYS
         hist[bin_start] = hist.get(bin_start, 0) + 1
     return dict(sorted(hist.items()))

@@ -11,7 +11,8 @@ created, released or discarded is in the batch log. At each day tick the
 collector takes the day's share of the busy, closed, capacity and queue
 integrals, writes the stage and pool utilization ratios and the queue
 lengths, and writes each material's level and stockout flag.
-``Collector.result`` hands over those same arrays and adds the run totals.
+``Collector.result`` hands over those same arrays, turns the batches into
+the typed columns of a ``BatchLog``, and adds the run totals.
 
 Time advances in the three phases of Pidd's method: pop the next event, run
 its handler (the B-phase), then ``settle`` (the C-phase) starts every batch
@@ -47,11 +48,37 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass, field
+from math import nan as NAN
 
 from .engine import Engine, RngRegistry, SimClock
 from .materials import Materials
-from .production import DISCARDED, RELEASED, Batch, Production
+from .production import BATCH_COLUMNS, CODES, DISCARDED, RELEASED, Batch, Production
 from .qaqc import QaQc
+
+
+class BatchLog(dict):
+    """A batch log: each ``BATCH_COLUMNS`` name maps to an ``array`` of its
+    typecode, one value per batch, batch ``k`` at position ``k - 1``. An
+    absent ``released_at`` or ``discarded_at`` is NaN, and a ``state`` or
+    ``discard_cause`` value is a position in its ``CODES`` list.
+
+    Two logs are equal when every column has the same typecode and bytes:
+    by value, NaN would make a log with an unreleased batch unequal to
+    itself, and -0.0 would equal 0.0.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if not isinstance(other, dict):
+            return NotImplemented
+        return self.keys() == other.keys() and all(
+            type(theirs := other[name]) is array and theirs.typecode == ours.typecode
+            and theirs.tobytes() == ours.tobytes() for name, ours in self.items())
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
 
 
 @dataclass
@@ -62,7 +89,8 @@ class ReplicationResult:
     day for the 0/1 ``material_stockout.*`` flags, a double per day for every
     other series. A boxed float per day would make a result about three
     times larger. A result loaded from a store holds them in a read-only
-    mapping.
+    mapping. The batch log is a ``BatchLog`` of typed columns, as the store
+    holds it; ``CODES[name][code]`` is the name a coded value stands for.
     """
 
     scenario: str
@@ -70,7 +98,7 @@ class ReplicationResult:
     horizon_days: int
     start_date: str
     series: dict[str, array] = field(default_factory=dict)
-    batches: list[dict] = field(default_factory=list)
+    batches: BatchLog = field(default_factory=BatchLog)
     counts: dict[str, float] = field(default_factory=dict)
 
 
@@ -132,29 +160,31 @@ class Collector:
 
     def result(self, scenario: str) -> ReplicationResult:
         model = self.model
+        log = BatchLog()
+        for name, code in BATCH_COLUMNS:
+            values = [getattr(b, name) for b in self.batches]
+            if name in CODES:
+                values = [CODES[name].index(v) for v in values]
+            elif code == "d":
+                values = [NAN if v is None else v for v in values]
+            log[name] = array(code, values)
         res = ReplicationResult(
             scenario=scenario,
             seed=model.seed,
             horizon_days=self.horizon,
             start_date=model.engine.clock.start_date.isoformat(),
             series=self.series,
+            batches=log,
         )
 
-        for b in self.batches:
-            res.batches.append({
-                "id": b.id, "created_at": b.created_at, "doses": b.doses,
-                "state": b.state, "released_at": b.released_at,
-                "discarded_at": b.discarded_at, "discard_cause": b.discard_cause,
-                "retests": b.retests, "investigations": b.investigations,
-            })
-
         c = res.counts
-        c["batches_created"] = len(self.batches)
-        c["batches_released"] = sum(1 for b in self.batches if b.state == RELEASED)
-        c["batches_discarded"] = sum(1 for b in self.batches if b.state == DISCARDED)
+        states = log["state"]
+        c["batches_created"] = len(states)
+        c["batches_released"] = states.count(CODES["state"].index(RELEASED))
+        c["batches_discarded"] = states.count(CODES["state"].index(DISCARDED))
         c["released_doses"] = sum(self._doses)
-        c["retests"] = sum(b.retests for b in self.batches)
-        c["investigations"] = sum(b.investigations for b in self.batches)
+        c["retests"] = sum(log["retests"])
+        c["investigations"] = sum(log["investigations"])
         for pool in model.qc.pools:
             c[f"pool_busy_days.{pool.name}"] = pool.busy_int.total
             c[f"pool_queue_days.{pool.name}"] = pool.queue_int.total

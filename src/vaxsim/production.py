@@ -29,6 +29,15 @@ AWAITING_RELEASE = "awaiting_release"
 RELEASED = "released"
 DISCARDED = "discarded"
 
+# the batch log's columns with their array typecodes (a double, a 64-bit int
+# or a byte), and the names that the values of its coded columns stand for,
+# by position: as a ReplicationResult and the store hold them
+BATCH_COLUMNS = [["created_at", "d"], ["doses", "q"], ["state", "b"],
+                 ["released_at", "d"], ["discarded_at", "d"], ["discard_cause", "b"],
+                 ["retests", "q"], ["investigations", "q"]]
+CODES = {"state": [IN_PROCESS, AWAITING_RELEASE, RELEASED, DISCARDED],
+         "discard_cause": [None, "failed_retest", "power_outage"]}
+
 
 @dataclass(slots=True, eq=False)  # identity semantics, as for a Task
 class Batch:
@@ -373,10 +382,3 @@ class Production:
                 if m.batch is not None:
                     out.append(m.batch)
         return out
-
-    # -- accounting ------------------------------------------------------
-
-    def census(self) -> dict[str, int]:
-        in_machines = sum(1 for s in self.stages for m in s.machines if m.batch)
-        in_invs = sum(len(i.contents) for i in self.inventories.values())
-        return {"machines": in_machines, "inventories": in_invs}

@@ -119,9 +119,6 @@ class Pool:
             self.queue_int.add(now, -len(dropped))
             self.purged_wait += sum(now - task.enqueued_at for _, _, task in dropped)
 
-    def queue_len(self) -> int:
-        return len(self._heap)
-
 
 # QA task kind -> (its duration field in the qa section, the substream key, the
 # rest of the substream label)

@@ -20,7 +20,8 @@ little-endian columns one after another, each listed in the manifest as a
   ``discarded_at`` is NaN. ``state`` and ``discard_cause`` are codes into
   the name lists of the manifest's ``codes``, where null is no cause. A
   batch's id is its position + 1, as ``Production`` assigns it, so it is
-  not stored.
+  not stored. A ``ReplicationResult`` holds its log in these same columns,
+  so writing one appends them and loading one keeps them as decoded.
 
 A flipped byte in a double still decodes, to a wrong number, so
 ``load_store`` checks each file against its digest before it decodes
@@ -37,14 +38,13 @@ import json
 import os
 import sys
 from array import array
-from math import nan as NAN
 from types import MappingProxyType
 
 from . import __version__
 from .config import Config, config_hash, parse_config
-from .metrics import kpi_summary
-from .model import Model, ReplicationResult
-from .production import AWAITING_RELEASE, DISCARDED, IN_PROCESS, RELEASED
+from .metrics import NAMES_READ, kpi_summary
+from .model import BatchLog, Model, ReplicationResult
+from .production import BATCH_COLUMNS, CODES
 from .scenario import ScenarioRuntime, ScenarioSpec, parse_scenario
 
 STORE_FORMAT = "vaxsim-store-3"
@@ -100,12 +100,6 @@ def run_ensemble(cfg_raw: dict, overlay_raw: dict | None, base_seed: int,
 SIZES = {"d": 8, "q": 8, "b": 1}
 # columns are stored little-endian; array works in the host's byte order
 _SWAP = sys.byteorder == "big"
-# the batch log's columns, and the names a coded column's values stand for
-BATCH_COLUMNS = [["created_at", "d"], ["doses", "q"], ["state", "b"],
-                 ["released_at", "d"], ["discarded_at", "d"], ["discard_cause", "b"],
-                 ["retests", "q"], ["investigations", "q"]]
-CODES = {"state": [IN_PROCESS, AWAITING_RELEASE, RELEASED, DISCARDED],
-         "discard_cause": [None, "failed_retest", "power_outage"]}
 
 
 def store_layout(res: ReplicationResult | None) -> dict:
@@ -122,7 +116,8 @@ def store_layout(res: ReplicationResult | None) -> dict:
 def result_to_ndjson(res: ReplicationResult) -> bytes:
     """The store file of a replication: its columns, in ``store_layout``
     order. Each series is ``horizon_days`` values of type 'd' or 'b', and
-    the batch log is batches 1 to ``batches_created``."""
+    each batch column ``batches_created`` values of its ``BATCH_COLUMNS``
+    type, a coded one holding only codes that ``CODES`` names."""
     layout = store_layout(res)
     columns = []
     for name, code in layout["series"]:
@@ -131,22 +126,27 @@ def result_to_ndjson(res: ReplicationResult) -> bytes:
                              "of type 'd' or 'b'")
         columns.append(res.series[name])
     columns += [array(code, [res.counts[name]]) for name, code in layout["counts"]]
-    batches = res.batches
-    if (res.counts.get("batches_created") != len(batches)
-            or any(b["id"] != i for i, b in enumerate(batches, 1))):
-        raise ValueError("the batch log is not batches 1 to batches_created, in order")
+    n = res.counts.get("batches_created")
+    if len(res.batches) != len(BATCH_COLUMNS):
+        raise ValueError("the batch log holds other columns than BATCH_COLUMNS")
     for name, code in BATCH_COLUMNS:
-        values = [b[name] for b in batches]
-        if name in CODES:
-            values = [CODES[name].index(v) for v in values]
-        elif code == "d":
-            values = [NAN if v is None else v for v in values]
-        columns.append(array(code, values))
+        values = res.batches.get(name)
+        if not (type(values) is array and values.typecode == code and len(values) == n):
+            raise ValueError(f"batch column {name!r} is not batches_created {n!r} "
+                             f"values of type {code!r}")
+        if name in CODES and not _coded(values, CODES[name]):
+            raise ValueError(f"batch column {name!r} holds a code that CODES does not name")
+        columns.append(values)
     if _SWAP:
         columns = [array(values.typecode, values) for values in columns]
         for values in columns:
             values.byteswap()
     return b"".join(values.tobytes() for values in columns)
+
+
+def _coded(values: array, names: list) -> bool:
+    """Whether every value of ``values`` is a position in ``names``."""
+    return not values or 0 <= min(values) <= max(values) < len(names)
 
 
 class StoreError(ValueError):
@@ -170,7 +170,8 @@ def ndjson_to_result(blob: bytes, manifest: dict, i: int,
                      source: str = "replication") -> ReplicationResult:
     """Replication ``i`` of the store ``manifest`` describes, from its file
     ``blob``; ``source`` names the file in errors. The series decode into a
-    read-only mapping, and the batch log into one dict per batch."""
+    read-only mapping, and the batch log into a ``BatchLog`` of the same
+    columns."""
     days = manifest["horizon_days"]
     width = {key: sum(SIZES[code] for _, code in manifest[key])
              for key in ("series", "counts", "batches")}
@@ -184,23 +185,15 @@ def ndjson_to_result(blob: bytes, manifest: dict, i: int,
         raise StoreError(f"{source}: {len(blob)} bytes, not {at} for its series over "
                          f"horizon_days {days} and its counters, then {width['batches']} "
                          f"for each of batches_created {n!r}")
-    columns = _columns(view, at, manifest["batches"], n)
+    batches = BatchLog(_columns(view, at, manifest["batches"], n))
     for name, names in manifest["codes"].items():
-        values = columns[name]
-        if values and not 0 <= min(values) <= max(values) < len(names):
+        if not _coded(batches[name], names):
             raise StoreError(f"{source}: a {name} code is not one of the "
                              f"{len(names)} that the manifest names")
-        columns[name] = [names[c] for c in values]
-    for name, code in manifest["batches"]:
-        if code == "d":  # NaN is an absent time
-            columns[name] = [None if v != v else v for v in columns[name]]
-    fields = ["id", *columns]
     return ReplicationResult(
         manifest["scenario"], manifest["base_seed"] + i, days, manifest["start_date"],
         series=MappingProxyType(_columns(view, 0, manifest["series"], days)),
-        batches=[dict(zip(fields, (k, *row)))
-                 for k, row in enumerate(zip(*columns.values()), 1)],
-        counts=counts)
+        batches=batches, counts=counts)
 
 
 def overlay_identity(spec: ScenarioSpec | None) -> str | None:
@@ -296,7 +289,8 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
     manifest is checked, not trusted: its format is this one, its files are
     exactly those ``write_store`` names, in order, each matches its sha256,
     and it declares a layout that every replication file fills exactly, with
-    the batch columns and codes that ``write_store`` writes."""
+    the batch columns and codes that ``write_store`` writes and every series
+    and counter that ``metrics`` and ``report`` read by name."""
     path = os.path.join(out_dir, "manifest.json")
     with open(path, encoding="utf-8") as fh:
         try:
@@ -337,6 +331,16 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
                              f"{' or '.join(map(json.dumps, codes))}] pairs")
     if manifest.get("batches") != BATCH_COLUMNS or manifest.get("codes") != CODES:
         raise StoreError(f"{path}: batches and codes are not those of this format")
+    series = {name for name, _ in manifest["series"]}
+    counts = {name for name, _ in manifest["counts"]}
+    stockouts = ["material_stockout_days." + name.partition(".")[2]
+                 for name in sorted(series) if name.startswith("material_stockout.")]
+    missing = ([f"series {name}" for name in NAMES_READ["series"] if name not in series]
+               + [f"counts {name}" for name in [*NAMES_READ["counts"], *stockouts]
+                  if name not in counts])
+    if missing:
+        raise StoreError(f"{path}: the layout lacks {', '.join(missing)}, which the "
+                         "analysis reads")
 
     def read(rel: str) -> bytes:
         file = os.path.join(out_dir, rel)

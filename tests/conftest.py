@@ -1,13 +1,15 @@
-"""Shared config builders for the test suite."""
+"""Shared config builders and batch-log helpers for the test suite."""
 
 import copy
 import math
 import sys
+from array import array
 
 import pytest
 
 from vaxsim.config import parse_config
-from vaxsim.production import RELEASED
+from vaxsim.model import BatchLog
+from vaxsim.production import BATCH_COLUMNS, CODES, RELEASED
 
 # Deterministic 3-stage chain: 1/2/3-day constant processing, single machines,
 # unbounded buffers, no QC, no materials. First release lands at day 6 and the
@@ -46,6 +48,26 @@ def chain_cfg():
     return chain_config()
 
 
+def batch_rows(result) -> list[dict]:
+    """The batch log of ``result`` as one dict per batch: its id (position
+    + 1), the name each code stands for, and None for an absent time."""
+    log = result.batches
+    columns = [[CODES[name][c] for c in log[name]] if name in CODES
+               else [None if v != v else v for v in log[name]] if code == "d"
+               else list(log[name]) for name, code in BATCH_COLUMNS]
+    fields = ["id", *(name for name, _ in BATCH_COLUMNS)]
+    return [dict(zip(fields, (k, *row))) for k, row in enumerate(zip(*columns), 1)]
+
+
+def batch_log(rows) -> BatchLog:
+    """The columnar log of batches given as dicts of every column's field,
+    a coded one by name and an absent time as None; ``batch_rows`` undone."""
+    return BatchLog({name: array(code, [
+        CODES[name].index(r[name]) if name in CODES
+        else math.nan if r[name] is None else r[name] for r in rows])
+        for name, code in BATCH_COLUMNS})
+
+
 def assert_books_balance(model, result) -> None:
     """The plant's books balance at the end of ``model``'s run, which
     returned ``result``: every batch is released, discarded or still live;
@@ -58,8 +80,9 @@ def assert_books_balance(model, result) -> None:
     assert counts["batches_created"] == (counts["batches_released"]
                                          + counts["batches_discarded"]
                                          + len(model.collect.live_batches()))
+    log, released = result.batches, CODES["state"].index(RELEASED)
     assert sum(result.series["released_doses"]) == sum(
-        b["doses"] for b in result.batches if b["state"] == RELEASED)
+        doses for doses, state in zip(log["doses"], log["state"]) if state == released)
     for m in model.cfg.materials:
         rt = model.materials.runtimes[m.id]
         books = (m.initial_stockpile + counts[f"material_received.{m.id}"]

@@ -35,7 +35,7 @@ from vaxsim.model import Model
 from vaxsim.runner import result_to_ndjson, run_ensemble, run_replication, write_store
 from vaxsim.scenario import ScenarioRuntime, parse_scenario
 
-from conftest import chain_dict
+from conftest import batch_rows, chain_dict
 
 CONFIG_DIR = Path(vaxsim.__file__).parent / "configs"
 SCENARIO_DIR = CONFIG_DIR / "scenarios"
@@ -140,7 +140,7 @@ def test_store_bytes_invariant_under_empty_overlay(demo_pair):
 @check("A2 constant-chain release timing")
 def test_constant_chain_release_timing():
     res = run_replication(chain_dict(), None, seed=1)
-    times = sorted(b["released_at"] for b in res.batches if b["state"] == "released")
+    times = sorted(b["released_at"] for b in batch_rows(res) if b["state"] == "released")
     assert len(times) > 300
     assert times[0] == 6.0, f"first release at {times[0]}, critical path is 6.0"
     gaps = {b - a for a, b in zip(times, times[1:])}
@@ -222,15 +222,15 @@ def test_certain_failure_discards_every_batch():
     res = run_replication(raw, None, seed=3)
     assert res.counts["batches_released"] == 0
     assert res.counts["released_doses"] == 0
-    done = [b for b in res.batches if b["state"] == "discarded"]
+    done = [b for b in batch_rows(res) if b["state"] == "discarded"]
     assert len(done) > 300
     assert all(b["discard_cause"] == "failed_retest" for b in done)
     assert all(b["investigations"] == 1 and b["retests"] == 1 for b in done)
     # nobody anywhere gets a second investigation or retest, and the only
     # batches with quality contact not yet discarded are mid-pipeline at
     # the horizon (upstream WIP never enters the quality path at all)
-    assert all(b["investigations"] <= 1 and b["retests"] <= 1 for b in res.batches)
-    mid = [b for b in res.batches if b["state"] != "discarded"
+    assert all(b["investigations"] <= 1 and b["retests"] <= 1 for b in batch_rows(res))
+    mid = [b for b in batch_rows(res) if b["state"] != "discarded"
            and (b["investigations"] or b["retests"])]
     assert len(mid) <= 3, f"{len(mid)} tested batches never reached a verdict"
     return (f"{len(done)} batches discarded after exactly one investigation "

@@ -311,6 +311,26 @@ def paired_stores(tmp_path_factory):
     return base, scen
 
 
+@pytest.fixture(scope="module")
+def varied_store(paired_stores):
+    """A store of two replications that differ, beside ``paired_stores``:
+    its mix stage takes a triangular time, and its prep stage uses a
+    material bought at a random lead time."""
+    root = Path(paired_stores[0]).parent
+    raw = chain_dict(end_date="2025-12-31")
+    raw["stages"][1]["processing_time"] = {"triangular": [1.5, 2.0, 2.5]}
+    raw["stages"][0]["materials"] = {"resin": 1.0}
+    raw["materials"] = [{"id": "resin", "initial_stockpile": 20.0, "reorder_point": 10.0,
+                         "safety_stock": 2.0, "lot_size": 8.0, "suppliers": [
+                             {"id": "s", "lead_time": {"triangular": [5.0, 10.0, 20.0]}}]}]
+    out = str(root / "varied")
+    assert main(["run", "--config", write_yaml(root / "varied.yaml", raw),
+                 "--replications", "2", "--seed", "7", "--out", out]) == 0
+    first, second = (Path(out, rel).read_bytes() for rel in (FIRST_REP, SECOND_REP))
+    assert first != second
+    return out
+
+
 def _with_manifest(src, dst, **changes):
     shutil.copytree(src, dst)
     path = os.path.join(dst, "manifest.json")
@@ -541,7 +561,7 @@ def _one_more_batch(data, manifest):
         data, manifest)
 
 
-SWAP = "swap with the base store's"  # an edit of the first replication: see _swapped_copy
+SWAP = "swap the two replications"  # see _swapped_copy
 # a byte of the second replication's series flipped, and its sha256 left as it was
 FLIP = "flip a byte"
 SERIES_PAIRS = 'series is not a list of distinct [name, "d" or "b"] pairs'
@@ -551,15 +571,51 @@ SHA256 = "its sha256 is not the one the manifest lists"
 SIZE = "bytes, not 22112 for its series over horizon_days 274 and its counters, then 50"
 
 
-def _swapped_copy(src, other, dst):
-    """A copy of store ``src`` whose first replication file is that of store
-    ``other``, its sha256 left as listed; returns the copy and the file. (The
-    chain plant is deterministic, so the replications of one store are
-    byte-identical, and trading them would change nothing.)"""
+def _swapped_copy(src, dst):
+    """A copy of store ``src`` whose two replication files have traded
+    places, their sha256 left as listed; returns the copy and the first."""
     shutil.copytree(src, dst)
-    first = os.path.join(dst, FIRST_REP)
-    shutil.copyfile(os.path.join(other, FIRST_REP), first)
+    first, second = (os.path.join(dst, rel) for rel in (FIRST_REP, SECOND_REP))
+    os.rename(first, first + ".tmp")
+    os.rename(second, first)
+    os.rename(first + ".tmp", second)
     return str(dst), first
+
+
+class Drop:
+    """A whole-store edit: layout ``key`` loses ``name``, and every
+    replication file its values, with the manifest rehashed (see
+    ``_dropped_copy``)."""
+
+    def __init__(self, key, name):
+        self.key, self.name = key, name
+
+
+def _dropped_copy(src, dst, drop):
+    """A copy of store ``src`` without ``drop.name`` in layout ``drop.key``
+    or in any replication file, each file rehashed: a store consistent in
+    all but what the analysis reads. Returns the copy and its manifest."""
+    shutil.copytree(src, dst)
+    path = os.path.join(dst, "manifest.json")
+    manifest = json.loads(Path(path).read_text())
+    days = manifest["horizon_days"]
+    at = 0 if drop.key == "series" else days * sum(SIZES[c] for _, c in manifest["series"])
+    length = days if drop.key == "series" else 1
+    for name, code in manifest[drop.key]:
+        if name == drop.name:
+            break
+        at += length * SIZES[code]
+    manifest[drop.key].remove([name, code])
+    for rel in manifest["files"][:-1]:
+        data = Path(dst, rel).read_bytes()
+        data = data[:at] + data[at + length * SIZES[code]:]
+        Path(dst, rel).write_bytes(data)
+        manifest["sha256"][rel] = hashlib.sha256(data).hexdigest()
+    Path(path).write_text(json.dumps(manifest))
+    return str(dst), path
+
+
+LACKS = "the layout lacks {}, which the analysis reads"
 
 
 @pytest.mark.parametrize("rel, edit, message", [
@@ -581,6 +637,14 @@ def _swapped_copy(src, other, dst):
     ("manifest.json", _files(FIRST_REP),
      "files does not list the 2 replication files in order"),
     (FIRST_REP, SWAP, SHA256),
+    # a store consistent in itself, but without what compare or report reads
+    ("manifest.json", Drop("counts", "batches_released"), LACKS.format("counts batches_released")),
+    ("manifest.json", Drop("counts", "batches_discarded"),
+     LACKS.format("counts batches_discarded")),
+    ("manifest.json", Drop("counts", "material_stockout_days.resin"),
+     LACKS.format("counts material_stockout_days.resin")),
+    ("manifest.json", Drop("series", "released_doses"), LACKS.format("series released_doses")),
+    (FIRST_REP, Drop("counts", "batches_created"), "for each of batches_created None"),
     ("manifest.json", _manifest_with(replications=-1), "replications is not a count"),
     ("manifest.json", _manifest_with(replications=True), "replications is not a count"),
     ("manifest.json", _manifest_with(base_seed="7"), "base_seed is not a whole number"),
@@ -611,6 +675,9 @@ def _swapped_copy(src, other, dst):
 ], ids=["no counts", "manifest a list", "manifest not JSON", "files a string",
         "files holds a number", "no scenario", "manifest too deep", "a file outside the store",
         "a file listed twice", "a replication not listed", "two replications swapped",
+        "no batches_released counter", "no batches_discarded counter",
+        "no stockout days for a stockout series", "no released_doses series",
+        "no batches_created counter",
         "a negative count", "a flag for a count", "a base seed in text",
         "a .bin one byte short", "a .bin one byte long", "a .bin byte flipped",
         "a horizon in days not whole",
@@ -618,11 +685,15 @@ def _swapped_copy(src, other, dst):
         "a series not a pair", "a state code out of range", "a cause code out of range",
         "a batch count the file size disagrees with", "other batch columns",
         "other codes", "a format-2 manifest"])
-def test_a_damaged_store_is_a_store_error(paired_stores, tmp_path, capsys, rel, edit,
-                                          message):
+def test_a_damaged_store_is_a_store_error(paired_stores, varied_store, tmp_path, capsys,
+                                          rel, edit, message):
     base, scen = paired_stores
     if edit is SWAP:
-        odd, path = _swapped_copy(scen, base, tmp_path / "odd")
+        odd, path = _swapped_copy(varied_store, tmp_path / "odd")
+    elif isinstance(edit, Drop):
+        odd, path = _dropped_copy(varied_store, tmp_path / "odd", edit)
+        if rel != "manifest.json":
+            path = os.path.join(odd, rel)
     elif edit is FLIP:
         odd, path = _rewritten_copy(scen, tmp_path / "odd", rel,
                                     lambda data, _: data[:99] + bytes([data[99] ^ 1]) + data[100:],

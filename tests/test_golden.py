@@ -24,6 +24,8 @@ from vaxsim.report import write_report
 from vaxsim.runner import load_store, result_to_ndjson, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
 
+from conftest import batch_rows
+
 CONFIG_DIR = Path(vaxsim.__file__).parent / "configs"
 SEED = 100
 REPLICATIONS = 2
@@ -134,7 +136,7 @@ def _format_2(store: Path, dst: Path) -> Path:
     for i, res in enumerate(results):
         lines = [{"kind": "meta", "scenario": res.scenario, "seed": res.seed,
                   "horizon_days": res.horizon_days, "start_date": res.start_date},
-                 *(dict(b, kind="batch") for b in res.batches), dict(res.counts, kind="counts")]
+                 *(dict(b, kind="batch") for b in batch_rows(res)), dict(res.counts, kind="counts")]
         files += [f"replications/rep_{i:05d}.ndjson", f"replications/rep_{i:05d}.bin"]
         (dst / files[-2]).write_text("".join(_dumps(r) + "\n" for r in lines))
         (dst / files[-1]).write_bytes(b"".join(res.series[name].tobytes()

@@ -8,6 +8,8 @@ from vaxsim.config import parse_config
 from vaxsim.materials import Materials
 from vaxsim.model import Model
 
+from conftest import batch_rows
+
 
 def single_stage(horizon_end="2028-03-31", consumption=1.0, **mat):
     d = {
@@ -141,7 +143,7 @@ def test_stockout_interval_covers_failed_dispatch_days():
     assert res.counts["material_stockout_days.resin"] == 1
     assert flags[12] == 1
     assert sum(flags) == 1
-    released = sorted(b["released_at"] for b in res.batches
+    released = sorted(b["released_at"] for b in batch_rows(res)
                       if b["state"] == "released")
     assert released[:5] == [3.0, 6.0, 9.0, 12.0, 16.0]
 

@@ -17,16 +17,22 @@ from vaxsim.metrics import (_welch_p, bottleneck_report, compare_scenarios,
                             t_quantile, time_to_first_dose, time_to_target)
 from vaxsim.model import Model
 
-from conftest import chain_dict
+from conftest import batch_log, chain_dict
 
 HORIZON = 1095
+
+
+# the batch fields a fake batch leaves out
+BLANK = {"doses": 0, "discarded_at": None, "discard_cause": None, "retests": 0,
+         "investigations": 0}
 
 
 def fake(series=None, batches=(), scenario="base", seed=0, **extra_series):
     s = {"released_doses": list(series) if series is not None else [0.0] * HORIZON}
     s.update(extra_series)
     return SimpleNamespace(scenario=scenario, seed=seed, series=s,
-                           batches=list(batches), counts={})
+                           batches=batch_log([{**BLANK, **b} for b in batches]),
+                           counts={})
 
 
 # -- smoothing -----------------------------------------------------------

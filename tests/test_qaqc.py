@@ -8,7 +8,7 @@ from vaxsim.model import Model
 from vaxsim.production import Batch
 from vaxsim.qaqc import Pool, Task
 
-from conftest import chain_dict
+from conftest import batch_rows, chain_dict
 
 
 def qc_chain(tests, technicians=1, supervisors=1, qa=None, ipc_on=None):
@@ -31,7 +31,7 @@ def qc_chain(tests, technicians=1, supervisors=1, qa=None, ipc_on=None):
 
 
 def release_times(res, n=None):
-    ts = sorted(b["released_at"] for b in res.batches if b["state"] == "released")
+    ts = sorted(b["released_at"] for b in batch_rows(res) if b["state"] == "released")
     return ts if n is None else ts[:n]
 
 
@@ -45,7 +45,7 @@ def drain_order(pool):
     order = []
     def starter(task, now):
         order.append(task)
-    while pool.queue_len() or pool.busy:
+    while pool.queue_int.value or pool.busy:
         if not pool.pump(99.0, starter):
             break
         pool.release(99.0)
@@ -76,7 +76,7 @@ def test_a_purge_counts_the_waits_of_the_tasks_it_drops():
         pool.enqueue(task, (0, 0, float(at)), float(at))
     pool.purge(lambda task: task is not tasks[1], 5.0)
     assert pool.purged_wait == (5.0 - 0.0) + (5.0 - 2.0)
-    assert pool.queue_len() == 1
+    assert pool.queue_int.value == 1
 
 
 def test_lower_release_backlog_served_first():
@@ -172,9 +172,9 @@ def test_certain_failure_discards_after_one_investigation_and_retest():
                    "failure_prob": 1.0}],
                  qa={"investigators": 1, "oos_investigation_time": 0.5})
     res = run(d)
-    assert all(b["state"] == "discarded" for b in res.batches
+    assert all(b["state"] == "discarded" for b in batch_rows(res)
                if b["state"] in ("released", "discarded"))
-    discarded = [b for b in res.batches if b["state"] == "discarded"]
+    discarded = [b for b in batch_rows(res) if b["state"] == "discarded"]
     assert discarded
     assert all(b["discard_cause"] == "failed_retest" for b in discarded)
     assert all(b["investigations"] == 1 for b in discarded)
@@ -229,7 +229,7 @@ def test_ipc_failure_runs_investigation_then_discards_in_flow():
                  ipc_on="mix")
     d["stages"][2]["qc_tests"] = []
     res = run(d)
-    discarded = sorted(b["discarded_at"] for b in res.batches
+    discarded = sorted(b["discarded_at"] for b in batch_rows(res)
                        if b["state"] == "discarded")
     # mix occupies 2.0 + 1.5 days of in-line testing; fail surfaces at 4.5,
     # investigation to 5.5, production retest to 7.0, second fail discards
@@ -249,7 +249,7 @@ def test_deviation_investigation_gates_release():
     }
     res = run(d)
     assert release_times(res, 3) == [5.0, 8.0, 11.0]
-    assert all(b["investigations"] == 1 for b in res.batches
+    assert all(b["investigations"] == 1 for b in batch_rows(res)
                if b["state"] == "released")
 
 
@@ -299,13 +299,14 @@ def test_wip_reset_discards_in_process_and_restarts_lab_work():
     m.engine.on("boom", lambda ev: m.reset_wip())
     m.engine.schedule(10.0, "boom", absolute=True)
     res = m.run()
-    lost = [b for b in res.batches if b["state"] == "discarded"]
+    lost = [b for b in batch_rows(res) if b["state"] == "discarded"]
     assert len(lost) == 3  # one per machine
     assert all(b["discard_cause"] == "power_outage" for b in lost)
     assert all(b["discarded_at"] == 10.0 for b in lost)
     # batch 2's test was running 9->10; it restarts from scratch at 10
     assert release_times(res, 3) == [7.0, 11.0, 14.0]
-    census = m.production.census()
+    in_machines = sum(1 for s in m.production.stages for mc in s.machines if mc.batch)
+    in_inventories = sum(len(i.contents) for i in m.production.inventories.values())
     assert res.counts["batches_created"] == (
         res.counts["batches_released"] + res.counts["batches_discarded"]
-        + census["machines"] + census["inventories"])
+        + in_machines + in_inventories)

@@ -4,6 +4,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -19,13 +20,14 @@ import yaml
 
 import vaxsim
 from vaxsim.config import parse_config
-from vaxsim.model import ReplicationResult
-from vaxsim.runner import (CODES, KPI_COLUMNS, STORE_FORMAT, load_store, ndjson_to_result,
+from vaxsim.model import BatchLog, ReplicationResult
+from vaxsim.production import BATCH_COLUMNS, CODES
+from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, load_store, ndjson_to_result,
                            overlay_identity, result_to_ndjson, run_ensemble,
                            run_replication, store_layout, write_store)
 from vaxsim.scenario import parse_scenario
 
-from conftest import chain_dict
+from conftest import batch_log, chain_dict
 
 SLOW_FILL = {
     "name": "slow_fill",
@@ -68,16 +70,19 @@ def _exact(value):
     return type(value), value.hex() if type(value) is float else value
 
 
+def _bits(columns):
+    """Each column of ``columns`` by its type code and bytes."""
+    return {name: (v.typecode, v.tobytes()) for name, v in columns.items()}
+
+
 def assert_same_replication(mem, disk):
-    """``disk`` holds what ``mem`` holds: every field, batch field and
-    counter of the same type, floats with the same bits, and every series
+    """``disk`` holds what ``mem`` holds: every field and counter of the
+    same type, floats with the same bits, and every series and batch column
     with the same type code and bytes."""
     for key in ("scenario", "seed", "horizon_days", "start_date"):
         assert _exact(getattr(disk, key)) == _exact(getattr(mem, key))
-    assert ({name: (v.typecode, v.tobytes()) for name, v in disk.series.items()}
-            == {name: (v.typecode, v.tobytes()) for name, v in mem.series.items()})
-    assert ([{k: _exact(v) for k, v in b.items()} for b in disk.batches]
-            == [{k: _exact(v) for k, v in b.items()} for b in mem.batches])
+    assert _bits(disk.series) == _bits(mem.series)
+    assert _bits(disk.batches) == _bits(mem.batches)
     assert ({k: _exact(v) for k, v in disk.counts.items()}
             == {k: _exact(v) for k, v in mem.counts.items()})
     assert disk == mem
@@ -105,7 +110,7 @@ def test_ndjson_round_trip(bundled):
     for _, res in bundled.values():
         assert_same_replication(res, _round_trip(res))
         for name, seen in coded.items():
-            seen |= {b[name] for b in res.batches}
+            seen |= {CODES[name][code] for code in res.batches[name]}
     # every name of both coded columns is exercised: power_outage brings its
     # own discard cause
     assert coded == {name: set(names) for name, names in CODES.items()}
@@ -184,13 +189,70 @@ def test_a_replication_the_manifest_would_misdescribe_is_not_written(tmp_path):
 
 
 def test_a_batch_log_that_is_not_batches_1_to_n_is_not_written(tmp_path):
-    # a batch's id is its position + 1, and their count is batches_created
+    # a batch's id is its position + 1, so every column holds batches 1 to
+    # batches_created
     cfg = parse_config(chain_dict())
     res = _result([1.0, 2.0])
-    for odd in (dataclasses.replace(res, batches=[dict(res.batches[0], id=2)]),
-                dataclasses.replace(res, counts=dict(res.counts, batches_created=2))):
-        with pytest.raises(ValueError, match="not batches 1 to batches_created"):
+    short = BatchLog(res.batches, retests=array("q"))
+    for odd, column in ((dataclasses.replace(res, counts=dict(res.counts, batches_created=2)),
+                         "created_at"),
+                        (dataclasses.replace(res, batches=short), "retests")):
+        with pytest.raises(ValueError, match=f"batch column '{column}' is not "
+                                             "batches_created"):
             write_store(str(tmp_path / "odd"), [odd], cfg, None, 1)
+
+
+def test_a_batch_log_of_other_columns_is_not_written(tmp_path):
+    cfg = parse_config(chain_dict())
+    res = _result([1.0, 2.0])
+    for batches, message in (
+            (BatchLog(res.batches, doses=array("d", [2.0])),
+             "batch column 'doses' is not batches_created 1 values of type 'q'"),
+            (BatchLog(res.batches, retests=[0]), "batch column 'retests' is not"),
+            (BatchLog(res.batches, state=array("b", [4])),
+             "batch column 'state' holds a code that CODES does not name"),
+            (BatchLog(res.batches, discard_cause=array("b", [-1])),
+             "batch column 'discard_cause' holds a code"),
+            (BatchLog(res.batches, id=array("q", [1])), "other columns than BATCH_COLUMNS"),
+            (BatchLog({k: v for k, v in res.batches.items() if k != "doses"}),
+             "other columns than BATCH_COLUMNS")):
+        with pytest.raises(ValueError, match=message):
+            write_store(str(tmp_path / "odd"), [dataclasses.replace(res, batches=batches)],
+                        cfg, None, 1)
+
+
+def test_a_batch_log_is_typed_columns_in_memory_and_loaded(tmp_path):
+    _, _, results = make_store(tmp_path, "s", {}, n=1)
+    _, loaded = load_store(str(tmp_path / "s"))
+    for res in (*results, *loaded):
+        assert type(res.batches) is BatchLog
+        assert [(name, type(values), values.typecode)
+                for name, values in res.batches.items()] == [
+            (name, array, code) for name, code in BATCH_COLUMNS]
+        assert all(len(values) == res.counts["batches_created"] > 0
+                   for values in res.batches.values())
+
+
+def test_batch_logs_compare_by_type_code_and_bytes():
+    # the batch of _result is not discarded: its discarded_at is NaN, which
+    # equals no double, yet its log equals its own round trip
+    mem = _result([1.0, 2.0])
+    loaded = _round_trip(mem)
+    assert math.isnan(mem.batches["discarded_at"][0])
+    for a, b in ((mem, loaded), (loaded, mem)):
+        assert a.batches == b.batches and not a.batches != b.batches
+        assert a == b and not a != b
+    # -0.0 == 0.0, but a log that differs only there is another log
+    assert mem.batches["created_at"].tolist() == [0.0]
+    signed = dataclasses.replace(mem, batches=BatchLog(
+        mem.batches, created_at=array("d", [-0.0])))
+    for log in (mem, loaded):
+        for a, b in ((signed, log), (log, signed)):
+            assert a.batches != b.batches and not a.batches == b.batches
+            assert a != b and not a == b
+    # so is one whose column holds the same values as another type
+    doubles = BatchLog(mem.batches, doses=array("d", mem.batches["doses"]))
+    assert doubles != mem.batches and mem.batches != doubles
 
 
 def test_seed_derivation(tmp_path):
@@ -297,9 +359,9 @@ def _result(doses):
     return ReplicationResult("base", 1, len(doses), "2025-04-01", series={
         "material_stockout.resin": array("b", [0, 1] * (len(doses) // 2)),
         "released_doses": array("d", doses), odd_name: array("d", doses[::-1])},
-        batches=[{"id": 1, "created_at": 0.0, "doses": 2, "state": "released",
-                  "released_at": 1.5, "discarded_at": None, "discard_cause": None,
-                  "retests": 0, "investigations": 0}],
+        batches=batch_log([{"created_at": 0.0, "doses": 2, "state": "released",
+                            "released_at": 1.5, "discarded_at": None,
+                            "discard_cause": None, "retests": 0, "investigations": 0}]),
         counts={"batches_created": 1, "batches_released": 1})
 
 
@@ -336,26 +398,26 @@ DOUBLES = st.floats() | st.integers(0, 2**64 - 1).map(
 
 
 INT64 = st.integers(-2**63, 2**63 - 1)
-# any time but NaN, which stands for an absent one
-TIMES = DOUBLES.filter(lambda x: x == x)
 
 
 @st.composite
 def batch_logs(draw):
-    """Batches 1 to n, each field of any value its column holds."""
-    return [{"id": i, "created_at": draw(TIMES), "doses": draw(INT64),
-             "state": draw(st.sampled_from(CODES["state"])),
-             "released_at": draw(st.none() | TIMES), "discarded_at": draw(st.none() | TIMES),
-             "discard_cause": draw(st.sampled_from(CODES["discard_cause"])),
-             "retests": draw(INT64), "investigations": draw(INT64)}
-            for i in range(1, draw(st.integers(0, 4)) + 1)]
+    """A log of 0 to 4 batches whose columns hold any values of their type:
+    any double (NaN, an absent time, with any payload), any 64-bit int, and
+    any code that ``CODES`` names."""
+    n = draw(st.integers(0, 4))
+    values = {"d": DOUBLES, "q": INT64}
+    return BatchLog({name: array(code, draw(st.lists(
+        st.integers(0, len(CODES[name]) - 1) if name in CODES else values[code],
+        min_size=n, max_size=n))) for name, code in BATCH_COLUMNS})
 
 
 @st.composite
 def replications(draw):
     """One to three hand-built replications of one horizon: every double
     for the doses, 0/1 flags for the stockouts, any batch log, and int and
-    float counters of any value."""
+    float counters of any value; a store holds the stockout days of each
+    stockout series, as the report reads them."""
     horizon = draw(st.integers(0, 30))
     out = []
     for seed in range(1, draw(st.integers(1, 3)) + 1):
@@ -366,8 +428,9 @@ def replications(draw):
             "material_stockout.resin": array("b", draw(st.lists(
                 st.integers(0, 1), min_size=horizon, max_size=horizon)))},
             batches=batches,
-            counts={"batches_created": len(batches), "batches_released": draw(INT64),
-                    "batches_discarded": draw(INT64), "released_doses": draw(DOUBLES)}))
+            counts={"batches_created": len(batches["state"]), "batches_released": draw(INT64),
+                    "batches_discarded": draw(INT64), "released_doses": draw(DOUBLES),
+                    "material_stockout_days.resin": draw(INT64)}))
     return out
 
 
@@ -381,15 +444,16 @@ def test_series_round_trip_through_a_store(results):
                                       ["released_doses", "d"]]
         _, loaded = load_store(out)
     assert manifest["counts"] == [["batches_created", "q"], ["batches_discarded", "q"],
-                                  ["batches_released", "q"], ["released_doses", "d"]]
+                                  ["batches_released", "q"],
+                                  ["material_stockout_days.resin", "q"],
+                                  ["released_doses", "d"]]
     assert len(loaded) == len(results)
     for mem, disk in zip(results, loaded):
         assert list(disk.series) == sorted(mem.series)
-        for name, values in mem.series.items():
-            assert disk.series[name].typecode == values.typecode
-            assert disk.series[name].tobytes() == values.tobytes()
-        assert ([{k: _exact(v) for k, v in b.items()} for b in disk.batches]
-                == [{k: _exact(v) for k, v in b.items()} for b in mem.batches])
+        assert _bits(disk.series) == _bits(mem.series)
+        assert list(disk.batches) == [name for name, _ in BATCH_COLUMNS]
+        assert _bits(disk.batches) == _bits(mem.batches)
+        assert disk.batches == mem.batches and mem.batches == disk.batches
         assert ({k: _exact(v) for k, v in disk.counts.items()}
                 == {k: _exact(v) for k, v in mem.counts.items()})
         with pytest.raises(TypeError):

@@ -10,7 +10,7 @@ from vaxsim.config import ConfigError, config_to_dict, parse_config
 from vaxsim.model import Model
 from vaxsim.scenario import ScenarioRuntime, parse_scenario
 
-from conftest import chain_dict
+from conftest import batch_rows, chain_dict
 from test_qaqc import qc_chain
 
 
@@ -23,7 +23,7 @@ def window(start, end, **sets):
 
 
 def released_times(res):
-    return sorted(b["released_at"] for b in res.batches
+    return sorted(b["released_at"] for b in batch_rows(res)
                   if b["state"] == "released")
 
 
@@ -142,7 +142,7 @@ def test_reset_action_discards_wip_at_the_date():
     spec = parse_scenario(overlay(
         {"action": "reset_wip", "at": "2025-04-11"}, name="outage"), cfg)
     res = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run()
-    lost = [b for b in res.batches if b["state"] == "discarded"]
+    lost = [b for b in batch_rows(res) if b["state"] == "discarded"]
     assert len(lost) == 3
     assert all(b["discarded_at"] == 10.0 for b in lost)
     assert all(b["discard_cause"] == "power_outage" for b in lost)

@@ -155,7 +155,9 @@ def assert_quiescent(model) -> None:
     finally:
         del materials.note_shortfall
     for pool in model.qc.pools:
-        assert not (pool.busy < pool.capacity and pool.queue_len()), \
+        assert pool.queue_int.value == len(pool._heap), \
+            f"t={model.engine.clock.now}: {pool.name} counts another queue than it holds"
+        assert not (pool.busy < pool.capacity and pool.queue_int.value), \
             f"t={model.engine.clock.now}: {pool.name} could still start a task"
 
 
