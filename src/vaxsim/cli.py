@@ -21,6 +21,7 @@ compare or report reads by name.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -28,8 +29,7 @@ import sys
 import yaml
 
 from .config import ConfigError, parse_config
-from .metrics import (COMPARISON_COLUMNS, compare_scenarios, comparison_cells, kpi_summary,
-                      mean)
+from .metrics import COMPARISON_COLUMNS, compare_scenarios, comparison_cells, mean
 from .runner import load_store, run_ensemble, write_store
 from .scenario import parse_scenario
 
@@ -115,24 +115,27 @@ def cmd_run(args) -> int:
         return EXIT_RUNTIME
 
     manifest = write_store(args.out, results, cfg, spec, args.seed)
-    _digest(manifest, results, args.out)
+    _digest(manifest, args.out)
     return EXIT_OK
 
 
-def _digest(manifest: dict, results, out_dir: str) -> None:
-    ks = [kpi_summary(r) for r in results]
-    ttfd = [k["time_to_first_dose"] for k in ks
-            if k["time_to_first_dose"] is not None]
-    total = mean([k["doses_total"] for k in ks])
-    at365 = mean([k["doses_at_365"] for k in ks])
+def _digest(manifest: dict, out_dir: str) -> None:
+    """A few lines on the store at ``out_dir``, from the rows of its
+    ``kpis.csv``: each float there is written as its repr, so reads back
+    exactly, and an absent one is empty."""
+    with open(os.path.join(out_dir, "kpis.csv"), encoding="utf-8", newline="") as fh:
+        ks = list(csv.DictReader(fh))
+    ttfd = [float(k["time_to_first_dose"]) for k in ks if k["time_to_first_dose"]]
+    total = mean([float(k["doses_total"]) for k in ks])
+    at365 = mean([float(k["doses_at_365"]) for k in ks])
     print(f"scenario={manifest['scenario']} replications={manifest['replications']}")
     if ttfd:
         print(f"  first dose: day {mean(ttfd):.1f}")
     print(f"  released doses: {at365 / 1e6:.2f}M at 12 months, "
           f"{total / 1e6:.2f}M total")
-    worst = max(ks, key=lambda k: k["max_utilization"])
+    worst = max(ks, key=lambda k: float(k["max_utilization"]))
     print(f"  busiest resource: {worst['max_utilization_resource']} "
-          f"({worst['max_utilization'] * 100:.0f}%)")
+          f"({float(worst['max_utilization']) * 100:.0f}%)")
     print(f"  store: {len(manifest['files'])} files in {out_dir}")
 
 

@@ -492,23 +492,29 @@ def _check_qc(cfg, errors):
 
 
 def _check_prereq_cycles(cfg, errors):
-    graph = {t.id: [p for p in t.prerequisites] for t in cfg.qc.tests}
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def visit(node):
-        if state.get(node) == 1:
-            return
-        if state.get(node) == 0:
-            errors.append(f"qc.tests: prerequisite cycle through {node!r}")
-            return
-        state[node] = 0
-        for pre in graph.get(node, []):
-            if pre in graph:
-                visit(pre)
-        state[node] = 1
-
-    for node in graph:
-        visit(node)
+    """Depth first from each test in turn, on a stack of its own: a chain of
+    any length is walked, and each edge back into the path is a cycle."""
+    graph = {t.id: t.prerequisites for t in cfg.qc.tests}
+    state: dict[str, int] = {}  # 0 on the path, 1 done
+    for root in graph:
+        if root in state:
+            continue
+        state[root] = 0
+        path = [(root, iter(graph[root]))]
+        while path:
+            node, pres = path[-1]
+            for pre in pres:
+                if pre not in graph or state.get(pre) == 1:
+                    continue
+                if state.get(pre) == 0:
+                    errors.append(f"qc.tests: prerequisite cycle through {pre!r}")
+                    continue
+                state[pre] = 0
+                path.append((pre, iter(graph[pre])))
+                break
+            else:
+                state[node] = 1
+                path.pop()
 
 
 def _check_materials(cfg, errors):

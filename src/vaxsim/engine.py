@@ -242,6 +242,15 @@ class Engine:
     def on(self, kind: str, handler) -> None:
         self.handlers[kind] = handler
 
+    def close(self) -> None:
+        """Drop what only a run needs: the handlers, the after-event hook and
+        the targets of the events still listed, which hold them in turn. The
+        listed events themselves stay, so ``len(events)`` still counts them."""
+        self.handlers = {}
+        self.after_event = None
+        for _, _, ev in self.events._heap:
+            ev.target = None
+
     def pop_next(self) -> Event | EndOfHorizon:
         """Pop the minimal (time, seq) event and advance the clock to it.
 

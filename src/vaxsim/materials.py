@@ -24,7 +24,7 @@ from .engine import Event
 @dataclass(slots=True)
 class PurchaseOrder:
     id: int  # per (material, supplier), the common-random-numbers identity
-    material: MaterialRuntime
+    material: str  # its id, not its runtime: the runtime's ``parked`` holds the order
     supplier: object  # its SupplierConfig
     lots: int
     qty: float
@@ -127,7 +127,7 @@ class Materials:
         rt.po_seq[sup.id] += 1
         start = now if immediate else max(now, rt.last_order[sup.id] + sup.min_interarrival)
         rt.last_order[sup.id] = start
-        po = PurchaseOrder(rt.po_seq[sup.id], rt, sup, lots, lots * rt.cfg.lot_size)
+        po = PurchaseOrder(rt.po_seq[sup.id], rt.id, sup, lots, lots * rt.cfg.lot_size)
         rt.on_order += po.qty
         if start > now:
             self.model.engine.schedule(start, "po_place", po, absolute=True)
@@ -138,7 +138,7 @@ class Materials:
         self._start_lead(ev.target, ev.time)
 
     def _stream(self, key: str, po: PurchaseOrder):
-        return self.model.rng.derived(key, po.material.id, po.supplier.id, po.id)
+        return self.model.rng.derived(key, po.material, po.supplier.id, po.id)
 
     def _start_lead(self, po: PurchaseOrder, now: float) -> None:
         po.state = "lead"
@@ -147,7 +147,7 @@ class Materials:
 
     def _on_po_step(self, ev: Event) -> None:
         po: PurchaseOrder = ev.target
-        rt = po.material
+        rt = self.runtimes[po.material]
         now = ev.time
         if po.state == "lead":
             po.state = "transit"
@@ -164,14 +164,14 @@ class Materials:
 
     def _start_receipt_qc(self, po: PurchaseOrder, now: float) -> None:
         po.state = "receipt_qc"
-        dist = po.material.cfg.receipt_qc_time
+        dist = self.runtimes[po.material].cfg.receipt_qc_time
         # a constant draws nothing, so its substream is not even keyed
         qc = (dist.params[0] if dist.kind == "constant" else
               dist.sample(self._stream("rqc", po)))
         self.model.engine.schedule(max(qc, 0.0), "po_step", po)
 
     def _resolve_receipt(self, po: PurchaseOrder, now: float) -> None:
-        rt = po.material
+        rt = self.runtimes[po.material]
         rt.on_order -= po.qty
         rejected = False
         if rt.cfg.receipt_rejection_prob > 0.0:

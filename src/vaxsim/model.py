@@ -42,6 +42,19 @@ once it is done nothing is awake. A sleeping stage or pool would start
 nothing, so a settle starts exactly what offering work to every stage and
 pool would start, in the same downstream-first order; ``tests/test_settle.py``
 checks after every settle that nothing is awake and nothing more can start.
+
+At the horizon ``run`` drops the links that only the run needed: the
+engine's handlers and after-event hook (bound methods of the model and its
+parts), the targets of the events still listed (a machine or task that
+points back at its event), and each part's link back to the model. The
+domain objects hold no back-references of their own: a batch does not know
+where it sits (``Production`` finds it from the stages it entered), a
+sample does not know its batch, an inventory not the stages on its sides,
+and a purchase order holds only its material's id. A finished model is
+then a tree, which reference counting frees as soon as the caller lets it
+go. A cycle would keep the few thousand batches, samples and tasks of a
+replication alive until the next full collection, and an ensemble's peak
+memory would follow the collector's timing.
 """
 
 from __future__ import annotations
@@ -279,11 +292,15 @@ class Model:
         self.qc.reset_wip(now)
 
     def run(self) -> ReplicationResult:
-        """Simulate the horizon; the config is left as it was found."""
+        """Simulate the horizon; the config is left as it was found, and the
+        links only the run needed are dropped (see the module notes)."""
         self.settle()  # t=0 dispatch
         self.engine.run()
-        if self.scenario is None:
-            return self.collect.result("base")
-        result = self.collect.result(self.scenario.name)
-        self.scenario.restore()
+        scenario = self.scenario
+        result = self.collect.result("base" if scenario is None else scenario.name)
+        if scenario is not None:
+            scenario.restore()
+        self.engine.close()
+        for part in (self.materials, self.production, self.qc, self.collect):
+            part.model = None
         return result

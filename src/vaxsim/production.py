@@ -49,8 +49,7 @@ class Batch:
     released_at: float | None = None
     discarded_at: float | None = None
     discard_cause: str | None = None
-    stages_entered: int = 0
-    location: tuple[str, object] | None = None  # ("machine", m) | ("inventory", inv)
+    stages_entered: int = 0  # it sits at stage stages_entered - 1: on a machine or after it
     # release-gate state, maintained by the QA/QC module
     samples: list = field(default_factory=list)
     holds: int = 0  # unresolved tests, investigations and reviews; released at 0
@@ -81,32 +80,15 @@ class Machine:
 
 
 class InventoryRuntime:
-    """A FIFO buffer; every push, pop or removal wakes the stages on both sides."""
+    """A FIFO buffer after one stage. It holds no link to the stages on its
+    sides: ``Production`` wakes them on every push, pop or removal."""
 
     def __init__(self, cfg):
         self.cfg = cfg
         self.contents: list[Batch] = []  # FIFO
-        self.sides: list[StageRuntime] = []  # stages that feed it or draw from it
 
     def has_space(self) -> bool:
         return self.cfg.capacity is None or len(self.contents) < self.cfg.capacity
-
-    def push(self, batch: Batch) -> None:
-        self.contents.append(batch)
-        self._wake_sides()
-
-    def pop(self) -> Batch:
-        batch = self.contents.pop(0)
-        self._wake_sides()
-        return batch
-
-    def remove(self, batch: Batch) -> None:
-        self.contents.remove(batch)
-        self._wake_sides()
-
-    def _wake_sides(self) -> None:
-        for stage in self.sides:
-            stage.awake = True
 
 
 class StageRuntime:
@@ -149,10 +131,8 @@ class Production:
         for rt, nxt in zip(self.stages, [*self.stages[1:], None]):
             if rt.cfg.output_inventory:
                 rt.output_inv = invs[rt.cfg.output_inventory]
-                rt.output_inv.sides.append(rt)
                 if nxt:
                     nxt.input_inv = rt.output_inv
-                    rt.output_inv.sides.append(nxt)
             else:
                 rt.handoff = nxt
             for mid in rt.cfg.materials:
@@ -215,6 +195,12 @@ class Production:
         stage.awake = True
         if stage.handoff is not None:
             stage.handoff.awake = True
+
+    def inventory_moved(self, stage: StageRuntime) -> None:
+        """A batch entered or left the output inventory of ``stage``: wake the
+        stages on both sides of it."""
+        for side in self.stages[stage.idx:stage.idx + 2]:
+            side.awake = True
 
     def dispatch_pass(self) -> bool:
         """The stages' share of the C-phase: drain, then start what can start.
@@ -300,10 +286,10 @@ class Production:
             donor.free()
             self.wake(upstream)
         else:
-            batch = stage.input_inv.pop()
+            batch = stage.input_inv.contents.pop(0)
+            self.inventory_moved(self.stages[stage.idx - 1])
         materials.consume(stage.cfg.materials)
 
-        batch.location = ("machine", machine)
         batch.stages_entered += 1
         machine.state = BUSY
         machine.batch = batch
@@ -350,8 +336,8 @@ class Production:
 
     def _place_output(self, stage: StageRuntime, batch: Batch) -> None:
         inv = stage.output_inv
-        inv.push(batch)
-        batch.location = ("inventory", inv)
+        inv.contents.append(batch)
+        self.inventory_moved(stage)
         if inv is self.final_inv:
             batch.state = AWAITING_RELEASE
             self.model.qc.on_enter_final(batch)
@@ -359,21 +345,22 @@ class Production:
     # -- hard resets -----------------------------------------------------
 
     def remove_batch(self, batch: Batch) -> None:
-        """Physically remove a discarded batch from wherever it sits."""
-        kind, holder = batch.location
-        if kind == "machine":
-            m: Machine = holder
-            if m.proc_event is not None:
-                m.proc_event.void = True
-                m.proc_event = None
-            stage = self.stages[m.stage_idx]
-            if m.state == BUSY:
-                stage.busy.add(self.clock.now, -1)
-            m.free()
-            self.wake(stage)
-        else:
-            holder.remove(batch)
-        batch.location = None
+        """Physically remove a discarded or released batch: from a machine of
+        the last stage it entered, else from that stage's output inventory."""
+        stage = self.stages[batch.stages_entered - 1]
+        if batch.state != RELEASED:  # released stock sits in the final inventory
+            for m in stage.machines:
+                if m.batch is batch:
+                    if m.proc_event is not None:
+                        m.proc_event.void = True
+                        m.proc_event = None
+                    if m.state == BUSY:
+                        stage.busy.add(self.clock.now, -1)
+                    m.free()
+                    self.wake(stage)
+                    return
+        stage.output_inv.contents.remove(batch)  # raises if the batch is not there
+        self.inventory_moved(stage)
 
     def wip_batches(self) -> list[Batch]:
         out = []

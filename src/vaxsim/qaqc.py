@@ -31,8 +31,7 @@ PASSED = "passed"
 
 
 @dataclass(slots=True)
-class Sample:
-    batch: Batch
+class Sample:  # one per batch and stage, in the batch's ``samples``
     stage_id: str
     tests: dict[str, str] = field(default_factory=dict)
 
@@ -141,6 +140,7 @@ class QaQc:
         self.model = model
         self.engine, self.clock = model.engine, model.engine.clock
         self.rng, self.tests, self.cfg = model.rng, model.tests, model.cfg
+        self.production = model.production
         self.final_inv = model.production.final_inv
         cfg = model.cfg
         self.tech_pools = {t.id: Pool(f"qc_technicians.{t.id}", t.technicians)
@@ -155,13 +155,6 @@ class QaQc:
         # insertion-ordered, so a reset releases in start order whatever the
         # addresses the tasks hash by
         self.running: dict[Task, None] = {}
-        lift = lambda task, now: self._lift_hold(task.batch)
-        self._done = {
-            "tech": self._done_tech,
-            "sup": self._resolve_test,  # a supervisor check ends in the test's outcome
-            "oos": self._done_oos, "ipc_oos": self._done_ipc_oos,
-            "ipc_retest": self._done_ipc_retest, "relrev": self._done_relrev,
-            "dev": lift, "docrev": lift, "relapp": lift}
         model.engine.on("task_done", self._on_task_done)
 
     # -- intake from production -----------------------------------------
@@ -197,14 +190,14 @@ class QaQc:
                                    self._priority_key(batch, now), now)
 
     def _spawn_sample(self, batch: Batch, stage: StageRuntime, now: float) -> None:
-        sample = Sample(batch, stage.cfg.id)
+        sample = Sample(stage.cfg.id)
         batch.samples.append(sample)
         for tid in stage.cfg.qc_tests:
             sample.tests[tid] = BLOCKED
         batch.holds += len(sample.tests)
         for tid in stage.cfg.qc_tests:
             if sample.prereqs_met(self.tests[tid]):
-                self._enqueue_test(sample, tid, attempt=1, now=now)
+                self._enqueue_test(batch, sample, tid, attempt=1, now=now)
 
     def on_enter_final(self, batch: Batch) -> None:
         now = self.clock.now
@@ -221,12 +214,13 @@ class QaQc:
         backlog = len(self.final_inv.contents)
         return (backlog, -batch.stages_entered, now)
 
-    def _enqueue_test(self, sample: Sample, tid: str, attempt: int, now: float) -> None:
+    def _enqueue_test(self, batch: Batch, sample: Sample, tid: str, attempt: int,
+                      now: float) -> None:
         sample.tests[tid] = ACTIVE
         test = self.tests[tid]
-        task = Task("tech", sample.batch, test_id=tid, stage_id=sample.stage_id,
+        task = Task("tech", batch, test_id=tid, stage_id=sample.stage_id,
                     attempt=attempt, sample=sample)
-        self.tech_pools[test.team].enqueue(task, self._priority_key(sample.batch, now), now)
+        self.tech_pools[test.team].enqueue(task, self._priority_key(batch, now), now)
 
     def pump(self) -> bool:
         """The pools' share of the C-phase: pump every awake pool, in order."""
@@ -265,7 +259,7 @@ class QaQc:
         task.event = None
         if not task.batch.alive:
             return  # work on a discarded batch finishes harmlessly
-        self._done[task.kind](task, now)
+        self._done[task.kind](self, task, now)
 
     def _done_tech(self, task: Task, now: float) -> None:
         test = self.tests[task.test_id]
@@ -287,7 +281,7 @@ class QaQc:
         batch = task.batch
         if not failed:
             task.sample.tests[task.test_id] = PASSED
-            self._unblock_dependents(task.sample, now)
+            self._unblock_dependents(batch, task.sample, now)
             self._lift_hold(batch)
         elif task.attempt == 1:
             batch.investigations += 1
@@ -298,14 +292,14 @@ class QaQc:
         else:
             self.model.discard_batch(batch, "failed_retest")
 
-    def _unblock_dependents(self, sample: Sample, now: float) -> None:
+    def _unblock_dependents(self, batch: Batch, sample: Sample, now: float) -> None:
         for tid, state in sample.tests.items():
             if state == BLOCKED and sample.prereqs_met(self.tests[tid]):
-                self._enqueue_test(sample, tid, attempt=1, now=now)
+                self._enqueue_test(batch, sample, tid, attempt=1, now=now)
 
     def _done_oos(self, task: Task, now: float) -> None:
         task.batch.retests += 1
-        self._enqueue_test(task.sample, task.test_id, attempt=2, now=now)
+        self._enqueue_test(task.batch, task.sample, task.test_id, attempt=2, now=now)
 
     def _done_ipc_oos(self, task: Task, now: float) -> None:
         # retest by production staff: a delay with no personnel seized
@@ -334,6 +328,17 @@ class QaQc:
             self.qa_sups.enqueue(Task("relapp", task.batch),
                                  self._priority_key(task.batch, now), now)
 
+    def _done_paperwork(self, task: Task, now: float) -> None:
+        self._lift_hold(task.batch)
+
+    # task kind -> what its completion does, as plain functions: a table of
+    # bound methods on the instance would make every QaQc a reference cycle
+    _done = {"tech": _done_tech,
+             "sup": _resolve_test,  # a supervisor check ends in the test's outcome
+             "oos": _done_oos, "ipc_oos": _done_ipc_oos, "ipc_retest": _done_ipc_retest,
+             "relrev": _done_relrev, "dev": _done_paperwork, "docrev": _done_paperwork,
+             "relapp": _done_paperwork}
+
     # -- release gate ----------------------------------------------------
 
     def _lift_hold(self, batch: Batch) -> None:
@@ -344,13 +349,9 @@ class QaQc:
     def check_release(self, batch: Batch) -> None:
         if batch.state != AWAITING_RELEASE or batch.holds:
             return
-        assert batch.location is not None and batch.location[0] == "inventory"
-        now = self.clock.now
         batch.state = RELEASED
-        batch.released_at = now
-        inv = batch.location[1]
-        inv.remove(batch)  # released stock leaves the final inventory
-        batch.location = None
+        batch.released_at = self.clock.now
+        self.production.remove_batch(batch)  # released stock leaves the final inventory
         self.model.collect.record_release(batch)
 
     # -- discards and hard resets ---------------------------------------
@@ -384,4 +385,4 @@ class QaQc:
                     if state == ACTIVE:
                         sample.tests[tid] = BLOCKED
             for sample in batch.samples:
-                self._unblock_dependents(sample, now)
+                self._unblock_dependents(batch, sample, now)

@@ -135,6 +135,33 @@ def test_run_compare_report_flow(chain_yaml, overlay_yaml, tmp_path, capsys):
     assert os.path.exists(os.path.join(rep, "comparison.csv"))
 
 
+def test_run_computes_each_kpi_row_once(tmp_path, capsys, monkeypatch):
+    # the store's kpis.csv takes one kpi_summary per replication, and the
+    # digest printed after it reads those rows back
+    from vaxsim import cli, runner
+
+    calls = []
+    kpi_summary = runner.kpi_summary
+
+    def counted(result):
+        calls.append(result.seed)
+        return kpi_summary(result)
+
+    monkeypatch.setattr(runner, "kpi_summary", counted)
+    assert not hasattr(cli, "kpi_summary")
+    demo = Path(vaxsim.__file__).parent / "configs" / "demo.yaml"
+    out = tmp_path / "demo"
+    assert main(["run", "--config", str(demo), "--replications", "3", "--seed", "5",
+                 "--out", str(out)]) == 0
+    assert calls == [5, 6, 7]
+    assert capsys.readouterr().out == (
+        "scenario=base replications=3\n"
+        "  first dose: day 15.7\n"
+        "  released doses: 69.28M at 12 months, 216.84M total\n"
+        "  busiest resource: qa_reviewers (99%)\n"
+        f"  store: 4 files in {out}\n")
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     bad = chain_dict()
     bad["stages"][0]["machines"] = 0

@@ -155,6 +155,29 @@ def test_prerequisite_cycle_rejected():
         parse_config(d)
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["chain", "cycle"])
+def test_a_prerequisite_chain_of_any_length_is_walked(closed):
+    # t0000 needs t0001, ..., t1998 needs t1999, all sampled at the last stage;
+    # closed, t1999 needs t0000 too. Far deeper than the recursion limit.
+    n = 2000
+    ids = [f"t{i:04d}" for i in range(n)]
+    d = chain_dict()
+    d["qc"] = {
+        "teams": [{"id": "lab", "technicians": 1, "supervisors": 1}],
+        "tests": [{"id": tid, "team": "lab", "prerequisites": [ids[(i + 1) % n]]}
+                  for i, tid in enumerate(ids)],
+    }
+    if not closed:
+        del d["qc"]["tests"][-1]["prerequisites"]
+    d["stages"][-1]["qc_tests"] = ids
+    if not closed:
+        assert [t.id for t in parse_config(d).qc.tests] == ids
+        return
+    with pytest.raises(ConfigError) as exc:
+        parse_config(d)
+    assert exc.value.errors == ["qc.tests: prerequisite cycle through 't0000'"]
+
+
 def test_stage_must_carry_prerequisites_together():
     d = chain_dict()
     d["qc"] = {

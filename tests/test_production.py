@@ -53,8 +53,15 @@ def test_inputs_and_final_inventory_follow_the_stage_chain(handoff):
     assert prep.handoff is (mix if handoff else None)
     assert fill.input_inv is mix.output_inv is invs["buf_2"]
     assert prod.final_inv is fill.output_inv is invs["finished"]
-    assert [[s.id for s in inv.sides] for inv in invs.values()] == [
-        *([] if handoff else [["prep", "mix"]]), ["mix", "fill"], ["fill"]]
+    # a move on an inventory wakes the stages on both sides of it, and no other
+    woken = []
+    for stage in prod.stages:
+        if stage.output_inv is not None:
+            for s in prod.stages:
+                s.awake = False
+            prod.inventory_moved(stage)
+            woken.append([s.id for s in prod.stages if s.awake])
+    assert woken == [*([] if handoff else [["prep", "mix"]]), ["mix", "fill"], ["fill"]]
 
 
 def test_finite_buffer_blocks_and_recovers():

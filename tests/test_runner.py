@@ -28,6 +28,7 @@ from vaxsim.runner import (KPI_COLUMNS, STORE_FORMAT, load_store, ndjson_to_resu
 from vaxsim.scenario import parse_scenario
 
 from conftest import batch_log, chain_dict
+from test_cli import _fresh_python
 
 SLOW_FILL = {
     "name": "slow_fill",
@@ -492,3 +493,63 @@ def test_power_outage_store_is_independent_of_the_hash_seed():
              str(configs / "scenarios" / "power_outage.yaml")],
             env=env, check=True, capture_output=True, text=True).stdout)
     assert len(digests) == 1
+
+
+
+# Run in a fresh interpreter with the collector off, so that only reference
+# counting frees anything. Every Model, Batch and Task the run makes is
+# tracked by a weakref (batches and tasks have slots, so they are made as
+# subclasses that add a weakref slot); each must be dead as soon as
+# run_replication returns, and a full collection must then find nothing.
+FREED = """\
+import gc, json, sys, weakref
+import yaml
+from vaxsim import production, qaqc, runner
+
+def tracking(base, refs):
+    def init(self, *args, **kwargs):
+        base.__init__(self, *args, **kwargs)
+        refs.append(weakref.ref(self))
+    slots = {} if hasattr(base, "__weakref__") else {"__slots__": ("__weakref__",)}
+    return type(base.__name__, (base,), {"__init__": init, **slots})
+
+made = {}
+for module, name in ((runner, "Model"), (production, "Batch"), (qaqc, "Task")):
+    setattr(module, name, tracking(getattr(module, name), made.setdefault(name, [])))
+
+replicate, alive = runner.run_replication, []
+def checked(*args):
+    result = replicate(*args)
+    alive.append(sorted({name for name, refs in made.items() for r in refs if r()}))
+    return result
+runner.run_replication = checked
+
+raw = yaml.safe_load(open(sys.argv[1]))
+overlay = yaml.safe_load(open(sys.argv[2])) if sys.argv[2] else {}
+gc.disable()
+gc.collect()
+results = runner.run_ensemble(raw, overlay, 2, int(sys.argv[3]))
+print(json.dumps([alive, {name: len(refs) for name, refs in made.items()}, gc.collect()]))
+"""
+
+
+def _freed(overlay: str, replications: int):
+    """What ``FREED`` saw over a demo ensemble: the tracked kinds alive after
+    each replication returned, how many of each were made, and what a full
+    collection found at the end."""
+    return json.loads(_fresh_python(FREED, str(CONFIGS / "demo.yaml"), overlay,
+                                    str(replications)))
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_replication_frees_itself_when_it_returns(name):
+    overlay = "" if name == "base" else str(CONFIGS / "scenarios" / f"{name}.yaml")
+    alive, made, garbage = _freed(overlay, 1)
+    assert alive == [[]] and garbage == 0
+    assert made["Model"] == 1 and made["Batch"] > 100 and made["Task"] > 100
+
+
+def test_an_ensemble_leaves_no_model_alive():
+    alive, made, garbage = _freed("", 6)
+    assert alive == [[]] * 6 and garbage == 0
+    assert made["Model"] == 6
