@@ -36,6 +36,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import sys
 from array import array
 from types import MappingProxyType
@@ -166,24 +167,32 @@ def _columns(view: memoryview, at: int, layout: list, length: int) -> dict:
     return out
 
 
+def _file_layout(manifest: dict) -> tuple:
+    """What every replication file of the store ``manifest`` describes
+    shares: the bytes of its series, its counter names with one
+    little-endian ``struct`` that reads them all, and the bytes of a batch."""
+    series = manifest["horizon_days"] * sum(SIZES[code] for _, code in manifest["series"])
+    names = [name for name, _ in manifest["counts"]]
+    counts = struct.Struct("<" + "".join(code for _, code in manifest["counts"]))
+    return series, names, counts, sum(SIZES[code] for _, code in manifest["batches"])
+
+
 def ndjson_to_result(blob: bytes, manifest: dict, i: int,
-                     source: str = "replication") -> ReplicationResult:
+                     source: str = "replication",
+                     layout: tuple | None = None) -> ReplicationResult:
     """Replication ``i`` of the store ``manifest`` describes, from its file
-    ``blob``; ``source`` names the file in errors. The series decode into a
-    read-only mapping, and the batch log into a ``BatchLog`` of the same
-    columns."""
+    ``blob``; ``source`` names the file in errors, and ``layout`` is the
+    store's ``_file_layout``, worked out here when not given. The series
+    decode into a read-only mapping, and the batch log into a ``BatchLog``
+    of the same columns."""
     days = manifest["horizon_days"]
-    width = {key: sum(SIZES[code] for _, code in manifest[key])
-             for key in ("series", "counts", "batches")}
-    view, at = memoryview(blob), days * width["series"] + width["counts"]
-    counts = {}
-    if len(blob) >= at:
-        counts = {name: values[0] for name, values in _columns(
-            view, at - width["counts"], manifest["counts"], 1).items()}
+    series, counters, fmt, batch = layout or _file_layout(manifest)
+    view, at = memoryview(blob), series + fmt.size
+    counts = dict(zip(counters, fmt.unpack_from(blob, series))) if len(blob) >= at else {}
     n = counts.get("batches_created")
-    if type(n) is not int or n < 0 or len(blob) != at + n * width["batches"]:
+    if type(n) is not int or n < 0 or len(blob) != at + n * batch:
         raise StoreError(f"{source}: {len(blob)} bytes, not {at} for its series over "
-                         f"horizon_days {days} and its counters, then {width['batches']} "
+                         f"horizon_days {days} and its counters, then {batch} "
                          f"for each of batches_created {n!r}")
     batches = BatchLog(_columns(view, at, manifest["batches"], n))
     for name, names in manifest["codes"].items():
@@ -351,5 +360,7 @@ def load_store(out_dir: str) -> tuple[dict, list[ReplicationResult]]:
         return data
 
     read("kpis.csv")
-    return manifest, [ndjson_to_result(read(rel), manifest, i, os.path.join(out_dir, rel))
+    layout = _file_layout(manifest)
+    return manifest, [ndjson_to_result(read(rel), manifest, i, os.path.join(out_dir, rel),
+                                       layout)
                       for i, rel in enumerate(files[:-1])]

@@ -64,11 +64,11 @@ GOLDEN = {
 
 # report file -> sha256, over the seven stores above
 REPORT_GOLDEN = {
-    "comparison.csv": "4acf29bd3a14d14564bec101d101f410b9ebcd29256c7d59f5a27c80e720f7c4",
-    "cumulative_throughput.csv": "620b6864f3b5cf60c8247858bd1c6a62b1546cc6a1b9b6c0cfba23dee3a45720",
+    "comparison.csv": "144693a2beda42b4f58d2e8a36a814097f3b62666b0c204bedf1b9a3be9ead2b",
+    "cumulative_throughput.csv": "f57a7f33fc1a20d23ffdd4a0bb8652f21c5d642c17e0df0d9d008e63255ab739",
     "inventory_levels.csv": "0ba5725032757c96999e4e4e35306f1eb38e21151b1cbd6eac347423af51bd30",
     "lead_time_histogram.csv": "d157b5d889d1e895690a1cb5fe1d2ed64a10c578cd7d1604d2642788fc7f3251",
-    "monthly_throughput.csv": "3383fadab825ce88f936617fade994944c039a41636eb2e8ae99ae12473047ad",
+    "monthly_throughput.csv": "803d506db99ddfe934005da7634dc23688f39eca85980fb99ff25fc6533049dc",
     "queue_lengths.csv": "04d3b013efebbc57bc1506c759bd077178925ddc30a729f49fb2a47c32b25b22",
     "recovery.csv": "30f2d76caa005cda640d8e41f6dcd480ea4e289ac5797e27f8f4dc2da881d1e7",
     "stockouts.csv": "56c5c5abc931547db6410b30bfcd7bd2c0a6e5527d16c80d3c153975cf385021",

@@ -11,15 +11,23 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vaxsim.config import parse_config
-from vaxsim.metrics import (_welch_p, bottleneck_report, compare_scenarios,
-                            detect_recovery, doses_by_day, kpi_summary,
-                            lead_time_histogram, mean, rolling_mean_trailing,
-                            t_quantile, time_to_first_dose, time_to_target)
+from vaxsim import metrics
+from vaxsim.metrics import (ALPHA, _t_upper, _welch_p, _welch_t, bottleneck_report,
+                            compare_scenarios, detect_recovery, doses_by_day,
+                            kpi_summary, lead_time_histogram, mean,
+                            rolling_mean_trailing, t_cdf, t_quantile,
+                            time_to_first_dose, time_to_target)
 from vaxsim.model import Model
 
 from conftest import batch_log, chain_dict
 
 HORIZON = 1095
+# relative errors declared for vaxsim's t distribution against scipy.stats
+# before they were measured. Measured: 2.8e-11 on the CDF, all of it scipy's
+# own error near t = 0 at df = 1 (mpmath puts t_cdf within 1e-16 there), and
+# 1.3e-13 on the quantile
+CDF_BOUND = 1e-10
+QUANTILE_BOUND = 1e-12
 
 
 # the batch fields a fake batch leaves out
@@ -277,12 +285,13 @@ def test_identical_ensembles_show_zero_delta():
 
 def cell_by_cell(ensembles, at_days):
     """``compare_scenarios`` as it computed each cell before the CI routine
-    was shared: 1-D arrays of ``doses_by_day`` totals, one per cell."""
+    was shared: 1-D arrays of ``doses_by_day`` totals, one per cell. Also
+    returns scipy's Welch (t, df) of each cell, by scenario and day."""
     from scipy import stats
 
     totals = {name: {day: np.array([doses_by_day(r, day) for r in ens], dtype=float)
                      for day in at_days} for name, ens in ensembles.items()}
-    rows = []
+    rows, welch = [], []
     for name in ["base"] + sorted(n for n in ensembles if n != "base"):
         for day in at_days:
             vals = totals[name][day]
@@ -296,12 +305,13 @@ def cell_by_cell(ensembles, at_days):
                 ref = totals["base"][day]
                 if ref.mean():
                     row["delta_pct"] = 100.0 * (avg - ref.mean()) / ref.mean()
-                p = stats.ttest_ind(vals, ref, equal_var=False).pvalue
-                if not math.isnan(p):
-                    row["p_value"] = float(p)
-                    row["significant"] = p < 0.05
+                res = stats.ttest_ind(vals, ref, equal_var=False)
+                welch.append((res.statistic, res.df))
+                if not math.isnan(res.pvalue):
+                    row["p_value"] = float(res.pvalue)
+                    row["significant"] = res.pvalue < 0.05
             rows.append(row)
-    return rows
+    return rows, welch
 
 
 def integer_ensemble(n, seed, scenario, most):
@@ -312,32 +322,69 @@ def integer_ensemble(n, seed, scenario, most):
                  scenario=scenario, seed=i) for i in range(n)]
 
 
+def assert_rows_match(got, want):
+    """``got`` is ``want`` exactly, but for p-values within ``CDF_BOUND``:
+    those come from vaxsim's t distribution, ``want``'s from scipy's."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert {**g, "p_value": None} == {**w, "p_value": None}
+        assert (g["p_value"] is None) == (w["p_value"] is None)
+        if w["p_value"] is not None:
+            assert abs(g["p_value"] - w["p_value"]) <= CDF_BOUND * w["p_value"]
+
+
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 20, 100])
-def test_compare_matches_cell_by_cell_arithmetic_exactly(n):
+def test_compare_matches_cell_by_cell_arithmetic_exactly(n, monkeypatch):
     # from eight replications numpy's pairwise sum differs from in-order
-    # addition, which the two-replication report goldens cannot see
+    # addition, which the two-replication report goldens cannot see; the
+    # p-value bound cannot see it either, so each cell's t and df are held
+    # to scipy's bits as compare_scenarios computes them
     ens = {"base": integer_ensemble(n, n, "base", 60_000),
            "dip": integer_ensemble(n, n + 1, "dip", 55_000),
            "more": integer_ensemble(n + 3, n + 2, "more", 60_000)}
+    seen = []
+    welch_t = metrics._welch_t
+
+    def recording(a, b):
+        t, df = welch_t(a, b)
+        seen.extend(zip(t.tolist(), df.tolist()))
+        return t, df
+
+    monkeypatch.setattr(metrics, "_welch_t", recording)
     for at_days in [None, tuple(range(1, HORIZON + 1, 30))]:
-        want = cell_by_cell(ens, at_days or (365, HORIZON))
-        assert compare_scenarios(ens, at_days=at_days) == want
+        seen.clear()
+        want, welch = cell_by_cell(ens, at_days or (365, HORIZON))
+        assert_rows_match(compare_scenarios(ens, at_days=at_days), want)
+        assert seen == welch
 
 
 def welch_columns(rng, n, loc, scale):
-    """An (n x 5) matrix: two random columns around ``loc``, one of zero
-    variance, and two whose mean is exactly ``scale``'s integer part for
-    every n."""
+    """An (n x 6) matrix: two random columns around ``loc``, two of zero
+    variance (one at the same value for every call, one a quarter higher
+    where ``loc`` is above ``scale``), and two whose mean is exactly
+    ``scale``'s integer part for every n."""
     offsets = np.arange(n) - (n - 1) / 2
     whole = np.floor(scale)
     return np.column_stack([rng.normal(loc, scale, n), rng.normal(loc, scale / 7, n),
-                            np.full(n, whole + 0.5), whole + offsets, whole - 3 * offsets])
+                            np.full(n, whole + 0.5), np.full(n, whole + 0.25 * (loc > scale)),
+                            whole + offsets, whole - 3 * offsets])
+
+
+def assert_p_matches(got, want):
+    """p-values within ``CDF_BOUND`` of scipy's, and exactly scipy's where
+    those are 0, 1 or NaN (no variance, or an infinite t)."""
+    got, want = np.asarray(got), np.asarray(want)
+    exact = np.isnan(want) | (want == 0.0) | (want == 1.0)
+    np.testing.assert_array_equal(got[exact], want[exact])
+    assert np.all(np.abs(got - want)[~exact] <= CDF_BOUND * want[~exact])
 
 
 @pytest.mark.parametrize("n1, n2", [(2, 3), (3, 2), (6, 9), (8, 7), (13, 40), (40, 21)])
 def test_welch_p_matches_scipy_stats_bit_for_bit(n1, n2):
-    # scipy.stats stays the reference here, as in cell_by_cell, in the two
-    # forms compare_scenarios and detect_recovery call
+    # scipy.stats stays the reference here, as in cell_by_cell, in the forms
+    # compare_scenarios (contiguous rows, each a 1-D sample) and
+    # detect_recovery (the transpose of a replications x days matrix) call.
+    # t and df keep scipy's bits; the p-value is within CDF_BOUND of scipy's.
     from scipy import stats
 
     rng = np.random.default_rng(n1 * 100 + n2)
@@ -347,20 +394,77 @@ def test_welch_p_matches_scipy_stats_bit_for_bit(n1, n2):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             less = stats.ttest_ind(a, b, axis=0, equal_var=False, alternative="less")
-            np.testing.assert_array_equal(_welch_p(a, b, less=True), less.pvalue)
-            for j in range(a.shape[1]):
-                two = stats.ttest_ind(a[:, j], b[:, j], equal_var=False).pvalue
-                np.testing.assert_array_equal(_welch_p(a[:, j], b[:, j]), two)
+            two = [stats.ttest_ind(a[:, j], b[:, j], equal_var=False)
+                   for j in range(a.shape[1])]
+        t, df = _welch_t(a.T, b.T)
+        np.testing.assert_array_equal(t, less.statistic)
+        np.testing.assert_array_equal(df, np.where(np.isnan(less.df), 1.0, less.df))
+        assert_p_matches(_welch_p(a.T, b.T, less=True), less.pvalue)
+        rows_a, rows_b = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+        t, df = _welch_t(rows_a, rows_b)
+        np.testing.assert_array_equal(t, [r.statistic for r in two])
+        np.testing.assert_array_equal(df, [1.0 if np.isnan(r.df) else r.df for r in two])
+        assert_p_matches(_welch_p(rows_a, rows_b), [r.pvalue for r in two])
+        for j in range(a.shape[1]):
+            assert_p_matches(_welch_p(a[:, j], b[:, j]), two[j].pvalue)
         assert np.isnan(less.pvalue[2])
-        assert less.statistic[3] == 0.0 == less.statistic[4]
+        assert less.statistic[3] == -np.inf and less.pvalue[3] == 0.0
+        assert less.statistic[4] == 0.0 == less.statistic[5]
+
+
+def t_grid():
+    """df integer and real from 1 to 5,000, against t from -1e3 to 1e3."""
+    rng = np.random.default_rng(26)
+    df = np.concatenate([np.arange(1.0, 101.0), np.geomspace(100, 5000, 60).round(),
+                         rng.uniform(1, 10, 50), rng.uniform(1, 5000, 100), [5000.0]])
+    mag = np.geomspace(1e-6, 1e3, 120)
+    t = np.concatenate([-mag, [-0.0, 0.0], mag, rng.uniform(-12, 12, 60)])
+    return np.meshgrid(df, t)
+
+
+def test_t_cdf_matches_scipy_within_its_bound():
+    from scipy import stats
+
+    df, t = t_grid()
+    got, want = t_cdf(df, t), stats.t.cdf(t, df)
+    # below the least normal double the relative error means nothing: both
+    # underflow there
+    tiny = np.finfo(float).tiny
+    normal = want >= tiny
+    assert np.all(np.abs(got - want)[normal] <= CDF_BOUND * want[normal])
+    assert np.all(got[~normal] < tiny)
+    # as scipy.special.stdtr: infinite t, a NaN, and df <= 0
+    edges = [(3.0, -np.inf), (3.0, np.inf), (3.0, np.nan), (np.nan, 1.0),
+             (0.0, 1.0), (-2.0, 1.0), (7.5, 0.0), (1.0, -0.0)]
+    got = t_cdf(*np.array(edges).T)
+    np.testing.assert_array_equal(got, stats.t.cdf(*np.array(edges)[:, ::-1].T))
+    np.testing.assert_array_equal(got[:2], [0.0, 1.0])
+    assert type(t_cdf(4.0, 1.5)) is np.float64
+    assert t_cdf([[4.0], [9.0]], [1.0, 2.0, 3.0]).shape == (2, 3)
+
+
+def test_t_cdf_refuses_what_it_cannot_answer(monkeypatch):
+    # a df beyond the precision the fraction keeps, or an infinite one
+    for df in [metrics._DF_MAX * 2, np.inf]:
+        with pytest.raises(ValueError, match="above"):
+            t_cdf([5.0, df], [1.0, -2.0])
+    # an element that has not converged within the cap: never a silent p
+    monkeypatch.setattr(metrics, "_CF_PAIRS", 5)
+    with pytest.raises(ArithmeticError, match="did not converge in 5 pairs"):
+        t_cdf([1.0, 5000.0], [-1.0, -2.0])
 
 
 def test_t_quantile_matches_scipy_stats():
     from scipy import stats
 
     n = np.arange(2, 5001)
-    want = stats.t.ppf(0.975, n - 1)
-    assert [t_quantile(int(k)) for k in n] == want.tolist()
+    want = stats.t.ppf(1 - ALPHA / 2, n - 1)
+    # every n at once through the bisection t_quantile makes for one n
+    got = _t_upper(n - 1, ALPHA / 2)
+    assert np.all(np.abs(got - want) <= QUANTILE_BOUND * want)
+    for k in [*range(2, 41), 100, 1000, 4999, 5000]:
+        assert abs(t_quantile(k) - want[k - 2]) <= QUANTILE_BOUND * want[k - 2]
+    assert math.isnan(_t_upper(0, ALPHA / 2))
 
 
 def test_missing_base_rejected():
