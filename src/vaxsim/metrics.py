@@ -9,14 +9,21 @@ ten.
 
 numpy is imported inside the functions that need it: a run writes its KPI
 table through ``kpi_summary``, and importing it would double what ``vaxsim
-run`` and every replication worker load. The t distribution is this module's
-own, on numpy and ``math``: ``t_cdf`` is the regularized incomplete beta
-function by Lentz's continued fraction (Numerical Recipes §6.4), and
-``t_quantile`` bisects it. Against ``scipy.stats`` their relative errors are
-within 1e-10 (``t_cdf``, df 1 to 5,000, |t| up to 1e3) and 1e-12
-(``t_quantile``, n = 2 to 5,000); ``_welch_t`` repeats scipy 1.17's
-``stats.ttest_ind`` arithmetic step for step, so t and df keep scipy's bits
-and only the p-value moves, within that bound.
+run`` and every replication worker load. So ``kpi_summary`` ranks resources
+through ``bottleneck_report``, whose means are the pure-Python ``mean``
+(numpy's pairwise sum, step for step). The analysis path loads numpy anyway
+and works on whole arrays: ``report`` ranks the base ensemble from its
+utilization matrices through the same ``rank_resources``, and
+``lead_time_histogram`` bins a batch log's columns at once.
+
+The t distribution is this module's own, on numpy and ``math``: ``t_cdf``
+is the regularized incomplete beta function by Lentz's continued fraction
+(Numerical Recipes §6.4), and ``t_quantile`` bisects it. Against
+``scipy.stats`` their relative errors are within 1e-10 (``t_cdf``, df 1 to
+5,000, |t| up to 1e3) and 1e-12 (``t_quantile``, n = 2 to 5,000);
+``_welch_t`` repeats scipy 1.17's ``stats.ttest_ind`` arithmetic step for
+step, so t and df keep scipy's bits and only the p-value moves, within that
+bound.
 """
 
 from __future__ import annotations
@@ -111,17 +118,15 @@ def doses_by_day(result, day: int) -> float:
 def lead_time_histogram(result) -> dict[int, int]:
     """Released-batch lead times (creation to release), in bins of
     ``LEAD_TIME_BIN_DAYS`` keyed by bin start; counts sum to the number of
-    released batches."""
-    hist: dict[int, int] = {}
-    log, released = result.batches, CODES["state"].index(RELEASED)
-    for state, created_at, released_at in zip(log["state"], log["created_at"],
-                                              log["released_at"]):
-        if state != released:
-            continue
-        lead = released_at - created_at
-        bin_start = int(lead // LEAD_TIME_BIN_DAYS) * LEAD_TIME_BIN_DAYS
-        hist[bin_start] = hist.get(bin_start, 0) + 1
-    return dict(sorted(hist.items()))
+    released batches. One numpy pass over the batch log's columns."""
+    import numpy as np
+
+    log = result.batches
+    released = np.frombuffer(log["state"], dtype=np.int8) == CODES["state"].index(RELEASED)
+    created, done = (np.frombuffer(log[name], dtype=float)[released]
+                     for name in ("created_at", "released_at"))
+    bins, counts = np.unique((done - created) // LEAD_TIME_BIN_DAYS, return_counts=True)
+    return {int(b) * LEAD_TIME_BIN_DAYS: c for b, c in zip(bins.tolist(), counts.tolist())}
 
 
 def kpi_summary(result, target: float = TARGET_DOSES) -> dict:
@@ -153,25 +158,31 @@ RESOURCE_KINDS = {"stage_util": "machines", "pool_util": "personnel"}
 
 
 def bottleneck_report(results) -> list[dict]:
-    """Resources ranked by mean utilization, machines against personnel.
+    """Resources ranked by mean utilization, machines against personnel
+    (``rank_resources``).
 
     Accepts one result or an ensemble; ensembles are averaged per resource.
-    The top entry carries the bottleneck flag.
+    Every mean is the pure-Python ``mean``, so ``kpi_summary`` loads no numpy.
     """
     if hasattr(results, "series"):
         results = [results]
-    if not results:
-        return []
     acc: dict[str, list[float]] = {}
     for res in results:
         for key in res.series:
             if key.partition(".")[0] in RESOURCE_KINDS:
                 acc.setdefault(key, []).append(mean(res.series[key]))
+    return rank_resources({key: mean(means) for key, means in acc.items()})
+
+
+def rank_resources(utilization: dict[str, float]) -> list[dict]:
+    """One row per utilization series, named by its key in ``utilization``,
+    ranked by its mean utilization, ties by resource name and then in the
+    order given. The top entry carries the bottleneck flag when it is busy
+    at all."""
     rows = []
-    for key, means in acc.items():
+    for key, value in utilization.items():
         kind, _, name = key.partition(".")
-        rows.append({"resource": name, "kind": RESOURCE_KINDS[kind],
-                     "utilization": mean(means)})
+        rows.append({"resource": name, "kind": RESOURCE_KINDS[kind], "utilization": value})
     rows.sort(key=lambda r: (-r["utilization"], r["resource"]))
     for i, row in enumerate(rows):
         row["bottleneck"] = i == 0 and row["utilization"] > 0.0

@@ -10,6 +10,13 @@ Every float cell of the CSVs is ``repr`` of the value: its shortest
 round-trip digits. The daily series, most of the cells, are written by
 orjson, which writes those same digits in the same notation for nearly every
 value, and by ``repr`` where it would not (see ``_repr_texts``).
+
+The report loads numpy, so it works on whole arrays where ``vaxsim run``
+would not: each scenario's series of a daily-mean family are one (series x
+replications x days) array, averaged and written in one pass, and the base
+bottleneck ranking takes its means from the same utilization arrays rather
+than through ``metrics.bottleneck_report``'s pure-Python mean, which it
+equals bit for bit.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ import os
 import numpy as np
 
 from .metrics import (COMPARISON_COLUMNS, LEAD_TIME_BIN_DAYS, RESOURCE_KINDS,
-                      bottleneck_report, column_ci, compare_scenarios,
-                      comparison_cells, detect_recovery, doses_by_day,
-                      lead_time_histogram, series_matrix, time_to_first_dose)
+                      column_ci, compare_scenarios, comparison_cells,
+                      detect_recovery, doses_by_day, lead_time_histogram,
+                      rank_resources, series_matrix, time_to_first_dose)
 
 MONTH_DAYS = 30
 RECOVERY_COLUMNS = ["disrupted", "start_day", "end_day", "duration_days",
@@ -40,28 +47,45 @@ def _write_csv(path: str, header: list[str], rows=(), texts=()) -> None:
         fh.writelines(texts)
 
 
-def _series_text(labels: tuple, *columns: np.ndarray) -> str:
-    """The tidy CSV rows of one series, as csv.writer would write them: the
-    labels, a 1-based day (or month), then the value of each column.
+def _series_text(labels: list[tuple], *blocks: np.ndarray) -> str:
+    """The tidy CSV rows of series of one length, as csv.writer would write
+    them. Each block is a (series x days) matrix, and series i is row i of
+    every block: its ``labels[i]``, a 1-based day (or month), then its
+    value in each block.
 
-    csv.writer renders the labels once, so they quote as in every other
-    table (the trailing empty field keeps a lone empty label unquoted, as it
-    is in a longer row). The day is written with str and each value is
-    written as ``repr`` writes it (see ``_repr_texts``), as csv.writer writes
-    an int and a float.
+    csv.writer renders the labels once a series, so they quote as in every
+    other table (the trailing empty field keeps a lone empty label unquoted,
+    as it is in a longer row). The day is written with str and each value is
+    written as ``repr`` writes it, by one ``_repr_texts`` call a block, as
+    csv.writer writes an int and a float. The rows are one join over a list
+    of the cells and separators, filled by strided slices, so no string is
+    made per row.
     """
-    if not len(columns[0]):
+    days = blocks[0].shape[1]
+    if not days:
         return ""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([*labels, ""])
-    head = buf.getvalue()[:-1]
-    rows = zip(_day_labels(len(columns[0])), *map(_repr_texts, columns))
-    return head + ("\n" + head).join(map(",".join, rows)) + "\n"
+    texts = [_repr_texts(block.ravel()) for block in blocks]
+    out: list[str] = []
+    for i, series_labels in enumerate(labels):
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerow([*series_labels, ""])
+        head = buf.getvalue()[:-1]
+        # a row is [head, "day,", value, ",", value, ...], each after the
+        # first led by a newline
+        row = ["\n" + head, None, None] + [",", None] * (len(blocks) - 1)
+        parts = row * days
+        parts[0] = head
+        parts[1::len(row)] = _day_cells(days)
+        for k, t in enumerate(texts):
+            parts[2 + 2 * k::len(row)] = t[i * days:(i + 1) * days]
+        out += parts
+        out.append("\n")
+    return "".join(out)
 
 
 @functools.cache
-def _day_labels(n: int) -> tuple[str, ...]:
-    return tuple(map(str, range(1, n + 1)))
+def _day_cells(n: int) -> tuple[str, ...]:
+    return tuple(f"{day}," for day in range(1, n + 1))
 
 
 def _repr_texts(column: np.ndarray) -> list[str]:
@@ -96,23 +120,26 @@ def write_report(stores: list[tuple[dict, list]], out_dir: str) -> str:
 
     _emit_throughput(ens, out_dir)
     _emit_histogram(ens, out_dir)
-    _emit_daily_means(ens, out_dir)
+    utilization = _emit_daily_means(ens, out_dir)
     _emit_stockouts(ens, out_dir, horizon)
+    ranking = rank_resources(utilization) if "base" in ens else None
 
     comparison = recovery = None
     if len(ens) > 1 and "base" in ens:
         comparison = compare_scenarios(ens)
         _write_csv(os.path.join(out_dir, "comparison.csv"), COMPARISON_COLUMNS,
                    map(comparison_cells, comparison))
-        recovery = {name: detect_recovery(ens["base"], ens[name])
-                    for name in sorted(ens) if name != "base"}
-        _write_csv(os.path.join(out_dir, "recovery.csv"), ["scenario", *RECOVERY_COLUMNS],
-                   ([n] + ["" if r[k] is None else r[k] for k in RECOVERY_COLUMNS]
-                    for n, r in recovery.items()))
+        # the detector's Welch tests need a variance on each side
+        if all(len(results) > 1 for results in ens.values()):
+            recovery = {name: detect_recovery(ens["base"], ens[name])
+                        for name in sorted(ens) if name != "base"}
+            _write_csv(os.path.join(out_dir, "recovery.csv"), ["scenario", *RECOVERY_COLUMNS],
+                       ([n] + ["" if r[k] is None else r[k] for k in RECOVERY_COLUMNS]
+                        for n, r in recovery.items()))
 
     path = os.path.join(out_dir, "report.md")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_render_markdown(stores, ens, comparison, recovery))
+        fh.write(_render_markdown(stores, ens, ranking, comparison, recovery))
     return path
 
 
@@ -126,8 +153,9 @@ def _emit_throughput(ens, out_dir) -> None:
         months = days // MONTH_DAYS
         monthly = daily[:, :months * MONTH_DAYS].reshape(
             reps, months, MONTH_DAYS).sum(axis=2)
-        monthly_texts.append(_series_text((name,), *column_ci(monthly)))
-        cum_texts.append(_series_text((name,), *column_ci(daily.cumsum(axis=1))))
+        monthly_texts.append(_series_text([(name,)], *map(np.atleast_2d, column_ci(monthly))))
+        cum_texts.append(_series_text([(name,)], *map(np.atleast_2d,
+                                                     column_ci(daily.cumsum(axis=1)))))
     _write_csv(os.path.join(out_dir, "monthly_throughput.csv"),
                ["scenario", "month", "mean_doses", "ci_low", "ci_high"],
                texts=monthly_texts)
@@ -152,10 +180,12 @@ def _emit_histogram(ens, out_dir) -> None:
                 "mean_batches_per_replication"], rows)
 
 
+# utilization series prefix -> the label columns after its resource name
+UTILIZATION = {prefix: (kind,) for prefix, kind in RESOURCE_KINDS.items()}
 # per family: file, header, and series prefix -> label columns after the name
 DAILY_MEANS = [
     ("utilization.csv", ["scenario", "resource", "kind", "day", "mean_utilization"],
-     {prefix: (kind,) for prefix, kind in RESOURCE_KINDS.items()}),
+     UTILIZATION),
     ("queue_lengths.csv", ["scenario", "pool", "day", "mean_queue_length"],
      {"pool_queue": ()}),
     ("inventory_levels.csv", ["scenario", "material", "day", "mean_batch_equivalents"],
@@ -163,18 +193,38 @@ DAILY_MEANS = [
 ]
 
 
-def _emit_daily_means(ens, out_dir) -> None:
+def _emit_daily_means(ens, out_dir) -> dict[str, float]:
     """Daily mean over replications of each series in a family, rounded to
-    six decimals."""
+    six decimals; returns the base ensemble's mean utilization of each
+    utilization series, by name (none without a base).
+
+    A family's CSV is written a scenario at a time, so its text is never
+    held whole."""
+    utilization: dict[str, float] = {}
     for filename, header, labels in DAILY_MEANS:
-        texts = []
-        for name in sorted(ens):
-            for key in sorted(ens[name][0].series):
-                prefix, _, label = key.partition(".")
-                if prefix in labels:
-                    daily = series_matrix(ens[name], key).mean(axis=0).round(6)
-                    texts.append(_series_text((name, label, *labels[prefix]), daily))
-        _write_csv(os.path.join(out_dir, filename), header, texts=texts)
+        _write_csv(os.path.join(out_dir, filename), header,
+                   texts=(_daily_mean_block(name, ens[name], labels, utilization)
+                          for name in sorted(ens)))
+    return utilization
+
+
+def _daily_mean_block(name: str, results: list, labels: dict, utilization: dict) -> str:
+    """The rows of the series of ``results`` that one family's ``labels``
+    name, from one (series x replications x days) array. For the base's
+    utilization series it also puts each series' mean utilization in
+    ``utilization``: every replication's days are a contiguous row, which
+    numpy sums pairwise, so each mean is ``metrics.mean`` of that series and
+    then of the replications' means, bit for bit, as in
+    ``metrics.bottleneck_report``."""
+    keys = [key for key in sorted(results[0].series) if key.partition(".")[0] in labels]
+    if not keys:
+        return ""
+    cube = np.array([[res.series[key] for res in results] for key in keys], dtype=float)
+    if name == "base" and labels is UTILIZATION:
+        utilization.update(zip(keys, cube.mean(axis=2).mean(axis=1).tolist()))
+    return _series_text([(name, label, *labels[prefix]) for prefix, _, label
+                         in (key.partition(".") for key in keys)],
+                        cube.mean(axis=1).round(6))
 
 
 def _emit_stockouts(ens, out_dir, horizon) -> None:
@@ -195,7 +245,7 @@ def _emit_stockouts(ens, out_dir, horizon) -> None:
 
 # -- markdown ------------------------------------------------------------
 
-def _render_markdown(stores, ens, comparison, recovery) -> str:
+def _render_markdown(stores, ens, ranking, comparison, recovery) -> str:
     lines = ["# Simulation report", ""]
     m0 = stores[0][0]
     lines += [
@@ -226,11 +276,11 @@ def _render_markdown(stores, ens, comparison, recovery) -> str:
             float(np.mean([r.counts["batches_discarded"] for r in results]))))
     lines.append("")
 
-    if "base" in ens:
+    if ranking is not None:
         lines += ["## Bottlenecks (base)", "",
                   "| rank | resource | kind | mean utilization |",
                   "|---|---|---|---|"]
-        for i, row in enumerate(bottleneck_report(ens["base"])[:10], 1):
+        for i, row in enumerate(ranking[:10], 1):
             flag = " **bottleneck**" if row["bottleneck"] else ""
             lines.append(f"| {i} | {row['resource']}{flag} | {row['kind']} "
                          f"| {row['utilization'] * 100:.1f}% |")
@@ -252,7 +302,10 @@ def _render_markdown(stores, ens, comparison, recovery) -> str:
             lines.append(f"| {r['scenario']} | {r['day']} | {ci} | {delta} | {p} |")
         lines.append("")
 
-    if recovery:
+    if comparison and not recovery:
+        lines += ["## Recovery", "",
+                  "Not assessed: recovery needs two replications per store.", ""]
+    elif recovery:
         lines += ["## Recovery", "",
                   "| scenario | disrupted | window (days) | weeks | recovered |",
                   "|---|---|---|---|---|"]
@@ -268,6 +321,6 @@ def _render_markdown(stores, ens, comparison, recovery) -> str:
               "Tidy CSVs beside this report: monthly and cumulative throughput, "
               "lead-time histogram, utilization, queue lengths, inventory "
               "levels (batch equivalents), stockout days per year" +
-              (", scenario comparison, recovery windows." if comparison
-               else "."), ""]
+              (", scenario comparison" if comparison else "") +
+              (", recovery windows" if recovery else "") + ".", ""]
     return "\n".join(lines)

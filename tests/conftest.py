@@ -8,8 +8,10 @@ from array import array
 import pytest
 
 from vaxsim.config import parse_config
+from vaxsim.metrics import rank_resources
 from vaxsim.model import BatchLog
 from vaxsim.production import BATCH_COLUMNS, CODES, RELEASED
+from vaxsim.report import UTILIZATION, _daily_mean_block
 
 # Deterministic 3-stage chain: 1/2/3-day constant processing, single machines,
 # unbounded buffers, no QC, no materials. First release lands at day 6 and the
@@ -66,6 +68,19 @@ def batch_log(rows) -> BatchLog:
         CODES[name].index(r[name]) if name in CODES
         else math.nan if r[name] is None else r[name] for r in rows])
         for name, code in BATCH_COLUMNS})
+
+
+def report_ranking(results) -> list[dict]:
+    """The bottleneck ranking ``write_report`` gives ``results`` as its base
+    ensemble: means taken from its utilization block."""
+    utilization: dict[str, float] = {}
+    _daily_mean_block("base", results, UTILIZATION, utilization)
+    return rank_resources(utilization)
+
+
+def exact(rows) -> list[dict]:
+    """Ranking rows with each utilization as its bits."""
+    return [{**row, "utilization": row["utilization"].hex()} for row in rows]
 
 
 def assert_books_balance(model, result) -> None:

@@ -135,6 +135,29 @@ def test_run_compare_report_flow(chain_yaml, overlay_yaml, tmp_path, capsys):
     assert os.path.exists(os.path.join(rep, "comparison.csv"))
 
 
+def test_report_on_one_replication_stores_leaves_out_recovery(chain_yaml, overlay_yaml,
+                                                             tmp_path, capsys):
+    # compare accepts paired stores of one replication each, and so does
+    # report; the recovery detector needs a variance on each side, so the
+    # report says so in place of the table and writes no recovery.csv
+    base, scen, rep = (str(tmp_path / name) for name in ("base", "scen", "rep"))
+    for extra, out in [([], base), (["--scenario", overlay_yaml], scen)]:
+        assert main(["run", "--config", chain_yaml, *extra, "--replications", "1",
+                     "--seed", "5", "--out", out]) == 0
+    assert main(["compare", base, scen]) == 0
+    capsys.readouterr()
+    assert main(["report", base, scen, "--out", rep]) == 0
+    assert capsys.readouterr().out == os.path.join(rep, "report.md") + "\n"
+    assert sorted(os.listdir(rep)) == [
+        "comparison.csv", "cumulative_throughput.csv", "inventory_levels.csv",
+        "lead_time_histogram.csv", "monthly_throughput.csv", "queue_lengths.csv",
+        "report.md", "stockouts.csv", "utilization.csv"]
+    text = Path(rep, "report.md").read_text()
+    assert "## Scenario comparison" in text
+    assert "## Recovery\n\nNot assessed: recovery needs two replications per store.\n" in text
+    assert "scenario comparison." in text and "recovery windows" not in text
+
+
 def test_run_computes_each_kpi_row_once(tmp_path, capsys, monkeypatch):
     # the store's kpis.csv takes one kpi_summary per replication, and the
     # digest printed after it reads those rows back

@@ -2,12 +2,13 @@
 
 Each ``GOLDEN`` entry pins the sha256 of every replication's store file
 and of the ``kpis.csv`` that ``write_store`` writes, for two replications
-from seed 100. ``REPORT_GOLDEN`` pins each tidy CSV that ``write_report``
+from seed 100. ``REPORT_GOLDEN`` pins each file that ``write_report``
 writes over those seven stores, reloaded from disk. A change that alters any simulated
 number, series name, statistic or serialization fails here; a deliberate
-change updates the literals and says why. ``manifest.json`` and ``report.md``
-are left out: they carry ``config_hash``, which changes whenever the config
-schema gains or loses a field.
+change updates the literals and says why. ``report.md`` is pinned for its
+bottleneck table, which no CSV holds; it and ``manifest.json``, which is left
+out, carry ``config_hash``, which changes whenever the config schema gains or
+loses a field, so such a change updates the ``report.md`` literal too.
 """
 
 import hashlib
@@ -20,11 +21,12 @@ import yaml
 import vaxsim
 from vaxsim.cli import main
 from vaxsim.config import parse_config
+from vaxsim.metrics import bottleneck_report
 from vaxsim.report import write_report
 from vaxsim.runner import load_store, result_to_ndjson, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
 
-from conftest import batch_rows
+from conftest import batch_rows, exact, report_ranking
 
 CONFIG_DIR = Path(vaxsim.__file__).parent / "configs"
 SEED = 100
@@ -71,6 +73,7 @@ REPORT_GOLDEN = {
     "monthly_throughput.csv": "803d506db99ddfe934005da7634dc23688f39eca85980fb99ff25fc6533049dc",
     "queue_lengths.csv": "04d3b013efebbc57bc1506c759bd077178925ddc30a729f49fb2a47c32b25b22",
     "recovery.csv": "30f2d76caa005cda640d8e41f6dcd480ea4e289ac5797e27f8f4dc2da881d1e7",
+    "report.md": "191c873e29c652f78d108988581e74ea6f05a7c4af835e407b73754eb411cad7",
     "stockouts.csv": "56c5c5abc931547db6410b30bfcd7bd2c0a6e5527d16c80d3c153975cf385021",
     "utilization.csv": "61b3b217d9dac9b30aa47fd3921cfb9bcb3be131b6e2bfde8ee27afbfcece4e0",
 }
@@ -120,6 +123,12 @@ def test_store_bytes_match_golden(name, stores):
 @pytest.mark.parametrize("name", sorted(REPORT_GOLDEN))
 def test_report_bytes_match_golden(name, report_dir):
     assert _sha((report_dir / name).read_bytes()) == REPORT_GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_ranking_is_bottleneck_report_on_golden_stores(name, stores):
+    results = load_store(str(stores[name][1]))[1]
+    assert exact(report_ranking(results)) == exact(bottleneck_report(results))
 
 
 def _dumps(record) -> str:

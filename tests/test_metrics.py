@@ -8,16 +8,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vaxsim.config import parse_config
 from vaxsim import metrics
-from vaxsim.metrics import (ALPHA, _t_upper, _welch_p, _welch_t, bottleneck_report,
-                            compare_scenarios, detect_recovery, doses_by_day,
-                            kpi_summary, lead_time_histogram, mean,
+from vaxsim.metrics import (ALPHA, LEAD_TIME_BIN_DAYS, _t_upper, _welch_p, _welch_t,
+                            bottleneck_report, compare_scenarios, detect_recovery,
+                            doses_by_day, kpi_summary, lead_time_histogram, mean,
                             rolling_mean_trailing, t_cdf, t_quantile,
                             time_to_first_dose, time_to_target)
 from vaxsim.model import Model
+from vaxsim.production import CODES, RELEASED
 
 from conftest import batch_log, chain_dict
 
@@ -104,6 +105,57 @@ def test_lead_time_bins_lose_nothing():
     hist = lead_time_histogram(fake(batches=batches))
     assert hist == {0: 1, 10: 2, 90: 1}
     assert sum(hist.values()) == 4
+
+
+def loop_lead_time_histogram(result) -> dict[int, int]:
+    """``lead_time_histogram`` one batch at a time in Python: the reference
+    its numpy pass over the columns must equal."""
+    hist: dict[int, int] = {}
+    log, released = result.batches, CODES["state"].index(RELEASED)
+    for state, created_at, released_at in zip(log["state"], log["created_at"],
+                                              log["released_at"]):
+        if state != released:
+            continue
+        lead = released_at - created_at
+        bin_start = int(lead // LEAD_TIME_BIN_DAYS) * LEAD_TIME_BIN_DAYS
+        hist[bin_start] = hist.get(bin_start, 0) + 1
+    return dict(sorted(hist.items()))
+
+
+def drawn_log(drawn):
+    """A fake result whose batches are (state, created_at, lead) triples;
+    a batch not released has no release time."""
+    return fake(batches=[{"state": state, "created_at": created,
+                          "released_at": created + lead if state == RELEASED else None}
+                         for state, created, lead in drawn])
+
+
+EDGE = float(LEAD_TIME_BIN_DAYS)
+# a lead on a bin edge, just below and above one, and leads so long that a
+# bin's start is beyond 2**53 or needs a Python int of many digits
+LEADS = st.one_of(st.floats(0, 1e4), st.floats(0, 1e300),
+                  st.sampled_from([0.0, EDGE, math.nextafter(EDGE, 0),
+                                   math.nextafter(EDGE, math.inf), 2 * EDGE,
+                                   math.nextafter(2 * EDGE, 0), 2.0 ** 60, 1e300]))
+BATCHES = st.lists(st.tuples(st.sampled_from(CODES["state"]),
+                             st.one_of(st.just(0.0), st.floats(0, 1e4)), LEADS),
+                   max_size=60)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(BATCHES)
+@example([]).via("an empty log")
+@example([("discarded", 0.0, 5.0), ("in_process", 1.0, 0.0)]).via("none released")
+@example([("released", 0.0, EDGE), ("released", 0.0, math.nextafter(EDGE, 0)),
+          ("released", 3.0, EDGE)]).via("leads on and just below a bin edge")
+@example([("released", 0.0, 1e300), ("released", 7.5, 2.0 ** 60),
+          ("released", 0.0, 1e17 + 10)]).via("long leads")
+def test_lead_time_histogram_is_the_loop(drawn):
+    res = drawn_log(drawn)
+    got = lead_time_histogram(res)
+    assert got == loop_lead_time_histogram(res)
+    assert list(got) == sorted(got)
+    assert all(type(k) is int and type(v) is int for k, v in got.items())
 
 
 # -- the pure-Python mean ------------------------------------------------

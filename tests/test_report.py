@@ -4,15 +4,17 @@ import csv
 import io
 import os
 import struct
+from array import array
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import chain_dict
+from conftest import chain_dict, exact, report_ranking
 from vaxsim.config import parse_config
-from vaxsim.metrics import column_ci, t_quantile
+from vaxsim.metrics import bottleneck_report, column_ci, t_quantile
 from vaxsim.report import _repr_texts, _series_text, write_report
 from vaxsim.runner import load_store, run_ensemble, write_store
 from vaxsim.scenario import parse_scenario
@@ -200,14 +202,49 @@ def _csv_reference(labels, *columns):
     return buf.getvalue()
 
 
+def _one(labels, *columns):
+    """``_series_text`` of one series."""
+    return _series_text([labels], *map(np.atleast_2d, columns))
+
+
 @pytest.mark.parametrize("labels", [
     ("base",), ("a,b", 'say "hi"', "two\nlines"), ("", "x"), ("",),
     ("carriage\r",), ("{0}", "}{", "%d", "100%"), (" padded ", "tab\t")])
 def test_series_text_matches_csv_writer(labels):
     special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-07, 0.1, 123456789.125,
                         *EDGES])
-    assert _series_text(labels, special) == _csv_reference(labels, special)
+    assert _one(labels, special) == _csv_reference(labels, special)
     columns = (special, np.arange(float(len(special))), special[::-1].copy())
-    assert _series_text(labels, *columns) == _csv_reference(labels, *columns)
+    assert _one(labels, *columns) == _csv_reference(labels, *columns)
     # a horizon shorter than a month has no monthly rows
-    assert _series_text(labels, np.array([])) == _csv_reference(labels, np.array([])) == ""
+    assert _one(labels, np.array([])) == _csv_reference(labels, np.array([])) == ""
+    # a block of series: each row of every block is one series
+    block = [np.vstack([c, c[::-1] * 3]) for c in columns]
+    other = (*labels[:-1], labels[-1] + "2")
+    assert _series_text([labels, other], *block) == (
+        _csv_reference(labels, *(b[0] for b in block))
+        + _csv_reference(other, *(b[1] for b in block)))
+    assert _series_text([labels, other], np.zeros((2, 1)), np.ones((2, 1))) == (
+        _csv_reference(labels, np.zeros(1), np.ones(1))
+        + _csv_reference(other, np.zeros(1), np.ones(1)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+# replications about the 8 terms a pairwise sum adds in order, days about
+# its 8 accumulators and its split above 128
+@given(st.integers(1, 12), st.sampled_from([1, 5, 8, 9, 120, 128, 129, 136, 300, 1095]),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_report_ranking_is_bottleneck_report_bit_for_bit(reps, days, per_kind, seed):
+    rng = np.random.default_rng(seed)
+    keys = sorted(f"{prefix}.{kind}{k}" for prefix, kind in (("stage_util", "stage"),
+                                                            ("pool_util", "pool"))
+                  for k in range(per_kind))
+    # magnitudes apart, so that any other order of the additions shows in the
+    # bits; and two idle resources, which tie and rank by name (with one of
+    # each kind, nothing is busy and nothing is flagged)
+    idle = {keys[0], keys[-1]}
+    results = [SimpleNamespace(series={
+        key: array("d", (np.zeros(days) if key in idle else
+                         rng.random(days) * 10.0 ** rng.integers(-6, 3)).tolist())
+        for key in keys}) for _ in range(reps)]
+    assert exact(report_ranking(results)) == exact(bottleneck_report(results))
