@@ -546,9 +546,9 @@ def _check_maintenance(cfg, errors):
         if w.end < cfg.model.start_date:
             errors.append(f"maintenance: window {w.start}..{w.end} lies before the "
                           "simulation start")
-        if w.start > cfg.model.end_date:
-            errors.append(f"maintenance: window {w.start}..{w.end} lies after the "
-                          "simulation end")
+        if w.start >= cfg.model.end_date:  # end_date is the first day not simulated
+            errors.append(f"maintenance: window {w.start}..{w.end} starts on or after "
+                          "the simulation end")
 
 
 # ---------------------------------------------------------------------------

@@ -207,18 +207,6 @@ class StepIntegral:
         return out
 
 
-class EndOfHorizon:
-    """Marker returned by ``Engine.pop_next`` when the run is over."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "EndOfHorizon"
-
-
-END_OF_HORIZON = EndOfHorizon()
-
-
 class Engine:
     """Clock plus future-event list with horizon handling.
 
@@ -231,7 +219,6 @@ class Engine:
         self.clock = clock or SimClock()
         self.events = EventList()
         self.handlers: dict[str, object] = {}
-        self.after_event = None  # optional hook, called with no arguments after every event
 
     def schedule(self, delay_or_time: float, kind: str, target: object = None,
                  *, absolute: bool = False) -> Event:
@@ -243,37 +230,31 @@ class Engine:
         self.handlers[kind] = handler
 
     def close(self) -> None:
-        """Drop what only a run needs: the handlers, the after-event hook and
-        the targets of the events still listed, which hold them in turn. The
-        listed events themselves stay, so ``len(events)`` still counts them."""
+        """Drop what only a run needs: the handlers and the targets of the
+        events still listed, which hold them in turn. The listed events
+        themselves stay, so ``len(events)`` still counts them."""
         self.handlers = {}
-        self.after_event = None
         for _, _, ev in self.events._heap:
             ev.target = None
 
-    def pop_next(self) -> Event | EndOfHorizon:
+    def pop_next(self) -> Event | None:
         """Pop the minimal (time, seq) event and advance the clock to it.
 
-        Returns the end-of-horizon marker when the list is empty or the next
-        event lies beyond the horizon; the clock then rests at the horizon.
+        Returns None when the list is empty or the next event lies beyond
+        the horizon; the clock then rests at the horizon.
         """
         clock = self.clock
         ev = self.events.pop(clock.horizon_days)
-        if ev is None:
-            clock.now = clock.horizon_days
-            return END_OF_HORIZON
-        clock.now = ev.time
+        clock.now = clock.horizon_days if ev is None else ev.time
         return ev
 
-    def run(self) -> None:
-        handlers, pop_next, after_event = self.handlers, self.pop_next, self.after_event
-        while True:
-            ev = pop_next()
-            if ev is END_OF_HORIZON:
-                break
+    def run(self, after) -> None:
+        """Handle events up to the horizon, calling ``after`` with no arguments
+        after each handler (the model's C-phase)."""
+        handlers, pop_next = self.handlers, self.pop_next
+        while (ev := pop_next()) is not None:
             handler = handlers.get(ev.kind)
             if handler is None:
                 raise KeyError(f"no handler for event kind {ev.kind!r}")
             handler(ev)
-            if after_event is not None:
-                after_event()
+            after()

@@ -15,12 +15,12 @@ lengths, and writes each material's level and stockout flag.
 the typed columns of a ``BatchLog``, and adds the run totals.
 
 Time advances in the three phases of Pidd's method: pop the next event, run
-its handler (the B-phase), then ``settle`` (the C-phase) starts every batch
-and task whose preconditions now hold. The C-phase visits only the stages and
-pools that are awake: one stage sweep, downstream-first and repeated while a
-stage is awake, then one pool sweep. A visit leaves a stage or pool unable to
-start anything more, so it sleeps until a change that could unblock it wakes
-it:
+its handler (the B-phase), then ``settle`` (the C-phase, which ``run`` hands
+to ``Engine.run``) starts every batch and task whose preconditions now hold.
+The C-phase visits only the stages and pools that are awake: one stage
+sweep, downstream-first and repeated while a stage is awake, then one pool
+sweep. A visit leaves a stage or pool unable to start anything more, so it
+sleeps until a change that could unblock it wakes it:
 
 - a machine at a stage completes, stalls, drains, hands its batch on or loses
   it: that stage wakes, and so does the next stage when it takes batches
@@ -43,18 +43,21 @@ nothing, so a settle starts exactly what offering work to every stage and
 pool would start, in the same downstream-first order; ``tests/test_settle.py``
 checks after every settle that nothing is awake and nothing more can start.
 
-At the horizon ``run`` drops the links that only the run needed: the
-engine's handlers and after-event hook (bound methods of the model and its
-parts), the targets of the events still listed (a machine or task that
-points back at its event), and each part's link back to the model. The
-domain objects hold no back-references of their own: a batch does not know
-where it sits (``Production`` finds it from the stages it entered), a
-sample does not know its batch, an inventory not the stages on its sides,
-and a purchase order holds only its material's id. A finished model is
-then a tree, which reference counting frees as soon as the caller lets it
-go. A cycle would keep the few thousand batches, samples and tasks of a
-replication alive until the next full collection, and an ensemble's peak
-memory would follow the collector's timing.
+Every event handler is a bound method of the model or of the part that owns
+the event (the scenario runtime included), so a replication's whole state is
+reachable from the model: a model deep-copied between events runs on alone
+and finishes with the straight run's bytes. At the horizon ``run`` drops the
+links that only the run needed: the engine's handlers, the targets of the
+events still listed (a machine or task that points back at its event), and
+each part's link back to the model. The domain objects hold no
+back-references of their own: a batch does not know where it sits
+(``Production`` finds it from the stages it entered), a sample does not
+know its batch, an inventory not the stages on its sides, and a purchase
+order holds only its material's id. A finished model is then a tree, which
+reference counting frees as soon as the caller lets it go. A cycle would
+keep the few thousand batches, samples and tasks of a replication alive
+until the next full collection, and an ensemble's peak memory would follow
+the collector's timing.
 """
 
 from __future__ import annotations
@@ -244,7 +247,6 @@ class Model:
         self._wakeable = [*self.qc.pools, *self.production.stages]
         self.collect = Collector(self)
         self.scenario = scenario
-        self.engine.after_event = self.settle
         if scenario is not None:
             scenario.attach(self)
 
@@ -295,12 +297,13 @@ class Model:
         """Simulate the horizon; the config is left as it was found, and the
         links only the run needed are dropped (see the module notes)."""
         self.settle()  # t=0 dispatch
-        self.engine.run()
+        self.engine.run(self.settle)
         scenario = self.scenario
         result = self.collect.result("base" if scenario is None else scenario.name)
         if scenario is not None:
             scenario.restore()
         self.engine.close()
-        for part in (self.materials, self.production, self.qc, self.collect):
-            part.model = None
+        for part in (self.materials, self.production, self.qc, self.collect, scenario):
+            if part is not None:
+                part.model = None
         return result

@@ -141,16 +141,17 @@ class Production:
         self.maintenance_active = False
         self._next_batch_id = 1
         model.engine.on("proc_done", self._on_proc_done)
-        model.engine.on("maint_start", lambda ev: self.set_maintenance(True))
-        model.engine.on("maint_end", lambda ev: self.set_maintenance(False))
+        model.engine.on("maint_start", self._on_maintenance)
+        model.engine.on("maint_end", self._on_maintenance)
 
     # -- closure ---------------------------------------------------------
 
     def stage_closed(self, stage: StageRuntime) -> bool:
         return self.maintenance_active or stage.cfg.closed
 
-    def set_maintenance(self, active: bool) -> None:
-        self.maintenance_active = active
+    def _on_maintenance(self, ev: Event) -> None:
+        """A plant-wide maintenance window opens or closes every stage."""
+        self.maintenance_active = ev.kind == "maint_start"
         for stage in self.stages:
             self._apply_closure(stage)
         self.model.wake_all()

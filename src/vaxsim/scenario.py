@@ -297,23 +297,27 @@ class ScenarioRuntime:
     an inventory capacity has no hook to wake just what it unblocks."""
 
     def __init__(self, spec: ScenarioSpec):
-        self.spec, self.name, self.baseline = spec, spec.name, {}
+        self.spec, self.name, self.baseline, self.model = spec, spec.name, {}, None
 
     def attach(self, model) -> None:
         steps, self.baseline, _ = _timeline(self.spec, model.cfg)
-
-        def play(ev) -> None:
-            for hook, owner, name, value in ev.target:
-                setattr(owner, name, value)
-                if hook is not None:
-                    hook(model, owner, value)
-            model.wake_all()
-
-        model.engine.on("scn_apply", play)
-        model.engine.on("scn_revert", play)
-        model.engine.on("scn_reset", lambda ev: model.reset_wip())
+        self.model = model
+        model.engine.on("scn_apply", self._play)
+        model.engine.on("scn_revert", self._play)
+        model.engine.on("scn_reset", self._reset)
         for day, kind, _, writes in steps:
             model.engine.schedule(float(day), kind, writes, absolute=True)
+
+    def _play(self, ev) -> None:
+        model = self.model
+        for hook, owner, name, value in ev.target:
+            setattr(owner, name, value)
+            if hook is not None:
+                hook(model, owner, value)
+        model.wake_all()
+
+    def _reset(self, ev) -> None:
+        self.model.reset_wip()
 
     def restore(self) -> None:
         """Put every parameter a window names back to its baseline."""

@@ -41,6 +41,9 @@ CONFIG_DIR = Path(vaxsim.__file__).parent / "configs"
 SCENARIO_DIR = CONFIG_DIR / "scenarios"
 SEED = 500
 HORIZON = 1095
+# the ensembles run across two worker processes: a store is byte-identical
+# whatever the worker count, so the checks see the results --jobs 1 gives
+JOBS = 2
 
 # Checks run in definition order; the summary is re-sorted by this label.
 RESULTS: list[tuple[str, str, str]] = []
@@ -94,9 +97,9 @@ def demo_pair(demo_raw, tmp_path_factory):
     cfg = parse_config(demo_raw)
     empty = {"name": "noop", "modifications": []}
     t0 = time.perf_counter()
-    base = run_ensemble(demo_raw, None, SEED, 20)
+    base = run_ensemble(demo_raw, None, SEED, 20, JOBS)
     write_store(str(root / "plain"), base, cfg, None, SEED)
-    twin = run_ensemble(demo_raw, empty, SEED, 20)
+    twin = run_ensemble(demo_raw, empty, SEED, 20, JOBS)
     write_store(str(root / "overlaid"), twin, cfg, parse_scenario(empty, cfg), SEED)
     elapsed = time.perf_counter() - t0
     return {"base": base, "elapsed": elapsed,
@@ -112,17 +115,17 @@ def base20(demo_pair):
 def base50(demo_raw, base20):
     # replication i always runs at seed SEED+i, so extending an ensemble
     # is just running the missing seeds
-    return base20 + run_ensemble(demo_raw, None, SEED + 20, 30)
+    return base20 + run_ensemble(demo_raw, None, SEED + 20, 30, JOBS)
 
 
 @pytest.fixture(scope="session")
 def doubled50(demo_raw):
-    return run_ensemble(demo_raw, _overlay("quality_capacity_doubling"), SEED, 50)
+    return run_ensemble(demo_raw, _overlay("quality_capacity_doubling"), SEED, 50, JOBS)
 
 
 @pytest.fixture(scope="session")
 def inflated20(demo_raw):
-    return run_ensemble(demo_raw, _overlay("lead_time_inflation"), SEED, 20)
+    return run_ensemble(demo_raw, _overlay("lead_time_inflation"), SEED, 20, JOBS)
 
 
 # -- the checks -----------------------------------------------------------

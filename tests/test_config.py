@@ -1,5 +1,7 @@
 """Schema validation, error collection, canonical form, overlay targets and values."""
 
+from datetime import timedelta
+
 import pytest
 
 from vaxsim.config import ConfigError, config_hash, config_to_dict, parse_config
@@ -140,6 +142,19 @@ def test_past_maintenance_window_rejected():
     d["maintenance"] = [{"start": "2024-01-01", "end": "2024-01-10"}]
     with pytest.raises(ConfigError, match="before the simulation start"):
         parse_config(d)
+
+
+def test_maintenance_window_from_end_date_rejected():
+    # end_date is the first day not simulated: a window starting on it would
+    # change nothing, while one ending on the last simulated day is accepted
+    d = chain_dict()
+    end = parse_config(d).model.end_date
+    last = end - timedelta(days=1)
+    d["maintenance"] = [{"start": end.isoformat(), "end": end.isoformat()}]
+    with pytest.raises(ConfigError, match="starts on or after the simulation end"):
+        parse_config(d)
+    d["maintenance"] = [{"start": last.isoformat(), "end": end.isoformat()}]
+    assert parse_config(d).maintenance[0].start == last
 
 
 def test_prerequisite_cycle_rejected():

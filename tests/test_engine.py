@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vaxsim.engine import (
-    END_OF_HORIZON,
     Engine,
     EventList,
     RngRegistry,
@@ -95,8 +94,8 @@ def test_engine_runs_handlers_in_order_and_parks_at_horizon():
     eng.schedule(2.0, "b")
     eng.schedule(1.0, "a")
     eng.schedule(20.0, "a")  # beyond horizon: never dispatched
-    eng.run()
-    assert seen == [(1.0, 1, "a"), (2.0, 0, "b")]
+    eng.run(lambda: seen.append("after"))
+    assert seen == [(1.0, 1, "a"), "after", (2.0, 0, "b"), "after"]
     assert eng.clock.now == clock.horizon_days
 
 
@@ -112,15 +111,19 @@ def test_handlers_can_schedule_followups():
 
     eng.on("bounce", bounce)
     eng.schedule(0.0, "bounce")
-    eng.run()
+    eng.run(lambda: None)
     assert hits == [0.0, 1.5, 3.0, 4.5]
 
 
-def test_end_of_horizon_marker_is_singleton():
-    assert END_OF_HORIZON is not None
+def test_pop_next_returns_none_at_the_horizon():
     clock = SimClock(date(2025, 4, 1), date(2025, 4, 2))
     eng = Engine(clock)
-    assert eng.pop_next() is END_OF_HORIZON
+    eng.schedule(0.5, "a")
+    eng.schedule(1.5, "beyond")
+    assert eng.pop_next().kind == "a" and clock.now == 0.5
+    assert eng.pop_next() is None and clock.now == 1.0
+    assert len(eng.events) == 1  # the event beyond the horizon stays listed
+    assert Engine(clock).pop_next() is None  # an empty list ends the run too
 
 
 def draws(g, n: int) -> list[float]:
@@ -174,7 +177,7 @@ def test_trace_is_sorted_by_time_then_seq():
     eng.on("t", lambda ev: trace.append((ev.time, ev.seq, ev.kind)))
     for t in [3.0, 1.0, 1.0, 2.0]:
         eng.schedule(t, "t")
-    eng.run()
+    eng.run(lambda: None)
     assert trace == sorted(trace)
     assert [t for t, _, _ in trace] == [1.0, 1.0, 2.0, 3.0]
 

@@ -553,3 +553,61 @@ def test_an_ensemble_leaves_no_model_alive():
     alive, made, garbage = _freed("", 6)
     assert alive == [[]] * 6 and garbage == 0
     assert made["Model"] == 6
+
+
+# The same for a fork: a model deep-copied inside a handler partway through
+# its run. Once the original and the copy have both run and been let go, no
+# Model, Batch or Task of either is alive, and a full collection finds
+# nothing. A deep copy makes its objects without calling ``__init__``, so
+# they are counted among the objects the collector tracks.
+FORKED = """\
+import copy, gc, json, sys
+import yaml
+from vaxsim import model, production, qaqc
+from vaxsim.config import parse_config
+from vaxsim.scenario import ScenarioRuntime, parse_scenario
+
+KINDS = (model.Model, production.Batch, qaqc.Task)
+
+def census():
+    counts = dict.fromkeys((kind.__name__ for kind in KINDS), 0)
+    for obj in gc.get_objects():
+        if isinstance(obj, KINDS):
+            counts[type(obj).__name__] += 1
+    return counts
+
+class Probe:
+    def __init__(self, m):
+        self.model, self.forks = m, []
+    def __deepcopy__(self, memo):
+        return Probe(None)
+    def on_probe(self, ev):
+        if self.model is not None:
+            self.forks.append(copy.deepcopy(self.model))
+
+raw = yaml.safe_load(open(sys.argv[1]))
+overlay = yaml.safe_load(open(sys.argv[2])) if sys.argv[2] else {}
+gc.disable()
+gc.collect()
+cfg = parse_config(raw)
+original = model.Model(cfg, 2, scenario=ScenarioRuntime(parse_scenario(overlay, cfg)))
+probe = Probe(original)
+original.engine.on("probe", probe.on_probe)
+original.engine.schedule(float(sys.argv[3]), "probe", absolute=True)
+original.run()
+(fork,) = probe.forks
+del probe
+fork.run()
+made = census()
+del original, fork
+print(json.dumps([made, census(), gc.collect()]))
+"""
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_a_fork_and_its_original_free_themselves(name):
+    overlay = "" if name == "base" else str(CONFIGS / "scenarios" / f"{name}.yaml")
+    made, alive, garbage = json.loads(_fresh_python(
+        FORKED, str(CONFIGS / "demo.yaml"), overlay, "242.5"))
+    assert made["Model"] == 2 and made["Batch"] > 200  # tasks may all be done
+    assert alive == dict.fromkeys(made, 0) and garbage == 0
