@@ -61,24 +61,33 @@ class EventList:
     """Future-event list ordered by (time, seq).
 
     ``seq`` is assigned at insertion, so simultaneous events pop in the order
-    they were scheduled (FIFO tie-break). Cancellation is tombstoning only: a
-    voided event stays in the heap and is skipped when popped.
+    they were scheduled (FIFO tie-break). An event pushed ``first`` takes its
+    seq from a second counter that lies below every ordinary seq, so it pops
+    before every ordinary event at its instant, whenever either was pushed.
+    Cancellation is tombstoning only: a voided event stays in the heap and is
+    skipped when popped.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
+        self._first_seq = -(1 << 62)
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: float, kind: str, target: object = None, *, now: float = 0.0) -> Event:
+    def push(self, time: float, kind: str, target: object = None, *, now: float = 0.0,
+             first: bool = False) -> Event:
         if time < now:
             raise SchedulingError(
                 f"event {kind!r} scheduled at t={time} before current time t={now}"
             )
-        ev = Event(time, self._seq, kind, target)
-        self._seq += 1
+        if first:
+            ev = Event(time, self._first_seq, kind, target)
+            self._first_seq += 1
+        else:
+            ev = Event(time, self._seq, kind, target)
+            self._seq += 1
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
 
@@ -221,10 +230,10 @@ class Engine:
         self.handlers: dict[str, object] = {}
 
     def schedule(self, delay_or_time: float, kind: str, target: object = None,
-                 *, absolute: bool = False) -> Event:
+                 *, absolute: bool = False, first: bool = False) -> Event:
         now = self.clock.now
         return self.events.push(delay_or_time if absolute else now + delay_or_time,
-                                kind, target, now=now)
+                                kind, target, now=now, first=first)
 
     def on(self, kind: str, handler) -> None:
         self.handlers[kind] = handler

@@ -44,11 +44,7 @@ class MaterialRuntime:
         self.consumed_total = 0.0
         self.received_total = 0.0
         self.batch_equiv = batch_equiv  # daily levels are reported in these units
-        self.consumers: list = []  # stage runtimes that use it, woken when on_hand moves
-
-    def wake_consumers(self) -> None:
-        for stage in self.consumers:
-            stage.awake = True
+        self.consumers: list = []  # stage runtimes that use it, notified when on_hand moves
 
     @property
     def id(self) -> str:
@@ -85,7 +81,8 @@ class Materials:
             rt = self.runtimes[mid]
             rt.on_hand -= qty
             rt.consumed_total += qty
-            rt.wake_consumers()  # another consumer may now fall short and note it
+            for stage in rt.consumers:  # another may now fall short and must note it
+                stage.notify("consumption")
             self._review(rt)
 
     def note_shortfall(self, mid: str) -> None:
@@ -184,7 +181,8 @@ class Materials:
             po.state = "accepted"
             rt.on_hand += po.qty
             rt.received_total += po.qty
-            rt.wake_consumers()
+            for stage in rt.consumers:
+                stage.notify("receipt")
             if rt.stockout_since is not None:
                 rt.stockout_since = None
                 if now > math.floor(now):

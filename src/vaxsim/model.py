@@ -19,29 +19,54 @@ its handler (the B-phase), then ``settle`` (the C-phase, which ``run`` hands
 to ``Engine.run``) starts every batch and task whose preconditions now hold.
 The C-phase visits only the stages and pools that are awake: one stage
 sweep, downstream-first and repeated while a stage is awake, then one pool
-sweep. A visit leaves a stage or pool unable to start anything more, so it
-sleeps until a change that could unblock it wakes it:
+sweep. A stage's visit drains what it can and starts batches until a check
+fails, and the stage then sleeps on that block reason
+(``StageRuntime.blocked``). The checks run closed, machine, input, material,
+downstream, so only three kinds of change can alter the reason: the failed
+check turning true, an earlier check turning false, or output space freeing
+for stalled machines to drain. Each change around a stage is one
+``StageRuntime.notify``, which wakes the stage only if the change can alter
+the reason it sleeps on:
 
-- a machine at a stage completes, stalls, drains, hands its batch on or loses
-  it: that stage wakes, and so does the next stage when it takes batches
-  straight off this one's machines (a stage's own starts happen during its
-  visit, which runs until it is blocked);
-- a push, pop or removal on an inventory (a release from the final one
-  included) wakes the stages on both sides of it;
-- an accepted receipt or a consumption of a material wakes the stages that
-  use it: a receipt can unblock them, and a consumption can leave one short,
-  which it must note at once;
-- an enqueue, a release or a capacity change on a pool wakes that pool;
+- ``no_machine``: a machine freed, space;
+- ``no_input``: input arrived, space;
+- ``material_stockout``: a receipt, a consumption by another stage, input
+  lost, space;
+- ``downstream_full``: space, a consumption, input lost;
+- ``closed``: nothing short of waking everything.
+
+The changes come from these moves:
+
+- a push on an inventory is input arrived for the stage after it; a pop or a
+  removal is space for the stage before it, and a removal is input lost for
+  the stage after it;
+- a machine that completes and hands its batch on, or loses it, is a machine
+  freed at its stage. One that completes with no output inventory stalls,
+  which is input arrived for the next stage, since that stage takes batches
+  straight off it; losing a stalled batch there is input lost;
+- an accepted receipt or a consumption of a material is told to every stage
+  that uses it: a consumption can leave another one short, which must note
+  the shortfall at once;
 - maintenance and every scenario apply or revert wake everything (an
   inventory capacity has no apply hook that could wake just its neighbours).
 
-Day ticks, order placements, purchase-order steps short of a receipt and
-task starts wake nothing. A stage sweep can wake a pool (a batch entering the
-final inventory is queued for review), but a pool sweep only starts tasks, so
-once it is done nothing is awake. A sleeping stage or pool would start
-nothing, so a settle starts exactly what offering work to every stage and
-pool would start, in the same downstream-first order; ``tests/test_settle.py``
-checks after every settle that nothing is awake and nothing more can start.
+A stage's own moves during its visit are in the reason it ends on, so they
+do not wake it again. A pool wakes on an enqueue while a head is free, on a
+release with work still queued and on a capacity change. Day ticks, order
+placements, purchase-order steps short of a receipt and task starts wake
+nothing. A stage sweep can wake a pool (a batch entering the final inventory
+is queued for review), but a pool sweep only starts tasks, so once it is
+done nothing is awake. A sleeping stage or pool would start nothing and
+return the reason it sleeps on, so a settle starts exactly what offering
+work to every stage and pool would start, in the same downstream-first
+order; ``tests/test_settle.py`` checks after every settle that nothing is
+awake, nothing more can start, and every stage's reason is still the one it
+sleeps on.
+
+The day ticks are a chain: each tick lists the next one, pushed ``first`` so
+that it pops before every other event at its instant, and a day's readings
+never absorb a change that belongs to the following day. The event list
+holds one tick at a time, not the whole horizon's.
 
 Every event handler is a bound method of the model or of the part that owns
 the event (the scenario runtime included), so a replication's whole state is
@@ -227,18 +252,18 @@ class Model:
         self.rng = RngRegistry(seed)
         # test ids are fixed once parsed; overlays edit these objects in place
         self.tests = {t.id: t for t in cfg.qc.tests}
-        # the whole day-tick chain goes in first: at any instant the tick must
-        # precede same-time domain events, so a day's readings never absorb
-        # changes that belong to the following day
+        # the day ticks are a chain, one listed at a time: each tick lists the
+        # next, first at its instant (see the module notes)
         self.engine.on("day", self._on_day)
-        for t in range(1, int(clock.horizon_days) + 1):
-            self.engine.schedule(float(t), "day", absolute=True)
+        if clock.horizon_days >= 1.0:
+            self.engine.schedule(1.0, "day", absolute=True, first=True)
         for w in cfg.maintenance:
-            start = clock.date_to_time(w.start)
+            # validation refuses a window that ends before the start date; one
+            # that opens before it is open from t = 0
+            start = max(clock.date_to_time(w.start), 0.0)
             end = clock.date_to_time(w.end) + 1.0  # inclusive end date
-            if start >= 0:
-                self.engine.schedule(start, "maint_start", absolute=True)
-            self.engine.schedule(max(end, 0.0), "maint_end", absolute=True)
+            self.engine.schedule(start, "maint_start", absolute=True)
+            self.engine.schedule(end, "maint_end", absolute=True)
         self.materials = Materials(self)
         self.production = Production(self)
         self.qc = QaQc(self)
@@ -251,7 +276,10 @@ class Model:
             scenario.attach(self)
 
     def _on_day(self, ev) -> None:
-        self.collect.day_tick(ev.time)
+        t = ev.time
+        self.collect.day_tick(t)
+        if t < self.engine.clock.horizon_days:
+            self.engine.schedule(t + 1.0, "day", absolute=True, first=True)
 
     def wake_all(self) -> None:
         for item in self._wakeable:

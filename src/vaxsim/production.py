@@ -1,12 +1,12 @@
 """Push-based batch flow through the process chain.
 
-A stage starts a batch the moment an input batch, all raw materials, downstream
-space, and an idle machine line up (checked in that order, so the first failing
-precondition is what gets logged). Finished batches that find their output
-inventory full stay on the machine (blocking-after-service) until space frees.
-Stages with no output inventory hand batches directly to the next stage: the
-machine stalls until the downstream stage pulls the batch into one of its own
-machines.
+A stage starts a batch the moment it is open and an idle machine, an input
+batch, all raw materials and downstream space line up (checked in that order,
+so the first failing precondition is the block reason the stage sleeps on).
+Finished batches that find their output inventory full stay on the machine
+(blocking-after-service) until space frees. Stages with no output inventory
+hand batches directly to the next stage: the machine stalls until the
+downstream stage pulls the batch into one of its own machines.
 
 Maintenance closes all stages at once; a scenario can close a single stage via
 its ``closed`` flag. Closure suspends in-flight processing and resumes it with
@@ -37,6 +37,19 @@ BATCH_COLUMNS = [["created_at", "d"], ["doses", "q"], ["state", "b"],
                  ["retests", "q"], ["investigations", "q"]]
 CODES = {"state": [IN_PROCESS, AWAITING_RELEASE, RELEASED, DISCARDED],
          "discard_cause": [None, "failed_retest", "power_outage"]}
+
+# the changes ``StageRuntime.notify`` is told of, and for each block reason
+# those that can alter it (the rules are set out in the module notes of
+# ``model``); a stage not yet visited is woken by anything
+CHANGES = frozenset({"machine", "input", "input_lost", "receipt", "consumption", "space"})
+WAKES = {
+    None: CHANGES,
+    "closed": frozenset(),
+    "no_machine": frozenset({"machine", "space"}),
+    "no_input": frozenset({"input", "space"}),
+    "material_stockout": frozenset({"receipt", "consumption", "input_lost", "space"}),
+    "downstream_full": frozenset({"space", "consumption", "input_lost"}),
+}
 
 
 @dataclass(slots=True, eq=False)  # identity semantics, as for a Task
@@ -81,7 +94,8 @@ class Machine:
 
 class InventoryRuntime:
     """A FIFO buffer after one stage. It holds no link to the stages on its
-    sides: ``Production`` wakes them on every push, pop or removal."""
+    sides: ``Production`` notifies the consumer of a push and the producer of
+    a pop or removal."""
 
     def __init__(self, cfg):
         self.cfg = cfg
@@ -100,12 +114,19 @@ class StageRuntime:
         self.output_inv: InventoryRuntime | None = None
         self.handoff: StageRuntime | None = None  # takes batches off our machines
         self.awake = True  # may be able to start or drain; dispatch_pass visits it
+        self.blocked: str | None = None  # the reason its last visit ended on
         self.busy = StepIntegral()
         self.closed_int = StepIntegral()
 
     @property
     def id(self) -> str:
         return self.cfg.id
+
+    def notify(self, change: str) -> None:
+        """``change`` (a name in ``CHANGES``) happened around this stage: wake
+        it if that can alter the reason its last visit ended on."""
+        if change in WAKES[self.blocked]:
+            self.awake = True
 
     def stalled_machines(self) -> list[Machine]:
         """The stalled machines, the earliest finished first."""
@@ -190,28 +211,16 @@ class Production:
 
     # -- dispatch --------------------------------------------------------
 
-    def wake(self, stage: StageRuntime) -> None:
-        """A machine at ``stage`` changed state: the stage may start or drain,
-        and so may the stage that takes batches straight off its machines."""
-        stage.awake = True
-        if stage.handoff is not None:
-            stage.handoff.awake = True
-
-    def inventory_moved(self, stage: StageRuntime) -> None:
-        """A batch entered or left the output inventory of ``stage``: wake the
-        stages on both sides of it."""
-        for side in self.stages[stage.idx:stage.idx + 2]:
-            side.awake = True
-
     def dispatch_pass(self) -> bool:
         """The stages' share of the C-phase: drain, then start what can start.
 
         Visits only awake stages, downstream-first so that freed space
         propagates upstream within one sweep, and sweeps again while a stage
-        is awake (only a move wakes one). A visited stage sleeps until a
-        change that could unblock it wakes it again (the wake rules are listed
-        in ``model``); a sleeping stage would have drained and started
-        nothing. True if anything moved.
+        is awake (a visit wakes only the stages around it). A visit runs until
+        the stage is blocked and keeps the reason: the stage sleeps until a
+        change that can alter that reason wakes it (the rules are listed in
+        ``model``); a sleeping stage would have drained and started nothing
+        and returned the same reason. True if anything moved.
         """
         drain, try_dispatch = self._drain_stalled, self.try_dispatch
         stages = self._downstream_first
@@ -220,11 +229,13 @@ class Production:
             for stage in stages:
                 if not stage.awake:
                     continue
-                stage.awake = False
                 if drain(stage):
                     moved = True
-                while try_dispatch(stage) is None:
+                while (reason := try_dispatch(stage)) is None:
                     moved = True
+                # its own moves are in the reason: they wake it no more
+                stage.blocked = reason
+                stage.awake = False
             for stage in stages:
                 if stage.awake:
                     break
@@ -285,10 +296,10 @@ class Production:
         elif donor is not None:
             batch = donor.batch
             donor.free()
-            self.wake(upstream)
+            upstream.notify("machine")
         else:
             batch = stage.input_inv.contents.pop(0)
-            self.inventory_moved(self.stages[stage.idx - 1])
+            self.stages[stage.idx - 1].notify("space")
         materials.consume(stage.cfg.materials)
 
         batch.stages_entered += 1
@@ -319,7 +330,6 @@ class Production:
         now = self.clock.now
         machine.proc_event = None
         stage.busy.add(now, -1)
-        self.wake(stage)  # the machine goes idle or stalls below
 
         yf = stage.cfg.yield_fraction
         # a constant draws nothing, so its substream is not even keyed
@@ -331,17 +341,21 @@ class Production:
         self.model.qc.on_stage_complete(batch, stage)  # only enqueues work
         if stage.output_inv is not None and stage.output_inv.has_space():
             machine.free()
+            stage.notify("machine")
             self._place_output(stage, batch)
         else:
             machine.state = STALLED  # downstream pulls it, or space frees
+            if stage.handoff is not None:
+                stage.handoff.notify("input")
 
     def _place_output(self, stage: StageRuntime, batch: Batch) -> None:
         inv = stage.output_inv
         inv.contents.append(batch)
-        self.inventory_moved(stage)
         if inv is self.final_inv:
             batch.state = AWAITING_RELEASE
             self.model.qc.on_enter_final(batch)
+        else:
+            self.stages[stage.idx + 1].notify("input")
 
     # -- hard resets -----------------------------------------------------
 
@@ -357,11 +371,15 @@ class Production:
                         m.proc_event = None
                     if m.state == BUSY:
                         stage.busy.add(self.clock.now, -1)
+                    elif m.state == STALLED and stage.handoff is not None:
+                        stage.handoff.notify("input_lost")
                     m.free()
-                    self.wake(stage)
+                    stage.notify("machine")
                     return
         stage.output_inv.contents.remove(batch)  # raises if the batch is not there
-        self.inventory_moved(stage)
+        stage.notify("space")
+        if stage.output_inv is not self.final_inv:
+            self.stages[stage.idx + 1].notify("input_lost")
 
     def wip_batches(self) -> list[Batch]:
         out = []

@@ -69,8 +69,9 @@ class Pool:
         self.started = 0
         self.wait_total = 0.0  # enqueue -> start
         self.purged_wait = 0.0  # enqueue -> purge, of the tasks a purge drops
-        # may start a task: enqueue, set_capacity and a release with work queued
-        # set it (a purge only shrinks the queue), QaQc.pump clears it
+        # may start a task: an enqueue with a head free, set_capacity and a
+        # release with work queued set it (a purge only shrinks the queue),
+        # QaQc.pump clears it
         self.awake = True
 
     def enqueue(self, task: Task, key: tuple, now: float) -> None:
@@ -78,7 +79,8 @@ class Pool:
         heapq.heappush(self._heap, (key, self._seq, task))
         self._seq += 1
         self.queue_int.add(now, 1)
-        self.awake = True
+        if self.busy < self.capacity:
+            self.awake = True
 
     def set_capacity(self, capacity: int, now: float) -> None:
         self.capacity = capacity

@@ -280,13 +280,20 @@ def validate_scenario(spec: ScenarioSpec, cfg: Config) -> list[str]:
         errors.extend(found.get(mod.idx, ()))
         if mod.end is not None and mod.end < mod.start:
             errors.append(f"{where}: window ends before it starts")
-        if mod.start < horizon[0] or mod.start > horizon[1]:
+        # end_date is the first day not simulated: a step on it would act at
+        # the horizon instant alone
+        if mod.start < horizon[0]:
             errors.append(f"{where}: window start {mod.start} outside the horizon")
+        elif mod.start >= horizon[1]:
+            errors.append(f"{where}: window from {mod.start} starts on or after "
+                          "the simulation end")
         if mod.end is not None and mod.end > horizon[1]:
             errors.append(f"{where}: window end {mod.end} outside the horizon")
     for at in spec.resets:
-        if at < horizon[0] or at > horizon[1]:
+        if at < horizon[0]:
             errors.append(f"reset_wip at {at}: outside the horizon")
+        elif at >= horizon[1]:
+            errors.append(f"reset_wip at {at}: starts on or after the simulation end")
     return errors
 
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from vaxsim.config import parse_config
 from vaxsim.engine import (
     Engine,
     EventList,
@@ -15,6 +16,10 @@ from vaxsim.engine import (
     SimClock,
     StepIntegral,
 )
+from vaxsim.model import Model
+from vaxsim.scenario import ScenarioRuntime, parse_scenario
+
+from conftest import chain_dict
 
 
 def test_events_pop_in_time_order():
@@ -124,6 +129,75 @@ def test_pop_next_returns_none_at_the_horizon():
     assert eng.pop_next() is None and clock.now == 1.0
     assert len(eng.events) == 1  # the event beyond the horizon stays listed
     assert Engine(clock).pop_next() is None  # an empty list ends the run too
+
+
+def test_an_event_pushed_first_pops_before_the_ordinary_events_at_its_instant():
+    el = EventList()
+    el.push(5.0, "a")
+    el.push(4.0, "b")
+    el.push(5.0, "first_1", first=True)
+    el.push(5.0, "c")
+    el.push(5.0, "first_2", first=True)
+    assert [el.pop().kind for _ in range(5)] == ["b", "first_1", "first_2", "a", "c"]
+
+
+def _recorded_run(model):
+    """Run ``model``; return the (time, kind) of each handled event, and for
+    each handler the day events listed after it, with whether each one sorts
+    before every other event listed."""
+    handled, listed = [], []
+    heap = model.engine.events._heap
+
+    def recording(handler):
+        def record(ev):
+            handled.append((ev.time, ev.kind))
+            handler(ev)
+            days = [seq for _, seq, e in heap if e.kind == "day"]
+            listed.append([all(seq < other for _, other, e in heap if e.kind != "day")
+                           for seq in days])
+        return record
+
+    handlers = model.engine.handlers
+    for kind in handlers:
+        handlers[kind] = recording(handlers[kind])
+    model.run()
+    return handled, listed
+
+
+def _chain_with_steps_on_whole_days():
+    """The conftest chain with a maintenance start on day 5 and scenario steps
+    on days 10 and 12; its constant processing times finish on whole days."""
+    d = chain_dict()
+    d["maintenance"] = [{"start": "2025-04-06", "end": "2025-04-07"}]
+    cfg = parse_config(d)
+    spec = parse_scenario({"name": "close_fill", "modifications": [
+        {"window": {"start": "2025-04-11", "end": "2025-04-12"},
+         "set": {"stages.fill.closed": True}}]}, cfg)
+    return Model(cfg, seed=1, scenario=ScenarioRuntime(spec))
+
+
+def test_a_day_tick_is_handled_before_the_domain_events_of_its_instant():
+    """A day's readings never absorb a change that belongs to the next day."""
+    handled, _ = _recorded_run(_chain_with_steps_on_whole_days())
+    tick_at = {t: i for i, (t, kind) in enumerate(handled) if kind == "day"}
+    on_whole_days = [(i, t, kind) for i, (t, kind) in enumerate(handled)
+                     if kind != "day" and t >= 1.0 and t == int(t)]
+    kinds = {kind for _, _, kind in on_whole_days}
+    assert {"maint_start", "maint_end", "scn_apply", "scn_revert", "proc_done"} <= kinds
+    assert not [(t, kind) for i, t, kind in on_whole_days if i < tick_at[t]]
+
+
+def test_the_event_list_holds_one_day_tick_at_a_time():
+    """Each tick lists the next, ahead of every other event listed, until the
+    horizon's tick, which lists none."""
+    model = _chain_with_steps_on_whole_days()
+    handled, listed = _recorded_run(model)
+    horizon = model.engine.clock.horizon_days
+    assert [t for t, kind in handled if kind == "day"] == [
+        float(t) for t in range(1, int(horizon) + 1)]
+    last = handled.index((horizon, "day"))
+    assert all(days == [True] for days in listed[:last])
+    assert all(days == [] for days in listed[last:])
 
 
 def draws(g, n: int) -> list[float]:

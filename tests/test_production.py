@@ -6,6 +6,8 @@ import pytest
 
 from vaxsim.config import ConfigError, parse_config
 from vaxsim.model import Model
+from vaxsim.production import STALLED, Batch
+from vaxsim.runner import result_to_ndjson
 
 from conftest import batch_rows, chain_dict
 
@@ -53,15 +55,39 @@ def test_inputs_and_final_inventory_follow_the_stage_chain(handoff):
     assert prep.handoff is (mix if handoff else None)
     assert fill.input_inv is mix.output_inv is invs["buf_2"]
     assert prod.final_inv is fill.output_inv is invs["finished"]
-    # a move on an inventory wakes the stages on both sides of it, and no other
-    woken = []
+    # a push notifies the stage after the inventory of input; a pop notifies
+    # the stage before it of space, and a removal does that and tells the
+    # stage after it that its input is lost. The chain has no QC, so a batch
+    # pushed into the final inventory is released, and removed, at once.
+    told = []
+    for stage in prod.stages:
+        stage.notify = lambda change, sid=stage.id: told.append((sid, change))
+
+    def telling(action, *args):
+        told.clear()
+        action(*args)
+        return list(told)
+
+    pushed, removed = [], []
     for stage in prod.stages:
         if stage.output_inv is not None:
-            for s in prod.stages:
-                s.awake = False
-            prod.inventory_moved(stage)
-            woken.append([s.id for s in prod.stages if s.awake])
-    assert woken == [*([] if handoff else [["prep", "mix"]]), ["mix", "fill"], ["fill"]]
+            batch = Batch(99, 0.0, stages_entered=stage.idx + 1)
+            pushed.append(telling(prod._place_output, stage, batch))
+            if batch in stage.output_inv.contents:
+                removed.append(telling(prod.remove_batch, batch))
+    assert pushed == [*([] if handoff else [[("mix", "input")]]),
+                      [("fill", "input")], [("fill", "space")]]
+    assert removed == [*([] if handoff else [[("prep", "space"), ("mix", "input_lost")]]),
+                       [("mix", "space"), ("fill", "input_lost")]]
+    # mix takes its input: off buf_1, or off a machine of prep that stalled
+    batch = Batch(99, 0.0, stages_entered=1)
+    if handoff:
+        donor = prep.machines[0]
+        donor.state, donor.batch, donor.finish_time = STALLED, batch, 0.0
+    else:
+        prep.output_inv.contents.append(batch)
+    assert telling(prod.try_dispatch, mix) == [("prep", "machine" if handoff else "space")]
+    assert mix.machines[0].batch is batch
 
 
 def test_finite_buffer_blocks_and_recovers():
@@ -126,6 +152,19 @@ def test_maintenance_suspends_and_resumes_processing():
     assert times[2] == 14.0
     late = [t for t in times if t > 20]
     assert all(b - a == 3.0 for a, b in zip(late, late[1:]))
+
+
+def test_a_maintenance_window_opening_before_the_start_date_is_open_from_it():
+    """A window from before start_date into the horizon closes the plant from
+    t = 0: its replication writes the bytes of one that opens on start_date."""
+    written = []
+    for start in ("2025-03-25", "2025-04-01"):
+        d = chain_dict()
+        d["maintenance"] = [{"start": start, "end": "2025-04-05"}]
+        res = Model(parse_config(d), seed=1).run()
+        assert res.counts["stage_closed_days.prep"] == 5.0
+        written.append(result_to_ndjson(res))
+    assert written[0] == written[1]
 
 
 def test_stage_closure_flag_suspends_one_stage():

@@ -61,6 +61,21 @@ def test_window_outside_horizon_rejected(chain_cfg):
             chain_cfg)
 
 
+@pytest.mark.parametrize("node", [
+    window("2028-03-31", "2028-03-31", **{"qa.reviewers": 9}),
+    {"window": {"start": "2028-03-31"}, "set": {"qa.reviewers": 9}, "revert": False},
+    {"action": "reset_wip", "at": "2028-03-31"},
+])
+def test_a_step_on_the_end_date_is_refused(chain_cfg, node):
+    """end_date is the first day not simulated: a window opening on it, or a
+    reset there, would act at the horizon instant alone."""
+    with pytest.raises(ConfigError, match="starts on or after the simulation end"):
+        parse_scenario(overlay(node), chain_cfg)
+    day_before = {k: dict(v, start="2028-03-30") if k == "window" else
+                  "2028-03-30" if k == "at" else v for k, v in node.items()}
+    assert not parse_scenario(overlay(day_before), chain_cfg).is_empty
+
+
 def test_value_must_coerce_against_baseline(chain_cfg):
     with pytest.raises(ConfigError):
         parse_scenario(overlay(

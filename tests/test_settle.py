@@ -120,7 +120,7 @@ def overlays(draw, plant):
     mods = []
     for _ in range(draw(st.integers(0, 3))):
         if draw(st.integers(0, 5)) == 0:
-            mods.append({"action": "reset_wip", "at": day(draw(st.integers(0, DAYS)))})
+            mods.append({"action": "reset_wip", "at": day(draw(st.integers(0, DAYS - 1)))})
             continue
         node = {"window": draw(windows()), "set": draw(st.one_of(choices))}
         if draw(st.integers(0, 3)) == 0:
@@ -132,8 +132,11 @@ def overlays(draw, plant):
 
 def assert_quiescent(model) -> None:
     """Nothing is awake, nothing can start or drain, and a dispatch attempt
-    would change nothing. Nothing awake is what lets a settle make one stage
-    sweep and one pool sweep: a pool start that woke a stage would fail here."""
+    would change nothing and return the reason the stage's last visit ended
+    on. Nothing awake is what lets a settle make one stage sweep and one pool
+    sweep: a pool start that woke a stage would fail here. A sleeping stage is
+    woken only by a change that can alter its reason, so a missed wake fails
+    here too, even where it would start nothing."""
     prod, materials = model.production, model.materials
     awake = [s.id for s in prod.stages if s.awake] + [p.name for p in model.qc.pools if p.awake]
     assert not awake, f"t={model.engine.clock.now}: {awake} still awake"
@@ -148,6 +151,8 @@ def assert_quiescent(model) -> None:
             reason = prod.try_dispatch(stage)
             assert reason is not None, \
                 f"t={model.engine.clock.now}: {stage.id} could still start"
+            assert reason == stage.blocked, \
+                f"t={model.engine.clock.now}: {stage.id} is {reason}, asleep on {stage.blocked}"
             if stage.output_inv is not None and not prod.stage_closed(stage):
                 assert not (stage.output_inv.has_space() and
                             any(m.state == STALLED for m in stage.machines)), \
