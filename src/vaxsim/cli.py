@@ -52,7 +52,12 @@ def _load_yaml(path: str):
             return yaml.safe_load(fh)
     except FileNotFoundError:
         raise ConfigError([f"no such file: {path}"])
-    except yaml.YAMLError as exc:
+    except OSError as exc:  # a directory, say
+        raise ConfigError([f"{path}: cannot read it: {exc.strerror}"])
+    except RecursionError:
+        raise ConfigError([f"{path}: nested too deeply to read"])
+    # ValueError: bytes that are not UTF-8, or a date PyYAML cannot build
+    except (yaml.YAMLError, ValueError) as exc:
         raise ConfigError([f"{path}: {exc}"])
 
 

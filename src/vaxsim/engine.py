@@ -39,11 +39,6 @@ class SimClock:
     def __post_init__(self) -> None:
         self.horizon_days = float((self.end_date - self.start_date).days)
 
-    def day_index(self, t: float | None = None) -> int:
-        """0-based index of the day bin containing time ``t`` (default: now)."""
-        t = self.now if t is None else t
-        return min(int(t), int(self.horizon_days) - 1)
-
     def date_to_time(self, d: date) -> float:
         return float((d - self.start_date).days)
 
@@ -61,46 +56,38 @@ class EventList:
     """Future-event list ordered by (time, seq).
 
     ``seq`` is assigned at insertion, so simultaneous events pop in the order
-    they were scheduled (FIFO tie-break). An event pushed ``first`` takes its
-    seq from a second counter that lies below every ordinary seq, so it pops
-    before every ordinary event at its instant, whenever either was pushed.
-    Cancellation is tombstoning only: a voided event stays in the heap and is
-    skipped when popped.
+    they were scheduled (FIFO tie-break). Cancellation is tombstoning only: a
+    voided event stays in the heap and is skipped when popped.
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[float, int, Event]] = []
         self._seq = 0
-        self._first_seq = -(1 << 62)
 
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: float, kind: str, target: object = None, *, now: float = 0.0,
-             first: bool = False) -> Event:
+    def push(self, time: float, kind: str, target: object = None, *,
+             now: float = 0.0) -> Event:
         if time < now:
             raise SchedulingError(
                 f"event {kind!r} scheduled at t={time} before current time t={now}"
             )
-        if first:
-            ev = Event(time, self._first_seq, kind, target)
-            self._first_seq += 1
-        else:
-            ev = Event(time, self._seq, kind, target)
-            self._seq += 1
+        ev = Event(time, self._seq, kind, target)
+        self._seq += 1
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
 
     def pop(self, until: float = math.inf) -> Event | None:
-        """Pop the earliest live event if it lies at or before ``until``, else
-        None (the event stays listed); tombstones on the way are dropped."""
+        """Pop the earliest live event if it lies before ``until``, else None
+        (the event stays listed); tombstones on the way are dropped."""
         heap = self._heap
         while heap:
             entry = heapq.heappop(heap)
             ev = entry[2]
             if ev.void:
                 continue
-            if entry[0] > until:
+            if entry[0] >= until:
                 heapq.heappush(heap, entry)  # at most once a run: the horizon
                 return None
             return ev
@@ -219,21 +206,20 @@ class StepIntegral:
 class Engine:
     """Clock plus future-event list with horizon handling.
 
-    Handlers are registered per event kind; ``run`` pops events until the list
-    drains or the next event lies beyond the horizon, then parks the clock at
-    the horizon.
+    Handlers are registered per event kind, and every event is listed at an
+    absolute time. ``run`` handles the events before the horizon and ticks
+    each whole day on the way (see ``run``), then parks the clock at the
+    horizon.
     """
 
     def __init__(self, clock: SimClock | None = None) -> None:
         self.clock = clock or SimClock()
         self.events = EventList()
         self.handlers: dict[str, object] = {}
+        self.next_day = 1.0  # the first whole day not yet ticked
 
-    def schedule(self, delay_or_time: float, kind: str, target: object = None,
-                 *, absolute: bool = False, first: bool = False) -> Event:
-        now = self.clock.now
-        return self.events.push(delay_or_time if absolute else now + delay_or_time,
-                                kind, target, now=now, first=first)
+    def schedule(self, time: float, kind: str, target: object = None) -> Event:
+        return self.events.push(time, kind, target, now=self.clock.now)
 
     def on(self, kind: str, handler) -> None:
         self.handlers[kind] = handler
@@ -249,19 +235,34 @@ class Engine:
     def pop_next(self) -> Event | None:
         """Pop the minimal (time, seq) event and advance the clock to it.
 
-        Returns None when the list is empty or the next event lies beyond
-        the horizon; the clock then rests at the horizon.
+        Returns None when the list is empty or the next event lies at or
+        beyond the horizon; the clock then rests at the horizon.
         """
         clock = self.clock
         ev = self.events.pop(clock.horizon_days)
         clock.now = clock.horizon_days if ev is None else ev.time
         return ev
 
-    def run(self, after) -> None:
-        """Handle events up to the horizon, calling ``after`` with no arguments
-        after each handler (the model's C-phase)."""
-        handlers, pop_next = self.handlers, self.pop_next
-        while (ev := pop_next()) is not None:
+    def run(self, tick, after) -> None:
+        """Handle the events before the horizon in (time, seq) order, calling
+        ``after`` with no arguments after each handler (the model's C-phase).
+
+        Time crosses whole days here, not in the event list. Before the
+        handler of an event at ``t`` runs, ``tick(day)`` is called for each
+        whole day ``day <= t`` not yet ticked, so day ``k``'s tick comes
+        before every event at ``k``. When no event is left before the
+        horizon, the days up to and including the horizon are ticked. An
+        event at or beyond the horizon is never handled and stays listed.
+        """
+        handlers, pop_next, clock = self.handlers, self.pop_next, self.clock
+        while True:
+            ev = pop_next()
+            now = clock.now
+            while self.next_day <= now:
+                tick(self.next_day)
+                self.next_day += 1.0
+            if ev is None:
+                return
             handler = handlers.get(ev.kind)
             if handler is None:
                 raise KeyError(f"no handler for event kind {ev.kind!r}")

@@ -127,7 +127,7 @@ class Materials:
         po = PurchaseOrder(rt.po_seq[sup.id], rt.id, sup, lots, lots * rt.cfg.lot_size)
         rt.on_order += po.qty
         if start > now:
-            self.model.engine.schedule(start, "po_place", po, absolute=True)
+            self.model.engine.schedule(start, "po_place", po)
         else:
             self._start_lead(po, now)
 
@@ -140,7 +140,7 @@ class Materials:
     def _start_lead(self, po: PurchaseOrder, now: float) -> None:
         po.state = "lead"
         lead = po.supplier.lead_time.sample(self._stream("lead", po))
-        self.model.engine.schedule(max(lead, 0.0), "po_step", po)
+        self.model.engine.schedule(now + max(lead, 0.0), "po_step", po)
 
     def _on_po_step(self, ev: Event) -> None:
         po: PurchaseOrder = ev.target
@@ -149,7 +149,7 @@ class Materials:
         if po.state == "lead":
             po.state = "transit"
             transport = po.supplier.transport_time.sample(self._stream("trans", po))
-            self.model.engine.schedule(max(transport, 0.0), "po_step", po)
+            self.model.engine.schedule(now + max(transport, 0.0), "po_step", po)
         elif po.state == "transit":
             if rt.cfg.available:
                 self._start_receipt_qc(po, now)
@@ -165,7 +165,7 @@ class Materials:
         # a constant draws nothing, so its substream is not even keyed
         qc = (dist.params[0] if dist.kind == "constant" else
               dist.sample(self._stream("rqc", po)))
-        self.model.engine.schedule(max(qc, 0.0), "po_step", po)
+        self.model.engine.schedule(now + max(qc, 0.0), "po_step", po)
 
     def _resolve_receipt(self, po: PurchaseOrder, now: float) -> None:
         rt = self.runtimes[po.material]

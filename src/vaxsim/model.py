@@ -63,10 +63,13 @@ order; ``tests/test_settle.py`` checks after every settle that nothing is
 awake, nothing more can start, and every stage's reason is still the one it
 sleeps on.
 
-The day ticks are a chain: each tick lists the next one, pushed ``first`` so
-that it pops before every other event at its instant, and a day's readings
-never absorb a change that belongs to the following day. The event list
-holds one tick at a time, not the whole horizon's.
+Day ticks are not events: ``Engine.run`` crosses each whole day itself and
+calls ``Collector.day_tick`` before it handles any event at or after that
+day, so a day's readings never absorb a change that belongs to the
+following day. The last tick falls on the horizon, after every event
+before it. ``end_date`` is the first day not simulated: an event at the
+horizon instant is never handled, so a window that ends the day before
+``end_date`` never reverts.
 
 Every event handler is a bound method of the model or of the part that owns
 the event (the scenario runtime included), so a replication's whole state is
@@ -171,7 +174,7 @@ class Collector:
         self.batches.append(batch)
 
     def record_release(self, batch: Batch) -> None:
-        self._doses[self.model.engine.clock.day_index()] += batch.doses
+        self._doses[int(self.model.engine.clock.now)] += batch.doses
 
     def live_batches(self) -> list[Batch]:
         return [b for b in self.batches if b.alive]
@@ -179,7 +182,7 @@ class Collector:
     # -- end of day ------------------------------------------------------
 
     def day_tick(self, t: float) -> None:
-        d = min(int(t) - 1, self.horizon - 1)
+        d = int(t) - 1
         for stage, util in self._stages:
             busy = stage.busy.take(t)
             open_time = stage.cfg.machines - stage.closed_int.take(t)
@@ -252,18 +255,13 @@ class Model:
         self.rng = RngRegistry(seed)
         # test ids are fixed once parsed; overlays edit these objects in place
         self.tests = {t.id: t for t in cfg.qc.tests}
-        # the day ticks are a chain, one listed at a time: each tick lists the
-        # next, first at its instant (see the module notes)
-        self.engine.on("day", self._on_day)
-        if clock.horizon_days >= 1.0:
-            self.engine.schedule(1.0, "day", absolute=True, first=True)
         for w in cfg.maintenance:
             # validation refuses a window that ends before the start date; one
             # that opens before it is open from t = 0
             start = max(clock.date_to_time(w.start), 0.0)
             end = clock.date_to_time(w.end) + 1.0  # inclusive end date
-            self.engine.schedule(start, "maint_start", absolute=True)
-            self.engine.schedule(end, "maint_end", absolute=True)
+            self.engine.schedule(start, "maint_start")
+            self.engine.schedule(end, "maint_end")
         self.materials = Materials(self)
         self.production = Production(self)
         self.qc = QaQc(self)
@@ -274,12 +272,6 @@ class Model:
         self.scenario = scenario
         if scenario is not None:
             scenario.attach(self)
-
-    def _on_day(self, ev) -> None:
-        t = ev.time
-        self.collect.day_tick(t)
-        if t < self.engine.clock.horizon_days:
-            self.engine.schedule(t + 1.0, "day", absolute=True, first=True)
 
     def wake_all(self) -> None:
         for item in self._wakeable:
@@ -325,7 +317,7 @@ class Model:
         """Simulate the horizon; the config is left as it was found, and the
         links only the run needed are dropped (see the module notes)."""
         self.settle()  # t=0 dispatch
-        self.engine.run(self.settle)
+        self.engine.run(self.collect.day_tick, self.settle)
         scenario = self.scenario
         result = self.collect.result("base" if scenario is None else scenario.name)
         if scenario is not None:

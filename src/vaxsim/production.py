@@ -205,8 +205,7 @@ class Production:
                     m.state = BUSY
                     m.finish_time = now + m.remaining
                     m.remaining = None
-                    m.proc_event = self.engine.schedule(
-                        m.finish_time, "proc_done", m, absolute=True)
+                    m.proc_event = self.engine.schedule(m.finish_time, "proc_done", m)
                     stage.busy.add(now, 1)
 
     # -- dispatch --------------------------------------------------------
@@ -306,8 +305,8 @@ class Production:
         machine.state = BUSY
         machine.batch = batch
         machine.finish_time = now + self._processing_duration(stage, batch)
-        machine.proc_event = self.engine.schedule(
-            machine.finish_time, "proc_done", machine, absolute=True)
+        machine.proc_event = self.engine.schedule(machine.finish_time, "proc_done",
+                                                  machine)
         stage.busy.add(now, 1)
         return None
 

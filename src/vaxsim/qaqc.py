@@ -249,7 +249,7 @@ class QaQc:
             name, key, label = QA_DURATIONS[task.kind]
             duration = getattr(self.cfg.qa, name).sample(
                 rng.derived(key, *label(task)))
-        task.event = self.engine.schedule(duration, "task_done", task)
+        task.event = self.engine.schedule(now + duration, "task_done", task)
         self.running[task] = None
 
     def _on_task_done(self, ev: Event) -> None:
@@ -310,7 +310,7 @@ class QaQc:
             "ipcdur", task.test_id, task.stage_id, task.batch.id, 2))
         retest = Task("ipc_retest", task.batch, test_id=task.test_id,
                       stage_id=task.stage_id, attempt=2)
-        retest.event = self.engine.schedule(duration, "task_done", retest)
+        retest.event = self.engine.schedule(now + duration, "task_done", retest)
         self.running[retest] = None
 
     def _done_ipc_retest(self, task: Task, now: float) -> None:

@@ -313,7 +313,7 @@ class ScenarioRuntime:
         model.engine.on("scn_revert", self._play)
         model.engine.on("scn_reset", self._reset)
         for day, kind, _, writes in steps:
-            model.engine.schedule(float(day), kind, writes, absolute=True)
+            model.engine.schedule(float(day), kind, writes)
 
     def _play(self, ev) -> None:
         model = self.model

@@ -61,6 +61,38 @@ def test_validate_missing_file(tmp_path, capsys):
     assert "absent.yaml" in err["messages"][0]
 
 
+# what each file holds; None makes it a directory
+UNREADABLE = {
+    "a directory": None,
+    "bytes not UTF-8": b"name: \xff\xfe\n",
+    "a day out of range": b"end_date: 2028-02-30\n",
+    "nested too deeply": b"[" * 5000,
+}
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+@pytest.mark.parametrize("option", ["--config", "--scenario"])
+@pytest.mark.parametrize("held", list(UNREADABLE))
+def test_a_yaml_file_that_cannot_be_read_is_a_validation_error(
+        chain_yaml, tmp_path, capsys, held, option, verb):
+    bad = tmp_path / "bad.yaml"
+    if UNREADABLE[held] is None:
+        bad.mkdir()
+    else:
+        bad.write_bytes(UNREADABLE[held])
+    argv = [verb, "--config", chain_yaml, "--scenario", str(bad)]
+    if option == "--config":
+        argv[2:] = [str(bad)]
+    out = tmp_path / "store"
+    if verb == "run":
+        argv += ["--replications", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = stderr_json(capsys)
+    assert err["error"] == "validation"
+    assert len(err["messages"]) == 1 and err["messages"][0].startswith(f"{bad}: ")
+    assert not out.exists()
+
+
 def test_validate_reports_all_problems(tmp_path, capsys):
     bad = chain_dict()
     bad["stages"][0]["processing_time"] = {"kind": "wat"}
@@ -698,8 +730,8 @@ LACKS = "the layout lacks {}, which the analysis reads"
     ("manifest.json", _manifest_with(replications=-1), "replications is not a count"),
     ("manifest.json", _manifest_with(replications=True), "replications is not a count"),
     ("manifest.json", _manifest_with(base_seed="7"), "base_seed is not a whole number"),
-    (SECOND_REP, lambda data, _: data[:-1], SIZE + " for each of batches_created 275"),
-    (SECOND_REP, lambda data, _: data + b"\0", SIZE + " for each of batches_created 275"),
+    (SECOND_REP, lambda data, _: data[:-1], SIZE + " for each of batches_created 274"),
+    (SECOND_REP, lambda data, _: data + b"\0", SIZE + " for each of batches_created 274"),
     (SECOND_REP, FLIP, SHA256),
     ("manifest.json", _manifest_with(horizon_days=274.0),
      "horizon_days 274.0 is not a whole number of days"),
@@ -714,7 +746,7 @@ LACKS = "the layout lacks {}, which the analysis reads"
      "manifest names"),
     (SECOND_REP, _put("discard_cause", "<b", -1), "a discard_cause code is not one of "
      "the 3 that the manifest names"),
-    (SECOND_REP, _one_more_batch, SIZE + " for each of batches_created 276"),
+    (SECOND_REP, _one_more_batch, SIZE + " for each of batches_created 275"),
     ("manifest.json", _manifest_with(batches=[["state", "b"]]),
      "batches and codes are not those of this format"),
     ("manifest.json", _manifest_with(codes={"state": ["released"]}),

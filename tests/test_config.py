@@ -306,7 +306,7 @@ def in_window(target, value, read):
     model = Model(cfg, seed=1, scenario=ScenarioRuntime(spec))
     seen = []
     model.engine.on("probe", lambda ev: seen.append(read(cfg)))
-    model.engine.schedule(5.0, "probe", absolute=True)
+    model.engine.schedule(5.0, "probe")
     model.run()
     return seen[0]
 

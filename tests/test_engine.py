@@ -75,19 +75,12 @@ def test_pop_until_stops_at_the_bound_and_keeps_the_event():
     el.push(2.0, "at")
     el.push(3.0, "after")
     dead.void = True
-    assert el.pop(2.0).kind == "at"  # the bound is inclusive; the tombstone goes
-    assert el.pop(2.5) is None
-    assert len(el) == 1 and el.peek_time() == 3.0
-    assert el.pop(3.0).kind == "after"
+    assert el.pop(2.0) is None  # the bound is exclusive; the tombstone goes
+    assert len(el) == 2 and el.peek_time() == 2.0
+    assert el.pop(2.5).kind == "at"
+    assert el.pop(3.0) is None
+    assert el.pop(10.0).kind == "after"
     assert el.pop(10.0) is None and len(el) == 0
-
-
-def test_clock_day_index_clamps_to_horizon():
-    clock = SimClock(date(2025, 4, 1), date(2025, 4, 11))
-    assert clock.horizon_days == 10
-    assert clock.day_index(0.0) == 0
-    assert clock.day_index(9.5) == 9
-    assert clock.day_index(10.0) == 9  # horizon boundary maps to last day bin
 
 
 def test_engine_runs_handlers_in_order_and_parks_at_horizon():
@@ -99,7 +92,7 @@ def test_engine_runs_handlers_in_order_and_parks_at_horizon():
     eng.schedule(2.0, "b")
     eng.schedule(1.0, "a")
     eng.schedule(20.0, "a")  # beyond horizon: never dispatched
-    eng.run(lambda: seen.append("after"))
+    eng.run(lambda day: None, lambda: seen.append("after"))
     assert seen == [(1.0, 1, "a"), "after", (2.0, 0, "b"), "after"]
     assert eng.clock.now == clock.horizon_days
 
@@ -112,11 +105,11 @@ def test_handlers_can_schedule_followups():
     def bounce(ev):
         hits.append(ev.time)
         if len(hits) < 4:
-            eng.schedule(1.5, "bounce")
+            eng.schedule(ev.time + 1.5, "bounce")
 
     eng.on("bounce", bounce)
     eng.schedule(0.0, "bounce")
-    eng.run(lambda: None)
+    eng.run(lambda day: None, lambda: None)
     assert hits == [0.0, 1.5, 3.0, 4.5]
 
 
@@ -131,37 +124,66 @@ def test_pop_next_returns_none_at_the_horizon():
     assert Engine(clock).pop_next() is None  # an empty list ends the run too
 
 
-def test_an_event_pushed_first_pops_before_the_ordinary_events_at_its_instant():
-    el = EventList()
-    el.push(5.0, "a")
-    el.push(4.0, "b")
-    el.push(5.0, "first_1", first=True)
-    el.push(5.0, "c")
-    el.push(5.0, "first_2", first=True)
-    assert [el.pop().kind for _ in range(5)] == ["b", "first_1", "first_2", "a", "c"]
+def _ticked_run(clock, times=()):
+    """Run an engine with an ``e`` event at each of ``times``; return it and
+    what happened, in order: ("tick", day) for each day ticked and ("e", t)
+    for each event handled."""
+    eng, seen = Engine(clock), []
+    eng.on("e", lambda ev: seen.append(("e", ev.time)))
+    for t in times:
+        eng.schedule(t, "e")
+    eng.run(lambda day: seen.append(("tick", day)), lambda: None)
+    return eng, seen
+
+
+def test_every_day_ticks_once_up_to_the_horizon():
+    days = [("tick", float(d)) for d in range(1, 11)]
+    _, seen = _ticked_run(SimClock(date(2025, 4, 1), date(2025, 4, 11)))
+    assert seen == days  # an empty list ticks them too
+    _, seen = _ticked_run(SimClock(date(2025, 4, 1), date(2025, 4, 11)),
+                          (0.5, 3.0, 3.0, 3.25, 7.0))
+    assert [x for x in seen if x[0] == "tick"] == days
+    _, seen = _ticked_run(SimClock(date(2025, 4, 1), date(2025, 4, 1)))
+    assert seen == []
+
+
+def test_a_day_ticks_before_the_events_of_its_instant():
+    _, seen = _ticked_run(SimClock(date(2025, 4, 1), date(2025, 4, 6)),
+                          (2.0, 0.5, 2.0, 1.75, 4.5))
+    assert seen == [("e", 0.5), ("tick", 1.0), ("e", 1.75), ("tick", 2.0), ("e", 2.0),
+                    ("e", 2.0), ("tick", 3.0), ("tick", 4.0), ("e", 4.5), ("tick", 5.0)]
+
+
+def test_an_event_at_the_horizon_is_never_handled_and_stays_listed():
+    clock = SimClock(date(2025, 4, 1), date(2025, 4, 4))
+    eng, seen = _ticked_run(clock, (3.0, 2.5))
+    assert seen == [("tick", 1.0), ("tick", 2.0), ("e", 2.5), ("tick", 3.0)]
+    assert clock.now == 3.0 and len(eng.events) == 1 and eng.events.peek_time() == 3.0
 
 
 def _recorded_run(model):
-    """Run ``model``; return the (time, kind) of each handled event, and for
-    each handler the day events listed after it, with whether each one sorts
-    before every other event listed."""
-    handled, listed = [], []
-    heap = model.engine.events._heap
+    """Run ``model``; return ("tick", day) for each day ticked and (kind, t)
+    for each event handled, in order."""
+    seen = []
+    handlers = model.engine.handlers
 
     def recording(handler):
         def record(ev):
-            handled.append((ev.time, ev.kind))
+            seen.append((ev.kind, ev.time))
             handler(ev)
-            days = [seq for _, seq, e in heap if e.kind == "day"]
-            listed.append([all(seq < other for _, other, e in heap if e.kind != "day")
-                           for seq in days])
         return record
 
-    handlers = model.engine.handlers
     for kind in handlers:
         handlers[kind] = recording(handlers[kind])
+    day_tick = model.collect.day_tick
+
+    def tick(day):
+        seen.append(("tick", day))
+        day_tick(day)
+
+    model.collect.day_tick = tick
     model.run()
-    return handled, listed
+    return seen
 
 
 def _chain_with_steps_on_whole_days():
@@ -176,28 +198,21 @@ def _chain_with_steps_on_whole_days():
     return Model(cfg, seed=1, scenario=ScenarioRuntime(spec))
 
 
-def test_a_day_tick_is_handled_before_the_domain_events_of_its_instant():
-    """A day's readings never absorb a change that belongs to the next day."""
-    handled, _ = _recorded_run(_chain_with_steps_on_whole_days())
-    tick_at = {t: i for i, (t, kind) in enumerate(handled) if kind == "day"}
-    on_whole_days = [(i, t, kind) for i, (t, kind) in enumerate(handled)
-                     if kind != "day" and t >= 1.0 and t == int(t)]
-    kinds = {kind for _, _, kind in on_whole_days}
-    assert {"maint_start", "maint_end", "scn_apply", "scn_revert", "proc_done"} <= kinds
-    assert not [(t, kind) for i, t, kind in on_whole_days if i < tick_at[t]]
-
-
-def test_the_event_list_holds_one_day_tick_at_a_time():
-    """Each tick lists the next, ahead of every other event listed, until the
-    horizon's tick, which lists none."""
+def test_a_model_ticks_each_day_before_the_domain_events_of_its_instant():
+    """A day's readings never absorb a change that belongs to the next day,
+    and the model ticks each day up to the horizon once."""
     model = _chain_with_steps_on_whole_days()
-    handled, listed = _recorded_run(model)
+    seen = _recorded_run(model)
     horizon = model.engine.clock.horizon_days
-    assert [t for t, kind in handled if kind == "day"] == [
-        float(t) for t in range(1, int(horizon) + 1)]
-    last = handled.index((horizon, "day"))
-    assert all(days == [True] for days in listed[:last])
-    assert all(days == [] for days in listed[last:])
+    ticks = [i for i, (kind, _) in enumerate(seen) if kind == "tick"]
+    assert [seen[i][1] for i in ticks] == [float(d) for d in range(1, int(horizon) + 1)]
+    tick_at = {seen[i][1]: i for i in ticks}
+    on_whole_days = [(i, kind, t) for i, (kind, t) in enumerate(seen)
+                     if kind != "tick" and t >= 1.0 and t == int(t)]
+    assert {"maint_start", "maint_end", "scn_apply", "scn_revert", "proc_done"} <= {
+        kind for _, kind, _ in on_whole_days}
+    assert not [(kind, t) for i, kind, t in on_whole_days if i < tick_at[t]]
+    assert max(t for kind, t in seen if kind != "tick") < horizon
 
 
 def draws(g, n: int) -> list[float]:
@@ -251,7 +266,7 @@ def test_trace_is_sorted_by_time_then_seq():
     eng.on("t", lambda ev: trace.append((ev.time, ev.seq, ev.kind)))
     for t in [3.0, 1.0, 1.0, 2.0]:
         eng.schedule(t, "t")
-    eng.run(lambda: None)
+    eng.run(lambda day: None, lambda: None)
     assert trace == sorted(trace)
     assert [t for t, _, _ in trace] == [1.0, 1.0, 2.0, 3.0]
 

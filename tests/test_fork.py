@@ -44,7 +44,7 @@ class Probe:
         self.model, self.forks = model, []
         model.engine.on("probe", self._on_probe)
         for t in times:
-            model.engine.schedule(t, "probe", absolute=True)
+            model.engine.schedule(t, "probe")
 
     def __deepcopy__(self, memo):
         return Probe.__new__(Probe)
@@ -73,6 +73,6 @@ def test_every_handler_is_a_bound_method_of_a_part(name):
     parts = {id(p) for p in (model, model.materials, model.production, model.qc,
                              model.collect, model.scenario)}
     handlers = model.engine.handlers
-    assert {"day", "proc_done", "task_done", "po_place", "po_step"} <= handlers.keys()
+    assert {"proc_done", "task_done", "po_place", "po_step"} <= handlers.keys()
     for kind, handler in handlers.items():
         assert inspect.ismethod(handler) and id(handler.__self__) in parts, kind

@@ -593,7 +593,7 @@ cfg = parse_config(raw)
 original = model.Model(cfg, 2, scenario=ScenarioRuntime(parse_scenario(overlay, cfg)))
 probe = Probe(original)
 original.engine.on("probe", probe.on_probe)
-original.engine.schedule(float(sys.argv[3]), "probe", absolute=True)
+original.engine.schedule(float(sys.argv[3]), "probe")
 original.run()
 (fork,) = probe.forks
 del probe

@@ -5,13 +5,16 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import yaml
 
 from vaxsim.config import ConfigError, config_to_dict, parse_config
 from vaxsim.model import Model
+from vaxsim.runner import result_to_ndjson, run_replication
 from vaxsim.scenario import ScenarioRuntime, parse_scenario
 
 from conftest import batch_rows, chain_dict
 from test_qaqc import qc_chain
+from test_runner import CONFIGS
 
 
 def overlay(*mod_nodes, name="what-if"):
@@ -146,7 +149,7 @@ def test_overlapping_windows_last_writer_wins():
     seen = {}
     m.engine.on("probe", lambda ev: seen.setdefault(ev.time, pool.capacity))
     for t in (15.0, 25.0, 35.0, 45.0):
-        m.engine.schedule(t, "probe", absolute=True)
+        m.engine.schedule(t, "probe")
     m.run()
     assert seen == {15.0: 3, 25.0: 5, 35.0: 3, 45.0: 1}
     assert cfg.qc.teams[0].technicians == 1
@@ -174,6 +177,19 @@ def test_empty_overlay_run_identical_to_plain_base():
     assert twin.counts == base.counts
 
 
+def test_a_window_that_reverts_on_the_horizon_never_reverts():
+    """The demo's ``end_date`` is 2028-03-31, the first day not simulated: a
+    window ending on 2028-03-30 reverts at the horizon instant, which no event
+    reaches, so it runs the same replication as one ending on the end date."""
+    raw = yaml.safe_load((CONFIGS / "demo.yaml").read_text())
+    short, full = (run_replication(raw, overlay(
+        window("2028-03-01", end, **{"qa.reviewers": 1}), name="one_reviewer"), 9)
+        for end in ("2028-03-30", "2028-03-31"))
+    assert short.counts["pool_started.qa_reviewers"] == full.counts[
+        "pool_started.qa_reviewers"]
+    assert result_to_ndjson(short) == result_to_ndjson(full)
+
+
 def test_parameters_deep_equal_baseline_after_windows_close():
     d = qc_chain([{"id": "assay", "team": "lab", "test_time": 1.0}],
                  qa={"investigators": 1, "oos_investigation_time": 0.5,
@@ -192,8 +208,8 @@ def test_parameters_deep_equal_baseline_after_windows_close():
     def probe(ev):
         (mid if ev.time < 30 else done)["cfg"] = config_to_dict(cfg)
     m.engine.on("probe", probe)
-    m.engine.schedule(17.0, "probe", absolute=True)
-    m.engine.schedule(60.0, "probe", absolute=True)
+    m.engine.schedule(17.0, "probe")
+    m.engine.schedule(60.0, "probe")
     res = m.run()
     assert mid["cfg"] != snapshot          # overrides really were in force
     assert done["cfg"] == snapshot         # and fully unwound afterwards
@@ -258,7 +274,7 @@ def test_the_value_in_force_is_the_newest_open_window(windows):
 
     m.engine.on("probe", probe)
     for day in range(20):
-        m.engine.schedule(day + 0.5, "probe", absolute=True)
+        m.engine.schedule(day + 0.5, "probe")
     m.run()
     baseline = {"technicians": 2, "failure_prob": 0.05}
     assert seen == {day: {p: brute_force_value(windows, p, day, baseline[p])

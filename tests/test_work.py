@@ -19,7 +19,7 @@ from vaxsim.model import Model
 
 DEMO = Path(vaxsim.__file__).parent / "configs" / "demo.yaml"
 
-EVENTS = {"day": 1095, "proc_done": 3218, "task_done": 9004, "po_place": 26,
+EVENTS = {"proc_done": 3218, "task_done": 9004, "po_place": 26,
           "po_step": 2928, "maint_start": 6, "maint_end": 6}
 DRAWS = 28687
 
@@ -49,5 +49,5 @@ def test_demo_replication_work(monkeypatch):
     monkeypatch.setattr(HashStream, "random", counted_random)
     model.run()
     assert dict(popped) == EVENTS
-    assert sum(popped.values()) == 16283
+    assert sum(popped.values()) == 15188
     assert draws == DRAWS
