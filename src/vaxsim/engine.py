@@ -169,37 +169,32 @@ class RngRegistry:
 class StepIntegral:
     """Time integral of a piecewise-constant value (busy counts, queue sizes).
 
-    ``set(now, value)`` accumulates area up to ``now`` at the old value, then
-    switches to the new one; ``take(now)`` returns the area accrued since the
-    last take (used to bucket the integral into daily bins).
+    ``add(now, delta)`` accumulates area up to ``now`` at the old value, then
+    moves the value by ``delta``; ``take(now)`` returns the area accrued since
+    the last take (used to bucket the integral into daily bins).
     """
 
-    __slots__ = ("value", "total", "_last_ts", "_taken")
+    __slots__ = ("value", "total", "last_ts", "taken")
 
     def __init__(self, value: float = 0.0, now: float = 0.0) -> None:
         self.value = value
-        self.total = 0.0
-        self._last_ts = now
-        self._taken = 0.0
+        self.total = 0.0  # the area up to last_ts
+        self.last_ts = now
+        self.taken = 0.0  # the total at the last take
 
     # each method accrues the area since the last change inline: they run on
-    # every busy, queue and capacity change
-    def set(self, now: float, value: float) -> None:
-        self.total += self.value * (now - self._last_ts)
-        self._last_ts = now
-        self.value = value
-
+    # every busy and queue change (``Collector.day_tick`` takes inline too)
     def add(self, now: float, delta: float) -> None:
         value = self.value
-        self.total += value * (now - self._last_ts)
-        self._last_ts = now
+        self.total += value * (now - self.last_ts)
+        self.last_ts = now
         self.value = value + delta
 
     def take(self, now: float) -> float:
-        self.total += self.value * (now - self._last_ts)
-        self._last_ts = now
-        out = self.total - self._taken
-        self._taken = self.total
+        self.total += self.value * (now - self.last_ts)
+        self.last_ts = now
+        out = self.total - self.taken
+        self.taken = self.total
         return out
 
 

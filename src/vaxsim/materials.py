@@ -73,8 +73,12 @@ class Materials:
     # -- consumption side ------------------------------------------------
 
     def missing_for(self, requirements: dict[str, float]) -> list[str]:
-        return [mid for mid, qty in requirements.items()
-                if self.runtimes[mid].on_hand < qty - 1e-9]
+        runtimes = self.runtimes
+        for mid, qty in requirements.items():
+            if runtimes[mid].on_hand < qty - 1e-9:  # short: list every shortfall
+                return [m for m, q in requirements.items()
+                        if runtimes[m].on_hand < q - 1e-9]
+        return []
 
     def consume(self, requirements: dict[str, float]) -> None:
         for mid, qty in requirements.items():
@@ -83,7 +87,8 @@ class Materials:
             rt.consumed_total += qty
             for stage in rt.consumers:  # another may now fall short and must note it
                 stage.notify("consumption")
-            self._review(rt)
+            if rt.position <= rt.cfg.reorder_point:
+                self._review(rt)
 
     def note_shortfall(self, mid: str) -> None:
         rt = self.runtimes[mid]

@@ -8,19 +8,29 @@ The collector keeps each daily reading once, in the result's own series:
 every series is allocated for the whole horizon when the run starts. Released
 doses are added to the current day as they happen; when each batch was
 created, released or discarded is in the batch log. At each day tick the
-collector takes the day's share of the busy, closed, capacity and queue
-integrals, writes the stage and pool utilization ratios and the queue
-lengths, and writes each material's level and stockout flag.
+collector takes the day's share of the busy and queue integrals, writes the
+stage and pool utilization ratios and the queue lengths, and writes each
+material's level and stockout flag. Closures and pool capacities change only
+at whole days (maintenance windows and overlay steps are dated, and
+``Production._apply_closure`` and ``Pool.set_capacity`` refuse any other
+instant), so a stage is closed or open all day and a pool has one capacity
+all day: the tick reads both from state, and a closed day adds the stage's
+machines to its closed machine-days. An integral that is 0 and has accrued
+nothing since its last take would read 0.0, which the zeroed series already
+holds, so the tick does not take it.
 ``Collector.result`` hands over those same arrays, turns the batches into
 the typed columns of a ``BatchLog``, and adds the run totals.
 
 Time advances in the three phases of Pidd's method: pop the next event, run
 its handler (the B-phase), then ``settle`` (the C-phase, which ``run`` hands
 to ``Engine.run``) starts every batch and task whose preconditions now hold.
-The C-phase visits only the stages and pools that are awake: one stage
-sweep, downstream-first and repeated while a stage is awake, then one pool
-sweep. A stage's visit drains what it can and starts batches until a check
-fails, and the stage then sleeps on that block reason
+A stage or pool that wakes joins its side's wake list (``Production.woken``
+or ``QaQc.woken``), and the C-phase visits only what is listed, so its work
+follows what changed, not the size of the plant: with both lists empty a
+settle is two emptiness checks. The stages are swept downstream-first, the
+sweep repeated while a stage is listed, and then the listed pools once, in
+``QaQc.pools`` order. A stage's visit drains what it can and starts batches
+until a check fails, and the stage then sleeps on that block reason
 (``StageRuntime.blocked``). The checks run closed, machine, input, material,
 downstream, so only three kinds of change can alter the reason: the failed
 check turning true, an earlier check turning false, or output space freeing
@@ -28,12 +38,15 @@ for stalled machines to drain. Each change around a stage is one
 ``StageRuntime.notify``, which wakes the stage only if the change can alter
 the reason it sleeps on:
 
-- ``no_machine``: a machine freed, space;
-- ``no_input``: input arrived, space;
+- ``no_machine``: a machine freed, space while a machine is stalled;
+- ``no_input``: input arrived, space while a machine is stalled;
 - ``material_stockout``: a receipt, a consumption by another stage, input
-  lost, space;
+  lost, space while a machine is stalled;
 - ``downstream_full``: space, a consumption, input lost;
 - ``closed``: nothing short of waking everything.
+
+Space helps a stage asleep on anything but ``downstream_full`` only by
+letting its stalled machines drain, so with none stalled it wakes nothing.
 
 The changes come from these moves:
 
@@ -56,12 +69,12 @@ release with work still queued and on a capacity change. Day ticks, order
 placements, purchase-order steps short of a receipt and task starts wake
 nothing. A stage sweep can wake a pool (a batch entering the final inventory
 is queued for review), but a pool sweep only starts tasks, so once it is
-done nothing is awake. A sleeping stage or pool would start nothing and
-return the reason it sleeps on, so a settle starts exactly what offering
-work to every stage and pool would start, in the same downstream-first
-order; ``tests/test_settle.py`` checks after every settle that nothing is
-awake, nothing more can start, and every stage's reason is still the one it
-sleeps on.
+done nothing is awake and both lists are empty. A sleeping stage or pool
+would start nothing and return the reason it sleeps on, so a settle starts
+exactly what offering work to every stage and pool would start, in the same
+downstream-first order; ``tests/test_settle.py`` checks after every settle
+that nothing is awake or listed, nothing more can start, and every stage's
+reason is still the one it sleeps on.
 
 Day ticks are not events: ``Engine.run`` crosses each whole day itself and
 calls ``Collector.day_tick`` before it handles any event at or after that
@@ -156,6 +169,7 @@ class Collector:
         self._doses = self._new("released_doses")
         self._stages = [(s, self._new(f"stage_util.{s.id}"))
                         for s in model.production.stages]
+        self._closed_days = [0] * len(self._stages)  # by stage index
         self._pools = [(p, self._new(f"pool_util.{p.name}"),
                         self._new(f"pool_queue.{p.name}")) for p in model.qc.pools]
         self._materials = [(rt, self._new(f"material_level.{m}"),
@@ -182,16 +196,31 @@ class Collector:
     # -- end of day ------------------------------------------------------
 
     def day_tick(self, t: float) -> None:
+        # each reading is ``StepIntegral.take(t)`` inline, skipped where it
+        # would read 0.0 (see the module notes)
         d = int(t) - 1
+        closed = self.model.production.stage_closed
         for stage, util in self._stages:
-            busy = stage.busy.take(t)
-            open_time = stage.cfg.machines - stage.closed_int.take(t)
-            util[d] = busy / open_time if open_time > 1e-9 else 0.0
+            shut = closed(stage)  # all day: closures change only at whole days
+            if shut:
+                self._closed_days[stage.idx] += 1
+            i = stage.busy
+            if i.value or i.total != i.taken:
+                total = i.total + i.value * (t - i.last_ts)
+                busy, i.total, i.taken, i.last_ts = total - i.taken, total, total, t
+                if not shut:
+                    util[d] = busy / stage.cfg.machines
         for pool, util, queue in self._pools:
-            busy = pool.busy_int.take(t)
-            cap = pool.cap_int.take(t)
-            util[d] = busy / cap if cap > 1e-9 else 0.0
-            queue[d] = pool.queue_int.take(t)
+            i = pool.busy_int
+            if i.value or i.total != i.taken:
+                total = i.total + i.value * (t - i.last_ts)
+                busy, i.total, i.taken, i.last_ts = total - i.taken, total, total, t
+                if pool.capacity > 0:  # resized only at whole days
+                    util[d] = busy / pool.capacity
+            i = pool.queue_int
+            if i.value or i.total != i.taken:
+                total = i.total + i.value * (t - i.last_ts)
+                queue[d], i.total, i.taken, i.last_ts = total - i.taken, total, total, t
         # level in batch equivalents; a day is a stockout day if a stockout was
         # open at its end or closed partway through it
         for rt, levels, flags in self._materials:
@@ -235,8 +264,8 @@ class Collector:
             c[f"pool_started.{pool.name}"] = pool.started
             c[f"pool_wait_days.{pool.name}"] = pool.wait_total
             c[f"pool_purged_wait_days.{pool.name}"] = pool.purged_wait
-        for stage in model.production.stages:
-            c[f"stage_closed_days.{stage.id}"] = stage.closed_int.total
+        for stage, days in zip(model.production.stages, self._closed_days):
+            c[f"stage_closed_days.{stage.id}"] = float(days * stage.cfg.machines)
         for rt, _, flags in self._materials:
             c[f"material_stockout_days.{rt.id}"] = sum(flags)
             c[f"material_consumed.{rt.id}"] = rt.consumed_total
@@ -265,32 +294,27 @@ class Model:
         self.materials = Materials(self)
         self.production = Production(self)
         self.qc = QaQc(self)
-        # pools first: most events are task completions, which wake a pool,
-        # so settle's scan for anything awake stops sooner
-        self._wakeable = [*self.qc.pools, *self.production.stages]
         self.collect = Collector(self)
         self.scenario = scenario
         if scenario is not None:
             scenario.attach(self)
 
     def wake_all(self) -> None:
-        for item in self._wakeable:
-            item.awake = True
+        for item in (*self.production.stages, *self.qc.pools):
+            item.wake()
 
     def settle(self) -> None:
         """C-phase: start everything that can start at this instant.
 
-        Returns at once when no stage or pool is awake; otherwise offers work
-        to the awake stages until none is awake, then to the awake pools once:
-        a task start wakes nothing, so no second round could start anything.
+        Offers work to the woken stages until none is woken, then to the
+        woken pools once: a task start wakes nothing, so no second round
+        could start anything. With nothing woken it does no more than look
+        at the two wake lists.
         """
-        for item in self._wakeable:
-            if item.awake:
-                break
-        else:
-            return
-        self.production.dispatch_pass()
-        self.qc.pump()
+        if self.production.woken:
+            self.production.dispatch_pass()
+        if self.qc.woken:
+            self.qc.pump()
 
     def discard_batch(self, batch: Batch, cause: str) -> None:
         if not batch.alive:

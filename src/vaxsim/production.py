@@ -38,16 +38,20 @@ BATCH_COLUMNS = [["created_at", "d"], ["doses", "q"], ["state", "b"],
 CODES = {"state": [IN_PROCESS, AWAITING_RELEASE, RELEASED, DISCARDED],
          "discard_cause": [None, "failed_retest", "power_outage"]}
 
+ALIVE = (IN_PROCESS, AWAITING_RELEASE)
+
 # the changes ``StageRuntime.notify`` is told of, and for each block reason
 # those that can alter it (the rules are set out in the module notes of
-# ``model``); a stage not yet visited is woken by anything
+# ``model``); a stage not yet visited is woken by anything. Space also wakes a
+# ``no_machine``, ``no_input`` or ``material_stockout`` stage while one of its
+# machines is stalled (``notify``).
 CHANGES = frozenset({"machine", "input", "input_lost", "receipt", "consumption", "space"})
 WAKES = {
     None: CHANGES,
     "closed": frozenset(),
-    "no_machine": frozenset({"machine", "space"}),
-    "no_input": frozenset({"input", "space"}),
-    "material_stockout": frozenset({"receipt", "consumption", "input_lost", "space"}),
+    "no_machine": frozenset({"machine"}),
+    "no_input": frozenset({"input"}),
+    "material_stockout": frozenset({"receipt", "consumption", "input_lost"}),
     "downstream_full": frozenset({"space", "consumption", "input_lost"}),
 }
 
@@ -71,7 +75,7 @@ class Batch:
 
     @property
     def alive(self) -> bool:
-        return self.state in (IN_PROCESS, AWAITING_RELEASE)
+        return self.state in ALIVE
 
 
 @dataclass(slots=True)
@@ -106,27 +110,41 @@ class InventoryRuntime:
 
 
 class StageRuntime:
-    def __init__(self, cfg, idx: int):
+    def __init__(self, cfg, idx: int, woken: list):
         self.cfg = cfg
         self.idx = idx
         self.machines = [Machine(idx, i) for i in range(cfg.machines)]
         self.input_inv: InventoryRuntime | None = None
         self.output_inv: InventoryRuntime | None = None
         self.handoff: StageRuntime | None = None  # takes batches off our machines
-        self.awake = True  # may be able to start or drain; dispatch_pass visits it
+        # may be able to start or drain: then listed in ``woken``, which
+        # dispatch_pass empties
+        self.awake = True
+        self.woken = woken
+        woken.append(self)
         self.blocked: str | None = None  # the reason its last visit ended on
         self.busy = StepIntegral()
-        self.closed_int = StepIntegral()
 
     @property
     def id(self) -> str:
         return self.cfg.id
 
+    def wake(self) -> None:
+        if not self.awake:
+            self.awake = True
+            self.woken.append(self)
+
     def notify(self, change: str) -> None:
         """``change`` (a name in ``CHANGES``) happened around this stage: wake
-        it if that can alter the reason its last visit ended on."""
-        if change in WAKES[self.blocked]:
-            self.awake = True
+        it if that can alter the reason its last visit ended on. Space helps
+        a stage asleep on anything but ``downstream_full`` only by letting
+        its stalled machines drain."""
+        if self.awake:
+            return
+        if change in WAKES[self.blocked] or (
+                change == "space" and self.blocked != "closed"
+                and any(m.state == STALLED for m in self.machines)):
+            self.wake()
 
     def stalled_machines(self) -> list[Machine]:
         """The stalled machines, the earliest finished first."""
@@ -146,9 +164,9 @@ class Production:
         cfg = model.cfg
         invs = {inv.id: InventoryRuntime(inv) for inv in cfg.inventories}
         self.inventories = invs
-        self.stages = [StageRuntime(s, i) for i, s in enumerate(cfg.stages)]
+        self.woken: list[StageRuntime] = []  # the awake stages, in waking order
+        self.stages = [StageRuntime(s, i, self.woken) for i, s in enumerate(cfg.stages)]
         self.stage_by_id = {rt.id: rt for rt in self.stages}
-        self._downstream_first = self.stages[::-1]
         for rt, nxt in zip(self.stages, [*self.stages[1:], None]):
             if rt.cfg.output_inventory:
                 rt.output_inv = invs[rt.cfg.output_inventory]
@@ -182,10 +200,14 @@ class Production:
         self._apply_closure(self.stage_by_id[stage_cfg.id])
 
     def _apply_closure(self, stage: StageRuntime) -> None:
+        """Suspend or resume the stage's processing as its closure now says.
+        Closures change only at whole days, so a day is closed or open
+        throughout and the day tick reads it from ``stage_closed``."""
         now = self.clock.now
-        closed = self.stage_closed(stage)
-        if closed:
-            stage.closed_int.set(now, len(stage.machines))
+        if not float(now).is_integer():
+            raise ValueError(f"stage {stage.id} closure changed at t={now}, "
+                             "not at a whole day")
+        if self.stage_closed(stage):
             for m in stage.machines:
                 if m.state == BUSY:
                     if m.finish_time <= now:
@@ -199,7 +221,6 @@ class Production:
                     m.state = SUSPENDED
                     stage.busy.add(now, -1)
         else:
-            stage.closed_int.set(now, 0)
             for m in stage.machines:
                 if m.state == SUSPENDED:
                     m.state = BUSY
@@ -213,33 +234,39 @@ class Production:
     def dispatch_pass(self) -> bool:
         """The stages' share of the C-phase: drain, then start what can start.
 
-        Visits only awake stages, downstream-first so that freed space
+        Visits only the woken stages, downstream-first so that freed space
         propagates upstream within one sweep, and sweeps again while a stage
-        is awake (a visit wakes only the stages around it). A visit runs until
-        the stage is blocked and keeps the reason: the stage sleeps until a
-        change that can alter that reason wakes it (the rules are listed in
-        ``model``); a sleeping stage would have drained and started nothing
-        and returned the same reason. True if anything moved.
+        is woken (a visit wakes only the stages around it): each visit goes
+        to the woken stage furthest downstream of those upstream of the last
+        one visited. A visit runs until the stage is blocked and keeps the
+        reason: the stage sleeps until a change that can alter that reason
+        wakes it (the rules are listed in ``model``); a sleeping stage would
+        have drained and started nothing and returned the same reason. True
+        if anything moved.
         """
         drain, try_dispatch = self._drain_stalled, self.try_dispatch
-        stages = self._downstream_first
+        woken = self.woken
         moved = False
-        while True:
-            for stage in stages:
-                if not stage.awake:
-                    continue
+        while woken:
+            below = len(self.stages)  # a new sweep starts downstream
+            while True:
+                stage = None
+                for s in woken:
+                    if s.idx < below and (stage is None or s.idx > stage.idx):
+                        stage = s
+                if stage is None:
+                    break
+                # it stays awake through its visit: its own moves are in the
+                # reason it ends on, so they do not wake it again
+                woken.remove(stage)
                 if drain(stage):
                     moved = True
                 while (reason := try_dispatch(stage)) is None:
                     moved = True
-                # its own moves are in the reason: they wake it no more
                 stage.blocked = reason
                 stage.awake = False
-            for stage in stages:
-                if stage.awake:
-                    break
-            else:
-                return moved
+                below = stage.idx
+        return moved
 
     def _drain_stalled(self, stage: StageRuntime) -> bool:
         if stage.output_inv is None or self.stage_closed(stage):

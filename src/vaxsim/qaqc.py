@@ -23,7 +23,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from .engine import Event, StepIntegral
-from .production import AWAITING_RELEASE, RELEASED, Batch, StageRuntime
+from .production import ALIVE, AWAITING_RELEASE, RELEASED, Batch, StageRuntime
 
 BLOCKED = "blocked"   # waiting on prerequisite tests
 ACTIVE = "active"     # somewhere in the technician/supervisor/OOS pipeline
@@ -55,24 +55,34 @@ class Task:
 
 
 class Pool:
-    """Finite personnel pool with a priority queue of waiting tasks."""
+    """Finite personnel pool with a priority queue of waiting tasks.
 
-    def __init__(self, name: str, capacity: int):
+    ``woken`` is the list the pool joins when it wakes: ``QaQc.woken`` for
+    the pools of a model, a list of its own for a pool made alone.
+    """
+
+    def __init__(self, name: str, capacity: int, woken: list | None = None):
         self.name = name
         self.capacity = capacity
         self.busy = 0
         self._heap: list[tuple[tuple, int, Task]] = []
         self._seq = 0
         self.busy_int = StepIntegral(0)
-        self.cap_int = StepIntegral(capacity)
         self.queue_int = StepIntegral(0)
         self.started = 0
         self.wait_total = 0.0  # enqueue -> start
         self.purged_wait = 0.0  # enqueue -> purge, of the tasks a purge drops
         # may start a task: an enqueue with a head free, set_capacity and a
-        # release with work queued set it (a purge only shrinks the queue),
-        # QaQc.pump clears it
+        # release with work queued wake it (a purge only shrinks the queue),
+        # QaQc.pump puts it to sleep
         self.awake = True
+        self.woken = [] if woken is None else woken
+        self.woken.append(self)
+
+    def wake(self) -> None:
+        if not self.awake:
+            self.awake = True
+            self.woken.append(self)
 
     def enqueue(self, task: Task, key: tuple, now: float) -> None:
         task.enqueued_at = now
@@ -80,21 +90,25 @@ class Pool:
         self._seq += 1
         self.queue_int.add(now, 1)
         if self.busy < self.capacity:
-            self.awake = True
+            self.wake()
 
     def set_capacity(self, capacity: int, now: float) -> None:
+        """Capacities change only at whole days, so a day's capacity-time is
+        the capacity the day tick finds."""
+        if not float(now).is_integer():
+            raise ValueError(f"pool {self.name} resized at t={now}, not at a whole day")
         self.capacity = capacity
-        self.cap_int.set(now, capacity)
-        self.awake = True
+        self.wake()
 
     def pump(self, now: float, starter) -> bool:
         """Start queued tasks while heads are free; ``starter`` runs each one."""
         changed = False
+        queue_add, busy_add = self.queue_int.add, self.busy_int.add
         while self.busy < self.capacity and self._heap:
             _, _, task = heapq.heappop(self._heap)
-            self.queue_int.add(now, -1)
+            queue_add(now, -1)
             self.busy += 1
-            self.busy_int.add(now, 1)
+            busy_add(now, 1)
             self.started += 1
             self.wait_total += now - task.enqueued_at
             task.pool = self
@@ -106,7 +120,7 @@ class Pool:
         self.busy -= 1
         self.busy_int.add(now, -1)
         if self._heap:
-            self.awake = True
+            self.wake()
 
     def purge(self, predicate, now: float) -> None:
         """Drop the queued tasks matching ``predicate``, adding their waits
@@ -145,13 +159,15 @@ class QaQc:
         self.production = model.production
         self.final_inv = model.production.final_inv
         cfg = model.cfg
-        self.tech_pools = {t.id: Pool(f"qc_technicians.{t.id}", t.technicians)
+        self.woken: list[Pool] = []  # the awake pools, in waking order
+        woken = self.woken
+        self.tech_pools = {t.id: Pool(f"qc_technicians.{t.id}", t.technicians, woken)
                            for t in cfg.qc.teams}
-        self.sup_pools = {t.id: Pool(f"qc_supervisors.{t.id}", t.supervisors)
+        self.sup_pools = {t.id: Pool(f"qc_supervisors.{t.id}", t.supervisors, woken)
                           for t in cfg.qc.teams}
-        self.reviewers = Pool("qa_reviewers", cfg.qa.reviewers)
-        self.qa_sups = Pool("qa_supervisors", cfg.qa.supervisors)
-        self.investigators = Pool("qa_investigators", cfg.qa.investigators)
+        self.reviewers = Pool("qa_reviewers", cfg.qa.reviewers, woken)
+        self.qa_sups = Pool("qa_supervisors", cfg.qa.supervisors, woken)
+        self.investigators = Pool("qa_investigators", cfg.qa.investigators, woken)
         self.pools = [*self.tech_pools.values(), *self.sup_pools.values(),
                       self.reviewers, self.qa_sups, self.investigators]
         # insertion-ordered, so a reset releases in start order whatever the
@@ -225,13 +241,17 @@ class QaQc:
         self.tech_pools[test.team].enqueue(task, self._priority_key(batch, now), now)
 
     def pump(self) -> bool:
-        """The pools' share of the C-phase: pump every awake pool, in order."""
+        """The pools' share of the C-phase: pump the woken pools in ``pools``
+        order. A task start wakes no pool, so one pass empties ``woken``."""
+        woken = self.woken
+        if len(woken) > 1:
+            woken.sort(key=self.pools.index)
         now = self.clock.now
         changed = False
-        for pool in self.pools:
-            if pool.awake:
-                pool.awake = False
-                changed |= pool.pump(now, self._start_task)
+        for pool in woken:
+            pool.awake = False
+            changed |= pool.pump(now, self._start_task)
+        woken.clear()
         return changed
 
     # -- task lifecycle --------------------------------------------------
@@ -259,7 +279,7 @@ class QaQc:
         if task.pool is not None:  # an in-process retest seizes no one
             task.pool.release(now)
         task.event = None
-        if not task.batch.alive:
+        if task.batch.state not in ALIVE:
             return  # work on a discarded batch finishes harmlessly
         self._done[task.kind](self, task, now)
 

@@ -360,7 +360,7 @@ class ReferenceIntegral:
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
-steps = st.lists(st.tuples(st.sampled_from(["set", "add", "take"]),
+steps = st.lists(st.tuples(st.sampled_from(["add", "take"]),
                            st.floats(0.0, 50.0), finite), max_size=60)
 
 

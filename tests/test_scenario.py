@@ -9,6 +9,7 @@ import yaml
 
 from vaxsim.config import ConfigError, config_to_dict, parse_config
 from vaxsim.model import Model
+from vaxsim.qaqc import Pool
 from vaxsim.runner import result_to_ndjson, run_replication
 from vaxsim.scenario import ScenarioRuntime, parse_scenario
 
@@ -122,6 +123,61 @@ def test_closure_window_pauses_the_stage_and_reverts():
     assert res.counts["stage_closed_days.fill"] == 10.0
     assert cfg.stages[2].closed is False
     assert res.scenario == "what-if"
+
+
+def day(n: int) -> str:
+    return (date(2025, 4, 1) + timedelta(n)).isoformat()
+
+
+def test_an_overlay_closes_a_stage_for_whole_days():
+    """Closed for days [a, b]: each of those days reads closed all day and no
+    other does, and the closed machine-days are machines x days."""
+    d = chain_dict()
+    d["stages"][1]["machines"] = 2  # mix: kept busy from day 1 while open
+    cfg = parse_config(d)
+    a, b = 20, 26
+    spec = parse_scenario(overlay(window(day(a), day(b), **{"stages.mix.closed": True})), cfg)
+    res = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run()
+    assert res.counts["stage_closed_days.mix"] == 2.0 * (b - a + 1)
+    assert res.counts["stage_closed_days.fill"] == 0.0
+    util = res.series["stage_util.mix"]
+    assert [k for k in range(1, len(util)) if util[k] == 0.0] == list(range(a, b + 1))
+
+
+def test_a_resized_pool_reads_its_new_capacity_from_the_day_it_changes():
+    """One reviewer takes every 1-day review of a batch released each 3 days
+    and never queues, so a second one from day k changes no busy time: the
+    daily utilization is the same up to day k - 1 and half from day k on."""
+    d = chain_dict()
+    d["stages"][2]["document_review"] = True
+    d["qa"] = {"reviewers": 1, "document_review_time": 1.0}
+    cfg = parse_config(d)
+    k = 40
+    spec = parse_scenario(overlay({"window": {"start": day(k)}, "set": {"qa.reviewers": 2},
+                                   "revert": False}), cfg)
+    base = Model(cfg, seed=1).run().series["pool_util.qa_reviewers"]
+    two = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run().series[
+        "pool_util.qa_reviewers"]
+    assert any(base[:k]) and any(base[k:])
+    assert two[:k] == base[:k]
+    assert list(two[k:]) == [u / 2 for u in base[k:]]
+
+
+def test_capacities_and_closures_change_only_at_whole_days():
+    Pool("p", 1).set_capacity(2, 3.0)
+    with pytest.raises(ValueError, match="not at a whole day"):
+        Pool("p", 1).set_capacity(2, 3.5)
+    cfg = parse_config(chain_dict())
+    m = Model(cfg, seed=1)
+
+    def close(ev):
+        cfg.stages[2].closed = True
+        m.production.closure_changed(cfg.stages[2])
+
+    m.engine.on("close", close)
+    m.engine.schedule(10.5, "close")
+    with pytest.raises(ValueError, match="not at a whole day"):
+        m.run()
 
 
 def test_scaled_distribution_window_slows_and_recovers():

@@ -136,10 +136,14 @@ def assert_quiescent(model) -> None:
     on. Nothing awake is what lets a settle make one stage sweep and one pool
     sweep: a pool start that woke a stage would fail here. A sleeping stage is
     woken only by a change that can alter its reason, so a missed wake fails
-    here too, even where it would start nothing."""
+    here too, even where it would start nothing. Both wake lists are empty: a
+    stage or pool left on one would be visited for nothing at the next settle,
+    and would hold a reference cycle once the run ends."""
     prod, materials = model.production, model.materials
     awake = [s.id for s in prod.stages if s.awake] + [p.name for p in model.qc.pools if p.awake]
     assert not awake, f"t={model.engine.clock.now}: {awake} still awake"
+    listed = [s.id for s in prod.woken] + [p.name for p in model.qc.woken]
+    assert not listed, f"t={model.engine.clock.now}: {listed} still on a wake list"
 
     def noted(mid):  # a sweep would note a shortfall only once per stockout
         assert materials.runtimes[mid].stockout_since is not None, \

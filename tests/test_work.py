@@ -1,10 +1,14 @@
 """The replication kernel's work, pinned: one demo replication pops a fixed
-number of events of each kind and draws a fixed number of uniforms.
+number of events of each kind, draws a fixed number of uniforms, and its
+C-phase makes a fixed number of dispatch attempts and pool pumps.
 
 A change that makes the kernel cheaper per event must not make it do more (or
 other) work; the store bytes would catch a different answer, these counts catch
-the same answer reached by extra events or draws. Events are counted through
-the handlers registered with ``Engine.on``, draws through ``HashStream.random``.
+the same answer reached by extra events, draws or visits. Events are counted
+through the handlers registered with ``Engine.on``, draws through
+``HashStream.random``, and the C-phase's work through the model's own
+``Production.try_dispatch``, ``QaQc.pump`` (a sweep of the woken pools) and
+each pool's ``Pool.pump``, wrapped on the instances the same way.
 """
 
 from collections import Counter
@@ -22,6 +26,9 @@ DEMO = Path(vaxsim.__file__).parent / "configs" / "demo.yaml"
 EVENTS = {"proc_done": 3218, "task_done": 9004, "po_place": 26,
           "po_step": 2928, "maint_start": 6, "maint_end": 6}
 DRAWS = 28687
+# the C-phase: stage visits that try to start a batch, sweeps of the woken
+# pools, and pumps of one pool
+C_PHASE = {"try_dispatch": 6943, "pool_sweeps": 6791, "pool_pumps": 9082}
 
 
 def test_demo_replication_work(monkeypatch):
@@ -29,14 +36,20 @@ def test_demo_replication_work(monkeypatch):
     popped = Counter()
     handlers = model.engine.handlers
 
-    def counting(kind, handler):
-        def run(ev):
-            popped[kind] += 1
-            handler(ev)
+    def counting(kind, handler, seen=popped):
+        def run(*args):
+            seen[kind] += 1
+            return handler(*args)
         return run
 
     for kind, handler in list(handlers.items()):
         handlers[kind] = counting(kind, handler)
+    visits = Counter()
+    production, qc = model.production, model.qc
+    production.try_dispatch = counting("try_dispatch", production.try_dispatch, visits)
+    qc.pump = counting("pool_sweeps", qc.pump, visits)
+    for pool in qc.pools:
+        pool.pump = counting("pool_pumps", pool.pump, visits)
 
     draws = 0
     random = HashStream.random
@@ -51,3 +64,4 @@ def test_demo_replication_work(monkeypatch):
     assert dict(popped) == EVENTS
     assert sum(popped.values()) == 15188
     assert draws == DRAWS
+    assert dict(visits) == C_PHASE
