@@ -2,8 +2,9 @@
 
 Time is measured in fractional days since the simulation start date. A single
 replication is strictly single-threaded: all state changes happen inside event
-handlers popped from the future-event list in (time, seq) order, which makes a
-replication bit-reproducible from its seed.
+handlers popped from the future-event list in (time, seq) order and in the
+whole-day ticks between them, which makes a replication bit-reproducible from
+its seed.
 """
 
 from __future__ import annotations
@@ -38,9 +39,6 @@ class SimClock:
 
     def __post_init__(self) -> None:
         self.horizon_days = float((self.end_date - self.start_date).days)
-
-    def date_to_time(self, d: date) -> float:
-        return float((d - self.start_date).days)
 
 
 @dataclass(slots=True)
@@ -83,14 +81,12 @@ class EventList:
         (the event stays listed); tombstones on the way are dropped."""
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
-            ev = entry[2]
-            if ev.void:
-                continue
-            if entry[0] >= until:
-                heapq.heappush(heap, entry)  # at most once a run: the horizon
+            time, _, ev = heap[0]
+            if time >= until:
                 return None
-            return ev
+            heapq.heappop(heap)
+            if not ev.void:
+                return ev
         return None
 
     def peek_time(self) -> float | None:
@@ -203,8 +199,8 @@ class Engine:
 
     Handlers are registered per event kind, and every event is listed at an
     absolute time. ``run`` handles the events before the horizon and ticks
-    each whole day on the way (see ``run``), then parks the clock at the
-    horizon.
+    each whole day up to it on the way (see ``run``); the clock rests at the
+    horizon after its last tick.
     """
 
     def __init__(self, clock: SimClock | None = None) -> None:
@@ -228,38 +224,33 @@ class Engine:
             ev.target = None
 
     def pop_next(self) -> Event | None:
-        """Pop the minimal (time, seq) event and advance the clock to it.
-
-        Returns None when the list is empty or the next event lies at or
-        beyond the horizon; the clock then rests at the horizon.
-        """
-        clock = self.clock
-        ev = self.events.pop(clock.horizon_days)
-        clock.now = clock.horizon_days if ev is None else ev.time
+        """Pop the minimal (time, seq) event before the next unticked day and
+        advance the clock to it; None, with the clock left where it is, when
+        no event lies before that day."""
+        ev = self.events.pop(self.next_day)
+        if ev is not None:
+            self.clock.now = ev.time
         return ev
 
     def run(self, tick, after) -> None:
         """Handle the events before the horizon in (time, seq) order, calling
         ``after`` with no arguments after each handler (the model's C-phase).
 
-        Time crosses whole days here, not in the event list. Before the
-        handler of an event at ``t`` runs, ``tick(day)`` is called for each
-        whole day ``day <= t`` not yet ticked, so day ``k``'s tick comes
-        before every event at ``k``. When no event is left before the
-        horizon, the days up to and including the horizon are ticked. An
-        event at or beyond the horizon is never handled and stays listed.
+        Time crosses whole days here, not in the event list. Once no event
+        is left before the next unticked day, the clock moves to that day
+        and ``tick(day)`` is called, so day ``k``'s tick comes after every
+        event before ``k`` and before every event at ``k``. The last tick
+        falls on the horizon; an event at or beyond it is never handled and
+        stays listed.
         """
         handlers, pop_next, clock = self.handlers, self.pop_next, self.clock
-        while True:
-            ev = pop_next()
-            now = clock.now
-            while self.next_day <= now:
-                tick(self.next_day)
-                self.next_day += 1.0
-            if ev is None:
-                return
-            handler = handlers.get(ev.kind)
-            if handler is None:
-                raise KeyError(f"no handler for event kind {ev.kind!r}")
-            handler(ev)
-            after()
+        while (day := self.next_day) <= clock.horizon_days:
+            while (ev := pop_next()) is not None:
+                handler = handlers.get(ev.kind)
+                if handler is None:
+                    raise KeyError(f"no handler for event kind {ev.kind!r}")
+                handler(ev)
+                after()
+            clock.now = day
+            self.next_day = day + 1.0
+            tick(day)

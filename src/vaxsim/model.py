@@ -11,8 +11,8 @@ created, released or discarded is in the batch log. At each day tick the
 collector takes the day's share of the busy and queue integrals, writes the
 stage and pool utilization ratios and the queue lengths, and writes each
 material's level and stockout flag. Closures and pool capacities change only
-at whole days (maintenance windows and overlay steps are dated, and
-``Production._apply_closure`` and ``Pool.set_capacity`` refuse any other
+at whole days (they change only in the steps of the timeline below, and
+``Production.closure_changed`` and ``Pool.set_capacity`` refuse any other
 instant), so a stage is closed or open all day and a pool has one capacity
 all day: the tick reads both from state, and a closed day adds the stage's
 machines to its closed machine-days. An integral that is 0 and has accrued
@@ -60,8 +60,9 @@ The changes come from these moves:
 - an accepted receipt or a consumption of a material is told to every stage
   that uses it: a consumption can leave another one short, which must note
   the shortfall at once;
-- maintenance and every scenario apply or revert wake everything (an
-  inventory capacity has no apply hook that could wake just its neighbours).
+- every window step of the timeline, a maintenance window's included, wakes
+  everything (an inventory capacity has no apply hook that could wake just
+  its neighbours).
 
 A stage's own moves during its visit are in the reason it ends on, so they
 do not wake it again. A pool wakes on an enqueue while a head is free, on a
@@ -76,22 +77,28 @@ downstream-first order; ``tests/test_settle.py`` checks after every settle
 that nothing is awake or listed, nothing more can start, and every stage's
 reason is still the one it sleeps on.
 
-Day ticks are not events: ``Engine.run`` crosses each whole day itself and
-calls ``Collector.day_tick`` before it handles any event at or after that
-day, so a day's readings never absorb a change that belongs to the
-following day. The last tick falls on the horizon, after every event
-before it. ``end_date`` is the first day not simulated: an event at the
-horizon instant is never handled, so a window that ends the day before
+Day ticks and dated changes are not events. Once every event before day
+``k`` is handled, ``Engine.run`` moves the clock to ``k`` and calls
+``Model.tick(k)``: ``Collector.day_tick`` closes day ``k - 1``, then the
+scenario timeline plays the steps of day ``k``, a settle after each. The
+timeline (``scenario._timeline``) stacks the config's maintenance windows,
+as ``stages.*.closed: true`` windows, and an overlay's steps, if any. So a
+day's readings never absorb a change that belongs to the following day,
+and a step has one place at its instant: after the tick, before every
+event there. Day 0's steps play right after the first settle. The last
+tick falls on the horizon, after every event before it. ``end_date`` is
+the first day not simulated: no event at the horizon instant is handled
+and no step on or after it is played, so a window that ends the day before
 ``end_date`` never reverts.
 
-Every event handler is a bound method of the model or of the part that owns
-the event (the scenario runtime included), so a replication's whole state is
-reachable from the model: a model deep-copied between events runs on alone
-and finishes with the straight run's bytes. At the horizon ``run`` drops the
-links that only the run needed: the engine's handlers, the targets of the
-events still listed (a machine or task that points back at its event), and
-each part's link back to the model. The domain objects hold no
-back-references of their own: a batch does not know where it sits
+Every event handler is a bound method of the part that owns the event, and
+the scenario runtime holds the steps still to play, so a replication's
+whole state is reachable from the model: a model deep-copied between events
+runs on alone and finishes with the straight run's bytes. At the horizon
+``run`` drops the links that only the run needed: the engine's handlers,
+the targets of the events still listed (a machine or task that points back
+at its event), and each part's link back to the model. The domain objects
+hold no back-references of their own: a batch does not know where it sits
 (``Production`` finds it from the stages it entered), a sample does not
 know its batch, an inventory not the stages on its sides, and a purchase
 order holds only its material's id. A finished model is then a tree, which
@@ -111,6 +118,7 @@ from .engine import Engine, RngRegistry, SimClock
 from .materials import Materials
 from .production import BATCH_COLUMNS, CODES, DISCARDED, RELEASED, Batch, Production
 from .qaqc import QaQc
+from .scenario import ScenarioRuntime, ScenarioSpec
 
 
 class BatchLog(dict):
@@ -199,9 +207,8 @@ class Collector:
         # each reading is ``StepIntegral.take(t)`` inline, skipped where it
         # would read 0.0 (see the module notes)
         d = int(t) - 1
-        closed = self.model.production.stage_closed
         for stage, util in self._stages:
-            shut = closed(stage)  # all day: closures change only at whole days
+            shut = stage.cfg.closed  # all day: closures change only at whole days
             if shut:
                 self._closed_days[stage.idx] += 1
             i = stage.busy
@@ -276,28 +283,21 @@ class Collector:
 class Model:
     """One deterministic replication of the whole supply chain."""
 
-    def __init__(self, cfg, seed: int, scenario=None):
+    def __init__(self, cfg, seed: int, scenario: ScenarioRuntime | None = None):
+        """``scenario`` plays the run's dated changes; without one, the
+        config's maintenance windows alone."""
         self.cfg = cfg
         self.seed = seed
-        clock = SimClock(cfg.model.start_date, cfg.model.end_date)
-        self.engine = Engine(clock)
+        self.engine = Engine(SimClock(cfg.model.start_date, cfg.model.end_date))
         self.rng = RngRegistry(seed)
         # test ids are fixed once parsed; overlays edit these objects in place
         self.tests = {t.id: t for t in cfg.qc.tests}
-        for w in cfg.maintenance:
-            # validation refuses a window that ends before the start date; one
-            # that opens before it is open from t = 0
-            start = max(clock.date_to_time(w.start), 0.0)
-            end = clock.date_to_time(w.end) + 1.0  # inclusive end date
-            self.engine.schedule(start, "maint_start")
-            self.engine.schedule(end, "maint_end")
         self.materials = Materials(self)
         self.production = Production(self)
         self.qc = QaQc(self)
         self.collect = Collector(self)
-        self.scenario = scenario
-        if scenario is not None:
-            scenario.attach(self)
+        self.scenario = scenario or ScenarioRuntime(ScenarioSpec("base"))
+        self.scenario.attach(self)
 
     def wake_all(self) -> None:
         for item in (*self.production.stages, *self.qc.pools):
@@ -337,17 +337,21 @@ class Model:
             self.discard_batch(batch, "power_outage")
         self.qc.reset_wip(now)
 
+    def tick(self, day: float) -> None:
+        """Close the day before ``day``, then play the steps of ``day``."""
+        self.collect.day_tick(day)
+        self.scenario.play(day)
+
     def run(self) -> ReplicationResult:
         """Simulate the horizon; the config is left as it was found, and the
         links only the run needed are dropped (see the module notes)."""
-        self.settle()  # t=0 dispatch
-        self.engine.run(self.collect.day_tick, self.settle)
         scenario = self.scenario
-        result = self.collect.result("base" if scenario is None else scenario.name)
-        if scenario is not None:
-            scenario.restore()
+        self.settle()  # t=0 dispatch
+        scenario.play(0.0)
+        self.engine.run(self.tick, self.settle)
+        result = self.collect.result(scenario.name)
+        scenario.restore()
         self.engine.close()
         for part in (self.materials, self.production, self.qc, self.collect, scenario):
-            if part is not None:
-                part.model = None
+            part.model = None
         return result

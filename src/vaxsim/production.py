@@ -8,9 +8,10 @@ Finished batches that find their output inventory full stay on the machine
 hand batches directly to the next stage: the machine stalls until the
 downstream stage pulls the batch into one of its own machines.
 
-Maintenance closes all stages at once; a scenario can close a single stage via
-its ``closed`` flag. Closure suspends in-flight processing and resumes it with
-the remaining time when the stage reopens.
+A stage is closed while its ``closed`` flag is set: a maintenance window sets
+it on every stage, an overlay window on the stages it names (both are steps of
+the scenario timeline). Closure suspends in-flight processing and resumes it
+with the remaining time when the stage reopens.
 """
 
 from __future__ import annotations
@@ -177,37 +178,22 @@ class Production:
             for mid in rt.cfg.materials:
                 model.materials.runtimes[mid].consumers.append(rt)
         self.final_inv = self.stages[-1].output_inv
-        self.maintenance_active = False
         self._next_batch_id = 1
         model.engine.on("proc_done", self._on_proc_done)
-        model.engine.on("maint_start", self._on_maintenance)
-        model.engine.on("maint_end", self._on_maintenance)
 
     # -- closure ---------------------------------------------------------
 
-    def stage_closed(self, stage: StageRuntime) -> bool:
-        return self.maintenance_active or stage.cfg.closed
-
-    def _on_maintenance(self, ev: Event) -> None:
-        """A plant-wide maintenance window opens or closes every stage."""
-        self.maintenance_active = ev.kind == "maint_start"
-        for stage in self.stages:
-            self._apply_closure(stage)
-        self.model.wake_all()
-
     def closure_changed(self, stage_cfg) -> None:
-        """Scenario hook: a stage's ``closed`` flag was flipped."""
-        self._apply_closure(self.stage_by_id[stage_cfg.id])
-
-    def _apply_closure(self, stage: StageRuntime) -> None:
-        """Suspend or resume the stage's processing as its closure now says.
-        Closures change only at whole days, so a day is closed or open
-        throughout and the day tick reads it from ``stage_closed``."""
+        """Scenario hook: a stage's ``closed`` flag was written. Suspend or
+        resume the stage's processing as the flag now says. Closures change
+        only at whole days, so a day is closed or open throughout and the
+        day tick reads the flag."""
+        stage = self.stage_by_id[stage_cfg.id]
         now = self.clock.now
         if not float(now).is_integer():
             raise ValueError(f"stage {stage.id} closure changed at t={now}, "
                              "not at a whole day")
-        if self.stage_closed(stage):
+        if stage.cfg.closed:
             for m in stage.machines:
                 if m.state == BUSY:
                     if m.finish_time <= now:
@@ -269,7 +255,7 @@ class Production:
         return moved
 
     def _drain_stalled(self, stage: StageRuntime) -> bool:
-        if stage.output_inv is None or self.stage_closed(stage):
+        if stage.output_inv is None or stage.cfg.closed:
             return False
         moved = False
         for m in stage.stalled_machines():
@@ -282,7 +268,7 @@ class Production:
 
     def try_dispatch(self, stage: StageRuntime) -> str | None:
         """Start one batch if every precondition holds; else the block reason."""
-        if self.stage_closed(stage):
+        if stage.cfg.closed:
             return "closed"
         for machine in stage.machines:
             if machine.state == IDLE:
@@ -298,7 +284,7 @@ class Production:
                 return "no_input"
         else:
             upstream = self.stages[stage.idx - 1]
-            if not self.stage_closed(upstream):
+            if not upstream.cfg.closed:
                 stalled = upstream.stalled_machines()
                 donor = stalled[0] if stalled else None
             if donor is None:

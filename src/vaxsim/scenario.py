@@ -5,11 +5,11 @@ stage closures, processing times, pool head-counts, material availability,
 lead times and the like, plus the instant ``reset_wip`` action (loss of all
 work in progress). A target is a dot-path with ``*`` over list ids
 (``qc.teams.*.technicians``); a path outside the table is rejected. A literal
-value is read by its config field's own reader. ``_timeline`` turns an
-overlay into the config writes of a run, which the run plays and
-``validate_scenario`` replays through the same ``config.validate`` the base
-config passes. An overlay with no modifications is observationally
-identical to the base case.
+value is read by its config field's own reader. ``_timeline`` turns the
+config's maintenance windows and an overlay into the config writes of a run,
+which the run plays and ``validate_scenario`` replays through the same
+``config.validate`` the base config passes. An overlay with no modifications
+is observationally identical to the base case.
 """
 
 from __future__ import annotations
@@ -201,19 +201,25 @@ def parse_scenario(raw, cfg: Config) -> ScenarioSpec:
 
 
 def _timeline(spec: ScenarioSpec, cfg: Config):
-    """The config writes of ``spec`` on ``cfg``: ``steps``, a ``(day, kind,
-    mod, [(hook, owner, field name, value)])`` per engine event in pop order;
-    each named path's ``baseline`` (owner, field name, value); and the
-    problems of each modification whose target or value does not read.
+    """The config writes of ``spec`` on ``cfg``: ``steps``, a ``(day, mod,
+    [(hook, owner, field name, value)])`` per step in play order, where a
+    ``reset_wip`` step has no ``mod`` and no writes; each named path's
+    ``baseline`` (owner, field name, value); and the problems of each
+    modification whose target or value does not read.
 
-    A window opens on its start day and closes the day after its end; one
-    day's steps go in overlay order, an opening before a closing, resets
-    last. Per path the open windows form a stack on the baseline: an opening
-    writes its value, a closing the newest value left if that differs from
-    the value in force.
+    Each maintenance window of ``cfg`` is a ``stages.*.closed: true`` window
+    from its start, or day 0 if earlier, placed ahead of the overlay's: the
+    ``k``-th of ``m`` windows has idx ``k - m``. A window opens on its start
+    day and closes the day after its end; one day's steps go in that order,
+    an opening before a closing, resets last. Per path the open windows form
+    a stack on the baseline: an opening writes its value, a closing the
+    newest value left if that differs from the value in force.
     """
     t0, events, sets, baseline, unread = cfg.model.start_date, [], {}, {}, {}
-    for mod in spec.modifications:
+    maintenance = [Modification(k - len(cfg.maintenance), "stages.*.closed", True,
+                                max(w.start, t0), w.end)
+                   for k, w in enumerate(cfg.maintenance)]
+    for mod in maintenance + spec.modifications:
         try:
             hook, name, targets = _resolve(cfg, mod.target)
             sets[mod.idx] = hook, name, [
@@ -225,13 +231,13 @@ def _timeline(spec: ScenarioSpec, cfg: Config):
             continue
         for path, owner in targets:
             baseline.setdefault(path, (owner, name, getattr(owner, name)))
-        events.append(((mod.start - t0).days, mod.idx, 0, "scn_apply", mod))
+        events.append(((mod.start - t0).days, mod.idx, 0, mod))
         if mod.revert and mod.end is not None:
-            events.append(((mod.end - t0).days + 1, mod.idx, 1, "scn_revert", mod))
-    events += [((at - t0).days, len(spec.modifications) + i, 0, "scn_reset", None)
+            events.append(((mod.end - t0).days + 1, mod.idx, 1, mod))
+    events += [((at - t0).days, len(spec.modifications) + i, 0, None)
                for i, at in enumerate(spec.resets)]
     stacks, steps = {}, []  # path -> [(mod idx or None for the baseline, value)]
-    for day, idx, closing, kind, mod in sorted(events, key=lambda e: e[:3]):
+    for day, idx, closing, mod in sorted(events, key=lambda e: e[:3]):
         hook, name, values = sets.get(idx, (None, None, ()))
         writes = []
         for path, owner, value in values:
@@ -245,24 +251,26 @@ def _timeline(spec: ScenarioSpec, cfg: Config):
             else:
                 stack.append((idx, value))
             writes.append((hook, owner, name, value))
-        steps.append((day, kind, mod, writes))
+        steps.append((day, mod, writes))
     return steps, baseline, unread
 
 
 def validate_scenario(spec: ScenarioSpec, cfg: Config) -> list[str]:
     """Every problem with ``spec`` on ``cfg``, in overlay order. The run's
-    writes are replayed on the live ``cfg``, validated after each step that
-    writes, and undone. The base config is valid, so a problem is the
-    overlay's: it is reported under the target of the step that brings it
-    about, and again only if it goes away and a later step brings it back."""
+    writes are replayed on the live ``cfg``, validated after each overlay
+    step that writes, and undone; a maintenance step only writes stage
+    closures, which no check reads. The base config is valid, so a problem
+    is the overlay's: it is reported under the target of the step that
+    brings it about, and again only if it goes away and a later step brings
+    it back."""
     steps, baseline, found = _timeline(spec, cfg)
     before: set[str] = set()
     try:
-        for _, _, mod, writes in steps:
-            if not writes:
-                continue
+        for _, mod, writes in steps:
             for _, owner, name, value in writes:
                 setattr(owner, name, value)
+            if not writes or mod.idx < 0:
+                continue
             try:
                 problems = validate(cfg)
             except READ_ERRORS as exc:
@@ -298,10 +306,13 @@ def validate_scenario(spec: ScenarioSpec, cfg: Config) -> list[str]:
 
 
 class ScenarioRuntime:
-    """Plays an overlay's timeline on a model, one engine event per step. A
-    window step makes its writes, runs their ``SETTABLE`` hooks and wakes
+    """Plays the timeline of a run on a model: the config's maintenance
+    windows and an overlay's steps, each on its day, right after that day's
+    tick (day 0's right after the first settle), and a settle after each.
+    A window step makes its writes, runs their ``SETTABLE`` hooks and wakes
     every stage and pool, even when it writes nothing: a parameter such as
-    an inventory capacity has no hook to wake just what it unblocks."""
+    an inventory capacity has no hook to wake just what it unblocks. A step
+    on or after the horizon day is never played."""
 
     def __init__(self, spec: ScenarioSpec):
         self.spec, self.name, self.baseline, self.model = spec, spec.name, {}, None
@@ -309,22 +320,24 @@ class ScenarioRuntime:
     def attach(self, model) -> None:
         steps, self.baseline, _ = _timeline(self.spec, model.cfg)
         self.model = model
-        model.engine.on("scn_apply", self._play)
-        model.engine.on("scn_revert", self._play)
-        model.engine.on("scn_reset", self._reset)
-        for day, kind, _, writes in steps:
-            model.engine.schedule(float(day), kind, writes)
+        horizon = model.engine.clock.horizon_days
+        # the steps still to play, the next one last
+        self.steps = [step for step in reversed(steps) if step[0] < horizon]
 
-    def _play(self, ev) -> None:
-        model = self.model
-        for hook, owner, name, value in ev.target:
-            setattr(owner, name, value)
-            if hook is not None:
-                hook(model, owner, value)
-        model.wake_all()
-
-    def _reset(self, ev) -> None:
-        self.model.reset_wip()
+    def play(self, day: float) -> None:
+        """Play the steps up to ``day``, each followed by a settle."""
+        steps, model = self.steps, self.model
+        while steps and steps[-1][0] <= day:
+            _, mod, writes = steps.pop()
+            if mod is None:
+                model.reset_wip()
+            else:
+                for hook, owner, name, value in writes:
+                    setattr(owner, name, value)
+                    if hook is not None:
+                        hook(model, owner, value)
+                model.wake_all()
+            model.settle()
 
     def restore(self) -> None:
         """Put every parameter a window names back to its baseline."""

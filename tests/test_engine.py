@@ -113,15 +113,17 @@ def test_handlers_can_schedule_followups():
     assert hits == [0.0, 1.5, 3.0, 4.5]
 
 
-def test_pop_next_returns_none_at_the_horizon():
-    clock = SimClock(date(2025, 4, 1), date(2025, 4, 2))
+def test_pop_next_returns_only_events_before_the_next_unticked_day():
+    clock = SimClock(date(2025, 4, 1), date(2025, 4, 11))
     eng = Engine(clock)
     eng.schedule(0.5, "a")
-    eng.schedule(1.5, "beyond")
+    eng.schedule(1.0, "b")
     assert eng.pop_next().kind == "a" and clock.now == 0.5
-    assert eng.pop_next() is None and clock.now == 1.0
-    assert len(eng.events) == 1  # the event beyond the horizon stays listed
-    assert Engine(clock).pop_next() is None  # an empty list ends the run too
+    # day 1 is not ticked yet: its event stays listed and the clock stays put
+    assert eng.pop_next() is None and clock.now == 0.5 and len(eng.events) == 1
+    eng.next_day = 2.0
+    assert eng.pop_next().kind == "b" and clock.now == 1.0
+    assert eng.pop_next() is None and len(eng.events) == 0
 
 
 def _ticked_run(clock, times=()):
@@ -162,9 +164,17 @@ def test_an_event_at_the_horizon_is_never_handled_and_stays_listed():
 
 
 def _recorded_run(model):
-    """Run ``model``; return ("tick", day) for each day ticked and (kind, t)
-    for each event handled, in order."""
+    """Run ``model``; return ("tick", day) for each day ticked, ("step", t)
+    for each window step played and (kind, t) for each event handled, in
+    order. A window step is the one caller of ``wake_all``."""
     seen = []
+    wake_all = model.wake_all
+
+    def step():
+        seen.append(("step", model.engine.clock.now))
+        wake_all()
+
+    model.wake_all = step
     handlers = model.engine.handlers
 
     def recording(handler):
@@ -200,19 +210,29 @@ def _chain_with_steps_on_whole_days():
 
 def test_a_model_ticks_each_day_before_the_domain_events_of_its_instant():
     """A day's readings never absorb a change that belongs to the next day,
-    and the model ticks each day up to the horizon once."""
+    the model ticks each day up to the horizon once, and each dated step
+    comes between its day's tick and the events of that instant."""
     model = _chain_with_steps_on_whole_days()
     seen = _recorded_run(model)
     horizon = model.engine.clock.horizon_days
     ticks = [i for i, (kind, _) in enumerate(seen) if kind == "tick"]
     assert [seen[i][1] for i in ticks] == [float(d) for d in range(1, int(horizon) + 1)]
     tick_at = {seen[i][1]: i for i in ticks}
-    on_whole_days = [(i, kind, t) for i, (kind, t) in enumerate(seen)
-                     if kind != "tick" and t >= 1.0 and t == int(t)]
-    assert {"maint_start", "maint_end", "scn_apply", "scn_revert", "proc_done"} <= {
-        kind for _, kind, _ in on_whole_days}
+    events = [(i, kind, t) for i, (kind, t) in enumerate(seen)
+              if kind not in ("tick", "step")]
+    steps = [(i, t) for i, (kind, t) in enumerate(seen) if kind == "step"]
+    # maintenance opens on day 5 and closes on day 7, the overlay on days 10 and 12
+    assert [t for _, t in steps] == [5.0, 7.0, 10.0, 12.0]
+    first_event_at = {}
+    for i, _, t in events:
+        first_event_at.setdefault(t, i)
+    assert {t for _, t in steps} & first_event_at.keys()  # a step shares its instant
+    for i, t in steps:
+        assert tick_at[t] < i < first_event_at.get(t, len(seen)), t
+    on_whole_days = [(i, kind, t) for i, kind, t in events if t >= 1.0 and t == int(t)]
+    assert "proc_done" in {kind for _, kind, _ in on_whole_days}
     assert not [(kind, t) for i, kind, t in on_whole_days if i < tick_at[t]]
-    assert max(t for kind, t in seen if kind != "tick") < horizon
+    assert max(t for _, _, t in events) < horizon
 
 
 def draws(g, n: int) -> list[float]:

@@ -157,7 +157,7 @@ def assert_quiescent(model) -> None:
                 f"t={model.engine.clock.now}: {stage.id} could still start"
             assert reason == stage.blocked, \
                 f"t={model.engine.clock.now}: {stage.id} is {reason}, asleep on {stage.blocked}"
-            if stage.output_inv is not None and not prod.stage_closed(stage):
+            if stage.output_inv is not None and not stage.cfg.closed:
                 assert not (stage.output_inv.has_space() and
                             any(m.state == STALLED for m in stage.machines)), \
                     f"t={model.engine.clock.now}: {stage.id} could still drain"

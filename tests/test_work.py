@@ -23,8 +23,7 @@ from vaxsim.model import Model
 
 DEMO = Path(vaxsim.__file__).parent / "configs" / "demo.yaml"
 
-EVENTS = {"proc_done": 3218, "task_done": 9004, "po_place": 26,
-          "po_step": 2928, "maint_start": 6, "maint_end": 6}
+EVENTS = {"proc_done": 3218, "task_done": 9004, "po_place": 26, "po_step": 2928}
 DRAWS = 28687
 # the C-phase: stage visits that try to start a batch, sweeps of the woken
 # pools, and pumps of one pool
@@ -62,6 +61,6 @@ def test_demo_replication_work(monkeypatch):
     monkeypatch.setattr(HashStream, "random", counted_random)
     model.run()
     assert dict(popped) == EVENTS
-    assert sum(popped.values()) == 15188
+    assert sum(popped.values()) == 15176
     assert draws == DRAWS
     assert dict(visits) == C_PHASE
