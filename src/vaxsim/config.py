@@ -24,7 +24,6 @@ from functools import cache
 
 from .distributions import (Distribution, constant, from_config, is_number, read_number,
                             to_config)
-from .engine import DEFAULT_END_DATE, DEFAULT_START_DATE
 
 
 class ConfigError(ValueError):
@@ -163,8 +162,8 @@ def entries(cls):
 
 @dataclass
 class ModelSection:
-    start_date: date = param(read_date, DEFAULT_START_DATE)
-    end_date: date = param(read_date, DEFAULT_END_DATE)
+    start_date: date = param(read_date, date(2025, 4, 1))
+    end_date: date = param(read_date, date(2028, 3, 31))
 
 
 @dataclass
@@ -335,24 +334,10 @@ def parse_config(raw: dict) -> Config:
     cfg = _build(Config, raw, "", errors)
     errors.extend(f"stages.{stage.id}.closed: a stage is closed only by a scenario overlay"
                   for stage in cfg.stages if stage.closed)
-    cfg.maintenance = _merge_windows(cfg.maintenance)
     errors.extend(validate(cfg))
     if errors:
         raise ConfigError(errors)
     return cfg
-
-
-def _merge_windows(windows: list[MaintenanceWindow]) -> list[MaintenanceWindow]:
-    """Overlapping or adjacent windows merged into a disjoint sorted calendar."""
-    windows.sort(key=lambda w: w.start)
-    merged: list[MaintenanceWindow] = []
-    for w in windows:
-        if merged and w.start <= merged[-1].end:
-            if w.end > merged[-1].end:
-                merged[-1].end = w.end
-        else:
-            merged.append(w)
-    return merged
 
 
 # ---------------------------------------------------------------------------

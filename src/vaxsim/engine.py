@@ -1,10 +1,10 @@
 """Deterministic event-driven simulation substrate.
 
 Time is measured in fractional days since the simulation start date. A single
-replication is strictly single-threaded: all state changes happen inside event
-handlers popped from the future-event list in (time, seq) order and in the
-whole-day ticks between them, which makes a replication bit-reproducible from
-its seed.
+replication is strictly single-threaded: all state changes happen inside the
+actions of events popped from the future-event list in (time, seq) order and
+in the whole-day ticks between them, which makes a replication
+bit-reproducible from its seed.
 """
 
 from __future__ import annotations
@@ -13,41 +13,26 @@ import hashlib
 import heapq
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
-
-DEFAULT_START_DATE = date(2025, 4, 1)
-DEFAULT_END_DATE = date(2028, 3, 31)
 
 
 class SchedulingError(RuntimeError):
-    """Raised when an event is scheduled before the current clock time."""
-
-
-@dataclass
-class SimClock:
-    """Simulation clock over a fixed calendar horizon.
-
-    ``now`` is in fractional days since ``start_date`` and never decreases.
-    """
-
-    start_date: date = DEFAULT_START_DATE
-    end_date: date = DEFAULT_END_DATE
-    now: float = 0.0
-    # fixed at construction: the dates are read-only once a clock exists
-    horizon_days: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        self.horizon_days = float((self.end_date - self.start_date).days)
+    """Raised when an event is scheduled before the current time."""
 
 
 @dataclass(slots=True)
 class Event:
     time: float
     seq: int
-    kind: str
+    action: object  # called with the event when it is handled
     target: object = None
     void: bool = False  # tombstoned events are skipped on pop
+
+    @property
+    def kind(self) -> str:
+        """The name of the event's action: a handler is named for its kind."""
+        return self.action.__name__
 
 
 class EventList:
@@ -65,13 +50,13 @@ class EventList:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def push(self, time: float, kind: str, target: object = None, *,
+    def push(self, time: float, action, target: object = None, *,
              now: float = 0.0) -> Event:
         if time < now:
             raise SchedulingError(
-                f"event {kind!r} scheduled at t={time} before current time t={now}"
+                f"event {action!r} scheduled at t={time} before current time t={now}"
             )
-        ev = Event(time, self._seq, kind, target)
+        ev = Event(time, self._seq, action, target)
         self._seq += 1
         heapq.heappush(self._heap, (time, ev.seq, ev))
         return ev
@@ -195,33 +180,33 @@ class StepIntegral:
 
 
 class Engine:
-    """Clock plus future-event list with horizon handling.
+    """The clock and the future-event list of one run over a fixed calendar
+    horizon.
 
-    Handlers are registered per event kind, and every event is listed at an
-    absolute time. ``run`` handles the events before the horizon and ticks
-    each whole day up to it on the way (see ``run``); the clock rests at the
+    ``now`` is in fractional days since ``start_date`` and never decreases.
+    Every event is listed at an absolute time with its action, a bound
+    method of the part that owns the event, which ``run`` calls with the
+    event. ``run`` handles the events before the horizon and ticks each
+    whole day up to it on the way (see ``run``); the clock rests at the
     horizon after its last tick.
     """
 
-    def __init__(self, clock: SimClock | None = None) -> None:
-        self.clock = clock or SimClock()
+    def __init__(self, start_date: date, end_date: date) -> None:
+        self.start_date = start_date
+        self.horizon_days = float((end_date - start_date).days)
+        self.now = 0.0
         self.events = EventList()
-        self.handlers: dict[str, object] = {}
         self.next_day = 1.0  # the first whole day not yet ticked
 
-    def schedule(self, time: float, kind: str, target: object = None) -> Event:
-        return self.events.push(time, kind, target, now=self.clock.now)
-
-    def on(self, kind: str, handler) -> None:
-        self.handlers[kind] = handler
+    def schedule(self, time: float, action, target: object = None) -> Event:
+        return self.events.push(time, action, target, now=self.now)
 
     def close(self) -> None:
-        """Drop what only a run needs: the handlers and the targets of the
-        events still listed, which hold them in turn. The listed events
+        """Drop what only a run needs: the action and the target of each event
+        still listed, which hold the model's parts in turn. The listed events
         themselves stay, so ``len(events)`` still counts them."""
-        self.handlers = {}
         for _, _, ev in self.events._heap:
-            ev.target = None
+            ev.action = ev.target = None
 
     def pop_next(self) -> Event | None:
         """Pop the minimal (time, seq) event before the next unticked day and
@@ -229,12 +214,13 @@ class Engine:
         no event lies before that day."""
         ev = self.events.pop(self.next_day)
         if ev is not None:
-            self.clock.now = ev.time
+            self.now = ev.time
         return ev
 
     def run(self, tick, after) -> None:
-        """Handle the events before the horizon in (time, seq) order, calling
-        ``after`` with no arguments after each handler (the model's C-phase).
+        """Handle the events before the horizon in (time, seq) order, each by
+        calling its action with it and then ``after`` with no arguments (the
+        model's C-phase).
 
         Time crosses whole days here, not in the event list. Once no event
         is left before the next unticked day, the clock moves to that day
@@ -243,14 +229,11 @@ class Engine:
         falls on the horizon; an event at or beyond it is never handled and
         stays listed.
         """
-        handlers, pop_next, clock = self.handlers, self.pop_next, self.clock
-        while (day := self.next_day) <= clock.horizon_days:
+        pop_next = self.pop_next
+        while (day := self.next_day) <= self.horizon_days:
             while (ev := pop_next()) is not None:
-                handler = handlers.get(ev.kind)
-                if handler is None:
-                    raise KeyError(f"no handler for event kind {ev.kind!r}")
-                handler(ev)
+                ev.action(ev)
                 after()
-            clock.now = day
+            self.now = day
             self.next_day = day + 1.0
             tick(day)

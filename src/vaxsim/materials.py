@@ -65,8 +65,6 @@ class Materials:
         self.runtimes = {
             m.id: MaterialRuntime(m, sum(s.materials.get(m.id, 0.0) for s in stages) or 1.0)
             for m in model.cfg.materials}
-        model.engine.on("po_place", self._on_po_place)
-        model.engine.on("po_step", self._on_po_step)
         for rt in self.runtimes.values():
             self._review(rt)  # initial stockpiles may already sit at the reorder point
 
@@ -93,7 +91,7 @@ class Materials:
     def note_shortfall(self, mid: str) -> None:
         rt = self.runtimes[mid]
         if rt.stockout_since is None:
-            rt.stockout_since = self.model.engine.clock.now
+            rt.stockout_since = self.model.engine.now
 
     # -- replenishment side ----------------------------------------------
 
@@ -125,18 +123,18 @@ class Materials:
         return list(zip(suppliers, base))
 
     def _place(self, rt: MaterialRuntime, sup, lots: int, *, immediate: bool = False) -> None:
-        now = self.model.engine.clock.now
+        now = self.model.engine.now
         rt.po_seq[sup.id] += 1
         start = now if immediate else max(now, rt.last_order[sup.id] + sup.min_interarrival)
         rt.last_order[sup.id] = start
         po = PurchaseOrder(rt.po_seq[sup.id], rt.id, sup, lots, lots * rt.cfg.lot_size)
         rt.on_order += po.qty
         if start > now:
-            self.model.engine.schedule(start, "po_place", po)
+            self.model.engine.schedule(start, self.po_place, po)
         else:
             self._start_lead(po, now)
 
-    def _on_po_place(self, ev: Event) -> None:
+    def po_place(self, ev: Event) -> None:
         self._start_lead(ev.target, ev.time)
 
     def _stream(self, key: str, po: PurchaseOrder):
@@ -145,16 +143,16 @@ class Materials:
     def _start_lead(self, po: PurchaseOrder, now: float) -> None:
         po.state = "lead"
         lead = po.supplier.lead_time.sample(self._stream("lead", po))
-        self.model.engine.schedule(now + max(lead, 0.0), "po_step", po)
+        self.model.engine.schedule(now + max(lead, 0.0), self.po_step, po)
 
-    def _on_po_step(self, ev: Event) -> None:
+    def po_step(self, ev: Event) -> None:
         po: PurchaseOrder = ev.target
         rt = self.runtimes[po.material]
         now = ev.time
         if po.state == "lead":
             po.state = "transit"
             transport = po.supplier.transport_time.sample(self._stream("trans", po))
-            self.model.engine.schedule(now + max(transport, 0.0), "po_step", po)
+            self.model.engine.schedule(now + max(transport, 0.0), self.po_step, po)
         elif po.state == "transit":
             if rt.cfg.available:
                 self._start_receipt_qc(po, now)
@@ -170,7 +168,7 @@ class Materials:
         # a constant draws nothing, so its substream is not even keyed
         qc = (dist.params[0] if dist.kind == "constant" else
               dist.sample(self._stream("rqc", po)))
-        self.model.engine.schedule(now + max(qc, 0.0), "po_step", po)
+        self.model.engine.schedule(now + max(qc, 0.0), self.po_step, po)
 
     def _resolve_receipt(self, po: PurchaseOrder, now: float) -> None:
         rt = self.runtimes[po.material]
@@ -199,7 +197,7 @@ class Materials:
     def availability_changed(self, mat_cfg) -> None:
         rt = self.runtimes[mat_cfg.id]
         if mat_cfg.available and rt.parked:
-            now = self.model.engine.clock.now
+            now = self.model.engine.now
             for po in rt.parked:
                 self._start_receipt_qc(po, now)
             rt.parked.clear()

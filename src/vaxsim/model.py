@@ -1,8 +1,9 @@
 """Composition of one replication: production + QA/QC + materials + metrics.
 
-A Model wires the domain runtimes onto one engine, ticks a daily collector,
-and hands back a ReplicationResult. Everything is deterministic in (config,
-scenario, seed).
+A Model wires the domain runtimes onto one engine, which holds the clock,
+builds the scenario runtime of its overlay, ticks a daily collector, and
+hands back a ReplicationResult. Everything is deterministic in (config,
+overlay, seed).
 
 The collector keeps each daily reading once, in the result's own series:
 every series is allocated for the whole horizon when the run starts. Released
@@ -21,9 +22,10 @@ holds, so the tick does not take it.
 ``Collector.result`` hands over those same arrays, turns the batches into
 the typed columns of a ``BatchLog``, and adds the run totals.
 
-Time advances in the three phases of Pidd's method: pop the next event, run
-its handler (the B-phase), then ``settle`` (the C-phase, which ``run`` hands
-to ``Engine.run``) starts every batch and task whose preconditions now hold.
+Time advances in the three phases of Pidd's method: pop the next event,
+call the handler it was listed with (the B-phase), then ``settle`` (the
+C-phase, which ``run`` hands to ``Engine.run``) starts every batch and task
+whose preconditions now hold.
 A stage or pool that wakes joins its side's wake list (``Production.woken``
 or ``QaQc.woken``), and the C-phase visits only what is listed, so its work
 follows what changed, not the size of the plant: with both lists empty a
@@ -91,21 +93,23 @@ the first day not simulated: no event at the horizon instant is handled
 and no step on or after it is played, so a window that ends the day before
 ``end_date`` never reverts.
 
-Every event handler is a bound method of the part that owns the event, and
-the scenario runtime holds the steps still to play, so a replication's
-whole state is reachable from the model: a model deep-copied between events
-runs on alone and finishes with the straight run's bytes. At the horizon
-``run`` drops the links that only the run needed: the engine's handlers,
-the targets of the events still listed (a machine or task that points back
-at its event), and each part's link back to the model. The domain objects
-hold no back-references of their own: a batch does not know where it sits
-(``Production`` finds it from the stages it entered), a sample does not
-know its batch, an inventory not the stages on its sides, and a purchase
-order holds only its material's id. A finished model is then a tree, which
-reference counting frees as soon as the caller lets it go. A cycle would
-keep the few thousand batches, samples and tasks of a replication alive
-until the next full collection, and an ensemble's peak memory would follow
-the collector's timing.
+An event is listed with its handler, a bound method of the part that owns
+it, named for the event's kind (``Production.proc_done``,
+``QaQc.task_done``, ``Materials.po_place``, ``Materials.po_step``), and the
+engine calls it directly. The scenario runtime holds the steps still to
+play, so a replication's whole state is reachable from the model: a model
+deep-copied between events runs on alone and finishes with the straight
+run's bytes. At the horizon ``run`` drops the links that only the run
+needed: the handlers and targets of the events still listed (a machine or
+task that points back at its event), and each part's link back to the
+model. The domain objects hold no back-references of their own: a batch
+does not know where it sits (``Production`` finds it from the stages it
+entered), a sample does not know its batch, an inventory not the stages on
+its sides, and a purchase order holds only its material's id. A finished
+model is then a tree, which reference counting frees as soon as the caller
+lets it go. A cycle would keep the few thousand batches, samples and tasks
+of a replication alive until the next full collection, and an ensemble's
+peak memory would follow the collector's timing.
 """
 
 from __future__ import annotations
@@ -114,7 +118,7 @@ from array import array
 from dataclasses import dataclass, field
 from math import nan as NAN
 
-from .engine import Engine, RngRegistry, SimClock
+from .engine import Engine, RngRegistry
 from .materials import Materials
 from .production import BATCH_COLUMNS, CODES, DISCARDED, RELEASED, Batch, Production
 from .qaqc import QaQc
@@ -172,7 +176,7 @@ class Collector:
 
     def __init__(self, model):
         self.model = model
-        self.horizon = int(model.engine.clock.horizon_days)
+        self.horizon = int(model.engine.horizon_days)
         self.series: dict[str, array] = {}
         self._doses = self._new("released_doses")
         self._stages = [(s, self._new(f"stage_util.{s.id}"))
@@ -196,7 +200,7 @@ class Collector:
         self.batches.append(batch)
 
     def record_release(self, batch: Batch) -> None:
-        self._doses[int(self.model.engine.clock.now)] += batch.doses
+        self._doses[int(self.model.engine.now)] += batch.doses
 
     def live_batches(self) -> list[Batch]:
         return [b for b in self.batches if b.alive]
@@ -252,7 +256,7 @@ class Collector:
             scenario=scenario,
             seed=model.seed,
             horizon_days=self.horizon,
-            start_date=model.engine.clock.start_date.isoformat(),
+            start_date=model.engine.start_date.isoformat(),
             series=self.series,
             batches=log,
         )
@@ -283,12 +287,12 @@ class Collector:
 class Model:
     """One deterministic replication of the whole supply chain."""
 
-    def __init__(self, cfg, seed: int, scenario: ScenarioRuntime | None = None):
-        """``scenario`` plays the run's dated changes; without one, the
-        config's maintenance windows alone."""
+    def __init__(self, cfg, seed: int, spec: ScenarioSpec | None = None):
+        """The run plays the config's maintenance windows and the overlay
+        ``spec``'s steps, if one is given."""
         self.cfg = cfg
         self.seed = seed
-        self.engine = Engine(SimClock(cfg.model.start_date, cfg.model.end_date))
+        self.engine = Engine(cfg.model.start_date, cfg.model.end_date)
         self.rng = RngRegistry(seed)
         # test ids are fixed once parsed; overlays edit these objects in place
         self.tests = {t.id: t for t in cfg.qc.tests}
@@ -296,8 +300,7 @@ class Model:
         self.production = Production(self)
         self.qc = QaQc(self)
         self.collect = Collector(self)
-        self.scenario = scenario or ScenarioRuntime(ScenarioSpec("base"))
-        self.scenario.attach(self)
+        self.scenario = ScenarioRuntime(spec or ScenarioSpec("base"), self)
 
     def wake_all(self) -> None:
         for item in (*self.production.stages, *self.qc.pools):
@@ -319,7 +322,7 @@ class Model:
     def discard_batch(self, batch: Batch, cause: str) -> None:
         if not batch.alive:
             return
-        now = self.engine.clock.now
+        now = self.engine.now
         batch.state = DISCARDED
         batch.discarded_at = now
         batch.discard_cause = cause
@@ -332,7 +335,7 @@ class Model:
         Batches resident in inventories survive; their unresolved tests are
         re-queued from fresh samples by the QA/QC side.
         """
-        now = self.engine.clock.now
+        now = self.engine.now
         for batch in self.production.wip_batches():
             self.discard_batch(batch, "power_outage")
         self.qc.reset_wip(now)

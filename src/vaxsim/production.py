@@ -160,7 +160,7 @@ class Production:
 
     def __init__(self, model):
         self.model = model
-        self.engine, self.clock = model.engine, model.engine.clock
+        self.engine = model.engine
         self.rng, self.tests, self.materials = model.rng, model.tests, model.materials
         cfg = model.cfg
         invs = {inv.id: InventoryRuntime(inv) for inv in cfg.inventories}
@@ -179,7 +179,6 @@ class Production:
                 model.materials.runtimes[mid].consumers.append(rt)
         self.final_inv = self.stages[-1].output_inv
         self._next_batch_id = 1
-        model.engine.on("proc_done", self._on_proc_done)
 
     # -- closure ---------------------------------------------------------
 
@@ -189,7 +188,7 @@ class Production:
         only at whole days, so a day is closed or open throughout and the
         day tick reads the flag."""
         stage = self.stage_by_id[stage_cfg.id]
-        now = self.clock.now
+        now = self.engine.now
         if not float(now).is_integer():
             raise ValueError(f"stage {stage.id} closure changed at t={now}, "
                              "not at a whole day")
@@ -212,7 +211,7 @@ class Production:
                     m.state = BUSY
                     m.finish_time = now + m.remaining
                     m.remaining = None
-                    m.proc_event = self.engine.schedule(m.finish_time, "proc_done", m)
+                    m.proc_event = self.engine.schedule(m.finish_time, self.proc_done, m)
                     stage.busy.add(now, 1)
 
     # -- dispatch --------------------------------------------------------
@@ -300,7 +299,7 @@ class Production:
         if stage.output_inv is not None and not stage.output_inv.has_space():
             return "downstream_full"
 
-        now = self.clock.now
+        now = self.engine.now
         if stage.idx == 0:
             batch = Batch(self._next_batch_id, now)
             self._next_batch_id += 1
@@ -318,7 +317,7 @@ class Production:
         machine.state = BUSY
         machine.batch = batch
         machine.finish_time = now + self._processing_duration(stage, batch)
-        machine.proc_event = self.engine.schedule(machine.finish_time, "proc_done",
+        machine.proc_event = self.engine.schedule(machine.finish_time, self.proc_done,
                                                   machine)
         stage.busy.add(now, 1)
         return None
@@ -335,11 +334,11 @@ class Production:
 
     # -- completion ------------------------------------------------------
 
-    def _on_proc_done(self, ev: Event) -> None:
+    def proc_done(self, ev: Event) -> None:
         machine: Machine = ev.target
         stage = self.stages[machine.stage_idx]
         batch = machine.batch
-        now = self.clock.now
+        now = self.engine.now
         machine.proc_event = None
         stage.busy.add(now, -1)
 
@@ -382,7 +381,7 @@ class Production:
                         m.proc_event.void = True
                         m.proc_event = None
                     if m.state == BUSY:
-                        stage.busy.add(self.clock.now, -1)
+                        stage.busy.add(self.engine.now, -1)
                     elif m.state == STALLED and stage.handoff is not None:
                         stage.handoff.notify("input_lost")
                     m.free()

@@ -154,7 +154,7 @@ class QaQc:
 
     def __init__(self, model):
         self.model = model
-        self.engine, self.clock = model.engine, model.engine.clock
+        self.engine = model.engine
         self.rng, self.tests, self.cfg = model.rng, model.tests, model.cfg
         self.production = model.production
         self.final_inv = model.production.final_inv
@@ -173,13 +173,12 @@ class QaQc:
         # insertion-ordered, so a reset releases in start order whatever the
         # addresses the tasks hash by
         self.running: dict[Task, None] = {}
-        model.engine.on("task_done", self._on_task_done)
 
     # -- intake from production -----------------------------------------
 
     def on_stage_complete(self, batch: Batch, stage: StageRuntime) -> None:
         cfg = self.cfg
-        now = self.clock.now
+        now = self.engine.now
         for tid in stage.cfg.ipc_tests:
             test = self.tests[tid]
             if test.failure_prob <= 0.0:
@@ -218,7 +217,7 @@ class QaQc:
                 self._enqueue_test(batch, sample, tid, attempt=1, now=now)
 
     def on_enter_final(self, batch: Batch) -> None:
-        now = self.clock.now
+        now = self.engine.now
         if not self.cfg.qa.release_review_time.is_zero():
             batch.holds += 1
             self.reviewers.enqueue(Task("relrev", batch),
@@ -246,7 +245,7 @@ class QaQc:
         woken = self.woken
         if len(woken) > 1:
             woken.sort(key=self.pools.index)
-        now = self.clock.now
+        now = self.engine.now
         changed = False
         for pool in woken:
             pool.awake = False
@@ -269,12 +268,12 @@ class QaQc:
             name, key, label = QA_DURATIONS[task.kind]
             duration = getattr(self.cfg.qa, name).sample(
                 rng.derived(key, *label(task)))
-        task.event = self.engine.schedule(now + duration, "task_done", task)
+        task.event = self.engine.schedule(now + duration, self.task_done, task)
         self.running[task] = None
 
-    def _on_task_done(self, ev: Event) -> None:
+    def task_done(self, ev: Event) -> None:
         task: Task = ev.target
-        now = self.clock.now
+        now = self.engine.now
         del self.running[task]
         if task.pool is not None:  # an in-process retest seizes no one
             task.pool.release(now)
@@ -330,7 +329,7 @@ class QaQc:
             "ipcdur", task.test_id, task.stage_id, task.batch.id, 2))
         retest = Task("ipc_retest", task.batch, test_id=task.test_id,
                       stage_id=task.stage_id, attempt=2)
-        retest.event = self.engine.schedule(now + duration, "task_done", retest)
+        retest.event = self.engine.schedule(now + duration, self.task_done, retest)
         self.running[retest] = None
 
     def _done_ipc_retest(self, task: Task, now: float) -> None:
@@ -372,7 +371,7 @@ class QaQc:
         if batch.state != AWAITING_RELEASE or batch.holds:
             return
         batch.state = RELEASED
-        batch.released_at = self.clock.now
+        batch.released_at = self.engine.now
         self.production.remove_batch(batch)  # released stock leaves the final inventory
         self.model.collect.record_release(batch)
 

@@ -46,7 +46,7 @@ from .config import Config, config_hash, parse_config
 from .metrics import NAMES_READ, kpi_summary
 from .model import BatchLog, Model, ReplicationResult
 from .production import BATCH_COLUMNS, CODES
-from .scenario import ScenarioRuntime, ScenarioSpec, parse_scenario
+from .scenario import ScenarioSpec, parse_scenario
 
 STORE_FORMAT = "vaxsim-store-3"
 
@@ -60,7 +60,7 @@ KPI_COLUMNS = [
 def run_replication(cfg_raw: dict, overlay_raw: dict | None, seed: int) -> ReplicationResult:
     """One fully deterministic replication from plain-dict inputs."""
     cfg = parse_config(cfg_raw)
-    return Model(cfg, seed, scenario=ScenarioRuntime(parse_scenario(overlay_raw, cfg))).run()
+    return Model(cfg, seed, parse_scenario(overlay_raw, cfg)).run()
 
 
 def _worker(args) -> ReplicationResult:

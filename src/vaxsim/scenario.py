@@ -23,7 +23,7 @@ from .distributions import Distribution, read_number
 
 
 def _resize(pool, model, count: int) -> None:
-    pool.set_capacity(count, model.engine.clock.now)
+    pool.set_capacity(count, model.engine.now)
 
 
 # Each settable parameter maps to None, or to ``apply(model, owner, value)``
@@ -210,10 +210,12 @@ def _timeline(spec: ScenarioSpec, cfg: Config):
     Each maintenance window of ``cfg`` is a ``stages.*.closed: true`` window
     from its start, or day 0 if earlier, placed ahead of the overlay's: the
     ``k``-th of ``m`` windows has idx ``k - m``. A window opens on its start
-    day and closes the day after its end; one day's steps go in that order,
-    an opening before a closing, resets last. Per path the open windows form
-    a stack on the baseline: an opening writes its value, a closing the
-    newest value left if that differs from the value in force.
+    day and closes the day after its end. One day's steps play the openings,
+    then the closings, then the resets, each group in listing order, so a
+    window that takes over from one closing that day never lets the
+    baseline in between. Per path the open windows form a stack on the
+    baseline: an opening writes its value, a closing the newest value left
+    if that differs from the value in force.
     """
     t0, events, sets, baseline, unread = cfg.model.start_date, [], {}, {}, {}
     maintenance = [Modification(k - len(cfg.maintenance), "stages.*.closed", True,
@@ -231,18 +233,18 @@ def _timeline(spec: ScenarioSpec, cfg: Config):
             continue
         for path, owner in targets:
             baseline.setdefault(path, (owner, name, getattr(owner, name)))
-        events.append(((mod.start - t0).days, mod.idx, 0, mod))
+        events.append(((mod.start - t0).days, 0, mod.idx, mod))
         if mod.revert and mod.end is not None:
-            events.append(((mod.end - t0).days + 1, mod.idx, 1, mod))
-    events += [((at - t0).days, len(spec.modifications) + i, 0, None)
+            events.append(((mod.end - t0).days + 1, 1, mod.idx, mod))
+    events += [((at - t0).days, 2, len(spec.modifications) + i, None)
                for i, at in enumerate(spec.resets)]
     stacks, steps = {}, []  # path -> [(mod idx or None for the baseline, value)]
-    for day, idx, closing, mod in sorted(events, key=lambda e: e[:3]):
+    for day, rank, idx, mod in sorted(events, key=lambda e: e[:3]):
         hook, name, values = sets.get(idx, (None, None, ()))
         writes = []
         for path, owner, value in values:
             stack = stacks.setdefault(path, [(None, baseline[path][2])])
-            if closing:
+            if rank == 1:  # a closing
                 in_force = stack[-1][1]
                 stack[:] = [entry for entry in stack if entry[0] != idx]
                 value = stack[-1][1]
@@ -314,13 +316,10 @@ class ScenarioRuntime:
     an inventory capacity has no hook to wake just what it unblocks. A step
     on or after the horizon day is never played."""
 
-    def __init__(self, spec: ScenarioSpec):
-        self.spec, self.name, self.baseline, self.model = spec, spec.name, {}, None
-
-    def attach(self, model) -> None:
-        steps, self.baseline, _ = _timeline(self.spec, model.cfg)
-        self.model = model
-        horizon = model.engine.clock.horizon_days
+    def __init__(self, spec: ScenarioSpec, model):
+        steps, self.baseline, _ = _timeline(spec, model.cfg)
+        self.name, self.model = spec.name, model
+        horizon = model.engine.horizon_days
         # the steps still to play, the next one last
         self.steps = [step for step in reversed(steps) if step[0] < horizon]
 

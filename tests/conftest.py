@@ -104,7 +104,7 @@ def assert_books_balance(model, result) -> None:
                  - counts[f"material_consumed.{m.id}"])
         assert math.isclose(books, rt.on_hand, rel_tol=1e-9, abs_tol=1e-9), \
             f"{m.id}: {books} on the books, {rt.on_hand} on hand"
-    horizon = model.engine.clock.horizon_days
+    horizon = model.engine.horizon_days
     for pool in model.qc.pools:
         waits = (counts[f"pool_wait_days.{pool.name}"]
                  + counts[f"pool_purged_wait_days.{pool.name}"]

@@ -33,7 +33,7 @@ from vaxsim.metrics import (bottleneck_report, compare_scenarios,
                             detect_recovery, doses_by_day)
 from vaxsim.model import Model
 from vaxsim.runner import result_to_ndjson, run_ensemble, run_replication, write_store
-from vaxsim.scenario import ScenarioRuntime, parse_scenario
+from vaxsim.scenario import parse_scenario
 
 from conftest import batch_rows, chain_dict
 
@@ -290,7 +290,7 @@ def test_windowed_overlays_restore_parameters(demo_raw, base20):
         cfg = parse_config(demo_raw)
         before = config_to_dict(cfg)
         spec = parse_scenario(_overlay(name), cfg)
-        res = Model(cfg, SEED, scenario=ScenarioRuntime(spec)).run()
+        res = Model(cfg, SEED, spec=spec).run()
         assert result_to_ndjson(res) != base_file, f"{name} changed nothing"
         after = config_to_dict(cfg)
         assert after == before, f"{name} left parameters modified"

@@ -7,7 +7,7 @@ import pytest
 from vaxsim.config import ConfigError, config_hash, config_to_dict, parse_config
 from vaxsim.distributions import Distribution, constant
 from vaxsim.model import Model
-from vaxsim.scenario import ScenarioRuntime, parse_scenario
+from vaxsim.scenario import parse_scenario
 
 from conftest import chain_dict
 from test_scenario import busy_chain
@@ -125,16 +125,18 @@ def test_unreferenced_inventory_rejected():
         parse_config(d)
 
 
-def test_maintenance_windows_merge_and_validate():
+def test_each_maintenance_window_is_checked_on_its_own():
     d = chain_dict()
     d["maintenance"] = [
-        {"start": "2025-08-01", "end": "2025-08-10"},
         {"start": "2025-08-05", "end": "2025-08-20"},
-        {"start": "2026-01-02", "end": "2026-01-05"},
+        {"start": "2025-08-01", "end": "2025-08-10"},
+        {"start": "2025-08-12", "end": "2025-08-08"},  # inside the first
     ]
-    cfg = parse_config(d)
-    assert len(cfg.maintenance) == 2
-    assert cfg.maintenance[0].end.isoformat() == "2025-08-20"
+    with pytest.raises(ConfigError, match="2025-08-12..2025-08-08 ends before it starts"):
+        parse_config(d)
+    del d["maintenance"][-1]
+    assert [(w.start.isoformat(), w.end.isoformat()) for w in parse_config(d).maintenance] \
+        == [("2025-08-05", "2025-08-20"), ("2025-08-01", "2025-08-10")]
 
 
 def test_past_maintenance_window_rejected():
@@ -303,10 +305,9 @@ def in_window(target, value, read):
     spec = parse_scenario({"modifications": [
         {"window": {"start": "2025-04-02", "end": "2025-04-10"},
          "set": {target: value}}]}, cfg)
-    model = Model(cfg, seed=1, scenario=ScenarioRuntime(spec))
+    model = Model(cfg, seed=1, spec=spec)
     seen = []
-    model.engine.on("probe", lambda ev: seen.append(read(cfg)))
-    model.engine.schedule(5.0, "probe")
+    model.engine.schedule(5.0, lambda ev: seen.append(read(cfg)))
     model.run()
     return seen[0]
 

@@ -13,11 +13,10 @@ from vaxsim.engine import (
     EventList,
     RngRegistry,
     SchedulingError,
-    SimClock,
     StepIntegral,
 )
 from vaxsim.model import Model
-from vaxsim.scenario import ScenarioRuntime, parse_scenario
+from vaxsim.scenario import parse_scenario
 
 from conftest import chain_dict
 
@@ -41,8 +40,8 @@ def test_equal_times_pop_in_schedule_order():
     el = EventList()
     for i in range(50):
         el.push(5.0, f"k{i}")
-    kinds = [el.pop().kind for _ in range(50)]
-    assert kinds == [f"k{i}" for i in range(50)]
+    actions = [el.pop().action for _ in range(50)]
+    assert actions == [f"k{i}" for i in range(50)]
 
 
 def test_scheduling_into_the_past_raises():
@@ -77,114 +76,128 @@ def test_pop_until_stops_at_the_bound_and_keeps_the_event():
     dead.void = True
     assert el.pop(2.0) is None  # the bound is exclusive; the tombstone goes
     assert len(el) == 2 and el.peek_time() == 2.0
-    assert el.pop(2.5).kind == "at"
+    assert el.pop(2.5).action == "at"
     assert el.pop(3.0) is None
-    assert el.pop(10.0).kind == "after"
+    assert el.pop(10.0).action == "after"
     assert el.pop(10.0) is None and len(el) == 0
 
 
 def test_engine_runs_handlers_in_order_and_parks_at_horizon():
-    clock = SimClock(date(2025, 4, 1), date(2025, 4, 11))
-    eng = Engine(clock)
+    eng = Engine(date(2025, 4, 1), date(2025, 4, 11))
     seen = []
-    eng.on("a", lambda ev: seen.append((ev.time, ev.seq, ev.kind)))
-    eng.on("b", lambda ev: seen.append((ev.time, ev.seq, ev.kind)))
-    eng.schedule(2.0, "b")
-    eng.schedule(1.0, "a")
-    eng.schedule(20.0, "a")  # beyond horizon: never dispatched
+
+    def a(ev):
+        seen.append((ev.time, ev.seq, ev.kind))
+
+    def b(ev):
+        seen.append((ev.time, ev.seq, ev.kind))
+
+    eng.schedule(2.0, b)
+    eng.schedule(1.0, a)
+    eng.schedule(20.0, a)  # beyond horizon: never dispatched
     eng.run(lambda day: None, lambda: seen.append("after"))
     assert seen == [(1.0, 1, "a"), "after", (2.0, 0, "b"), "after"]
-    assert eng.clock.now == clock.horizon_days
+    assert eng.now == eng.horizon_days == 10.0
 
 
 def test_handlers_can_schedule_followups():
-    clock = SimClock(date(2025, 4, 1), date(2025, 4, 30))
-    eng = Engine(clock)
+    eng = Engine(date(2025, 4, 1), date(2025, 4, 30))
     hits = []
 
     def bounce(ev):
         hits.append(ev.time)
         if len(hits) < 4:
-            eng.schedule(ev.time + 1.5, "bounce")
+            eng.schedule(ev.time + 1.5, bounce)
 
-    eng.on("bounce", bounce)
-    eng.schedule(0.0, "bounce")
+    eng.schedule(0.0, bounce)
     eng.run(lambda day: None, lambda: None)
     assert hits == [0.0, 1.5, 3.0, 4.5]
 
 
+def test_close_drops_the_action_and_target_of_each_listed_event():
+    eng = Engine(date(2025, 4, 1), date(2025, 4, 3))
+    target = object()
+    eng.schedule(1.5, lambda ev: None, target)
+    eng.schedule(5.0, lambda ev: None, target)
+    eng.run(lambda day: None, lambda: None)
+    eng.close()
+    assert len(eng.events) == 1
+    ev = eng.events.pop()
+    assert ev.time == 5.0 and ev.action is None and ev.target is None
+
+
 def test_pop_next_returns_only_events_before_the_next_unticked_day():
-    clock = SimClock(date(2025, 4, 1), date(2025, 4, 11))
-    eng = Engine(clock)
+    eng = Engine(date(2025, 4, 1), date(2025, 4, 11))
     eng.schedule(0.5, "a")
     eng.schedule(1.0, "b")
-    assert eng.pop_next().kind == "a" and clock.now == 0.5
+    assert eng.pop_next().action == "a" and eng.now == 0.5
     # day 1 is not ticked yet: its event stays listed and the clock stays put
-    assert eng.pop_next() is None and clock.now == 0.5 and len(eng.events) == 1
+    assert eng.pop_next() is None and eng.now == 0.5 and len(eng.events) == 1
     eng.next_day = 2.0
-    assert eng.pop_next().kind == "b" and clock.now == 1.0
+    assert eng.pop_next().action == "b" and eng.now == 1.0
     assert eng.pop_next() is None and len(eng.events) == 0
 
 
-def _ticked_run(clock, times=()):
-    """Run an engine with an ``e`` event at each of ``times``; return it and
-    what happened, in order: ("tick", day) for each day ticked and ("e", t)
-    for each event handled."""
-    eng, seen = Engine(clock), []
-    eng.on("e", lambda ev: seen.append(("e", ev.time)))
+def _ticked_run(end, times=()):
+    """Run an engine from 2025-04-01 to ``end`` with an event at each of
+    ``times``; return it and what happened, in order: ("tick", day) for each
+    day ticked and ("e", t) for each event handled."""
+    eng, seen = Engine(date(2025, 4, 1), end), []
+
+    def e(ev):
+        seen.append(("e", ev.time))
+
     for t in times:
-        eng.schedule(t, "e")
+        eng.schedule(t, e)
     eng.run(lambda day: seen.append(("tick", day)), lambda: None)
     return eng, seen
 
 
 def test_every_day_ticks_once_up_to_the_horizon():
     days = [("tick", float(d)) for d in range(1, 11)]
-    _, seen = _ticked_run(SimClock(date(2025, 4, 1), date(2025, 4, 11)))
+    _, seen = _ticked_run(date(2025, 4, 11))
     assert seen == days  # an empty list ticks them too
-    _, seen = _ticked_run(SimClock(date(2025, 4, 1), date(2025, 4, 11)),
-                          (0.5, 3.0, 3.0, 3.25, 7.0))
+    _, seen = _ticked_run(date(2025, 4, 11), (0.5, 3.0, 3.0, 3.25, 7.0))
     assert [x for x in seen if x[0] == "tick"] == days
-    _, seen = _ticked_run(SimClock(date(2025, 4, 1), date(2025, 4, 1)))
+    _, seen = _ticked_run(date(2025, 4, 1))
     assert seen == []
 
 
 def test_a_day_ticks_before_the_events_of_its_instant():
-    _, seen = _ticked_run(SimClock(date(2025, 4, 1), date(2025, 4, 6)),
-                          (2.0, 0.5, 2.0, 1.75, 4.5))
+    _, seen = _ticked_run(date(2025, 4, 6), (2.0, 0.5, 2.0, 1.75, 4.5))
     assert seen == [("e", 0.5), ("tick", 1.0), ("e", 1.75), ("tick", 2.0), ("e", 2.0),
                     ("e", 2.0), ("tick", 3.0), ("tick", 4.0), ("e", 4.5), ("tick", 5.0)]
 
 
 def test_an_event_at_the_horizon_is_never_handled_and_stays_listed():
-    clock = SimClock(date(2025, 4, 1), date(2025, 4, 4))
-    eng, seen = _ticked_run(clock, (3.0, 2.5))
+    eng, seen = _ticked_run(date(2025, 4, 4), (3.0, 2.5))
     assert seen == [("tick", 1.0), ("tick", 2.0), ("e", 2.5), ("tick", 3.0)]
-    assert clock.now == 3.0 and len(eng.events) == 1 and eng.events.peek_time() == 3.0
+    assert eng.now == 3.0 and len(eng.events) == 1 and eng.events.peek_time() == 3.0
 
 
 def _recorded_run(model):
     """Run ``model``; return ("tick", day) for each day ticked, ("step", t)
     for each window step played and (kind, t) for each event handled, in
-    order. A window step is the one caller of ``wake_all``."""
+    order. A window step is the one caller of ``wake_all``; the handlers are
+    wrapped on the parts before any event of theirs is listed."""
     seen = []
     wake_all = model.wake_all
 
     def step():
-        seen.append(("step", model.engine.clock.now))
+        seen.append(("step", model.engine.now))
         wake_all()
 
     model.wake_all = step
-    handlers = model.engine.handlers
 
-    def recording(handler):
+    def recording(kind, handler):
         def record(ev):
-            seen.append((ev.kind, ev.time))
+            seen.append((kind, ev.time))
             handler(ev)
         return record
 
-    for kind in handlers:
-        handlers[kind] = recording(handlers[kind])
+    for part, kind in ((model.production, "proc_done"), (model.qc, "task_done"),
+                       (model.materials, "po_place"), (model.materials, "po_step")):
+        setattr(part, kind, recording(kind, getattr(part, kind)))
     day_tick = model.collect.day_tick
 
     def tick(day):
@@ -205,7 +218,7 @@ def _chain_with_steps_on_whole_days():
     spec = parse_scenario({"name": "close_fill", "modifications": [
         {"window": {"start": "2025-04-11", "end": "2025-04-12"},
          "set": {"stages.fill.closed": True}}]}, cfg)
-    return Model(cfg, seed=1, scenario=ScenarioRuntime(spec))
+    return Model(cfg, seed=1, spec=spec)
 
 
 def test_a_model_ticks_each_day_before_the_domain_events_of_its_instant():
@@ -214,7 +227,7 @@ def test_a_model_ticks_each_day_before_the_domain_events_of_its_instant():
     comes between its day's tick and the events of that instant."""
     model = _chain_with_steps_on_whole_days()
     seen = _recorded_run(model)
-    horizon = model.engine.clock.horizon_days
+    horizon = model.engine.horizon_days
     ticks = [i for i, (kind, _) in enumerate(seen) if kind == "tick"]
     assert [seen[i][1] for i in ticks] == [float(d) for d in range(1, int(horizon) + 1)]
     tick_at = {seen[i][1]: i for i in ticks}
@@ -280,12 +293,14 @@ class TestRngRegistry:
 
 
 def test_trace_is_sorted_by_time_then_seq():
-    clock = SimClock(date(2025, 4, 1), date(2025, 5, 1))
-    eng = Engine(clock)
+    eng = Engine(date(2025, 4, 1), date(2025, 5, 1))
     trace = []
-    eng.on("t", lambda ev: trace.append((ev.time, ev.seq, ev.kind)))
+
+    def handle(ev):
+        trace.append((ev.time, ev.seq, ev.kind))
+
     for t in [3.0, 1.0, 1.0, 2.0]:
-        eng.schedule(t, "t")
+        eng.schedule(t, handle)
     eng.run(lambda day: None, lambda: None)
     assert trace == sorted(trace)
     assert [t for t, _, _ in trace] == [1.0, 1.0, 2.0, 3.0]

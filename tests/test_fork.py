@@ -1,10 +1,11 @@
 """A model deep-copied between events is a fork: it finishes the run alone.
 
-Every event handler is a bound method of the model or of one of its parts,
-so ``copy.deepcopy`` carries all of a replication's state, handlers included,
-and nothing of the copy reaches back into the original. A copy taken inside
-a handler and finished with ``run()`` writes the bytes of the straight run,
-and so does the original it was taken from.
+Every event is listed with its handler, a bound method of the model or of
+one of its parts, so ``copy.deepcopy`` carries all of a replication's state,
+the handlers of the listed events included, and nothing of the copy reaches
+back into the original. A copy taken inside a handler and finished with
+``run()`` writes the bytes of the straight run, and so does the original it
+was taken from.
 """
 
 import copy
@@ -16,7 +17,7 @@ import yaml
 from vaxsim.config import parse_config
 from vaxsim.model import Model
 from vaxsim.runner import result_to_ndjson, run_replication
-from vaxsim.scenario import ScenarioRuntime, parse_scenario
+from vaxsim.scenario import parse_scenario
 
 from test_runner import BUNDLED, CONFIGS
 
@@ -35,18 +36,17 @@ def _inputs(name: str):
 def _model(raw, overlay, seed: int) -> Model:
     """The model ``run_replication`` runs."""
     cfg = parse_config(raw)
-    return Model(cfg, seed, scenario=ScenarioRuntime(parse_scenario(overlay, cfg)))
+    return Model(cfg, seed, spec=parse_scenario(overlay, cfg))
 
 
 class Probe:
-    """Deep-copies its model at each ``probe`` event. A copy of the probe is
+    """Deep-copies its model at each of its events. A copy of the probe is
     inert, so the forks themselves fork nothing."""
 
     def __init__(self, model, times):
         self.model, self.forks = model, []
-        model.engine.on("probe", self._on_probe)
         for t in times:
-            model.engine.schedule(t, "probe")
+            model.engine.schedule(t, self._on_probe)
 
     def __deepcopy__(self, memo):
         return Probe.__new__(Probe)
@@ -64,7 +64,7 @@ def test_a_fork_finishes_with_the_straight_runs_bytes(name, seed):
     model = _model(raw, overlay, seed)
     probe = Probe(model, FORK_TIMES)
     assert result_to_ndjson(model.run()) == straight
-    assert [fork.engine.clock.now for fork in probe.forks] == list(FORK_TIMES)
+    assert [fork.engine.now for fork in probe.forks] == list(FORK_TIMES)
     for fork in probe.forks:
         assert result_to_ndjson(fork.run()) == straight
 
@@ -74,7 +74,16 @@ def test_every_handler_is_a_bound_method_of_a_part(name):
     model = _model(*_inputs(name), seed=1)
     parts = {id(p) for p in (model, model.materials, model.production, model.qc,
                              model.collect, model.scenario)}
-    handlers = model.engine.handlers
-    assert handlers.keys() == {"proc_done", "task_done", "po_place", "po_step"}
-    for kind, handler in handlers.items():
-        assert inspect.ismethod(handler) and id(handler.__self__) in parts, kind
+    actions = {}
+    schedule = model.engine.schedule
+
+    def recording(time, action, target=None):
+        actions.setdefault(action.__name__, action)
+        return schedule(time, action, target)
+
+    model.engine.schedule = recording
+    model.run()
+    assert actions.keys() <= {"proc_done", "task_done", "po_place", "po_step"}
+    assert {"proc_done", "task_done", "po_step"} <= actions.keys()
+    for kind, action in actions.items():
+        assert inspect.ismethod(action) and id(action.__self__) in parts, kind

@@ -177,10 +177,8 @@ def test_unavailable_material_parks_receipts_until_restored():
     def restore(ev):
         mat.available = True
         m.materials.availability_changed(mat)
-    m.engine.on("cut", cut)
-    m.engine.on("restore", restore)
-    m.engine.schedule(6.0, "cut")
-    m.engine.schedule(20.0, "restore")
+    m.engine.schedule(6.0, cut)
+    m.engine.schedule(20.0, restore)
     res = m.run()
     level = res.series["material_level.resin"]
     # transit ends at 7 into a parked state; QC only runs 20 -> 21

@@ -179,10 +179,8 @@ def test_stage_closure_flag_suspends_one_stage():
     def reopen(ev):
         cfg.stages[2].closed = False
         m.production.closure_changed(cfg.stages[2])
-    m.engine.on("close", close)
-    m.engine.on("reopen", reopen)
-    m.engine.schedule(10.0, "close")
-    m.engine.schedule(12.0, "reopen")
+    m.engine.schedule(10.0, close)
+    m.engine.schedule(12.0, reopen)
     res = m.run()
     times = sorted(b["released_at"] for b in released(res))
     assert times[0] == 6.0 and times[1] == 9.0
@@ -230,9 +228,8 @@ def test_result_series_are_written_in_place_during_the_run():
     series = m.collect.series
     assert {len(v) for v in series.values()} == {20}
     seen = {}
-    m.engine.on("probe", lambda ev: seen.update(
+    m.engine.schedule(10.5, lambda ev: seen.update(
         doses=list(series["released_doses"]), fill=list(series["stage_util.fill"])))
-    m.engine.schedule(10.5, "probe")
     res = m.run()
     assert res.series is series
     # by t = 10.5 the releases at 6 and 9 and ten day ticks are written

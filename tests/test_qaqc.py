@@ -213,8 +213,7 @@ def test_capacity_cut_does_not_preempt_running_tasks():
     cfg = parse_config(d)
     m = Model(cfg, seed=1)
     pool = m.qc.tech_pools["lab"]
-    m.engine.on("cut", lambda ev: pool.set_capacity(1, m.engine.clock.now))
-    m.engine.schedule(7.0, "cut")
+    m.engine.schedule(7.0, lambda ev: pool.set_capacity(1, m.engine.now))
     res = m.run()
     # both 10-day tests started at 6.0 run to completion despite the cut;
     # the next batch's tests then serialize through the single survivor
@@ -296,8 +295,7 @@ def test_wip_reset_discards_in_process_and_restarts_lab_work():
     d = qc_chain([{"id": "assay", "team": "lab", "test_time": 1.0}])
     cfg = parse_config(d)
     m = Model(cfg, seed=1)
-    m.engine.on("boom", lambda ev: m.reset_wip())
-    m.engine.schedule(10.0, "boom")
+    m.engine.schedule(10.0, lambda ev: m.reset_wip())
     res = m.run()
     lost = [b for b in batch_rows(res) if b["state"] == "discarded"]
     assert len(lost) == 3  # one per machine

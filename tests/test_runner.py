@@ -565,7 +565,7 @@ import copy, gc, json, sys
 import yaml
 from vaxsim import model, production, qaqc
 from vaxsim.config import parse_config
-from vaxsim.scenario import ScenarioRuntime, parse_scenario
+from vaxsim.scenario import parse_scenario
 
 KINDS = (model.Model, production.Batch, qaqc.Task)
 
@@ -590,10 +590,9 @@ overlay = yaml.safe_load(open(sys.argv[2])) if sys.argv[2] else {}
 gc.disable()
 gc.collect()
 cfg = parse_config(raw)
-original = model.Model(cfg, 2, scenario=ScenarioRuntime(parse_scenario(overlay, cfg)))
+original = model.Model(cfg, 2, spec=parse_scenario(overlay, cfg))
 probe = Probe(original)
-original.engine.on("probe", probe.on_probe)
-original.engine.schedule(float(sys.argv[3]), "probe")
+original.engine.schedule(float(sys.argv[3]), probe.on_probe)
 original.run()
 (fork,) = probe.forks
 del probe

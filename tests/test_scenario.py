@@ -11,7 +11,7 @@ from vaxsim.config import ConfigError, config_to_dict, parse_config
 from vaxsim.model import Model
 from vaxsim.qaqc import Pool
 from vaxsim.runner import result_to_ndjson, run_replication
-from vaxsim.scenario import ScenarioRuntime, parse_scenario
+from vaxsim.scenario import parse_scenario
 
 from conftest import batch_rows, chain_dict
 from test_qaqc import qc_chain
@@ -116,7 +116,7 @@ def test_closure_window_pauses_the_stage_and_reverts():
         # days 10..19 inclusive
         window("2025-04-11", "2025-04-20", **{"stages.fill.closed": True})),
         cfg)
-    res = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run()
+    res = Model(cfg, seed=1, spec=spec).run()
     times = released_times(res)
     # the batch running since t=9 keeps its 2 remaining days across the gap
     assert times[:4] == [6.0, 9.0, 22.0, 25.0]
@@ -137,7 +137,7 @@ def test_an_overlay_closes_a_stage_for_whole_days():
     cfg = parse_config(d)
     a, b = 20, 26
     spec = parse_scenario(overlay(window(day(a), day(b), **{"stages.mix.closed": True})), cfg)
-    res = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run()
+    res = Model(cfg, seed=1, spec=spec).run()
     assert res.counts["stage_closed_days.mix"] == 2.0 * (b - a + 1)
     assert res.counts["stage_closed_days.fill"] == 0.0
     util = res.series["stage_util.mix"]
@@ -156,7 +156,7 @@ def test_a_resized_pool_reads_its_new_capacity_from_the_day_it_changes():
     spec = parse_scenario(overlay({"window": {"start": day(k)}, "set": {"qa.reviewers": 2},
                                    "revert": False}), cfg)
     base = Model(cfg, seed=1).run().series["pool_util.qa_reviewers"]
-    two = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run().series[
+    two = Model(cfg, seed=1, spec=spec).run().series[
         "pool_util.qa_reviewers"]
     assert any(base[:k]) and any(base[k:])
     assert two[:k] == base[:k]
@@ -174,8 +174,7 @@ def test_capacities_and_closures_change_only_at_whole_days():
         cfg.stages[2].closed = True
         m.production.closure_changed(cfg.stages[2])
 
-    m.engine.on("close", close)
-    m.engine.schedule(10.5, "close")
+    m.engine.schedule(10.5, close)
     with pytest.raises(ValueError, match="not at a whole day"):
         m.run()
 
@@ -187,7 +186,7 @@ def test_scaled_distribution_window_slows_and_recovers():
         window("2025-04-13", "2025-04-30",
                **{"stages.fill.processing_time": {"scale": 2}})),
         cfg)
-    res = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run()
+    res = Model(cfg, seed=1, spec=spec).run()
     times = released_times(res)
     assert times[:8] == [6.0, 9.0, 12.0, 18.0, 24.0, 30.0, 33.0, 36.0]
     assert cfg.stages[2].processing_time.mean() == 3.0
@@ -200,12 +199,15 @@ def test_overlapping_windows_last_writer_wins():
         window("2025-04-11", "2025-05-10", **{"qc.teams.lab.technicians": 3}),
         window("2025-04-21", "2025-04-30", **{"qc.teams.lab.technicians": 5})),
         cfg)
-    m = Model(cfg, seed=1, scenario=ScenarioRuntime(spec))
+    m = Model(cfg, seed=1, spec=spec)
     pool = m.qc.tech_pools["lab"]
     seen = {}
-    m.engine.on("probe", lambda ev: seen.setdefault(ev.time, pool.capacity))
+
+    def probe(ev):
+        seen.setdefault(ev.time, pool.capacity)
+
     for t in (15.0, 25.0, 35.0, 45.0):
-        m.engine.schedule(t, "probe")
+        m.engine.schedule(t, probe)
     m.run()
     assert seen == {15.0: 3, 25.0: 5, 35.0: 3, 45.0: 1}
     assert cfg.qc.teams[0].technicians == 1
@@ -215,7 +217,7 @@ def test_reset_action_discards_wip_at_the_date():
     cfg = parse_config(chain_dict())
     spec = parse_scenario(overlay(
         {"action": "reset_wip", "at": "2025-04-11"}, name="outage"), cfg)
-    res = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run()
+    res = Model(cfg, seed=1, spec=spec).run()
     lost = [b for b in batch_rows(res) if b["state"] == "discarded"]
     assert len(lost) == 3
     assert all(b["discarded_at"] == 10.0 for b in lost)
@@ -226,7 +228,7 @@ def test_empty_overlay_run_identical_to_plain_base():
     base = Model(parse_config(chain_dict()), seed=7).run()
     cfg = parse_config(chain_dict())
     spec = parse_scenario({}, cfg)
-    twin = Model(cfg, seed=7, scenario=ScenarioRuntime(spec)).run()
+    twin = Model(cfg, seed=7, spec=spec).run()
     assert twin.scenario == "base"
     assert twin.series == base.series
     assert twin.batches == base.batches
@@ -259,13 +261,12 @@ def test_parameters_deep_equal_baseline_after_windows_close():
         window("2025-04-16", "2025-04-25", **{"stages.mix.closed": True}),
         window("2025-04-13", "2025-04-22", **{"qc.teams.lab.technicians": 4})),
         cfg)
-    m = Model(cfg, seed=1, scenario=ScenarioRuntime(spec))
+    m = Model(cfg, seed=1, spec=spec)
     mid, done = {}, {}
     def probe(ev):
         (mid if ev.time < 30 else done)["cfg"] = config_to_dict(cfg)
-    m.engine.on("probe", probe)
-    m.engine.schedule(17.0, "probe")
-    m.engine.schedule(60.0, "probe")
+    m.engine.schedule(17.0, probe)
+    m.engine.schedule(60.0, probe)
     res = m.run()
     assert mid["cfg"] != snapshot          # overrides really were in force
     assert done["cfg"] == snapshot         # and fully unwound afterwards
@@ -322,15 +323,14 @@ def test_the_value_in_force_is_the_newest_open_window(windows):
         if end is not None:
             node["window"]["end"] = (day0 + timedelta(end)).isoformat()
         nodes.append(node)
-    m = Model(cfg, seed=1, scenario=ScenarioRuntime(parse_scenario(overlay(*nodes), cfg)))
+    m = Model(cfg, seed=1, spec=parse_scenario(overlay(*nodes), cfg))
     seen = {}
 
     def probe(ev):
         seen[int(ev.time)] = {p: read(m) for p, (_, _, read) in PARAMETERS.items()}
 
-    m.engine.on("probe", probe)
     for day in range(20):
-        m.engine.schedule(day + 0.5, "probe")
+        m.engine.schedule(day + 0.5, probe)
     m.run()
     baseline = {"technicians": 2, "failure_prob": 0.05}
     assert seen == {day: {p: brute_force_value(windows, p, day, baseline[p])
@@ -460,5 +460,5 @@ def test_any_overlay_parses_and_runs_or_is_rejected(mods):
     except ConfigError:
         assert config_to_dict(cfg) == snapshot
         return
-    Model(cfg, seed=3, scenario=ScenarioRuntime(spec)).run()
+    Model(cfg, seed=3, spec=spec).run()
     assert config_to_dict(cfg) == snapshot

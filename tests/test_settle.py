@@ -24,7 +24,7 @@ from conftest import assert_books_balance, chain_config
 from vaxsim.config import ConfigError, parse_config
 from vaxsim.model import Model
 from vaxsim.production import STALLED
-from vaxsim.scenario import ScenarioRuntime, parse_scenario
+from vaxsim.scenario import parse_scenario
 
 START = date(2025, 4, 1)
 DAYS = 40
@@ -141,33 +141,33 @@ def assert_quiescent(model) -> None:
     and would hold a reference cycle once the run ends."""
     prod, materials = model.production, model.materials
     awake = [s.id for s in prod.stages if s.awake] + [p.name for p in model.qc.pools if p.awake]
-    assert not awake, f"t={model.engine.clock.now}: {awake} still awake"
+    assert not awake, f"t={model.engine.now}: {awake} still awake"
     listed = [s.id for s in prod.woken] + [p.name for p in model.qc.woken]
-    assert not listed, f"t={model.engine.clock.now}: {listed} still on a wake list"
+    assert not listed, f"t={model.engine.now}: {listed} still on a wake list"
 
     def noted(mid):  # a sweep would note a shortfall only once per stockout
         assert materials.runtimes[mid].stockout_since is not None, \
-            f"t={model.engine.clock.now}: shortfall of {mid} not yet noted"
+            f"t={model.engine.now}: shortfall of {mid} not yet noted"
 
     materials.note_shortfall = noted
     try:
         for stage in prod.stages:
             reason = prod.try_dispatch(stage)
             assert reason is not None, \
-                f"t={model.engine.clock.now}: {stage.id} could still start"
+                f"t={model.engine.now}: {stage.id} could still start"
             assert reason == stage.blocked, \
-                f"t={model.engine.clock.now}: {stage.id} is {reason}, asleep on {stage.blocked}"
+                f"t={model.engine.now}: {stage.id} is {reason}, asleep on {stage.blocked}"
             if stage.output_inv is not None and not stage.cfg.closed:
                 assert not (stage.output_inv.has_space() and
                             any(m.state == STALLED for m in stage.machines)), \
-                    f"t={model.engine.clock.now}: {stage.id} could still drain"
+                    f"t={model.engine.now}: {stage.id} could still drain"
     finally:
         del materials.note_shortfall
     for pool in model.qc.pools:
         assert pool.queue_int.value == len(pool._heap), \
-            f"t={model.engine.clock.now}: {pool.name} counts another queue than it holds"
+            f"t={model.engine.now}: {pool.name} counts another queue than it holds"
         assert not (pool.busy < pool.capacity and pool.queue_int.value), \
-            f"t={model.engine.clock.now}: {pool.name} could still start a task"
+            f"t={model.engine.now}: {pool.name} could still start a task"
 
 
 class CheckedModel(Model):
@@ -187,9 +187,7 @@ def disrupted_plants(draw):
 def test_nothing_startable_after_settle(case, seed):
     plant, overlay = case
     cfg = parse_config(plant)
-    spec = parse_scenario(overlay, cfg)
-    scenario = None if spec.is_empty else ScenarioRuntime(spec)
-    model = CheckedModel(cfg, seed, scenario=scenario)
+    model = CheckedModel(cfg, seed, spec=parse_scenario(overlay, cfg))
     assert_books_balance(model, model.run())
 
 
@@ -235,9 +233,9 @@ CONFIG_DIR = Path(vaxsim.__file__).parent / "configs"
     p.stem for p in (CONFIG_DIR / "scenarios").glob("*.yaml"))])
 def test_books_balance_on_the_bundled_scenarios(scenario):
     cfg = parse_config(yaml.safe_load((CONFIG_DIR / "demo.yaml").read_text()))
-    runtime = None
+    spec = None
     if scenario is not None:
         overlay = yaml.safe_load((CONFIG_DIR / "scenarios" / f"{scenario}.yaml").read_text())
-        runtime = ScenarioRuntime(parse_scenario(overlay, cfg))
-    model = Model(cfg, 100, scenario=runtime)
+        spec = parse_scenario(overlay, cfg)
+    model = Model(cfg, 100, spec=spec)
     assert_books_balance(model, model.run())

@@ -2,14 +2,17 @@
 
 A maintenance window is a ``stages.*.closed: true`` window placed ahead of
 the overlay's windows, on the same per-path stack, so the newest window open
-on a stage decides whether it is closed.
+on a stage decides whether it is closed. A day's openings play before its
+closings, so a window that takes over from another on the day that one
+closes never lets the baseline in between.
 """
 
 from datetime import date, timedelta
 
 from vaxsim.config import parse_config
 from vaxsim.model import Model
-from vaxsim.scenario import ScenarioRuntime, parse_scenario
+from vaxsim.runner import result_to_ndjson, run_replication
+from vaxsim.scenario import parse_scenario
 
 from conftest import chain_dict
 
@@ -28,7 +31,7 @@ def closed_days(maintenance: tuple[int, int], *windows) -> dict[str, float]:
     spec = parse_scenario({"name": "fill", "modifications": [
         {"window": {"start": day(a), "end": day(b)}, "set": {"stages.fill.closed": value}}
         for a, b, value in windows]}, cfg)
-    counts = Model(cfg, seed=1, scenario=ScenarioRuntime(spec)).run().counts
+    counts = Model(cfg, seed=1, spec=spec).run().counts
     return {s: counts[f"stage_closed_days.{s}"] for s in ("prep", "mix", "fill")}
 
 
@@ -47,3 +50,36 @@ def test_an_open_window_opened_inside_maintenance_keeps_its_stage_open():
 def test_maintenance_overrides_an_open_window_opened_before_it():
     assert closed_days((20, 29), (15, 24, False)) == {"prep": 10.0, "mix": 10.0, "fill": 10.0}
     assert closed_days((20, 29), (15, 34, False)) == {"prep": 10.0, "mix": 10.0, "fill": 10.0}
+
+
+def replication(raw: dict, overlay: dict | None = None) -> bytes:
+    """The store file of the seed-1 replication of ``raw`` under ``overlay``."""
+    return result_to_ndjson(run_replication(raw, overlay, 1))
+
+
+def with_maintenance(*windows) -> dict:
+    """The chain with a maintenance window per ``(first day, last day)``."""
+    d = chain_dict()
+    d["maintenance"] = [{"start": day(a), "end": day(b)} for a, b in windows]
+    return d
+
+
+def test_split_maintenance_writes_the_replication_of_the_merged_window():
+    merged = replication(with_maintenance((20, 39)))
+    for windows in (((20, 34), (25, 39)),   # overlapping
+                    ((20, 29), (29, 39)),   # touching: one shared day
+                    ((20, 29), (30, 39)),   # adjacent: one hands over to the next
+                    ((30, 39), (20, 29)),   # adjacent, listed out of date order
+                    ((20, 39), (25, 29))):  # nested
+        assert replication(with_maintenance(*windows)) == merged, windows
+
+
+def test_back_to_back_overlay_windows_write_the_replication_of_one_window():
+    def closing_prep(*windows):
+        return {"name": "prep", "modifications": [
+            {"window": {"start": day(a), "end": day(b)}, "set": {"stages.prep.closed": True}}
+            for a, b in windows]}
+
+    spanning = replication(chain_dict(), closing_prep((20, 39)))
+    assert replication(chain_dict(), closing_prep((20, 29), (30, 39))) == spanning
+    assert replication(chain_dict(), closing_prep((30, 39), (20, 29))) == spanning

@@ -5,10 +5,12 @@ C-phase makes a fixed number of dispatch attempts and pool pumps.
 A change that makes the kernel cheaper per event must not make it do more (or
 other) work; the store bytes would catch a different answer, these counts catch
 the same answer reached by extra events, draws or visits. Events are counted
-through the handlers registered with ``Engine.on``, draws through
+through the handlers named for their kinds (``Production.proc_done``,
+``QaQc.task_done``, ``Materials.po_place`` and ``Materials.po_step``), wrapped
+on their classes before the model is made, draws through
 ``HashStream.random``, and the C-phase's work through the model's own
 ``Production.try_dispatch``, ``QaQc.pump`` (a sweep of the woken pools) and
-each pool's ``Pool.pump``, wrapped on the instances the same way.
+each pool's ``Pool.pump``, wrapped on the instances.
 """
 
 from collections import Counter
@@ -19,7 +21,10 @@ import yaml
 import vaxsim
 from vaxsim.config import parse_config
 from vaxsim.engine import HashStream
+from vaxsim.materials import Materials
 from vaxsim.model import Model
+from vaxsim.production import Production
+from vaxsim.qaqc import QaQc
 
 DEMO = Path(vaxsim.__file__).parent / "configs" / "demo.yaml"
 
@@ -31,9 +36,7 @@ C_PHASE = {"try_dispatch": 6943, "pool_sweeps": 6791, "pool_pumps": 9082}
 
 
 def test_demo_replication_work(monkeypatch):
-    model = Model(parse_config(yaml.safe_load(DEMO.read_text())), 1000)
     popped = Counter()
-    handlers = model.engine.handlers
 
     def counting(kind, handler, seen=popped):
         def run(*args):
@@ -41,8 +44,10 @@ def test_demo_replication_work(monkeypatch):
             return handler(*args)
         return run
 
-    for kind, handler in list(handlers.items()):
-        handlers[kind] = counting(kind, handler)
+    for part, kind in ((Production, "proc_done"), (QaQc, "task_done"),
+                       (Materials, "po_place"), (Materials, "po_step")):
+        monkeypatch.setattr(part, kind, counting(kind, getattr(part, kind)))
+    model = Model(parse_config(yaml.safe_load(DEMO.read_text())), 1000)
     visits = Counter()
     production, qc = model.production, model.qc
     production.try_dispatch = counting("try_dispatch", production.try_dispatch, visits)
