@@ -90,6 +90,7 @@ except ImportError:
     _sha256 = hashlib.sha256
 _u64 = struct.Struct("<Q")
 _pack_u64, _unpack_u64 = _u64.pack, _u64.unpack_from
+_new = object.__new__
 
 
 class HashStream:
@@ -97,14 +98,12 @@ class HashStream:
 
     SHA-256 over (key || counter) gives 64 uniform bits per draw; the value
     never depends on how many draws other entities made before it, which is
-    what keeps common-random-number alignment exact across scenarios.
+    what keeps common-random-number alignment exact across scenarios. Only
+    ``RngRegistry.derived`` makes one, setting its key and a counter of 0
+    without an ``__init__`` call, since a replication makes about 22k.
     """
 
     __slots__ = ("_key", "_ctr")
-
-    def __init__(self, key: bytes) -> None:
-        self._key = key
-        self._ctr = 0
 
     def random(self) -> float:
         ctr = self._ctr
@@ -124,27 +123,48 @@ class RngRegistry:
 
     Every stochastic entity draws from its own substream so that a scenario
     edit to one entity cannot desynchronize the draws of any other (common
-    random numbers across scenarios). A substream label is an arbitrary tuple
-    of strings/ints; identical (replication_seed, label) always yields the
-    identical draw sequence, on any platform.
+    random numbers across scenarios). A substream's label is a head, a tuple
+    of fixed names such as ``("proc", stage_id)``, followed by whole-number
+    ids such as a batch id or an attempt; identical (replication_seed, head,
+    ids) always yields the identical draw sequence, on any platform.
     """
 
     def __init__(self, replication_seed: int) -> None:
         self.replication_seed = int(replication_seed)
-        self._prefix = f"({self.replication_seed!r}, "
+        # head -> repr((seed, *head)) without its closing parenthesis, or ''
+        # (render each label whole) for a head that is not names only, since
+        # equal numbers such as 1, 1.0 and True render differently
+        self._heads: dict[tuple, str] = {}
 
-    def derived(self, *label: object) -> HashStream:
-        """Fresh substream keyed only by (seed, label), independent of history.
+    def derived(self, head: tuple, *ids: int) -> HashStream:
+        """Fresh substream keyed only by (seed, head, ids), independent of
+        history.
 
         Used for per-instance draws (one batch visiting one stage, one test
         attempt, one purchase order) so the values depend on stable identities
-        rather than on how many draws happened before them. The key hashes
-        ``repr((seed,) + label)``; a label of two or more elements appends its
-        own repr to the registry's prefix ``(<seed>, `` instead.
+        rather than on how many draws happened before them. The key is the
+        SHA-256 of the UTF-8 ``repr((seed, *head, *ids))``. Rendering a label
+        costs more than hashing it, so a head of names is rendered once per
+        registry and one or two ids that are exactly ``int`` are appended to
+        its text; any other label is rendered whole, to the same text.
         """
-        text = (self._prefix + repr(label)[1:] if len(label) > 1
-                else repr((self.replication_seed,) + label))
-        return HashStream(_sha256(text.encode("utf-8")).digest())
+        text = self._heads.get(head)
+        if text is None:
+            if type(head) is not tuple:
+                raise TypeError(f"a substream head is a tuple, not {head!r}")
+            names = head and all(type(name) is str for name in head)
+            text = repr((self.replication_seed, *head))[:-1] if names else ""
+            self._heads[head] = text
+        if text and len(ids) == 1 and type(ids[0]) is int:
+            text = f"{text}, {ids[0]})"
+        elif text and len(ids) == 2 and type(ids[0]) is type(ids[1]) is int:
+            text = f"{text}, {ids[0]}, {ids[1]})"
+        else:
+            text = repr((self.replication_seed, *head, *ids))
+        stream = _new(HashStream)
+        stream._key = _sha256(text.encode()).digest()  # UTF-8
+        stream._ctr = 0
+        return stream
 
 
 class StepIntegral:

@@ -138,7 +138,7 @@ class Materials:
         self._start_lead(ev.target, ev.time)
 
     def _stream(self, key: str, po: PurchaseOrder):
-        return self.model.rng.derived(key, po.material, po.supplier.id, po.id)
+        return self.model.rng.derived((key, po.material, po.supplier.id), po.id)
 
     def _start_lead(self, po: PurchaseOrder, now: float) -> None:
         po.state = "lead"

@@ -62,9 +62,10 @@ The changes come from these moves:
 - an accepted receipt or a consumption of a material is told to every stage
   that uses it: a consumption can leave another one short, which must note
   the shortfall at once;
-- every window step of the timeline, a maintenance window's included, wakes
-  everything (an inventory capacity has no apply hook that could wake just
-  its neighbours).
+- every window step of the timeline that writes a value, a maintenance
+  window's included, wakes everything (an inventory capacity has no apply
+  hook that could wake just its neighbours); a step that writes nothing
+  wakes nothing.
 
 A stage's own moves during its visit are in the reason it ends on, so they
 do not wake it again. A pool wakes on an enqueue while a head is free, on a
@@ -82,16 +83,16 @@ reason is still the one it sleeps on.
 Day ticks and dated changes are not events. Once every event before day
 ``k`` is handled, ``Engine.run`` moves the clock to ``k`` and calls
 ``Model.tick(k)``: ``Collector.day_tick`` closes day ``k - 1``, then the
-scenario timeline plays the steps of day ``k``, a settle after each. The
-timeline (``scenario._timeline``) stacks the config's maintenance windows,
-as ``stages.*.closed: true`` windows, and an overlay's steps, if any. So a
-day's readings never absorb a change that belongs to the following day,
-and a step has one place at its instant: after the tick, before every
-event there. Day 0's steps play right after the first settle. The last
-tick falls on the horizon, after every event before it. ``end_date`` is
-the first day not simulated: no event at the horizon instant is handled
-and no step on or after it is played, so a window that ends the day before
-``end_date`` never reverts.
+scenario timeline plays the steps of day ``k``, a settle after each that
+writes a value or resets. The timeline (``scenario._timeline``) stacks the
+config's maintenance windows, as ``stages.*.closed: true`` windows, and an
+overlay's steps, if any. So a day's readings never absorb a change that
+belongs to the following day, and a step has one place at its instant:
+after the tick, before every event there. Day 0's steps play right after
+the first settle. The last tick falls on the horizon, after every event
+before it. ``end_date`` is the first day not simulated: no event at the
+horizon instant is handled and no step on or after it is played, so a
+window that ends the day before ``end_date`` never reverts.
 
 An event is listed with its handler, a bound method of the part that owns
 it, named for the event's kind (``Production.proc_done``,

@@ -325,11 +325,11 @@ class Production:
     def _processing_duration(self, stage: StageRuntime, batch: Batch) -> float:
         tests, rng = self.tests, self.rng
         duration = stage.cfg.processing_time.sample(
-            rng.derived("proc", stage.cfg.id, batch.id))
+            rng.derived(("proc", stage.cfg.id), batch.id))
         # in-process controls run inside the machine occupancy, by production staff
         for tid in stage.cfg.ipc_tests:
             duration += tests[tid].bench_time(
-                rng.derived("ipcdur", tid, stage.cfg.id, batch.id, 1))
+                rng.derived(("ipcdur", tid, stage.cfg.id), batch.id, 1))
         return duration
 
     # -- completion ------------------------------------------------------
@@ -345,7 +345,7 @@ class Production:
         yf = stage.cfg.yield_fraction
         # a constant draws nothing, so its substream is not even keyed
         batch.quantity *= (yf.params[0] if yf.kind == "constant" else
-                           yf.sample(self.rng.derived("yield", stage.cfg.id, batch.id)))
+                           yf.sample(self.rng.derived(("yield", stage.cfg.id), batch.id)))
         if stage.cfg.doses_per_batch:
             batch.doses = int(round(stage.cfg.doses_per_batch * batch.quantity))
 

@@ -135,17 +135,17 @@ class Pool:
             self.purged_wait += sum(now - task.enqueued_at for _, _, task in dropped)
 
 
-# QA task kind -> (its duration field in the qa section, the substream key, the
-# rest of the substream label)
+# QA task kind -> (its duration field in the qa section, the task's substream
+# label: a head and the ids, the arguments of ``RngRegistry.derived``)
 QA_DURATIONS = {
-    "oos": ("oos_investigation_time", "oosdur",
-            lambda t: (t.test_id, t.batch.id, t.attempt)),
-    "ipc_oos": ("oos_investigation_time", "ipcoosdur",
-                lambda t: (t.test_id, t.stage_id, t.batch.id)),
-    "dev": ("deviation_investigation_time", "devdur", lambda t: (t.stage_id, t.batch.id)),
-    "docrev": ("document_review_time", "docrevdur", lambda t: (t.stage_id, t.batch.id)),
-    "relrev": ("release_review_time", "relrevdur", lambda t: (t.batch.id,)),
-    "relapp": ("release_approval_time", "relappdur", lambda t: (t.batch.id,)),
+    "oos": ("oos_investigation_time",
+            lambda t: (("oosdur", t.test_id), t.batch.id, t.attempt)),
+    "ipc_oos": ("oos_investigation_time",
+                lambda t: (("ipcoosdur", t.test_id, t.stage_id), t.batch.id)),
+    "dev": ("deviation_investigation_time", lambda t: (("devdur", t.stage_id), t.batch.id)),
+    "docrev": ("document_review_time", lambda t: (("docrevdur", t.stage_id), t.batch.id)),
+    "relrev": ("release_review_time", lambda t: (("relrevdur",), t.batch.id)),
+    "relapp": ("release_approval_time", lambda t: (("relappdur",), t.batch.id)),
 }
 
 
@@ -183,7 +183,7 @@ class QaQc:
             test = self.tests[tid]
             if test.failure_prob <= 0.0:
                 continue
-            failed = (self.rng.derived("ipcfail", tid, stage.cfg.id, batch.id, 1)
+            failed = (self.rng.derived(("ipcfail", tid, stage.cfg.id), batch.id, 1)
                       .random() < test.failure_prob)
             if failed:
                 batch.holds += 1
@@ -192,7 +192,7 @@ class QaQc:
                     Task("ipc_oos", batch, test_id=tid, stage_id=stage.cfg.id),
                     (now, 0), now)
         if cfg.qa.deviation_prob > 0.0:
-            hit = (self.rng.derived("devflag", stage.cfg.id, batch.id)
+            hit = (self.rng.derived(("devflag", stage.cfg.id), batch.id)
                    .random() < cfg.qa.deviation_prob)
             if hit:
                 batch.holds += 1
@@ -258,16 +258,15 @@ class QaQc:
     def _start_task(self, task: Task, now: float) -> None:
         rng = self.rng
         if task.kind == "tech":
-            g = rng.derived("testdur", task.test_id, task.batch.id, task.attempt)
+            g = rng.derived(("testdur", task.test_id), task.batch.id, task.attempt)
             test = self.tests[task.test_id]
             duration = test.bench_time(g)
             task.carry = test.supervisory_check_time.sample(g)
         elif task.kind == "sup":
             duration = task.carry
         else:
-            name, key, label = QA_DURATIONS[task.kind]
-            duration = getattr(self.cfg.qa, name).sample(
-                rng.derived(key, *label(task)))
+            name, label = QA_DURATIONS[task.kind]
+            duration = getattr(self.cfg.qa, name).sample(rng.derived(*label(task)))
         task.event = self.engine.schedule(now + duration, self.task_done, task)
         self.running[task] = None
 
@@ -297,7 +296,7 @@ class QaQc:
         failed = False
         if test.failure_prob > 0.0:
             failed = (self.rng.derived(
-                "testfail", task.test_id, task.batch.id, task.attempt)
+                ("testfail", task.test_id), task.batch.id, task.attempt)
                 .random() < test.failure_prob)
         batch = task.batch
         if not failed:
@@ -326,7 +325,7 @@ class QaQc:
         # retest by production staff: a delay with no personnel seized
         task.batch.retests += 1
         duration = self.tests[task.test_id].bench_time(self.rng.derived(
-            "ipcdur", task.test_id, task.stage_id, task.batch.id, 2))
+            ("ipcdur", task.test_id, task.stage_id), task.batch.id, 2))
         retest = Task("ipc_retest", task.batch, test_id=task.test_id,
                       stage_id=task.stage_id, attempt=2)
         retest.event = self.engine.schedule(now + duration, self.task_done, retest)
@@ -335,7 +334,7 @@ class QaQc:
     def _done_ipc_retest(self, task: Task, now: float) -> None:
         test = self.tests[task.test_id]
         failed = (self.rng.derived(
-            "ipcfail", task.test_id, task.stage_id, task.batch.id, 2)
+            ("ipcfail", task.test_id, task.stage_id), task.batch.id, 2)
             .random() < test.failure_prob)
         if failed:
             self.model.discard_batch(task.batch, "failed_retest")

@@ -310,11 +310,13 @@ def validate_scenario(spec: ScenarioSpec, cfg: Config) -> list[str]:
 class ScenarioRuntime:
     """Plays the timeline of a run on a model: the config's maintenance
     windows and an overlay's steps, each on its day, right after that day's
-    tick (day 0's right after the first settle), and a settle after each.
-    A window step makes its writes, runs their ``SETTABLE`` hooks and wakes
-    every stage and pool, even when it writes nothing: a parameter such as
-    an inventory capacity has no hook to wake just what it unblocks. A step
-    on or after the horizon day is never played."""
+    tick (day 0's right after the first settle). A window step makes its
+    writes, runs their ``SETTABLE`` hooks, wakes every stage and pool (a
+    parameter such as an inventory capacity has no hook to wake just what it
+    unblocks) and settles; one that writes nothing, such as the closing of a
+    window whose successor opened that day with the same value, changes
+    nothing and does none of it. A ``reset_wip`` step resets and settles. A
+    step on or after the horizon day is never played."""
 
     def __init__(self, spec: ScenarioSpec, model):
         steps, self.baseline, _ = _timeline(spec, model.cfg)
@@ -324,12 +326,14 @@ class ScenarioRuntime:
         self.steps = [step for step in reversed(steps) if step[0] < horizon]
 
     def play(self, day: float) -> None:
-        """Play the steps up to ``day``, each followed by a settle."""
+        """Play the steps up to ``day``, a settle after each that writes or resets."""
         steps, model = self.steps, self.model
         while steps and steps[-1][0] <= day:
             _, mod, writes = steps.pop()
             if mod is None:
                 model.reset_wip()
+            elif not writes:  # the value in force stays: nothing to wake
+                continue
             else:
                 for hook, owner, name, value in writes:
                     setattr(owner, name, value)

@@ -154,7 +154,7 @@ def test_constant_chain_release_timing():
 @check("A3 triangular sampling accuracy")
 def test_triangular_sampling_accuracy():
     # the simulator's own path: scalar draws from one derived substream
-    g = RngRegistry(12345).derived("triangular", "check")
+    g = RngRegistry(12345).derived(("triangular", "check"))
     dist = Distribution("triangular", (6.0, 8.0, 12.0))
     xs = np.fromiter((dist.sample(g) for _ in range(1_000_000)), dtype=float,
                      count=1_000_000)

@@ -16,7 +16,7 @@ N = 100_000
 
 
 def stream(seed=123):
-    return RngRegistry(seed).derived("distribution", "check")
+    return RngRegistry(seed).derived(("distribution", "check"))
 
 
 def draws(dist, seed=123, n=N):
@@ -161,7 +161,7 @@ def test_draws_are_python_floats(dist):
 
 # Known answers: each row is (distribution, stream label, the value's bits as
 # float.hex, the uniforms the sample consumes). The streams are
-# RngRegistry(20260).derived("known", label); label 0 draws u=0.570 first,
+# RngRegistry(20260).derived(("known",), label); label 0 draws u=0.570 first,
 # label 1 u=0.395, label 2 u=0.126 and label 3 u=0.032. Every store byte
 # rests on these draws, so a faster sample must reproduce them bit for bit.
 KNOWN_ANSWERS = [
@@ -185,10 +185,10 @@ KNOWN_ANSWERS = [
 
 @pytest.mark.parametrize("dist, label, bits, used", KNOWN_ANSWERS)
 def test_sample_known_answers(dist, label, bits, used):
-    g = RngRegistry(20260).derived("known", label)
+    g = RngRegistry(20260).derived(("known",), label)
     value = dist.sample(g)
     assert type(value) is float and value.hex() == bits
     # the draw after the sample is the fresh stream's draw number used + 1
-    fresh = RngRegistry(20260).derived("known", label)
+    fresh = RngRegistry(20260).derived(("known",), label)
     expected = [fresh.random() for _ in range(used + 1)][-1]
     assert g.random() == expected

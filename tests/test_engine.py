@@ -1,11 +1,12 @@
 """Event list ordering, tombstones, clock bounds, and stream reproducibility."""
 
+import hashlib
 import heapq
 from datetime import date
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vaxsim.config import parse_config
 from vaxsim.engine import (
@@ -255,39 +256,39 @@ def draws(g, n: int) -> list[float]:
 class TestRngRegistry:
     def test_same_label_same_stream(self):
         reg = RngRegistry(42)
-        assert draws(reg.derived("machine", 3), 8) == draws(reg.derived("machine", 3), 8)
+        assert draws(reg.derived(("machine",), 3), 8) == draws(reg.derived(("machine",), 3), 8)
 
     def test_identical_seeds_reproduce_sequences(self):
-        a = draws(RngRegistry(42).derived("qc", "team1"), 100)
-        b = draws(RngRegistry(42).derived("qc", "team1"), 100)
+        a = draws(RngRegistry(42).derived(("qc", "team1")), 100)
+        b = draws(RngRegistry(42).derived(("qc", "team1")), 100)
         assert a == b
 
     def test_different_labels_decorrelate(self):
         reg = RngRegistry(42)
-        a = draws(reg.derived("x"), 1000)
-        b = draws(reg.derived("y"), 1000)
+        a = draws(reg.derived(("x",)), 1000)
+        b = draws(reg.derived(("y",)), 1000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
     def test_derived_is_history_independent(self):
         reg = RngRegistry(7)
-        first = reg.derived("batch", 12).random()
+        first = reg.derived(("batch",), 12).random()
         # burn unrelated draws; the derived stream must not care
-        draws(reg.derived("noise"), 999)
-        again = reg.derived("batch", 12).random()
+        draws(reg.derived(("noise",)), 999)
+        again = reg.derived(("batch",), 12).random()
         assert first == again
 
     def test_different_seeds_differ(self):
-        a = draws(RngRegistry(1).derived("m"), 8)
-        b = draws(RngRegistry(2).derived("m"), 8)
+        a = draws(RngRegistry(1).derived(("m",)), 8)
+        b = draws(RngRegistry(2).derived(("m",)), 8)
         assert a != b
 
     def test_derived_uniformity_and_normality(self):
-        g = RngRegistry(11).derived("u")
+        g = RngRegistry(11).derived(("u",))
         xs = np.array([g.random() for _ in range(50_000)])
         assert 0.0 <= xs.min() and xs.max() < 1.0
         assert abs(xs.mean() - 0.5) < 0.005
         assert abs(xs.var() - 1 / 12) < 0.002
-        h = RngRegistry(11).derived("z")
+        h = RngRegistry(11).derived(("z",))
         zs = np.array([h.standard_normal() for _ in range(50_000)])
         assert abs(zs.mean()) < 0.02 and abs(zs.std() - 1.0) < 0.02
 
@@ -321,7 +322,7 @@ def test_heap_invariant_under_interleaved_push_pop():
     assert out == sorted(out)
 
 
-# Known answers: draws 0, 1, 7, 8, 255 and 256 of derived(*label) under seed,
+# Known answers: draws 0, 1, 7, 8, 255 and 256 of the label's stream under seed,
 # as float.hex. Every store byte hangs on these values, so a change to how a
 # substream's key or counter is hashed must reproduce them exactly.
 KNOWN_DRAWS = (0, 1, 7, 8, 255, 256)
@@ -364,9 +365,36 @@ KNOWN_ANSWERS = [
 
 @pytest.mark.parametrize("seed, label, expected", KNOWN_ANSWERS)
 def test_derived_draws_match_known_answers(seed, label, expected):
-    g = RngRegistry(seed).derived(*label)
-    xs = [g.random() for _ in range(KNOWN_DRAWS[-1] + 1)]
-    assert [xs[n].hex() for n in KNOWN_DRAWS] == list(expected)
+    # every split of the label into a head and ids keys the same stream
+    for k in range(len(label) + 1):
+        g = RngRegistry(seed).derived(label[:k], *label[k:])
+        xs = [g.random() for _ in range(KNOWN_DRAWS[-1] + 1)]
+        assert [xs[n].hex() for n in KNOWN_DRAWS] == list(expected), k
+
+
+# Label parts that need escaping or encoding in a key's text, mixed into the
+# names; a head may also hold numbers, whose equal values (1, 1.0, True)
+# render differently, so a head of them must not be served from the cache.
+names = st.text(alphabet=st.sampled_from("ab'\"\\\t\nµé日本 "), max_size=6) | st.text(max_size=4)
+head_parts = names | st.sampled_from([0, 1, -1, True, False, 1.0, 0.0, -0.0])
+ids = (st.integers() | st.integers(-2 ** 70, 2 ** 70) | st.booleans()
+       | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64))
+labels = st.tuples(st.lists(head_parts, max_size=3).map(tuple), st.lists(ids, max_size=3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@example(seed=0, labels=[((1,), [5]), ((True,), [5]), ((1.0,), [5])])
+@given(seed=st.integers(-2 ** 70, 2 ** 70), labels=st.lists(labels, min_size=1, max_size=6))
+def test_derived_keys_the_sha256_of_the_label_repr(seed, labels):
+    reg = RngRegistry(seed)  # one registry, so later labels meet cached heads
+    for head, label_ids in labels * 2:
+        text = repr((seed, *head, *label_ids))
+        assert reg.derived(head, *label_ids)._key == hashlib.sha256(text.encode()).digest(), text
+
+
+def test_derived_refuses_a_head_that_is_not_a_tuple():
+    with pytest.raises(TypeError):
+        RngRegistry(1).derived("proc", 3)
 
 
 class ReferenceIntegral:

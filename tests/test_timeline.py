@@ -83,3 +83,28 @@ def test_back_to_back_overlay_windows_write_the_replication_of_one_window():
     spanning = replication(chain_dict(), closing_prep((20, 39)))
     assert replication(chain_dict(), closing_prep((20, 29), (30, 39))) == spanning
     assert replication(chain_dict(), closing_prep((30, 39), (20, 29))) == spanning
+
+
+def test_only_a_step_that_writes_wakes_and_settles():
+    # the first window's closing hands over to the second window's value, so
+    # it writes nothing: it must not wake or settle either
+    cfg = parse_config(chain_dict())
+    spec = parse_scenario({"name": "prep", "modifications": [
+        {"window": {"start": day(a), "end": day(b)}, "set": {"stages.prep.closed": True}}
+        for a, b in ((20, 29), (30, 39))]}, cfg)
+    model = Model(cfg, seed=1, spec=spec)
+    steps = [(t, bool(writes)) for t, _, writes in reversed(model.scenario.steps)]
+    assert steps == [(20, True), (30, True), (30, False), (40, True)]
+    wakes, settles, step_settles = [], [], []
+    wake_all, settle, play = model.wake_all, model.settle, model.scenario.play
+
+    def counted_play(t):
+        n = len(settles)
+        play(t)
+        step_settles.extend([t] * (len(settles) - n))
+
+    model.wake_all = lambda: wakes.append(model.engine.now) or wake_all()
+    model.settle = lambda: settles.append(model.engine.now) or settle()
+    model.scenario.play = counted_play
+    model.run()
+    assert wakes == step_settles == [20.0, 30.0, 40.0]
