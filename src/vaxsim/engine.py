@@ -199,6 +199,24 @@ class StepIntegral:
         return out
 
 
+class Capacity(StepIntegral):
+    """A resource's ``units`` in force (a stage's machines, none while it is
+    closed; a pool's heads), its busy units the integral's value. ``resize``
+    refuses any instant but a whole day, so a day has one count of units in
+    force, and never pre-empts: busy can exceed ``units`` until work ends."""
+
+    __slots__ = ("units",)
+
+    def __init__(self, units: int) -> None:
+        StepIntegral.__init__(self, 0)
+        self.units = units
+
+    def resize(self, units: int, now: float) -> None:
+        if not float(now).is_integer():
+            raise ValueError(f"capacity resized at t={now}, not at a whole day")
+        self.units = units
+
+
 class Engine:
     """The clock and the future-event list of one run over a fixed calendar
     horizon.

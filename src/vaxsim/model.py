@@ -8,17 +8,17 @@ overlay, seed).
 The collector keeps each daily reading once, in the result's own series:
 every series is allocated for the whole horizon when the run starts. Released
 doses are added to the current day as they happen; when each batch was
-created, released or discarded is in the batch log. At each day tick the
-collector takes the day's share of the busy and queue integrals, writes the
-stage and pool utilization ratios and the queue lengths, and writes each
-material's level and stockout flag. Closures and pool capacities change only
-at whole days (they change only in the steps of the timeline below, and
-``Production.closure_changed`` and ``Pool.set_capacity`` refuse any other
-instant), so a stage is closed or open all day and a pool has one capacity
-all day: the tick reads both from state, and a closed day adds the stage's
-machines to its closed machine-days. An integral that is 0 and has accrued
-nothing since its last take would read 0.0, which the zeroed series already
-holds, so the tick does not take it.
+created, released or discarded is in the batch log. A stage's machines and a
+pool's heads are each an ``engine.Capacity``: the units in force and the
+busy units with their integral. Units change only at whole days (in the
+steps of the timeline below; ``Capacity.resize`` refuses any other instant),
+so the tick finds a day's one count of units. It takes the day's share of
+the busy and queue integrals, writes the queue lengths and each material's
+level and stockout flag, and reads every stage and pool by one rule: busy
+unit-days over units in force, left unwritten on a day with none, which for
+a stage is a closed day that adds its machines to its closed machine-days.
+An integral that is 0 and has accrued nothing since its last take would read
+0.0, which the zeroed series already holds, so the tick does not take it.
 ``Collector.result`` hands over those same arrays, turns the batches into
 the typed columns of a ``BatchLog``, and adds the run totals.
 
@@ -69,7 +69,7 @@ The changes come from these moves:
 
 A stage's own moves during its visit are in the reason it ends on, so they
 do not wake it again. A pool wakes on an enqueue while a head is free, on a
-release with work still queued and on a capacity change. Day ticks, order
+release with work still queued and at a window step. Day ticks, order
 placements, purchase-order steps short of a receipt and task starts wake
 nothing. A stage sweep can wake a pool (a batch entering the final inventory
 is queued for review), but a pool sweep only starts tasks, so once it is
@@ -180,11 +180,12 @@ class Collector:
         self.horizon = int(model.engine.horizon_days)
         self.series: dict[str, array] = {}
         self._doses = self._new("released_doses")
-        self._stages = [(s, self._new(f"stage_util.{s.id}"))
-                        for s in model.production.stages]
-        self._closed_days = [0] * len(self._stages)  # by stage index
-        self._pools = [(p, self._new(f"pool_util.{p.name}"),
-                        self._new(f"pool_queue.{p.name}")) for p in model.qc.pools]
+        stages, pools = model.production.stages, model.qc.pools
+        self._capacities = [  # (record, series, stage index or None for a pool)
+            *((s.busy, self._new(f"stage_util.{s.id}"), s.idx) for s in stages),
+            *((p.busy, self._new(f"pool_util.{p.name}"), None) for p in pools)]
+        self._closed_days = [0] * len(stages)  # by stage index: no machines in force
+        self._queues = [(p.queue_int, self._new(f"pool_queue.{p.name}")) for p in pools]
         self._materials = [(rt, self._new(f"material_level.{m}"),
                             self._new(f"material_stockout.{m}"))
                            for m, rt in model.materials.runtimes.items()]
@@ -212,24 +213,16 @@ class Collector:
         # each reading is ``StepIntegral.take(t)`` inline, skipped where it
         # would read 0.0 (see the module notes)
         d = int(t) - 1
-        for stage, util in self._stages:
-            shut = stage.cfg.closed  # all day: closures change only at whole days
-            if shut:
-                self._closed_days[stage.idx] += 1
-            i = stage.busy
+        for i, util, k in self._capacities:
+            units = i.units  # all day: resized only at whole days
+            if not units and k is not None:
+                self._closed_days[k] += 1
             if i.value or i.total != i.taken:
                 total = i.total + i.value * (t - i.last_ts)
                 busy, i.total, i.taken, i.last_ts = total - i.taken, total, total, t
-                if not shut:
-                    util[d] = busy / stage.cfg.machines
-        for pool, util, queue in self._pools:
-            i = pool.busy_int
-            if i.value or i.total != i.taken:
-                total = i.total + i.value * (t - i.last_ts)
-                busy, i.total, i.taken, i.last_ts = total - i.taken, total, total, t
-                if pool.capacity > 0:  # resized only at whole days
-                    util[d] = busy / pool.capacity
-            i = pool.queue_int
+                if units:
+                    util[d] = busy / units
+        for i, queue in self._queues:
             if i.value or i.total != i.taken:
                 total = i.total + i.value * (t - i.last_ts)
                 queue[d], i.total, i.taken, i.last_ts = total - i.taken, total, total, t
@@ -271,7 +264,7 @@ class Collector:
         c["retests"] = sum(log["retests"])
         c["investigations"] = sum(log["investigations"])
         for pool in model.qc.pools:
-            c[f"pool_busy_days.{pool.name}"] = pool.busy_int.total
+            c[f"pool_busy_days.{pool.name}"] = pool.busy.total
             c[f"pool_queue_days.{pool.name}"] = pool.queue_int.total
             c[f"pool_started.{pool.name}"] = pool.started
             c[f"pool_wait_days.{pool.name}"] = pool.wait_total

@@ -10,15 +10,15 @@ downstream stage pulls the batch into one of its own machines.
 
 A stage is closed while its ``closed`` flag is set: a maintenance window sets
 it on every stage, an overlay window on the stages it names (both are steps of
-the scenario timeline). Closure suspends in-flight processing and resumes it
-with the remaining time when the stage reopens.
+the scenario timeline). Closure takes its machines out of force and suspends
+in-flight processing, which resumes with the remaining time on reopening.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .engine import Event, StepIntegral
+from .engine import Capacity, Event
 
 IDLE = "idle"
 BUSY = "busy"
@@ -124,7 +124,7 @@ class StageRuntime:
         self.woken = woken
         woken.append(self)
         self.blocked: str | None = None  # the reason its last visit ended on
-        self.busy = StepIntegral()
+        self.busy = Capacity(cfg.machines)  # no machines in force while closed
 
     @property
     def id(self) -> str:
@@ -183,15 +183,12 @@ class Production:
     # -- closure ---------------------------------------------------------
 
     def closure_changed(self, stage_cfg) -> None:
-        """Scenario hook: a stage's ``closed`` flag was written. Suspend or
-        resume the stage's processing as the flag now says. Closures change
-        only at whole days, so a day is closed or open throughout and the
-        day tick reads the flag."""
+        """Scenario hook: a stage's ``closed`` flag was written. Put its
+        machines in force or take them out (a resize, so only at a whole
+        day), then suspend or resume its processing as the flag now says."""
         stage = self.stage_by_id[stage_cfg.id]
         now = self.engine.now
-        if not float(now).is_integer():
-            raise ValueError(f"stage {stage.id} closure changed at t={now}, "
-                             "not at a whole day")
+        stage.busy.resize(0 if stage.cfg.closed else stage.cfg.machines, now)
         if stage.cfg.closed:
             for m in stage.machines:
                 if m.state == BUSY:

@@ -9,8 +9,8 @@ reviewers handle per-stage document reviews and the final release review.
 
 Queue priority, evaluated at insertion: samples tied to an emptier release
 inventory first, then the batch closest to final completion, then
-first-in-first-out. Tasks are never preempted: a capacity cut (scenario) lets
-running work finish and shrinks the pool as tasks complete.
+first-in-first-out. Tasks are never preempted: a cut (``Capacity.resize``)
+lets running work finish and shrinks the pool as tasks complete.
 
 Zero-duration convention: an activity whose duration is Constant(0) does not
 exist (no task, no queueing) — configs omit reviews or checks by leaving the
@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .engine import Event, StepIntegral
+from .engine import Capacity, Event, StepIntegral
 from .production import ALIVE, AWAITING_RELEASE, RELEASED, Batch, StageRuntime
 
 BLOCKED = "blocked"   # waiting on prerequisite tests
@@ -63,17 +63,15 @@ class Pool:
 
     def __init__(self, name: str, capacity: int, woken: list | None = None):
         self.name = name
-        self.capacity = capacity
-        self.busy = 0
+        self.busy = Capacity(capacity)
         self._heap: list[tuple[tuple, int, Task]] = []
         self._seq = 0
-        self.busy_int = StepIntegral(0)
         self.queue_int = StepIntegral(0)
         self.started = 0
         self.wait_total = 0.0  # enqueue -> start
         self.purged_wait = 0.0  # enqueue -> purge, of the tasks a purge drops
-        # may start a task: an enqueue with a head free, set_capacity and a
-        # release with work queued wake it (a purge only shrinks the queue),
+        # may start a task: an enqueue with a head free, a release with work
+        # queued and a timeline step wake it (a purge only shrinks the queue),
         # QaQc.pump puts it to sleep
         self.awake = True
         self.woken = [] if woken is None else woken
@@ -89,26 +87,17 @@ class Pool:
         heapq.heappush(self._heap, (key, self._seq, task))
         self._seq += 1
         self.queue_int.add(now, 1)
-        if self.busy < self.capacity:
+        if self.busy.value < self.busy.units:
             self.wake()
-
-    def set_capacity(self, capacity: int, now: float) -> None:
-        """Capacities change only at whole days, so a day's capacity-time is
-        the capacity the day tick finds."""
-        if not float(now).is_integer():
-            raise ValueError(f"pool {self.name} resized at t={now}, not at a whole day")
-        self.capacity = capacity
-        self.wake()
 
     def pump(self, now: float, starter) -> bool:
         """Start queued tasks while heads are free; ``starter`` runs each one."""
         changed = False
-        queue_add, busy_add = self.queue_int.add, self.busy_int.add
-        while self.busy < self.capacity and self._heap:
+        busy, queue_add = self.busy, self.queue_int.add
+        while busy.value < busy.units and self._heap:
             _, _, task = heapq.heappop(self._heap)
             queue_add(now, -1)
-            self.busy += 1
-            busy_add(now, 1)
+            busy.add(now, 1)
             self.started += 1
             self.wait_total += now - task.enqueued_at
             task.pool = self
@@ -117,8 +106,7 @@ class Pool:
         return changed
 
     def release(self, now: float) -> None:
-        self.busy -= 1
-        self.busy_int.add(now, -1)
+        self.busy.add(now, -1)
         if self._heap:
             self.wake()
 

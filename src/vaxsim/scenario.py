@@ -23,7 +23,7 @@ from .distributions import Distribution, read_number
 
 
 def _resize(pool, model, count: int) -> None:
-    pool.set_capacity(count, model.engine.now)
+    pool.busy.resize(count, model.engine.now)  # the step then wakes every pool
 
 
 # Each settable parameter maps to None, or to ``apply(model, owner, value)``

@@ -8,7 +8,9 @@ is base's, byte for byte.
 
 The windows stay clear of the demo's maintenance windows (two weeks of each
 August and the turn of each year), so no step of theirs shares a day with a
-maintenance step.
+maintenance step. One overlay sets every ``SETTABLE`` path of the demo at
+once: ``{scale: 1}`` where the value's type scales, and the literal value for
+a flag or an unbounded capacity.
 """
 
 from functools import cache
@@ -21,7 +23,7 @@ import vaxsim
 from vaxsim.config import parse_config
 from vaxsim.model import Model
 from vaxsim.runner import result_to_ndjson, run_replication
-from vaxsim.scenario import parse_scenario
+from vaxsim.scenario import SETTABLE, _resolve, parse_scenario
 
 DEMO = yaml.safe_load((Path(vaxsim.__file__).parent / "configs" / "demo.yaml").read_text())
 
@@ -59,3 +61,17 @@ def test_a_window_at_the_baseline_value_plays_two_steps(name):
 @pytest.mark.parametrize("name", sorted(NO_OPS))
 def test_an_overlay_at_the_baseline_value_writes_the_base_replication(name, seed):
     assert result_to_ndjson(run_replication(DEMO, overlay(name), seed)) == base(seed)
+
+
+def test_an_overlay_of_every_path_at_its_baseline_writes_the_base_replication():
+    cfg = parse_config(DEMO)
+    values = {}
+    for pattern in SETTABLE:
+        _, name, targets = _resolve(cfg, pattern)
+        for path, owner in targets:
+            value = getattr(owner, name)
+            values[path] = value if value is None or isinstance(value, bool) else {"scale": 1}
+    assert len(values) > len(SETTABLE)
+    every = {"name": "every_path", "modifications": [
+        {"window": {"start": "2025-05-01", "end": "2025-05-28"}, "set": values}]}
+    assert result_to_ndjson(run_replication(DEMO, every, 1)) == base(1)

@@ -45,7 +45,7 @@ def drain_order(pool):
     order = []
     def starter(task, now):
         order.append(task)
-    while pool.queue_int.value or pool.busy:
+    while pool.queue_int.value or pool.busy.value:
         if not pool.pump(99.0, starter):
             break
         pool.release(99.0)
@@ -213,7 +213,7 @@ def test_capacity_cut_does_not_preempt_running_tasks():
     cfg = parse_config(d)
     m = Model(cfg, seed=1)
     pool = m.qc.tech_pools["lab"]
-    m.engine.schedule(7.0, lambda ev: pool.set_capacity(1, m.engine.now))
+    m.engine.schedule(7.0, lambda ev: pool.busy.resize(1, m.engine.now))
     res = m.run()
     # both 10-day tests started at 6.0 run to completion despite the cut;
     # the next batch's tests then serialize through the single survivor

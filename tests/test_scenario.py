@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 import yaml
 
 from vaxsim.config import ConfigError, config_to_dict, parse_config
+from vaxsim.engine import Capacity
 from vaxsim.model import Model
-from vaxsim.qaqc import Pool
 from vaxsim.runner import result_to_ndjson, run_replication
 from vaxsim.scenario import parse_scenario
 
@@ -144,6 +144,28 @@ def test_an_overlay_closes_a_stage_for_whole_days():
     assert [k for k in range(1, len(util)) if util[k] == 0.0] == list(range(a, b + 1))
 
 
+def test_a_resource_with_no_units_in_force_reads_zero():
+    """Fill is busy from day 3 and the one reviewer, at 4 days a review of a
+    batch filled each 3, from day 6 on. No reviewer on days [20, 26] reads
+    0.0 on exactly those days, yet the review running since day 18 finishes
+    on day 22 and its 2 days inside the window still count as busy. Fill
+    closed on days [60, 64] reads 0.0 on exactly those days and counts them
+    as closed machine-days."""
+    d = chain_dict()
+    d["stages"][2]["document_review"] = True
+    d["qa"] = {"reviewers": 1, "document_review_time": 4.0}
+    cfg = parse_config(d)
+    spec = parse_scenario(overlay(window(day(20), day(26), **{"qa.reviewers": 0}),
+                                  window(day(60), day(64), **{"stages.fill.closed": True})),
+                          cfg)
+    res = Model(cfg, seed=1, spec=spec).run()
+    fill, review = res.series["stage_util.fill"], res.series["pool_util.qa_reviewers"]
+    assert [k for k in range(3, len(fill)) if fill[k] == 0.0] == list(range(60, 65))
+    assert res.counts["stage_closed_days.fill"] == 5.0
+    assert [k for k in range(6, len(review)) if review[k] == 0.0] == list(range(20, 27))
+    assert res.counts["pool_busy_days.qa_reviewers"] == sum(review) + 2.0
+
+
 def test_a_resized_pool_reads_its_new_capacity_from_the_day_it_changes():
     """One reviewer takes every 1-day review of a batch released each 3 days
     and never queues, so a second one from day k changes no busy time: the
@@ -164,9 +186,9 @@ def test_a_resized_pool_reads_its_new_capacity_from_the_day_it_changes():
 
 
 def test_capacities_and_closures_change_only_at_whole_days():
-    Pool("p", 1).set_capacity(2, 3.0)
+    Capacity(1).resize(2, 3.0)
     with pytest.raises(ValueError, match="not at a whole day"):
-        Pool("p", 1).set_capacity(2, 3.5)
+        Capacity(1).resize(2, 3.5)
     cfg = parse_config(chain_dict())
     m = Model(cfg, seed=1)
 
@@ -204,7 +226,7 @@ def test_overlapping_windows_last_writer_wins():
     seen = {}
 
     def probe(ev):
-        seen.setdefault(ev.time, pool.capacity)
+        seen.setdefault(ev.time, pool.busy.units)
 
     for t in (15.0, 25.0, 35.0, 45.0):
         m.engine.schedule(t, probe)
@@ -281,7 +303,7 @@ TIMELINE_DAYS = 16  # window days fall in 0..15 of a 20-day run, so they collide
 # wildcard and by its id; how to read each from a running model
 PARAMETERS = {
     "technicians": (("qc.teams.*.technicians", "qc.teams.lab.technicians"),
-                    st.integers(1, 4), lambda m: m.qc.tech_pools["lab"].capacity),
+                    st.integers(1, 4), lambda m: m.qc.tech_pools["lab"].busy.units),
     "failure_prob": (("qc.tests.*.failure_prob", "qc.tests.assay.failure_prob"),
                      st.sampled_from([0.0, 0.1, 0.25, 0.5]),
                      lambda m: m.cfg.qc.tests[0].failure_prob),

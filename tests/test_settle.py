@@ -4,10 +4,10 @@ able to start.
 
 Whole plants are generated (direct handoff and buffered stages, finite and
 unbounded buffers, 1-3 machines, maintenance, materials, QC and QA pools) and
-run under overlays that close stages, resize inventories, cut head-counts,
-make a material unavailable and reset work in progress. After every run, and
-after a run of the demo plant under each bundled scenario, the plant's books
-must balance.
+run under overlays that close stages, resize inventories, resize every kind
+of pool, make a material unavailable and reset work in progress. After every
+run, and after a run of the demo plant under each bundled scenario, the
+plant's books must balance.
 """
 
 import copy
@@ -111,8 +111,9 @@ def overlays(draw, plant):
         st.builds(lambda s: {f"stages.{s}.closed": True}, st.sampled_from(stage_ids)),
         st.builds(lambda i, c: {f"inventories.{i}.capacity": c},
                   st.sampled_from(inv_ids), st.sampled_from([None, 1, 2, 3])),
-        st.builds(lambda n: {"qc.teams.lab.technicians": n}, st.integers(0, 1)),
-        st.builds(lambda n: {"qa.reviewers": n}, st.integers(0, 1)),
+        *(st.fixed_dictionaries({path: st.integers(0, 1)}) for path in (
+            "qc.teams.lab.technicians", "qc.teams.lab.supervisors",
+            "qa.reviewers", "qa.supervisors", "qa.investigators")),
     ]
     if material_ids:
         choices.append(st.builds(lambda m: {f"materials.{m}.available": False},
@@ -166,7 +167,7 @@ def assert_quiescent(model) -> None:
     for pool in model.qc.pools:
         assert pool.queue_int.value == len(pool._heap), \
             f"t={model.engine.now}: {pool.name} counts another queue than it holds"
-        assert not (pool.busy < pool.capacity and pool.queue_int.value), \
+        assert not (pool.busy.value < pool.busy.units and pool.queue_int.value), \
             f"t={model.engine.now}: {pool.name} could still start a task"
 
 
